@@ -3,7 +3,7 @@ workload, with per-layer spans from a separate traced run.
 
 From the root of a checkout:
 
-    python3 bench/run.py --workload desk --seed 20240 --seconds 15 --trace 0
+    python3 bench/run.py --workload citation-heavy --seed 20240 --seconds 40 --trace 0
     python3 bench/run.py --workload all      # every workload, one after another
     python3 bench/run.py --self-check        # every workload on a shrunken corpus
 
@@ -13,8 +13,15 @@ Load model: closed loop, one client.  Each timed run is one fresh
 another until `--seconds` have passed (at least one run).  Every run's
 outputs are checked; a run that fails a check counts in `failed` and its
 timings are dropped.  The medians go to the JSON object on the last line
-of standard output.  `bench/README.md` says why each workload exists and
-which layer metric should move which end-to-end metric.
+of standard output.
+
+The host's CPU speed drifts by tens of percent within seconds and over
+minutes, more than a median over one run can remove.  So a fixed reference
+task runs before and after every timed process, on the same CPU, and each
+process's time is scaled by the mean of those two reference times
+(`reference_task`, `Workload.reference_s`).  The unscaled times are per-layer
+metrics.  `bench/README.md` says why each workload exists and which layer
+metric should move which end-to-end metric.
 """
 
 from __future__ import annotations
@@ -64,6 +71,19 @@ class Workload:
     digest: str
     #: Files copied beside the run config during set-up.
     extra_files: tuple[str, ...] = ()
+    #: False for a workload that only runs by name, outside BENCHMARK.json.
+    declared: bool = True
+    #: Gradient steps of the reference task's numpy part (`reference.py`):
+    #: 0 for a workload whose work is pure Python.  A reference with the
+    #: workload's own mix of work feels the host's contention as it does.
+    reference_steps: int = 0
+    #: Seconds the reference task takes at the reference speed, about its
+    #: time on the reference machine.  Each timed process's wall is reported
+    #: as measured x reference_s / (mean wall of the reference task just
+    #: before and just after it): seconds on a host where the task takes
+    #: reference_s.  A reference next to the process tracks the host's speed
+    #: much better than one a second away.
+    reference_s: float = 0.5
 
 
 WORKLOADS = {
@@ -76,6 +96,11 @@ WORKLOADS = {
             synth_in_setup=False,
             gated=("Keyword", "Science", "WIPO", "USPTO"),
             digest="08fc2f088f177bc4ccf182ba537732d52ee7305a37198729a52f47539758a665",
+            # one process takes ~40 s, so a run holds one sample: too few
+            # for a median that is steady across seeds
+            declared=False,
+            reference_steps=60,
+            reference_s=1.0,
         ),
         Workload(
             name="citation-heavy",
@@ -93,6 +118,8 @@ WORKLOADS = {
             gated=("Keyword", "WIPO", "Science"),
             digest="171d6d74b5915667b93a656e25a2b8737eae3f7835ac50d5328efee15c505a36",
             extra_files=(os.path.join(BENCH, "workloads", "text-heavy.uspto"),),
+            reference_steps=60,
+            reference_s=1.0,
         ),
     )
 }
@@ -138,6 +165,25 @@ def patmetrics(*args: str) -> list[str]:
 
 def traced(run_id: str, spans_path: str, *args: str) -> list[str]:
     return [sys.executable, os.path.join(BENCH, "spans.py"), run_id, spans_path, "--", *args]
+
+
+def reference_task(w: Workload, log_path: str) -> float:
+    """Wall seconds, spawn to reap, of `reference.py` for this workload: a
+    fixed task that depends on nothing in `src/`."""
+    proc = spawn(
+        [sys.executable, os.path.join(BENCH, "reference.py"), str(w.reference_steps)], log_path
+    )
+    if proc.exit_code != 0:
+        raise BenchError(f"the reference task exited {proc.exit_code}; see {log_path}")
+    return proc.wall_s
+
+
+def pin_to_one_cpu() -> None:
+    """Keep this process and its children on one CPU, so the reference task
+    runs where the timed processes run: the two vCPUs of the reference
+    machine slow down largely independently of each other.  A program
+    that learns to use a second core needs this pin lifted to show it."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def fresh_dir(path: str) -> str:
@@ -186,9 +232,10 @@ class Inputs:
 
 
 def set_up(w: Workload, seed: int, work: str, shrink: bool, repeats: int,
-           spans_path: str | None = None) -> tuple[Inputs, list[float]]:
+           spans_path: str | None = None) -> tuple[Inputs, list[float], list[float]]:
     """Prepare the workload's inputs `repeats` times into fresh directories
-    and keep the last; returns the inputs and each repetition's wall.
+    and keep the last; returns the inputs, each repetition's wall and the
+    mean wall of the reference tasks just before and after it.
 
     With `spans_path`, one traced repetition is made instead.  A workload
     without set-up tables starts the interpreter and imports the program,
@@ -196,7 +243,8 @@ def set_up(w: Workload, seed: int, work: str, shrink: bool, repeats: int,
     synth_config, run_config = (
         shrink_configs(w, work) if shrink else (w.synth_config, w.run_config)
     )
-    walls, manifests = [], set()
+    walls, refs, manifests = [], [], set()
+    before = reference_task(w, os.path.join(work, "setup.log"))
     for rep in range(repeats):
         dest = fresh_dir(os.path.join(work, f"setup-{rep}"))
         if w.synth_in_setup:
@@ -208,6 +256,9 @@ def set_up(w: Workload, seed: int, work: str, shrink: bool, repeats: int,
         if proc.exit_code != 0:
             raise BenchError(f"{w.name}: set-up exited {proc.exit_code}; see {work}/setup.log")
         walls.append(proc.wall_s)
+        after = reference_task(w, os.path.join(work, "setup.log"))
+        refs.append((before + after) / 2)
+        before = after
         if w.synth_in_setup:
             with open(os.path.join(dest, "manifest.txt"), "rb") as fh:
                 manifests.add(fh.read())
@@ -216,10 +267,10 @@ def set_up(w: Workload, seed: int, work: str, shrink: bool, repeats: int,
     if len(manifests) > 1:
         raise BenchError(f"{w.name}: repeated set-up wrote different tables")
     if not w.synth_in_setup:
-        return Inputs(run_config, None), walls
+        return Inputs(run_config, None), walls, refs
     for path in (run_config, *w.extra_files):
         shutil.copy(path, dest)
-    return Inputs(os.path.join(dest, os.path.basename(w.run_config)), dest), walls
+    return Inputs(os.path.join(dest, os.path.basename(w.run_config)), dest), walls, refs
 
 
 # ---------------------------------------------------------------------------
@@ -345,41 +396,56 @@ def measure(w: Workload, seed: int, seconds: float, trace: bool, shrink: bool = 
     compare_digest = seed == DEFAULT_SEED and not shrink
     setup_trace = os.path.join(work, "setup.spans.json") if trace and w.synth_in_setup else None
     run_trace = os.path.join(work, "run.spans.json")
-    inputs, setup_walls = set_up(
+    inputs, setup_walls, setup_refs = set_up(
         w, seed, work, shrink, repeats=1 if trace else SETUP_REPEATS, spans_path=setup_trace
     )
 
     tally = Tally()
     runs: list[Proc] = []
+    #: mean reference task wall just before and after each run in `runs`
+    refs: list[float] = []
     start = time.perf_counter()
+    before = reference_task(w, os.path.join(work, "runs.log"))
     while not tally.attempted or time.perf_counter() - start < seconds:
         proc = timed_run(w, seed, inputs, work, tally, compare_digest)
+        after = reference_task(w, os.path.join(work, "runs.log"))
         if proc is not None:
             runs.append(proc)
+            refs.append((before + after) / 2)
+        before = after
 
-    lines = []
+    lines, metrics = [], {}
     if not trace:
-        samples = {
-            "wall_s": [p.wall_s for p in runs],
-            "peak_rss_mb": [p.peak_rss_mb for p in runs],
-            "setup_s": setup_walls,
-        }
-        metrics = {}
-        for name, unit in END_TO_END:
-            if samples[name]:
-                q1, med, q3 = quartiles(samples[name])
+        if runs:
+            # (scaled samples, unscaled samples); memory is not scaled
+            samples = {
+                "wall_s": ([p.wall_s * w.reference_s / r for p, r in zip(runs, refs)],
+                           [p.wall_s for p in runs]),
+                "peak_rss_mb": ([p.peak_rss_mb for p in runs],) * 2,
+                "setup_s": ([t * w.reference_s / r for t, r in zip(setup_walls, setup_refs)],
+                            setup_walls),
+            }
+            for name, unit in END_TO_END:
+                scaled, unscaled = samples[name]
+                q1, med, q3 = quartiles(scaled)
                 metrics[name] = {"value": med, "unit": unit}
+                note = "" if scaled is unscaled else \
+                    f", unscaled median {statistics.median(unscaled):.4f} {unit}"
                 lines.append(f"{w.name} {name}: median {med:.4f} {unit} "
-                             f"(q1 {q1:.4f}, q3 {q3:.4f}, n={len(samples[name])})")
+                             f"(q1 {q1:.4f}, q3 {q3:.4f}, n={len(scaled)}{note})")
+            lines.append(f"{w.name} reference task: median {statistics.median(refs):.4f} s "
+                         f"around runs, {statistics.median(setup_refs):.4f} s around set-ups; "
+                         f"times scaled to {w.reference_s} s")
     else:
         traced_proc = timed_run(
             w, seed, inputs, work, tally, compare_digest,
             argv_of=lambda args: traced("run", run_trace, *args),
         )
         if setup_trace:
-            metrics, lines = per_layer(w, [setup_trace, run_trace], setup_walls, traced_proc, runs)
+            metrics, lines = per_layer(w, [setup_trace, run_trace], setup_walls, traced_proc, runs,
+                                       refs)
         else:
-            metrics, lines = per_layer(w, [run_trace], [], traced_proc, runs)
+            metrics, lines = per_layer(w, [run_trace], [], traced_proc, runs, refs)
 
     lines.append(f"{w.name} failed_share: {tally.failed / tally.attempted:.4f} "
                  f"({tally.failed} failed of {tally.attempted} runs)")
@@ -426,9 +492,10 @@ def loc_counts() -> dict[str, int]:
     return counts
 
 
-def per_layer(w, spans_paths, traced_setup_walls, traced_proc, runs):
+def per_layer(w, spans_paths, traced_setup_walls, traced_proc, runs, refs):
     """Per-layer metrics from the traced processes (set-up synth, if any,
-    and the run), beside the untraced runs of the same benchmark run."""
+    and the run), beside the untraced runs of the same benchmark run.
+    Times here are unscaled."""
     if traced_proc is None or not runs:
         return {}, [f"{w.name}: no per-layer metrics, a run failed"]
     recorded = []
@@ -438,7 +505,9 @@ def per_layer(w, spans_paths, traced_setup_walls, traced_proc, runs):
     traced_wall = traced_proc.wall_s + sum(traced_setup_walls)
     values = spans.layer_metrics(recorded, traced_wall)
     values["cli.cpu_s"] = statistics.median(p.cpu_s for p in runs)
-    values["trace.overhead_s"] = traced_proc.wall_s - statistics.median(p.wall_s for p in runs)
+    values["unscaled.wall_s"] = statistics.median(p.wall_s for p in runs)
+    values["trace.overhead_s"] = traced_proc.wall_s - values["unscaled.wall_s"]
+    values["host.reference_s"] = statistics.median(refs)
     values.update(loc_counts())
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in spans.PER_LAYER}
     lines = [f"{w.name} {name}: {values[name]:.6g} {unit}" for name, unit in spans.PER_LAYER]
@@ -464,8 +533,10 @@ def self_check() -> int:
         problems.append("BENCHMARK.json end_to_end differs from END_TO_END")
     if [(m["name"], m["unit"]) for m in declared["per_layer"]] != list(spans.PER_LAYER):
         problems.append("BENCHMARK.json per_layer differs from spans.PER_LAYER")
-    if sorted(m["name"] for m in declared["workloads"]) != sorted(WORKLOADS):
-        problems.append("BENCHMARK.json workloads differ from WORKLOADS")
+    if sorted(m["name"] for m in declared["workloads"]) != sorted(
+        name for name, w in WORKLOADS.items() if w.declared
+    ):
+        problems.append("BENCHMARK.json workloads differ from the declared WORKLOADS")
     for w in WORKLOADS.values():
         for trace in (False, True):
             res = measure(w, DEFAULT_SEED, 0, trace, shrink=True)
@@ -495,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-check", action="store_true")
     args = parser.parse_args(argv)
@@ -504,6 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     if not os.path.exists(os.path.join(SRC, "patmetrics", "cli.py")) or not os.path.isdir(FIXTURES):
         print(f"bench: {ROOT} holds no patmetrics source tree (src/, fixtures/)", file=sys.stderr)
         return 2
+    pin_to_one_cpu()
     try:
         if args.self_check:
             return self_check()

@@ -125,6 +125,7 @@ PER_LAYER = (
     + [(f"{layer}_s", "s") for layer in LAYERS]
     + [(name, "count") for name in sorted({m for m, _ in COUNTED.values()} | set(CALLS))]
     + [("cli.self_s", "s"), ("cli.cpu_s", "s"), ("trace.wall_s", "s"), ("trace.overhead_s", "s")]
+    + [("unscaled.wall_s", "s"), ("host.reference_s", "s")]
     + [("src.loc", "lines")] + [(f"{m}.loc", "lines") for m in MODULES]
 )
 
