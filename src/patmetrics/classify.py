@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -101,29 +101,38 @@ class KeywordTable:
         return [ph for ph, _ in self.entries]
 
 
+def _rule_rows(path: str, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each non-empty row of a TSV whose header
+    starts with `columns`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        if header[: len(columns)] != list(columns):
+            raise ConfigError(f"{path}: expected columns {', '.join(columns)}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if line:
+                yield lineno, line.split("\t")
+
+
+def _packaged(name: str, load):
+    """`load` applied to a data file shipped with the package."""
+    with resources.as_file(resources.files("patmetrics") / "data" / name) as p:
+        return load(str(p))
+
+
 def load_keywords(path: str) -> KeywordTable:
     """Read a phrase/category TSV (with header) into a KeywordTable."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[:2] != ["phrase", "category"]:
-            raise ConfigError(f"{path}: expected columns phrase, category")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ConfigError(f"{path}: line {lineno}: expected 2 columns")
-            pairs.append((parts[0], parts[1]))
+    for lineno, parts in _rule_rows(path, ("phrase", "category")):
+        if len(parts) < 2:
+            raise ConfigError(f"{path}: line {lineno}: expected 2 columns")
+        pairs.append((parts[0], parts[1]))
     return KeywordTable.from_pairs(pairs)
 
 
 def default_keywords() -> KeywordTable:
     """The packaged default keyword list."""
-    path = resources.files("patmetrics") / "data" / "keywords.tsv"
-    with resources.as_file(path) as p:
-        return load_keywords(str(p))
+    return _packaged("keywords.tsv", load_keywords)
 
 
 def classify_keyword(corpus: Corpus, table: KeywordTable | None = None) -> frozenset[str]:
@@ -181,20 +190,12 @@ class WipoRule:
 def load_wipo_rules(path: str) -> tuple[WipoRule, ...]:
     """Read a rule_kind/code_prefix/phrase TSV (with header)."""
     rules = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[:3] != ["rule_kind", "code_prefix", "phrase"]:
-            raise ConfigError(f"{path}: expected columns rule_kind, code_prefix, phrase")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if not parts or not parts[0].strip():
-                raise ConfigError(f"{path}: line {lineno}: missing rule_kind")
-            parts += [""] * (3 - len(parts))  # trailing empty cells may be dropped
-            kind, prefix, phrase_text = parts[0].strip(), parts[1].strip(), parts[2]
-            rules.append(WipoRule(kind, prefix.upper(), _phrase(phrase_text)))
+    for lineno, parts in _rule_rows(path, ("rule_kind", "code_prefix", "phrase")):
+        if not parts[0].strip():
+            raise ConfigError(f"{path}: line {lineno}: missing rule_kind")
+        parts += [""] * (3 - len(parts))  # trailing empty cells may be dropped
+        kind, prefix, phrase_text = parts[0].strip(), parts[1].strip(), parts[2]
+        rules.append(WipoRule(kind, prefix.upper(), _phrase(phrase_text)))
     if not rules:
         raise ConfigError(f"{path}: rule table is empty")
     return tuple(rules)
@@ -202,9 +203,7 @@ def load_wipo_rules(path: str) -> tuple[WipoRule, ...]:
 
 def default_wipo_rules() -> tuple[WipoRule, ...]:
     """The packaged sample rule table (one rule of each kind)."""
-    path = resources.files("patmetrics") / "data" / "wipo_rules.tsv"
-    with resources.as_file(path) as p:
-        return load_wipo_rules(str(p))
+    return _packaged("wipo_rules.tsv", load_wipo_rules)
 
 
 def classify_wipo(corpus: Corpus, rules: Sequence[WipoRule] | None = None) -> frozenset[str]:
@@ -412,6 +411,18 @@ def _citation_features(corpus: Corpus, ids: Sequence[str], seed: frozenset[str])
     return F
 
 
+def _features(
+    corpus: Corpus,
+    ids: Sequence[str],
+    counters: Sequence[Counter],
+    vocab_index: Mapping[str, int],
+    seed: frozenset[str],
+) -> np.ndarray:
+    """Token shares over the vocabulary, then log citation counts to and
+    from the seed: the feature rows of both training and scoring."""
+    return np.hstack([_text_rows(counters, vocab_index), _citation_features(corpus, ids, seed)])
+
+
 def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel:
     """Train one logistic model per component.
 
@@ -442,9 +453,7 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
             tok for tok, _ in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.vocab_size]
         )
         vocab_index = {tok: j for j, tok in enumerate(vocab)}
-        X = np.hstack(
-            [_text_rows(counters, vocab_index), _citation_features(corpus, train_ids, seed)]
-        )
+        X = _features(corpus, train_ids, counters, vocab_index, seed)
         # max-abs column scaling during descent only; folding the scales back
         # into the weights keeps scoring a plain dot product on raw features
         scales = np.abs(X).max(axis=0)
@@ -463,16 +472,6 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
     return UsptoModel(cfg, models)
 
 
-def score_component(corpus: Corpus, model: ComponentModel, ids: Sequence[str]) -> np.ndarray:
-    """Predicted probabilities for the given patents under one component."""
-    vocab_index = {tok: j for j, tok in enumerate(model.vocab)}
-    counters = [_doc_counter(corpus, pid) for pid in ids]
-    X = np.hstack(
-        [_text_rows(counters, vocab_index), _citation_features(corpus, ids, model.seed)]
-    )
-    return 1.0 / (1.0 + np.exp(-(X @ model.weights + model.bias)))
-
-
 def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
     """Union of patents scoring strictly above the threshold in any component."""
     ids = list(corpus.ids())
@@ -483,12 +482,7 @@ def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
         batch = ids[start : start + chunk]
         counters = [_doc_counter(corpus, pid) for pid in batch]
         for comp, vocab_index in zip(model.components, indexes):
-            X = np.hstack(
-                [
-                    _text_rows(counters, vocab_index),
-                    _citation_features(corpus, batch, comp.seed),
-                ]
-            )
+            X = _features(corpus, batch, counters, vocab_index, comp.seed)
             scores = 1.0 / (1.0 + np.exp(-(X @ comp.weights + comp.bias)))
             for pid, s in zip(batch, scores):
                 if s > model.config.threshold:

@@ -74,16 +74,39 @@ def _parse_period(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(text)
+    return states[text.lower()]
+
+
+def _get(section, key: str, parse, default, path: str):
+    """`section[key]` parsed by `parse` (int, float or `_boolean`), or
+    `default` when the key is absent or blank.  A value that does not
+    parse is a `ConfigError`."""
+    raw = section.get(key, "").strip()
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"{path}: [{section.name}] {key}: cannot parse {raw!r}") from None
+
+
 def load_run_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
     if not parser.read(path, encoding="utf-8"):
         raise ConfigError(f"cannot read run config {path!r}")
     base = os.path.dirname(os.path.abspath(path))
+    for name in ("run", "metrics", "stats"):
+        if name not in parser:
+            parser.add_section(name)
 
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    run = parser["run"] if "run" in parser else parser["DEFAULT"]
+    run, m, s = parser["run"], parser["metrics"], parser["stats"]
     window = _parse_period(run.get("window", "1990-2019"))
     periods = tuple(
         _parse_period(t.strip())
@@ -101,7 +124,7 @@ def load_run_config(path: str) -> RunConfig:
     else:
         if not inputs.get("patents", "").strip():
             raise ConfigError(f"{path}: [inputs] needs either synth= or patents=")
-        for name in ("patents", "cpc", "citations", "science"):
+        for name in pio.TABLE_COLUMNS:
             value = inputs.get(name, "").strip()
             tables.append((name, resolve(value) if value else None))
 
@@ -122,7 +145,7 @@ def load_run_config(path: str) -> RunConfig:
                 kind=kind,
                 keywords_path=None if keywords == "default" else resolve(keywords),
                 field=g.get("field", cls.DEFAULT_SCIENCE_FIELD),
-                min_confidence=g.getint("min_confidence", cls.DEFAULT_MIN_CONFIDENCE),
+                min_confidence=_get(g, "min_confidence", int, cls.DEFAULT_MIN_CONFIDENCE, path),
                 rules_path=None if rules == "default" else resolve(rules),
                 uspto_path=resolve(g.get("config").strip()) if g.get("config") else None,
                 prefix=g.get("prefix", "").strip(),
@@ -139,32 +162,31 @@ def load_run_config(path: str) -> RunConfig:
         if g.kind == "uspto" and not g.uspto_path:
             raise ConfigError(f"{path}: group {g.name!r} needs config=")
 
-    m = parser["metrics"] if "metrics" in parser else {}
-    levels = tuple(
-        int(t) for t in (m.get("levels", "1,3,4") if m else "1,3,4").split(",") if t.strip()
-    )
+    def listed(section, key, default=""):
+        return tuple(t.strip() for t in section.get(key, default).split(",") if t.strip())
+
+    try:
+        levels = tuple(int(t) for t in listed(m, "levels", "1,3,4"))
+    except ValueError:
+        raise ConfigError(f"{path}: [metrics] levels: expected integers") from None
     for lv in levels:
         if lv not in (1, 3, 4):
             raise ConfigError(f"{path}: unsupported CPC level {lv}")
     universes = []
-    if m:
-        for lv in (3, 4):
-            key = f"diversity_universe_{lv}"
-            if m.get(key, "").strip():
-                universes.append((lv, int(m.get(key))))
-    lag_mode = (m.get("lag_mode", "all_citations") if m else "all_citations").strip()
+    for lv in (3, 4):
+        universe = _get(m, f"diversity_universe_{lv}", int, None, path)
+        if universe is not None:
+            universes.append((lv, universe))
+    lag_mode = m.get("lag_mode", "all_citations").strip()
     if lag_mode not in ("all_citations", "first_citation"):
         raise ConfigError(f"{path}: unknown lag_mode {lag_mode!r}")
-
-    s = parser["stats"] if "stats" in parser else {}
-
-    def listed(section, key, default=""):
-        raw = section.get(key, default) if section else default
-        return tuple(t.strip() for t in raw.split(",") if t.strip())
+    lowess_fraction = _get(m, "lowess_fraction", float, 0.6667, path)
+    if not 0.0 < lowess_fraction <= 1.0:
+        raise ConfigError(f"{path}: lowess_fraction must lie in (0, 1]: {lowess_fraction}")
 
     cfg = RunConfig(
         base_dir=base,
-        strict=run.getboolean("strict", False) if hasattr(run, "getboolean") else False,
+        strict=_get(run, "strict", _boolean, False, path),
         window=window,
         periods=periods,
         synth_path=synth_path,
@@ -175,11 +197,11 @@ def load_run_config(path: str) -> RunConfig:
         lag_mode=lag_mode,
         zscore_metrics=listed(m, "zscore", "generality"),
         lowess_metrics=listed(m, "lowess", "growth"),
-        lowess_fraction=float(m.get("lowess_fraction", "0.6667")) if m else 2.0 / 3.0,
-        descendants=(m.get("descendants", "true").strip().lower() != "false") if m else True,
+        lowess_fraction=lowess_fraction,
+        descendants=_get(m, "descendants", _boolean, True, path),
         compare=listed(s, "compare", "growth"),
-        holm=(s.get("holm", "true").strip().lower() != "false") if s else True,
-        exact_cutoff=int(s.get("exact_cutoff", str(st.DEFAULT_EXACT_CUTOFF))) if s else st.DEFAULT_EXACT_CUTOFF,
+        holm=_get(s, "holm", _boolean, True, path),
+        exact_cutoff=_get(s, "exact_cutoff", int, st.DEFAULT_EXACT_CUTOFF, path),
     )
     for metric in cfg.zscore_metrics:
         if metric not in ("generality", "avg_citing_classes", "avg_citing_classes_cited"):
@@ -205,40 +227,35 @@ class RunLog:
 # ---------------------------------------------------------------------------
 # corpus preparation
 
+def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> Corpus:
+    """Generate a synthetic corpus and write its tables and truth lists."""
+    scfg = syn.load_synth_config(synth_path)
+    if seed is not None:
+        scfg = replace(scfg, rng_seed=seed)
+    corpus, truth = syn.generate(scfg)
+    pio.write_corpus(out_dir, corpus)
+    for name in sorted(truth):
+        pio.write_ids(os.path.join(out_dir, "truth", f"{name}.ids"), truth[name])
+    return corpus
+
+
 def _ensure_corpus(cfg: RunConfig, out_dir: str, log: RunLog) -> Corpus:
     """Load the corpus, generating and persisting synthetic tables first
     when the config asks for them."""
     if cfg.synth_path is not None:
         corpus_dir = os.path.join(out_dir, "corpus")
-        patents = os.path.join(corpus_dir, "patents.tsv")
-        if not os.path.exists(patents):
-            scfg = syn.load_synth_config(cfg.synth_path)
-            if cfg.seed_override is not None:
-                scfg = replace(scfg, rng_seed=cfg.seed_override)
-            corpus, truth = syn.generate(scfg)
-            pio.write_corpus(corpus_dir, corpus)
-            for name in sorted(truth):
-                pio.write_ids(os.path.join(corpus_dir, "truth", f"{name}.ids"), truth[name])
+        paths = {name: os.path.join(corpus_dir, f"{name}.tsv") for name in pio.TABLE_COLUMNS}
+        if not os.path.exists(paths["patents"]):
+            corpus = _synthesize(cfg.synth_path, cfg.seed_override, corpus_dir)
             log.line(f"synth: generated {len(corpus)} patents into corpus/")
-        paths = {
-            "patents": patents,
-            "cpc": os.path.join(corpus_dir, "cpc.tsv"),
-            "citations": os.path.join(corpus_dir, "citations.tsv"),
-            "science": os.path.join(corpus_dir, "science.tsv"),
-        }
     else:
-        paths = {name: p for name, p in cfg.table_paths}
+        paths = dict(cfg.table_paths)
         missing = paths.get("patents")
         if missing is None or not os.path.exists(missing):
             raise ConfigError(f"patents table not found: {missing!r}")
 
     corpus, report = pio.load_corpus(
-        paths["patents"],
-        paths.get("cpc"),
-        paths.get("citations"),
-        paths.get("science"),
-        window=cfg.window,
-        strict=cfg.strict,
+        *(paths.get(name) for name in pio.TABLE_COLUMNS), window=cfg.window, strict=cfg.strict
     )
     # report paths relative to the output dir, so re-runs in different
     # directories hash identically
@@ -300,19 +317,16 @@ def load_uspto_config(path: str) -> cls.UsptoConfig:
             seeds[comp] = tuple(t.strip() for t in raw.split(",") if t.strip())
     else:
         seeds = dict(cls.DEFAULT_SEED_RULES)
-    try:
-        return cls.UsptoConfig(
-            components=components,
-            seed_rules=seeds,
-            expansion_hops=u.getint("expansion_hops", 1),
-            vocab_size=u.getint("vocab_size", 500),
-            threshold=u.getfloat("threshold", 0.5),
-            epochs=u.getint("epochs", 150),
-            learning_rate=u.getfloat("learning_rate", 2.0),
-            anti_seed_rng=u.getint("anti_seed_rng", 13),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return cls.UsptoConfig(
+        components=components,
+        seed_rules=seeds,
+        expansion_hops=_get(u, "expansion_hops", int, 1, path),
+        vocab_size=_get(u, "vocab_size", int, 500, path),
+        threshold=_get(u, "threshold", float, 0.5, path),
+        epochs=_get(u, "epochs", int, 150, path),
+        learning_rate=_get(u, "learning_rate", float, 2.0, path),
+        anti_seed_rng=_get(u, "anti_seed_rng", int, 13, path),
+    )
 
 
 def _read_groups(cfg: RunConfig, out_dir: str) -> dict[str, frozenset[str]]:
@@ -364,73 +378,50 @@ def stage_metrics(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
             [("|".join(approach), str(count), pio.fmt_value(share))],
         )
 
-    for level in cfg.levels:
-        tag = f"_d{level}"
-        gen = [met.generality_series(corpus, groups[n], level, n) for n in order]
-        gen = [s for s in gen if s.points]
-        if gen:
-            pio.write_series(_mpath(out_dir, f"generality{tag}"), gen)
+    def per_group(metric, level, compute, keep_empty=False):
+        """`compute(group) -> (series, overall)` for every group.  Records
+        each overall as a scalar, writes the series (only those with points
+        unless `keep_empty`) and returns them by group."""
+        series = {}
         for n in order:
-            scalars.append(
-                ("generality", str(level), n, met.generality_index(corpus, groups[n], level))
-            )
-
-        for cited_only, stem in ((False, "avg_citing_classes"), (True, "avg_citing_classes_cited")):
-            rows = []
-            for n in order:
-                series, overall = met.avg_citing_classes(
-                    corpus, groups[n], level, n, cited_only=cited_only
-                )
-                if series.points:
-                    rows.append(series)
-                scalars.append((stem, str(level), n, overall))
-            if rows:
-                pio.write_series(_mpath(out_dir, f"{stem}{tag}"), rows)
-
-        if level in (3, 4):
-            rows = []
-            for n in order:
-                series, overall = met.diversity_share(
-                    corpus, groups[n], level, n, universe=universes.get(level)
-                )
-                rows.append(series)
-                scalars.append(("diversity_share", str(level), n, overall))
-            pio.write_series(_mpath(out_dir, f"diversity_share{tag}"), rows)
-
-        rows = []
-        for n in order:
-            series, overall = met.diversity_per_patent(corpus, groups[n], level, n)
-            if series.points:
-                rows.append(series)
-            scalars.append(("diversity_per_patent", str(level), n, overall))
+            series[n], overall = compute(n)
+            scalars.append((metric, str(level or ""), n, overall))
+        rows = [s for s in series.values() if s.points or keep_empty]
         if rows:
-            pio.write_series(_mpath(out_dir, f"diversity_per_patent{tag}"), rows)
+            pio.write_series(_mpath(out_dir, f"{metric}_d{level}" if level else metric), rows)
+        return series
 
+    for level in cfg.levels:
+        # series by metric and group at this level, reused as z-score inputs
+        by_metric = {
+            "generality": per_group("generality", level, lambda n: (
+                met.generality_series(corpus, groups[n], level, n),
+                met.generality_index(corpus, groups[n], level),
+            ))
+        }
+        for cited_only, stem in ((False, "avg_citing_classes"), (True, "avg_citing_classes_cited")):
+            by_metric[stem] = per_group(stem, level, lambda n: met.avg_citing_classes(
+                corpus, groups[n], level, n, cited_only=cited_only
+            ))
+        if level in (3, 4):
+            per_group("diversity_share", level, lambda n: met.diversity_share(
+                corpus, groups[n], level, n, universe=universes.get(level)
+            ), keep_empty=True)
+        per_group("diversity_per_patent", level, lambda n: met.diversity_per_patent(
+            corpus, groups[n], level, n
+        ))
         if len(approach) >= 2:
             for zm in cfg.zscore_metrics:
-                if zm == "generality":
-                    zin = [met.generality_series(corpus, groups[n], level, n) for n in approach]
-                else:
-                    cited_only = zm == "avg_citing_classes_cited"
-                    zin = [
-                        met.avg_citing_classes(corpus, groups[n], level, n, cited_only)[0]
-                        for n in approach
-                    ]
-                zin = [s for s in zin if s.points]
+                zin = [by_metric[zm][n] for n in approach if by_metric[zm][n].points]
                 if len(zin) >= 2:
                     pio.write_series(
-                        _mpath(out_dir, f"{zm}{tag}_zscore"),
+                        _mpath(out_dir, f"{zm}_d{level}_zscore"),
                         met.zscore_across_groups(zin),
                     )
 
-    lag_rows = []
-    for n in order:
-        series, overall = met.citation_lag_series(corpus, groups[n], n, cfg.lag_mode)
-        if series.points:
-            lag_rows.append(series)
-        scalars.append(("citation_lag", "", n, overall))
-    if lag_rows:
-        pio.write_series(_mpath(out_dir, "citation_lag"), lag_rows)
+    per_group("citation_lag", None, lambda n: met.citation_lag_series(
+        corpus, groups[n], n, cfg.lag_mode
+    ))
 
     period_rows = []
     for n in order:
@@ -487,11 +478,18 @@ def stage_stats(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
             log.line(f"stats: {metric} has fewer than 2 group series, skipped")
             continue
         order = [s.group for s in series]
+        summary_rows = []
         for period in cfg.periods:
             tag = f"{period[0]}-{period[1]}"
             result = st.pairwise_compare(
                 series, period, holm=cfg.holm, exact_cutoff=cfg.exact_cutoff
             )
+            for stat_idx, stat_name in enumerate(("mean", "median", "stdev")):
+                row = [tag, stat_name]
+                for g in order:
+                    summary = result.summaries[g]
+                    row.append(pio.fmt_value(summary[stat_idx]) if summary else "")
+                summary_rows.append(row)
 
             rows = []
             for a, b in sorted(result.tests, key=lambda p: (order.index(p[0]), order.index(p[1]))):
@@ -528,17 +526,6 @@ def stage_stats(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
                 matrix_rows,
             )
 
-        summary_rows = []
-        for period in cfg.periods:
-            result = st.pairwise_compare(
-                series, period, holm=cfg.holm, exact_cutoff=cfg.exact_cutoff
-            )
-            for stat_idx, stat_name in enumerate(("mean", "median", "stdev")):
-                row = [f"{period[0]}-{period[1]}", stat_name]
-                for g in order:
-                    s = result.summaries[g]
-                    row.append(pio.fmt_value(s[stat_idx]) if s else "")
-                summary_rows.append(row)
         pio.write_table(
             os.path.join(out_dir, "stats", f"{metric}_summary.tsv"),
             ["period", "stat"] + order,
@@ -576,13 +563,7 @@ def stage_report(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
 # entry points
 
 def cmd_synth(args) -> int:
-    scfg = syn.load_synth_config(args.config)
-    if args.seed is not None:
-        scfg = replace(scfg, rng_seed=args.seed)
-    corpus, truth = syn.generate(scfg)
-    pio.write_corpus(args.out, corpus)
-    for name in sorted(truth):
-        pio.write_ids(os.path.join(args.out, "truth", f"{name}.ids"), truth[name])
+    corpus = _synthesize(args.config, args.seed, args.out)
     log = RunLog(args.out)
     log.line(f"synth: {len(corpus)} patents, {len(corpus.citations)} citations")
     pio.write_manifest(args.out)
@@ -632,7 +613,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run the full pipeline")
     add_common(p_run, "override the synthetic-input RNG seed")
     p_run.add_argument("--strict", action="store_true", help="abort on any rejected row")
-    p_run.add_argument("--threads", type=int, default=1, help="reserved; stages run single-threaded")
     p_run.add_argument("--only", default="", help="comma-separated subset of stages to run")
 
     for stage in STAGES:

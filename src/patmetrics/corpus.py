@@ -2,14 +2,13 @@
 
 The corpus is immutable once built.  `CorpusBuilder` is the single place where
 row-level validation happens, so file loading and synthetic generation share
-the same rules.  Builders count every rejected row by reason; callers decide
-whether a rejection is fatal (strict mode) or merely logged.
+the same rules.  Builders name the reason for every rejected row; callers
+decide whether a rejection is fatal (strict mode) or merely counted.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -100,8 +99,8 @@ class ScienceLink:
 
 
 class CorpusBuilder:
-    """Accumulates rows with validation.  add_* methods return True when the
-    row was accepted; rejected rows are counted in `counts[table][reason]`.
+    """Accumulates rows with validation.  add_* methods return None when the
+    row was accepted and the rejection reason when it was not.
 
     A duplicate patent id always raises: downstream identity assumptions
     would silently break otherwise.
@@ -119,80 +118,65 @@ class CorpusBuilder:
         self._cite_seen: set[tuple[str, str]] = set()
         self._science: list[ScienceLink] = []
         self._sci_seen: set[tuple[str, str, int]] = set()
-        self.counts: dict[str, Counter] = {
-            "patents": Counter(),
-            "cpc": Counter(),
-            "citations": Counter(),
-            "science": Counter(),
-        }
-        self.accepted: Counter = Counter()
-
-    def _reject(self, table: str, reason: str) -> bool:
-        self.counts[table][reason] += 1
-        return False
 
     def grant_year(self, patent_id: str) -> int:
         return self._records[patent_id].grant_year
 
-    def add_record(self, rec: PatentRecord) -> bool:
+    def add_record(self, rec: PatentRecord) -> str | None:
         if not rec.id:
-            return self._reject("patents", "empty_id")
+            return "empty_id"
         if rec.id in self._records:
             raise DataError(f"duplicate patent id {rec.id!r}")
         lo, hi = self.window
         if not (lo <= rec.grant_year <= hi):
-            return self._reject("patents", "year_out_of_window")
+            return "year_out_of_window"
         self._records[rec.id] = rec
-        self.accepted["patents"] += 1
-        return True
+        return None
 
-    def add_assignment(self, patent_id: str, raw_code: str) -> bool:
+    def add_assignment(self, patent_id: str, raw_code: str) -> str | None:
         if patent_id not in self._records:
-            return self._reject("cpc", "unknown_patent")
+            return "unknown_patent"
         try:
             code = parse_cpc(raw_code)
         except CpcParseError:
-            return self._reject("cpc", "bad_code")
+            return "bad_code"
         key = (patent_id, code.raw)
         if key in self._code_seen:
-            return self._reject("cpc", "duplicate")
+            return "duplicate"
         self._code_seen.add(key)
         self._codes.setdefault(patent_id, []).append(code)
-        self.accepted["cpc"] += 1
-        return True
+        return None
 
-    def add_citation(self, citing: str, cited: str) -> bool:
+    def add_citation(self, citing: str, cited: str) -> str | None:
         if citing not in self._records:
-            return self._reject("citations", "unknown_citing")
+            return "unknown_citing"
         if cited not in self._records:
-            return self._reject("citations", "unknown_cited")
+            return "unknown_cited"
         if citing == cited:
-            return self._reject("citations", "self_citation")
+            return "self_citation"
         if (citing, cited) in self._cite_seen:
-            return self._reject("citations", "duplicate")
+            return "duplicate"
         citing_year = self._records[citing].grant_year
         if citing_year < self._records[cited].grant_year:
-            return self._reject("citations", "negative_lag")
+            return "negative_lag"
         self._cite_seen.add((citing, cited))
         self._citations.append(CitationEdge(citing, cited, citing_year))
-        self.accepted["citations"] += 1
-        return True
+        return None
 
-    def add_science_link(self, patent_id: str, field_label: str, confidence: int) -> bool:
+    def add_science_link(self, patent_id: str, field_label: str, confidence: int) -> str | None:
         if patent_id not in self._records:
-            return self._reject("science", "unknown_patent")
+            return "unknown_patent"
         label = field_label.strip()
         if not label:
-            return self._reject("science", "empty_field")
+            return "empty_field"
         if confidence < 1:
-            return self._reject("science", "bad_confidence")
+            return "bad_confidence"
         key = (patent_id, label, confidence)
         if key in self._sci_seen:
-            return self._reject("science", "duplicate")
+            return "duplicate"
         self._sci_seen.add(key)
         self._science.append(ScienceLink(patent_id, label, confidence))
-        self.accepted["science"] += 1
-        return True
+        return None
 
     def build(self) -> "Corpus":
         return Corpus(

@@ -29,6 +29,13 @@ TABLE_COLUMNS = {
 }
 
 
+def _create(path: str):
+    """Open `path` for writing as UTF-8 with \\n line endings, creating
+    its directory first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 # ---------------------------------------------------------------------------
 # corpus tables
 
@@ -56,7 +63,7 @@ class LoadReport:
             f"corpus window: {self.window[0]}-{self.window[1]}",
             f"mode: {'strict' if self.strict else 'lenient'}",
         ]
-        for name in ("patents", "cpc", "citations", "science"):
+        for name in TABLE_COLUMNS:
             if name not in self.tables:
                 continue
             t = self.tables[name]
@@ -106,149 +113,88 @@ def load_corpus(
     builder = CorpusBuilder(window=window)
     report = LoadReport(window=builder.window, strict=strict)
 
-    def bad(table: TableReport, path: str, lineno: int, reason: str):
-        table.rejected[reason] += 1
-        if strict:
-            raise DataError(f"{path}: line {lineno}: rejected row ({reason})")
-
-    t = report.tables["patents"] = TableReport(patents_path)
-    fh, reader, cols = _open_table(patents_path, "patents")
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            t.rows += 1
-            if len(row) <= max(cols.values()):
-                bad(t, patents_path, lineno, "malformed")
-                continue
-            try:
-                year = int(row[cols["grant_year"]])
-            except ValueError:
-                bad(t, patents_path, lineno, "malformed")
-                continue
-            rec = PatentRecord(
+    # Row adders return None for an accepted row and the reason otherwise;
+    # a ValueError from an integer cell means the row is malformed.
+    def add_patent(row, cols, table):
+        return builder.add_record(
+            PatentRecord(
                 id=row[cols["id"]].strip(),
-                grant_year=year,
+                grant_year=int(row[cols["grant_year"]]),
                 title=row[cols["title"]],
                 abstract=row[cols["abstract"]],
                 claims=row[cols["claims"]],
                 description=row[cols["description"]],
             )
-            before = dict(builder.counts["patents"])
-            if builder.add_record(rec):
-                t.accepted += 1
-            else:
-                reason = _new_reason(before, builder.counts["patents"])
-                bad(t, patents_path, lineno, reason)
+        )
 
-    if cpc_path is not None:
-        t = report.tables["cpc"] = TableReport(cpc_path)
-        fh, reader, cols = _open_table(cpc_path, "cpc")
+    def add_cpc(row, cols, table):
+        return builder.add_assignment(row[cols["patent_id"]].strip(), row[cols["cpc_code"]])
+
+    def add_citation(row, cols, table):
+        citing = row[cols["citing_id"]].strip()
+        stated_year = int(row[cols["citing_year"]])
+        reason = builder.add_citation(citing, row[cols["cited_id"]].strip())
+        # citing_year is resolved from the citing record; a stated year
+        # that disagrees is worth flagging but not fatal.
+        if reason is None and builder.grant_year(citing) != stated_year:
+            table.warnings["citing_year_mismatch"] += 1
+        return reason
+
+    def add_science(row, cols, table):
+        return builder.add_science_link(
+            row[cols["patent_id"]].strip(), row[cols["field_label"]], int(row[cols["confidence"]])
+        )
+
+    sources = {
+        "patents": (patents_path, add_patent),
+        "cpc": (cpc_path, add_cpc),
+        "citations": (citations_path, add_citation),
+        "science": (science_path, add_science),
+    }
+    for name in TABLE_COLUMNS:
+        path, add = sources[name]
+        if path is None:
+            continue
+        t = report.tables[name] = TableReport(path)
+        fh, reader, cols = _open_table(path, name)
+        last = max(cols.values())
         with fh:
             for lineno, row in enumerate(reader, start=2):
                 t.rows += 1
-                if len(row) <= max(cols.values()):
-                    bad(t, cpc_path, lineno, "malformed")
-                    continue
-                before = dict(builder.counts["cpc"])
-                if builder.add_assignment(row[cols["patent_id"]].strip(), row[cols["cpc_code"]]):
-                    t.accepted += 1
-                else:
-                    bad(t, cpc_path, lineno, _new_reason(before, builder.counts["cpc"]))
-
-    if citations_path is not None:
-        t = report.tables["citations"] = TableReport(citations_path)
-        fh, reader, cols = _open_table(citations_path, "citations")
-        with fh:
-            for lineno, row in enumerate(reader, start=2):
-                t.rows += 1
-                if len(row) <= max(cols.values()):
-                    bad(t, citations_path, lineno, "malformed")
-                    continue
-                citing = row[cols["citing_id"]].strip()
-                cited = row[cols["cited_id"]].strip()
                 try:
-                    stated_year = int(row[cols["citing_year"]])
+                    reason = "malformed" if len(row) <= last else add(row, cols, t)
                 except ValueError:
-                    bad(t, citations_path, lineno, "malformed")
-                    continue
-                before = dict(builder.counts["citations"])
-                if builder.add_citation(citing, cited):
+                    reason = "malformed"
+                if reason is None:
                     t.accepted += 1
-                    # citing_year is resolved from the citing record; a stated
-                    # year that disagrees is worth flagging but not fatal.
-                    if builder.grant_year(citing) != stated_year:
-                        t.warnings["citing_year_mismatch"] += 1
-                else:
-                    bad(t, citations_path, lineno, _new_reason(before, builder.counts["citations"]))
-
-    if science_path is not None:
-        t = report.tables["science"] = TableReport(science_path)
-        fh, reader, cols = _open_table(science_path, "science")
-        with fh:
-            for lineno, row in enumerate(reader, start=2):
-                t.rows += 1
-                if len(row) <= max(cols.values()):
-                    bad(t, science_path, lineno, "malformed")
                     continue
-                try:
-                    conf = int(row[cols["confidence"]])
-                except ValueError:
-                    bad(t, science_path, lineno, "malformed")
-                    continue
-                before = dict(builder.counts["science"])
-                if builder.add_science_link(row[cols["patent_id"]].strip(), row[cols["field_label"]], conf):
-                    t.accepted += 1
-                else:
-                    bad(t, science_path, lineno, _new_reason(before, builder.counts["science"]))
+                t.rejected[reason] += 1
+                if strict:
+                    raise DataError(f"{path}: line {lineno}: rejected row ({reason})")
 
     return builder.build(), report
 
 
-def _new_reason(before: dict, after: Counter) -> str:
-    for reason, n in after.items():
-        if n != before.get(reason, 0):
-            return reason
-    return "rejected"
-
-
 def write_corpus(out_dir: str, corpus: Corpus) -> dict[str, str]:
     """Write the four corpus tables under `out_dir`; returns name -> path."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
 
     def clean(text: str) -> str:
         return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
 
-    paths["patents"] = p = os.path.join(out_dir, "patents.tsv")
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(TABLE_COLUMNS["patents"]) + "\n")
-        for rec in corpus.records.values():
-            fh.write(
-                "\t".join(
-                    (rec.id, str(rec.grant_year), clean(rec.title), clean(rec.abstract),
-                     clean(rec.claims), clean(rec.description))
-                )
-                + "\n"
-            )
-
-    paths["cpc"] = p = os.path.join(out_dir, "cpc.tsv")
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(TABLE_COLUMNS["cpc"]) + "\n")
-        for pid, codes in corpus.codes.items():
-            for code in codes:
-                fh.write(f"{pid}\t{code.raw}\n")
-
-    paths["citations"] = p = os.path.join(out_dir, "citations.tsv")
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(TABLE_COLUMNS["citations"]) + "\n")
-        for e in corpus.citations:
-            fh.write(f"{e.citing}\t{e.cited}\t{e.citing_year}\n")
-
-    paths["science"] = p = os.path.join(out_dir, "science.tsv")
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(TABLE_COLUMNS["science"]) + "\n")
-        for link in corpus.science:
-            fh.write(f"{link.patent}\t{clean(link.field_label)}\t{link.confidence}\n")
-
+    rows = {
+        "patents": (
+            (r.id, r.grant_year, clean(r.title), clean(r.abstract),
+             clean(r.claims), clean(r.description))
+            for r in corpus.records.values()
+        ),
+        "cpc": ((pid, code.raw) for pid, codes in corpus.codes.items() for code in codes),
+        "citations": ((e.citing, e.cited, e.citing_year) for e in corpus.citations),
+        "science": ((k.patent, clean(k.field_label), k.confidence) for k in corpus.science),
+    }
+    paths = {}
+    for name, header in TABLE_COLUMNS.items():
+        paths[name] = os.path.join(out_dir, f"{name}.tsv")
+        write_table(paths[name], header, rows[name])
     return paths
 
 
@@ -274,8 +220,7 @@ def write_series(path: str, series_list: Sequence[GroupSeries]) -> None:
         raise ValueError(f"duplicate group columns in {path}: {names}")
     years = sorted({y for s in ordered for y, _ in s.points})
     lookup = [dict(s.points) for s in ordered]
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write("year\t" + "\t".join(names) + "\n")
         for y in years:
             cells = [fmt_value(d.get(y)) for d in lookup]
@@ -293,14 +238,16 @@ def read_series(path: str, metric: str | None = None) -> list[GroupSeries]:
             raise DataError(f"{path}: expected a 'year' first column")
         groups = header[1:]
         points: list[list[tuple[int, float]]] = [[] for _ in groups]
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            year = int(row[0])
-            for i in range(len(groups)):
-                cell = row[i + 1] if i + 1 < len(row) else ""
-                if cell != "":
-                    points[i].append((year, float(cell)))
+            try:
+                year = int(row[0])
+                for i, cell in enumerate(row[1 : len(groups) + 1]):
+                    if cell != "":
+                        points[i].append((year, float(cell)))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
     return [
         GroupSeries(group=g, metric=metric, points=tuple(pts))
         for g, pts in zip(groups, points)
@@ -308,10 +255,7 @@ def read_series(path: str, metric: str | None = None) -> list[GroupSeries]:
 
 
 def write_ids(path: str, ids: Iterable[str]) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pid in sorted(ids):
-            fh.write(pid + "\n")
+    write_text(path, "".join(pid + "\n" for pid in sorted(ids)))
 
 
 def read_ids(path: str) -> frozenset[str]:
@@ -320,23 +264,14 @@ def read_ids(path: str) -> frozenset[str]:
 
 
 def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(str(c) for c in row) + "\n")
 
 
-def read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        header = next(reader)
-        return header, [row for row in reader]
-
-
 def write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(text)
 
 
@@ -474,9 +409,7 @@ def write_svg_lines(
         )
 
     parts.append("</svg>")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")
     return skipped
 
 

@@ -308,7 +308,7 @@ def generate(config: SynthConfig) -> tuple[Corpus, dict[str, frozenset[str]]]:
                         cited = ai_pool[rng.randrange(len(ai_pool))]
                     else:
                         cited = bg_pool[rng.randrange(len(bg_pool))]
-                    if cited != citing and builder.add_citation(citing, cited):
+                    if cited != citing and builder.add_citation(citing, cited) is None:
                         break
 
     corpus = builder.build()

@@ -26,9 +26,9 @@ def build_corpus(
         b.add_record(PatentRecord(id=pid, grant_year=year, **overrides))
     for pid, code_list in (codes or {}).items():
         for code in code_list:
-            assert b.add_assignment(pid, code), (pid, code)
+            assert b.add_assignment(pid, code) is None, (pid, code)
     for citing, cited in cites:
-        assert b.add_citation(citing, cited), (citing, cited)
+        assert b.add_citation(citing, cited) is None, (citing, cited)
     for pid, field_label, conf in science:
-        assert b.add_science_link(pid, field_label, conf), (pid, field_label)
+        assert b.add_science_link(pid, field_label, conf) is None, (pid, field_label)
     return b.build()

@@ -1,4 +1,5 @@
-import numpy as np
+import math
+
 import pytest
 
 from patmetrics import classify as cls
@@ -216,10 +217,13 @@ def uspto_config(**kw):
 
 class TestUsptoTraining:
     def test_zero_epochs_scores_half(self):
+        # every score is exactly 0.5: none lies strictly above 0.5, and all
+        # lie above the next float below it
         corpus = separable_corpus()
         model = cls.train_uspto(corpus, uspto_config(epochs=0))
-        scores = cls.score_component(corpus, model.components[0], sorted(corpus.ids()))
-        assert np.allclose(scores, 0.5)
+        assert cls.classify_uspto(corpus, model) == frozenset()
+        model.config.threshold = math.nextafter(0.5, 0.0)
+        assert cls.classify_uspto(corpus, model) == frozenset(corpus.ids())
 
     def test_anti_seed_deterministic_and_disjoint(self):
         corpus = separable_corpus()
@@ -234,10 +238,8 @@ class TestUsptoTraining:
         corpus = separable_corpus()
         model = cls.train_uspto(corpus, uspto_config())
         comp = model.components[0]
-        ids = sorted(comp.seed) + sorted(comp.anti_seed)
-        scores = cls.score_component(corpus, comp, ids)
-        y = np.array([1.0] * len(comp.seed) + [0.0] * len(comp.anti_seed))
-        assert (((scores > 0.5) == (y == 1.0)).mean()) == 1.0
+        above = cls.classify_uspto(corpus, model)
+        assert above & (comp.seed | comp.anti_seed) == comp.seed
 
     def test_classify_recovers_planted_group(self):
         corpus = separable_corpus()

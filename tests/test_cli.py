@@ -1,3 +1,4 @@
+import configparser
 import os
 
 import pytest
@@ -100,6 +101,17 @@ lowess = growth
 [stats]
 compare = growth
 """
+
+
+# one (section, key, value) per run-config number or boolean that must parse
+UNPARSABLE = [
+    ("metrics", "diversity_universe_3", "abc"),
+    ("metrics", "levels", "1,x"),
+    ("metrics", "lowess_fraction", "x"),
+    ("stats", "exact_cutoff", "many"),
+    ("group:Science", "min_confidence", "high"),
+    ("run", "strict", "maybe"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +285,60 @@ class TestExitCodes:
             ["run", "--config", str(ws / "small.run"), "--out", str(blocker / "sub")]
         )
         assert code == 4
+
+    @pytest.mark.parametrize("column, bad", [(0, "20x1"), (1, "abc")], ids=["year", "value"])
+    def test_bad_number_in_metric_file_is_data_error(
+        self, ws, full_run, tmp_path, capsys, column, bad
+    ):
+        out = tmp_path / "o"
+        (out / "metrics").mkdir(parents=True)
+        lines = read(full_run / "metrics" / "growth.metric.tsv").splitlines()
+        cells = lines[2].split("\t")
+        cells[column] = bad
+        lines[2] = "\t".join(cells)
+        (out / "metrics" / "growth.metric.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["stats", "--config", str(ws / "small.run"), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "growth.metric.tsv: line 3:" in err and repr(bad) in err
+
+    @pytest.mark.parametrize(
+        "section, key, value", UNPARSABLE, ids=[key for _, key, _ in UNPARSABLE]
+    )
+    def test_unparsable_config_value_exits_2(self, ws, tmp_path, capsys, section, key, value):
+        parser = configparser.ConfigParser()
+        parser.read_string(RUN_TEXT)
+        parser["inputs"]["synth"] = str(ws / "small.synth")
+        parser["group:Auto"]["config"] = str(ws / "small.uspto")
+        parser[section][key] = value
+        cfg = tmp_path / "bad.run"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
+class TestComputeOnce:
+    def test_stats_and_zscore_inputs_computed_once(self, ws, tmp_path, monkeypatch):
+        calls = {"pairwise_compare": 0, "generality_series": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(cli.st, "pairwise_compare")
+        counting(cli.met, "generality_series")
+        code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
+        assert code == 0
+        cfg = cli.load_run_config(str(ws / "small.run"))
+        assert calls["pairwise_compare"] == len(cfg.compare) * len(cfg.periods)
+        assert calls["generality_series"] == len(cfg.groups) * len(cfg.levels)
 
 
 class TestStrictMode:

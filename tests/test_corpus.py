@@ -44,48 +44,40 @@ class TestParseCpc:
 class TestBuilder:
     def test_duplicate_patent_id_aborts(self):
         b = CorpusBuilder(window=(2000, 2010))
-        assert b.add_record(PatentRecord("P1", 2005))
+        assert b.add_record(PatentRecord("P1", 2005)) is None
         with pytest.raises(DataError):
             b.add_record(PatentRecord("P1", 2006))
 
     def test_year_outside_window_rejected(self):
         b = CorpusBuilder(window=(2000, 2010))
-        assert not b.add_record(PatentRecord("P1", 1999))
-        assert not b.add_record(PatentRecord("P2", 2011))
-        assert b.counts["patents"]["year_out_of_window"] == 2
+        assert b.add_record(PatentRecord("P1", 1999)) == "year_out_of_window"
+        assert b.add_record(PatentRecord("P2", 2011)) == "year_out_of_window"
         assert len(b.build()) == 0
 
     def test_window_bounds_inclusive(self):
         b = CorpusBuilder(window=(2000, 2010))
-        assert b.add_record(PatentRecord("P1", 2000))
-        assert b.add_record(PatentRecord("P2", 2010))
+        assert b.add_record(PatentRecord("P1", 2000)) is None
+        assert b.add_record(PatentRecord("P2", 2010)) is None
 
     def test_assignment_rules(self):
         b = CorpusBuilder(window=(2000, 2010))
         b.add_record(PatentRecord("P1", 2005))
-        assert b.add_assignment("P1", "G06N20/00")
-        assert not b.add_assignment("P1", "G06N20/00")  # exact duplicate
-        assert b.add_assignment("P1", "G06N3/04")  # same subclass, new symbol
-        assert not b.add_assignment("P9", "G06N")
-        assert not b.add_assignment("P1", "bogus!")
-        assert b.counts["cpc"] == {"duplicate": 1, "unknown_patent": 1, "bad_code": 1}
+        assert b.add_assignment("P1", "G06N20/00") is None
+        assert b.add_assignment("P1", "G06N20/00") == "duplicate"  # exact duplicate
+        assert b.add_assignment("P1", "G06N3/04") is None  # same subclass, new symbol
+        assert b.add_assignment("P9", "G06N") == "unknown_patent"
+        assert b.add_assignment("P1", "bogus!") == "bad_code"
 
     def test_citation_rules(self):
         b = CorpusBuilder(window=(2000, 2010))
         b.add_record(PatentRecord("P1", 2001))
         b.add_record(PatentRecord("P2", 2005))
-        assert b.add_citation("P2", "P1")
-        assert not b.add_citation("P2", "P1")  # duplicate pair
-        assert not b.add_citation("P2", "P2")  # self citation
-        assert not b.add_citation("P1", "P2")  # would have negative lag
-        assert not b.add_citation("P2", "PX")
-        assert not b.add_citation("PX", "P1")
-        counts = b.counts["citations"]
-        assert counts["duplicate"] == 1
-        assert counts["self_citation"] == 1
-        assert counts["negative_lag"] == 1
-        assert counts["unknown_cited"] == 1
-        assert counts["unknown_citing"] == 1
+        assert b.add_citation("P2", "P1") is None
+        assert b.add_citation("P2", "P1") == "duplicate"
+        assert b.add_citation("P2", "P2") == "self_citation"
+        assert b.add_citation("P1", "P2") == "negative_lag"
+        assert b.add_citation("P2", "PX") == "unknown_cited"
+        assert b.add_citation("PX", "P1") == "unknown_citing"
         corpus = b.build()
         assert len(corpus.citations) == 1
         assert corpus.citations[0].citing_year == 2005
@@ -94,22 +86,17 @@ class TestBuilder:
         b = CorpusBuilder(window=(2000, 2010))
         b.add_record(PatentRecord("P1", 2005))
         b.add_record(PatentRecord("P2", 2005))
-        assert b.add_citation("P2", "P1")
+        assert b.add_citation("P2", "P1") is None
 
     def test_science_rules(self):
         b = CorpusBuilder(window=(2000, 2010))
         b.add_record(PatentRecord("P1", 2005))
-        assert b.add_science_link("P1", "Computer Science; Artificial Intelligence", 4)
-        assert not b.add_science_link("P1", "Computer Science; Artificial Intelligence", 4)
-        assert b.add_science_link("P1", "Computer Science; Artificial Intelligence", 3)
-        assert not b.add_science_link("P1", "  ", 4)
-        assert not b.add_science_link("P1", "Physics; Applied", 0)
-        assert not b.add_science_link("PX", "Physics; Applied", 5)
-        counts = b.counts["science"]
-        assert counts["duplicate"] == 1
-        assert counts["empty_field"] == 1
-        assert counts["bad_confidence"] == 1
-        assert counts["unknown_patent"] == 1
+        assert b.add_science_link("P1", "Computer Science; Artificial Intelligence", 4) is None
+        assert b.add_science_link("P1", "Computer Science; Artificial Intelligence", 4) == "duplicate"
+        assert b.add_science_link("P1", "Computer Science; Artificial Intelligence", 3) is None
+        assert b.add_science_link("P1", "  ", 4) == "empty_field"
+        assert b.add_science_link("P1", "Physics; Applied", 0) == "bad_confidence"
+        assert b.add_science_link("PX", "Physics; Applied", 5) == "unknown_patent"
 
 
 class TestCorpusIndexes:

@@ -68,15 +68,25 @@ class TestLoadCorpus:
         # accounting invariant: every row is either accepted or rejected
         assert t.rows == t.accepted + t.rejected_total
 
-    def test_strict_raises_on_bad_row(self, tmp_path):
+    @pytest.mark.parametrize(
+        "table, bad_row, reason",
+        [
+            ("patents", "P4\t1980\tt\ta\tc\td", "year_out_of_window"),
+            ("cpc", "P1\tBADCODE", "bad_code"),
+            ("citations", "P1\tP3\t2000", "negative_lag"),
+            ("science", "P1\tPhysics; Applied\tx", "malformed"),
+        ],
+        ids=["patents", "cpc", "citations", "science"],
+    )
+    def test_strict_raises_on_bad_row(self, tmp_path, table, bad_row, reason):
         d = sample_tables(tmp_path)
-        write(
-            d / "patents.tsv",
-            "id\tgrant_year\ttitle\tabstract\tclaims\tdescription\n"
-            "P1\t1980\tt\ta\tc\td\n",
-        )
-        with pytest.raises(DataError):
-            pio.load_corpus(str(d / "patents.tsv"), window=(2000, 2002), strict=True)
+        path = d / f"{table}.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines() + [bad_row]
+        write(path, "\n".join(lines) + "\n")
+        paths = [str(d / f"{name}.tsv") for name in pio.TABLE_COLUMNS]
+        with pytest.raises(DataError) as exc:
+            pio.load_corpus(*paths, window=(2000, 2002), strict=True)
+        assert str(exc.value) == f"{path}: line {len(lines)}: rejected row ({reason})"
 
     def test_missing_column_always_fatal(self, tmp_path):
         d = sample_tables(tmp_path)
