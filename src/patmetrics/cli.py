@@ -393,16 +393,12 @@ def stage_metrics(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
 
     for level in cfg.levels:
         # series by metric and group at this level, reused as z-score inputs
-        by_metric = {
-            "generality": per_group("generality", level, lambda n: (
-                met.generality_series(corpus, groups[n], level, n),
-                met.generality_index(corpus, groups[n], level),
-            ))
-        }
-        for cited_only, stem in ((False, "avg_citing_classes"), (True, "avg_citing_classes_cited")):
-            by_metric[stem] = per_group(stem, level, lambda n: met.avg_citing_classes(
-                corpus, groups[n], level, n, cited_only=cited_only
-            ))
+        by_metric = {"generality": per_group("generality", level, lambda n: met.generality_series(
+            corpus, groups[n], level, n
+        ))}
+        breadth = {n: met.avg_citing_classes(corpus, groups[n], level, n) for n in order}
+        for i, stem in enumerate(("avg_citing_classes", "avg_citing_classes_cited")):
+            by_metric[stem] = per_group(stem, level, lambda n: breadth[n][i])
         if level in (3, 4):
             per_group("diversity_share", level, lambda n: met.diversity_share(
                 corpus, groups[n], level, n, universe=universes.get(level)
@@ -419,20 +415,14 @@ def stage_metrics(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
                         met.zscore_across_groups(zin),
                     )
 
-    per_group("citation_lag", None, lambda n: met.citation_lag_series(
-        corpus, groups[n], n, cfg.lag_mode
-    ))
-
-    period_rows = []
-    for n in order:
-        means = met.lag_period_means(corpus, groups[n], cfg.periods, cfg.lag_mode)
-        period_rows.append(
-            [n] + [pio.fmt_value(v) for _, v in means]
-        )
+    lags = {
+        n: met.citation_lag_series(corpus, groups[n], n, cfg.periods, cfg.lag_mode) for n in order
+    }
+    per_group("citation_lag", None, lambda n: lags[n][:2])
     pio.write_table(
         os.path.join(out_dir, "metrics", "lag_periods.tsv"),
         ["group"] + [f"{lo}-{hi}" for lo, hi in cfg.periods],
-        period_rows,
+        [[n] + [pio.fmt_value(v) for _, v in lags[n][2]] for n in order],
     )
 
     if cfg.descendants and approach:
@@ -548,11 +538,7 @@ def stage_report(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
         if not any(len(s.points) >= 2 for s in series):
             log.line(f"report: skipped {stem} (fewer than 2 points per series)")
             continue
-        skipped = pio.write_svg_lines(
-            os.path.join(out_dir, "plots", f"{stem}.svg"),
-            series,
-            pio.PlotOptions(title=stem, y_label=stem),
-        )
+        skipped = pio.write_svg_lines(os.path.join(out_dir, "plots", f"{stem}.svg"), series, stem)
         for g in skipped:
             log.line(f"report: {stem}: dropped single-point series {g}")
         made += 1

@@ -221,10 +221,6 @@ class Corpus:
     def codes_of(self, patent_id: str) -> tuple[CpcCode, ...]:
         return self.codes.get(patent_id, ())
 
-    def classes_of(self, patent_id: str, level: int) -> frozenset[str]:
-        """Distinct CPC prefixes of the patent's codes at the given level."""
-        return self.class_sets(level).get(patent_id, frozenset())
-
     def class_sets(self, level: int) -> dict[str, frozenset[str]]:
         """patent id -> frozenset of level-truncated codes (patents with codes only)."""
         if level not in LEVELS:
@@ -241,9 +237,6 @@ class Corpus:
     def years(self) -> list[int]:
         lo, hi = self.window
         return list(range(lo, hi + 1))
-
-    def patents_in_year(self, year: int) -> frozenset[str]:
-        return self.year_index().get(year, frozenset())
 
     def year_index(self) -> dict[int, frozenset[str]]:
         cached = self._caches.get("year_index")

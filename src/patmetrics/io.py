@@ -233,21 +233,28 @@ def read_series(path: str, metric: str | None = None) -> list[GroupSeries]:
         metric = os.path.basename(path).split(".")[0]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "year":
-            raise DataError(f"{path}: expected a 'year' first column")
+            raise DataError(f"{path}: line 1: expected a 'year' first column")
         groups = header[1:]
         points: list[list[tuple[int, float]]] = [[] for _ in groups]
+        prev = None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 year = int(row[0])
+                if prev is not None and year <= prev:
+                    raise ValueError(f"year {row[0]!r} does not follow {prev}")
                 for i, cell in enumerate(row[1 : len(groups) + 1]):
                     if cell != "":
-                        points[i].append((year, float(cell)))
+                        value = float(cell)
+                        if not math.isfinite(value):
+                            raise ValueError(f"non-finite value {cell!r}")
+                        points[i].append((year, value))
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
+            prev = year
     return [
         GroupSeries(group=g, metric=metric, points=tuple(pts))
         for g, pts in zip(groups, points)
@@ -278,20 +285,12 @@ def write_text(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 # SVG line charts
 
-@dataclass(frozen=True)
-class PlotOptions:
-    width: int = 720
-    height: int = 480
-    title: str = ""
-    x_label: str = "year"
-    y_label: str = ""
-
-
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2",
 )
 
+_WIDTH, _HEIGHT = 720, 480
 _MARGIN = (56, 20, 42, 30)  # left, right, bottom, top
 
 
@@ -304,16 +303,14 @@ def _nice_step(span: float, target: int = 5) -> float:
     return 10.0 * mag
 
 
-def write_svg_lines(
-    path: str, series_list: Sequence[GroupSeries], options: PlotOptions | None = None
-) -> list[str]:
-    """Render series as an SVG line chart with fixed deterministic layout.
+def write_svg_lines(path: str, series_list: Sequence[GroupSeries], label: str) -> list[str]:
+    """Render series as an SVG line chart with fixed deterministic layout,
+    titled and y-labelled `label`.
 
     Series with fewer than two points are skipped (their names are
     returned so callers can log them); if no series remains, raises
     `DataError`.
     """
-    opt = options or PlotOptions()
     drawable = sorted((s for s in series_list if len(s.points) >= 2), key=lambda s: s.group)
     skipped = sorted(s.group for s in series_list if len(s.points) < 2)
     if not drawable:
@@ -329,8 +326,8 @@ def write_svg_lines(
         y_min, y_max = y_min - 1.0, y_max + 1.0
 
     ml, mr, mb, mt = _MARGIN
-    pw = opt.width - ml - mr
-    ph = opt.height - mt - mb
+    pw = _WIDTH - ml - mr
+    ph = _HEIGHT - mt - mb
 
     def sx(x: float) -> float:
         return ml + (x - x_min) / (x_max - x_min) * pw
@@ -342,15 +339,12 @@ def write_svg_lines(
         return format(v, ".2f")
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{opt.width}" '
-        f'height="{opt.height}" viewBox="0 0 {opt.width} {opt.height}">',
-        f'<rect width="{opt.width}" height="{opt.height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.0f}" y="{mt - 10}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{escape(label)}</text>',
     ]
-    if opt.title:
-        parts.append(
-            f'<text x="{opt.width / 2:.0f}" y="{mt - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(opt.title)}</text>'
-        )
 
     axis = 'stroke="black" stroke-width="1"'
     parts.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" {axis}/>')
@@ -378,18 +372,16 @@ def write_svg_lines(
         )
         ty += y_step
 
-    if opt.x_label:
-        parts.append(
-            f'<text x="{ml + pw / 2:.0f}" y="{opt.height - 6}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{escape(opt.x_label)}</text>'
-        )
-    if opt.y_label:
-        cx, cy = 14, mt + ph / 2
-        parts.append(
-            f'<text x="{cx}" y="{cy:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" '
-            f'transform="rotate(-90 {cx} {cy:.0f})">{escape(opt.y_label)}</text>'
-        )
+    parts.append(
+        f'<text x="{ml + pw / 2:.0f}" y="{_HEIGHT - 6}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="11">year</text>'
+    )
+    cx, cy = 14, mt + ph / 2
+    parts.append(
+        f'<text x="{cx}" y="{cy:.0f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="11" '
+        f'transform="rotate(-90 {cx} {cy:.0f})">{escape(label)}</text>'
+    )
 
     for i, s in enumerate(drawable):
         color = _PALETTE[i % len(_PALETTE)]
@@ -424,14 +416,10 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(
-    out_dir: str,
-    manifest_name: str = "manifest.txt",
-    exclude: Sequence[str] = ("run.log",),
-) -> list[str]:
-    """Hash every artifact under `out_dir` into a sorted manifest file.
+def write_manifest(out_dir: str) -> list[str]:
+    """Hash every artifact under `out_dir` into a sorted `manifest.txt`.
 
-    The manifest itself and excluded names are not listed.  Returns the
+    Files named `manifest.txt` or `run.log` are not listed.  Returns the
     relative paths that were hashed.
     """
     rels = []
@@ -439,10 +427,10 @@ def write_manifest(
         dirs.sort()
         for name in sorted(files):
             rel = os.path.relpath(os.path.join(root, name), out_dir).replace(os.sep, "/")
-            if name == manifest_name or rel in exclude or name in exclude:
+            if name in ("manifest.txt", "run.log"):
                 continue
             rels.append(rel)
     rels.sort()
     lines = [f"{sha256_file(os.path.join(out_dir, r))}  {r}" for r in rels]
-    write_text(os.path.join(out_dir, manifest_name), "\n".join(lines) + "\n")
+    write_text(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
     return rels

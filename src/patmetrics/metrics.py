@@ -155,44 +155,8 @@ def allway_overlap(sets: Sequence[Iterable[str]]) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 # generality of received citations
 
-def _citing_class_counts(
-    corpus: Corpus,
-    members: frozenset[str],
-    level: int,
-    year_filter: tuple[int, int] | None,
-) -> Counter:
-    """Citations received by the group, tallied by citing-patent class.
-
-    A citation is attributed once per citing-side class that the cited
-    patent does not itself hold; within-class citations are excluded.
-    """
-    cls = corpus.class_sets(level)
-    counts: Counter = Counter()
-    empty = frozenset()
-    for e in corpus.citations:
-        if e.cited not in members:
-            continue
-        if year_filter is not None:
-            y = corpus.grant_year(e.cited)
-            if not (year_filter[0] <= y <= year_filter[1]):
-                continue
-        cited_cls = cls.get(e.cited, empty)
-        for j in cls.get(e.citing, empty):
-            if j not in cited_cls:
-                counts[j] += 1
-    return counts
-
-
-def generality_index(
-    corpus: Corpus,
-    members: Iterable[str],
-    level: int,
-    year_filter: tuple[int, int] | None = None,
-) -> float | None:
-    """1 - sum of squared citing-class shares; None when no outside
-    citations were received."""
-    mem = _require_members(corpus, members)
-    counts = _citing_class_counts(corpus, mem, level, year_filter)
+def _generality(counts: Counter) -> float | None:
+    """1 - sum of squared class shares; None for an empty tally."""
     total = sum(counts.values())
     if total == 0:
         return None
@@ -201,11 +165,19 @@ def generality_index(
 
 def generality_series(
     corpus: Corpus, members: Iterable[str], level: int, label: str
-) -> GroupSeries:
-    """Generality by cited-patent grant year; yearless cohorts are omitted."""
+) -> tuple[GroupSeries, float | None]:
+    """Generality of citations received, by cited-patent grant year and over
+    all years.
+
+    Citations are tallied by citing-patent class: once per citing-side class
+    that the cited patent does not itself hold, so within-class citations
+    are excluded.  Yearless cohorts are omitted from the series; the
+    all-years value is None when no outside citations were received.
+    """
     mem = _require_members(corpus, members)
     cls = corpus.class_sets(level)
     per_year: dict[int, Counter] = {}
+    overall: Counter = Counter()
     empty = frozenset()
     for e in corpus.citations:
         if e.cited not in mem:
@@ -215,33 +187,24 @@ def generality_series(
         for j in cls.get(e.citing, empty):
             if j not in cited_cls:
                 per_year.setdefault(y, Counter())[j] += 1
-    pts = []
-    for y in sorted(per_year):
-        counts = per_year[y]
-        total = sum(counts.values())
-        if total == 0:
-            continue
-        pts.append((y, 1.0 - sum((c / total) ** 2 for c in counts.values())))
-    return GroupSeries(label, "generality", tuple(pts))
+                overall[j] += 1
+    pts = tuple((y, _generality(per_year[y])) for y in sorted(per_year))
+    return GroupSeries(label, "generality", pts), _generality(overall)
 
 
 # ---------------------------------------------------------------------------
 # breadth of citing classes
 
 def avg_citing_classes(
-    corpus: Corpus,
-    members: Iterable[str],
-    level: int,
-    label: str,
-    cited_only: bool = False,
-) -> tuple[GroupSeries, float | None]:
+    corpus: Corpus, members: Iterable[str], level: int, label: str
+) -> tuple[tuple[GroupSeries, float | None], tuple[GroupSeries, float | None]]:
     """Average number of distinct outside classes citing a group patent.
 
     Per patent: the count of level-`level` classes, other than its own,
     holding at least one patent that cites it.  Annual values average over
-    group patents granted that year; with `cited_only` the average runs
-    over patents that received at least one citation.  Returns the annual
-    series and the mean of the annual values.
+    group patents granted that year.  Returns the annual series and the
+    mean of the annual values, first over all group patents, then over
+    those that received at least one citation.
     """
     mem = _require_members(corpus, members)
     cls = corpus.class_sets(level)
@@ -256,15 +219,14 @@ def avg_citing_classes(
         was_cited.add(p)
         bucket.update(cls.get(e.citing, empty) - cls.get(p, empty))
 
-    by_year: dict[int, list[int]] = {}
-    pool = was_cited if cited_only else mem
-    for p in pool:
-        by_year.setdefault(corpus.grant_year(p), []).append(len(citing_classes[p]))
-    pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
-    metric = "avg_citing_classes_cited" if cited_only else "avg_citing_classes"
-    series = GroupSeries(label, metric, pts)
-    overall = mean(v for _, v in pts) if pts else None
-    return series, overall
+    def average(pool: Iterable[str], metric: str) -> tuple[GroupSeries, float | None]:
+        by_year: dict[int, list[int]] = {}
+        for p in pool:
+            by_year.setdefault(corpus.grant_year(p), []).append(len(citing_classes[p]))
+        pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
+        return GroupSeries(label, metric, pts), (mean(v for _, v in pts) if pts else None)
+
+    return average(mem, "avg_citing_classes"), average(was_cited, "avg_citing_classes_cited")
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +238,11 @@ def diversity_share(
     level: int,
     label: str,
     universe: int | None = None,
-    cumulative: bool = False,
 ) -> tuple[GroupSeries, float]:
     """Share of the class universe touched by the group.
 
-    Annual values use codes of patents granted that year (or granted up to
-    that year when `cumulative`); the returned scalar uses the whole window.
+    Annual values use codes of patents granted that year; the returned
+    scalar uses the whole window.
     """
     mem = _require_members(corpus, members)
     n_universe = universe if universe is not None else DEFAULT_UNIVERSE[level]
@@ -299,15 +260,8 @@ def diversity_share(
             f"diversity: {len(everything)} distinct level-{level} codes exceed "
             f"the configured universe of {n_universe}"
         )
-    pts = []
-    running: set[str] = set()
-    for y in corpus.years():
-        if cumulative:
-            running |= yearly.get(y, set())
-            pts.append((y, len(running) / n_universe))
-        else:
-            pts.append((y, len(yearly.get(y, set())) / n_universe))
-    series = GroupSeries(label, "diversity_share", tuple(pts))
+    pts = tuple((y, len(yearly.get(y, ())) / n_universe) for y in corpus.years())
+    series = GroupSeries(label, "diversity_share", pts)
     return series, len(everything) / n_universe
 
 
@@ -352,38 +306,25 @@ def citation_lags(
 
 
 def citation_lag_series(
-    corpus: Corpus, members: Iterable[str], label: str, mode: str = "all_citations"
-) -> tuple[GroupSeries, float | None]:
-    """Mean citation lag by cited-cohort grant year, plus the pooled mean."""
-    lags = citation_lags(corpus, members, mode)
-    by_year: dict[int, list[int]] = {}
-    pooled: list[int] = []
-    for p, ls in lags.items():
-        by_year.setdefault(corpus.grant_year(p), []).extend(ls)
-        pooled.extend(ls)
-    pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
-    series = GroupSeries(label, "citation_lag", pts)
-    return series, (mean(pooled) if pooled else None)
-
-
-def lag_period_means(
     corpus: Corpus,
     members: Iterable[str],
+    label: str,
     periods: Sequence[tuple[int, int]],
     mode: str = "all_citations",
-) -> list[tuple[tuple[int, int], float | None]]:
-    """Pooled mean lag for cited patents granted in each period."""
-    lags = citation_lags(corpus, members, mode)
-    out = []
-    for lo, hi in periods:
-        pool = [
-            lag
-            for p, ls in lags.items()
-            if lo <= corpus.grant_year(p) <= hi
-            for lag in ls
-        ]
-        out.append(((lo, hi), mean(pool) if pool else None))
-    return out
+) -> tuple[GroupSeries, float | None, list[tuple[tuple[int, int], float | None]]]:
+    """Mean citation lag by cited-cohort grant year, the pooled mean, and the
+    pooled mean for cited patents granted in each of `periods`."""
+    by_year: dict[int, list[int]] = {}
+    for p, ls in citation_lags(corpus, members, mode).items():
+        by_year.setdefault(corpus.grant_year(p), []).extend(ls)
+    pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
+
+    def pooled(lo: float, hi: float) -> float | None:
+        pool = [lag for y, ls in by_year.items() if lo <= y <= hi for lag in ls]
+        return mean(pool) if pool else None
+
+    series = GroupSeries(label, "citation_lag", pts)
+    return series, pooled(-math.inf, math.inf), [((lo, hi), pooled(lo, hi)) for lo, hi in periods]
 
 
 # ---------------------------------------------------------------------------

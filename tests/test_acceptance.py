@@ -72,7 +72,7 @@ def test_01_analytic_generality():
                 codes[pid] = [code]
                 cites.append((pid, "X"))
             corpus = build_corpus(years, codes=codes, cites=cites)
-            got = met.generality_index(corpus, {"X"}, level)
+            _, got = met.generality_series(corpus, {"X"}, level, "g")
             assert abs(got - (1.0 - 1.0 / k)) <= 1e-12, (level, k, got)
     assert time.perf_counter() - started < 1.0
 
@@ -110,13 +110,14 @@ def test_02_oracle_equivalence_on_random_corpora():
         corpus, years, codes, edges, ai = random_corpus(rng)
         level = (1, 3, 4)[trial % 3]
         want_gen, per_patent = oracle(years, codes, edges, ai, level)
-        got_gen = met.generality_index(corpus, ai, level)
+        _, got_gen = met.generality_series(corpus, ai, level, "g")
         if want_gen is None:
             assert got_gen is None
         else:
             assert abs(got_gen - want_gen) <= 1e-12
 
-        for cited_only in (False, True):
+        both = met.avg_citing_classes(corpus, ai, level, "g")
+        for cited_only, (series, overall) in zip((False, True), both):
             per_year = {}
             for p in ai:
                 n_classes, was_cited = per_patent[p]
@@ -125,9 +126,6 @@ def test_02_oracle_equivalence_on_random_corpora():
                 per_year.setdefault(years[p], []).append(n_classes)
             want_pts = [(y, mean(v)) for y, v in sorted(per_year.items())]
             want_overall = mean(v for _, v in want_pts) if want_pts else None
-            series, overall = met.avg_citing_classes(
-                corpus, ai, level, "g", cited_only=cited_only
-            )
             assert list(series.years()) == [y for y, _ in want_pts]
             for (y, v), (_, w) in zip(series.points, want_pts):
                 assert abs(v - w) <= 1e-12
@@ -389,6 +387,7 @@ def test_11_lag_bounds_and_decade_decline():
         for lag in values:
             assert 0 <= lag <= ceiling
     decades = [(1990, 1999), (2000, 2009), (2010, 2019)]
-    means = [v for _, v in met.lag_period_means(corpus, corpus.ids(), decades)]
+    _, _, period_means = met.citation_lag_series(corpus, corpus.ids(), "all", decades)
+    means = [v for _, v in period_means]
     assert all(v is not None for v in means)
     assert means[0] > means[1] > means[2], means

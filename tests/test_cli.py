@@ -286,21 +286,34 @@ class TestExitCodes:
         )
         assert code == 4
 
-    @pytest.mark.parametrize("column, bad", [(0, "20x1"), (1, "abc")], ids=["year", "value"])
+    @pytest.mark.parametrize(
+        "column, bad",
+        [(0, "20x1"), (1, "abc"), (1, "nan"), (1, "inf"), (0, "repeat"), (None, None)],
+        ids=["year", "value", "nan", "inf", "duplicate_year", "empty"],
+    )
     def test_bad_number_in_metric_file_is_data_error(
         self, ws, full_run, tmp_path, capsys, column, bad
     ):
+        """Line 3 of a metric file gets `bad` in `column` ("repeat" copies
+        the year of line 2); no column means an empty file."""
         out = tmp_path / "o"
         (out / "metrics").mkdir(parents=True)
         lines = read(full_run / "metrics" / "growth.metric.tsv").splitlines()
-        cells = lines[2].split("\t")
-        cells[column] = bad
-        lines[2] = "\t".join(cells)
-        (out / "metrics" / "growth.metric.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if column is None:
+            text, line = "", 1
+        else:
+            if bad == "repeat":
+                bad = lines[1].split("\t")[0]
+            cells = lines[2].split("\t")
+            cells[column] = bad
+            lines[2] = "\t".join(cells)
+            text, line = "\n".join(lines) + "\n", 3
+        (out / "metrics" / "growth.metric.tsv").write_text(text, encoding="utf-8")
         code = cli.main(["stats", "--config", str(ws / "small.run"), "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
-        assert "growth.metric.tsv: line 3:" in err and repr(bad) in err
+        assert f"growth.metric.tsv: line {line}:" in err
+        assert bad is None or repr(bad) in err
 
     @pytest.mark.parametrize(
         "section, key, value", UNPARSABLE, ids=[key for _, key, _ in UNPARSABLE]
@@ -321,7 +334,9 @@ class TestExitCodes:
 
 class TestComputeOnce:
     def test_stats_and_zscore_inputs_computed_once(self, ws, tmp_path, monkeypatch):
-        calls = {"pairwise_compare": 0, "generality_series": 0}
+        calls = {name: 0 for name in (
+            "pairwise_compare", "generality_series", "avg_citing_classes", "citation_lags"
+        )}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -333,12 +348,15 @@ class TestComputeOnce:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(cli.st, "pairwise_compare")
-        counting(cli.met, "generality_series")
+        for name in ("generality_series", "avg_citing_classes", "citation_lags"):
+            counting(cli.met, name)
         code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
         assert code == 0
         cfg = cli.load_run_config(str(ws / "small.run"))
         assert calls["pairwise_compare"] == len(cfg.compare) * len(cfg.periods)
         assert calls["generality_series"] == len(cfg.groups) * len(cfg.levels)
+        assert calls["avg_citing_classes"] == len(cfg.groups) * len(cfg.levels)
+        assert calls["citation_lags"] == len(cfg.groups)
 
 
 class TestStrictMode:

@@ -105,15 +105,15 @@ class TestCorpusIndexes:
             {"A": 2000, "B": 2001},
             codes={"A": ["G06N20/00", "G06F3/01", "H04L9/40"], "B": []},
         )
-        assert corpus.classes_of("A", 1) == {"G", "H"}
-        assert corpus.classes_of("A", 3) == {"G06", "H04"}
-        assert corpus.classes_of("A", 4) == {"G06N", "G06F", "H04L"}
-        assert corpus.classes_of("B", 4) == frozenset()
+        assert corpus.class_sets(1)["A"] == {"G", "H"}
+        assert corpus.class_sets(3)["A"] == {"G06", "H04"}
+        assert corpus.class_sets(4)["A"] == {"G06N", "G06F", "H04L"}
+        assert corpus.class_sets(4).get("B", frozenset()) == frozenset()
 
     def test_year_index(self):
         corpus = build_corpus({"A": 2000, "B": 2000, "C": 2002})
-        assert corpus.patents_in_year(2000) == {"A", "B"}
-        assert corpus.patents_in_year(2001) == frozenset()
+        assert corpus.year_index()[2000] == {"A", "B"}
+        assert corpus.year_index().get(2001, frozenset()) == frozenset()
         assert corpus.years() == [2000, 2001, 2002]
 
     def test_edge_indexes(self):

@@ -41,7 +41,7 @@ class TestLoadCorpus:
         )
         assert len(corpus) == 3
         assert corpus.record("P1").abstract == "an abstract"
-        assert corpus.classes_of("P1", 4) == {"G06N"}
+        assert corpus.class_sets(4)["P1"] == {"G06N"}
         assert len(corpus.citations) == 2
         assert len(corpus.science) == 1
         for t in report.tables.values():
@@ -222,34 +222,35 @@ class TestSvg:
 
     def test_writes_valid_svg_with_polylines(self, tmp_path):
         path = str(tmp_path / "chart.svg")
-        skipped = pio.write_svg_lines(path, self.series(), pio.PlotOptions(title="counts"))
+        skipped = pio.write_svg_lines(path, self.series(), "counts")
         text = open(path).read()
         assert skipped == []
-        assert text.startswith("<svg ")
+        assert text.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="720" height="480"')
         assert text.count("<polyline") == 2
-        assert "counts" in text
+        assert text.count(">counts</text>") == 2  # title and y-axis label
+        assert ">year</text>" in text
         assert "2000" in text and "2002" in text
 
     def test_single_point_series_skipped(self, tmp_path):
         series = self.series() + [GroupSeries("C", "counts", ((2000, 9.0),))]
-        skipped = pio.write_svg_lines(str(tmp_path / "c.svg"), series)
+        skipped = pio.write_svg_lines(str(tmp_path / "c.svg"), series, "counts")
         assert skipped == ["C"]
         assert open(tmp_path / "c.svg").read().count("<polyline") == 2
 
     def test_error_when_nothing_drawable(self, tmp_path):
         series = [GroupSeries("C", "counts", ((2000, 9.0),))]
         with pytest.raises(DataError):
-            pio.write_svg_lines(str(tmp_path / "c.svg"), series)
+            pio.write_svg_lines(str(tmp_path / "c.svg"), series, "counts")
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
-        pio.write_svg_lines(p1, self.series())
-        pio.write_svg_lines(p2, self.series())
+        pio.write_svg_lines(p1, self.series(), "counts")
+        pio.write_svg_lines(p2, self.series(), "counts")
         assert open(p1).read() == open(p2).read()
 
     def test_flat_series_padded_axis(self, tmp_path):
         flat = [GroupSeries("A", "counts", ((2000, 2.0), (2001, 2.0)))]
-        pio.write_svg_lines(str(tmp_path / "flat.svg"), flat)  # must not divide by zero
+        pio.write_svg_lines(str(tmp_path / "flat.svg"), flat, "counts")  # must not divide by zero
 
 
 class TestManifest:

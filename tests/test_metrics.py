@@ -52,6 +52,11 @@ def oracle_avg_citing(years, codes, edges, ai, level, cited_only):
     return pts, overall
 
 
+def generality_index(corpus, members, level):
+    """The all-years value of `generality_series`."""
+    return met.generality_series(corpus, members, level, "g")[1]
+
+
 def oracle_descendants(edges, ai):
     return {citing for citing, cited in edges if cited in ai} - set(ai)
 
@@ -101,7 +106,7 @@ class TestGenerality:
             codes[pid] = [f"{sections[i]}11{'Z'}"]
             cites.append((pid, "X"))
         corpus = build_corpus(years, codes=codes, cites=cites)
-        got = met.generality_index(corpus, {"X"}, 1)
+        got = generality_index(corpus, {"X"}, 1)
         assert got == pytest.approx(1.0 - 1.0 / k, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 7, 20, 50])
@@ -115,7 +120,7 @@ class TestGenerality:
             codes[pid] = [f"B{i % 90 + 1:02d}{chr(ord('A') + i // 90)}"]
             cites.append((pid, "X"))
         corpus = build_corpus(years, codes=codes, cites=cites)
-        got = met.generality_index(corpus, {"X"}, 4)
+        got = generality_index(corpus, {"X"}, 4)
         assert got == pytest.approx(1.0 - 1.0 / k, abs=1e-12)
 
     def test_within_class_citations_excluded(self):
@@ -125,33 +130,26 @@ class TestGenerality:
             cites=[("C1", "X"), ("C2", "X")],
         )
         # at level 1, C1's G section matches X's own and is excluded
-        assert met.generality_index(corpus, {"X"}, 1) == 0.0  # only H remains
-        assert met.generality_index(corpus, {"X"}, 4) == 0.5
+        assert generality_index(corpus, {"X"}, 1) == 0.0  # only H remains
+        assert generality_index(corpus, {"X"}, 4) == 0.5
 
     def test_uncited_group_is_none(self):
         corpus = build_corpus({"X": 2000}, codes={"X": ["G06N"]})
-        assert met.generality_index(corpus, {"X"}, 1) is None
-
-    def test_year_filter(self):
-        corpus = build_corpus(
-            {"X": 2000, "Y": 2005, "C1": 2006, "C2": 2006},
-            codes={"X": ["A01B"], "Y": ["A01B"], "C1": ["B11Z"], "C2": ["C11Z"]},
-            cites=[("C1", "X"), ("C2", "Y")],
-        )
-        assert met.generality_index(corpus, {"X", "Y"}, 1) == 0.5
-        assert met.generality_index(corpus, {"X", "Y"}, 1, year_filter=(2000, 2000)) == 0.0
+        series, overall = met.generality_series(corpus, {"X"}, 1, "g")
+        assert series.points == ()
+        assert overall is None
 
     def test_unknown_member_rejected(self):
         corpus = build_corpus({"X": 2000})
         with pytest.raises(DataError):
-            met.generality_index(corpus, {"nope"}, 1)
+            met.generality_series(corpus, {"nope"}, 1, "g")
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_bruteforce_on_random_corpora(self, seed):
         rng = random.Random(1000 + seed)
         corpus, years, codes, edges, ai = random_corpus(rng)
         for level in (1, 3, 4):
-            got = met.generality_index(corpus, ai, level)
+            got = generality_index(corpus, ai, level)
             want = oracle_generality(years, codes, edges, ai, level)
             if want is None:
                 assert got is None
@@ -166,16 +164,17 @@ class TestGeneralitySeries:
             codes={"X": ["A01B"], "Y": ["A01B"], "C1": ["B11Z", "C11Z"], "C2": ["D11Z"]},
             cites=[("C1", "X"), ("C2", "Y")],
         )
-        series = met.generality_series(corpus, {"X", "Y"}, 1, "g")
+        series, overall = met.generality_series(corpus, {"X", "Y"}, 1, "g")
         assert series.years() == [2000, 2001]
         assert series.values()[0] == pytest.approx(0.5)  # B and C split evenly
         assert series.values()[1] == pytest.approx(0.0)
+        assert overall == pytest.approx(2 / 3)  # B, C and D once each over both years
 
     @pytest.mark.parametrize("seed", range(5))
     def test_yearwise_matches_pooled_single_years(self, seed):
         rng = random.Random(2000 + seed)
         corpus, years, codes, edges, ai = random_corpus(rng)
-        series = met.generality_series(corpus, ai, 3, "g")
+        series, _ = met.generality_series(corpus, ai, 3, "g")
         for y, v in series.points:
             cohort = {p for p in ai if years[p] == y}
             want = oracle_generality(years, codes, edges, cohort, 3)
@@ -192,11 +191,14 @@ class TestAvgCitingClasses:
             codes={"X": ["A01B"], "Y": ["A01B"], "C1": ["B11Z", "C11Z"], "C2": ["B11Z"]},
             cites=[("C1", "X"), ("C2", "X")],
         )
-        series, overall = met.avg_citing_classes(corpus, {"X", "Y"}, 1, "g")
+        (series, overall), (series_c, overall_c) = met.avg_citing_classes(
+            corpus, {"X", "Y"}, 1, "g"
+        )
         # X is cited from sections B and C -> 2; Y uncited -> 0
+        assert series.metric == "avg_citing_classes"
         assert series.points == ((2000, 1.0),)
         assert overall == 1.0
-        series_c, overall_c = met.avg_citing_classes(corpus, {"X", "Y"}, 1, "g", cited_only=True)
+        assert series_c.metric == "avg_citing_classes_cited"
         assert series_c.points == ((2000, 2.0),)
         assert overall_c == 2.0
 
@@ -204,8 +206,7 @@ class TestAvgCitingClasses:
         rng = random.Random(7)
         for _ in range(10):
             corpus, years, codes, edges, ai = random_corpus(rng)
-            _, all_mean = met.avg_citing_classes(corpus, ai, 3, "g")
-            _, cited_mean = met.avg_citing_classes(corpus, ai, 3, "g", cited_only=True)
+            (_, all_mean), (_, cited_mean) = met.avg_citing_classes(corpus, ai, 3, "g")
             if cited_mean is not None and all_mean is not None:
                 assert cited_mean >= all_mean - 1e-12
 
@@ -214,10 +215,8 @@ class TestAvgCitingClasses:
         rng = random.Random(3000 + seed)
         corpus, years, codes, edges, ai = random_corpus(rng)
         for level in (1, 3, 4):
-            for cited_only in (False, True):
-                series, overall = met.avg_citing_classes(
-                    corpus, ai, level, "g", cited_only=cited_only
-                )
+            both = met.avg_citing_classes(corpus, ai, level, "g")
+            for cited_only, (series, overall) in zip((False, True), both):
                 want_pts, want_overall = oracle_avg_citing(
                     years, codes, edges, ai, level, cited_only
                 )
@@ -320,12 +319,6 @@ class TestDiversity:
         assert series.points == ((2000, 0.3), (2001, 0.1))
         assert overall == pytest.approx(0.3)
 
-    def test_share_cumulative_monotone(self):
-        series, _ = met.diversity_share(
-            self.corpus(), {"A", "B", "C"}, 4, "g", universe=10, cumulative=True
-        )
-        assert series.points == ((2000, 0.3), (2001, 0.3))
-
     def test_default_universes(self):
         series, overall = met.diversity_share(self.corpus(), {"A"}, 3, "g")
         assert overall == pytest.approx(2 / 136)
@@ -367,13 +360,14 @@ class TestCitationLags:
         assert lags == {"X": [3], "Y": [0]}
 
     def test_series_and_pooled_mean(self):
-        series, overall = met.citation_lag_series(self.corpus(), {"X", "Y"}, "g")
+        series, overall, means = met.citation_lag_series(self.corpus(), {"X", "Y"}, "g", [])
         assert series.points == ((2000, 6.5), (2005, 2.5))
         assert overall == pytest.approx(4.5)
+        assert means == []
 
     def test_period_means(self):
-        means = met.lag_period_means(
-            self.corpus(), {"X", "Y"}, [(2000, 2004), (2005, 2009), (2010, 2019)]
+        _, _, means = met.citation_lag_series(
+            self.corpus(), {"X", "Y"}, "g", [(2000, 2004), (2005, 2009), (2010, 2019)]
         )
         assert means[0] == ((2000, 2004), pytest.approx(6.5))
         assert means[1] == ((2005, 2009), pytest.approx(2.5))
