@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import CpcParseError, DataError
 
@@ -188,6 +190,37 @@ class CorpusBuilder:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class CorpusArrays:
+    """Patent ids interned to their positions in `records` order.  `year`
+    holds grant years by position; `citing`, `cited` and `citing_year` hold
+    one entry per citation, in `citations` order.  Arrays are int32."""
+
+    ids: tuple[str, ...]
+    position: dict[str, int]
+    year: np.ndarray
+    citing: np.ndarray
+    cited: np.ndarray
+    citing_year: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class ClassIndex:
+    """Level-truncated CPC classes per patent position, in CSR form: the
+    patent at position i holds the class ids ids[indptr[i]:indptr[i + 1]],
+    ascending.  Class ids number the sorted class names, so ascending ids
+    are sorted names."""
+
+    names: tuple[str, ...]
+    indptr: np.ndarray
+    ids: np.ndarray
+
+    def owners(self) -> np.ndarray:
+        """The patent position of each entry of `ids`."""
+        counts = np.diff(self.indptr)
+        return np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Immutable corpus with lazily built indexes.
@@ -221,18 +254,54 @@ class Corpus:
     def codes_of(self, patent_id: str) -> tuple[CpcCode, ...]:
         return self.codes.get(patent_id, ())
 
-    def class_sets(self, level: int) -> dict[str, frozenset[str]]:
-        """patent id -> frozenset of level-truncated codes (patents with codes only)."""
+    def memo(self, key: Hashable, build: Callable[[], Any], slot: Hashable = None) -> Any:
+        """The value derived under `key`, made by `build()` on first use.
+        Keys that share a `slot` keep only the latest value."""
+        slot = key if slot is None else slot
+        if slot not in self._caches or self._caches[slot][0] != key:
+            self._caches.pop(slot, None)  # free the old value before building
+            self._caches[slot] = (key, build())
+        return self._caches[slot][1]
+
+    def arrays(self) -> CorpusArrays:
+        """Patents by position in `records` order, citations as positions."""
+        return self.memo("arrays", self._build_arrays)
+
+    def _build_arrays(self) -> CorpusArrays:
+        ids = tuple(self.records)
+        position = {pid: i for i, pid in enumerate(ids)}
+        n = len(self.citations)
+        return CorpusArrays(
+            ids,
+            position,
+            np.fromiter((r.grant_year for r in self.records.values()), np.int32, len(ids)),
+            np.fromiter((position[e.citing] for e in self.citations), np.int32, n),
+            np.fromiter((position[e.cited] for e in self.citations), np.int32, n),
+            np.fromiter((e.citing_year for e in self.citations), np.int32, n),
+        )
+
+    def class_index(self, level: int) -> ClassIndex:
+        """The level-truncated CPC classes of every patent, in CSR form."""
         if level not in LEVELS:
             raise ValueError(f"unsupported CPC level {level!r}, expected one of {LEVELS}")
-        key = ("class_sets", level)
-        cached = self._caches.get(key)
-        if cached is None:
-            cached = {
-                pid: frozenset(c.raw[:level] for c in cs) for pid, cs in self.codes.items()
-            }
-            self._caches[key] = cached
-        return cached
+        return self.memo(("class_index", level), lambda: self._build_class_index(level))
+
+    def _build_class_index(self, level: int) -> ClassIndex:
+        names = tuple(sorted({c.raw[:level] for cs in self.codes.values() for c in cs}))
+        class_id = {name: k for k, name in enumerate(names)}
+        position = self.arrays().position
+        n = sum(map(len, self.codes.values()))
+        owners = np.fromiter(
+            (position[pid] for pid, cs in self.codes.items() for _ in cs), np.int64, n
+        )
+        ids = np.fromiter(
+            (class_id[c.raw[:level]] for cs in self.codes.values() for c in cs), np.int64, n
+        )
+        # distinct (patent, class) keys, sorted: by position, then by class id
+        owners, ids = np.divmod(np.unique(owners * len(names) + ids), len(names))
+        indptr = np.zeros(len(position) + 1, np.int32)
+        np.cumsum(np.bincount(owners, minlength=len(position)), out=indptr[1:])
+        return ClassIndex(names, indptr, ids.astype(np.int32))
 
     def years(self) -> list[int]:
         lo, hi = self.window

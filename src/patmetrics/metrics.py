@@ -14,8 +14,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from statistics import mean, pstdev
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError
@@ -153,14 +156,95 @@ def allway_overlap(sets: Sequence[Iterable[str]]) -> tuple[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# generality of received citations
+# citation-class metrics over the interned arrays of `Corpus.arrays` and
+# `Corpus.class_index`.  Every sum numpy takes is a sum of integers; means of
+# integers are Python int / int, which is correctly rounded like
+# `statistics.mean`.
 
-def _generality(counts: Counter) -> float | None:
+def _member_mask(corpus: Corpus, members: Iterable[str]) -> np.ndarray:
+    """Boolean mask over patent positions; unknown members are a DataError."""
+    mem = frozenset(members)
+    at = np.fromiter(map(corpus.arrays().position.get, mem, repeat(-1)), np.int32, len(mem))
+    if (at < 0).any():
+        _require_members(corpus, mem)
+    mask = np.zeros(len(corpus), bool)
+    mask[at] = True
+    return mask
+
+
+@dataclass(frozen=True, eq=False)
+class _Outside:
+    """The outside-class incidence at one CPC level: a (cited, class) row for
+    each class of each citing patent that the cited patent does not hold,
+    in citation order and, within a citation, in ascending class id; and
+    per patent position, the number of distinct classes in its rows."""
+
+    cited: np.ndarray
+    classes: np.ndarray
+    breadth: np.ndarray
+
+
+def _outside(corpus: Corpus, level: int) -> _Outside:
+    """The incidence at `level`.  Only the latest level is kept:
+    `cli.stage_metrics` finishes one level before it starts the next."""
+    return corpus.memo(("outside", level), lambda: _build_outside(corpus, level), slot="outside")
+
+
+def _build_outside(corpus: Corpus, level: int) -> _Outside:
+    arrays, index = corpus.arrays(), corpus.class_index(level)
+    n_classes = len(index.names)
+    # int32 throughout unless (patent, class) keys outgrow it: these arrays
+    # hold one entry per citing-side class and set the stage's peak memory
+    key_type = np.int32 if len(corpus) * n_classes < 2**31 else np.int64
+    # the row's entry in `index.ids` is its citing patent's first entry plus
+    # the row's rank within its citation
+    per_edge = np.diff(index.indptr)[arrays.citing]
+    entry = np.repeat(
+        index.indptr[arrays.citing] - np.cumsum(per_edge, dtype=np.int32) + per_edge, per_edge
+    )
+    entry += np.arange(len(entry), dtype=np.int32)
+    classes = index.ids[entry]
+    del entry
+    cited = np.repeat(arrays.cited, per_edge)
+    keys = cited.astype(key_type) * n_classes + classes
+    # the keys of the classes patents hold come sorted by construction
+    held = index.owners().astype(key_type) * n_classes + index.ids
+    at = np.searchsorted(held, keys)
+    np.minimum(at, len(held) - 1, out=at)
+    outside = held[at] != keys
+    del at
+    breadth = np.bincount(np.unique(keys[outside]) // n_classes, minlength=len(corpus))
+    return _Outside(cited[outside], classes[outside], breadth)
+
+
+def _first_seen_counts(keys: np.ndarray) -> Iterable[tuple[int, int]]:
+    """(key, count) for each distinct key, in order of first occurrence."""
+    distinct, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return zip(distinct[order].tolist(), counts[order].tolist())
+
+
+def _generality(counts: list[int]) -> float | None:
     """1 - sum of squared class shares; None for an empty tally."""
-    total = sum(counts.values())
+    total = sum(counts)
     if total == 0:
         return None
-    return 1.0 - sum((c / total) ** 2 for c in counts.values())
+    return 1.0 - sum((c / total) ** 2 for c in counts)
+
+
+def _yearly_means(
+    years: np.ndarray, values: np.ndarray, label: str, metric: str
+) -> tuple[GroupSeries, float | None]:
+    """Mean of the integer `values` per distinct year, and the mean of those
+    annual means (None without points)."""
+    distinct, inverse = np.unique(years, return_inverse=True)
+    sums = np.zeros(len(distinct), np.int64)
+    np.add.at(sums, inverse, values)
+    counts = np.bincount(inverse, minlength=len(distinct))
+    pts = tuple(
+        (y, total / n) for y, total, n in zip(distinct.tolist(), sums.tolist(), counts.tolist())
+    )
+    return GroupSeries(label, metric, pts), (mean(v for _, v in pts) if pts else None)
 
 
 def generality_series(
@@ -171,25 +255,23 @@ def generality_series(
 
     Citations are tallied by citing-patent class: once per citing-side class
     that the cited patent does not itself hold, so within-class citations
-    are excluded.  Yearless cohorts are omitted from the series; the
-    all-years value is None when no outside citations were received.
+    are excluded.  Classes enter each tally in citation order and, within a
+    citation, in sorted order, which fixes the order of the float sum.
+    Yearless cohorts are omitted from the series; the all-years value is
+    None when no outside citations were received.
     """
-    mem = _require_members(corpus, members)
-    cls = corpus.class_sets(level)
-    per_year: dict[int, Counter] = {}
-    overall: Counter = Counter()
-    empty = frozenset()
-    for e in corpus.citations:
-        if e.cited not in mem:
-            continue
-        cited_cls = cls.get(e.cited, empty)
-        y = corpus.grant_year(e.cited)
-        for j in cls.get(e.citing, empty):
-            if j not in cited_cls:
-                per_year.setdefault(y, Counter())[j] += 1
-                overall[j] += 1
+    mask = _member_mask(corpus, members)
+    out = _outside(corpus, level)
+    rows = mask[out.cited]
+    classes = out.classes[rows]
+    n_classes = len(corpus.class_index(level).names)
+    cohort = corpus.arrays().year[out.cited[rows]]
+    per_year: dict[int, list[int]] = {}
+    for key, count in _first_seen_counts(cohort * n_classes + classes):
+        per_year.setdefault(key // n_classes, []).append(count)
     pts = tuple((y, _generality(per_year[y])) for y in sorted(per_year))
-    return GroupSeries(label, "generality", pts), _generality(overall)
+    overall = _generality([count for _, count in _first_seen_counts(classes)])
+    return GroupSeries(label, "generality", pts), overall
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +288,14 @@ def avg_citing_classes(
     mean of the annual values, first over all group patents, then over
     those that received at least one citation.
     """
-    mem = _require_members(corpus, members)
-    cls = corpus.class_sets(level)
-    empty = frozenset()
-    citing_classes: dict[str, set[str]] = {p: set() for p in mem}
-    was_cited: set[str] = set()
-    for e in corpus.citations:
-        p = e.cited
-        bucket = citing_classes.get(p)
-        if bucket is None:
-            continue
-        was_cited.add(p)
-        bucket.update(cls.get(e.citing, empty) - cls.get(p, empty))
-
-    def average(pool: Iterable[str], metric: str) -> tuple[GroupSeries, float | None]:
-        by_year: dict[int, list[int]] = {}
-        for p in pool:
-            by_year.setdefault(corpus.grant_year(p), []).append(len(citing_classes[p]))
-        pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
-        return GroupSeries(label, metric, pts), (mean(v for _, v in pts) if pts else None)
-
-    return average(mem, "avg_citing_classes"), average(was_cited, "avg_citing_classes_cited")
+    mask = _member_mask(corpus, members)
+    breadth = _outside(corpus, level).breadth
+    arrays = corpus.arrays()
+    cited = mask & (np.bincount(arrays.cited, minlength=len(corpus)) > 0)
+    return tuple(
+        _yearly_means(arrays.year[pool], breadth[pool], label, metric)
+        for pool, metric in ((mask, "avg_citing_classes"), (cited, "avg_citing_classes_cited"))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +313,23 @@ def diversity_share(
     Annual values use codes of patents granted that year; the returned
     scalar uses the whole window.
     """
-    mem = _require_members(corpus, members)
+    mask = _member_mask(corpus, members)
     n_universe = universe if universe is not None else DEFAULT_UNIVERSE[level]
-    cls = corpus.class_sets(level)
-    yearly: dict[int, set[str]] = {}
-    everything: set[str] = set()
-    for p in mem:
-        codes = cls.get(p)
-        if not codes:
-            continue
-        yearly.setdefault(corpus.grant_year(p), set()).update(codes)
-        everything.update(codes)
-    if len(everything) > n_universe:
+    index = corpus.class_index(level)
+    owners = index.owners()
+    held = mask[owners]
+    classes = index.ids[held]
+    everything = len(np.unique(classes))
+    if everything > n_universe:
         raise DataError(
-            f"diversity: {len(everything)} distinct level-{level} codes exceed "
+            f"diversity: {everything} distinct level-{level} codes exceed "
             f"the configured universe of {n_universe}"
         )
-    pts = tuple((y, len(yearly.get(y, ())) / n_universe) for y in corpus.years())
+    year_class = np.unique(corpus.arrays().year[owners[held]] * len(index.names) + classes)
+    yearly = Counter((year_class // len(index.names)).tolist())
+    pts = tuple((y, yearly.get(y, 0) / n_universe) for y in corpus.years())
     series = GroupSeries(label, "diversity_share", pts)
-    return series, len(everything) / n_universe
+    return series, everything / n_universe
 
 
 def diversity_per_patent(
@@ -273,19 +340,32 @@ def diversity_per_patent(
     Annual values average over patents granted that year (codeless patents
     count zero); the scalar is the mean of the annual values.
     """
-    mem = _require_members(corpus, members)
-    cls = corpus.class_sets(level)
-    by_year: dict[int, list[int]] = {}
-    for p in mem:
-        by_year.setdefault(corpus.grant_year(p), []).append(len(cls.get(p, ())))
-    pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
-    series = GroupSeries(label, "diversity_per_patent", pts)
-    overall = mean(v for _, v in pts) if pts else None
-    return series, overall
+    mask = _member_mask(corpus, members)
+    per_patent = np.diff(corpus.class_index(level).indptr)
+    return _yearly_means(corpus.arrays().year[mask], per_patent[mask], label, "diversity_per_patent")
 
 
 # ---------------------------------------------------------------------------
 # citation lags
+
+def _lags(corpus: Corpus, members: Iterable[str], mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cited positions and lags of the citations received by group members,
+    in citation order.  "first_citation" keeps one row per cited patent,
+    at its first citation, holding its smallest lag."""
+    if mode not in ("all_citations", "first_citation"):
+        raise ValueError(f"unknown lag mode {mode!r}")
+    mask = _member_mask(corpus, members)
+    arrays = corpus.arrays()
+    rows = mask[arrays.cited]
+    cited = arrays.cited[rows]
+    lags = arrays.citing_year[rows] - arrays.year[cited]
+    if mode == "first_citation":
+        smallest = np.full(len(corpus), np.iinfo(np.int32).max, np.int32)
+        np.minimum.at(smallest, cited, lags)
+        cited = cited[np.sort(np.unique(cited, return_index=True)[1])]
+        lags = smallest[cited]
+    return cited, lags
+
 
 def citation_lags(
     corpus: Corpus, members: Iterable[str], mode: str = "all_citations"
@@ -293,16 +373,12 @@ def citation_lags(
     """Lags (citing grant year - cited grant year) of citations received by
     group members, keyed by cited patent.  `mode` "first_citation" keeps
     only the smallest lag per patent.  Uncited members are absent."""
-    if mode not in ("all_citations", "first_citation"):
-        raise ValueError(f"unknown lag mode {mode!r}")
-    mem = _require_members(corpus, members)
-    lags: dict[str, list[int]] = {}
-    for e in corpus.citations:
-        if e.cited in mem:
-            lags.setdefault(e.cited, []).append(e.citing_year - corpus.grant_year(e.cited))
-    if mode == "first_citation":
-        lags = {p: [min(ls)] for p, ls in lags.items()}
-    return lags
+    cited, lags = _lags(corpus, members, mode)
+    ids = corpus.arrays().ids
+    out: dict[str, list[int]] = {}
+    for p, lag in zip(cited.tolist(), lags.tolist()):
+        out.setdefault(ids[p], []).append(lag)
+    return out
 
 
 def citation_lag_series(
@@ -314,16 +390,15 @@ def citation_lag_series(
 ) -> tuple[GroupSeries, float | None, list[tuple[tuple[int, int], float | None]]]:
     """Mean citation lag by cited-cohort grant year, the pooled mean, and the
     pooled mean for cited patents granted in each of `periods`."""
-    by_year: dict[int, list[int]] = {}
-    for p, ls in citation_lags(corpus, members, mode).items():
-        by_year.setdefault(corpus.grant_year(p), []).extend(ls)
-    pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
+    cited, lags = _lags(corpus, members, mode)
+    years = corpus.arrays().year[cited]
 
     def pooled(lo: float, hi: float) -> float | None:
-        pool = [lag for y, ls in by_year.items() if lo <= y <= hi for lag in ls]
-        return mean(pool) if pool else None
+        rows = (years >= lo) & (years <= hi)
+        n = int(rows.sum())
+        return int(lags[rows].sum(dtype=np.int64)) / n if n else None
 
-    series = GroupSeries(label, "citation_lag", pts)
+    series, _ = _yearly_means(years, lags, label, "citation_lag")
     return series, pooled(-math.inf, math.inf), [((lo, hi), pooled(lo, hi)) for lo, hi in periods]
 
 
@@ -332,9 +407,10 @@ def citation_lag_series(
 
 def descendants(corpus: Corpus, members: Iterable[str]) -> frozenset[str]:
     """Patents citing at least one group member, excluding the group itself."""
-    mem = _require_members(corpus, members)
-    citing = {e.citing for e in corpus.citations if e.cited in mem}
-    return frozenset(citing - mem)
+    mask = _member_mask(corpus, members)
+    arrays = corpus.arrays()
+    citing = np.unique(arrays.citing[mask[arrays.cited]])
+    return frozenset(arrays.ids[p] for p in citing[~mask[citing]].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -32,3 +32,11 @@ def build_corpus(
     for pid, field_label, conf in science:
         assert b.add_science_link(pid, field_label, conf) is None, (pid, field_label)
     return b.build()
+
+
+def classes_at(corpus, level, patent_id):
+    """The level-`level` class names of a patent, read from the corpus's
+    class index."""
+    index = corpus.class_index(level)
+    p = corpus.arrays().position[patent_id]
+    return {index.names[k] for k in index.ids[index.indptr[p] : index.indptr[p + 1]]}

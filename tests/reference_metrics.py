@@ -1,0 +1,143 @@
+"""Reference implementations of the citation-class metrics.
+
+These are the per-edge loops that `patmetrics.metrics` replaced with
+aggregations over interned arrays.  They are kept as test oracles: every
+function here must return exactly (`==`) what its namesake in
+`patmetrics.metrics` returns.  The one change from the loops as they ran
+in the pipeline is that generality visits a citing patent's classes in
+sorted order, so the float sum no longer depends on the hash seed.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from statistics import mean
+from typing import Iterable, Sequence
+
+from patmetrics.errors import DataError
+from patmetrics.metrics import DEFAULT_UNIVERSE, GroupSeries, _require_members
+
+
+def class_sets(corpus, level: int) -> dict[str, frozenset[str]]:
+    """patent id -> frozenset of level-truncated codes (patents with codes only)."""
+    return {pid: frozenset(c.raw[:level] for c in cs) for pid, cs in corpus.codes.items()}
+
+
+def _generality(counts: Counter) -> float | None:
+    total = sum(counts.values())
+    if total == 0:
+        return None
+    return 1.0 - sum((c / total) ** 2 for c in counts.values())
+
+
+def generality_series(corpus, members: Iterable[str], level: int, label: str):
+    mem = _require_members(corpus, members)
+    cls = class_sets(corpus, level)
+    per_year: dict[int, Counter] = {}
+    overall: Counter = Counter()
+    empty = frozenset()
+    for e in corpus.citations:
+        if e.cited not in mem:
+            continue
+        cited_cls = cls.get(e.cited, empty)
+        y = corpus.grant_year(e.cited)
+        for j in sorted(cls.get(e.citing, empty)):
+            if j not in cited_cls:
+                per_year.setdefault(y, Counter())[j] += 1
+                overall[j] += 1
+    pts = tuple((y, _generality(per_year[y])) for y in sorted(per_year))
+    return GroupSeries(label, "generality", pts), _generality(overall)
+
+
+def avg_citing_classes(corpus, members: Iterable[str], level: int, label: str):
+    mem = _require_members(corpus, members)
+    cls = class_sets(corpus, level)
+    empty = frozenset()
+    citing_classes: dict[str, set[str]] = {p: set() for p in mem}
+    was_cited: set[str] = set()
+    for e in corpus.citations:
+        p = e.cited
+        bucket = citing_classes.get(p)
+        if bucket is None:
+            continue
+        was_cited.add(p)
+        bucket.update(cls.get(e.citing, empty) - cls.get(p, empty))
+
+    def average(pool: Iterable[str], metric: str):
+        by_year: dict[int, list[int]] = {}
+        for p in pool:
+            by_year.setdefault(corpus.grant_year(p), []).append(len(citing_classes[p]))
+        pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
+        return GroupSeries(label, metric, pts), (mean(v for _, v in pts) if pts else None)
+
+    return average(mem, "avg_citing_classes"), average(was_cited, "avg_citing_classes_cited")
+
+
+def diversity_share(corpus, members, level, label, universe=None):
+    mem = _require_members(corpus, members)
+    n_universe = universe if universe is not None else DEFAULT_UNIVERSE[level]
+    cls = class_sets(corpus, level)
+    yearly: dict[int, set[str]] = {}
+    everything: set[str] = set()
+    for p in mem:
+        codes = cls.get(p)
+        if not codes:
+            continue
+        yearly.setdefault(corpus.grant_year(p), set()).update(codes)
+        everything.update(codes)
+    if len(everything) > n_universe:
+        raise DataError(
+            f"diversity: {len(everything)} distinct level-{level} codes exceed "
+            f"the configured universe of {n_universe}"
+        )
+    pts = tuple((y, len(yearly.get(y, ())) / n_universe) for y in corpus.years())
+    series = GroupSeries(label, "diversity_share", pts)
+    return series, len(everything) / n_universe
+
+
+def diversity_per_patent(corpus, members, level, label):
+    mem = _require_members(corpus, members)
+    cls = class_sets(corpus, level)
+    by_year: dict[int, list[int]] = {}
+    for p in mem:
+        by_year.setdefault(corpus.grant_year(p), []).append(len(cls.get(p, ())))
+    pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
+    series = GroupSeries(label, "diversity_per_patent", pts)
+    overall = mean(v for _, v in pts) if pts else None
+    return series, overall
+
+
+def citation_lags(corpus, members, mode="all_citations"):
+    if mode not in ("all_citations", "first_citation"):
+        raise ValueError(f"unknown lag mode {mode!r}")
+    mem = _require_members(corpus, members)
+    lags: dict[str, list[int]] = {}
+    for e in corpus.citations:
+        if e.cited in mem:
+            lags.setdefault(e.cited, []).append(e.citing_year - corpus.grant_year(e.cited))
+    if mode == "first_citation":
+        lags = {p: [min(ls)] for p, ls in lags.items()}
+    return lags
+
+
+def citation_lag_series(
+    corpus, members, label, periods: Sequence[tuple[int, int]], mode="all_citations"
+):
+    by_year: dict[int, list[int]] = {}
+    for p, ls in citation_lags(corpus, members, mode).items():
+        by_year.setdefault(corpus.grant_year(p), []).extend(ls)
+    pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
+
+    def pooled(lo: float, hi: float) -> float | None:
+        pool = [lag for y, ls in by_year.items() if lo <= y <= hi for lag in ls]
+        return mean(pool) if pool else None
+
+    series = GroupSeries(label, "citation_lag", pts)
+    return series, pooled(-math.inf, math.inf), [((lo, hi), pooled(lo, hi)) for lo, hi in periods]
+
+
+def descendants(corpus, members) -> frozenset[str]:
+    mem = _require_members(corpus, members)
+    citing = {e.citing for e in corpus.citations if e.cited in mem}
+    return frozenset(citing - mem)

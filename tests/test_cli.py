@@ -5,6 +5,7 @@ import pytest
 
 from patmetrics import cli
 from patmetrics import io as pio
+from patmetrics.corpus import Corpus
 from patmetrics.errors import ConfigError
 
 CS_AI = "Computer Science; Artificial Intelligence"
@@ -335,7 +336,7 @@ class TestExitCodes:
 class TestComputeOnce:
     def test_stats_and_zscore_inputs_computed_once(self, ws, tmp_path, monkeypatch):
         calls = {name: 0 for name in (
-            "pairwise_compare", "generality_series", "avg_citing_classes", "citation_lags"
+            "pairwise_compare", "generality_series", "avg_citing_classes", "citation_lag_series"
         )}
 
         def counting(module, name):
@@ -348,7 +349,7 @@ class TestComputeOnce:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(cli.st, "pairwise_compare")
-        for name in ("generality_series", "avg_citing_classes", "citation_lags"):
+        for name in ("generality_series", "avg_citing_classes", "citation_lag_series"):
             counting(cli.met, name)
         code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
         assert code == 0
@@ -356,7 +357,28 @@ class TestComputeOnce:
         assert calls["pairwise_compare"] == len(cfg.compare) * len(cfg.periods)
         assert calls["generality_series"] == len(cfg.groups) * len(cfg.levels)
         assert calls["avg_citing_classes"] == len(cfg.groups) * len(cfg.levels)
-        assert calls["citation_lags"] == len(cfg.groups)
+        assert calls["citation_lag_series"] == len(cfg.groups)
+
+    def test_level_indexes_built_once_per_run(self, ws, tmp_path, monkeypatch):
+        built = {"class_index": [], "outside": []}
+        build_class_index = Corpus._build_class_index
+        build_outside = cli.met._build_outside
+
+        def counting_class_index(corpus, level):
+            built["class_index"].append(level)
+            return build_class_index(corpus, level)
+
+        def counting_outside(corpus, level):
+            built["outside"].append(level)
+            return build_outside(corpus, level)
+
+        monkeypatch.setattr(Corpus, "_build_class_index", counting_class_index)
+        monkeypatch.setattr(cli.met, "_build_outside", counting_outside)
+        code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
+        assert code == 0
+        levels = list(cli.load_run_config(str(ws / "small.run")).levels)
+        assert sorted(built["class_index"]) == sorted(levels)
+        assert built["outside"] == levels
 
 
 class TestStrictMode:

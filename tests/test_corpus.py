@@ -8,7 +8,7 @@ from patmetrics.corpus import (
 )
 from patmetrics.errors import CpcParseError, DataError
 
-from helpers import build_corpus
+from helpers import build_corpus, classes_at
 
 
 class TestParseCpc:
@@ -105,10 +105,37 @@ class TestCorpusIndexes:
             {"A": 2000, "B": 2001},
             codes={"A": ["G06N20/00", "G06F3/01", "H04L9/40"], "B": []},
         )
-        assert corpus.class_sets(1)["A"] == {"G", "H"}
-        assert corpus.class_sets(3)["A"] == {"G06", "H04"}
-        assert corpus.class_sets(4)["A"] == {"G06N", "G06F", "H04L"}
-        assert corpus.class_sets(4).get("B", frozenset()) == frozenset()
+        assert classes_at(corpus, 1, "A") == {"G", "H"}
+        assert classes_at(corpus, 3, "A") == {"G06", "H04"}
+        assert classes_at(corpus, 4, "A") == {"G06N", "G06F", "H04L"}
+        assert classes_at(corpus, 4, "B") == set()
+
+    def test_class_index_ids_follow_sorted_names(self):
+        corpus = build_corpus(
+            {"A": 2000, "B": 2001, "C": 2002},
+            codes={"A": ["H04L9/40", "G06N20/00"], "C": ["B82Y10/00", "H04W4/00"]},
+        )
+        index = corpus.class_index(4)
+        assert index.names == ("B82Y", "G06N", "H04L", "H04W")
+        assert index.indptr.tolist() == [0, 2, 2, 4]
+        assert index.ids.tolist() == [1, 2, 0, 3]
+        assert corpus.class_index(4) is index
+        with pytest.raises(ValueError):
+            corpus.class_index(2)
+
+    def test_arrays_intern_ids_in_record_order(self):
+        corpus = build_corpus(
+            {"B": 2001, "A": 2000, "C": 2003},
+            cites=[("C", "A"), ("B", "A"), ("C", "B")],
+        )
+        arrays = corpus.arrays()
+        assert arrays.ids == ("B", "A", "C")
+        assert arrays.position == {"B": 0, "A": 1, "C": 2}
+        assert arrays.year.tolist() == [2001, 2000, 2003]
+        assert arrays.citing.tolist() == [2, 0, 2]
+        assert arrays.cited.tolist() == [1, 1, 0]
+        assert arrays.citing_year.tolist() == [2003, 2001, 2003]
+        assert {a.dtype.name for a in (arrays.year, arrays.citing, arrays.cited)} == {"int32"}
 
     def test_year_index(self):
         corpus = build_corpus({"A": 2000, "B": 2000, "C": 2002})

@@ -6,7 +6,7 @@ from patmetrics import io as pio
 from patmetrics.errors import DataError
 from patmetrics.metrics import GroupSeries
 
-from helpers import build_corpus
+from helpers import build_corpus, classes_at
 
 
 def write(path, text):
@@ -41,7 +41,7 @@ class TestLoadCorpus:
         )
         assert len(corpus) == 3
         assert corpus.record("P1").abstract == "an abstract"
-        assert corpus.class_sets(4)["P1"] == {"G06N"}
+        assert classes_at(corpus, 4, "P1") == {"G06N"}
         assert len(corpus.citations) == 2
         assert len(corpus.science) == 1
         for t in report.tables.values():

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from statistics import mean, pstdev
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from patmetrics import metrics as met
 from patmetrics.errors import DataError
 
+import reference_metrics as ref
 from helpers import build_corpus
 
 
@@ -139,11 +143,6 @@ class TestGenerality:
         assert series.points == ()
         assert overall is None
 
-    def test_unknown_member_rejected(self):
-        corpus = build_corpus({"X": 2000})
-        with pytest.raises(DataError):
-            met.generality_series(corpus, {"nope"}, 1, "g")
-
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_bruteforce_on_random_corpora(self, seed):
         rng = random.Random(1000 + seed)
@@ -227,6 +226,88 @@ class TestAvgCitingClasses:
                     assert overall is None
                 else:
                     assert overall == pytest.approx(want_overall, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against the reference loops
+
+KERNELS = {
+    "generality_series": lambda c, m: met.generality_series(c, m, 1, "g"),
+    "avg_citing_classes": lambda c, m: met.avg_citing_classes(c, m, 1, "g"),
+    "diversity_share": lambda c, m: met.diversity_share(c, m, 3, "g"),
+    "diversity_per_patent": lambda c, m: met.diversity_per_patent(c, m, 1, "g"),
+    "citation_lags": lambda c, m: met.citation_lags(c, m),
+    "citation_lag_series": lambda c, m: met.citation_lag_series(c, m, "g", [(2000, 2004)]),
+    "descendants": lambda c, m: met.descendants(c, m),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_unknown_member_rejected(kernel):
+    corpus = build_corpus({"X": 2000, "Y": 2001}, codes={"X": ["G06N"]}, cites=[("Y", "X")])
+    with pytest.raises(DataError):
+        KERNELS[kernel](corpus, {"X", "nope"})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernels_equal_reference_loops(seed):
+    """Every point and overall value equals the reference loops exactly."""
+    rng = random.Random(5000 + seed)
+    _, years, codes, edges, ai = random_corpus(rng)
+    # a group member with codes that nothing cites, and a cited one without codes
+    latest = max(years, key=years.get)
+    years = {**years, "UNCITED": 2005, "CODELESS": 2000}
+    codes = {**codes, "UNCITED": ["G06N"]}
+    corpus = build_corpus(years, codes=codes, cites=[*edges, (latest, "CODELESS")])
+    ai = ai | {"UNCITED", "CODELESS"}
+    periods = [(2000, 2004), (2005, 2009), (2003, 2003)]
+    for members in (ai, set(), set(years)):
+        for level in (1, 3, 4):
+            for name in ("generality_series", "avg_citing_classes", "diversity_per_patent"):
+                got = getattr(met, name)(corpus, members, level, "g")
+                assert got == getattr(ref, name)(corpus, members, level, "g"), (name, level)
+            got = met.diversity_share(corpus, members, level, "g", universe=10_000)
+            assert got == ref.diversity_share(corpus, members, level, "g", universe=10_000)
+        for mode in ("all_citations", "first_citation"):
+            got = met.citation_lags(corpus, members, mode)
+            want = ref.citation_lags(corpus, members, mode)
+            assert got == want and list(got) == list(want)
+            got = met.citation_lag_series(corpus, members, "g", periods, mode)
+            assert got == ref.citation_lag_series(corpus, members, "g", periods, mode)
+        assert met.descendants(corpus, members) == ref.descendants(corpus, members)
+
+
+HASH_SEED_SCRIPT = """
+from patmetrics import metrics
+from patmetrics.corpus import CorpusBuilder, PatentRecord
+
+b = CorpusBuilder(window=(2000, 2001))
+for pid, year in (("X", 2000), ("C0", 2001), ("C1", 2001), ("C2", 2001)):
+    b.add_record(PatentRecord(pid, year))
+for pid, code in (("X", "A01B"), ("C0", "B01B"), ("C0", "C01B"), ("C0", "D01B"),
+                  ("C1", "D01B"), ("C2", "D01B")):
+    b.add_assignment(pid, code)
+for citing in ("C0", "C1", "C2"):
+    b.add_citation(citing, "X")
+series, overall = metrics.generality_series(b.build(), {"X"}, 1, "g")
+print(repr(series.points), repr(overall))
+"""
+
+
+def test_generality_independent_of_hash_seed():
+    """C0 holds three level-1 classes and the later citations bring their
+    counts to 1, 1 and 3, so the float sum of squared shares depends on the
+    order the classes are visited in; it must not depend on the hash seed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(met.__file__)))
+    outputs = set()
+    for hash_seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(done.stdout)
+    assert outputs == {"((2000, 0.56),) 0.56\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +457,8 @@ class TestCitationLags:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             met.citation_lags(self.corpus(), {"X"}, mode="oldest")
+        with pytest.raises(ValueError):
+            met.citation_lag_series(self.corpus(), {"X"}, "g", [], mode="oldest")
 
     def test_lags_never_negative(self):
         rng = random.Random(11)
