@@ -1,7 +1,10 @@
 """Command-line pipeline: synth, classify, metrics, stats, report.
 
-Stages communicate only through files in the output directory, so running
-them one at a time gives byte-identical artifacts to a monolithic `run`.
+Stages communicate through files in the output directory.  The corpus is
+the one input they share in memory: `run` loads it once and hands it to the
+stages that read it (classify, metrics), and a stage run on its own loads it
+from the same files, so running the stages one at a time gives
+byte-identical artifacts to a monolithic `run`.
 `run.log` records stage progress without timestamps and is excluded from
 the manifest.
 
@@ -241,11 +244,12 @@ def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> Corpus:
 
 def _ensure_corpus(cfg: RunConfig, out_dir: str, log: RunLog) -> Corpus:
     """Load the corpus, generating and persisting synthetic tables first
-    when the config asks for them."""
+    when the config asks for them.  Tables already under `corpus/` are
+    reused only when no `--seed` was given."""
     if cfg.synth_path is not None:
         corpus_dir = os.path.join(out_dir, "corpus")
         paths = {name: os.path.join(corpus_dir, f"{name}.tsv") for name in pio.TABLE_COLUMNS}
-        if not os.path.exists(paths["patents"]):
+        if cfg.seed_override is not None or not os.path.exists(paths["patents"]):
             corpus = _synthesize(cfg.synth_path, cfg.seed_override, corpus_dir)
             log.line(f"synth: generated {len(corpus)} patents into corpus/")
     else:
@@ -274,8 +278,7 @@ def _ensure_corpus(cfg: RunConfig, out_dir: str, log: RunLog) -> Corpus:
 # ---------------------------------------------------------------------------
 # stages
 
-def stage_classify(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
-    corpus = _ensure_corpus(cfg, out_dir, log)
+def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> None:
     for g in cfg.groups:
         if g.kind == "keyword":
             table = (
@@ -343,18 +346,18 @@ def _mpath(out_dir: str, stem: str) -> str:
     return os.path.join(out_dir, "metrics", f"{stem}.metric.tsv")
 
 
-def stage_metrics(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
-    corpus = _ensure_corpus(cfg, out_dir, log)
+def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> None:
     groups = _read_groups(cfg, out_dir)
+    masks = {name: corpus.mask(ids) for name, ids in groups.items()}
     order = [g.name for g in cfg.groups]
     approach = [g.name for g in cfg.groups if g.kind in APPROACH_KINDS]
     universes = dict(cfg.universes)
     scalars: list[tuple[str, str, str, float | None]] = []  # metric, level, group, value
 
-    counts = {name: met.count_series(corpus, groups[name], name) for name in order}
+    counts = {name: met.count_series(corpus, masks[name], name) for name in order}
     pio.write_series(_mpath(out_dir, "counts"), list(counts.values()))
 
-    whole = met.count_series(corpus, corpus.ids(), "All")
+    whole = met.count_series(corpus, corpus.mask(corpus.ids()), "All")
     shares = [met.share_series(counts[name], whole) for name in order]
     pio.write_series(_mpath(out_dir, "share"), shares)
 
@@ -368,7 +371,7 @@ def stage_metrics(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
         jac = []
         for i, a in enumerate(approach):
             for b in approach[i + 1 :]:
-                jac.append(met.jaccard_series(corpus, a, groups[a], b, groups[b]))
+                jac.append(met.jaccard_series(corpus, a, masks[a], b, masks[b]))
                 scalars.append(("jaccard", "", f"{a}|{b}", met.jaccard(groups[a], groups[b])))
         pio.write_series(_mpath(out_dir, "jaccard"), jac)
         count, share = met.allway_overlap([groups[a] for a in approach])
@@ -394,17 +397,17 @@ def stage_metrics(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
     for level in cfg.levels:
         # series by metric and group at this level, reused as z-score inputs
         by_metric = {"generality": per_group("generality", level, lambda n: met.generality_series(
-            corpus, groups[n], level, n
+            corpus, masks[n], level, n
         ))}
-        breadth = {n: met.avg_citing_classes(corpus, groups[n], level, n) for n in order}
+        breadth = {n: met.avg_citing_classes(corpus, masks[n], level, n) for n in order}
         for i, stem in enumerate(("avg_citing_classes", "avg_citing_classes_cited")):
             by_metric[stem] = per_group(stem, level, lambda n: breadth[n][i])
         if level in (3, 4):
             per_group("diversity_share", level, lambda n: met.diversity_share(
-                corpus, groups[n], level, n, universe=universes.get(level)
+                corpus, masks[n], level, n, universe=universes.get(level)
             ), keep_empty=True)
         per_group("diversity_per_patent", level, lambda n: met.diversity_per_patent(
-            corpus, groups[n], level, n
+            corpus, masks[n], level, n
         ))
         if len(approach) >= 2:
             for zm in cfg.zscore_metrics:
@@ -416,7 +419,7 @@ def stage_metrics(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
                     )
 
     lags = {
-        n: met.citation_lag_series(corpus, groups[n], n, cfg.periods, cfg.lag_mode) for n in order
+        n: met.citation_lag_series(corpus, masks[n], n, cfg.periods, cfg.lag_mode) for n in order
     }
     per_group("citation_lag", None, lambda n: lags[n][:2])
     pio.write_table(
@@ -426,12 +429,12 @@ def stage_metrics(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
     )
 
     if cfg.descendants and approach:
-        desc_sets = {n: met.descendants(corpus, groups[n]) for n in approach}
+        desc_sets = {n: met.descendants(corpus, masks[n]) for n in approach}
         for n in approach:
             pio.write_ids(
                 os.path.join(out_dir, "groups", f"{n}.descendants.ids"), desc_sets[n]
             )
-        dcounts = [met.count_series(corpus, desc_sets[n], n) for n in approach]
+        dcounts = [met.count_series(corpus, corpus.mask(desc_sets[n]), n) for n in approach]
         pio.write_series(_mpath(out_dir, "descendants_counts"), dcounts)
         dshares = [met.share_series(c, whole) for c in dcounts]
         pio.write_series(_mpath(out_dir, "descendants_share"), dshares)
@@ -569,14 +572,18 @@ def cmd_run(args, only: tuple[str, ...] | None = None) -> int:
         if name not in STAGES:
             raise ConfigError(f"unknown stage {name!r}, expected one of {', '.join(STAGES)}")
     log = RunLog(args.out)
-    runner = {
-        "classify": stage_classify,
-        "metrics": stage_metrics,
-        "stats": stage_stats,
-        "report": stage_report,
-    }
+    corpus = None
+    if "classify" in stages or "metrics" in stages:
+        corpus = _ensure_corpus(cfg, args.out, log)
     for name in stages:
-        runner[name](cfg, args.out, log)
+        if name == "classify":
+            stage_classify(cfg, corpus, args.out, log)
+        elif name == "metrics":
+            stage_metrics(cfg, corpus, args.out, log)
+        elif name == "stats":
+            stage_stats(cfg, args.out, log)
+        else:
+            stage_report(cfg, args.out, log)
     pio.write_manifest(args.out)
     return 0
 

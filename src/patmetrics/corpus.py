@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
 import numpy as np
@@ -248,9 +249,6 @@ class Corpus:
     def record(self, patent_id: str) -> PatentRecord:
         return self.records[patent_id]
 
-    def grant_year(self, patent_id: str) -> int:
-        return self.records[patent_id].grant_year
-
     def codes_of(self, patent_id: str) -> tuple[CpcCode, ...]:
         return self.codes.get(patent_id, ())
 
@@ -280,6 +278,21 @@ class Corpus:
             np.fromiter((e.citing_year for e in self.citations), np.int32, n),
         )
 
+    def mask(self, ids: Iterable[str]) -> np.ndarray:
+        """Boolean mask over patent positions marking `ids`, the form in
+        which `metrics` takes a group.  An id not in the corpus is a
+        `DataError`."""
+        ids = frozenset(ids)
+        position = self.arrays().position
+        at = np.fromiter(map(position.get, ids, repeat(-1)), np.int32, len(ids))
+        if (at < 0).any():
+            unknown = sorted(p for p in ids if p not in position)
+            sample = ", ".join(unknown[:3])
+            raise DataError(f"{len(unknown)} group members not in corpus (e.g. {sample})")
+        mask = np.zeros(len(self), bool)
+        mask[at] = True
+        return mask
+
     def class_index(self, level: int) -> ClassIndex:
         """The level-truncated CPC classes of every patent, in CSR form."""
         if level not in LEVELS:
@@ -306,16 +319,6 @@ class Corpus:
     def years(self) -> list[int]:
         lo, hi = self.window
         return list(range(lo, hi + 1))
-
-    def year_index(self) -> dict[int, frozenset[str]]:
-        cached = self._caches.get("year_index")
-        if cached is None:
-            bins: dict[int, list[str]] = {}
-            for pid, rec in self.records.items():
-                bins.setdefault(rec.grant_year, []).append(pid)
-            cached = {y: frozenset(ids) for y, ids in bins.items()}
-            self._caches["year_index"] = cached
-        return cached
 
     def incoming(self, patent_id: str) -> tuple[CitationEdge, ...]:
         """Edges whose cited side is this patent."""

@@ -175,8 +175,8 @@ def load_corpus(
     return builder.build(), report
 
 
-def write_corpus(out_dir: str, corpus: Corpus) -> dict[str, str]:
-    """Write the four corpus tables under `out_dir`; returns name -> path."""
+def write_corpus(out_dir: str, corpus: Corpus) -> None:
+    """Write the four corpus tables under `out_dir`."""
 
     def clean(text: str) -> str:
         return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
@@ -191,11 +191,8 @@ def write_corpus(out_dir: str, corpus: Corpus) -> dict[str, str]:
         "citations": ((e.citing, e.cited, e.citing_year) for e in corpus.citations),
         "science": ((k.patent, clean(k.field_label), k.confidence) for k in corpus.science),
     }
-    paths = {}
     for name, header in TABLE_COLUMNS.items():
-        paths[name] = os.path.join(out_dir, f"{name}.tsv")
-        write_table(paths[name], header, rows[name])
-    return paths
+        write_table(os.path.join(out_dir, f"{name}.tsv"), header, rows[name])
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +224,8 @@ def write_series(path: str, series_list: Sequence[GroupSeries]) -> None:
             fh.write(str(y) + "\t" + "\t".join(cells) + "\n")
 
 
-def read_series(path: str, metric: str | None = None) -> list[GroupSeries]:
+def read_series(path: str, metric: str) -> list[GroupSeries]:
     """Parse a series TSV back into GroupSeries (one per column)."""
-    if metric is None:
-        metric = os.path.basename(path).split(".")[0]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
         header = next(reader, None)

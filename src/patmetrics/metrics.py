@@ -2,7 +2,9 @@
 
 Conventions shared by every metric:
 
-* a "group" is a set of patent ids, always a subset of the corpus;
+* a "group" is a set of patent ids, always a subset of the corpus; a metric
+  that takes the corpus takes the group as `Corpus.mask(ids)`, a boolean
+  mask over patent positions, so each group is interned once per run;
 * annual series carry (year, value) points sorted by year, and a year is
   omitted (not zero-filled) when the metric is undefined there;
 * scalars that cannot be computed (e.g. no citations at all) come back as
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from statistics import mean, pstdev
 from typing import Iterable, Sequence
 
@@ -59,23 +60,18 @@ class GroupSeries:
         return GroupSeries(self.group, self.metric, pts)
 
 
-def _require_members(corpus: Corpus, members: Iterable[str]) -> frozenset[str]:
-    mem = frozenset(members)
-    unknown = [p for p in mem if p not in corpus]
-    if unknown:
-        sample = ", ".join(sorted(unknown)[:3])
-        raise DataError(f"{len(unknown)} group members not in corpus (e.g. {sample})")
-    return mem
-
-
 # ---------------------------------------------------------------------------
 # counts, shares, growth
 
-def count_series(corpus: Corpus, members: Iterable[str], label: str) -> GroupSeries:
+def _year_counts(corpus: Corpus, mask: np.ndarray) -> list[int]:
+    """Masked patents per grant year, one count per year of the window."""
+    lo, hi = corpus.window
+    return np.bincount(corpus.arrays().year[mask] - lo, minlength=hi - lo + 1).tolist()
+
+
+def count_series(corpus: Corpus, mask: np.ndarray, label: str) -> GroupSeries:
     """Patents granted per year, zero-filled over the whole corpus window."""
-    mem = _require_members(corpus, members)
-    tally = Counter(corpus.grant_year(p) for p in mem)
-    pts = tuple((y, float(tally.get(y, 0))) for y in corpus.years())
+    pts = tuple((y, float(n)) for y, n in zip(corpus.years(), _year_counts(corpus, mask)))
     return GroupSeries(label, "counts", pts)
 
 
@@ -127,21 +123,16 @@ def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
 
 
 def jaccard_series(
-    corpus: Corpus, label_a: str, a: Iterable[str], label_b: str, b: Iterable[str]
+    corpus: Corpus, label_a: str, a: np.ndarray, label_b: str, b: np.ndarray
 ) -> GroupSeries:
     """Annual Jaccard overlap between two groups, by grant year.
 
     Column identity is "label_a|label_b".  A year where neither group has
     members yields 0 by the empty-sets convention.
     """
-    sa = _require_members(corpus, a)
-    sb = _require_members(corpus, b)
-    years = corpus.year_index()
-    pts = []
-    for y in corpus.years():
-        in_year = years.get(y, frozenset())
-        pts.append((y, jaccard(sa & in_year, sb & in_year)))
-    return GroupSeries(f"{label_a}|{label_b}", "jaccard", tuple(pts))
+    inter, union = _year_counts(corpus, a & b), _year_counts(corpus, a | b)
+    pts = tuple((y, i / u if u else 0.0) for y, i, u in zip(corpus.years(), inter, union))
+    return GroupSeries(f"{label_a}|{label_b}", "jaccard", pts)
 
 
 def allway_overlap(sets: Sequence[Iterable[str]]) -> tuple[int, float]:
@@ -160,17 +151,6 @@ def allway_overlap(sets: Sequence[Iterable[str]]) -> tuple[int, float]:
 # `Corpus.class_index`.  Every sum numpy takes is a sum of integers; means of
 # integers are Python int / int, which is correctly rounded like
 # `statistics.mean`.
-
-def _member_mask(corpus: Corpus, members: Iterable[str]) -> np.ndarray:
-    """Boolean mask over patent positions; unknown members are a DataError."""
-    mem = frozenset(members)
-    at = np.fromiter(map(corpus.arrays().position.get, mem, repeat(-1)), np.int32, len(mem))
-    if (at < 0).any():
-        _require_members(corpus, mem)
-    mask = np.zeros(len(corpus), bool)
-    mask[at] = True
-    return mask
-
 
 @dataclass(frozen=True, eq=False)
 class _Outside:
@@ -248,7 +228,7 @@ def _yearly_means(
 
 
 def generality_series(
-    corpus: Corpus, members: Iterable[str], level: int, label: str
+    corpus: Corpus, mask: np.ndarray, level: int, label: str
 ) -> tuple[GroupSeries, float | None]:
     """Generality of citations received, by cited-patent grant year and over
     all years.
@@ -260,7 +240,6 @@ def generality_series(
     Yearless cohorts are omitted from the series; the all-years value is
     None when no outside citations were received.
     """
-    mask = _member_mask(corpus, members)
     out = _outside(corpus, level)
     rows = mask[out.cited]
     classes = out.classes[rows]
@@ -278,7 +257,7 @@ def generality_series(
 # breadth of citing classes
 
 def avg_citing_classes(
-    corpus: Corpus, members: Iterable[str], level: int, label: str
+    corpus: Corpus, mask: np.ndarray, level: int, label: str
 ) -> tuple[tuple[GroupSeries, float | None], tuple[GroupSeries, float | None]]:
     """Average number of distinct outside classes citing a group patent.
 
@@ -288,7 +267,6 @@ def avg_citing_classes(
     mean of the annual values, first over all group patents, then over
     those that received at least one citation.
     """
-    mask = _member_mask(corpus, members)
     breadth = _outside(corpus, level).breadth
     arrays = corpus.arrays()
     cited = mask & (np.bincount(arrays.cited, minlength=len(corpus)) > 0)
@@ -303,7 +281,7 @@ def avg_citing_classes(
 
 def diversity_share(
     corpus: Corpus,
-    members: Iterable[str],
+    mask: np.ndarray,
     level: int,
     label: str,
     universe: int | None = None,
@@ -313,7 +291,6 @@ def diversity_share(
     Annual values use codes of patents granted that year; the returned
     scalar uses the whole window.
     """
-    mask = _member_mask(corpus, members)
     n_universe = universe if universe is not None else DEFAULT_UNIVERSE[level]
     index = corpus.class_index(level)
     owners = index.owners()
@@ -333,14 +310,13 @@ def diversity_share(
 
 
 def diversity_per_patent(
-    corpus: Corpus, members: Iterable[str], level: int, label: str
+    corpus: Corpus, mask: np.ndarray, level: int, label: str
 ) -> tuple[GroupSeries, float | None]:
     """Average count of distinct level-`level` codes per group patent.
 
     Annual values average over patents granted that year (codeless patents
     count zero); the scalar is the mean of the annual values.
     """
-    mask = _member_mask(corpus, members)
     per_patent = np.diff(corpus.class_index(level).indptr)
     return _yearly_means(corpus.arrays().year[mask], per_patent[mask], label, "diversity_per_patent")
 
@@ -348,13 +324,12 @@ def diversity_per_patent(
 # ---------------------------------------------------------------------------
 # citation lags
 
-def _lags(corpus: Corpus, members: Iterable[str], mode: str) -> tuple[np.ndarray, np.ndarray]:
+def _lags(corpus: Corpus, mask: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Cited positions and lags of the citations received by group members,
     in citation order.  "first_citation" keeps one row per cited patent,
     at its first citation, holding its smallest lag."""
     if mode not in ("all_citations", "first_citation"):
         raise ValueError(f"unknown lag mode {mode!r}")
-    mask = _member_mask(corpus, members)
     arrays = corpus.arrays()
     rows = mask[arrays.cited]
     cited = arrays.cited[rows]
@@ -368,12 +343,12 @@ def _lags(corpus: Corpus, members: Iterable[str], mode: str) -> tuple[np.ndarray
 
 
 def citation_lags(
-    corpus: Corpus, members: Iterable[str], mode: str = "all_citations"
+    corpus: Corpus, mask: np.ndarray, mode: str = "all_citations"
 ) -> dict[str, list[int]]:
     """Lags (citing grant year - cited grant year) of citations received by
     group members, keyed by cited patent.  `mode` "first_citation" keeps
     only the smallest lag per patent.  Uncited members are absent."""
-    cited, lags = _lags(corpus, members, mode)
+    cited, lags = _lags(corpus, mask, mode)
     ids = corpus.arrays().ids
     out: dict[str, list[int]] = {}
     for p, lag in zip(cited.tolist(), lags.tolist()):
@@ -383,14 +358,14 @@ def citation_lags(
 
 def citation_lag_series(
     corpus: Corpus,
-    members: Iterable[str],
+    mask: np.ndarray,
     label: str,
     periods: Sequence[tuple[int, int]],
     mode: str = "all_citations",
 ) -> tuple[GroupSeries, float | None, list[tuple[tuple[int, int], float | None]]]:
     """Mean citation lag by cited-cohort grant year, the pooled mean, and the
     pooled mean for cited patents granted in each of `periods`."""
-    cited, lags = _lags(corpus, members, mode)
+    cited, lags = _lags(corpus, mask, mode)
     years = corpus.arrays().year[cited]
 
     def pooled(lo: float, hi: float) -> float | None:
@@ -405,9 +380,8 @@ def citation_lag_series(
 # ---------------------------------------------------------------------------
 # descendants
 
-def descendants(corpus: Corpus, members: Iterable[str]) -> frozenset[str]:
+def descendants(corpus: Corpus, mask: np.ndarray) -> frozenset[str]:
     """Patents citing at least one group member, excluding the group itself."""
-    mask = _member_mask(corpus, members)
     arrays = corpus.arrays()
     citing = np.unique(arrays.citing[mask[arrays.cited]])
     return frozenset(arrays.ids[p] for p in citing[~mask[citing]].tolist())

@@ -279,9 +279,9 @@ def lowess(
     return fitted.tolist()
 
 
-def smooth_series(series: GroupSeries, fraction: float = 2.0 / 3.0, robust_iters: int = 3) -> GroupSeries:
+def smooth_series(series: GroupSeries, fraction: float = 2.0 / 3.0) -> GroupSeries:
     """Lowess-smoothed copy of an annual series (same years)."""
     xs = [float(y) for y in series.years()]
-    fitted = lowess(xs, series.values(), fraction, robust_iters)
+    fitted = lowess(xs, series.values(), fraction)
     pts = tuple((yr, v) for yr, v in zip(series.years(), fitted))
     return GroupSeries(series.group, series.metric, pts)

@@ -3,9 +3,11 @@
 These are the per-edge loops that `patmetrics.metrics` replaced with
 aggregations over interned arrays.  They are kept as test oracles: every
 function here must return exactly (`==`) what its namesake in
-`patmetrics.metrics` returns.  The one change from the loops as they ran
-in the pipeline is that generality visits a citing patent's classes in
-sorted order, so the float sum no longer depends on the hash seed.
+`patmetrics.metrics` returns for the group's `Corpus.mask`.  They take the
+group as a set of ids, as the loops did.  The one change from the loops as
+they ran in the pipeline is that generality visits a citing patent's
+classes in sorted order, so the float sum no longer depends on the hash
+seed.
 """
 
 from __future__ import annotations
@@ -16,12 +18,16 @@ from statistics import mean
 from typing import Iterable, Sequence
 
 from patmetrics.errors import DataError
-from patmetrics.metrics import DEFAULT_UNIVERSE, GroupSeries, _require_members
+from patmetrics.metrics import DEFAULT_UNIVERSE, GroupSeries
 
 
 def class_sets(corpus, level: int) -> dict[str, frozenset[str]]:
     """patent id -> frozenset of level-truncated codes (patents with codes only)."""
     return {pid: frozenset(c.raw[:level] for c in cs) for pid, cs in corpus.codes.items()}
+
+
+def _grant_year(corpus, patent_id: str) -> int:
+    return corpus.records[patent_id].grant_year
 
 
 def _generality(counts: Counter) -> float | None:
@@ -32,7 +38,7 @@ def _generality(counts: Counter) -> float | None:
 
 
 def generality_series(corpus, members: Iterable[str], level: int, label: str):
-    mem = _require_members(corpus, members)
+    mem = frozenset(members)
     cls = class_sets(corpus, level)
     per_year: dict[int, Counter] = {}
     overall: Counter = Counter()
@@ -41,7 +47,7 @@ def generality_series(corpus, members: Iterable[str], level: int, label: str):
         if e.cited not in mem:
             continue
         cited_cls = cls.get(e.cited, empty)
-        y = corpus.grant_year(e.cited)
+        y = _grant_year(corpus, e.cited)
         for j in sorted(cls.get(e.citing, empty)):
             if j not in cited_cls:
                 per_year.setdefault(y, Counter())[j] += 1
@@ -51,7 +57,7 @@ def generality_series(corpus, members: Iterable[str], level: int, label: str):
 
 
 def avg_citing_classes(corpus, members: Iterable[str], level: int, label: str):
-    mem = _require_members(corpus, members)
+    mem = frozenset(members)
     cls = class_sets(corpus, level)
     empty = frozenset()
     citing_classes: dict[str, set[str]] = {p: set() for p in mem}
@@ -67,7 +73,7 @@ def avg_citing_classes(corpus, members: Iterable[str], level: int, label: str):
     def average(pool: Iterable[str], metric: str):
         by_year: dict[int, list[int]] = {}
         for p in pool:
-            by_year.setdefault(corpus.grant_year(p), []).append(len(citing_classes[p]))
+            by_year.setdefault(_grant_year(corpus, p), []).append(len(citing_classes[p]))
         pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
         return GroupSeries(label, metric, pts), (mean(v for _, v in pts) if pts else None)
 
@@ -75,7 +81,7 @@ def avg_citing_classes(corpus, members: Iterable[str], level: int, label: str):
 
 
 def diversity_share(corpus, members, level, label, universe=None):
-    mem = _require_members(corpus, members)
+    mem = frozenset(members)
     n_universe = universe if universe is not None else DEFAULT_UNIVERSE[level]
     cls = class_sets(corpus, level)
     yearly: dict[int, set[str]] = {}
@@ -84,7 +90,7 @@ def diversity_share(corpus, members, level, label, universe=None):
         codes = cls.get(p)
         if not codes:
             continue
-        yearly.setdefault(corpus.grant_year(p), set()).update(codes)
+        yearly.setdefault(_grant_year(corpus, p), set()).update(codes)
         everything.update(codes)
     if len(everything) > n_universe:
         raise DataError(
@@ -97,11 +103,11 @@ def diversity_share(corpus, members, level, label, universe=None):
 
 
 def diversity_per_patent(corpus, members, level, label):
-    mem = _require_members(corpus, members)
+    mem = frozenset(members)
     cls = class_sets(corpus, level)
     by_year: dict[int, list[int]] = {}
     for p in mem:
-        by_year.setdefault(corpus.grant_year(p), []).append(len(cls.get(p, ())))
+        by_year.setdefault(_grant_year(corpus, p), []).append(len(cls.get(p, ())))
     pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
     series = GroupSeries(label, "diversity_per_patent", pts)
     overall = mean(v for _, v in pts) if pts else None
@@ -111,11 +117,11 @@ def diversity_per_patent(corpus, members, level, label):
 def citation_lags(corpus, members, mode="all_citations"):
     if mode not in ("all_citations", "first_citation"):
         raise ValueError(f"unknown lag mode {mode!r}")
-    mem = _require_members(corpus, members)
+    mem = frozenset(members)
     lags: dict[str, list[int]] = {}
     for e in corpus.citations:
         if e.cited in mem:
-            lags.setdefault(e.cited, []).append(e.citing_year - corpus.grant_year(e.cited))
+            lags.setdefault(e.cited, []).append(e.citing_year - _grant_year(corpus, e.cited))
     if mode == "first_citation":
         lags = {p: [min(ls)] for p, ls in lags.items()}
     return lags
@@ -126,7 +132,7 @@ def citation_lag_series(
 ):
     by_year: dict[int, list[int]] = {}
     for p, ls in citation_lags(corpus, members, mode).items():
-        by_year.setdefault(corpus.grant_year(p), []).extend(ls)
+        by_year.setdefault(_grant_year(corpus, p), []).extend(ls)
     pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
 
     def pooled(lo: float, hi: float) -> float | None:
@@ -138,6 +144,6 @@ def citation_lag_series(
 
 
 def descendants(corpus, members) -> frozenset[str]:
-    mem = _require_members(corpus, members)
+    mem = frozenset(members)
     citing = {e.citing for e in corpus.citations if e.cited in mem}
     return frozenset(citing - mem)

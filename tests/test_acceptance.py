@@ -72,7 +72,7 @@ def test_01_analytic_generality():
                 codes[pid] = [code]
                 cites.append((pid, "X"))
             corpus = build_corpus(years, codes=codes, cites=cites)
-            _, got = met.generality_series(corpus, {"X"}, level, "g")
+            _, got = met.generality_series(corpus, corpus.mask({"X"}), level, "g")
             assert abs(got - (1.0 - 1.0 / k)) <= 1e-12, (level, k, got)
     assert time.perf_counter() - started < 1.0
 
@@ -110,13 +110,14 @@ def test_02_oracle_equivalence_on_random_corpora():
         corpus, years, codes, edges, ai = random_corpus(rng)
         level = (1, 3, 4)[trial % 3]
         want_gen, per_patent = oracle(years, codes, edges, ai, level)
-        _, got_gen = met.generality_series(corpus, ai, level, "g")
+        mask = corpus.mask(ai)
+        _, got_gen = met.generality_series(corpus, mask, level, "g")
         if want_gen is None:
             assert got_gen is None
         else:
             assert abs(got_gen - want_gen) <= 1e-12
 
-        both = met.avg_citing_classes(corpus, ai, level, "g")
+        both = met.avg_citing_classes(corpus, mask, level, "g")
         for cited_only, (series, overall) in zip((False, True), both):
             per_year = {}
             for p in ai:
@@ -177,7 +178,7 @@ def test_04_growth_exact_and_planted():
         rng_seed=41, years=(2000, 2011), base_count=700, growth=(0.06,)
     )
     corpus, _ = synth.generate(cfg)
-    counts = met.count_series(corpus, corpus.ids(), "All")
+    counts = met.count_series(corpus, corpus.mask(corpus.ids()), "All")
     recovered = met.growth_series(counts)
     for _, v in recovered.points:
         assert abs(v - 0.06) <= 0.01
@@ -188,7 +189,7 @@ def test_04_growth_exact_and_planted():
         rng_seed=42, years=(2000, 2009), base_count=700, growth=schedule
     )
     corpus, _ = synth.generate(cfg)
-    recovered = met.growth_series(met.count_series(corpus, corpus.ids(), "All"))
+    recovered = met.growth_series(met.count_series(corpus, corpus.mask(corpus.ids()), "All"))
     assert len(recovered.points) == len(schedule)
     for (_, v), want in zip(recovered.points, schedule):
         assert math.copysign(1.0, v) == math.copysign(1.0, want)
@@ -320,7 +321,7 @@ def test_08_descendants_on_random_corpora():
     for _ in range(50):
         corpus, years, codes, edges, ai = random_corpus(rng, n_lo=50, n_hi=500, e_hi=2500)
         want = {citing for citing, cited in edges if cited in ai} - ai
-        got = met.descendants(corpus, ai)
+        got = met.descendants(corpus, corpus.mask(ai))
         assert not got & ai
         assert got == want
 
@@ -380,14 +381,15 @@ def test_11_lag_bounds_and_decade_decline():
     )
     corpus, _ = synth.generate(cfg)
     end = cfg.years[1]
-    lags = met.citation_lags(corpus, corpus.ids())
+    everything = corpus.mask(corpus.ids())
+    lags = met.citation_lags(corpus, everything)
     assert corpus.citations
     for pid, values in lags.items():
         ceiling = end - corpus.records[pid].grant_year
         for lag in values:
             assert 0 <= lag <= ceiling
     decades = [(1990, 1999), (2000, 2009), (2010, 2019)]
-    _, _, period_means = met.citation_lag_series(corpus, corpus.ids(), "all", decades)
+    _, _, period_means = met.citation_lag_series(corpus, everything, "all", decades)
     means = [v for _, v in period_means]
     assert all(v is not None for v in means)
     assert means[0] > means[1] > means[2], means

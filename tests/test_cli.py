@@ -1,5 +1,6 @@
 import configparser
 import os
+import shutil
 
 import pytest
 
@@ -243,6 +244,20 @@ class TestRunPipeline:
             assert code == 0
         assert read(full_run / "manifest.txt") == read(out / "manifest.txt")
 
+    def test_seed_regenerates_reused_corpus(self, ws, tmp_path):
+        cfg = tmp_path / "prefix.run"
+        cfg.write_text(
+            f"[run]\nwindow = 2000-2004\n[inputs]\nsynth = {ws / 'small.synth'}\n"
+            "[group:All]\nkind = prefix\nprefix = All\n",
+            encoding="utf-8",
+        )
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert cli.main(["classify", "--config", str(cfg), "--out", str(reused)]) == 0
+        for out in (reused, fresh):
+            code = cli.main(["classify", "--config", str(cfg), "--out", str(out), "--seed", "7"])
+            assert code == 0
+        assert read(reused / "corpus" / "patents.tsv") == read(fresh / "corpus" / "patents.tsv")
+
 
 class TestExitCodes:
     def test_missing_run_config(self, tmp_path, capsys):
@@ -261,6 +276,15 @@ class TestExitCodes:
         )
         assert code == 3
         assert "classify stage" in capsys.readouterr().err
+
+    def test_group_member_not_in_corpus_is_data_error(self, ws, full_run, tmp_path, capsys):
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        with open(out / "groups" / "Keyword.ids", "a", encoding="utf-8") as fh:
+            fh.write("NOPE\n")
+        code = cli.main(["metrics", "--config", str(ws / "small.run"), "--out", str(out)])
+        assert code == 3
+        assert "1 group members not in corpus (e.g. NOPE)" in capsys.readouterr().err
 
     def test_stats_before_metrics(self, ws, tmp_path):
         code = cli.main(["stats", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
@@ -334,6 +358,35 @@ class TestExitCodes:
 
 
 class TestComputeOnce:
+    def count_loads(self, monkeypatch):
+        loads = []
+        load_corpus = pio.load_corpus
+
+        def counting(*args, **kwargs):
+            loads.append(args[0])
+            return load_corpus(*args, **kwargs)
+
+        monkeypatch.setattr(pio, "load_corpus", counting)
+        return loads
+
+    def test_corpus_loaded_once_per_run(self, ws, tmp_path, monkeypatch):
+        loads = self.count_loads(monkeypatch)
+        code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert len(loads) == 1
+
+    def test_corpus_not_loaded_without_a_stage_reading_it(
+        self, ws, full_run, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        loads = self.count_loads(monkeypatch)
+        code = cli.main(
+            ["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", "stats,report"]
+        )
+        assert code == 0
+        assert loads == []
+
     def test_stats_and_zscore_inputs_computed_once(self, ws, tmp_path, monkeypatch):
         calls = {name: 0 for name in (
             "pairwise_compare", "generality_series", "avg_citing_classes", "citation_lag_series"

@@ -137,11 +137,20 @@ class TestCorpusIndexes:
         assert arrays.citing_year.tolist() == [2003, 2001, 2003]
         assert {a.dtype.name for a in (arrays.year, arrays.citing, arrays.cited)} == {"int32"}
 
-    def test_year_index(self):
+    def test_years(self):
         corpus = build_corpus({"A": 2000, "B": 2000, "C": 2002})
-        assert corpus.year_index()[2000] == {"A", "B"}
-        assert corpus.year_index().get(2001, frozenset()) == frozenset()
         assert corpus.years() == [2000, 2001, 2002]
+
+    def test_mask_marks_positions(self):
+        corpus = build_corpus({"B": 2001, "A": 2000, "C": 2003})
+        assert corpus.mask({"A", "C"}).tolist() == [False, True, True]
+        assert corpus.mask(set()).tolist() == [False, False, False]
+        assert corpus.mask(corpus.ids()).tolist() == [True, True, True]
+
+    def test_mask_rejects_unknown_id(self):
+        corpus = build_corpus({"X": 2000, "Y": 2001})
+        with pytest.raises(DataError, match=r"2 group members not in corpus \(e.g. no, nope\)"):
+            corpus.mask({"X", "nope", "no"})
 
     def test_edge_indexes(self):
         corpus = build_corpus(
