@@ -233,6 +233,27 @@ class TestAvgCitingClasses:
 # ---------------------------------------------------------------------------
 # the array kernels against the reference loops
 
+KERNELS = {
+    "generality_series": lambda c, m: met.generality_series(c, m, 1, "g"),
+    "avg_citing_classes": lambda c, m: met.avg_citing_classes(c, m, 1, "g"),
+    "diversity_share": lambda c, m: met.diversity_share(c, m, 3, "g"),
+    "diversity_per_patent": lambda c, m: met.diversity_per_patent(c, m, 1, "g"),
+    "citation_lags": lambda c, m: met.citation_lags(c, m),
+    "citation_lag_series": lambda c, m: met.citation_lag_series(c, m, "g", [(2000, 2004)]),
+    "descendants": lambda c, m: met.descendants(c, m),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_unknown_member_rejected(kernel):
+    """A group reaches a kernel only as `Corpus.mask(ids)`, which rejects an
+    id not in the corpus; the known members alone go through."""
+    corpus = build_corpus({"X": 2000, "Y": 2001}, codes={"X": ["G06N"]}, cites=[("Y", "X")])
+    with pytest.raises(DataError):
+        KERNELS[kernel](corpus, corpus.mask({"X", "nope"}))
+    KERNELS[kernel](corpus, corpus.mask({"X"}))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_kernels_equal_reference_loops(seed):
     """Every point and overall value equals the reference loops exactly."""
