@@ -4,7 +4,6 @@ from .corpus import (
     Corpus,
     CorpusBuilder,
     CpcCode,
-    CitationEdge,
     PatentRecord,
     ScienceLink,
     parse_cpc,
@@ -24,7 +23,6 @@ __all__ = [
     "Corpus",
     "CorpusBuilder",
     "CpcCode",
-    "CitationEdge",
     "PatentRecord",
     "ScienceLink",
     "parse_cpc",

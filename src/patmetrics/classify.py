@@ -366,11 +366,9 @@ def build_uspto_seed(
         for pid, codes in corpus.codes.items():
             if pid not in grown and any(c.subclass4 in seed_subclasses for c in codes):
                 grown.add(pid)
-        for e in corpus.citations:
-            if e.cited in seed:
-                grown.add(e.citing)
-            if e.citing in seed:
-                grown.add(e.cited)
+        a, in_seed = corpus.arrays(), corpus.mask(seed)
+        hop = np.concatenate([a.citing[in_seed[a.cited]], a.cited[in_seed[a.citing]]])
+        grown.update(a.ids[p] for p in np.unique(hop).tolist())
         if grown == seed:
             break
         seed = grown
@@ -402,13 +400,14 @@ def _text_rows(counters: Sequence[Counter], vocab_index: Mapping[str, int]) -> n
 
 
 def _citation_features(corpus: Corpus, ids: Sequence[str], seed: frozenset[str]) -> np.ndarray:
-    F = np.zeros((len(ids), 2), dtype=np.float64)
-    for i, pid in enumerate(ids):
-        back = sum(1 for e in corpus.outgoing(pid) if e.cited in seed)
-        fwd = sum(1 for e in corpus.incoming(pid) if e.citing in seed)
-        F[i, 0] = math.log1p(back) if back else 0.0
-        F[i, 1] = math.log1p(fwd) if fwd else 0.0
-    return F
+    """log1p of each patent's citations to, then from, the seed; per count by
+    `math.log1p`, since `np.log1p` may differ in the last bit."""
+    a, in_seed = corpus.arrays(), corpus.mask(seed)
+    back = np.bincount(a.citing[in_seed[a.cited]], minlength=len(corpus))
+    fwd = np.bincount(a.cited[in_seed[a.citing]], minlength=len(corpus))
+    at = [a.position[pid] for pid in ids]
+    cells = [math.log1p(n) for pair in zip(back[at].tolist(), fwd[at].tolist()) for n in pair]
+    return np.array(cells, dtype=np.float64).reshape(len(ids), 2)
 
 
 def _features(

@@ -1,9 +1,11 @@
 """Command-line pipeline: synth, classify, metrics, stats, report.
 
 Stages communicate through files in the output directory.  The corpus is
-the one input they share in memory: `run` loads it once and hands it to the
-stages that read it (classify, metrics), and a stage run on its own loads it
-from the same files, so running the stages one at a time gives
+the one input they share in memory: `run` validates it once, through
+`io.ingest`, and hands it to the stages that read it (classify, metrics).
+A fresh synthetic corpus is ingested from the rows just written, without
+reading them back; a stage run on its own loads the same tables from disk
+through the same function, so running the stages one at a time gives
 byte-identical artifacts to a monolithic `run`.
 `run.log` records stage progress without timestamps and is excluded from
 the manifest.
@@ -230,37 +232,42 @@ class RunLog:
 # ---------------------------------------------------------------------------
 # corpus preparation
 
-def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> Corpus:
-    """Generate a synthetic corpus and write its tables and truth lists."""
+def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> dict[str, list[tuple]]:
+    """Generate a synthetic corpus, write its tables and truth lists, and
+    return the table rows."""
     scfg = syn.load_synth_config(synth_path)
     if seed is not None:
         scfg = replace(scfg, rng_seed=seed)
-    corpus, truth = syn.generate(scfg)
-    pio.write_corpus(out_dir, corpus)
+    tables, truth = syn.generate(scfg)
+    pio.write_corpus(out_dir, tables)
     for name in sorted(truth):
         pio.write_ids(os.path.join(out_dir, "truth", f"{name}.ids"), truth[name])
-    return corpus
+    return tables
 
 
 def _ensure_corpus(cfg: RunConfig, out_dir: str, log: RunLog) -> Corpus:
-    """Load the corpus, generating and persisting synthetic tables first
-    when the config asks for them.  Tables already under `corpus/` are
-    reused only when no `--seed` was given."""
+    """Validate the corpus once and write its load report.  When the config
+    asks for a synthetic corpus, fresh tables are generated and written
+    under `corpus/`, and their rows are ingested without reading them back;
+    tables already there are reused only when no `--seed` was given."""
+    tables = None
     if cfg.synth_path is not None:
         corpus_dir = os.path.join(out_dir, "corpus")
         paths = {name: os.path.join(corpus_dir, f"{name}.tsv") for name in pio.TABLE_COLUMNS}
         if cfg.seed_override is not None or not os.path.exists(paths["patents"]):
-            corpus = _synthesize(cfg.synth_path, cfg.seed_override, corpus_dir)
-            log.line(f"synth: generated {len(corpus)} patents into corpus/")
+            tables = _synthesize(cfg.synth_path, cfg.seed_override, corpus_dir)
+            log.line(f"synth: generated {len(tables['patents'])} patents into corpus/")
     else:
         paths = dict(cfg.table_paths)
         missing = paths.get("patents")
         if missing is None or not os.path.exists(missing):
             raise ConfigError(f"patents table not found: {missing!r}")
 
-    corpus, report = pio.load_corpus(
-        *(paths.get(name) for name in pio.TABLE_COLUMNS), window=cfg.window, strict=cfg.strict
-    )
+    rules = {"window": cfg.window, "strict": cfg.strict}
+    if tables is None:
+        corpus, report = pio.load_corpus(*(paths.get(name) for name in pio.TABLE_COLUMNS), **rules)
+    else:
+        corpus, report = pio.ingest({n: (paths[n], rows) for n, rows in tables.items()}, **rules)
     # report paths relative to the output dir, so re-runs in different
     # directories hash identically
     for t in report.tables.values():
@@ -269,7 +276,7 @@ def _ensure_corpus(cfg: RunConfig, out_dir: str, log: RunLog) -> Corpus:
             t.path = rel
     pio.write_text(os.path.join(out_dir, "load-report.txt"), report.format())
     log.line(
-        f"load: {len(corpus)} patents, {len(corpus.citations)} citations, "
+        f"load: {len(corpus)} patents, {len(corpus.arrays().citing)} citations, "
         f"{len(corpus.science)} science links"
     )
     return corpus
@@ -552,9 +559,9 @@ def stage_report(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
 # entry points
 
 def cmd_synth(args) -> int:
-    corpus = _synthesize(args.config, args.seed, args.out)
+    tables = _synthesize(args.config, args.seed, args.out)
     log = RunLog(args.out)
-    log.line(f"synth: {len(corpus)} patents, {len(corpus.citations)} citations")
+    log.line(f"synth: {len(tables['patents'])} patents, {len(tables['citations'])} citations")
     pio.write_manifest(args.out)
     return 0
 

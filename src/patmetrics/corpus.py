@@ -1,14 +1,18 @@
 """In-memory patent corpus: records, CPC assignments, citations, science links.
 
 The corpus is immutable once built.  `CorpusBuilder` is the single place where
-row-level validation happens, so file loading and synthetic generation share
-the same rules.  Builders name the reason for every rejected row; callers
-decide whether a rejection is fatal (strict mode) or merely counted.
+row-level validation happens; `io.ingest` feeds it every row, whether read
+from files or freshly generated.  Builders name the reason for every rejected
+row; callers decide whether a rejection is fatal (strict mode) or merely
+counted.  A patent is known by its position in `records` order, and a
+citation exists only as a (citing, cited) pair of positions in
+`Corpus.arrays()`.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Callable, Hashable, Iterable, Iterator
@@ -33,21 +37,8 @@ class CpcCode:
     raw: str
 
     @property
-    def section(self) -> str:
-        return self.raw[:1]
-
-    @property
-    def class3(self) -> str:
-        return self.raw[:3]
-
-    @property
     def subclass4(self) -> str:
         return self.raw[:4]
-
-    def at_level(self, level: int) -> str:
-        if level not in LEVELS:
-            raise ValueError(f"unsupported CPC level {level!r}, expected one of {LEVELS}")
-        return self.raw[:level]
 
 
 def parse_cpc(raw: str) -> CpcCode:
@@ -82,16 +73,6 @@ class PatentRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class CitationEdge:
-    """Directed citation: `citing` cites `cited`.  `citing_year` is the
-    grant year of the citing patent (resolved at build time)."""
-
-    citing: str
-    cited: str
-    citing_year: int
-
-
-@dataclass(frozen=True, slots=True)
 class ScienceLink:
     """A patent-to-science reference with a field label and a reliability
     confidence score (integer, >= 1)."""
@@ -106,7 +87,9 @@ class CorpusBuilder:
     row was accepted and the rejection reason when it was not.
 
     A duplicate patent id always raises: downstream identity assumptions
-    would silently break otherwise.
+    would silently break otherwise.  Each accepted record takes the next
+    position; accepted citations are kept as position pairs, in acceptance
+    order.
     """
 
     def __init__(self, window: tuple[int, int] = DEFAULT_WINDOW):
@@ -115,10 +98,13 @@ class CorpusBuilder:
             raise ValueError(f"empty corpus window {window!r}")
         self.window = (int(lo), int(hi))
         self._records: dict[str, PatentRecord] = {}
+        self._position: dict[str, int] = {}
+        self._year = array("i")
         self._codes: dict[str, list[CpcCode]] = {}
         self._code_seen: set[tuple[str, str]] = set()
-        self._citations: list[CitationEdge] = []
-        self._cite_seen: set[tuple[str, str]] = set()
+        self._citing = array("i")
+        self._cited = array("i")
+        self._cite_seen: set[int] = set()  # citing << 32 | cited
         self._science: list[ScienceLink] = []
         self._sci_seen: set[tuple[str, str, int]] = set()
 
@@ -133,6 +119,8 @@ class CorpusBuilder:
         lo, hi = self.window
         if not (lo <= rec.grant_year <= hi):
             return "year_out_of_window"
+        self._position[rec.id] = len(self._records)
+        self._year.append(rec.grant_year)
         self._records[rec.id] = rec
         return None
 
@@ -151,19 +139,22 @@ class CorpusBuilder:
         return None
 
     def add_citation(self, citing: str, cited: str) -> str | None:
-        if citing not in self._records:
+        i = self._position.get(citing)
+        if i is None:
             return "unknown_citing"
-        if cited not in self._records:
+        j = self._position.get(cited)
+        if j is None:
             return "unknown_cited"
-        if citing == cited:
+        if i == j:
             return "self_citation"
-        if (citing, cited) in self._cite_seen:
+        key = i << 32 | j
+        if key in self._cite_seen:
             return "duplicate"
-        citing_year = self._records[citing].grant_year
-        if citing_year < self._records[cited].grant_year:
+        if self._year[i] < self._year[j]:
             return "negative_lag"
-        self._cite_seen.add((citing, cited))
-        self._citations.append(CitationEdge(citing, cited, citing_year))
+        self._cite_seen.add(key)
+        self._citing.append(i)
+        self._cited.append(j)
         return None
 
     def add_science_link(self, patent_id: str, field_label: str, confidence: int) -> str | None:
@@ -182,11 +173,16 @@ class CorpusBuilder:
         return None
 
     def build(self) -> "Corpus":
+        year = np.array(self._year, np.int32)
+        citing = np.array(self._citing, np.int32)
         return Corpus(
             records=dict(self._records),
             codes={p: tuple(cs) for p, cs in self._codes.items()},
-            citations=tuple(self._citations),
             science=tuple(self._science),
+            interned=CorpusArrays(
+                tuple(self._records), dict(self._position), year,
+                citing, np.array(self._cited, np.int32), year[citing],
+            ),
             window=self.window,
         )
 
@@ -195,7 +191,7 @@ class CorpusBuilder:
 class CorpusArrays:
     """Patent ids interned to their positions in `records` order.  `year`
     holds grant years by position; `citing`, `cited` and `citing_year` hold
-    one entry per citation, in `citations` order.  Arrays are int32."""
+    one entry per citation, in acceptance order.  Arrays are int32."""
 
     ids: tuple[str, ...]
     position: dict[str, int]
@@ -222,18 +218,19 @@ class ClassIndex:
         return np.repeat(np.arange(len(counts), dtype=np.int32), counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
     """Immutable corpus with lazily built indexes.
 
-    `records` preserves insertion order; all derived indexes are
+    `records` preserves insertion order; `interned` holds the patents and
+    citations as positions in that order.  All derived indexes are
     deterministic functions of the content.
     """
 
     records: dict[str, PatentRecord]
     codes: dict[str, tuple[CpcCode, ...]]
-    citations: tuple[CitationEdge, ...]
     science: tuple[ScienceLink, ...]
+    interned: CorpusArrays
     window: tuple[int, int] = DEFAULT_WINDOW
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -263,20 +260,7 @@ class Corpus:
 
     def arrays(self) -> CorpusArrays:
         """Patents by position in `records` order, citations as positions."""
-        return self.memo("arrays", self._build_arrays)
-
-    def _build_arrays(self) -> CorpusArrays:
-        ids = tuple(self.records)
-        position = {pid: i for i, pid in enumerate(ids)}
-        n = len(self.citations)
-        return CorpusArrays(
-            ids,
-            position,
-            np.fromiter((r.grant_year for r in self.records.values()), np.int32, len(ids)),
-            np.fromiter((position[e.citing] for e in self.citations), np.int32, n),
-            np.fromiter((position[e.cited] for e in self.citations), np.int32, n),
-            np.fromiter((e.citing_year for e in self.citations), np.int32, n),
-        )
+        return self.interned
 
     def mask(self, ids: Iterable[str]) -> np.ndarray:
         """Boolean mask over patent positions marking `ids`, the form in
@@ -319,22 +303,3 @@ class Corpus:
     def years(self) -> list[int]:
         lo, hi = self.window
         return list(range(lo, hi + 1))
-
-    def incoming(self, patent_id: str) -> tuple[CitationEdge, ...]:
-        """Edges whose cited side is this patent."""
-        return self._edge_index("incoming").get(patent_id, ())
-
-    def outgoing(self, patent_id: str) -> tuple[CitationEdge, ...]:
-        """Edges whose citing side is this patent."""
-        return self._edge_index("outgoing").get(patent_id, ())
-
-    def _edge_index(self, direction: str) -> dict[str, tuple[CitationEdge, ...]]:
-        cached = self._caches.get(direction)
-        if cached is None:
-            bins: dict[str, list[CitationEdge]] = {}
-            for e in self.citations:
-                key = e.cited if direction == "incoming" else e.citing
-                bins.setdefault(key, []).append(e)
-            cached = {p: tuple(es) for p, es in bins.items()}
-            self._caches[direction] = cached
-        return cached

@@ -14,7 +14,8 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 from .corpus import DEFAULT_WINDOW, Corpus, CorpusBuilder, PatentRecord
@@ -78,21 +79,86 @@ class LoadReport:
         return "\n".join(lines) + "\n"
 
 
-def _open_table(path: str, table: str):
-    fh = open(path, "r", encoding="utf-8", newline="")
-    reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-    try:
-        header = next(reader)
-    except StopIteration:
-        fh.close()
-        raise DataError(f"{path}: empty file, expected a header row")
-    cols = {}
-    for name in TABLE_COLUMNS[table]:
-        if name not in header:
-            fh.close()
-            raise DataError(f"{path}: missing required column {name!r}")
-        cols[name] = header.index(name)
-    return fh, reader, cols
+def ingest(
+    tables: Mapping[str, tuple[str, Iterable[Sequence | None]]],
+    *,
+    window: tuple[int, int] = DEFAULT_WINDOW,
+    strict: bool = False,
+) -> tuple[Corpus, LoadReport]:
+    """Validate corpus table rows into a `Corpus` and its `LoadReport`.
+
+    `tables` maps names of `TABLE_COLUMNS` to `(path, rows)`.  Each row
+    holds its cells in `TABLE_COLUMNS` order, or is None when its line has
+    too few cells; `path` names the table in the report and in errors, which
+    count the header as line 1.  In lenient mode bad rows are counted and
+    skipped; in strict mode the first bad row raises `DataError` naming the
+    file and line.  Duplicate patent ids abort in either mode.
+    """
+    builder = CorpusBuilder(window=window)
+    report = LoadReport(window=builder.window, strict=strict)
+
+    # Row adders return None for an accepted row and the reason otherwise;
+    # a ValueError from an integer cell means the row is malformed.
+    def add_patent(row, table):
+        pid, year, title, abstract, claims, description = row
+        return builder.add_record(
+            PatentRecord(pid.strip(), int(year), title, abstract, claims, description)
+        )
+
+    def add_cpc(row, table):
+        return builder.add_assignment(row[0].strip(), row[1])
+
+    def add_citation(row, table):
+        citing = row[0].strip()
+        stated_year = int(row[2])
+        reason = builder.add_citation(citing, row[1].strip())
+        # citing_year is resolved from the citing record; a stated year
+        # that disagrees is worth flagging but not fatal.
+        if reason is None and builder.grant_year(citing) != stated_year:
+            table.warnings["citing_year_mismatch"] += 1
+        return reason
+
+    def add_science(row, table):
+        return builder.add_science_link(row[0].strip(), row[1], int(row[2]))
+
+    adders = {"patents": add_patent, "cpc": add_cpc, "citations": add_citation, "science": add_science}
+    for name in TABLE_COLUMNS:
+        if name not in tables:
+            continue
+        path, rows = tables[name]
+        add = adders[name]
+        t = report.tables[name] = TableReport(path)
+        for lineno, row in enumerate(rows, start=2):
+            t.rows += 1
+            try:
+                reason = "malformed" if row is None else add(row, t)
+            except ValueError:
+                reason = "malformed"
+            if reason is None:
+                t.accepted += 1
+                continue
+            t.rejected[reason] += 1
+            if strict:
+                raise DataError(f"{path}: line {lineno}: rejected row ({reason})")
+
+    return builder.build(), report
+
+
+def _read_rows(path: str, table: str) -> Iterator[tuple[str, ...] | None]:
+    """The data rows of a TSV table, cells in `TABLE_COLUMNS` order; None
+    for a row too short to hold every column."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        for name in TABLE_COLUMNS[table]:
+            if name not in header:
+                raise DataError(f"{path}: missing required column {name!r}")
+        cols = [header.index(name) for name in TABLE_COLUMNS[table]]
+        pick, last = itemgetter(*cols), max(cols)
+        for row in reader:
+            yield pick(row) if len(row) > last else None
 
 
 def load_corpus(
@@ -104,95 +170,18 @@ def load_corpus(
     window: tuple[int, int] = DEFAULT_WINDOW,
     strict: bool = False,
 ) -> tuple[Corpus, LoadReport]:
-    """Load corpus tables from TSV files.
-
-    In lenient mode bad rows are counted and skipped; in strict mode the
-    first bad row raises `DataError` naming the file and line.  Duplicate
-    patent ids abort in either mode.
-    """
-    builder = CorpusBuilder(window=window)
-    report = LoadReport(window=builder.window, strict=strict)
-
-    # Row adders return None for an accepted row and the reason otherwise;
-    # a ValueError from an integer cell means the row is malformed.
-    def add_patent(row, cols, table):
-        return builder.add_record(
-            PatentRecord(
-                id=row[cols["id"]].strip(),
-                grant_year=int(row[cols["grant_year"]]),
-                title=row[cols["title"]],
-                abstract=row[cols["abstract"]],
-                claims=row[cols["claims"]],
-                description=row[cols["description"]],
-            )
-        )
-
-    def add_cpc(row, cols, table):
-        return builder.add_assignment(row[cols["patent_id"]].strip(), row[cols["cpc_code"]])
-
-    def add_citation(row, cols, table):
-        citing = row[cols["citing_id"]].strip()
-        stated_year = int(row[cols["citing_year"]])
-        reason = builder.add_citation(citing, row[cols["cited_id"]].strip())
-        # citing_year is resolved from the citing record; a stated year
-        # that disagrees is worth flagging but not fatal.
-        if reason is None and builder.grant_year(citing) != stated_year:
-            table.warnings["citing_year_mismatch"] += 1
-        return reason
-
-    def add_science(row, cols, table):
-        return builder.add_science_link(
-            row[cols["patent_id"]].strip(), row[cols["field_label"]], int(row[cols["confidence"]])
-        )
-
-    sources = {
-        "patents": (patents_path, add_patent),
-        "cpc": (cpc_path, add_cpc),
-        "citations": (citations_path, add_citation),
-        "science": (science_path, add_science),
-    }
-    for name in TABLE_COLUMNS:
-        path, add = sources[name]
-        if path is None:
-            continue
-        t = report.tables[name] = TableReport(path)
-        fh, reader, cols = _open_table(path, name)
-        last = max(cols.values())
-        with fh:
-            for lineno, row in enumerate(reader, start=2):
-                t.rows += 1
-                try:
-                    reason = "malformed" if len(row) <= last else add(row, cols, t)
-                except ValueError:
-                    reason = "malformed"
-                if reason is None:
-                    t.accepted += 1
-                    continue
-                t.rejected[reason] += 1
-                if strict:
-                    raise DataError(f"{path}: line {lineno}: rejected row ({reason})")
-
-    return builder.build(), report
+    """Read corpus tables from TSV files and `ingest` them.  A table is read
+    only when `ingest` reaches it."""
+    paths = zip(TABLE_COLUMNS, (patents_path, cpc_path, citations_path, science_path))
+    tables = {name: (path, _read_rows(path, name)) for name, path in paths if path is not None}
+    return ingest(tables, window=window, strict=strict)
 
 
-def write_corpus(out_dir: str, corpus: Corpus) -> None:
-    """Write the four corpus tables under `out_dir`."""
-
-    def clean(text: str) -> str:
-        return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
-
-    rows = {
-        "patents": (
-            (r.id, r.grant_year, clean(r.title), clean(r.abstract),
-             clean(r.claims), clean(r.description))
-            for r in corpus.records.values()
-        ),
-        "cpc": ((pid, code.raw) for pid, codes in corpus.codes.items() for code in codes),
-        "citations": ((e.citing, e.cited, e.citing_year) for e in corpus.citations),
-        "science": ((k.patent, clean(k.field_label), k.confidence) for k in corpus.science),
-    }
+def write_corpus(out_dir: str, tables: Mapping[str, Iterable[Sequence]]) -> None:
+    """Write the rows of the four corpus tables, cells in `TABLE_COLUMNS`
+    order, under `out_dir`."""
     for name, header in TABLE_COLUMNS.items():
-        write_table(os.path.join(out_dir, f"{name}.tsv"), header, rows[name])
+        write_table(os.path.join(out_dir, f"{name}.tsv"), header, tables[name])
 
 
 # ---------------------------------------------------------------------------

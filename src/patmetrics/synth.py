@@ -5,17 +5,21 @@ overlaps are exact counting results rather than sampling outcomes; only
 filler text, background codes, and citation targets use the seeded RNG.
 Citation lags follow a geometric distribution truncated to the available
 history, which produces the shrinking-lag pattern of recent cohorts.
+
+`generate` emits the rows of the four corpus tables, not a corpus: they are
+validated once, by `io.ingest`, like tables read from disk.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
 
 from .classify import tokenize
-from .corpus import Corpus, CorpusBuilder, PatentRecord, parse_cpc
+from .corpus import parse_cpc
 from .errors import ConfigError, CpcParseError
 
 DEFAULT_BACKGROUND_CODES = (
@@ -125,8 +129,8 @@ def _validate(config: SynthConfig) -> None:
             phrases[spec.name] = toks
         if spec.marker is not None:
             markers.add(spec.marker.lower())
-        if spec.science_field is not None and spec.science_confidence < 1:
-            raise ConfigError(f"group {spec.name}: science confidence below 1")
+        if spec.science_field is not None:
+            _check_link(f"group {spec.name}", spec.science_field, spec.science_confidence)
     # planted phrases must not shadow each other or collide with markers
     items = list(phrases.items())
     for i, (na, pa) in enumerate(items):
@@ -145,6 +149,18 @@ def _validate(config: SynthConfig) -> None:
             parse_cpc(code)
         except CpcParseError as exc:
             raise ConfigError(f"background code: {exc}") from None
+    for field_label, confidence, per_year in config.decoy_links:
+        _check_link("decoy link", field_label, confidence)
+        if per_year < 0:
+            raise ConfigError(f"decoy link {field_label!r}: negative count {per_year}")
+
+
+def _check_link(owner: str, field_label: str, confidence: int) -> None:
+    """A planted science link must be one the loader accepts."""
+    if not field_label.strip():
+        raise ConfigError(f"{owner}: empty science field")
+    if confidence < 1:
+        raise ConfigError(f"{owner}: science confidence below 1")
 
 
 def _contains_run(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
@@ -187,8 +203,11 @@ def _truncated_geometric(rng: random.Random, mean: float, upper: int) -> int:
     return min(draw, upper)
 
 
-def generate(config: SynthConfig) -> tuple[Corpus, dict[str, frozenset[str]]]:
-    """Build a corpus and the ground-truth member sets for each group."""
+def generate(config: SynthConfig) -> tuple[dict[str, list[tuple]], dict[str, frozenset[str]]]:
+    """The rows of the four corpus tables, by table name with cells in
+    `io.TABLE_COLUMNS` order, and the ground-truth member sets of each
+    group.  Every row is one the loader accepts, and no text cell holds a
+    tab or a line break."""
     _validate(config)
     rng = random.Random(config.rng_seed)
     counts = year_counts(config)
@@ -199,8 +218,18 @@ def generate(config: SynthConfig) -> tuple[Corpus, dict[str, frozenset[str]]]:
         1.0 / (i + 1) ** config.class_concentration
         for i in range(len(config.background_codes))
     ]
+    normal = functools.cache(lambda code: parse_cpc(code).raw)
 
-    builder = CorpusBuilder(window=config.years)
+    tables: dict[str, list[tuple]] = {"patents": [], "cpc": [], "citations": [], "science": []}
+    patents, cpc, citations, science = tables.values()
+    sci_seen: set[tuple[str, str, int]] = set()
+
+    def link(pid: str, field_label: str, confidence: int) -> None:
+        label = field_label.strip()
+        if (pid, label, confidence) not in sci_seen:
+            sci_seen.add((pid, label, confidence))
+            science.append((pid, _clean(label), confidence))
+
     truth: dict[str, set[str]] = {spec.name: set() for spec in config.groups}
     ids_by_year: dict[int, list[str]] = {}
     ai_by_year: dict[int, list[str]] = {}
@@ -260,29 +289,26 @@ def generate(config: SynthConfig) -> tuple[Corpus, dict[str, frozenset[str]]]:
                 merged.extend(abstract[prev:])
                 abstract = merged
 
-            builder.add_record(
-                _record(pid, year, title, abstract, claims, description)
-            )
+            # filler words hold no tab or line break; a marker may
+            texts = (" ".join(title), _clean(" ".join(abstract)), " ".join(claims))
+            patents.append((pid, year, *texts, " ".join(description)))
 
             n_extra = _truncated_geometric(
                 rng, max(config.classes_per_patent_mean - 1.0, 0.0), 4
             )
             drawn = rng.choices(config.background_codes, weights=code_weights, k=1 + n_extra)
-            for code in dict.fromkeys(planted_codes + drawn):
-                builder.add_assignment(pid, code)
+            cpc.extend((pid, code) for code in dict.fromkeys(map(normal, planted_codes + drawn)))
 
             for spec in specs:
                 truth[spec.name].add(pid)
                 if spec.science_field is not None:
-                    builder.add_science_link(
-                        pid, spec.science_field, spec.science_confidence
-                    )
+                    link(pid, spec.science_field, spec.science_confidence)
 
             year_ids.append(pid)
 
         for field_label, conf, per_year in config.decoy_links:
             for idx in rng.sample(range(m), min(per_year, m)):
-                builder.add_science_link(year_ids[idx], field_label, conf)
+                link(year_ids[idx], field_label, conf)
 
         in_ai = {pid for name in truth for pid in truth[name]}
         ids_by_year[year] = year_ids
@@ -290,7 +316,9 @@ def generate(config: SynthConfig) -> tuple[Corpus, dict[str, frozenset[str]]]:
         bg_by_year[year] = [p for p in year_ids if p not in in_ai]
 
     # citations: each patent cites `edges_per_patent` earlier-or-same-year
-    # patents, lag geometric (truncated), AI members oversampled as targets
+    # patents, lag geometric (truncated), AI members oversampled as targets;
+    # a draw that repeats a pair is retried
+    cite_seen: set[tuple[str, str]] = set()
     for year in range(lo, hi + 1):
         span = year - lo
         for citing in ids_by_year[year]:
@@ -308,22 +336,17 @@ def generate(config: SynthConfig) -> tuple[Corpus, dict[str, frozenset[str]]]:
                         cited = ai_pool[rng.randrange(len(ai_pool))]
                     else:
                         cited = bg_pool[rng.randrange(len(bg_pool))]
-                    if cited != citing and builder.add_citation(citing, cited) is None:
+                    if cited != citing and (citing, cited) not in cite_seen:
+                        cite_seen.add((citing, cited))
+                        citations.append((citing, cited, year))
                         break
 
-    corpus = builder.build()
-    return corpus, {name: frozenset(ids) for name, ids in truth.items()}
+    return tables, {name: frozenset(ids) for name, ids in truth.items()}
 
 
-def _record(pid, year, title, abstract, claims, description):
-    return PatentRecord(
-        id=pid,
-        grant_year=year,
-        title=" ".join(title),
-        abstract=" ".join(abstract),
-        claims=" ".join(claims),
-        description=" ".join(description),
-    )
+def _clean(text: str) -> str:
+    """`text` with tabs and line breaks made spaces, fit for a TSV cell."""
+    return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
 
 
 # ---------------------------------------------------------------------------

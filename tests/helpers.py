@@ -1,6 +1,12 @@
 """Small builders shared by the test modules."""
 
-from patmetrics.corpus import Corpus, CorpusBuilder, PatentRecord
+from dataclasses import fields
+
+import numpy as np
+
+from patmetrics import io as pio
+from patmetrics import synth
+from patmetrics.corpus import CorpusBuilder, PatentRecord
 
 
 def build_corpus(
@@ -40,3 +46,59 @@ def classes_at(corpus, level, patent_id):
     index = corpus.class_index(level)
     p = corpus.arrays().position[patent_id]
     return {index.names[k] for k in index.ids[index.indptr[p] : index.indptr[p + 1]]}
+
+
+def synth_corpus(config):
+    """The corpus and ground truth of `synth.generate(config)`: the rows are
+    ingested as a synthetic `run` ingests them, each table named after
+    itself, in the generator's own window."""
+    tables, truth = synth.generate(config)
+    corpus, _ = pio.ingest({name: (name, rows) for name, rows in tables.items()}, window=config.years)
+    return corpus, truth
+
+
+def assert_same_arrays(got, want):
+    """Every field of two `CorpusArrays` is equal, each array in dtype too."""
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def citation_triples(corpus):
+    """(citing id, cited id, citing grant year) per citation, in corpus
+    order."""
+    a = corpus.arrays()
+    return [
+        (a.ids[i], a.ids[j], year)
+        for i, j, year in zip(a.citing.tolist(), a.cited.tolist(), a.citing_year.tolist())
+    ]
+
+
+def random_corpus(rng, n_max=200, e_max=1000):
+    """A messy random corpus: variable codes per patent, random DAG edges."""
+    n = rng.randrange(10, n_max)
+    years = {f"P{i}": rng.randrange(2000, 2010) for i in range(n)}
+    sections = "ABCDEFGH"
+    codes = {}
+    for p in years:
+        k = rng.randrange(0, 4)  # zero codes happens on purpose
+        if k:
+            drawn = {
+                f"{rng.choice(sections)}{rng.randrange(1, 99):02d}"
+                f"{rng.choice('ABCDEFGHJKLMNPQRSTUVWXYZ')}"
+                for _ in range(k)
+            }
+            codes[p] = sorted(drawn)
+    ids = sorted(years)
+    edges = set()
+    for _ in range(rng.randrange(0, e_max)):
+        a, b = rng.choice(ids), rng.choice(ids)
+        if a != b and years[a] >= years[b]:
+            edges.add((a, b))
+    edges = sorted(edges)
+    ai = set(rng.sample(ids, rng.randrange(1, max(2, n // 3))))
+    corpus = build_corpus(years, codes=codes, cites=edges)
+    return corpus, years, codes, edges, ai

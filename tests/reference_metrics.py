@@ -4,7 +4,8 @@ These are the per-edge loops that `patmetrics.metrics` replaced with
 aggregations over interned arrays.  They are kept as test oracles: every
 function here must return exactly (`==`) what its namesake in
 `patmetrics.metrics` returns for the group's `Corpus.mask`.  They take the
-group as a set of ids, as the loops did.  The one change from the loops as
+group as a set of ids, as the loops did, and read each citation as a
+(citing id, cited id, citing year) triple.  The one change from the loops as
 they ran in the pipeline is that generality visits a citing patent's
 classes in sorted order, so the float sum no longer depends on the hash
 seed.
@@ -19,6 +20,8 @@ from typing import Iterable, Sequence
 
 from patmetrics.errors import DataError
 from patmetrics.metrics import DEFAULT_UNIVERSE, GroupSeries
+
+from helpers import citation_triples
 
 
 def class_sets(corpus, level: int) -> dict[str, frozenset[str]]:
@@ -43,12 +46,12 @@ def generality_series(corpus, members: Iterable[str], level: int, label: str):
     per_year: dict[int, Counter] = {}
     overall: Counter = Counter()
     empty = frozenset()
-    for e in corpus.citations:
-        if e.cited not in mem:
+    for citing, cited, _ in citation_triples(corpus):
+        if cited not in mem:
             continue
-        cited_cls = cls.get(e.cited, empty)
-        y = _grant_year(corpus, e.cited)
-        for j in sorted(cls.get(e.citing, empty)):
+        cited_cls = cls.get(cited, empty)
+        y = _grant_year(corpus, cited)
+        for j in sorted(cls.get(citing, empty)):
             if j not in cited_cls:
                 per_year.setdefault(y, Counter())[j] += 1
                 overall[j] += 1
@@ -62,13 +65,12 @@ def avg_citing_classes(corpus, members: Iterable[str], level: int, label: str):
     empty = frozenset()
     citing_classes: dict[str, set[str]] = {p: set() for p in mem}
     was_cited: set[str] = set()
-    for e in corpus.citations:
-        p = e.cited
+    for citing, p, _ in citation_triples(corpus):
         bucket = citing_classes.get(p)
         if bucket is None:
             continue
         was_cited.add(p)
-        bucket.update(cls.get(e.citing, empty) - cls.get(p, empty))
+        bucket.update(cls.get(citing, empty) - cls.get(p, empty))
 
     def average(pool: Iterable[str], metric: str):
         by_year: dict[int, list[int]] = {}
@@ -119,9 +121,9 @@ def citation_lags(corpus, members, mode="all_citations"):
         raise ValueError(f"unknown lag mode {mode!r}")
     mem = frozenset(members)
     lags: dict[str, list[int]] = {}
-    for e in corpus.citations:
-        if e.cited in mem:
-            lags.setdefault(e.cited, []).append(e.citing_year - _grant_year(corpus, e.cited))
+    for _, cited, citing_year in citation_triples(corpus):
+        if cited in mem:
+            lags.setdefault(cited, []).append(citing_year - _grant_year(corpus, cited))
     if mode == "first_citation":
         lags = {p: [min(ls)] for p, ls in lags.items()}
     return lags
@@ -145,5 +147,5 @@ def citation_lag_series(
 
 def descendants(corpus, members) -> frozenset[str]:
     mem = frozenset(members)
-    citing = {e.citing for e in corpus.citations if e.cited in mem}
+    citing = {citing for citing, cited, _ in citation_triples(corpus) if cited in mem}
     return frozenset(citing - mem)

@@ -1,11 +1,14 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from patmetrics import classify as cls
 from patmetrics.errors import ConfigError
 
-from helpers import build_corpus
+import reference_classify as ref
+from helpers import build_corpus, random_corpus
 
 
 class TestTokenize:
@@ -184,6 +187,24 @@ class TestUsptoSeed:
     def test_empty_prefixes_rejected(self):
         with pytest.raises(ConfigError):
             cls.build_uspto_seed(self.corpus(), [], hops=0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_citation_inputs_equal_reference_loops(seed):
+    """The seed's citation hop and the citation features over the position
+    arrays equal the loops over (citing, cited) id pairs, bit for bit."""
+    rng = random.Random(5000 + seed)
+    corpus, years, codes, edges, ai = random_corpus(rng)
+    ids = sorted(years)
+    prefixes = [rng.choice("ABCDEFGH"), rng.choice("ABCDEFGH")]
+    for hops in (0, 1, 2):
+        seed_ids = cls.build_uspto_seed(corpus, prefixes, hops)
+        assert seed_ids == ref.build_uspto_seed(corpus, prefixes, hops), hops
+    for group in (frozenset(ai), seed_ids, frozenset(), frozenset(ids)):
+        got = cls._citation_features(corpus, ids, group)
+        assert got.dtype == np.float64 and got.shape == (len(ids), 2)
+        assert np.array_equal(got, ref.citation_features(corpus, ids, group))
+    assert cls._citation_features(corpus, [], frozenset(ai)).shape == (0, 2)
 
 
 def separable_corpus():

@@ -175,6 +175,16 @@ class TestSynthCommand:
         assert "configuration error" in capsys.readouterr().err
 
 
+    def test_bad_decoy_link_exits_2(self, ws, capsys):
+        bad = ws / "bad-decoy.synth"
+        bad.write_text(
+            SYNTH_TEXT.replace("Physics; Applied|9|2", "Physics; Applied|0|2"), encoding="utf-8"
+        )
+        code = cli.main(["synth", "--config", str(bad), "--out", str(ws / "bad-decoy-out")])
+        assert code == 2
+        assert "science confidence below 1" in capsys.readouterr().err
+
+
 class TestRunPipeline:
     def test_artifact_tree(self, full_run):
         out = full_run
@@ -359,21 +369,44 @@ class TestExitCodes:
 
 class TestComputeOnce:
     def count_loads(self, monkeypatch):
-        loads = []
-        load_corpus = pio.load_corpus
+        """Record each call of `io.load_corpus` and of `io.ingest`, by name."""
+        calls = []
+        for name in ("load_corpus", "ingest"):
+            original = getattr(pio, name)
 
-        def counting(*args, **kwargs):
-            loads.append(args[0])
-            return load_corpus(*args, **kwargs)
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(pio, "load_corpus", counting)
-        return loads
+            monkeypatch.setattr(pio, name, counting)
+        return calls
 
     def test_corpus_loaded_once_per_run(self, ws, tmp_path, monkeypatch):
+        # a fresh synthetic corpus is ingested from its rows, not read back
         loads = self.count_loads(monkeypatch)
         code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
         assert code == 0
-        assert len(loads) == 1
+        assert loads == ["ingest"]
+
+    def test_corpus_from_tables_loaded_once(self, ws, tmp_path, monkeypatch):
+        src = tmp_path / "tables"
+        assert cli.main(["synth", "--config", str(ws / "small.synth"), "--out", str(src)]) == 0
+        parser = configparser.ConfigParser()
+        parser.read_string(RUN_TEXT)
+        del parser["group:Auto"]
+        parser["inputs"] = {name: str(src / f"{name}.tsv") for name in pio.TABLE_COLUMNS}
+        cfg = tmp_path / "tables.run"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        loads = self.count_loads(monkeypatch)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert loads == ["load_corpus", "ingest"]
+
+    def test_synth_command_builds_no_corpus(self, ws, tmp_path, monkeypatch):
+        loads = self.count_loads(monkeypatch)
+        code = cli.main(["synth", "--config", str(ws / "small.synth"), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert loads == []
 
     def test_corpus_not_loaded_without_a_stage_reading_it(
         self, ws, full_run, tmp_path, monkeypatch

@@ -2,7 +2,6 @@ import pytest
 
 from patmetrics.corpus import (
     CorpusBuilder,
-    CpcCode,
     PatentRecord,
     parse_cpc,
 )
@@ -15,12 +14,7 @@ class TestParseCpc:
     def test_levels(self):
         code = parse_cpc("G06N20/00")
         assert code.raw == "G06N20/00"
-        assert code.section == "G"
-        assert code.class3 == "G06"
         assert code.subclass4 == "G06N"
-        assert code.at_level(1) == "G"
-        assert code.at_level(3) == "G06"
-        assert code.at_level(4) == "G06N"
 
     def test_normalisation(self):
         assert parse_cpc(" g06n ").raw == "G06N"
@@ -35,10 +29,6 @@ class TestParseCpc:
     def test_rejects_malformed(self, bad):
         with pytest.raises(CpcParseError):
             parse_cpc(bad)
-
-    def test_bad_level(self):
-        with pytest.raises(ValueError):
-            parse_cpc("G06N").at_level(2)
 
 
 class TestBuilder:
@@ -78,9 +68,21 @@ class TestBuilder:
         assert b.add_citation("P1", "P2") == "negative_lag"
         assert b.add_citation("P2", "PX") == "unknown_cited"
         assert b.add_citation("PX", "P1") == "unknown_citing"
-        corpus = b.build()
-        assert len(corpus.citations) == 1
-        assert corpus.citations[0].citing_year == 2005
+        arrays = b.build().arrays()
+        assert len(arrays.citing) == 1
+        assert arrays.citing_year[0] == 2005
+        assert (arrays.citing[0], arrays.cited[0]) == (1, 0)
+
+    def test_rejected_record_takes_no_position(self):
+        b = CorpusBuilder(window=(2000, 2010))
+        b.add_record(PatentRecord("P1", 2001))
+        assert b.add_record(PatentRecord("P0", 1999)) == "year_out_of_window"
+        b.add_record(PatentRecord("P2", 2005))
+        assert b.add_citation("P2", "P0") == "unknown_cited"
+        assert b.add_citation("P2", "P1") is None
+        arrays = b.build().arrays()
+        assert arrays.position == {"P1": 0, "P2": 1}
+        assert (arrays.citing.tolist(), arrays.cited.tolist()) == ([1], [0])
 
     def test_same_year_citation_allowed(self):
         b = CorpusBuilder(window=(2000, 2010))
@@ -151,15 +153,6 @@ class TestCorpusIndexes:
         corpus = build_corpus({"X": 2000, "Y": 2001})
         with pytest.raises(DataError, match=r"2 group members not in corpus \(e.g. no, nope\)"):
             corpus.mask({"X", "nope", "no"})
-
-    def test_edge_indexes(self):
-        corpus = build_corpus(
-            {"A": 2000, "B": 2001, "C": 2002},
-            cites=[("B", "A"), ("C", "A"), ("C", "B")],
-        )
-        assert {e.citing for e in corpus.incoming("A")} == {"B", "C"}
-        assert {e.cited for e in corpus.outgoing("C")} == {"A", "B"}
-        assert corpus.incoming("C") == ()
 
     def test_contains_and_len(self):
         corpus = build_corpus({"A": 2000})

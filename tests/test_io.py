@@ -2,11 +2,16 @@ import os
 
 import pytest
 
+from dataclasses import replace
+
 from patmetrics import io as pio
+from patmetrics import synth
 from patmetrics.errors import DataError
 from patmetrics.metrics import GroupSeries
 
-from helpers import build_corpus, classes_at
+from helpers import assert_same_arrays, classes_at
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 
 
 def write(path, text):
@@ -42,7 +47,7 @@ class TestLoadCorpus:
         assert len(corpus) == 3
         assert corpus.record("P1").abstract == "an abstract"
         assert classes_at(corpus, 4, "P1") == {"G06N"}
-        assert len(corpus.citations) == 2
+        assert len(corpus.arrays().citing) == 2
         assert len(corpus.science) == 1
         for t in report.tables.values():
             assert t.rejected_total == 0
@@ -108,7 +113,7 @@ class TestLoadCorpus:
         assert t.accepted == 1
         assert t.rejected["unknown_citing"] == 1
         assert t.rejected["unknown_cited"] == 1
-        assert len(corpus.citations) == 1
+        assert len(corpus.arrays().citing) == 1
 
     def test_citing_year_mismatch_is_warning(self, tmp_path):
         d = sample_tables(tmp_path)
@@ -121,7 +126,7 @@ class TestLoadCorpus:
             window=(2000, 2002),
         )
         # the resolved year wins; the stated one is only flagged
-        assert corpus.citations[0].citing_year == 2001
+        assert corpus.arrays().citing_year[0] == 2001
         assert report.tables["citations"].warnings["citing_year_mismatch"] == 1
         assert report.tables["citations"].accepted == 1
 
@@ -136,14 +141,19 @@ class TestLoadCorpus:
 
 class TestRoundTrip:
     def test_corpus_tables_round_trip(self, tmp_path):
-        corpus = build_corpus(
-            {"A": 2000, "B": 2001},
-            codes={"A": ["G06N20/00", "H04L9/40"], "B": ["A01B"]},
-            cites=[("B", "A")],
-            science=[("A", "Physics; Applied", 7)],
-            texts={"A": {"title": "a title", "abstract": "deep language model"}},
+        tables = {
+            "patents": [
+                ("A", 2000, "a title", "deep language model", "", ""),
+                ("B", 2001, "", "", "", ""),
+            ],
+            "cpc": [("A", "G06N20/00"), ("A", "H04L9/40"), ("B", "A01B")],
+            "citations": [("B", "A", 2001)],
+            "science": [("A", "Physics; Applied", 7)],
+        }
+        corpus, _ = pio.ingest(
+            {name: (name, rows) for name, rows in tables.items()}, window=(2000, 2001)
         )
-        pio.write_corpus(str(tmp_path), corpus)
+        pio.write_corpus(str(tmp_path), tables)
         reloaded, report = pio.load_corpus(
             str(tmp_path / "patents.tsv"), str(tmp_path / "cpc.tsv"),
             str(tmp_path / "citations.tsv"), str(tmp_path / "science.tsv"),
@@ -151,10 +161,75 @@ class TestRoundTrip:
         )
         assert reloaded.records == corpus.records
         assert reloaded.codes == corpus.codes
-        assert set(reloaded.citations) == set(corpus.citations)
+        assert_same_arrays(reloaded.arrays(), corpus.arrays())
+        assert reloaded.arrays().citing.tolist() == [1]
         assert set(reloaded.science) == set(corpus.science)
         for t in report.tables.values():
             assert t.rejected_total == 0
+
+
+# Two groups link the same field and confidence (one label padded) and
+# overlap, and decoys repeat the link; the planted lower-case code is the
+# only background code once normalised.  Both dedupe rules of the
+# generator then run on many patents.
+DEDUPE_CONFIG = synth.SynthConfig(
+    rng_seed=3,
+    years=(2000, 2004),
+    base_count=60,
+    groups=(
+        synth.GroupSpec("a", 0.3, codes=("g06n", None), science_field=" CS ", science_confidence=4),
+        synth.GroupSpec(
+            "b", 0.3, science_field="CS", science_confidence=4,
+            jaccard_with="a", jaccard_target=0.5,
+        ),
+    ),
+    background_codes=("G06N",),
+    decoy_links=(("CS", 4, 20),),
+)
+
+
+class TestIngestOnce:
+    """`ingest` of the generator's rows gives exactly what `load_corpus`
+    gives for the tables written from them."""
+
+    def check(self, cfg, window, tmp_path):
+        tables, truth = synth.generate(cfg)
+        paths = {name: str(tmp_path / f"{name}.tsv") for name in pio.TABLE_COLUMNS}
+        rows = {name: (paths[name], tables[name]) for name in pio.TABLE_COLUMNS}
+        fresh, fresh_report = pio.ingest(rows, window=window)
+        pio.write_corpus(str(tmp_path), tables)
+        loaded, loaded_report = pio.load_corpus(*paths.values(), window=window)
+        assert list(fresh.records.items()) == list(loaded.records.items())
+        assert list(fresh.codes.items()) == list(loaded.codes.items())
+        assert fresh.science == loaded.science
+        assert fresh.window == loaded.window
+        assert_same_arrays(fresh.arrays(), loaded.arrays())
+        assert fresh_report.format().encode() == loaded_report.format().encode()
+        with pytest.raises(DataError) as fresh_error:
+            pio.ingest(rows, window=(window[0] + 1, window[1]), strict=True)
+        with pytest.raises(DataError) as loaded_error:
+            pio.load_corpus(*paths.values(), window=(window[0] + 1, window[1]), strict=True)
+        assert str(fresh_error.value) == str(loaded_error.value)
+        return tables, truth, fresh_report
+
+    def test_dedupe_rules(self, tmp_path):
+        tables, truth, report = self.check(DEDUPE_CONFIG, DEDUPE_CONFIG.years, tmp_path)
+        assert all(t.rejected_total == 0 for t in report.tables.values())
+        # one normalised code per patent, one link per linked patent
+        assert tables["cpc"] == [(row[0], "G06N") for row in tables["patents"]]
+        linked = [row[0] for row in tables["science"]]
+        assert len(linked) == len(set(linked)) > len(truth["a"] | truth["b"])
+        assert truth["a"] & truth["b"]
+        assert {row[1:] for row in tables["science"]} == {("CS", 4)}
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_desk_config_in_a_narrower_window(self, tmp_path, seed):
+        cfg = synth.load_synth_config(os.path.join(FIXTURES, "desk.synth"))
+        cfg = replace(cfg, rng_seed=seed, base_count=12)
+        *_, report = self.check(cfg, (1995, 2015), tmp_path)
+        assert report.tables["patents"].rejected["year_out_of_window"] > 0
+        assert report.tables["citations"].rejected["unknown_citing"] > 0
+        assert report.tables["citations"].rejected["unknown_cited"] > 0
 
 
 class TestSeriesFiles:

@@ -11,7 +11,7 @@ from patmetrics import metrics as met
 from patmetrics.errors import DataError
 
 import reference_metrics as ref
-from helpers import build_corpus
+from helpers import build_corpus, random_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -63,33 +63,6 @@ def generality_index(corpus, members, level):
 
 def oracle_descendants(edges, ai):
     return {citing for citing, cited in edges if cited in ai} - set(ai)
-
-
-def random_corpus(rng, n_max=200, e_max=1000):
-    """A messy random corpus: variable codes per patent, random DAG edges."""
-    n = rng.randrange(10, n_max)
-    years = {f"P{i}": rng.randrange(2000, 2010) for i in range(n)}
-    sections = "ABCDEFGH"
-    codes = {}
-    for p in years:
-        k = rng.randrange(0, 4)  # zero codes happens on purpose
-        if k:
-            drawn = {
-                f"{rng.choice(sections)}{rng.randrange(1, 99):02d}"
-                f"{rng.choice('ABCDEFGHJKLMNPQRSTUVWXYZ')}"
-                for _ in range(k)
-            }
-            codes[p] = sorted(drawn)
-    ids = sorted(years)
-    edges = set()
-    for _ in range(rng.randrange(0, e_max)):
-        a, b = rng.choice(ids), rng.choice(ids)
-        if a != b and years[a] >= years[b]:
-            edges.add((a, b))
-    edges = sorted(edges)
-    ai = set(rng.sample(ids, rng.randrange(1, max(2, n // 3))))
-    corpus = build_corpus(years, codes=codes, cites=edges)
-    return corpus, years, codes, edges, ai
 
 
 # ---------------------------------------------------------------------------

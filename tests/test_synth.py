@@ -8,6 +8,8 @@ from patmetrics import synth
 from patmetrics.classify import KeywordTable, WipoRule
 from patmetrics.errors import ConfigError
 
+from helpers import synth_corpus
+
 CS_AI = "Computer Science; Artificial Intelligence"
 
 GROUPS = (
@@ -54,6 +56,11 @@ def make_config(**overrides):
 
 @pytest.fixture(scope="module")
 def generated():
+    return synth_corpus(make_config())
+
+
+@pytest.fixture(scope="module")
+def rows():
     return synth.generate(make_config())
 
 
@@ -101,10 +108,10 @@ class TestGeneratedStructure:
         assert c1 == c2
         assert t1 == t2
 
-    def test_seed_changes_text_not_sizes(self, generated):
-        corpus, truth = generated
+    def test_seed_changes_text_not_sizes(self, rows):
+        tables, truth = rows
         c2, t2 = synth.generate(make_config(rng_seed=78))
-        assert corpus != c2
+        assert tables != c2
         assert {n: len(v) for n, v in truth.items()} == {
             n: len(v) for n, v in t2.items()
         }
@@ -118,7 +125,7 @@ class TestGeneratedStructure:
             assert j == pytest.approx(spec.jaccard_target, abs=0.02)
 
     def test_growth_recoverable_from_counts(self):
-        corpus, _ = synth.generate(
+        corpus, _ = synth_corpus(
             make_config(base_count=600, growth=(0.07,), groups=(), decoy_links=())
         )
         by_year = Counter(r.grant_year for r in corpus.records.values())
@@ -126,21 +133,23 @@ class TestGeneratedStructure:
             prev, cur = by_year[year - 1], by_year[year]
             assert (cur - prev) / prev == pytest.approx(0.07, abs=0.01)
 
-    def test_citation_lags_within_window(self, generated):
-        corpus, _ = generated
-        assert corpus.citations
-        for edge in corpus.citations:
-            lag = edge.citing_year - corpus.records[edge.cited].grant_year
+    def test_citation_lags_within_window(self, rows):
+        tables, _ = rows
+        grant_year = {row[0]: row[1] for row in tables["patents"]}
+        assert tables["citations"]
+        for citing, cited, citing_year in tables["citations"]:
+            assert citing_year == grant_year[citing]
+            lag = citing_year - grant_year[cited]
             assert 0 <= lag <= 9
 
-    def test_ai_patents_attract_citations(self, generated):
-        corpus, truth = generated
+    def test_ai_patents_attract_citations(self, rows):
+        tables, truth = rows
         ai = set().union(*truth.values())
-        incoming = {pid: 0 for pid in corpus.records}
-        for edge in corpus.citations:
-            incoming[edge.cited] += 1
+        incoming = {row[0]: 0 for row in tables["patents"]}
+        for _, cited, _ in tables["citations"]:
+            incoming[cited] += 1
         ai_mean = sum(incoming[p] for p in ai) / len(ai)
-        bg = [p for p in corpus.records if p not in ai]
+        bg = [p for p in incoming if p not in ai]
         bg_mean = sum(incoming[p] for p in bg) / len(bg)
         assert ai_mean > 2.0 * bg_mean
 
@@ -272,6 +281,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             synth.generate(make_config(groups=groups))
 
+    def test_blank_science_field(self):
+        groups = (synth.GroupSpec("a", 0.1, science_field="  "),)
+        with pytest.raises(ConfigError, match="empty science field"):
+            synth.generate(make_config(groups=groups))
+
 
 class TestConfigFile:
     def write(self, tmp_path, text):
@@ -319,7 +333,7 @@ class TestConfigFile:
             ("Physics; Applied", 9, 2),
             ("Computer Science; Artificial Intelligence", 3, 1),
         )
-        corpus, truth = synth.generate(cfg)
+        corpus, truth = synth_corpus(cfg)
         assert len(corpus.records) == sum(synth.year_counts(cfg).values())
 
     def test_background_override(self, tmp_path):
@@ -350,6 +364,22 @@ class TestConfigFile:
     def test_bad_year_range(self, tmp_path):
         path = self.write(tmp_path, "[synth]\nyears = twenty\n")
         with pytest.raises(ConfigError):
+            synth.load_synth_config(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("Physics; Applied|0|2", "science confidence below 1"),
+            ("|9|2", "empty science field"),
+            ("Physics; Applied|9|-1", "negative count -1"),
+        ],
+        ids=["zero-confidence", "empty-field", "negative-count"],
+    )
+    def test_bad_decoy_link(self, tmp_path, line, message):
+        path = self.write(
+            tmp_path, f"[synth]\nbase_count = 10\nyears = 2000-2001\n\n[decoys]\nlinks =\n    {line}\n"
+        )
+        with pytest.raises(ConfigError, match=message):
             synth.load_synth_config(path)
 
     def test_bad_number(self, tmp_path):
