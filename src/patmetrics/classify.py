@@ -2,25 +2,25 @@
 rule table, CPC-prefix groups, and a trained per-component text classifier.
 
 All classifiers return frozensets of patent ids, so downstream metrics are
-indifferent to how a group was produced.
+indifferent to how a group was produced.  They read text and CPC codes
+through the corpus's interned indexes (`Corpus.tokens`, `Corpus.code_index`),
+so each text field of each patent is tokenized once per corpus, and phrase
+and prefix matching are array operations over token and code ids.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import re
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
-from .errors import ConfigError, DataError
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+from .corpus import TEXT_FIELDS, Corpus, Csr, index_tokens, tokenize
+from .errors import ConfigError
 
 #: Science-reference field label and confidence floor used by default.
 DEFAULT_SCIENCE_FIELD = "Computer Science; Artificial Intelligence"
@@ -32,41 +32,42 @@ KEYWORD_CATEGORIES = ("symbols", "learning", "robotics")
 WIPO_TEXT_FIELDS = ("title", "abstract", "claims")
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase alphanumeric tokens; every other character separates."""
-    return _TOKEN_RE.findall(text.lower())
-
-
-def _phrase(text: str) -> tuple[str, ...]:
-    return tuple(tokenize(text))
+def _members(corpus: Corpus, mask: np.ndarray) -> frozenset[str]:
+    """The ids of the patents a position mask marks."""
+    return frozenset(compress(corpus.arrays().ids, mask.tolist()))
 
 
 class PhraseMatcher:
     """Matches token phrases as consecutive token runs within a field."""
 
     def __init__(self, phrases: Iterable[tuple[str, ...]]):
-        by_first: dict[str, list[tuple[str, ...]]] = {}
-        for ph in phrases:
-            if not ph:
-                raise ValueError("empty phrase")
-            by_first.setdefault(ph[0], []).append(ph)
-        self._by_first = {k: tuple(v) for k, v in by_first.items()}
+        self.phrases = tuple(phrases)
+        if not all(self.phrases):
+            raise ValueError("empty phrase")
 
-    def match_tokens(self, tokens: Sequence[str]) -> bool:
-        by_first = self._by_first
-        n = len(tokens)
-        for i, tok in enumerate(tokens):
-            cands = by_first.get(tok)
-            if not cands:
-                continue
-            for ph in cands:
-                k = len(ph)
-                if k == 1 or (i + k <= n and tuple(tokens[i + 1 : i + k]) == ph[1:]):
-                    return True
-        return False
+    def rows(self, field: Csr) -> np.ndarray:
+        """Boolean mask over the rows of a field's tokens that hold a phrase.
+        A phrase hits at i where the token ids read t[i] == p0,
+        t[i + 1] == p1, ... without running past the end of i's row."""
+        hit = np.zeros(len(field.indptr) - 1, bool)
+        for ph in self.phrases:
+            p = [field.id_of(tok) for tok in ph]
+            if min(p) < 0:
+                continue  # a token that no text holds
+            at = np.flatnonzero(field.ids == p[0])
+            row = np.searchsorted(field.indptr, at, side="right") - 1
+            ok = at + len(p) <= field.indptr[row + 1]  # the phrase fits in the row
+            for j in range(1, len(p)):
+                ok[ok] = field.ids[at[ok] + j] == p[j]
+            hit[row[ok]] = True
+        return hit
 
     def match_text(self, text: str) -> bool:
-        return self.match_tokens(tokenize(text))
+        return bool(self.rows(index_tokens({"text": [text]})["text"])[0])
+
+    def patents(self, corpus: Corpus, fields: Sequence[str]) -> np.ndarray:
+        """Position mask of the patents holding a phrase in any of `fields`."""
+        return np.logical_or.reduce([self.rows(corpus.tokens()[name]) for name in fields])
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,7 @@ class KeywordTable:
             cat = category.strip().lower()
             if cat not in KEYWORD_CATEGORIES:
                 raise ConfigError(f"unknown keyword category {category!r}")
-            ph = _phrase(phrase_text)
+            ph = tuple(tokenize(phrase_text))
             if not ph:
                 raise ConfigError(f"empty keyword phrase {phrase_text!r}")
             if ph in seen:
@@ -140,14 +141,7 @@ def classify_keyword(corpus: Corpus, table: KeywordTable | None = None) -> froze
     least one listed phrase."""
     if table is None:
         table = default_keywords()
-    matcher = PhraseMatcher(table.phrases())
-    hits = []
-    for pid, rec in corpus.records.items():
-        for _, text in rec.text_fields():
-            if text and matcher.match_text(text):
-                hits.append(pid)
-                break
-    return frozenset(hits)
+    return _members(corpus, PhraseMatcher(table.phrases()).patents(corpus, TEXT_FIELDS))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +189,7 @@ def load_wipo_rules(path: str) -> tuple[WipoRule, ...]:
             raise ConfigError(f"{path}: line {lineno}: missing rule_kind")
         parts += [""] * (3 - len(parts))  # trailing empty cells may be dropped
         kind, prefix, phrase_text = parts[0].strip(), parts[1].strip(), parts[2]
-        rules.append(WipoRule(kind, prefix.upper(), _phrase(phrase_text)))
+        rules.append(WipoRule(kind, prefix.upper(), tuple(tokenize(phrase_text))))
     if not rules:
         raise ConfigError(f"{path}: rule table is empty")
     return tuple(rules)
@@ -216,40 +210,20 @@ def classify_wipo(corpus: Corpus, rules: Sequence[WipoRule] | None = None) -> fr
         rules = default_wipo_rules()
     if not rules:
         raise ConfigError("rule set is empty")
-    matchers = {
-        r.phrase: PhraseMatcher([r.phrase]) for r in rules if r.phrase
+    codes = corpus.code_index()
+    has_phrase = {
+        ph: PhraseMatcher([ph]).patents(corpus, WIPO_TEXT_FIELDS)
+        for ph in {r.phrase for r in rules if r.kind != "code"}
     }
-    hits = []
-    for pid, rec in corpus.records.items():
-        raws = [c.raw for c in corpus.codes_of(pid)]
-        token_cache: dict[str, list[str]] = {}
-
-        def has_phrase(ph: tuple[str, ...]) -> bool:
-            m = matchers[ph]
-            for name in WIPO_TEXT_FIELDS:
-                tokens = token_cache.get(name)
-                if tokens is None:
-                    tokens = tokenize(getattr(rec, name))
-                    token_cache[name] = tokens
-                if m.match_tokens(tokens):
-                    return True
-            return False
-
-        for rule in rules:
-            code_ok = any(raw.startswith(rule.prefix) for raw in raws) if rule.prefix else True
-            if rule.kind == "code":
-                if code_ok:
-                    hits.append(pid)
-                    break
-            elif rule.kind == "keyword":
-                if has_phrase(rule.phrase):
-                    hits.append(pid)
-                    break
-            else:
-                if code_ok and has_phrase(rule.phrase):
-                    hits.append(pid)
-                    break
-    return frozenset(hits)
+    hit = np.zeros(len(corpus), bool)
+    for rule in rules:
+        if rule.kind == "code":
+            hit |= codes.carriers(rule.prefix)
+        elif rule.kind == "keyword":
+            hit |= has_phrase[rule.phrase]
+        else:
+            hit |= codes.carriers(rule.prefix) & has_phrase[rule.phrase]
+    return _members(corpus, hit)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +237,7 @@ def classify_prefix_group(corpus: Corpus, prefix: str) -> frozenset[str]:
     pref = prefix.strip().upper()
     if not pref:
         raise ConfigError("empty CPC prefix")
-    return frozenset(
-        pid
-        for pid, codes in corpus.codes.items()
-        if any(c.raw.startswith(pref) for c in codes)
-    )
+    return _members(corpus, corpus.code_index().carriers(pref))
 
 
 # ---------------------------------------------------------------------------
@@ -355,48 +325,28 @@ def build_uspto_seed(
     cleaned = [p.strip().upper() for p in prefixes if p.strip()]
     if not cleaned:
         raise ConfigError("no seed prefixes given")
-    seed = {
-        pid
-        for pid, codes in corpus.codes.items()
-        if any(c.raw.startswith(pref) for pref in cleaned for c in codes)
-    }
+    a = corpus.arrays()
+    seed = np.logical_or.reduce([corpus.code_index().carriers(pref) for pref in cleaned])
     for _ in range(hops):
-        seed_subclasses = {c.subclass4 for pid in seed for c in corpus.codes_of(pid)}
-        grown = set(seed)
-        for pid, codes in corpus.codes.items():
-            if pid not in grown and any(c.subclass4 in seed_subclasses for c in codes):
-                grown.add(pid)
-        a, in_seed = corpus.arrays(), corpus.mask(seed)
-        hop = np.concatenate([a.citing[in_seed[a.cited]], a.cited[in_seed[a.citing]]])
-        grown.update(a.ids[p] for p in np.unique(hop).tolist())
-        if grown == seed:
+        sub = corpus.class_index(4)
+        owners = sub.owners()
+        grown = seed.copy()
+        grown[owners[np.isin(sub.ids, sub.ids[seed[owners]])]] = True
+        grown[a.citing[seed[a.cited]]] = True
+        grown[a.cited[seed[a.citing]]] = True
+        if (grown == seed).all():
             break
         seed = grown
-    return frozenset(seed)
+    return _members(corpus, seed)
 
 
-def _doc_counter(corpus: Corpus, pid: str) -> Counter:
-    rec = corpus.record(pid)
-    counts: Counter = Counter()
-    for name in USPTO_TEXT_FIELDS:
-        counts.update(tokenize(getattr(rec, name)))
-    return counts
-
-
-def _text_rows(counters: Sequence[Counter], vocab_index: Mapping[str, int]) -> np.ndarray:
-    X = np.zeros((len(counters), len(vocab_index)), dtype=np.float64)
-    for i, counts in enumerate(counters):
-        total = 0
-        for tok, n in counts.items():
-            if tok in vocab_index:
-                total += n
-        if total == 0:
-            continue
-        for tok, n in counts.items():
-            j = vocab_index.get(tok)
-            if j is not None:
-                X[i, j] = n / total
-    return X
+def _bag(corpus: Corpus, ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(i, token id) of each title, abstract and claims token of the patent
+    ids[i]: the pooled bags of tokens behind the text features."""
+    position = corpus.arrays().position
+    at = np.fromiter(map(position.__getitem__, ids), np.int64, len(ids))
+    i, tok = zip(*(corpus.tokens()[name].take(at) for name in USPTO_TEXT_FIELDS))
+    return np.concatenate(i), np.concatenate(tok)
 
 
 def _citation_features(corpus: Corpus, ids: Sequence[str], seed: frozenset[str]) -> np.ndarray:
@@ -413,13 +363,22 @@ def _citation_features(corpus: Corpus, ids: Sequence[str], seed: frozenset[str])
 def _features(
     corpus: Corpus,
     ids: Sequence[str],
-    counters: Sequence[Counter],
-    vocab_index: Mapping[str, int],
+    bag: tuple[np.ndarray, np.ndarray],
+    vocab: Sequence[str],
     seed: frozenset[str],
 ) -> np.ndarray:
     """Token shares over the vocabulary, then log citation counts to and
-    from the seed: the feature rows of both training and scoring."""
-    return np.hstack([_text_rows(counters, vocab_index), _citation_features(corpus, ids, seed)])
+    from the seed: the feature rows of both training and scoring.  A share
+    is n / total of in-vocabulary token counts, 0 where the total is 0."""
+    n, v = len(ids), len(vocab)
+    words = corpus.tokens()["title"]  # every field's names are the one vocabulary
+    known = np.array([words.id_of(tok) for tok in vocab], np.int64)
+    column = np.full(len(words.names), v)  # token id -> feature column, v for the rest
+    column[known[known >= 0]] = np.flatnonzero(known >= 0)
+    counts = np.bincount(bag[0] * np.int64(v + 1) + column[bag[1]], minlength=n * (v + 1))
+    counts = counts.reshape(n, v + 1)[:, :v]
+    text = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
+    return np.hstack([text, _citation_features(corpus, ids, seed)])
 
 
 def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel:
@@ -444,15 +403,12 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
 
         train_ids = sorted(seed) + sorted(anti)
         y = np.array([1.0] * len(seed) + [0.0] * len(anti))
-        counters = [_doc_counter(corpus, pid) for pid in train_ids]
-        totals: Counter = Counter()
-        for c in counters:
-            totals.update(c)
-        vocab = tuple(
-            tok for tok, _ in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[: cfg.vocab_size]
-        )
-        vocab_index = {tok: j for j, tok in enumerate(vocab)}
-        X = _features(corpus, train_ids, counters, vocab_index, seed)
+        bag = _bag(corpus, train_ids)
+        # the most frequent tokens, ties in id order, which is token order
+        counts = np.bincount(bag[1], minlength=len(corpus.tokens()["title"].names))
+        top = np.argsort(-counts, kind="stable")[: min(cfg.vocab_size, np.count_nonzero(counts))]
+        vocab = tuple(corpus.tokens()["title"].names[k] for k in top.tolist())
+        X = _features(corpus, train_ids, bag, vocab, seed)
         # max-abs column scaling during descent only; folding the scales back
         # into the weights keeps scoring a plain dot product on raw features
         scales = np.abs(X).max(axis=0)
@@ -474,16 +430,13 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
 def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
     """Union of patents scoring strictly above the threshold in any component."""
     ids = list(corpus.ids())
-    hits: set[str] = set()
-    indexes = [{tok: j for j, tok in enumerate(c.vocab)} for c in model.components]
+    hit = np.zeros(len(ids), bool)
     chunk = 4096
     for start in range(0, len(ids), chunk):
         batch = ids[start : start + chunk]
-        counters = [_doc_counter(corpus, pid) for pid in batch]
-        for comp, vocab_index in zip(model.components, indexes):
-            X = _features(corpus, batch, counters, vocab_index, comp.seed)
+        bag = _bag(corpus, batch)
+        for comp in model.components:
+            X = _features(corpus, batch, bag, comp.vocab, comp.seed)
             scores = 1.0 / (1.0 + np.exp(-(X @ comp.weights + comp.bias)))
-            for pid, s in zip(batch, scores):
-                if s > model.config.threshold:
-                    hits.add(pid)
-    return frozenset(hits)
+            hit[start : start + len(batch)] |= scores > model.config.threshold
+    return _members(corpus, hit)

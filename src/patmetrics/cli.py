@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
+import shutil
 import sys
 from dataclasses import dataclass, replace
 
@@ -286,28 +287,29 @@ def _ensure_corpus(cfg: RunConfig, out_dir: str, log: RunLog) -> Corpus:
 # stages
 
 def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> None:
+    """Write one member list per configured group into a fresh `groups/`,
+    so no group dropped from the config outlives it."""
+    groups_dir = os.path.join(out_dir, "groups")
+    if os.path.isdir(groups_dir):
+        shutil.rmtree(groups_dir)
     for g in cfg.groups:
         if g.kind == "keyword":
-            table = (
-                cls.load_keywords(g.keywords_path)
-                if g.keywords_path
-                else cls.default_keywords()
-            )
+            table = cls.load_keywords(g.keywords_path) if g.keywords_path else None
             members = cls.classify_keyword(corpus, table)
         elif g.kind == "science":
             members = cls.classify_science(corpus, g.field, g.min_confidence)
         elif g.kind == "wipo":
-            rules = (
-                cls.load_wipo_rules(g.rules_path) if g.rules_path else cls.default_wipo_rules()
-            )
+            rules = cls.load_wipo_rules(g.rules_path) if g.rules_path else None
             members = cls.classify_wipo(corpus, rules)
         elif g.kind == "uspto":
-            ucfg = load_uspto_config(g.uspto_path)
-            model = cls.train_uspto(corpus, ucfg)
+            model = cls.train_uspto(corpus, load_uspto_config(g.uspto_path))
+            for c in model.components:
+                log.line(f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
+                         f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}")
             members = cls.classify_uspto(corpus, model)
         else:
             members = cls.classify_prefix_group(corpus, g.prefix)
-        pio.write_ids(os.path.join(out_dir, "groups", f"{g.name}.ids"), members)
+        pio.write_ids(os.path.join(groups_dir, f"{g.name}.ids"), members)
         log.line(f"classify: {g.name} ({g.kind}) -> {len(members)} patents")
 
 

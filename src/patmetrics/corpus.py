@@ -6,20 +6,26 @@ from files or freshly generated.  Builders name the reason for every rejected
 row; callers decide whether a rejection is fatal (strict mode) or merely
 counted.  A patent is known by its position in `records` order, and a
 citation exists only as a (citing, cited) pair of positions in
-`Corpus.arrays()`.
+`Corpus.arrays()`.  Text and CPC codes are interned once per corpus, in
+`Corpus.tokens()` and `Corpus.code_index()`, for the classifiers to read.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from operator import attrgetter
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import CpcParseError, DataError
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 # Section letter, two-digit class, subclass letter, optional group/subgroup tail.
 _CPC_RE = re.compile(r"^[A-HY][0-9]{2}[A-Z](?:[0-9]+(?:/[0-9]+)?)?$")
@@ -28,6 +34,14 @@ _CPC_RE = re.compile(r"^[A-HY][0-9]{2}[A-Z](?:[0-9]+(?:/[0-9]+)?)?$")
 LEVELS = (1, 3, 4)
 
 DEFAULT_WINDOW = (1990, 2019)
+
+#: The text fields of a record.
+TEXT_FIELDS = ("title", "abstract", "claims", "description")
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase alphanumeric tokens; every other character separates."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,12 +79,6 @@ class PatentRecord:
     claims: str = ""
     description: str = ""
 
-    def text_fields(self) -> Iterator[tuple[str, str]]:
-        yield "title", self.title
-        yield "abstract", self.abstract
-        yield "claims", self.claims
-        yield "description", self.description
-
 
 @dataclass(frozen=True, slots=True)
 class ScienceLink:
@@ -101,7 +109,6 @@ class CorpusBuilder:
         self._position: dict[str, int] = {}
         self._year = array("i")
         self._codes: dict[str, list[CpcCode]] = {}
-        self._code_seen: set[tuple[str, str]] = set()
         self._citing = array("i")
         self._cited = array("i")
         self._cite_seen: set[int] = set()  # citing << 32 | cited
@@ -131,11 +138,10 @@ class CorpusBuilder:
             code = parse_cpc(raw_code)
         except CpcParseError:
             return "bad_code"
-        key = (patent_id, code.raw)
-        if key in self._code_seen:
+        codes = self._codes.setdefault(patent_id, [])
+        if code in codes:
             return "duplicate"
-        self._code_seen.add(key)
-        self._codes.setdefault(patent_id, []).append(code)
+        codes.append(code)
         return None
 
     def add_citation(self, citing: str, cited: str) -> str | None:
@@ -202,20 +208,71 @@ class CorpusArrays:
 
 
 @dataclass(frozen=True, eq=False)
-class ClassIndex:
-    """Level-truncated CPC classes per patent position, in CSR form: the
-    patent at position i holds the class ids ids[indptr[i]:indptr[i + 1]],
-    ascending.  Class ids number the sorted class names, so ascending ids
-    are sorted names."""
+class Csr:
+    """Rows of ids into sorted `names`, in CSR form: row i (a patent
+    position) holds ids[indptr[i]:indptr[i + 1]].  Ids number the sorted
+    names, so ascending ids are sorted names.  A row of CPC codes or classes
+    holds distinct ids, ascending; a row of text tokens holds them in text
+    order."""
 
     names: tuple[str, ...]
     indptr: np.ndarray
     ids: np.ndarray
 
     def owners(self) -> np.ndarray:
-        """The patent position of each entry of `ids`."""
+        """The row of each entry of `ids`."""
         counts = np.diff(self.indptr)
         return np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+
+    def id_of(self, name: str) -> int:
+        """The id of `name`, or -1 when it is not among the names."""
+        k = bisect_left(self.names, name)
+        return k if self.names[k : k + 1] == (name,) else -1
+
+    def carriers(self, prefix: str) -> np.ndarray:
+        """Boolean mask over the rows holding a name that starts with
+        `prefix`.  Such names are one range of the sorted names."""
+        head = lambda name: name[: len(prefix)]  # noqa: E731
+        lo, hi = bisect_left(self.names, prefix, key=head), bisect_right(self.names, prefix, key=head)
+        held = np.concatenate([[0], np.cumsum((self.ids >= lo) & (self.ids < hi))])
+        return held[self.indptr[1:]] > held[self.indptr[:-1]]
+
+    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, id) of each entry of the rows `rows` in turn, i indexing
+        `rows`; int32 throughout."""
+        count = np.diff(self.indptr)[rows]
+        # an entry's place in `ids` is its row's start plus its rank in the row
+        at = np.repeat(self.indptr[rows] - np.cumsum(count, dtype=np.int32) + count, count)
+        at += np.arange(len(at), dtype=np.int32)
+        return np.repeat(np.arange(len(rows), dtype=np.int32), count), self.ids[at]
+
+
+def _distinct_rows(n_rows: int, owners: np.ndarray, ids: np.ndarray, names: tuple[str, ...]) -> Csr:
+    """A `Csr` of `n_rows` rows holding the distinct (owner, id) pairs."""
+    owners, ids = np.divmod(np.unique(owners.astype(np.int64) * len(names) + ids), max(len(names), 1))
+    indptr = np.zeros(n_rows + 1, np.int32)
+    np.cumsum(np.bincount(owners, minlength=n_rows), out=indptr[1:])
+    return Csr(names, indptr, ids.astype(np.int32))
+
+
+def index_tokens(fields: Mapping[str, Iterable[str]]) -> dict[str, Csr]:
+    """Tokenize every text of each field once: one `Csr` per field, whose
+    row i holds the tokens of text i, over one vocabulary shared by all
+    fields.  Ids are given in order of first sight, then renumbered in
+    token order."""
+    seen: defaultdict[str, int] = defaultdict()
+    seen.default_factory = seen.__len__  # a new token takes the next id
+    csr = {}
+    for name, texts in fields.items():
+        ids, indptr = [], [0]
+        for text in texts:
+            ids += map(seen.__getitem__, tokenize(text))
+            indptr.append(len(ids))
+        csr[name] = (np.array(indptr, np.int32), np.array(ids, np.int32))
+    vocab = tuple(sorted(seen))
+    rank = np.empty(len(vocab), np.int32)
+    rank[[seen[tok] for tok in vocab]] = np.arange(len(vocab), dtype=np.int32)
+    return {name: Csr(vocab, indptr, rank[ids]) for name, (indptr, ids) in csr.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,9 +303,6 @@ class Corpus:
     def record(self, patent_id: str) -> PatentRecord:
         return self.records[patent_id]
 
-    def codes_of(self, patent_id: str) -> tuple[CpcCode, ...]:
-        return self.codes.get(patent_id, ())
-
     def memo(self, key: Hashable, build: Callable[[], Any], slot: Hashable = None) -> Any:
         """The value derived under `key`, made by `build()` on first use.
         Keys that share a `slot` keep only the latest value."""
@@ -277,28 +331,32 @@ class Corpus:
         mask[at] = True
         return mask
 
-    def class_index(self, level: int) -> ClassIndex:
-        """The level-truncated CPC classes of every patent, in CSR form."""
+    def tokens(self) -> dict[str, Csr]:
+        """The tokens of every patent, one `Csr` per text field."""
+        return self.memo("tokens", lambda: index_tokens(
+            {name: map(attrgetter(name), self.records.values()) for name in TEXT_FIELDS}
+        ))
+
+    def code_index(self) -> Csr:
+        """The raw CPC codes of every patent."""
+        return self.memo("code_index", self._build_code_index)
+
+    def _build_code_index(self) -> Csr:
+        position = self.arrays().position
+        owners = np.array([position[p] for p, cs in self.codes.items() for _ in cs], np.int64)
+        names, ids = np.unique([c.raw for cs in self.codes.values() for c in cs], return_inverse=True)
+        return _distinct_rows(len(self), owners, ids, tuple(names.tolist()))
+
+    def class_index(self, level: int) -> Csr:
+        """The level-truncated CPC classes of every patent."""
         if level not in LEVELS:
             raise ValueError(f"unsupported CPC level {level!r}, expected one of {LEVELS}")
         return self.memo(("class_index", level), lambda: self._build_class_index(level))
 
-    def _build_class_index(self, level: int) -> ClassIndex:
-        names = tuple(sorted({c.raw[:level] for cs in self.codes.values() for c in cs}))
-        class_id = {name: k for k, name in enumerate(names)}
-        position = self.arrays().position
-        n = sum(map(len, self.codes.values()))
-        owners = np.fromiter(
-            (position[pid] for pid, cs in self.codes.items() for _ in cs), np.int64, n
-        )
-        ids = np.fromiter(
-            (class_id[c.raw[:level]] for cs in self.codes.values() for c in cs), np.int64, n
-        )
-        # distinct (patent, class) keys, sorted: by position, then by class id
-        owners, ids = np.divmod(np.unique(owners * len(names) + ids), len(names))
-        indptr = np.zeros(len(position) + 1, np.int32)
-        np.cumsum(np.bincount(owners, minlength=len(position)), out=indptr[1:])
-        return ClassIndex(names, indptr, ids.astype(np.int32))
+    def _build_class_index(self, level: int) -> Csr:
+        codes = self.code_index()
+        names, of_code = np.unique([raw[:level] for raw in codes.names], return_inverse=True)
+        return _distinct_rows(len(self), codes.owners(), of_code[codes.ids], tuple(names.tolist()))
 
     def years(self) -> list[int]:
         lo, hi = self.window

@@ -176,16 +176,9 @@ def _build_outside(corpus: Corpus, level: int) -> _Outside:
     # int32 throughout unless (patent, class) keys outgrow it: these arrays
     # hold one entry per citing-side class and set the stage's peak memory
     key_type = np.int32 if len(corpus) * n_classes < 2**31 else np.int64
-    # the row's entry in `index.ids` is its citing patent's first entry plus
-    # the row's rank within its citation
-    per_edge = np.diff(index.indptr)[arrays.citing]
-    entry = np.repeat(
-        index.indptr[arrays.citing] - np.cumsum(per_edge, dtype=np.int32) + per_edge, per_edge
-    )
-    entry += np.arange(len(entry), dtype=np.int32)
-    classes = index.ids[entry]
-    del entry
-    cited = np.repeat(arrays.cited, per_edge)
+    edge, classes = index.take(arrays.citing)
+    cited = arrays.cited[edge]
+    del edge
     keys = cited.astype(key_type) * n_classes + classes
     # the keys of the classes patents hold come sorted by construction
     held = index.owners().astype(key_type) * n_classes + index.ids

@@ -18,8 +18,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .classify import tokenize
-from .corpus import parse_cpc
+from .corpus import parse_cpc, tokenize
 from .errors import ConfigError, CpcParseError
 
 DEFAULT_BACKGROUND_CODES = (

@@ -1,19 +1,30 @@
-"""Reference implementations of the USPTO classifier's citation inputs.
+"""Reference implementations of the classifiers' per-patent loops.
 
-These are the loops that `patmetrics.classify` replaced with counts over
-the corpus's position arrays: the per-patent citation features and the
-citation hop of the seed expansion.  They read each citation as a (citing
-id, cited id) pair and are kept as test oracles: the feature matrix must be
-bit-equal, and the seed equal, to what `patmetrics.classify` returns.
+These are the loops that `patmetrics.classify` replaced with array
+operations over the corpus's interned indexes: phrase matching over token
+strings, CPC prefixes by `str.startswith` on each patent's codes, the
+seed expansion over (citing id, cited id) pairs, and the USPTO features
+from one `Counter` of tokens per patent.  They are kept as test oracles:
+memberships and vocabularies must be equal, and feature matrices bit-equal,
+to what `patmetrics.classify` returns.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections import Counter
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from patmetrics.classify import (
+    TEXT_FIELDS,
+    USPTO_TEXT_FIELDS,
+    WIPO_TEXT_FIELDS,
+    default_keywords,
+    default_wipo_rules,
+    tokenize,
+)
 from patmetrics.errors import ConfigError
 
 from helpers import citation_triples
@@ -21,6 +32,63 @@ from helpers import citation_triples
 
 def _pairs(corpus) -> list[tuple[str, str]]:
     return [(citing, cited) for citing, cited, _ in citation_triples(corpus)]
+
+
+def match_tokens(phrases: Sequence[tuple[str, ...]], tokens: Sequence[str]) -> bool:
+    """Whether some phrase is a run of consecutive `tokens`."""
+    n = len(tokens)
+    for i in range(n):
+        for ph in phrases:
+            k = len(ph)
+            if i + k <= n and tuple(tokens[i : i + k]) == ph:
+                return True
+    return False
+
+
+def classify_keyword(corpus, table=None) -> frozenset[str]:
+    phrases = (table or default_keywords()).phrases()
+    return frozenset(
+        pid
+        for pid, rec in corpus.records.items()
+        if any(match_tokens(phrases, tokenize(getattr(rec, name))) for name in TEXT_FIELDS)
+    )
+
+
+def classify_wipo(corpus, rules=None) -> frozenset[str]:
+    rules = default_wipo_rules() if rules is None else rules
+    if not rules:
+        raise ConfigError("rule set is empty")
+    hits = []
+    for pid, rec in corpus.records.items():
+        raws = [c.raw for c in corpus.codes.get(pid, ())]
+        fields = [tokenize(getattr(rec, name)) for name in WIPO_TEXT_FIELDS]
+
+        def has_phrase(ph):
+            return any(match_tokens([ph], tokens) for tokens in fields)
+
+        for rule in rules:
+            code_ok = any(raw.startswith(rule.prefix) for raw in raws) if rule.prefix else True
+            if rule.kind == "code":
+                ok = code_ok
+            elif rule.kind == "keyword":
+                ok = has_phrase(rule.phrase)
+            else:
+                ok = code_ok and has_phrase(rule.phrase)
+            if ok:
+                hits.append(pid)
+                break
+    return frozenset(hits)
+
+
+def classify_prefix_group(corpus, prefix: str) -> frozenset[str]:
+    if prefix == "All":
+        return frozenset(corpus.ids())
+    pref = prefix.strip().upper()
+    if not pref:
+        raise ConfigError("empty CPC prefix")
+    return frozenset(
+        pid for pid, codes in corpus.codes.items() if any(c.raw.startswith(pref) for c in codes)
+    )
 
 
 def citation_features(corpus, ids: Sequence[str], seed: frozenset[str]) -> np.ndarray:
@@ -48,7 +116,7 @@ def build_uspto_seed(corpus, prefixes: Sequence[str], hops: int = 0) -> frozense
         if any(c.raw.startswith(pref) for pref in cleaned for c in codes)
     }
     for _ in range(hops):
-        seed_subclasses = {c.subclass4 for pid in seed for c in corpus.codes_of(pid)}
+        seed_subclasses = {c.subclass4 for pid in seed for c in corpus.codes.get(pid, ())}
         grown = set(seed)
         for pid, codes in corpus.codes.items():
             if pid not in grown and any(c.subclass4 in seed_subclasses for c in codes):
@@ -62,3 +130,51 @@ def build_uspto_seed(corpus, prefixes: Sequence[str], hops: int = 0) -> frozense
             break
         seed = grown
     return frozenset(seed)
+
+
+def _doc_counter(corpus, pid: str) -> Counter:
+    rec = corpus.record(pid)
+    counts: Counter = Counter()
+    for name in USPTO_TEXT_FIELDS:
+        counts.update(tokenize(getattr(rec, name)))
+    return counts
+
+
+def _text_rows(counters: Sequence[Counter], vocab_index: Mapping[str, int]) -> np.ndarray:
+    X = np.zeros((len(counters), len(vocab_index)), dtype=np.float64)
+    for i, counts in enumerate(counters):
+        total = 0
+        for tok, n in counts.items():
+            if tok in vocab_index:
+                total += n
+        if total == 0:
+            continue
+        for tok, n in counts.items():
+            j = vocab_index.get(tok)
+            if j is not None:
+                X[i, j] = n / total
+    return X
+
+
+def top_tokens(corpus, ids: Sequence[str], size: int) -> tuple[str, ...]:
+    """The training vocabulary: the `size` most frequent tokens of `ids`."""
+    totals: Counter = Counter()
+    for pid in ids:
+        totals.update(_doc_counter(corpus, pid))
+    return tuple(tok for tok, _ in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:size])
+
+
+def features(corpus, ids: Sequence[str], vocab: Sequence[str], seed: frozenset[str]) -> np.ndarray:
+    counters = [_doc_counter(corpus, pid) for pid in ids]
+    vocab_index = {tok: j for j, tok in enumerate(vocab)}
+    return np.hstack([_text_rows(counters, vocab_index), citation_features(corpus, ids, seed)])
+
+
+def classify_uspto(corpus, model) -> frozenset[str]:
+    hits = set()
+    ids = list(corpus.ids())
+    for comp in model.components:
+        X = features(corpus, ids, comp.vocab, comp.seed)
+        scores = 1.0 / (1.0 + np.exp(-(X @ comp.weights + comp.bias)))
+        hits.update(pid for pid, s in zip(ids, scores) if s > model.config.threshold)
+    return frozenset(hits)

@@ -207,6 +207,142 @@ def test_citation_inputs_equal_reference_loops(seed):
     assert cls._citation_features(corpus, [], frozenset(ai)).shape == (0, 2)
 
 
+#: Full CPC codes for the random text corpora: the default WIPO prefixes
+#: (G06N, B25J), shared subclasses, and codes that are prefixes of others.
+CODES = (
+    "G06N20/00", "G06N3/08", "G06N3/04", "G06N3", "G06F40/30", "G10L15/22",
+    "B25J9/16", "B25J13/08", "B25J9", "H04L9/40", "A61K31/00", "Y02E10/70",
+)
+PREFIXES = ("G", "G06", "G06N", "G06N3", "G06N3/0", "B25J9/16", "H04L9/40", "A", "Y", "Z99")
+
+
+def _phrase_pool():
+    phrases = cls.default_keywords().phrases()
+    phrases += [r.phrase for r in cls.default_wipo_rules() if r.phrase]
+    return phrases
+
+
+def random_text(rng, phrases, filler=("widget", "the", "of", "networks")):
+    """A short text of whole phrases, phrase heads and tails, and filler, so
+    phrases repeat, end texts, and may straddle two fields."""
+    words = []
+    for _ in range(rng.randrange(0, 4)):
+        ph = rng.choice(phrases)
+        cut = rng.randrange(1, len(ph) + 1)
+        words += rng.choice([list(ph), list(ph[:cut]), list(ph[cut - 1 :]), [rng.choice(filler)] * 2])
+    sep = rng.choice([" ", "-", ", ", " . "])
+    return sep.join(w.upper() if rng.random() < 0.1 else w for w in words)
+
+
+def random_text_corpus(rng, straddling):
+    """A random corpus with phrase-laden texts in every field, full CPC
+    codes, and random citations.  Some field pairs end and start with the
+    two halves of one of the `straddling` phrases."""
+    phrases = _phrase_pool()
+    n = rng.randrange(10, 120)
+    years = {f"P{i}": rng.randrange(2000, 2010) for i in range(n)}
+    ids = sorted(years)
+    codes = {p: rng.sample(CODES, rng.randrange(0, 3)) for p in ids}
+    texts = {}
+    for p in ids:
+        fields = [random_text(rng, phrases) for _ in range(4)]
+        for k in range(3):
+            if rng.random() < 0.3:
+                ph = rng.choice(straddling)
+                cut = rng.randrange(1, len(ph))
+                fields[k] = " ".join([fields[k], *ph[:cut]])
+                fields[k + 1] = " ".join([*ph[cut:], fields[k + 1]])
+        texts[p] = dict(zip(("title", "abstract", "claims", "description"), fields))
+    edges = sorted(
+        {(a, b) for a, b in (rng.sample(ids, 2) for _ in range(rng.randrange(0, 3 * n))) if years[a] >= years[b]}
+    )
+    return build_corpus(years, codes=codes, cites=edges, texts=texts)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_classifiers_equal_reference_loops(seed):
+    """Phrase, prefix and seed matching over the interned indexes, and the
+    USPTO vocabularies and feature matrices, equal the per-patent loops."""
+    rng = random.Random(7000 + seed)
+    phrases = _phrase_pool()
+    chosen = rng.sample([ph for ph in phrases if len(ph) > 1], 6)
+    corpus = random_text_corpus(rng, chosen)
+    table = cls.KeywordTable.from_pairs(
+        [(" ".join(ph), "learning") for ph in chosen] + [("zeppelin widget", "robotics")]
+    )
+    rules = (
+        cls.WipoRule("code", rng.choice(PREFIXES)),
+        cls.WipoRule("keyword", phrase=rng.choice(phrases)),
+        cls.WipoRule("combined", rng.choice(PREFIXES), rng.choice(phrases)),
+    )
+    assert cls.classify_keyword(corpus) == ref.classify_keyword(corpus)
+    assert cls.classify_keyword(corpus, table) == ref.classify_keyword(corpus, table)
+    assert cls.classify_wipo(corpus) == ref.classify_wipo(corpus)
+    assert cls.classify_wipo(corpus, rules) == ref.classify_wipo(corpus, rules)
+    for prefix in PREFIXES:
+        assert cls.classify_prefix_group(corpus, prefix) == ref.classify_prefix_group(corpus, prefix)
+    seeds = {"a": rng.sample(PREFIXES[:-1], 2), "b": [rng.choice(PREFIXES[:-1])]}
+    for hops in (0, 1, 2):
+        for prefixes in seeds.values():
+            got = cls.build_uspto_seed(corpus, prefixes, hops)
+            assert got == ref.build_uspto_seed(corpus, prefixes, hops), (prefixes, hops)
+
+    cfg = uspto_config(
+        components=("a", "b"), seed_rules=seeds, expansion_hops=rng.randrange(3),
+        vocab_size=rng.randrange(3, 40), epochs=5,
+    )
+    try:
+        model = cls.train_uspto(corpus, cfg)
+    except ConfigError:  # a seed that matches nothing, or everything
+        return
+    ids = list(corpus.ids())
+    for comp in model.components:
+        train_ids = sorted(comp.seed) + sorted(comp.anti_seed)
+        assert comp.vocab == ref.top_tokens(corpus, train_ids, cfg.vocab_size)
+        for rows in (train_ids, ids):
+            got = cls._features(corpus, rows, cls._bag(corpus, rows), comp.vocab, comp.seed)
+            assert np.array_equal(got, ref.features(corpus, rows, comp.vocab, comp.seed))
+    assert cls.classify_uspto(corpus, model) == ref.classify_uspto(corpus, model)
+
+
+class TestInternedEdges:
+    def corpus(self):
+        return build_corpus(
+            {"A": 2000, "B": 2000, "C": 2000},
+            codes={"A": ["G06N20/00"], "B": ["H04L9/40"]},
+            texts={
+                "A": {"title": "a deep", "abstract": "learning model"},  # split phrase
+                "B": {"description": "a fuzzy logic neural network"},  # description only
+                "C": {"claims": "deep learning"},
+            },
+        )
+
+    def test_phrase_split_across_fields_does_not_match(self):
+        table = cls.KeywordTable.from_pairs([("deep learning", "learning")])
+        assert cls.classify_keyword(self.corpus(), table) == {"C"}
+
+    def test_description_hit_counts_for_keyword_not_wipo(self):
+        c = self.corpus()
+        assert cls.classify_keyword(c) == {"B", "C"}
+        assert cls.classify_wipo(c, (cls.WipoRule("keyword", phrase=("neural", "network")),)) == set()
+        assert cls.classify_wipo(c, (cls.WipoRule("keyword", phrase=("deep", "learning")),)) == {"C"}
+
+    def test_phrase_token_absent_from_corpus(self):
+        c = self.corpus()
+        assert c.tokens()["title"].id_of("zeppelin") == -1
+        table = cls.KeywordTable.from_pairs([("zeppelin", "robotics"), ("deep zeppelin", "learning")])
+        assert cls.classify_keyword(c, table) == frozenset()
+        rules = (cls.WipoRule("combined", "G06N", ("deep", "zeppelin")),)
+        assert cls.classify_wipo(c, rules) == frozenset()
+
+    def test_prefix_after_every_code(self):
+        c = self.corpus()
+        assert c.code_index().names == ("G06N20/00", "H04L9/40")
+        assert cls.classify_prefix_group(c, "H04L9/40") == {"B"}
+        assert cls.classify_prefix_group(c, "H04L9/400") == frozenset()
+        assert cls.classify_prefix_group(c, "Z") == frozenset()
+
+
 def separable_corpus():
     """20 positives carrying a marker token and Y02 codes, 60 negatives."""
     years, codes, texts = {}, {}, {}

@@ -269,6 +269,29 @@ class TestRunPipeline:
         assert read(reused / "corpus" / "patents.tsv") == read(fresh / "corpus" / "patents.tsv")
 
 
+    def test_removed_group_leaves_no_file(self, ws, full_run, tmp_path):
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        parser = configparser.ConfigParser()
+        parser.read_string(RUN_TEXT)
+        del parser["group:Auto"]
+        parser["inputs"]["synth"] = str(ws / "small.synth")
+        cfg = tmp_path / "fewer.run"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--only", "classify"]) == 0
+        assert not (out / "groups" / "Auto.ids").exists()
+        assert (out / "groups" / "Keyword.ids").exists()
+        assert "groups/Auto.ids" not in read(out / "manifest.txt")
+
+    def test_run_log_has_uspto_diagnostics(self, full_run):
+        lines = [ln for ln in read(full_run / "run.log").splitlines() if "component" in ln]
+        assert len(lines) == 1
+        assert lines[0].startswith("classify: Auto component ai_core: seed ")
+        seed, anti, vocab = (int(part.split()[-1]) for part in lines[0].split(":")[-1].split(","))
+        assert seed > 0 and anti == seed and 0 < vocab <= 200
+
+
 class TestExitCodes:
     def test_missing_run_config(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "none.run"), "--out", str(tmp_path / "o")])

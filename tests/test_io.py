@@ -3,6 +3,7 @@ import os
 import pytest
 
 from dataclasses import replace
+from pathlib import Path
 
 from patmetrics import io as pio
 from patmetrics import synth
@@ -238,7 +239,7 @@ class TestSeriesFiles:
         b = GroupSeries("B", "counts", ((2001, 0.5),))
         path = str(tmp_path / "counts.metric.tsv")
         pio.write_series(path, [b, a])  # unsorted input
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "year\tA\tB"
         assert lines[1] == "2000\t1\t"
         assert lines[2] == "2001\t2\t0.5"
@@ -248,7 +249,7 @@ class TestSeriesFiles:
         s = GroupSeries("A", "share", ((2000, 0.123456789), (2001, 1234567.0)))
         path = str(tmp_path / "share.metric.tsv")
         pio.write_series(path, [s])
-        content = open(path).read()
+        content = Path(path).read_text()
         assert "0.123457" in content
         assert "1.23457e+06" in content
 
@@ -274,7 +275,7 @@ class TestSeriesFiles:
         back = pio.read_series(p1, "growth")
         assert [s.group for s in back] == ["A", "B", "C"]
         pio.write_series(p2, back)
-        assert open(p1).read() == open(p2).read()
+        assert Path(p1).read_text() == Path(p2).read_text()
 
     def test_duplicate_groups_rejected(self, tmp_path):
         s = GroupSeries("A", "counts", ((2000, 1.0),))
@@ -284,7 +285,7 @@ class TestSeriesFiles:
     def test_ids_round_trip(self, tmp_path):
         path = str(tmp_path / "g.ids")
         pio.write_ids(path, {"P2", "P10", "P1"})
-        assert open(path).read() == "P1\nP10\nP2\n"
+        assert Path(path).read_text() == "P1\nP10\nP2\n"
         assert pio.read_ids(path) == {"P1", "P2", "P10"}
 
 
@@ -298,7 +299,7 @@ class TestSvg:
     def test_writes_valid_svg_with_polylines(self, tmp_path):
         path = str(tmp_path / "chart.svg")
         skipped = pio.write_svg_lines(path, self.series(), "counts")
-        text = open(path).read()
+        text = Path(path).read_text()
         assert skipped == []
         assert text.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="720" height="480"')
         assert text.count("<polyline") == 2
@@ -310,7 +311,7 @@ class TestSvg:
         series = self.series() + [GroupSeries("C", "counts", ((2000, 9.0),))]
         skipped = pio.write_svg_lines(str(tmp_path / "c.svg"), series, "counts")
         assert skipped == ["C"]
-        assert open(tmp_path / "c.svg").read().count("<polyline") == 2
+        assert (tmp_path / "c.svg").read_text().count("<polyline") == 2
 
     def test_error_when_nothing_drawable(self, tmp_path):
         series = [GroupSeries("C", "counts", ((2000, 9.0),))]
@@ -321,7 +322,7 @@ class TestSvg:
         p1, p2 = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
         pio.write_svg_lines(p1, self.series(), "counts")
         pio.write_svg_lines(p2, self.series(), "counts")
-        assert open(p1).read() == open(p2).read()
+        assert Path(p1).read_text() == Path(p2).read_text()
 
     def test_flat_series_padded_axis(self, tmp_path):
         flat = [GroupSeries("A", "counts", ((2000, 2.0), (2001, 2.0)))]
@@ -337,7 +338,7 @@ class TestManifest:
         write(tmp_path / "run.log", "log line\n")
         rels = pio.write_manifest(str(tmp_path))
         assert rels == ["a.txt", "b.txt", "sub/c.txt"]
-        lines = open(tmp_path / "manifest.txt").read().splitlines()
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
         assert len(lines) == 3
         for line in lines:
             digest, rel = line.split("  ")
@@ -347,6 +348,6 @@ class TestManifest:
     def test_rewrite_is_stable(self, tmp_path):
         write(tmp_path / "a.txt", "aaa\n")
         pio.write_manifest(str(tmp_path))
-        first = open(tmp_path / "manifest.txt").read()
+        first = (tmp_path / "manifest.txt").read_text()
         pio.write_manifest(str(tmp_path))
-        assert open(tmp_path / "manifest.txt").read() == first
+        assert (tmp_path / "manifest.txt").read_text() == first
