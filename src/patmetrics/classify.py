@@ -340,45 +340,45 @@ def build_uspto_seed(
     return _members(corpus, seed)
 
 
-def _bag(corpus: Corpus, ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def _bag(corpus: Corpus, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, token id) of each title, abstract and claims token of the patent
-    ids[i]: the pooled bags of tokens behind the text features."""
-    position = corpus.arrays().position
-    at = np.fromiter(map(position.__getitem__, ids), np.int64, len(ids))
-    i, tok = zip(*(corpus.tokens()[name].take(at) for name in USPTO_TEXT_FIELDS))
+    at position rows[i]: the pooled bags of tokens behind the text features."""
+    i, tok = zip(*(corpus.tokens()[name].take(rows) for name in USPTO_TEXT_FIELDS))
     return np.concatenate(i), np.concatenate(tok)
 
 
-def _citation_features(corpus: Corpus, ids: Sequence[str], seed: frozenset[str]) -> np.ndarray:
-    """log1p of each patent's citations to, then from, the seed; per count by
-    `math.log1p`, since `np.log1p` may differ in the last bit."""
+def _citation_features(corpus: Corpus, seed: frozenset[str]) -> np.ndarray:
+    """log1p of each patent's citations to, then from, the seed, one row per
+    position; by `math.log1p` of each count, since `np.log1p` may differ in
+    the last bit."""
     a, in_seed = corpus.arrays(), corpus.mask(seed)
     back = np.bincount(a.citing[in_seed[a.cited]], minlength=len(corpus))
     fwd = np.bincount(a.cited[in_seed[a.citing]], minlength=len(corpus))
-    at = [a.position[pid] for pid in ids]
-    cells = [math.log1p(n) for pair in zip(back[at].tolist(), fwd[at].tolist()) for n in pair]
-    return np.array(cells, dtype=np.float64).reshape(len(ids), 2)
+    counts = np.stack([back, fwd], axis=1)
+    return np.array([math.log1p(k) for k in range(counts.max(initial=0) + 1)])[counts]
 
 
 def _features(
     corpus: Corpus,
-    ids: Sequence[str],
     bag: tuple[np.ndarray, np.ndarray],
     vocab: Sequence[str],
-    seed: frozenset[str],
+    cites: np.ndarray,
 ) -> np.ndarray:
-    """Token shares over the vocabulary, then log citation counts to and
-    from the seed: the feature rows of both training and scoring.  A share
-    is n / total of in-vocabulary token counts, 0 where the total is 0."""
-    n, v = len(ids), len(vocab)
+    """Token shares over the vocabulary, then the rows `cites` of log
+    citation counts to and from the seed: the feature rows of both training
+    and scoring.  A share is n / total of in-vocabulary token counts, 0
+    where the total is 0."""
+    n, v = len(cites), len(vocab)
     words = corpus.tokens()["title"]  # every field's names are the one vocabulary
     known = np.array([words.id_of(tok) for tok in vocab], np.int64)
     column = np.full(len(words.names), v)  # token id -> feature column, v for the rest
     column[known[known >= 0]] = np.flatnonzero(known >= 0)
     counts = np.bincount(bag[0] * np.int64(v + 1) + column[bag[1]], minlength=n * (v + 1))
     counts = counts.reshape(n, v + 1)[:, :v]
-    text = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
-    return np.hstack([text, _citation_features(corpus, ids, seed)])
+    X = np.empty((n, v + 2))
+    np.divide(counts, np.maximum(counts.sum(axis=1), 1)[:, None], out=X[:, :v])
+    X[:, v:] = cites
+    return X
 
 
 def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel:
@@ -402,13 +402,14 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
         anti = frozenset(rng.sample(pool, min(len(seed), len(pool))))
 
         train_ids = sorted(seed) + sorted(anti)
+        rows = np.array([corpus.arrays().position[p] for p in train_ids], np.int64)
         y = np.array([1.0] * len(seed) + [0.0] * len(anti))
-        bag = _bag(corpus, train_ids)
+        bag = _bag(corpus, rows)
         # the most frequent tokens, ties in id order, which is token order
         counts = np.bincount(bag[1], minlength=len(corpus.tokens()["title"].names))
         top = np.argsort(-counts, kind="stable")[: min(cfg.vocab_size, np.count_nonzero(counts))]
         vocab = tuple(corpus.tokens()["title"].names[k] for k in top.tolist())
-        X = _features(corpus, train_ids, bag, vocab, seed)
+        X = _features(corpus, bag, vocab, _citation_features(corpus, seed)[rows])
         # max-abs column scaling during descent only; folding the scales back
         # into the weights keeps scoring a plain dot product on raw features
         scales = np.abs(X).max(axis=0)
@@ -429,14 +430,14 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
 
 def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
     """Union of patents scoring strictly above the threshold in any component."""
-    ids = list(corpus.ids())
-    hit = np.zeros(len(ids), bool)
+    cites = [_citation_features(corpus, comp.seed) for comp in model.components]
+    hit = np.zeros(len(corpus), bool)
     chunk = 4096
-    for start in range(0, len(ids), chunk):
-        batch = ids[start : start + chunk]
-        bag = _bag(corpus, batch)
-        for comp in model.components:
-            X = _features(corpus, batch, bag, comp.vocab, comp.seed)
+    for start in range(0, len(corpus), chunk):
+        rows = np.arange(start, min(start + chunk, len(corpus)))
+        bag = _bag(corpus, rows)
+        for comp, comp_cites in zip(model.components, cites):
+            X = _features(corpus, bag, comp.vocab, comp_cites[rows])
             scores = 1.0 / (1.0 + np.exp(-(X @ comp.weights + comp.bias)))
-            hit[start : start + len(batch)] |= scores > model.config.threshold
+            hit[rows] |= scores > model.config.threshold
     return _members(corpus, hit)

@@ -286,12 +286,19 @@ def _ensure_corpus(cfg: RunConfig, out_dir: str, log: RunLog) -> Corpus:
 # ---------------------------------------------------------------------------
 # stages
 
+def _clear(out_dir: str, name: str) -> str:
+    """Remove the subdirectory `name` of `out_dir` that a stage owns, so
+    nothing an earlier run wrote there outlives the stage; return its path."""
+    path = os.path.join(out_dir, name)
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    return path
+
+
 def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> None:
     """Write one member list per configured group into a fresh `groups/`,
     so no group dropped from the config outlives it."""
-    groups_dir = os.path.join(out_dir, "groups")
-    if os.path.isdir(groups_dir):
-        shutil.rmtree(groups_dir)
+    groups_dir = _clear(out_dir, "groups")
     for g in cfg.groups:
         if g.kind == "keyword":
             table = cls.load_keywords(g.keywords_path) if g.keywords_path else None
@@ -356,7 +363,14 @@ def _mpath(out_dir: str, stem: str) -> str:
 
 
 def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> None:
+    """Write the metric tables into a fresh `metrics/`, and the descendants
+    of each approach group into `groups/`, replacing those of earlier runs."""
     groups = _read_groups(cfg, out_dir)
+    _clear(out_dir, "metrics")
+    kept = {f"{g.name}.ids" for g in cfg.groups}
+    for name in os.listdir(os.path.join(out_dir, "groups")):
+        if name.endswith(".descendants.ids") and name not in kept:
+            os.remove(os.path.join(out_dir, "groups", name))
     masks = {name: corpus.mask(ids) for name, ids in groups.items()}
     order = [g.name for g in cfg.groups]
     approach = [g.name for g in cfg.groups if g.kind in APPROACH_KINDS]
@@ -471,6 +485,8 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> 
 
 
 def stage_stats(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
+    """Write the period tests of each compared metric into a fresh `stats/`."""
+    _clear(out_dir, "stats")
     for metric in cfg.compare:
         path = _mpath(out_dir, metric)
         if not os.path.exists(path):
@@ -537,9 +553,11 @@ def stage_stats(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
 
 
 def stage_report(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
+    """Plot every metric table into a fresh `plots/`."""
     metrics_dir = os.path.join(out_dir, "metrics")
     if not os.path.isdir(metrics_dir):
         raise DataError(f"missing directory {metrics_dir}; run the metrics stage first")
+    _clear(out_dir, "plots")
     made = 0
     for name in sorted(os.listdir(metrics_dir)):
         if not name.endswith(".metric.tsv"):

@@ -19,13 +19,18 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
+from string import ascii_lowercase, digits
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import CpcParseError, DataError
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+#: A token is a maximal run of ASCII ``[0-9a-z]`` in the lowercased text.
+#: This table keeps those bytes and turns every other byte into a space;
+#: after `str.lower()` a non-ASCII character encodes to bytes >= 0x80 only,
+#: so it separates tokens too.
+_TOKEN_BYTES = bytes(b if chr(b) in digits + ascii_lowercase else 0x20 for b in range(256))
 
 # Section letter, two-digit class, subclass letter, optional group/subgroup tail.
 _CPC_RE = re.compile(r"^[A-HY][0-9]{2}[A-Z](?:[0-9]+(?:/[0-9]+)?)?$")
@@ -39,9 +44,14 @@ DEFAULT_WINDOW = (1990, 2019)
 TEXT_FIELDS = ("title", "abstract", "claims", "description")
 
 
+def _token_bytes(text: str) -> list[bytes]:
+    """The tokens of `text`, as ASCII bytes."""
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).split()
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase alphanumeric tokens; every other character separates."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase ASCII alphanumeric tokens; every other character separates."""
+    return [tok.decode("ascii") for tok in _token_bytes(text)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,20 +269,21 @@ def index_tokens(fields: Mapping[str, Iterable[str]]) -> dict[str, Csr]:
     """Tokenize every text of each field once: one `Csr` per field, whose
     row i holds the tokens of text i, over one vocabulary shared by all
     fields.  Ids are given in order of first sight, then renumbered in
-    token order."""
-    seen: defaultdict[str, int] = defaultdict()
+    token order; only the sorted vocabulary is decoded to `str`."""
+    seen: defaultdict[bytes, int] = defaultdict()
     seen.default_factory = seen.__len__  # a new token takes the next id
     csr = {}
     for name, texts in fields.items():
         ids, indptr = [], [0]
         for text in texts:
-            ids += map(seen.__getitem__, tokenize(text))
+            ids += map(seen.__getitem__, _token_bytes(text))
             indptr.append(len(ids))
         csr[name] = (np.array(indptr, np.int32), np.array(ids, np.int32))
-    vocab = tuple(sorted(seen))
+    vocab = sorted(seen)
     rank = np.empty(len(vocab), np.int32)
     rank[[seen[tok] for tok in vocab]] = np.arange(len(vocab), dtype=np.int32)
-    return {name: Csr(vocab, indptr, rank[ids]) for name, (indptr, ids) in csr.items()}
+    names = tuple(tok.decode("ascii") for tok in vocab)
+    return {name: Csr(names, indptr, rank[ids]) for name, (indptr, ids) in csr.items()}
 
 
 @dataclass(frozen=True, eq=False)

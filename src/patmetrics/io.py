@@ -14,9 +14,9 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from html import escape
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
-from xml.sax.saxutils import escape
 
 from .corpus import DEFAULT_WINDOW, Corpus, CorpusBuilder, PatentRecord
 from .errors import DataError
@@ -327,7 +327,7 @@ def write_svg_lines(path: str, series_list: Sequence[GroupSeries], label: str) -
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.0f}" y="{mt - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(label)}</text>',
+        f'font-family="sans-serif" font-size="14">{escape(label, quote=False)}</text>',
     ]
 
     axis = 'stroke="black" stroke-width="1"'
@@ -364,7 +364,7 @@ def write_svg_lines(path: str, series_list: Sequence[GroupSeries], label: str) -
     parts.append(
         f'<text x="{cx}" y="{cy:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="11" '
-        f'transform="rotate(-90 {cx} {cy:.0f})">{escape(label)}</text>'
+        f'transform="rotate(-90 {cx} {cy:.0f})">{escape(label, quote=False)}</text>'
     )
 
     for i, s in enumerate(drawable):
@@ -381,7 +381,7 @@ def write_svg_lines(path: str, series_list: Sequence[GroupSeries], label: str) -
         )
         parts.append(
             f'<text x="{lx + 22}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{escape(s.group)}</text>'
+            f'font-size="11">{escape(s.group, quote=False)}</text>'
         )
 
     parts.append("</svg>")

@@ -1,10 +1,11 @@
 """Reference implementations of the classifiers' per-patent loops.
 
 These are the loops that `patmetrics.classify` replaced with array
-operations over the corpus's interned indexes: phrase matching over token
-strings, CPC prefixes by `str.startswith` on each patent's codes, the
-seed expansion over (citing id, cited id) pairs, and the USPTO features
-from one `Counter` of tokens per patent.  They are kept as test oracles:
+operations over the corpus's interned indexes: a regular-expression
+tokenizer, phrase matching over token strings, CPC prefixes by
+`str.startswith` on each patent's codes, the seed expansion over (citing
+id, cited id) pairs, and the USPTO features from one `Counter` of tokens
+per patent.  They are kept as test oracles:
 memberships and vocabularies must be equal, and feature matrices bit-equal,
 to what `patmetrics.classify` returns.
 """
@@ -12,8 +13,9 @@ to what `patmetrics.classify` returns.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,11 +25,33 @@ from patmetrics.classify import (
     WIPO_TEXT_FIELDS,
     default_keywords,
     default_wipo_rules,
-    tokenize,
 )
+from patmetrics.corpus import Csr
 from patmetrics.errors import ConfigError
 
 from helpers import citation_triples
+
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def tokenize(text: str) -> list[str]:
+    """Maximal runs of ASCII letters and digits in the lowercased text."""
+    return _TOKEN_RE.findall(text.lower())
+
+
+def index_tokens(fields: Mapping[str, Iterable[str]]) -> dict[str, Csr]:
+    """One `Csr` of token ids per field over the sorted vocabulary of all
+    fields, row i holding the tokens of text i in text order."""
+    tokens = {name: [tokenize(text) for text in texts] for name, texts in fields.items()}
+    names = tuple(sorted({tok for rows in tokens.values() for row in rows for tok in row}))
+    rank = {tok: k for k, tok in enumerate(names)}
+    out = {}
+    for name, rows in tokens.items():
+        indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.int32)
+        ids = np.array([rank[tok] for row in rows for tok in row], np.int32)
+        out[name] = Csr(names, indptr, ids)
+    return out
 
 
 def _pairs(corpus) -> list[tuple[str, str]]:

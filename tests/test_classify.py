@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from patmetrics import classify as cls
+from patmetrics.corpus import CorpusBuilder, index_tokens
 from patmetrics.errors import ConfigError
 
 import reference_classify as ref
@@ -18,6 +19,35 @@ class TestTokenize:
     def test_empty(self):
         assert cls.tokenize("") == []
         assert cls.tokenize("...") == []
+
+    def test_non_ascii(self):
+        assert cls.tokenize("\u212aelvin") == ["kelvin"]  # the Kelvin sign lowercases to k
+        assert cls.tokenize("ab\ud800cd") == ["ab", "cd"]  # a lone surrogate separates
+        assert cls.tokenize("\uff41 x\u00b2y") == ["x", "y"]  # full-width a, superscript 2
+
+
+#: Characters whose lowercase is ASCII, non-ASCII letters and digits,
+#: control and line-break characters, a lone surrogate and an emoji.
+TOKEN_ALPHABET = (
+    "abcxyzABCXYZ0189 -.,;_/\t\n"
+    "\u212a\u0130\u017f\uff21\u00b2\u0663\x00\r\x85\ud800\U0001f600"
+)
+
+
+def test_tokenize_equals_regex_oracle():
+    """The byte-table tokenizer and the token index equal the regular
+    expression over the lowercased text, on random hostile strings."""
+    rng = random.Random(8800)
+    for _ in range(300):
+        texts = ["".join(rng.choices(TOKEN_ALPHABET, k=rng.randrange(0, 40))) for _ in range(5)]
+        for text in texts:
+            assert cls.tokenize(text) == ref.tokenize(text), repr(text)
+        fields = {"a": texts[:2], "b": texts[2:], "c": []}
+        got, want = index_tokens(fields), ref.index_tokens(fields)
+        for name in fields:
+            assert got[name].names == want[name].names
+            assert np.array_equal(got[name].indptr, want[name].indptr)
+            assert np.array_equal(got[name].ids, want[name].ids)
 
 
 class TestPhraseMatcher:
@@ -200,11 +230,12 @@ def test_citation_inputs_equal_reference_loops(seed):
     for hops in (0, 1, 2):
         seed_ids = cls.build_uspto_seed(corpus, prefixes, hops)
         assert seed_ids == ref.build_uspto_seed(corpus, prefixes, hops), hops
+    rows = [corpus.arrays().position[p] for p in ids]
     for group in (frozenset(ai), seed_ids, frozenset(), frozenset(ids)):
-        got = cls._citation_features(corpus, ids, group)
-        assert got.dtype == np.float64 and got.shape == (len(ids), 2)
-        assert np.array_equal(got, ref.citation_features(corpus, ids, group))
-    assert cls._citation_features(corpus, [], frozenset(ai)).shape == (0, 2)
+        got = cls._citation_features(corpus, group)
+        assert got.dtype == np.float64 and got.shape == (len(corpus), 2)
+        assert np.array_equal(got[rows], ref.citation_features(corpus, ids, group))
+    assert cls._citation_features(CorpusBuilder().build(), frozenset()).shape == (0, 2)
 
 
 #: Full CPC codes for the random text corpora: the default WIPO prefixes
@@ -299,8 +330,11 @@ def test_classifiers_equal_reference_loops(seed):
     for comp in model.components:
         train_ids = sorted(comp.seed) + sorted(comp.anti_seed)
         assert comp.vocab == ref.top_tokens(corpus, train_ids, cfg.vocab_size)
+        cites = cls._citation_features(corpus, comp.seed)
         for rows in (train_ids, ids):
-            got = cls._features(corpus, rows, cls._bag(corpus, rows), comp.vocab, comp.seed)
+            at = np.array([corpus.arrays().position[p] for p in rows], np.int64)
+            got = cls._features(corpus, cls._bag(corpus, at), comp.vocab, cites[at])
+            assert got.flags.c_contiguous
             assert np.array_equal(got, ref.features(corpus, rows, comp.vocab, comp.seed))
     assert cls.classify_uspto(corpus, model) == ref.classify_uspto(corpus, model)
 

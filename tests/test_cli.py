@@ -1,6 +1,8 @@
 import configparser
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -283,6 +285,34 @@ class TestRunPipeline:
         assert not (out / "groups" / "Auto.ids").exists()
         assert (out / "groups" / "Keyword.ids").exists()
         assert "groups/Auto.ids" not in read(out / "manifest.txt")
+
+    def test_rerun_rewrites_stage_directories(self, ws, full_run, tmp_path):
+        # fewer levels, no smoothing, no descendants and another compared
+        # metric: a rerun into the old directory equals a run into a new one
+        parser = configparser.ConfigParser()
+        parser.read_string(RUN_TEXT)
+        parser["inputs"]["synth"] = str(ws / "small.synth")
+        parser["group:Auto"]["config"] = str(ws / "small.uspto")
+        parser["metrics"].update(levels="1", lowess="", descendants="false")
+        parser["stats"]["compare"] = "counts"
+        cfg = tmp_path / "less.run"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
+        shutil.copytree(full_run, out)
+        code = cli.main(
+            ["run", "--config", str(cfg), "--out", str(out), "--only", "metrics,stats,report"]
+        )
+        assert code == 0
+        assert cli.main(["run", "--config", str(cfg), "--out", str(fresh)]) == 0
+        manifest = read(out / "manifest.txt")
+        for stale in (
+            "metrics/growth_lowess.metric.tsv", "metrics/generality_d3.metric.tsv",
+            "plots/growth_lowess.svg", "groups/Keyword.descendants.ids",
+            "stats/growth_summary.tsv",
+        ):
+            assert not (out / stale).exists() and stale not in manifest, stale
+        assert manifest == read(fresh / "manifest.txt")
 
     def test_run_log_has_uspto_diagnostics(self, full_run):
         lines = [ln for ln in read(full_run / "run.log").splitlines() if "component" in ln]
@@ -639,3 +669,13 @@ class TestUsptoConfigParsing:
         path.write_text("[uspto]\nthreshold = 1.5\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             cli.load_uspto_config(str(path))
+
+
+def test_import_loads_no_network_modules():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, patmetrics.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

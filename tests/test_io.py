@@ -307,6 +307,13 @@ class TestSvg:
         assert ">year</text>" in text
         assert "2000" in text and "2002" in text
 
+    def test_markup_characters_escaped(self, tmp_path):
+        series = [GroupSeries("G&\"<'>", "x", ((2000, 1.0), (2001, 2.0)))]
+        pio.write_svg_lines(str(tmp_path / "m.svg"), series, "a&b<c>\"d'e")
+        text = (tmp_path / "m.svg").read_text()
+        assert text.count(">a&amp;b&lt;c&gt;\"d'e</text>") == 2  # title and y-axis label
+        assert ">G&amp;\"&lt;'&gt;</text>" in text
+
     def test_single_point_series_skipped(self, tmp_path):
         series = self.series() + [GroupSeries("C", "counts", ((2000, 9.0),))]
         skipped = pio.write_svg_lines(str(tmp_path / "c.svg"), series, "counts")
