@@ -3,7 +3,6 @@
 from .corpus import (
     Corpus,
     CorpusBuilder,
-    CpcCode,
     PatentRecord,
     ScienceLink,
     parse_cpc,
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus",
     "CorpusBuilder",
-    "CpcCode",
     "PatentRecord",
     "ScienceLink",
     "parse_cpc",

@@ -3,7 +3,7 @@ rule table, CPC-prefix groups, and a trained per-component text classifier.
 
 All classifiers return frozensets of patent ids, so downstream metrics are
 indifferent to how a group was produced.  They read text and CPC codes
-through the corpus's interned indexes (`Corpus.tokens`, `Corpus.code_index`),
+through the corpus's interned indexes (`Corpus.tokens`, `Corpus.codes`),
 so each text field of each patent is tokenized once per corpus, and phrase
 and prefix matching are array operations over token and code ids.
 """
@@ -34,7 +34,7 @@ WIPO_TEXT_FIELDS = ("title", "abstract", "claims")
 
 def _members(corpus: Corpus, mask: np.ndarray) -> frozenset[str]:
     """The ids of the patents a position mask marks."""
-    return frozenset(compress(corpus.arrays().ids, mask.tolist()))
+    return frozenset(compress(corpus.ids, mask.tolist()))
 
 
 class PhraseMatcher:
@@ -104,15 +104,18 @@ class KeywordTable:
 
 def _rule_rows(path: str, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of each non-empty row of a TSV whose header
-    starts with `columns`."""
+    starts with `columns`.  A file that is not UTF-8 is a `ConfigError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[: len(columns)] != list(columns):
-            raise ConfigError(f"{path}: expected columns {', '.join(columns)}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if line:
-                yield lineno, line.split("\t")
+        try:
+            header = fh.readline().rstrip("\n").split("\t")
+            if header[: len(columns)] != list(columns):
+                raise ConfigError(f"{path}: expected columns {', '.join(columns)}")
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line.split("\t")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def _packaged(name: str, load):
@@ -210,7 +213,7 @@ def classify_wipo(corpus: Corpus, rules: Sequence[WipoRule] | None = None) -> fr
         rules = default_wipo_rules()
     if not rules:
         raise ConfigError("rule set is empty")
-    codes = corpus.code_index()
+    codes = corpus.codes
     has_phrase = {
         ph: PhraseMatcher([ph]).patents(corpus, WIPO_TEXT_FIELDS)
         for ph in {r.phrase for r in rules if r.kind != "code"}
@@ -233,11 +236,11 @@ def classify_prefix_group(corpus: Corpus, prefix: str) -> frozenset[str]:
     """Patents holding a CPC code starting with `prefix`; "All" selects the
     entire corpus."""
     if prefix == "All":
-        return frozenset(corpus.ids())
+        return frozenset(corpus.ids)
     pref = prefix.strip().upper()
     if not pref:
         raise ConfigError("empty CPC prefix")
-    return _members(corpus, corpus.code_index().carriers(pref))
+    return _members(corpus, corpus.codes.carriers(pref))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +299,8 @@ class UsptoConfig:
             raise ConfigError("vocab_size must be positive")
         if self.epochs < 0 or self.expansion_hops < 0:
             raise ConfigError("epochs and expansion_hops must be non-negative")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite: {self.learning_rate}")
         for comp in self.components:
             if not self.seed_rules.get(comp):
                 raise ConfigError(f"component {comp!r} has no seed prefixes")
@@ -325,15 +330,14 @@ def build_uspto_seed(
     cleaned = [p.strip().upper() for p in prefixes if p.strip()]
     if not cleaned:
         raise ConfigError("no seed prefixes given")
-    a = corpus.arrays()
-    seed = np.logical_or.reduce([corpus.code_index().carriers(pref) for pref in cleaned])
+    seed = np.logical_or.reduce([corpus.codes.carriers(pref) for pref in cleaned])
     for _ in range(hops):
         sub = corpus.class_index(4)
         owners = sub.owners()
         grown = seed.copy()
         grown[owners[np.isin(sub.ids, sub.ids[seed[owners]])]] = True
-        grown[a.citing[seed[a.cited]]] = True
-        grown[a.cited[seed[a.citing]]] = True
+        grown[corpus.citing[seed[corpus.cited]]] = True
+        grown[corpus.cited[seed[corpus.citing]]] = True
         if (grown == seed).all():
             break
         seed = grown
@@ -351,9 +355,9 @@ def _citation_features(corpus: Corpus, seed: frozenset[str]) -> np.ndarray:
     """log1p of each patent's citations to, then from, the seed, one row per
     position; by `math.log1p` of each count, since `np.log1p` may differ in
     the last bit."""
-    a, in_seed = corpus.arrays(), corpus.mask(seed)
-    back = np.bincount(a.citing[in_seed[a.cited]], minlength=len(corpus))
-    fwd = np.bincount(a.cited[in_seed[a.citing]], minlength=len(corpus))
+    in_seed = corpus.mask(seed)
+    back = np.bincount(corpus.citing[in_seed[corpus.cited]], minlength=len(corpus))
+    fwd = np.bincount(corpus.cited[in_seed[corpus.citing]], minlength=len(corpus))
     counts = np.stack([back, fwd], axis=1)
     return np.array([math.log1p(k) for k in range(counts.max(initial=0) + 1)])[counts]
 
@@ -395,14 +399,14 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
         seed = build_uspto_seed(corpus, cfg.seed_rules[comp], cfg.expansion_hops)
         if not seed:
             raise ConfigError(f"component {comp!r}: seed matches no patent")
-        pool = sorted(set(corpus.ids()) - seed)
+        pool = sorted(set(corpus.ids) - seed)
         if not pool:
             raise ConfigError(f"component {comp!r}: no negatives left to sample")
         rng = random.Random(f"{cfg.anti_seed_rng}:{comp}")
         anti = frozenset(rng.sample(pool, min(len(seed), len(pool))))
 
         train_ids = sorted(seed) + sorted(anti)
-        rows = np.array([corpus.arrays().position[p] for p in train_ids], np.int64)
+        rows = np.array([corpus.position[p] for p in train_ids], np.int64)
         y = np.array([1.0] * len(seed) + [0.0] * len(anti))
         bag = _bag(corpus, rows)
         # the most frequent tokens, ties in id order, which is token order

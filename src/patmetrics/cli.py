@@ -27,7 +27,7 @@ from . import io as pio
 from . import metrics as met
 from . import stats as st
 from . import synth as syn
-from .corpus import Corpus, DEFAULT_WINDOW
+from .corpus import Corpus
 from .errors import ConfigError, DataError, PatmetricsError
 
 STAGES = ("classify", "metrics", "stats", "report")
@@ -49,23 +49,25 @@ class GroupConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run config; `load_run_config` states its defaults."""
+
     base_dir: str
-    strict: bool = False
-    window: tuple[int, int] = DEFAULT_WINDOW
-    periods: tuple[tuple[int, int], ...] = ()
-    synth_path: str | None = None
-    table_paths: tuple[tuple[str, str | None], ...] = ()
-    groups: tuple[GroupConfig, ...] = ()
-    levels: tuple[int, ...] = (1, 3, 4)
-    universes: tuple[tuple[int, int], ...] = ()
-    lag_mode: str = "all_citations"
-    zscore_metrics: tuple[str, ...] = ()
-    lowess_metrics: tuple[str, ...] = ()
-    lowess_fraction: float = 2.0 / 3.0
-    descendants: bool = True
-    compare: tuple[str, ...] = ("growth",)
-    holm: bool = True
-    exact_cutoff: int = st.DEFAULT_EXACT_CUTOFF
+    strict: bool
+    window: tuple[int, int]
+    periods: tuple[tuple[int, int], ...]
+    synth_path: str | None
+    table_paths: tuple[tuple[str, str | None], ...]
+    groups: tuple[GroupConfig, ...]
+    levels: tuple[int, ...]
+    universes: tuple[tuple[int, int], ...]
+    lag_mode: str
+    zscore_metrics: tuple[str, ...]
+    lowess_metrics: tuple[str, ...]
+    lowess_fraction: float
+    descendants: bool
+    compare: tuple[str, ...]
+    holm: bool
+    exact_cutoff: int
     seed_override: int | None = None
 
 
@@ -101,9 +103,7 @@ def _get(section, key: str, parse, default, path: str):
 
 
 def load_run_config(path: str) -> RunConfig:
-    parser = configparser.ConfigParser()
-    if not parser.read(path, encoding="utf-8"):
-        raise ConfigError(f"cannot read run config {path!r}")
+    parser = pio.read_config(path)
     base = os.path.dirname(os.path.abspath(path))
     for name in ("run", "metrics", "stats"):
         if name not in parser:
@@ -182,6 +182,8 @@ def load_run_config(path: str) -> RunConfig:
     for lv in (3, 4):
         universe = _get(m, f"diversity_universe_{lv}", int, None, path)
         if universe is not None:
+            if universe < 1:
+                raise ConfigError(f"{path}: diversity_universe_{lv} must be at least 1: {universe}")
             universes.append((lv, universe))
     lag_mode = m.get("lag_mode", "all_citations").strip()
     if lag_mode not in ("all_citations", "first_citation"):
@@ -277,7 +279,7 @@ def _ensure_corpus(cfg: RunConfig, out_dir: str, log: RunLog) -> Corpus:
             t.path = rel
     pio.write_text(os.path.join(out_dir, "load-report.txt"), report.format())
     log.line(
-        f"load: {len(corpus)} patents, {len(corpus.arrays().citing)} citations, "
+        f"load: {len(corpus)} patents, {len(corpus.citing)} citations, "
         f"{len(corpus.science)} science links"
     )
     return corpus
@@ -321,9 +323,7 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) ->
 
 
 def load_uspto_config(path: str) -> cls.UsptoConfig:
-    parser = configparser.ConfigParser()
-    if not parser.read(path, encoding="utf-8"):
-        raise ConfigError(f"cannot read config {path!r}")
+    parser = pio.read_config(path)
     if "uspto" not in parser:
         raise ConfigError(f"{path}: missing [uspto] section")
     u = parser["uspto"]
@@ -380,7 +380,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> 
     counts = {name: met.count_series(corpus, masks[name], name) for name in order}
     pio.write_series(_mpath(out_dir, "counts"), list(counts.values()))
 
-    whole = met.count_series(corpus, corpus.mask(corpus.ids()), "All")
+    whole = met.count_series(corpus, corpus.mask(corpus.ids), "All")
     shares = [met.share_series(counts[name], whole) for name in order]
     pio.write_series(_mpath(out_dir, "share"), shares)
 

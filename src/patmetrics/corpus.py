@@ -4,10 +4,10 @@ The corpus is immutable once built.  `CorpusBuilder` is the single place where
 row-level validation happens; `io.ingest` feeds it every row, whether read
 from files or freshly generated.  Builders name the reason for every rejected
 row; callers decide whether a rejection is fatal (strict mode) or merely
-counted.  A patent is known by its position in `records` order, and a
-citation exists only as a (citing, cited) pair of positions in
-`Corpus.arrays()`.  Text and CPC codes are interned once per corpus, in
-`Corpus.tokens()` and `Corpus.code_index()`, for the classifiers to read.
+counted.  A patent is known by its position in `Corpus.records`; a citation
+exists only as a (citing, cited) pair of positions, and CPC codes as the
+interned rows of `Corpus.codes`.  Text is interned once per corpus, in
+`Corpus.tokens()`, for the classifiers to read.
 """
 
 from __future__ import annotations
@@ -54,18 +54,7 @@ def tokenize(text: str) -> list[str]:
     return [tok.decode("ascii") for tok in _token_bytes(text)]
 
 
-@dataclass(frozen=True, slots=True)
-class CpcCode:
-    """A validated CPC symbol.  Prefix views expose the hierarchy levels."""
-
-    raw: str
-
-    @property
-    def subclass4(self) -> str:
-        return self.raw[:4]
-
-
-def parse_cpc(raw: str) -> CpcCode:
+def parse_cpc(raw: str) -> str:
     """Normalise and validate a CPC symbol string.
 
     Whitespace is stripped and letters uppercased.  The symbol must be at
@@ -75,7 +64,7 @@ def parse_cpc(raw: str) -> CpcCode:
     cleaned = raw.strip().upper().replace(" ", "")
     if not _CPC_RE.match(cleaned):
         raise CpcParseError(f"not a valid CPC symbol: {raw!r}")
-    return CpcCode(cleaned)
+    return cleaned
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,8 +95,9 @@ class CorpusBuilder:
 
     A duplicate patent id always raises: downstream identity assumptions
     would silently break otherwise.  Each accepted record takes the next
-    position; accepted citations are kept as position pairs, in acceptance
-    order.
+    position; accepted CPC assignments are kept as a set of (position,
+    normalised code) pairs, and accepted citations as position pairs, in
+    acceptance order.
     """
 
     def __init__(self, window: tuple[int, int] = DEFAULT_WINDOW):
@@ -115,10 +105,10 @@ class CorpusBuilder:
         if lo > hi:
             raise ValueError(f"empty corpus window {window!r}")
         self.window = (int(lo), int(hi))
-        self._records: dict[str, PatentRecord] = {}
+        self._records: list[PatentRecord] = []
         self._position: dict[str, int] = {}
         self._year = array("i")
-        self._codes: dict[str, list[CpcCode]] = {}
+        self._codes: set[tuple[int, str]] = set()
         self._citing = array("i")
         self._cited = array("i")
         self._cite_seen: set[int] = set()  # citing << 32 | cited
@@ -126,32 +116,32 @@ class CorpusBuilder:
         self._sci_seen: set[tuple[str, str, int]] = set()
 
     def grant_year(self, patent_id: str) -> int:
-        return self._records[patent_id].grant_year
+        return self._year[self._position[patent_id]]
 
     def add_record(self, rec: PatentRecord) -> str | None:
         if not rec.id:
             return "empty_id"
-        if rec.id in self._records:
+        if rec.id in self._position:
             raise DataError(f"duplicate patent id {rec.id!r}")
         lo, hi = self.window
         if not (lo <= rec.grant_year <= hi):
             return "year_out_of_window"
         self._position[rec.id] = len(self._records)
         self._year.append(rec.grant_year)
-        self._records[rec.id] = rec
+        self._records.append(rec)
         return None
 
     def add_assignment(self, patent_id: str, raw_code: str) -> str | None:
-        if patent_id not in self._records:
+        i = self._position.get(patent_id)
+        if i is None:
             return "unknown_patent"
         try:
-            code = parse_cpc(raw_code)
+            key = (i, parse_cpc(raw_code))
         except CpcParseError:
             return "bad_code"
-        codes = self._codes.setdefault(patent_id, [])
-        if code in codes:
+        if key in self._codes:
             return "duplicate"
-        codes.append(code)
+        self._codes.add(key)
         return None
 
     def add_citation(self, citing: str, cited: str) -> str | None:
@@ -174,7 +164,7 @@ class CorpusBuilder:
         return None
 
     def add_science_link(self, patent_id: str, field_label: str, confidence: int) -> str | None:
-        if patent_id not in self._records:
+        if patent_id not in self._position:
             return "unknown_patent"
         label = field_label.strip()
         if not label:
@@ -191,30 +181,20 @@ class CorpusBuilder:
     def build(self) -> "Corpus":
         year = np.array(self._year, np.int32)
         citing = np.array(self._citing, np.int32)
+        owners, raws = zip(*self._codes) if self._codes else ((), ())
+        names, of_code = np.unique(raws, return_inverse=True)
         return Corpus(
-            records=dict(self._records),
-            codes={p: tuple(cs) for p, cs in self._codes.items()},
+            records=tuple(self._records),
+            ids=tuple(self._position),
+            position=dict(self._position),
+            year=year,
+            codes=_distinct_rows(len(year), np.array(owners, np.int64), of_code, tuple(names.tolist())),
+            citing=citing,
+            cited=np.array(self._cited, np.int32),
+            citing_year=year[citing],
             science=tuple(self._science),
-            interned=CorpusArrays(
-                tuple(self._records), dict(self._position), year,
-                citing, np.array(self._cited, np.int32), year[citing],
-            ),
             window=self.window,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class CorpusArrays:
-    """Patent ids interned to their positions in `records` order.  `year`
-    holds grant years by position; `citing`, `cited` and `citing_year` hold
-    one entry per citation, in acceptance order.  Arrays are int32."""
-
-    ids: tuple[str, ...]
-    position: dict[str, int]
-    year: np.ndarray
-    citing: np.ndarray
-    cited: np.ndarray
-    citing_year: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,31 +268,29 @@ def index_tokens(fields: Mapping[str, Iterable[str]]) -> dict[str, Csr]:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Immutable corpus with lazily built indexes.
+    """Immutable corpus, every patent known by its position in `records`.
 
-    `records` preserves insertion order; `interned` holds the patents and
-    citations as positions in that order.  All derived indexes are
+    `ids` and `year` hold each patent's id and grant year by position, and
+    `position` maps an id back.  `codes` holds each patent's CPC codes.
+    `citing`, `cited` and `citing_year` hold one entry per citation, in
+    acceptance order.  Arrays are int32.  All derived indexes are
     deterministic functions of the content.
     """
 
-    records: dict[str, PatentRecord]
-    codes: dict[str, tuple[CpcCode, ...]]
+    records: tuple[PatentRecord, ...]
+    ids: tuple[str, ...]
+    position: dict[str, int]
+    year: np.ndarray
+    codes: Csr
+    citing: np.ndarray
+    cited: np.ndarray
+    citing_year: np.ndarray
     science: tuple[ScienceLink, ...]
-    interned: CorpusArrays
     window: tuple[int, int] = DEFAULT_WINDOW
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __contains__(self, patent_id: str) -> bool:
-        return patent_id in self.records
-
-    def ids(self) -> Iterable[str]:
-        return self.records.keys()
-
-    def record(self, patent_id: str) -> PatentRecord:
-        return self.records[patent_id]
 
     def memo(self, key: Hashable, build: Callable[[], Any], slot: Hashable = None) -> Any:
         """The value derived under `key`, made by `build()` on first use.
@@ -323,19 +301,14 @@ class Corpus:
             self._caches[slot] = (key, build())
         return self._caches[slot][1]
 
-    def arrays(self) -> CorpusArrays:
-        """Patents by position in `records` order, citations as positions."""
-        return self.interned
-
     def mask(self, ids: Iterable[str]) -> np.ndarray:
         """Boolean mask over patent positions marking `ids`, the form in
         which `metrics` takes a group.  An id not in the corpus is a
         `DataError`."""
         ids = frozenset(ids)
-        position = self.arrays().position
-        at = np.fromiter(map(position.get, ids, repeat(-1)), np.int32, len(ids))
+        at = np.fromiter(map(self.position.get, ids, repeat(-1)), np.int32, len(ids))
         if (at < 0).any():
-            unknown = sorted(p for p in ids if p not in position)
+            unknown = sorted(p for p in ids if p not in self.position)
             sample = ", ".join(unknown[:3])
             raise DataError(f"{len(unknown)} group members not in corpus (e.g. {sample})")
         mask = np.zeros(len(self), bool)
@@ -345,18 +318,8 @@ class Corpus:
     def tokens(self) -> dict[str, Csr]:
         """The tokens of every patent, one `Csr` per text field."""
         return self.memo("tokens", lambda: index_tokens(
-            {name: map(attrgetter(name), self.records.values()) for name in TEXT_FIELDS}
+            {name: map(attrgetter(name), self.records) for name in TEXT_FIELDS}
         ))
-
-    def code_index(self) -> Csr:
-        """The raw CPC codes of every patent."""
-        return self.memo("code_index", self._build_code_index)
-
-    def _build_code_index(self) -> Csr:
-        position = self.arrays().position
-        owners = np.array([position[p] for p, cs in self.codes.items() for _ in cs], np.int64)
-        names, ids = np.unique([c.raw for cs in self.codes.values() for c in cs], return_inverse=True)
-        return _distinct_rows(len(self), owners, ids, tuple(names.tolist()))
 
     def class_index(self, level: int) -> Csr:
         """The level-truncated CPC classes of every patent."""
@@ -365,7 +328,7 @@ class Corpus:
         return self.memo(("class_index", level), lambda: self._build_class_index(level))
 
     def _build_class_index(self, level: int) -> Csr:
-        codes = self.code_index()
+        codes = self.codes
         names, of_code = np.unique([raw[:level] for raw in codes.names], return_inverse=True)
         return _distinct_rows(len(self), codes.owners(), of_code[codes.ids], tuple(names.tolist()))
 

@@ -1,5 +1,5 @@
-"""Deterministic readers and writers: corpus tables, metric series, id lists,
-SVG line charts, and the output manifest.
+"""Deterministic readers and writers: config files, corpus tables, metric
+series, id lists, SVG line charts, and the output manifest.
 
 All numeric cells are rendered with 6 significant digits, so a
 write -> read -> write cycle is a fixed point.  Files always use ``\\n`` line
@@ -8,6 +8,7 @@ endings and UTF-8, independent of platform.
 
 from __future__ import annotations
 
+import configparser
 import csv
 import hashlib
 import math
@@ -19,7 +20,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import DEFAULT_WINDOW, Corpus, CorpusBuilder, PatentRecord
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .metrics import GroupSeries
 
 TABLE_COLUMNS = {
@@ -35,6 +36,18 @@ def _create(path: str):
     its directory first."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def read_config(path: str) -> configparser.ConfigParser:
+    """The INI file at `path`.  A file that cannot be read, decoded as
+    UTF-8 or parsed is a `ConfigError` naming it."""
+    parser = configparser.ConfigParser()
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config {path!r}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -146,19 +159,23 @@ def ingest(
 
 def _read_rows(path: str, table: str) -> Iterator[tuple[str, ...] | None]:
     """The data rows of a TSV table, cells in `TABLE_COLUMNS` order; None
-    for a row too short to hold every column."""
+    for a row too short to hold every column.  A file that is not UTF-8, or
+    holds a cell over the csv module's field size limit, is a `DataError`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        for name in TABLE_COLUMNS[table]:
-            if name not in header:
-                raise DataError(f"{path}: missing required column {name!r}")
-        cols = [header.index(name) for name in TABLE_COLUMNS[table]]
-        pick, last = itemgetter(*cols), max(cols)
-        for row in reader:
-            yield pick(row) if len(row) > last else None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            for name in TABLE_COLUMNS[table]:
+                if name not in header:
+                    raise DataError(f"{path}: missing required column {name!r}")
+            cols = [header.index(name) for name in TABLE_COLUMNS[table]]
+            pick, last = itemgetter(*cols), max(cols)
+            for row in reader:
+                yield pick(row) if len(row) > last else None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def load_corpus(

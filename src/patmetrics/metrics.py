@@ -66,7 +66,7 @@ class GroupSeries:
 def _year_counts(corpus: Corpus, mask: np.ndarray) -> list[int]:
     """Masked patents per grant year, one count per year of the window."""
     lo, hi = corpus.window
-    return np.bincount(corpus.arrays().year[mask] - lo, minlength=hi - lo + 1).tolist()
+    return np.bincount(corpus.year[mask] - lo, minlength=hi - lo + 1).tolist()
 
 
 def count_series(corpus: Corpus, mask: np.ndarray, label: str) -> GroupSeries:
@@ -147,7 +147,7 @@ def allway_overlap(sets: Sequence[Iterable[str]]) -> tuple[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# citation-class metrics over the interned arrays of `Corpus.arrays` and
+# citation-class metrics over the citation arrays of `Corpus` and
 # `Corpus.class_index`.  Every sum numpy takes is a sum of integers; means of
 # integers are Python int / int, which is correctly rounded like
 # `statistics.mean`.
@@ -171,13 +171,13 @@ def _outside(corpus: Corpus, level: int) -> _Outside:
 
 
 def _build_outside(corpus: Corpus, level: int) -> _Outside:
-    arrays, index = corpus.arrays(), corpus.class_index(level)
+    index = corpus.class_index(level)
     n_classes = len(index.names)
     # int32 throughout unless (patent, class) keys outgrow it: these arrays
     # hold one entry per citing-side class and set the stage's peak memory
     key_type = np.int32 if len(corpus) * n_classes < 2**31 else np.int64
-    edge, classes = index.take(arrays.citing)
-    cited = arrays.cited[edge]
+    edge, classes = index.take(corpus.citing)
+    cited = corpus.cited[edge]
     del edge
     keys = cited.astype(key_type) * n_classes + classes
     # the keys of the classes patents hold come sorted by construction
@@ -237,7 +237,7 @@ def generality_series(
     rows = mask[out.cited]
     classes = out.classes[rows]
     n_classes = len(corpus.class_index(level).names)
-    cohort = corpus.arrays().year[out.cited[rows]]
+    cohort = corpus.year[out.cited[rows]]
     per_year: dict[int, list[int]] = {}
     for key, count in _first_seen_counts(cohort * n_classes + classes):
         per_year.setdefault(key // n_classes, []).append(count)
@@ -261,10 +261,9 @@ def avg_citing_classes(
     those that received at least one citation.
     """
     breadth = _outside(corpus, level).breadth
-    arrays = corpus.arrays()
-    cited = mask & (np.bincount(arrays.cited, minlength=len(corpus)) > 0)
+    cited = mask & (np.bincount(corpus.cited, minlength=len(corpus)) > 0)
     return tuple(
-        _yearly_means(arrays.year[pool], breadth[pool], label, metric)
+        _yearly_means(corpus.year[pool], breadth[pool], label, metric)
         for pool, metric in ((mask, "avg_citing_classes"), (cited, "avg_citing_classes_cited"))
     )
 
@@ -295,7 +294,7 @@ def diversity_share(
             f"diversity: {everything} distinct level-{level} codes exceed "
             f"the configured universe of {n_universe}"
         )
-    year_class = np.unique(corpus.arrays().year[owners[held]] * len(index.names) + classes)
+    year_class = np.unique(corpus.year[owners[held]] * len(index.names) + classes)
     yearly = Counter((year_class // len(index.names)).tolist())
     pts = tuple((y, yearly.get(y, 0) / n_universe) for y in corpus.years())
     series = GroupSeries(label, "diversity_share", pts)
@@ -311,7 +310,7 @@ def diversity_per_patent(
     count zero); the scalar is the mean of the annual values.
     """
     per_patent = np.diff(corpus.class_index(level).indptr)
-    return _yearly_means(corpus.arrays().year[mask], per_patent[mask], label, "diversity_per_patent")
+    return _yearly_means(corpus.year[mask], per_patent[mask], label, "diversity_per_patent")
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +322,9 @@ def _lags(corpus: Corpus, mask: np.ndarray, mode: str) -> tuple[np.ndarray, np.n
     at its first citation, holding its smallest lag."""
     if mode not in ("all_citations", "first_citation"):
         raise ValueError(f"unknown lag mode {mode!r}")
-    arrays = corpus.arrays()
-    rows = mask[arrays.cited]
-    cited = arrays.cited[rows]
-    lags = arrays.citing_year[rows] - arrays.year[cited]
+    rows = mask[corpus.cited]
+    cited = corpus.cited[rows]
+    lags = corpus.citing_year[rows] - corpus.year[cited]
     if mode == "first_citation":
         smallest = np.full(len(corpus), np.iinfo(np.int32).max, np.int32)
         np.minimum.at(smallest, cited, lags)
@@ -342,7 +340,7 @@ def citation_lags(
     group members, keyed by cited patent.  `mode` "first_citation" keeps
     only the smallest lag per patent.  Uncited members are absent."""
     cited, lags = _lags(corpus, mask, mode)
-    ids = corpus.arrays().ids
+    ids = corpus.ids
     out: dict[str, list[int]] = {}
     for p, lag in zip(cited.tolist(), lags.tolist()):
         out.setdefault(ids[p], []).append(lag)
@@ -359,7 +357,7 @@ def citation_lag_series(
     """Mean citation lag by cited-cohort grant year, the pooled mean, and the
     pooled mean for cited patents granted in each of `periods`."""
     cited, lags = _lags(corpus, mask, mode)
-    years = corpus.arrays().year[cited]
+    years = corpus.year[cited]
 
     def pooled(lo: float, hi: float) -> float | None:
         rows = (years >= lo) & (years <= hi)
@@ -375,9 +373,8 @@ def citation_lag_series(
 
 def descendants(corpus: Corpus, mask: np.ndarray) -> frozenset[str]:
     """Patents citing at least one group member, excluding the group itself."""
-    arrays = corpus.arrays()
-    citing = np.unique(arrays.citing[mask[arrays.cited]])
-    return frozenset(arrays.ids[p] for p in citing[~mask[citing]].tolist())
+    citing = np.unique(corpus.citing[mask[corpus.cited]])
+    return frozenset(corpus.ids[p] for p in citing[~mask[citing]].tolist())
 
 
 # ---------------------------------------------------------------------------

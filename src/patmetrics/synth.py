@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 from .corpus import parse_cpc, tokenize
 from .errors import ConfigError, CpcParseError
+from .io import read_config
 
 DEFAULT_BACKGROUND_CODES = (
     "A01B", "A61K", "B23K", "B25J", "B29C", "B60L", "B82B", "B82Y",
@@ -88,6 +89,11 @@ def year_counts(config: SynthConfig) -> dict[int, int]:
 
 
 def _validate(config: SynthConfig) -> None:
+    for name in ("ai_attraction", "lag_mean", "classes_per_patent_mean", "class_concentration"):
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigError(f"{name} must be finite")
+    if not all(map(math.isfinite, config.growth)):
+        raise ConfigError(f"growth rates must be finite: {config.growth}")
     if config.base_count < 1:
         raise ConfigError("base_count must be at least 1")
     if config.years[0] > config.years[1]:
@@ -217,7 +223,7 @@ def generate(config: SynthConfig) -> tuple[dict[str, list[tuple]], dict[str, fro
         1.0 / (i + 1) ** config.class_concentration
         for i in range(len(config.background_codes))
     ]
-    normal = functools.cache(lambda code: parse_cpc(code).raw)
+    normal = functools.cache(parse_cpc)
 
     tables: dict[str, list[tuple]] = {"patents": [], "cpc": [], "citations": [], "science": []}
     patents, cpc, citations, science = tables.values()
@@ -353,10 +359,7 @@ def _clean(text: str) -> str:
 
 def load_synth_config(path: str) -> SynthConfig:
     """Parse a synthesis config file (ini format, [synth] plus [group:*])."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ConfigError(f"cannot read synth config {path!r}")
+    parser = read_config(path)
     if "synth" not in parser:
         raise ConfigError(f"{path}: missing [synth] section")
     s = parser["synth"]

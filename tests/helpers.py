@@ -6,7 +6,7 @@ import numpy as np
 
 from patmetrics import io as pio
 from patmetrics import synth
-from patmetrics.corpus import CorpusBuilder, PatentRecord
+from patmetrics.corpus import Corpus, CorpusBuilder, Csr, PatentRecord
 
 
 def build_corpus(
@@ -44,8 +44,18 @@ def classes_at(corpus, level, patent_id):
     """The level-`level` class names of a patent, read from the corpus's
     class index."""
     index = corpus.class_index(level)
-    p = corpus.arrays().position[patent_id]
+    p = corpus.position[patent_id]
     return {index.names[k] for k in index.ids[index.indptr[p] : index.indptr[p + 1]]}
+
+
+def codes_by_id(corpus):
+    """patent id -> tuple of its CPC codes, sorted, for the patents with
+    codes: the per-patent view that the reference loops walk."""
+    codes = corpus.codes
+    return {
+        corpus.ids[p]: tuple(codes.names[k] for k in codes.ids[codes.indptr[p] : codes.indptr[p + 1]])
+        for p in np.flatnonzero(np.diff(codes.indptr)).tolist()
+    }
 
 
 def synth_corpus(config):
@@ -57,23 +67,31 @@ def synth_corpus(config):
     return corpus, truth
 
 
-def assert_same_arrays(got, want):
-    """Every field of two `CorpusArrays` is equal, each array in dtype too."""
-    for f in fields(want):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-        else:
-            assert a == b, f.name
+def assert_same_corpus(got, want):
+    """Every field of two corpora is equal: each array in dtype too, and
+    the code `Csr` field by field."""
+    for f in fields(Corpus):
+        if f.name != "_caches":
+            assert_same(getattr(got, f.name), getattr(want, f.name), f.name)
+
+
+def assert_same(a, b, name):
+    if isinstance(b, Csr):
+        for f in fields(Csr):
+            assert_same(getattr(a, f.name), getattr(b, f.name), f"{name}.{f.name}")
+    elif isinstance(b, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    else:
+        assert a == b, name
 
 
 def citation_triples(corpus):
     """(citing id, cited id, citing grant year) per citation, in corpus
     order."""
-    a = corpus.arrays()
+    ids = corpus.ids
     return [
-        (a.ids[i], a.ids[j], year)
-        for i, j, year in zip(a.citing.tolist(), a.cited.tolist(), a.citing_year.tolist())
+        (ids[i], ids[j], year)
+        for i, j, year in zip(corpus.citing.tolist(), corpus.cited.tolist(), corpus.citing_year.tolist())
     ]
 
 

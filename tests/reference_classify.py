@@ -29,7 +29,7 @@ from patmetrics.classify import (
 from patmetrics.corpus import Csr
 from patmetrics.errors import ConfigError
 
-from helpers import citation_triples
+from helpers import citation_triples, codes_by_id
 
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -73,7 +73,7 @@ def classify_keyword(corpus, table=None) -> frozenset[str]:
     phrases = (table or default_keywords()).phrases()
     return frozenset(
         pid
-        for pid, rec in corpus.records.items()
+        for pid, rec in zip(corpus.ids, corpus.records)
         if any(match_tokens(phrases, tokenize(getattr(rec, name))) for name in TEXT_FIELDS)
     )
 
@@ -83,8 +83,9 @@ def classify_wipo(corpus, rules=None) -> frozenset[str]:
     if not rules:
         raise ConfigError("rule set is empty")
     hits = []
-    for pid, rec in corpus.records.items():
-        raws = [c.raw for c in corpus.codes.get(pid, ())]
+    codes = codes_by_id(corpus)
+    for pid, rec in zip(corpus.ids, corpus.records):
+        raws = codes.get(pid, ())
         fields = [tokenize(getattr(rec, name)) for name in WIPO_TEXT_FIELDS]
 
         def has_phrase(ph):
@@ -106,12 +107,12 @@ def classify_wipo(corpus, rules=None) -> frozenset[str]:
 
 def classify_prefix_group(corpus, prefix: str) -> frozenset[str]:
     if prefix == "All":
-        return frozenset(corpus.ids())
+        return frozenset(corpus.ids)
     pref = prefix.strip().upper()
     if not pref:
         raise ConfigError("empty CPC prefix")
     return frozenset(
-        pid for pid, codes in corpus.codes.items() if any(c.raw.startswith(pref) for c in codes)
+        pid for pid, codes in codes_by_id(corpus).items() if any(c.startswith(pref) for c in codes)
     )
 
 
@@ -134,16 +135,17 @@ def build_uspto_seed(corpus, prefixes: Sequence[str], hops: int = 0) -> frozense
     cleaned = [p.strip().upper() for p in prefixes if p.strip()]
     if not cleaned:
         raise ConfigError("no seed prefixes given")
+    by_id = codes_by_id(corpus)
     seed = {
         pid
-        for pid, codes in corpus.codes.items()
-        if any(c.raw.startswith(pref) for pref in cleaned for c in codes)
+        for pid, codes in by_id.items()
+        if any(c.startswith(pref) for pref in cleaned for c in codes)
     }
     for _ in range(hops):
-        seed_subclasses = {c.subclass4 for pid in seed for c in corpus.codes.get(pid, ())}
+        seed_subclasses = {c[:4] for pid in seed for c in by_id.get(pid, ())}
         grown = set(seed)
-        for pid, codes in corpus.codes.items():
-            if pid not in grown and any(c.subclass4 in seed_subclasses for c in codes):
+        for pid, codes in by_id.items():
+            if pid not in grown and any(c[:4] in seed_subclasses for c in codes):
                 grown.add(pid)
         for citing, cited in _pairs(corpus):
             if cited in seed:
@@ -157,7 +159,7 @@ def build_uspto_seed(corpus, prefixes: Sequence[str], hops: int = 0) -> frozense
 
 
 def _doc_counter(corpus, pid: str) -> Counter:
-    rec = corpus.record(pid)
+    rec = corpus.records[corpus.position[pid]]
     counts: Counter = Counter()
     for name in USPTO_TEXT_FIELDS:
         counts.update(tokenize(getattr(rec, name)))
@@ -196,7 +198,7 @@ def features(corpus, ids: Sequence[str], vocab: Sequence[str], seed: frozenset[s
 
 def classify_uspto(corpus, model) -> frozenset[str]:
     hits = set()
-    ids = list(corpus.ids())
+    ids = list(corpus.ids)
     for comp in model.components:
         X = features(corpus, ids, comp.vocab, comp.seed)
         scores = 1.0 / (1.0 + np.exp(-(X @ comp.weights + comp.bias)))

@@ -21,16 +21,16 @@ from typing import Iterable, Sequence
 from patmetrics.errors import DataError
 from patmetrics.metrics import DEFAULT_UNIVERSE, GroupSeries
 
-from helpers import citation_triples
+from helpers import citation_triples, codes_by_id
 
 
 def class_sets(corpus, level: int) -> dict[str, frozenset[str]]:
     """patent id -> frozenset of level-truncated codes (patents with codes only)."""
-    return {pid: frozenset(c.raw[:level] for c in cs) for pid, cs in corpus.codes.items()}
+    return {pid: frozenset(c[:level] for c in cs) for pid, cs in codes_by_id(corpus).items()}
 
 
 def _grant_year(corpus, patent_id: str) -> int:
-    return corpus.records[patent_id].grant_year
+    return corpus.records[corpus.position[patent_id]].grant_year
 
 
 def _generality(counts: Counter) -> float | None:

@@ -178,7 +178,7 @@ def test_04_growth_exact_and_planted():
         rng_seed=41, years=(2000, 2011), base_count=700, growth=(0.06,)
     )
     corpus, _ = synth_corpus(cfg)
-    counts = met.count_series(corpus, corpus.mask(corpus.ids()), "All")
+    counts = met.count_series(corpus, corpus.mask(corpus.ids), "All")
     recovered = met.growth_series(counts)
     for _, v in recovered.points:
         assert abs(v - 0.06) <= 0.01
@@ -189,7 +189,7 @@ def test_04_growth_exact_and_planted():
         rng_seed=42, years=(2000, 2009), base_count=700, growth=schedule
     )
     corpus, _ = synth_corpus(cfg)
-    recovered = met.growth_series(met.count_series(corpus, corpus.mask(corpus.ids()), "All"))
+    recovered = met.growth_series(met.count_series(corpus, corpus.mask(corpus.ids), "All"))
     assert len(recovered.points) == len(schedule)
     for (_, v), want in zip(recovered.points, schedule):
         assert math.copysign(1.0, v) == math.copysign(1.0, want)
@@ -381,11 +381,11 @@ def test_11_lag_bounds_and_decade_decline():
     )
     corpus, _ = synth_corpus(cfg)
     end = cfg.years[1]
-    everything = corpus.mask(corpus.ids())
+    everything = corpus.mask(corpus.ids)
     lags = met.citation_lags(corpus, everything)
-    assert len(corpus.arrays().citing)
+    assert len(corpus.citing)
     for pid, values in lags.items():
-        ceiling = end - corpus.records[pid].grant_year
+        ceiling = end - corpus.records[corpus.position[pid]].grant_year
         for lag in values:
             assert 0 <= lag <= ceiling
     decades = [(1990, 1999), (2000, 2009), (2010, 2019)]

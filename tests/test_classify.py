@@ -230,7 +230,7 @@ def test_citation_inputs_equal_reference_loops(seed):
     for hops in (0, 1, 2):
         seed_ids = cls.build_uspto_seed(corpus, prefixes, hops)
         assert seed_ids == ref.build_uspto_seed(corpus, prefixes, hops), hops
-    rows = [corpus.arrays().position[p] for p in ids]
+    rows = [corpus.position[p] for p in ids]
     for group in (frozenset(ai), seed_ids, frozenset(), frozenset(ids)):
         got = cls._citation_features(corpus, group)
         assert got.dtype == np.float64 and got.shape == (len(corpus), 2)
@@ -326,13 +326,13 @@ def test_classifiers_equal_reference_loops(seed):
         model = cls.train_uspto(corpus, cfg)
     except ConfigError:  # a seed that matches nothing, or everything
         return
-    ids = list(corpus.ids())
+    ids = list(corpus.ids)
     for comp in model.components:
         train_ids = sorted(comp.seed) + sorted(comp.anti_seed)
         assert comp.vocab == ref.top_tokens(corpus, train_ids, cfg.vocab_size)
         cites = cls._citation_features(corpus, comp.seed)
         for rows in (train_ids, ids):
-            at = np.array([corpus.arrays().position[p] for p in rows], np.int64)
+            at = np.array([corpus.position[p] for p in rows], np.int64)
             got = cls._features(corpus, cls._bag(corpus, at), comp.vocab, cites[at])
             assert got.flags.c_contiguous
             assert np.array_equal(got, ref.features(corpus, rows, comp.vocab, comp.seed))
@@ -371,7 +371,7 @@ class TestInternedEdges:
 
     def test_prefix_after_every_code(self):
         c = self.corpus()
-        assert c.code_index().names == ("G06N20/00", "H04L9/40")
+        assert c.codes.names == ("G06N20/00", "H04L9/40")
         assert cls.classify_prefix_group(c, "H04L9/40") == {"B"}
         assert cls.classify_prefix_group(c, "H04L9/400") == frozenset()
         assert cls.classify_prefix_group(c, "Z") == frozenset()
@@ -414,7 +414,7 @@ class TestUsptoTraining:
         model = cls.train_uspto(corpus, uspto_config(epochs=0))
         assert cls.classify_uspto(corpus, model) == frozenset()
         model.config.threshold = math.nextafter(0.5, 0.0)
-        assert cls.classify_uspto(corpus, model) == frozenset(corpus.ids())
+        assert cls.classify_uspto(corpus, model) == frozenset(corpus.ids)
 
     def test_anti_seed_deterministic_and_disjoint(self):
         corpus = separable_corpus()
@@ -436,7 +436,7 @@ class TestUsptoTraining:
         corpus = separable_corpus()
         model = cls.train_uspto(corpus, uspto_config())
         got = cls.classify_uspto(corpus, model)
-        truth = {pid for pid in corpus.ids() if pid.startswith("S")}
+        truth = {pid for pid in corpus.ids if pid.startswith("S")}
         assert got == truth
 
     def test_component_without_seed_match_rejected(self):

@@ -1,27 +1,58 @@
+import random
+
+import numpy as np
 import pytest
 
 from patmetrics.corpus import (
     CorpusBuilder,
+    Csr,
     PatentRecord,
     parse_cpc,
 )
 from patmetrics.errors import CpcParseError, DataError
 
-from helpers import build_corpus, classes_at
+from helpers import assert_same, build_corpus, classes_at
+
+
+def reference_code_index(corpus, rows):
+    """The code index as the builder once derived it: the accepted codes of
+    each patent id gathered in a dict, each row rejected for the reason the
+    builder gives, then every patent's distinct codes numbered in sorted
+    order.  Returns the index and the reason (None when accepted) of each
+    row."""
+    codes: dict[str, list[str]] = {}
+    reasons = []
+    for pid, raw in rows:
+        if pid not in corpus.position:
+            reasons.append("unknown_patent")
+            continue
+        try:
+            code = parse_cpc(raw)
+        except CpcParseError:
+            reasons.append("bad_code")
+            continue
+        held = codes.setdefault(pid, [])
+        reasons.append("duplicate" if code in held else None)
+        if code not in held:
+            held.append(code)
+    names = tuple(sorted({c for cs in codes.values() for c in cs}))
+    rank = {c: k for k, c in enumerate(names)}
+    by_row = [sorted(rank[c] for c in codes.get(pid, ())) for pid in corpus.ids]
+    indptr = np.cumsum([0] + [len(r) for r in by_row]).astype(np.int32)
+    ids = np.array([k for r in by_row for k in r], np.int32)
+    return Csr(names, indptr, ids), reasons
 
 
 class TestParseCpc:
     def test_levels(self):
-        code = parse_cpc("G06N20/00")
-        assert code.raw == "G06N20/00"
-        assert code.subclass4 == "G06N"
+        assert parse_cpc("G06N20/00") == "G06N20/00"
 
     def test_normalisation(self):
-        assert parse_cpc(" g06n ").raw == "G06N"
-        assert parse_cpc("y02e10/70").raw == "Y02E10/70"
+        assert parse_cpc(" g06n ") == "G06N"
+        assert parse_cpc("y02e10/70") == "Y02E10/70"
 
     def test_subclass_only_is_valid(self):
-        assert parse_cpc("A01B").raw == "A01B"
+        assert parse_cpc("A01B") == "A01B"
 
     @pytest.mark.parametrize(
         "bad", ["", "G0", "G06", "I06N", "06NX", "G6N", "GG6N", "G06n2x", "G06N/12"]
@@ -68,10 +99,10 @@ class TestBuilder:
         assert b.add_citation("P1", "P2") == "negative_lag"
         assert b.add_citation("P2", "PX") == "unknown_cited"
         assert b.add_citation("PX", "P1") == "unknown_citing"
-        arrays = b.build().arrays()
-        assert len(arrays.citing) == 1
-        assert arrays.citing_year[0] == 2005
-        assert (arrays.citing[0], arrays.cited[0]) == (1, 0)
+        corpus = b.build()
+        assert len(corpus.citing) == 1
+        assert corpus.citing_year[0] == 2005
+        assert (corpus.citing[0], corpus.cited[0]) == (1, 0)
 
     def test_rejected_record_takes_no_position(self):
         b = CorpusBuilder(window=(2000, 2010))
@@ -80,9 +111,9 @@ class TestBuilder:
         b.add_record(PatentRecord("P2", 2005))
         assert b.add_citation("P2", "P0") == "unknown_cited"
         assert b.add_citation("P2", "P1") is None
-        arrays = b.build().arrays()
-        assert arrays.position == {"P1": 0, "P2": 1}
-        assert (arrays.citing.tolist(), arrays.cited.tolist()) == ([1], [0])
+        corpus = b.build()
+        assert corpus.position == {"P1": 0, "P2": 1}
+        assert (corpus.citing.tolist(), corpus.cited.tolist()) == ([1], [0])
 
     def test_same_year_citation_allowed(self):
         b = CorpusBuilder(window=(2000, 2010))
@@ -99,6 +130,29 @@ class TestBuilder:
         assert b.add_science_link("P1", "  ", 4) == "empty_field"
         assert b.add_science_link("P1", "Physics; Applied", 0) == "bad_confidence"
         assert b.add_science_link("PX", "Physics; Applied", 5) == "unknown_patent"
+
+
+class TestCodeIndex:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_dict_walk(self, seed):
+        """Random CPC rows, with unknown and out-of-window patents, bad
+        codes, exact and normalised duplicates and codeless patents."""
+        rng = random.Random(seed)
+        b = CorpusBuilder(window=(2000, 2009))
+        pids = [f"P{i}" for i in range(rng.randrange(1, 60))]
+        for pid in pids:
+            b.add_record(PatentRecord(pid, rng.randrange(1998, 2011)))
+        pool = ["G06N20/00", " g06n20/00", "G06N", "H04L9/40", "A01B", "y02e10/70",
+                "B82Y", "G06F3/01", "bogus", "G6N", ""]
+        rows = [
+            (rng.choice(pids + ["PX", ""]), rng.choice(pool))
+            for _ in range(rng.randrange(0, 200))
+        ]
+        reasons = [b.add_assignment(pid, raw) for pid, raw in rows]
+        corpus = b.build()
+        want, want_reasons = reference_code_index(corpus, rows)
+        assert reasons == want_reasons
+        assert_same(corpus.codes, want, "codes")
 
 
 class TestCorpusIndexes:
@@ -130,14 +184,14 @@ class TestCorpusIndexes:
             {"B": 2001, "A": 2000, "C": 2003},
             cites=[("C", "A"), ("B", "A"), ("C", "B")],
         )
-        arrays = corpus.arrays()
-        assert arrays.ids == ("B", "A", "C")
-        assert arrays.position == {"B": 0, "A": 1, "C": 2}
-        assert arrays.year.tolist() == [2001, 2000, 2003]
-        assert arrays.citing.tolist() == [2, 0, 2]
-        assert arrays.cited.tolist() == [1, 1, 0]
-        assert arrays.citing_year.tolist() == [2003, 2001, 2003]
-        assert {a.dtype.name for a in (arrays.year, arrays.citing, arrays.cited)} == {"int32"}
+        assert corpus.ids == ("B", "A", "C")
+        assert [r.id for r in corpus.records] == ["B", "A", "C"]
+        assert corpus.position == {"B": 0, "A": 1, "C": 2}
+        assert corpus.year.tolist() == [2001, 2000, 2003]
+        assert corpus.citing.tolist() == [2, 0, 2]
+        assert corpus.cited.tolist() == [1, 1, 0]
+        assert corpus.citing_year.tolist() == [2003, 2001, 2003]
+        assert {a.dtype.name for a in (corpus.year, corpus.citing, corpus.cited)} == {"int32"}
 
     def test_years(self):
         corpus = build_corpus({"A": 2000, "B": 2000, "C": 2002})
@@ -147,7 +201,7 @@ class TestCorpusIndexes:
         corpus = build_corpus({"B": 2001, "A": 2000, "C": 2003})
         assert corpus.mask({"A", "C"}).tolist() == [False, True, True]
         assert corpus.mask(set()).tolist() == [False, False, False]
-        assert corpus.mask(corpus.ids()).tolist() == [True, True, True]
+        assert corpus.mask(corpus.ids).tolist() == [True, True, True]
 
     def test_mask_rejects_unknown_id(self):
         corpus = build_corpus({"X": 2000, "Y": 2001})
@@ -156,5 +210,5 @@ class TestCorpusIndexes:
 
     def test_contains_and_len(self):
         corpus = build_corpus({"A": 2000})
-        assert "A" in corpus and "B" not in corpus
+        assert "A" in corpus.position and "B" not in corpus.position
         assert len(corpus) == 1

@@ -10,7 +10,7 @@ from patmetrics import synth
 from patmetrics.errors import DataError
 from patmetrics.metrics import GroupSeries
 
-from helpers import assert_same_arrays, classes_at
+from helpers import assert_same_corpus, classes_at
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 
@@ -46,9 +46,9 @@ class TestLoadCorpus:
             window=(2000, 2002),
         )
         assert len(corpus) == 3
-        assert corpus.record("P1").abstract == "an abstract"
+        assert corpus.records[corpus.position["P1"]].abstract == "an abstract"
         assert classes_at(corpus, 4, "P1") == {"G06N"}
-        assert len(corpus.arrays().citing) == 2
+        assert len(corpus.citing) == 2
         assert len(corpus.science) == 1
         for t in report.tables.values():
             assert t.rejected_total == 0
@@ -66,7 +66,7 @@ class TestLoadCorpus:
         corpus, report = pio.load_corpus(
             str(d / "patents.tsv"), window=(2000, 2002)
         )
-        assert sorted(corpus.ids()) == ["P1", "P4"]
+        assert corpus.ids == ("P1", "P4")
         t = report.tables["patents"]
         assert t.rows == 4 and t.accepted == 2
         assert t.rejected["malformed"] == 1
@@ -114,7 +114,7 @@ class TestLoadCorpus:
         assert t.accepted == 1
         assert t.rejected["unknown_citing"] == 1
         assert t.rejected["unknown_cited"] == 1
-        assert len(corpus.arrays().citing) == 1
+        assert len(corpus.citing) == 1
 
     def test_citing_year_mismatch_is_warning(self, tmp_path):
         d = sample_tables(tmp_path)
@@ -127,7 +127,7 @@ class TestLoadCorpus:
             window=(2000, 2002),
         )
         # the resolved year wins; the stated one is only flagged
-        assert corpus.arrays().citing_year[0] == 2001
+        assert corpus.citing_year[0] == 2001
         assert report.tables["citations"].warnings["citing_year_mismatch"] == 1
         assert report.tables["citations"].accepted == 1
 
@@ -160,11 +160,10 @@ class TestRoundTrip:
             str(tmp_path / "citations.tsv"), str(tmp_path / "science.tsv"),
             window=corpus.window,
         )
-        assert reloaded.records == corpus.records
-        assert reloaded.codes == corpus.codes
-        assert_same_arrays(reloaded.arrays(), corpus.arrays())
-        assert reloaded.arrays().citing.tolist() == [1]
-        assert set(reloaded.science) == set(corpus.science)
+        assert_same_corpus(reloaded, corpus)
+        assert reloaded.citing.tolist() == [1]
+        assert reloaded.codes.names == ("A01B", "G06N20/00", "H04L9/40")
+        assert reloaded.codes.ids.tolist() == [1, 2, 0]
         for t in report.tables.values():
             assert t.rejected_total == 0
 
@@ -200,11 +199,7 @@ class TestIngestOnce:
         fresh, fresh_report = pio.ingest(rows, window=window)
         pio.write_corpus(str(tmp_path), tables)
         loaded, loaded_report = pio.load_corpus(*paths.values(), window=window)
-        assert list(fresh.records.items()) == list(loaded.records.items())
-        assert list(fresh.codes.items()) == list(loaded.codes.items())
-        assert fresh.science == loaded.science
-        assert fresh.window == loaded.window
-        assert_same_arrays(fresh.arrays(), loaded.arrays())
+        assert_same_corpus(fresh, loaded)
         assert fresh_report.format().encode() == loaded_report.format().encode()
         with pytest.raises(DataError) as fresh_error:
             pio.ingest(rows, window=(window[0] + 1, window[1]), strict=True)

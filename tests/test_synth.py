@@ -91,7 +91,7 @@ class TestGeneratedStructure:
         corpus, _ = generated
         counts = synth.year_counts(make_config())
         assert len(corpus.records) == sum(counts.values())
-        by_year = Counter(r.grant_year for r in corpus.records.values())
+        by_year = Counter(r.grant_year for r in corpus.records)
         for year, n in counts.items():
             assert by_year[year] == n
 
@@ -128,7 +128,7 @@ class TestGeneratedStructure:
         corpus, _ = synth_corpus(
             make_config(base_count=600, growth=(0.07,), groups=(), decoy_links=())
         )
-        by_year = Counter(r.grant_year for r in corpus.records.values())
+        by_year = Counter(r.grant_year for r in corpus.records)
         for year in range(2001, 2010):
             prev, cur = by_year[year - 1], by_year[year]
             assert (cur - prev) / prev == pytest.approx(0.07, abs=0.01)
@@ -183,8 +183,8 @@ class TestPlanting:
     def test_marker_token_planted_only_on_members(self, generated):
         corpus, truth = generated
         carriers = {
-            pid
-            for pid, rec in corpus.records.items()
+            rec.id
+            for rec in corpus.records
             if "quantumflux" in cls.tokenize(rec.abstract)
         }
         assert carriers == truth["us"]
