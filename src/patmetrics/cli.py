@@ -16,7 +16,6 @@ Exit codes: 0 ok, 2 configuration error, 3 data error, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import shutil
 import sys
@@ -27,7 +26,7 @@ from . import io as pio
 from . import metrics as met
 from . import stats as st
 from . import synth as syn
-from .corpus import Corpus
+from .corpus import DEFAULT_WINDOW, Corpus
 from .errors import ConfigError, DataError, PatmetricsError
 
 STAGES = ("classify", "metrics", "stats", "report")
@@ -39,72 +38,45 @@ APPROACH_KINDS = ("keyword", "science", "wipo", "uspto")
 class GroupConfig:
     name: str
     kind: str
-    keywords_path: str | None = None  # None means the packaged default table
+    keywords: str | None = None  # a phrase table; None means the packaged one
     field: str = cls.DEFAULT_SCIENCE_FIELD
     min_confidence: int = cls.DEFAULT_MIN_CONFIDENCE
-    rules_path: str | None = None
-    uspto_path: str | None = None
+    rules: str | None = None  # a rule table; None means the packaged one
+    config: str | None = None  # the USPTO classifier config
     prefix: str = ""
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A run config; `load_run_config` states its defaults."""
+    """A run config.  Each field from `strict` to `exact_cutoff` is the key
+    of that name in `[run]`, `[metrics]` or `[stats]`, and holds its default."""
 
     base_dir: str
-    strict: bool
-    window: tuple[int, int]
-    periods: tuple[tuple[int, int], ...]
-    synth_path: str | None
-    table_paths: tuple[tuple[str, str | None], ...]
     groups: tuple[GroupConfig, ...]
-    levels: tuple[int, ...]
-    universes: tuple[tuple[int, int], ...]
-    lag_mode: str
-    zscore_metrics: tuple[str, ...]
-    lowess_metrics: tuple[str, ...]
-    lowess_fraction: float
-    descendants: bool
-    compare: tuple[str, ...]
-    holm: bool
-    exact_cutoff: int
+    synth_path: str | None = None
+    table_paths: tuple[tuple[str, str | None], ...] = ()
+    strict: bool = False
+    window: tuple[int, int] = DEFAULT_WINDOW
+    periods: tuple[tuple[int, int], ...] = ()  # none means the whole window
+    levels: tuple[int, ...] = (1, 3, 4)
+    diversity_universe_3: int | None = None  # None: metrics.DEFAULT_UNIVERSE
+    diversity_universe_4: int | None = None
+    lag_mode: str = "all_citations"
+    zscore: tuple[str, ...] = ("generality",)
+    lowess: tuple[str, ...] = ("growth",)
+    lowess_fraction: float = 0.6667
+    descendants: bool = True
+    compare: tuple[str, ...] = ("growth",)
+    holm: bool = True
+    exact_cutoff: int = st.DEFAULT_EXACT_CUTOFF
     seed_override: int | None = None
-
-
-def _parse_period(text: str) -> tuple[int, int]:
-    try:
-        a, b = text.split("-")
-        lo, hi = int(a), int(b)
-    except ValueError:
-        raise ConfigError(f"bad year range {text!r}, expected LO-HI") from None
-    if lo > hi:
-        raise ConfigError(f"empty year range {text!r}")
-    return lo, hi
-
-
-def _boolean(text: str) -> bool:
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    if text.lower() not in states:
-        raise ValueError(text)
-    return states[text.lower()]
-
-
-def _get(section, key: str, parse, default, path: str):
-    """`section[key]` parsed by `parse` (int, float or `_boolean`), or
-    `default` when the key is absent or blank.  A value that does not
-    parse is a `ConfigError`."""
-    raw = section.get(key, "").strip()
-    if not raw:
-        return default
-    try:
-        return parse(raw)
-    except ValueError:
-        raise ConfigError(f"{path}: [{section.name}] {key}: cannot parse {raw!r}") from None
 
 
 def load_run_config(path: str) -> RunConfig:
     parser = pio.read_config(path)
     base = os.path.dirname(os.path.abspath(path))
+    if "inputs" not in parser:
+        raise ConfigError(f"{path}: missing [inputs] section")
     for name in ("run", "metrics", "stats"):
         if name not in parser:
             parser.add_section(name)
@@ -112,51 +84,29 @@ def load_run_config(path: str) -> RunConfig:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    run, m, s = parser["run"], parser["metrics"], parser["stats"]
-    window = _parse_period(run.get("window", "1990-2019"))
-    periods = tuple(
-        _parse_period(t.strip())
-        for t in run.get("periods", "").split(",")
-        if t.strip()
-    ) or (window,)
+    def table(p: str) -> str | None:
+        return None if p == "default" else resolve(p)
 
-    synth_path = None
-    tables: list[tuple[str, str | None]] = []
-    if "inputs" not in parser:
-        raise ConfigError(f"{path}: missing [inputs] section")
-    inputs = parser["inputs"]
-    if inputs.get("synth", "").strip():
-        synth_path = resolve(inputs.get("synth").strip())
+    tables = dict.fromkeys(pio.TABLE_COLUMNS, resolve)
+    inputs = pio.options(parser["inputs"], path, synth=resolve, **tables)
+    if "synth" in inputs:
+        sources = {"synth_path": inputs["synth"]}
+    elif "patents" in inputs:
+        sources = {"table_paths": tuple((name, inputs.get(name)) for name in pio.TABLE_COLUMNS)}
     else:
-        if not inputs.get("patents", "").strip():
-            raise ConfigError(f"{path}: [inputs] needs either synth= or patents=")
-        for name in pio.TABLE_COLUMNS:
-            value = inputs.get(name, "").strip()
-            tables.append((name, resolve(value) if value else None))
+        raise ConfigError(f"{path}: [inputs] needs either synth= or patents=")
 
-    groups = []
+    groups, kinds = [], APPROACH_KINDS + ("prefix",)
     for section in parser.sections():
         if not section.startswith("group:"):
             continue
-        name = section.split(":", 1)[1]
-        g = parser[section]
-        kind = g.get("kind", "").strip()
-        if kind not in APPROACH_KINDS + ("prefix",):
-            raise ConfigError(f"{path}: group {name!r} has unknown kind {kind!r}")
-        keywords = g.get("keywords", "default").strip()
-        rules = g.get("rules", "default").strip()
-        groups.append(
-            GroupConfig(
-                name=name,
-                kind=kind,
-                keywords_path=None if keywords == "default" else resolve(keywords),
-                field=g.get("field", cls.DEFAULT_SCIENCE_FIELD),
-                min_confidence=_get(g, "min_confidence", int, cls.DEFAULT_MIN_CONFIDENCE, path),
-                rules_path=None if rules == "default" else resolve(rules),
-                uspto_path=resolve(g.get("config").strip()) if g.get("config") else None,
-                prefix=g.get("prefix", "").strip(),
-            )
+        settings = pio.options(
+            parser[section], path, kind=str, keywords=table, field=str, min_confidence=int,
+            rules=table, config=resolve, prefix=str,
         )
+        if settings.get("kind") not in kinds:
+            raise ConfigError(f"{path}: [{section}] kind must be one of {', '.join(kinds)}")
+        groups.append(GroupConfig(name=section.split(":", 1)[1], **settings))
     names = [g.name for g in groups]
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}: duplicate group names {names}")
@@ -165,56 +115,42 @@ def load_run_config(path: str) -> RunConfig:
     for g in groups:
         if g.kind == "prefix" and not g.prefix:
             raise ConfigError(f"{path}: group {g.name!r} needs prefix=")
-        if g.kind == "uspto" and not g.uspto_path:
+        if g.kind == "uspto" and not g.config:
             raise ConfigError(f"{path}: group {g.name!r} needs config=")
 
-    def listed(section, key, default=""):
-        return tuple(t.strip() for t in section.get(key, default).split(",") if t.strip())
-
-    try:
-        levels = tuple(int(t) for t in listed(m, "levels", "1,3,4"))
-    except ValueError:
-        raise ConfigError(f"{path}: [metrics] levels: expected integers") from None
-    for lv in levels:
+    # a blank list of metrics or levels means none
+    cfg = RunConfig(
+        base_dir=base, groups=tuple(groups), **sources,
+        **pio.options(
+            parser["run"], path, strict=pio.boolean, window=pio.year_range,
+            periods=lambda raw: pio.comma_list(raw, pio.year_range),
+        ),
+        **pio.options(
+            parser["metrics"], path, keep_blank=("levels", "zscore", "lowess"),
+            levels=lambda raw: pio.comma_list(raw, int), diversity_universe_3=int,
+            diversity_universe_4=int, lag_mode=str, zscore=pio.comma_list,
+            lowess=pio.comma_list, lowess_fraction=float, descendants=pio.boolean,
+        ),
+        **pio.options(
+            parser["stats"], path, keep_blank=("compare",),
+            compare=pio.comma_list, holm=pio.boolean, exact_cutoff=int,
+        ),
+    )
+    for lv in cfg.levels:
         if lv not in (1, 3, 4):
             raise ConfigError(f"{path}: unsupported CPC level {lv}")
-    universes = []
     for lv in (3, 4):
-        universe = _get(m, f"diversity_universe_{lv}", int, None, path)
-        if universe is not None:
-            if universe < 1:
-                raise ConfigError(f"{path}: diversity_universe_{lv} must be at least 1: {universe}")
-            universes.append((lv, universe))
-    lag_mode = m.get("lag_mode", "all_citations").strip()
-    if lag_mode not in ("all_citations", "first_citation"):
-        raise ConfigError(f"{path}: unknown lag_mode {lag_mode!r}")
-    lowess_fraction = _get(m, "lowess_fraction", float, 0.6667, path)
-    if not 0.0 < lowess_fraction <= 1.0:
-        raise ConfigError(f"{path}: lowess_fraction must lie in (0, 1]: {lowess_fraction}")
-
-    cfg = RunConfig(
-        base_dir=base,
-        strict=_get(run, "strict", _boolean, False, path),
-        window=window,
-        periods=periods,
-        synth_path=synth_path,
-        table_paths=tuple(tables),
-        groups=tuple(groups),
-        levels=levels,
-        universes=tuple(universes),
-        lag_mode=lag_mode,
-        zscore_metrics=listed(m, "zscore", "generality"),
-        lowess_metrics=listed(m, "lowess", "growth"),
-        lowess_fraction=lowess_fraction,
-        descendants=_get(m, "descendants", _boolean, True, path),
-        compare=listed(s, "compare", "growth"),
-        holm=_get(s, "holm", _boolean, True, path),
-        exact_cutoff=_get(s, "exact_cutoff", int, st.DEFAULT_EXACT_CUTOFF, path),
-    )
-    for metric in cfg.zscore_metrics:
+        universe = getattr(cfg, f"diversity_universe_{lv}")
+        if universe is not None and universe < 1:
+            raise ConfigError(f"{path}: diversity_universe_{lv} must be at least 1: {universe}")
+    if cfg.lag_mode not in ("all_citations", "first_citation"):
+        raise ConfigError(f"{path}: unknown lag_mode {cfg.lag_mode!r}")
+    if not 0.0 < cfg.lowess_fraction <= 1.0:
+        raise ConfigError(f"{path}: lowess_fraction must lie in (0, 1]: {cfg.lowess_fraction}")
+    for metric in cfg.zscore:
         if metric not in ("generality", "avg_citing_classes", "avg_citing_classes_cited"):
             raise ConfigError(f"{path}: zscore unsupported for metric {metric!r}")
-    return cfg
+    return cfg if cfg.periods else replace(cfg, periods=(cfg.window,))
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +239,15 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) ->
     groups_dir = _clear(out_dir, "groups")
     for g in cfg.groups:
         if g.kind == "keyword":
-            table = cls.load_keywords(g.keywords_path) if g.keywords_path else None
+            table = cls.load_keywords(g.keywords) if g.keywords else None
             members = cls.classify_keyword(corpus, table)
         elif g.kind == "science":
             members = cls.classify_science(corpus, g.field, g.min_confidence)
         elif g.kind == "wipo":
-            rules = cls.load_wipo_rules(g.rules_path) if g.rules_path else None
+            rules = cls.load_wipo_rules(g.rules) if g.rules else None
             members = cls.classify_wipo(corpus, rules)
         elif g.kind == "uspto":
-            model = cls.train_uspto(corpus, load_uspto_config(g.uspto_path))
+            model = cls.train_uspto(corpus, load_uspto_config(g.config))
             for c in model.components:
                 log.line(f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
                          f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}")
@@ -326,26 +262,14 @@ def load_uspto_config(path: str) -> cls.UsptoConfig:
     parser = pio.read_config(path)
     if "uspto" not in parser:
         raise ConfigError(f"{path}: missing [uspto] section")
-    u = parser["uspto"]
-    components = tuple(
-        t.strip() for t in u.get("components", ",".join(cls.DEFAULT_COMPONENTS)).split(",") if t.strip()
+    settings = pio.options(
+        parser["uspto"], path, components=pio.comma_list, expansion_hops=int, vocab_size=int,
+        threshold=float, epochs=int, learning_rate=float, anti_seed_rng=int,
     )
-    seeds: dict[str, tuple[str, ...]] = {}
     if "seeds" in parser:
-        for comp, raw in parser["seeds"].items():
-            seeds[comp] = tuple(t.strip() for t in raw.split(",") if t.strip())
-    else:
-        seeds = dict(cls.DEFAULT_SEED_RULES)
-    return cls.UsptoConfig(
-        components=components,
-        seed_rules=seeds,
-        expansion_hops=_get(u, "expansion_hops", int, 1, path),
-        vocab_size=_get(u, "vocab_size", int, 500, path),
-        threshold=_get(u, "threshold", float, 0.5, path),
-        epochs=_get(u, "epochs", int, 150, path),
-        learning_rate=_get(u, "learning_rate", float, 2.0, path),
-        anti_seed_rng=_get(u, "anti_seed_rng", int, 13, path),
-    )
+        seeds = parser["seeds"].items()
+        settings["seed_rules"] = {comp: pio.comma_list(raw) for comp, raw in seeds}
+    return cls.UsptoConfig(**settings)
 
 
 def _read_groups(cfg: RunConfig, out_dir: str) -> dict[str, frozenset[str]]:
@@ -374,7 +298,6 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> 
     masks = {name: corpus.mask(ids) for name, ids in groups.items()}
     order = [g.name for g in cfg.groups]
     approach = [g.name for g in cfg.groups if g.kind in APPROACH_KINDS]
-    universes = dict(cfg.universes)
     scalars: list[tuple[str, str, str, float | None]] = []  # metric, level, group, value
 
     counts = {name: met.count_series(corpus, masks[name], name) for name in order}
@@ -427,13 +350,13 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> 
             by_metric[stem] = per_group(stem, level, lambda n: breadth[n][i])
         if level in (3, 4):
             per_group("diversity_share", level, lambda n: met.diversity_share(
-                corpus, masks[n], level, n, universe=universes.get(level)
+                corpus, masks[n], level, n, universe=getattr(cfg, f"diversity_universe_{level}")
             ), keep_empty=True)
         per_group("diversity_per_patent", level, lambda n: met.diversity_per_patent(
             corpus, masks[n], level, n
         ))
         if len(approach) >= 2:
-            for zm in cfg.zscore_metrics:
+            for zm in cfg.zscore:
                 zin = [by_metric[zm][n] for n in approach if by_metric[zm][n].points]
                 if len(zin) >= 2:
                     pio.write_series(
@@ -464,7 +387,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> 
         for n in approach:
             scalars.append(("descendants_counts", "", n, float(len(desc_sets[n]))))
 
-    for metric in cfg.lowess_metrics:
+    for metric in cfg.lowess:
         path = _mpath(out_dir, metric)
         if not os.path.exists(path):
             continue

@@ -14,10 +14,11 @@ import hashlib
 import math
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from html import escape
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .corpus import DEFAULT_WINDOW, Corpus, CorpusBuilder, PatentRecord
 from .errors import ConfigError, DataError
@@ -39,15 +40,58 @@ def _create(path: str):
 
 
 def read_config(path: str) -> configparser.ConfigParser:
-    """The INI file at `path`.  A file that cannot be read, decoded as
-    UTF-8 or parsed is a `ConfigError` naming it."""
-    parser = configparser.ConfigParser()
+    """The INI file at `path`, its values taken literally (a `%` is a `%`).
+    A file that cannot be read, decoded as UTF-8 or parsed is a
+    `ConfigError` naming it."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config {path!r}")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return parser
+
+
+def options(
+    section: configparser.SectionProxy, path: str, keep_blank: Iterable[str] = (), **parsers
+) -> dict:
+    """`{key: parse(value)}` for each `key=parse` of `parsers` that is set
+    in the config `section` of the file at `path`, to be passed as keyword
+    arguments to a config dataclass: a key absent or blank is left out, so
+    it keeps the field's default.  A key named in `keep_blank` is parsed
+    even when blank.  A value that does not parse is a `ConfigError` naming
+    the file, section and key."""
+    out = {}
+    for key, parse in parsers.items():
+        raw = section.get(key, "").strip()
+        if raw or (key in keep_blank and key in section):
+            try:
+                out[key] = parse(raw)
+            except ValueError:
+                raise ConfigError(f"{path}: [{section.name}] {key}: cannot parse {raw!r}") from None
+    return out
+
+
+def comma_list(text: str, item=str) -> tuple:
+    """The non-blank items of a comma-separated `text`, each stripped and
+    parsed by `item`."""
+    return tuple(item(t.strip()) for t in text.split(",") if t.strip())
+
+
+def year_range(text: str) -> tuple[int, int]:
+    """`LO-HI` as `(LO, HI)`; a `ValueError` unless LO <= HI."""
+    lo, hi = map(int, text.split("-"))
+    if lo > hi:
+        raise ValueError(f"empty year range {text!r}")
+    return lo, hi
+
+
+def boolean(text: str) -> bool:
+    """`true`/`false`, `yes`/`no`, `on`/`off` or `1`/`0`, in any case."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +201,33 @@ def ingest(
     return builder.build(), report
 
 
+@contextmanager
+def _reading(path: str) -> Iterator[TextIO]:
+    """The text file at `path`, opened for reading.  A file that is not
+    UTF-8, or a TSV cell over the csv module's field size limit, is a
+    `DataError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def _read_rows(path: str, table: str) -> Iterator[tuple[str, ...] | None]:
     """The data rows of a TSV table, cells in `TABLE_COLUMNS` order; None
-    for a row too short to hold every column.  A file that is not UTF-8, or
-    holds a cell over the csv module's field size limit, is a `DataError`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    for a row too short to hold every column."""
+    with _reading(path) as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file, expected a header row")
-            for name in TABLE_COLUMNS[table]:
-                if name not in header:
-                    raise DataError(f"{path}: missing required column {name!r}")
-            cols = [header.index(name) for name in TABLE_COLUMNS[table]]
-            pick, last = itemgetter(*cols), max(cols)
-            for row in reader:
-                yield pick(row) if len(row) > last else None
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise DataError(f"{path}: {exc}") from None
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        for name in TABLE_COLUMNS[table]:
+            if name not in header:
+                raise DataError(f"{path}: missing required column {name!r}")
+        cols = [header.index(name) for name in TABLE_COLUMNS[table]]
+        pick, last = itemgetter(*cols), max(cols)
+        for row in reader:
+            yield pick(row) if len(row) > last else None
 
 
 def load_corpus(
@@ -232,7 +284,7 @@ def write_series(path: str, series_list: Sequence[GroupSeries]) -> None:
 
 def read_series(path: str, metric: str) -> list[GroupSeries]:
     """Parse a series TSV back into GroupSeries (one per column)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _reading(path) as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
         header = next(reader, None)
         if not header or header[0] != "year":
@@ -267,7 +319,7 @@ def write_ids(path: str, ids: Iterable[str]) -> None:
 
 
 def read_ids(path: str) -> frozenset[str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         return frozenset(line.strip() for line in fh if line.strip())
 
 

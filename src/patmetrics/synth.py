@@ -12,15 +12,14 @@ validated once, by `io.ingest`, like tables read from disk.
 
 from __future__ import annotations
 
-import configparser
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .corpus import parse_cpc, tokenize
 from .errors import ConfigError, CpcParseError
-from .io import read_config
+from .io import comma_list, options, read_config, year_range
 
 DEFAULT_BACKGROUND_CODES = (
     "A01B", "A61K", "B23K", "B25J", "B29C", "B60L", "B82B", "B82Y",
@@ -104,6 +103,8 @@ def _validate(config: SynthConfig) -> None:
         raise ConfigError("ai_attraction must be positive")
     if config.filler_vocab < 1:
         raise ConfigError("filler_vocab must be positive")
+    if not config.background_codes:
+        raise ConfigError("background_codes is empty")
     seen = set()
     phrases: dict[str, tuple[str, ...]] = {}
     markers: set[str] = set()
@@ -362,82 +363,39 @@ def load_synth_config(path: str) -> SynthConfig:
     parser = read_config(path)
     if "synth" not in parser:
         raise ConfigError(f"{path}: missing [synth] section")
-    s = parser["synth"]
-
-    def years_of(text: str) -> tuple[int, int]:
-        try:
-            a, b = text.split("-")
-            return int(a), int(b)
-        except ValueError:
-            raise ConfigError(f"{path}: bad year range {text!r}") from None
-
-    try:
-        growth_text = s.get("growth", "").strip()
-        growth = (
-            tuple(float(t) for t in growth_text.split(",") if t.strip())
-            if growth_text
-            else ()
+    groups = []
+    for section in parser.sections():
+        if not section.startswith("group:"):
+            continue
+        spec = options(
+            parser[section], path, share=float, phrase=str, science_field=str,
+            science_confidence=int, marker=str, jaccard_with=str, jaccard_target=float,
+            codes=lambda raw: comma_list(raw, lambda t: None if t == "-" else t),
         )
-        decoys = []
-        if "decoys" in parser:
-            for line in parser["decoys"].get("links", "").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                fld, conf, per_year = line.split("|")
-                decoys.append((fld.strip(), int(conf), int(per_year)))
-        groups = []
-        for section in parser.sections():
-            if not section.startswith("group:"):
-                continue
-            g = parser[section]
-            if "share" not in g:
-                raise ConfigError(f"{path}: [{section}] is missing share")
-            codes_text = g.get("codes", "").strip()
-            codes: tuple[str | None, ...] = ()
-            if codes_text:
-                codes = tuple(
-                    None if t.strip() == "-" else t.strip()
-                    for t in codes_text.split(",")
-                )
-            jt = g.get("jaccard_target", "").strip()
-            groups.append(
-                GroupSpec(
-                    name=section.split(":", 1)[1],
-                    share=g.getfloat("share"),
-                    phrase=g.get("phrase", "").strip() or None,
-                    codes=codes,
-                    science_field=g.get("science_field", "").strip() or None,
-                    science_confidence=g.getint("science_confidence", 4),
-                    marker=g.get("marker", "").strip() or None,
-                    jaccard_with=g.get("jaccard_with", "").strip() or None,
-                    jaccard_target=float(jt) if jt else None,
-                )
-            )
-        cfg = SynthConfig(
-            rng_seed=s.getint("rng_seed", 1),
-            years=years_of(s.get("years", "1990-2019")),
-            base_count=s.getint("base_count", 100),
-            growth=growth,
-            groups=tuple(groups),
-            edges_per_patent=s.getint("edges_per_patent", 4),
-            ai_attraction=s.getfloat("ai_attraction", 4.0),
-            lag_mean=s.getfloat("lag_mean", 8.0),
-            classes_per_patent_mean=s.getfloat("classes_per_patent_mean", 2.0),
-            class_concentration=s.getfloat("class_concentration", 1.1),
-            filler_vocab=s.getint("filler_vocab", 400),
-            title_len=s.getint("title_len", 6),
-            abstract_len=s.getint("abstract_len", 30),
-            claims_len=s.getint("claims_len", 15),
-            description_len=s.getint("description_len", 20),
-            decoy_links=tuple(decoys),
-        )
-    except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    bg = s.get("background_codes", "").strip()
-    if bg:
-        cfg = replace(
-            cfg, background_codes=tuple(t.strip() for t in bg.split(",") if t.strip())
-        )
+        if "share" not in spec:
+            raise ConfigError(f"{path}: [{section}] is missing share")
+        groups.append(GroupSpec(name=section.split(":", 1)[1], **spec))
+    settings = options(
+        parser["synth"], path, years=year_range, background_codes=comma_list,
+        growth=lambda raw: comma_list(raw, float),
+        **dict.fromkeys(("rng_seed", "base_count", "edges_per_patent", "filler_vocab",
+                         "title_len", "abstract_len", "claims_len", "description_len"), int),
+        **dict.fromkeys(("ai_attraction", "lag_mean", "classes_per_patent_mean",
+                         "class_concentration"), float),
+    )
+    if "decoys" in parser:
+        decoys = options(parser["decoys"], path, links=_decoy_links)
+        if decoys:
+            settings["decoy_links"] = decoys["links"]
+    cfg = SynthConfig(groups=tuple(groups), **settings)
     _validate(cfg)
     return cfg
+
+
+def _decoy_links(text: str) -> tuple[tuple[str, int, int], ...]:
+    """One `field|confidence|per year` link per non-blank line."""
+    links = []
+    for line in filter(str.strip, text.splitlines()):
+        field_label, confidence, per_year = line.split("|")
+        links.append((field_label.strip(), int(confidence), int(per_year)))
+    return tuple(links)

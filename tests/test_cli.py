@@ -576,7 +576,7 @@ class TestRunConfigParsing:
         assert cfg.periods == ((2000, 2004),)
         assert cfg.levels == (1, 3, 4)
         assert cfg.compare == ("growth",)
-        assert cfg.zscore_metrics == ("generality",)
+        assert cfg.zscore == ("generality",)
         assert cfg.lag_mode == "all_citations"
         assert cfg.holm is True
         assert cfg.synth_path == str(tmp_path / "s.synth")
@@ -626,6 +626,16 @@ class TestRunConfigParsing:
     def test_bad_zscore_metric(self, tmp_path):
         with pytest.raises(ConfigError):
             cli.load_run_config(self.write(tmp_path, self.base("[metrics]\nzscore = share\n")))
+
+    def test_percent_is_literal(self, tmp_path):
+        cfg = cli.load_run_config(self.write(tmp_path, self.base("[group:S]\nkind = science\nfield = 100% AI\n")))
+        assert cfg.groups[-1].field == "100% AI"
+
+    def test_blank_list_means_none(self, tmp_path):
+        cfg = cli.load_run_config(
+            self.write(tmp_path, self.base("[metrics]\nlevels =\nzscore =\nlowess =\n[stats]\ncompare =\n"))
+        )
+        assert cfg.levels == cfg.zscore == cfg.lowess == cfg.compare == ()
 
     def test_bad_period(self, tmp_path):
         with pytest.raises(ConfigError):

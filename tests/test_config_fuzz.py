@@ -7,9 +7,10 @@ import shutil
 
 import pytest
 
-from patmetrics import cli
+from patmetrics import cli, synth
+from patmetrics.errors import ConfigError
 
-VALUES = ("abc", "nan", "inf", "-inf", "-1", "0")
+VALUES = ("abc", "nan", "inf", "-inf", "-1", "0", "", "5%")
 
 SYNTH_TEXT = """\
 [synth]
@@ -155,7 +156,7 @@ def run(root, capsys):
     ids=[f"{name[5:]}-{section}-{key}" for name, section, key, _ in NUMERIC_KEYS],
 )
 def test_numeric_key(tmp_path, capsys, name, section, key, cell, value):
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(FILES[name])
     parser[section][key] = cell.format(value)
     with open(tmp_path / name, "w", encoding="utf-8") as fh:
@@ -165,6 +166,61 @@ def test_numeric_key(tmp_path, capsys, name, section, key, cell, value):
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith("configuration error: ")
+
+
+# (file, section, key): the string, boolean and list keys that have a default
+STRING_KEYS = [
+    ("tiny.run", "run", "strict"),
+    ("tiny.run", "group:Keyword", "keywords"),
+    ("tiny.run", "group:Science", "field"),
+    ("tiny.run", "group:Rules", "rules"),
+    ("tiny.run", "metrics", "lag_mode"),
+    ("tiny.run", "metrics", "descendants"),
+    ("tiny.run", "stats", "holm"),
+    ("tiny.synth", "synth", "background_codes"),
+    *(("tiny.synth", "group:kw", key) for key in ("phrase", "codes", "science_field")),
+    *(("tiny.synth", "group:us", key) for key in ("marker", "jaccard_with")),
+    ("tiny.uspto", "uspto", "components"),
+]
+
+# in a run config a blank list of levels or metrics means none, not the default
+LISTS = {("metrics", "levels"), ("metrics", "zscore"), ("metrics", "lowess"), ("stats", "compare")}
+
+BLANKABLE = sorted(
+    ({(name, section, key) for name, section, key, _ in NUMERIC_KEYS} | set(STRING_KEYS))
+    - {("tiny.run", *k) for k in LISTS}
+)
+
+LOADERS = {
+    "tiny.run": cli.load_run_config,
+    "tiny.synth": synth.load_synth_config,
+    "tiny.uspto": cli.load_uspto_config,
+}
+
+
+@pytest.mark.parametrize(
+    "name, section, key", BLANKABLE,
+    ids=[f"{name[5:]}-{section}-{key}" for name, section, key in BLANKABLE],
+)
+def test_blank_key_keeps_default(tmp_path, name, section, key):
+    """A file with `key` blank loads to the same config (or the same error)
+    as the file without it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(FILES[name])
+    path = tmp_path / name
+
+    def load():
+        with open(path, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        try:
+            return LOADERS[name](str(path))
+        except ConfigError as exc:
+            return str(exc)
+
+    parser[section][key] = ""
+    blank = load()
+    parser.remove_option(section, key)
+    assert blank == load()
 
 
 def with_line(text, after, line):
@@ -231,3 +287,16 @@ def test_malformed_table_exits_3(tables, tmp_path, capsys, table, corrupt):
     code, err = run(tmp_path, capsys)
     assert code == 3, err
     assert err.startswith(f"data error: {tmp_path / table}.tsv: ")
+
+
+@pytest.mark.parametrize(
+    "stage, output", [("metrics", "groups/Keyword.ids"), ("stats", "metrics/growth.metric.tsv")]
+)
+def test_undecodable_output_exits_3(tmp_path, capsys, stage, output):
+    write_files(tmp_path, FILES)
+    assert run(tmp_path, capsys)[0] == 0
+    undecodable(tmp_path / "out" / output)
+    code = cli.main([stage, "--config", str(tmp_path / "tiny.run"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith(f"data error: {tmp_path / 'out' / output}: ")

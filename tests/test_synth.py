@@ -265,6 +265,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             synth.generate(make_config(background_codes=("NOPE",)))
 
+    def test_no_background_codes(self):
+        with pytest.raises(ConfigError, match="background_codes is empty"):
+            synth.generate(make_config(background_codes=()))
+
     def test_bad_scalars(self):
         for kw in (
             {"base_count": 0},
@@ -344,6 +348,17 @@ class TestConfigFile:
         )
         cfg = synth.load_synth_config(path)
         assert cfg.background_codes == ("G06F", "H04L")
+
+    def test_empty_background_list(self, tmp_path):
+        path = self.write(tmp_path, "[synth]\nbase_count = 10\nbackground_codes = ,\n")
+        with pytest.raises(ConfigError, match="background_codes is empty"):
+            synth.load_synth_config(path)
+
+    def test_percent_is_literal(self, tmp_path):
+        path = self.write(
+            tmp_path, "[synth]\nbase_count = 10\nyears = 2000-2001\n\n[group:a]\nshare = 0.1\nphrase = 100% neural\n"
+        )
+        assert synth.load_synth_config(path).groups[0].phrase == "100% neural"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
