@@ -1,12 +1,6 @@
 """Patent-corpus classification, technology metrics, and synthetic corpora."""
 
-from .corpus import (
-    Corpus,
-    CorpusBuilder,
-    PatentRecord,
-    ScienceLink,
-    parse_cpc,
-)
+from .corpus import Corpus, parse_cpc
 from .errors import (
     ConfigError,
     CpcParseError,
@@ -20,9 +14,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Corpus",
-    "CorpusBuilder",
-    "PatentRecord",
-    "ScienceLink",
     "parse_cpc",
     "PatmetricsError",
     "ConfigError",

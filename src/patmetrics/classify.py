@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TEXT_FIELDS, Corpus, Csr, index_tokens, tokenize
+from .corpus import TEXT_FIELDS, Corpus, Csr, tokenize
 from .errors import ConfigError
 
 #: Science-reference field label and confidence floor used by default.
@@ -61,9 +61,6 @@ class PhraseMatcher:
                 ok[ok] = field.ids[at[ok] + j] == p[j]
             hit[row[ok]] = True
         return hit
-
-    def match_text(self, text: str) -> bool:
-        return bool(self.rows(index_tokens({"text": [text]})["text"])[0])
 
     def patents(self, corpus: Corpus, fields: Sequence[str]) -> np.ndarray:
         """Position mask of the patents holding a phrase in any of `fields`."""
@@ -157,11 +154,11 @@ def classify_science(
 ) -> frozenset[str]:
     """Patents with a science reference to `field_label` whose confidence is
     strictly greater than `min_confidence`."""
-    return frozenset(
-        link.patent
-        for link in corpus.science
-        if link.field_label == field_label and link.confidence > min_confidence
-    )
+    links = np.array([label == field_label for label in corpus.science_label], bool)
+    links &= corpus.science_confidence > min_confidence
+    mask = np.zeros(len(corpus), bool)
+    mask[corpus.science_patent[links]] = True
+    return _members(corpus, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def _ensure_corpus(cfg: RunConfig, out_dir: str, log: RunLog) -> Corpus:
     pio.write_text(os.path.join(out_dir, "load-report.txt"), report.format())
     log.line(
         f"load: {len(corpus)} patents, {len(corpus.citing)} citations, "
-        f"{len(corpus.science)} science links"
+        f"{len(corpus.science_patent)} science links"
     )
     return corpus
 

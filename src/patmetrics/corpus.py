@@ -1,24 +1,22 @@
-"""In-memory patent corpus: records, CPC assignments, citations, science links.
+"""In-memory patent corpus: patent columns, CPC codes, citations, science links.
 
-The corpus is immutable once built.  `CorpusBuilder` is the single place where
-row-level validation happens; `io.ingest` feeds it every row, whether read
-from files or freshly generated.  Builders name the reason for every rejected
-row; callers decide whether a rejection is fatal (strict mode) or merely
-counted.  A patent is known by its position in `Corpus.records`; a citation
-exists only as a (citing, cited) pair of positions, and CPC codes as the
-interned rows of `Corpus.codes`.  Text is interned once per corpus, in
-`Corpus.tokens()`, for the classifiers to read.
+The corpus is immutable once built.  `io.ingest` is the one place that
+validates table rows and builds it, whether the rows are read from files or
+freshly generated.  A patent is known by its position: its id, grant year
+and each of its text fields sit at that position of one column apiece.  A
+citation exists only as a (citing, cited) pair of positions, CPC codes as
+the interned rows of `Corpus.codes`, and a science link as one entry of
+three columns.  Text is interned once per corpus, in `Corpus.tokens()`, for
+the classifiers to read.
 """
 
 from __future__ import annotations
 
 import re
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import attrgetter
 from string import ascii_lowercase, digits
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -40,7 +38,7 @@ LEVELS = (1, 3, 4)
 
 DEFAULT_WINDOW = (1990, 2019)
 
-#: The text fields of a record.
+#: The text fields of a patent, each one `Corpus` column.
 TEXT_FIELDS = ("title", "abstract", "claims", "description")
 
 
@@ -65,136 +63,6 @@ def parse_cpc(raw: str) -> str:
     if not _CPC_RE.match(cleaned):
         raise CpcParseError(f"not a valid CPC symbol: {raw!r}")
     return cleaned
-
-
-@dataclass(frozen=True, slots=True)
-class PatentRecord:
-    """One granted patent.  Text fields may be empty but never None-typed away."""
-
-    id: str
-    grant_year: int
-    title: str = ""
-    abstract: str = ""
-    claims: str = ""
-    description: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class ScienceLink:
-    """A patent-to-science reference with a field label and a reliability
-    confidence score (integer, >= 1)."""
-
-    patent: str
-    field_label: str
-    confidence: int
-
-
-class CorpusBuilder:
-    """Accumulates rows with validation.  add_* methods return None when the
-    row was accepted and the rejection reason when it was not.
-
-    A duplicate patent id always raises: downstream identity assumptions
-    would silently break otherwise.  Each accepted record takes the next
-    position; accepted CPC assignments are kept as a set of (position,
-    normalised code) pairs, and accepted citations as position pairs, in
-    acceptance order.
-    """
-
-    def __init__(self, window: tuple[int, int] = DEFAULT_WINDOW):
-        lo, hi = window
-        if lo > hi:
-            raise ValueError(f"empty corpus window {window!r}")
-        self.window = (int(lo), int(hi))
-        self._records: list[PatentRecord] = []
-        self._position: dict[str, int] = {}
-        self._year = array("i")
-        self._codes: set[tuple[int, str]] = set()
-        self._citing = array("i")
-        self._cited = array("i")
-        self._cite_seen: set[int] = set()  # citing << 32 | cited
-        self._science: list[ScienceLink] = []
-        self._sci_seen: set[tuple[str, str, int]] = set()
-
-    def grant_year(self, patent_id: str) -> int:
-        return self._year[self._position[patent_id]]
-
-    def add_record(self, rec: PatentRecord) -> str | None:
-        if not rec.id:
-            return "empty_id"
-        if rec.id in self._position:
-            raise DataError(f"duplicate patent id {rec.id!r}")
-        lo, hi = self.window
-        if not (lo <= rec.grant_year <= hi):
-            return "year_out_of_window"
-        self._position[rec.id] = len(self._records)
-        self._year.append(rec.grant_year)
-        self._records.append(rec)
-        return None
-
-    def add_assignment(self, patent_id: str, raw_code: str) -> str | None:
-        i = self._position.get(patent_id)
-        if i is None:
-            return "unknown_patent"
-        try:
-            key = (i, parse_cpc(raw_code))
-        except CpcParseError:
-            return "bad_code"
-        if key in self._codes:
-            return "duplicate"
-        self._codes.add(key)
-        return None
-
-    def add_citation(self, citing: str, cited: str) -> str | None:
-        i = self._position.get(citing)
-        if i is None:
-            return "unknown_citing"
-        j = self._position.get(cited)
-        if j is None:
-            return "unknown_cited"
-        if i == j:
-            return "self_citation"
-        key = i << 32 | j
-        if key in self._cite_seen:
-            return "duplicate"
-        if self._year[i] < self._year[j]:
-            return "negative_lag"
-        self._cite_seen.add(key)
-        self._citing.append(i)
-        self._cited.append(j)
-        return None
-
-    def add_science_link(self, patent_id: str, field_label: str, confidence: int) -> str | None:
-        if patent_id not in self._position:
-            return "unknown_patent"
-        label = field_label.strip()
-        if not label:
-            return "empty_field"
-        if confidence < 1:
-            return "bad_confidence"
-        key = (patent_id, label, confidence)
-        if key in self._sci_seen:
-            return "duplicate"
-        self._sci_seen.add(key)
-        self._science.append(ScienceLink(patent_id, label, confidence))
-        return None
-
-    def build(self) -> "Corpus":
-        year = np.array(self._year, np.int32)
-        citing = np.array(self._citing, np.int32)
-        owners, raws = zip(*self._codes) if self._codes else ((), ())
-        names, of_code = np.unique(raws, return_inverse=True)
-        return Corpus(
-            records=tuple(self._records),
-            ids=tuple(self._position),
-            position=dict(self._position),
-            year=year,
-            codes=_distinct_rows(len(year), np.array(owners, np.int64), of_code, tuple(names.tolist())),
-            citing=citing,
-            cited=np.array(self._cited, np.int32),
-            citing_year=year[citing],
-            science=tuple(self._science),
-            window=self.window,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +105,7 @@ class Csr:
         return np.repeat(np.arange(len(rows), dtype=np.int32), count), self.ids[at]
 
 
-def _distinct_rows(n_rows: int, owners: np.ndarray, ids: np.ndarray, names: tuple[str, ...]) -> Csr:
+def distinct_rows(n_rows: int, owners: np.ndarray, ids: np.ndarray, names: tuple[str, ...]) -> Csr:
     """A `Csr` of `n_rows` rows holding the distinct (owner, id) pairs."""
     owners, ids = np.divmod(np.unique(owners.astype(np.int64) * len(names) + ids), max(len(names), 1))
     indptr = np.zeros(n_rows + 1, np.int32)
@@ -245,13 +113,19 @@ def _distinct_rows(n_rows: int, owners: np.ndarray, ids: np.ndarray, names: tupl
     return Csr(names, indptr, ids.astype(np.int32))
 
 
+def interner() -> defaultdict:
+    """A dict that gives each key it has not held the next id: 0, 1, ..."""
+    ids: defaultdict = defaultdict()
+    ids.default_factory = ids.__len__
+    return ids
+
+
 def index_tokens(fields: Mapping[str, Iterable[str]]) -> dict[str, Csr]:
     """Tokenize every text of each field once: one `Csr` per field, whose
     row i holds the tokens of text i, over one vocabulary shared by all
     fields.  Ids are given in order of first sight, then renumbered in
     token order; only the sorted vocabulary is decoded to `str`."""
-    seen: defaultdict[bytes, int] = defaultdict()
-    seen.default_factory = seen.__len__  # a new token takes the next id
+    seen = interner()
     csr = {}
     for name, texts in fields.items():
         ids, indptr = [], [0]
@@ -268,29 +142,37 @@ def index_tokens(fields: Mapping[str, Iterable[str]]) -> dict[str, Csr]:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Immutable corpus, every patent known by its position in `records`.
+    """Immutable corpus, every patent known by its position in `ids`.
 
-    `ids` and `year` hold each patent's id and grant year by position, and
+    `year` and the text columns `title`, `abstract`, `claims` and
+    `description` hold each patent's grant year and texts by position, and
     `position` maps an id back.  `codes` holds each patent's CPC codes.
-    `citing`, `cited` and `citing_year` hold one entry per citation, in
-    acceptance order.  Arrays are int32.  All derived indexes are
-    deterministic functions of the content.
+    `citing`, `cited` and `citing_year` hold one entry per citation, and
+    `science_patent`, `science_label` and `science_confidence` one per
+    science link, in acceptance order.  Arrays are int32, but for the int64
+    confidences.  All derived indexes are deterministic functions of the
+    content.
     """
 
-    records: tuple[PatentRecord, ...]
     ids: tuple[str, ...]
     position: dict[str, int]
     year: np.ndarray
+    title: tuple[str, ...]
+    abstract: tuple[str, ...]
+    claims: tuple[str, ...]
+    description: tuple[str, ...]
     codes: Csr
     citing: np.ndarray
     cited: np.ndarray
     citing_year: np.ndarray
-    science: tuple[ScienceLink, ...]
+    science_patent: np.ndarray
+    science_label: tuple[str, ...]
+    science_confidence: np.ndarray
     window: tuple[int, int] = DEFAULT_WINDOW
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def memo(self, key: Hashable, build: Callable[[], Any], slot: Hashable = None) -> Any:
         """The value derived under `key`, made by `build()` on first use.
@@ -317,9 +199,7 @@ class Corpus:
 
     def tokens(self) -> dict[str, Csr]:
         """The tokens of every patent, one `Csr` per text field."""
-        return self.memo("tokens", lambda: index_tokens(
-            {name: map(attrgetter(name), self.records) for name in TEXT_FIELDS}
-        ))
+        return self.memo("tokens", lambda: index_tokens({name: getattr(self, name) for name in TEXT_FIELDS}))
 
     def class_index(self, level: int) -> Csr:
         """The level-truncated CPC classes of every patent."""
@@ -330,7 +210,7 @@ class Corpus:
     def _build_class_index(self, level: int) -> Csr:
         codes = self.codes
         names, of_code = np.unique([raw[:level] for raw in codes.names], return_inverse=True)
-        return _distinct_rows(len(self), codes.owners(), of_code[codes.ids], tuple(names.tolist()))
+        return distinct_rows(len(self), codes.owners(), of_code[codes.ids], tuple(names.tolist()))
 
     def years(self) -> list[int]:
         lo, hi = self.window

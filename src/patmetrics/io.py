@@ -20,8 +20,10 @@ from html import escape
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .corpus import DEFAULT_WINDOW, Corpus, CorpusBuilder, PatentRecord
-from .errors import ConfigError, DataError
+import numpy as np
+
+from .corpus import DEFAULT_WINDOW, TEXT_FIELDS, Corpus, distinct_rows, interner, parse_cpc
+from .errors import ConfigError, CpcParseError, DataError
 from .metrics import GroupSeries
 
 TABLE_COLUMNS = {
@@ -136,6 +138,19 @@ class LoadReport:
         return "\n".join(lines) + "\n"
 
 
+#: Each table's reject reasons, in order of precedence: a bad row is
+#: counted under the first that applies.  A row's reason code is the place
+#: of its reason here plus one; 0 means accepted.
+_REJECTS = {
+    "patents": ("malformed", "empty_id", "year_out_of_window"),
+    "cpc": ("malformed", "unknown_patent", "bad_code", "duplicate"),
+    "citations": ("malformed", "unknown_citing", "unknown_cited", "self_citation", "negative_lag", "duplicate"),
+    "science": ("malformed", "unknown_patent", "empty_field", "bad_confidence", "duplicate"),
+}
+
+_INT64 = np.iinfo(np.int64)
+
+
 def ingest(
     tables: Mapping[str, tuple[str, Iterable[Sequence | None]]],
     *,
@@ -150,55 +165,170 @@ def ingest(
     count the header as line 1.  In lenient mode bad rows are counted and
     skipped; in strict mode the first bad row raises `DataError` naming the
     file and line.  Duplicate patent ids abort in either mode.
+
+    Patents are checked a row at a time.  Each other table is read whole,
+    its id cells turned into patent positions as the rows stream by, and
+    then checked with masks; so a table that fails to read reports that
+    before any bad row.
     """
-    builder = CorpusBuilder(window=window)
-    report = LoadReport(window=builder.window, strict=strict)
+    lo, hi = window
+    if lo > hi:
+        raise ValueError(f"empty corpus window {window!r}")
+    report = LoadReport(window=(int(lo), int(hi)), strict=strict)
 
-    # Row adders return None for an accepted row and the reason otherwise;
-    # a ValueError from an integer cell means the row is malformed.
-    def add_patent(row, table):
-        pid, year, title, abstract, claims, description = row
-        return builder.add_record(
-            PatentRecord(pid.strip(), int(year), title, abstract, claims, description)
-        )
+    def rows(name):
+        return tables[name][1] if name in tables else ()
 
-    def add_cpc(row, table):
-        return builder.add_assignment(row[0].strip(), row[1])
-
-    def add_citation(row, table):
-        citing = row[0].strip()
-        stated_year = int(row[2])
-        reason = builder.add_citation(citing, row[1].strip())
-        # citing_year is resolved from the citing record; a stated year
-        # that disagrees is worth flagging but not fatal.
-        if reason is None and builder.grant_year(citing) != stated_year:
-            table.warnings["citing_year_mismatch"] += 1
-        return reason
-
-    def add_science(row, table):
-        return builder.add_science_link(row[0].strip(), row[1], int(row[2]))
-
-    adders = {"patents": add_patent, "cpc": add_cpc, "citations": add_citation, "science": add_science}
-    for name in TABLE_COLUMNS:
+    def tally(name, reason, **warnings):
         if name not in tables:
-            continue
-        path, rows = tables[name]
-        add = adders[name]
-        t = report.tables[name] = TableReport(path)
-        for lineno, row in enumerate(rows, start=2):
-            t.rows += 1
-            try:
-                reason = "malformed" if row is None else add(row, t)
-            except ValueError:
-                reason = "malformed"
-            if reason is None:
-                t.accepted += 1
-                continue
-            t.rejected[reason] += 1
-            if strict:
-                raise DataError(f"{path}: line {lineno}: rejected row ({reason})")
+            return
+        path, reasons = tables[name][0], _REJECTS[name]
+        count = np.bincount(reason, minlength=len(reasons) + 1).tolist()
+        if strict and count[0] < len(reason):
+            first = int(np.argmax(reason > 0))
+            raise DataError(f"{path}: line {first + 2}: rejected row ({reasons[reason[first] - 1]})")
+        rejected = Counter(dict(zip(reasons, count[1:])))
+        report.tables[name] = TableReport(path, len(reason), count[0], +rejected, +Counter(warnings))
 
-    return builder.build(), report
+    position, year, texts, reason = _patents(rows("patents"), report.window, strict)
+    tally("patents", reason)
+    codes, reason = _cpc(rows("cpc"), position, len(year))
+    tally("cpc", reason)
+    citing, cited, mismatches, reason = _citations(rows("citations"), position, year)
+    tally("citations", reason, citing_year_mismatch=mismatches)
+    science, reason = _science(rows("science"), position)
+    tally("science", reason)
+    corpus = Corpus(
+        ids=tuple(position), position=position, year=year, **dict(zip(TEXT_FIELDS, texts)),
+        codes=codes, citing=citing, cited=cited, citing_year=year[citing], **science, window=report.window,
+    )
+    return corpus, report
+
+
+def _reasons(rejects: list[np.ndarray], *keys: np.ndarray) -> np.ndarray:
+    """Each row's reason code: k where the k-th of the masks `rejects` is
+    the first to mark it, else the next code, for a duplicate, where its
+    `keys` equal those of an earlier row, else 0.  Each mask is a function
+    of the keys, so a repeat of a rejected row is rejected for the same
+    reason: only a repeat of an accepted row is a duplicate."""
+    order = np.lexsort(keys)  # stable: a repeat sorts after its first
+    repeat = np.zeros(len(order), bool)
+    repeat[order[1:][np.logical_and.reduce([key[order[1:]] == key[order[:-1]] for key in keys])]] = True
+    return np.select([*rejects, repeat], range(1, len(rejects) + 2), 0)
+
+
+def _stream(rows: Iterable[Sequence | None], cells, width: int, dtype=np.int32) -> np.ndarray:
+    """The `width` ints `cells(row)` of each row, as one array row per table
+    row, taken while the rows stream by.  A row that is None or whose
+    integer cell does not parse (`cells` raises `ValueError`) is
+    (-2, -1, ...): -2 marks it malformed."""
+    malformed = (-2,) + (-1,) * (width - 1)
+
+    def each():
+        for row in rows:
+            try:
+                yield malformed if row is None else cells(row)
+            except ValueError:
+                yield malformed
+
+    return np.fromiter(each(), np.dtype((dtype, width)))
+
+
+def _patents(rows: Iterable[Sequence | None], window: tuple[int, int], strict: bool):
+    """Check patent rows in order, for a repeated id aborts only against an
+    id already accepted; in strict mode, stop after the first rejected row.
+    The position of each accepted id, their grant years and text columns,
+    and the reason code of each row checked."""
+    lo, hi = window
+    position: dict[str, int] = {}
+    year: list[int] = []
+    texts = tuple([] for _ in TEXT_FIELDS)
+    reason = bytearray()
+    for row in rows:
+        try:
+            pid, grant, title, abstract, claims, description = row or ()  # None: a short line
+            pid, grant = pid.strip(), int(grant)
+        except ValueError:
+            k = 1  # malformed
+        else:
+            if not pid:
+                k = 2  # empty_id
+            elif pid in position:
+                raise DataError(f"duplicate patent id {pid!r}")
+            else:
+                k = 0 if lo <= grant <= hi else 3  # year_out_of_window
+        reason.append(k)
+        if k == 0:
+            position[pid] = len(year)
+            year.append(grant)
+            for column, cell in zip(texts, (title, abstract, claims, description)):
+                column.append(cell)
+        elif strict:
+            break
+    return position, np.array(year, np.int32), tuple(map(tuple, texts)), np.frombuffer(reason, np.uint8)
+
+
+def _normal_cpc(raw: str) -> str | None:
+    try:
+        return parse_cpc(raw)
+    except CpcParseError:
+        return None
+
+
+def _cpc(rows: Iterable[Sequence | None], position: Mapping[str, int], n_patents: int):
+    """The code `Csr` of the accepted CPC rows, and each row's reason code.
+    Each distinct code cell is parsed once."""
+    cells = interner()
+    at, cell = _stream(rows, lambda row: (position.get(row[0].strip(), -1), cells[row[1]]), 2).T
+    normal = [_normal_cpc(raw) for raw in cells]
+    names = sorted(set(normal) - {None})
+    rank = {name: k for k, name in enumerate(names)}
+    code = np.array([rank.get(c, -1) for c in normal] + [-1], np.int32)[cell]  # a malformed row reads the last
+    reason = _reasons([at == -2, at == -1, code < 0], at, code)
+    ok = reason == 0
+    held, code = np.unique(code[ok], return_inverse=True)  # only the codes of accepted rows are names
+    return distinct_rows(n_patents, at[ok], code, tuple(names[k] for k in held.tolist())), reason
+
+
+def _citations(rows: Iterable[Sequence | None], position: Mapping[str, int], year: np.ndarray):
+    """The citing and cited positions of the accepted citation rows, how
+    many of those state a citing year other than the citing patent's (the
+    corpus keeps the patent's: worth flagging, not fatal), and each row's
+    reason code."""
+    years = year.tolist() + [0]  # an unknown patent, at -1, reads this 0
+
+    def cells(row):
+        i, j = position.get(row[0].strip(), -1), position.get(row[1].strip(), -1)
+        return i, j, years[i] < years[j], int(row[2]) != years[i]
+
+    i, j, backwards, mismatch = _stream(rows, cells, 4).T
+    reason = _reasons([i == -2, i == -1, j == -1, i == j, backwards > 0], i, j)
+    ok = reason == 0
+    return i[ok], j[ok], int(mismatch[ok].sum()), reason
+
+
+def _science(rows: Iterable[Sequence | None], position: Mapping[str, int]):
+    """The science columns of a `Corpus` for the accepted science rows, and
+    each row's reason code.  A confidence that does not fit in 64 bits is
+    malformed."""
+    labels = interner()  # stripped label -> id
+
+    def cells(row):
+        confidence = int(row[2])
+        if not _INT64.min <= confidence <= _INT64.max:
+            raise ValueError(confidence)
+        return position.get(row[0].strip(), -1), labels[row[1].strip()], confidence
+
+    at, label, confidence = _stream(rows, cells, 3, np.int64).T
+    empty = labels.get("", -2)  # -2 when no label is empty
+    reason = _reasons([at == -2, at == -1, label == empty, confidence < 1], at, label, confidence)
+    ok = reason == 0
+    names = list(labels)
+    return {
+        "science_patent": at[ok].astype(np.int32),
+        "science_label": tuple(names[k] for k in label[ok].tolist()),
+        "science_confidence": confidence[ok],
+    }, reason
 
 
 @contextmanager

@@ -6,7 +6,7 @@ import numpy as np
 
 from patmetrics import io as pio
 from patmetrics import synth
-from patmetrics.corpus import Corpus, CorpusBuilder, Csr, PatentRecord
+from patmetrics.corpus import TEXT_FIELDS, Corpus, Csr
 
 
 def build_corpus(
@@ -26,18 +26,19 @@ def build_corpus(
     if window is None:
         lo, hi = min(years.values()), max(years.values())
         window = (lo, hi)
-    b = CorpusBuilder(window=window)
-    for pid, year in years.items():
-        overrides = (texts or {}).get(pid, {})
-        b.add_record(PatentRecord(id=pid, grant_year=year, **overrides))
-    for pid, code_list in (codes or {}).items():
-        for code in code_list:
-            assert b.add_assignment(pid, code) is None, (pid, code)
-    for citing, cited in cites:
-        assert b.add_citation(citing, cited) is None, (citing, cited)
-    for pid, field_label, conf in science:
-        assert b.add_science_link(pid, field_label, conf) is None, (pid, field_label)
-    return b.build()
+    texts = texts or {}
+    tables = {
+        "patents": [
+            (pid, year, *(texts.get(pid, {}).get(name, "") for name in TEXT_FIELDS))
+            for pid, year in years.items()
+        ],
+        "cpc": [(pid, code) for pid, code_list in (codes or {}).items() for code in code_list],
+        "citations": [(citing, cited, years[citing]) for citing, cited in cites],
+        "science": list(science),
+    }
+    # strict: a row that is not accepted fails the test that built it
+    corpus, _ = pio.ingest({name: (name, rows) for name, rows in tables.items()}, window=window, strict=True)
+    return corpus
 
 
 def classes_at(corpus, level, patent_id):

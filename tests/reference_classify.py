@@ -21,12 +21,13 @@ import numpy as np
 
 from patmetrics.classify import (
     TEXT_FIELDS,
+    PhraseMatcher,
     USPTO_TEXT_FIELDS,
     WIPO_TEXT_FIELDS,
     default_keywords,
     default_wipo_rules,
 )
-from patmetrics.corpus import Csr
+from patmetrics.corpus import Csr, index_tokens
 from patmetrics.errors import ConfigError
 
 from helpers import citation_triples, codes_by_id
@@ -69,12 +70,18 @@ def match_tokens(phrases: Sequence[tuple[str, ...]], tokens: Sequence[str]) -> b
     return False
 
 
+def match_text(matcher: PhraseMatcher, text: str) -> bool:
+    """Whether `matcher` finds one of its phrases in `text`, read through
+    the token index of that one text."""
+    return bool(matcher.rows(index_tokens({"text": [text]})["text"])[0])
+
+
 def classify_keyword(corpus, table=None) -> frozenset[str]:
     phrases = (table or default_keywords()).phrases()
     return frozenset(
         pid
-        for pid, rec in zip(corpus.ids, corpus.records)
-        if any(match_tokens(phrases, tokenize(getattr(rec, name))) for name in TEXT_FIELDS)
+        for p, pid in enumerate(corpus.ids)
+        if any(match_tokens(phrases, tokenize(getattr(corpus, name)[p])) for name in TEXT_FIELDS)
     )
 
 
@@ -84,9 +91,9 @@ def classify_wipo(corpus, rules=None) -> frozenset[str]:
         raise ConfigError("rule set is empty")
     hits = []
     codes = codes_by_id(corpus)
-    for pid, rec in zip(corpus.ids, corpus.records):
+    for p, pid in enumerate(corpus.ids):
         raws = codes.get(pid, ())
-        fields = [tokenize(getattr(rec, name)) for name in WIPO_TEXT_FIELDS]
+        fields = [tokenize(getattr(corpus, name)[p]) for name in WIPO_TEXT_FIELDS]
 
         def has_phrase(ph):
             return any(match_tokens([ph], tokens) for tokens in fields)
@@ -159,10 +166,10 @@ def build_uspto_seed(corpus, prefixes: Sequence[str], hops: int = 0) -> frozense
 
 
 def _doc_counter(corpus, pid: str) -> Counter:
-    rec = corpus.records[corpus.position[pid]]
+    p = corpus.position[pid]
     counts: Counter = Counter()
     for name in USPTO_TEXT_FIELDS:
-        counts.update(tokenize(getattr(rec, name)))
+        counts.update(tokenize(getattr(corpus, name)[p]))
     return counts
 
 

@@ -30,7 +30,7 @@ def class_sets(corpus, level: int) -> dict[str, frozenset[str]]:
 
 
 def _grant_year(corpus, patent_id: str) -> int:
-    return corpus.records[corpus.position[patent_id]].grant_year
+    return int(corpus.year[corpus.position[patent_id]])
 
 
 def _generality(counts: Counter) -> float | None:

@@ -385,7 +385,7 @@ def test_11_lag_bounds_and_decade_decline():
     lags = met.citation_lags(corpus, everything)
     assert len(corpus.citing)
     for pid, values in lags.items():
-        ceiling = end - corpus.records[corpus.position[pid]].grant_year
+        ceiling = end - corpus.year[corpus.position[pid]]
         for lag in values:
             assert 0 <= lag <= ceiling
     decades = [(1990, 1999), (2000, 2009), (2010, 2019)]

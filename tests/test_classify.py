@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from patmetrics import classify as cls
-from patmetrics.corpus import CorpusBuilder, index_tokens
+from patmetrics import io as pio
+from patmetrics.corpus import index_tokens
 from patmetrics.errors import ConfigError
 
 import reference_classify as ref
@@ -53,20 +54,20 @@ def test_tokenize_equals_regex_oracle():
 class TestPhraseMatcher:
     def test_multiword_requires_consecutive_tokens(self):
         m = cls.PhraseMatcher([("neural", "network")])
-        assert m.match_text("a neural network model")
-        assert m.match_text("NEURAL-NETWORK")
-        assert not m.match_text("neural and network")
-        assert not m.match_text("network neural")
+        assert ref.match_text(m, "a neural network model")
+        assert ref.match_text(m, "NEURAL-NETWORK")
+        assert not ref.match_text(m, "neural and network")
+        assert not ref.match_text(m, "network neural")
 
     def test_substring_of_token_does_not_match(self):
         m = cls.PhraseMatcher([("robot",)])
-        assert m.match_text("the robot arm")
-        assert not m.match_text("robotic arm")  # different token
+        assert ref.match_text(m, "the robot arm")
+        assert not ref.match_text(m, "robotic arm")  # different token
 
     def test_phrase_at_text_end(self):
         m = cls.PhraseMatcher([("machine", "learning")])
-        assert m.match_text("applied machine learning")
-        assert not m.match_text("learning machine")  # reversed
+        assert ref.match_text(m, "applied machine learning")
+        assert not ref.match_text(m, "learning machine")  # reversed
 
 
 class TestKeywordTable:
@@ -235,7 +236,7 @@ def test_citation_inputs_equal_reference_loops(seed):
         got = cls._citation_features(corpus, group)
         assert got.dtype == np.float64 and got.shape == (len(corpus), 2)
         assert np.array_equal(got[rows], ref.citation_features(corpus, ids, group))
-    assert cls._citation_features(CorpusBuilder().build(), frozenset()).shape == (0, 2)
+    assert cls._citation_features(pio.ingest({})[0], frozenset()).shape == (0, 2)
 
 
 #: Full CPC codes for the random text corpora: the default WIPO prefixes

@@ -557,6 +557,18 @@ class TestStrictMode:
         err = capsys.readouterr().err
         assert "cpc.tsv" in err and "line" in err
 
+    def test_strict_run_reports_read_error_before_bad_row(self, tables, tmp_path, capsys):
+        """A CPC table is read whole before its rows are judged, so a byte
+        that is not UTF-8 after the bad row is the error reported, even
+        when the file is decoded in chunks and the bad row comes many
+        chunks before it."""
+        cpc = tmp_path / "cpc.tsv"
+        cpc.write_bytes(cpc.read_bytes() + b"P0000001\tG06N\n" * 10000 + b"\xff\n")
+        code = cli.main(["run", "--config", str(tables), "--out", str(tmp_path / "strict"), "--strict"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {cpc}: 'utf-8' codec can't decode"), err
+
 
 class TestRunConfigParsing:
     def write(self, tmp_path, text):

@@ -1,23 +1,20 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from patmetrics.corpus import (
-    CorpusBuilder,
-    Csr,
-    PatentRecord,
-    parse_cpc,
-)
+from patmetrics import io as pio
+from patmetrics.corpus import Csr, parse_cpc
 from patmetrics.errors import CpcParseError, DataError
 
 from helpers import assert_same, build_corpus, classes_at
 
 
 def reference_code_index(corpus, rows):
-    """The code index as the builder once derived it: the accepted codes of
-    each patent id gathered in a dict, each row rejected for the reason the
-    builder gives, then every patent's distinct codes numbered in sorted
+    """The code index as a per-row loader derived it: the accepted codes of
+    each patent id gathered in a dict, each row rejected for the reason
+    `io.ingest` gives, then every patent's distinct codes numbered in sorted
     order.  Returns the index and the reason (None when accepted) of each
     row."""
     codes: dict[str, list[str]] = {}
@@ -62,74 +59,95 @@ class TestParseCpc:
             parse_cpc(bad)
 
 
+def patent(pid, year):
+    return (pid, year, "", "", "", "")
+
+
+def ingest(window=(2000, 2010), **tables):
+    """The corpus and report of `io.ingest` over the rows of the named
+    tables, each table named after itself."""
+    return pio.ingest({name: (name, rows) for name, rows in tables.items()}, window=window)
+
+
+def row_reasons(name, rows, patents, window=(2000, 2010)):
+    """The reject reason of each row of table `name` (None when accepted),
+    read off the report of ingesting the rows up to it: a row's fate
+    depends only on the rows before it."""
+    reasons, before = [], Counter()
+    for k in range(len(rows) + 1):
+        _, report = ingest(window, **{"patents": patents, name: rows[:k]})
+        after = report.tables[name].rejected
+        if k:
+            reasons.append(next(iter(after - before), None))
+        before = after
+    return reasons
+
+
 class TestBuilder:
+    """The row rules of `io.ingest`, the one builder of a corpus."""
+
     def test_duplicate_patent_id_aborts(self):
-        b = CorpusBuilder(window=(2000, 2010))
-        assert b.add_record(PatentRecord("P1", 2005)) is None
+        _, report = ingest(patents=[patent("P1", 2005)])
+        assert report.tables["patents"].accepted == 1
         with pytest.raises(DataError):
-            b.add_record(PatentRecord("P1", 2006))
+            ingest(patents=[patent("P1", 2005), patent("P1", 2006)])
 
     def test_year_outside_window_rejected(self):
-        b = CorpusBuilder(window=(2000, 2010))
-        assert b.add_record(PatentRecord("P1", 1999)) == "year_out_of_window"
-        assert b.add_record(PatentRecord("P2", 2011)) == "year_out_of_window"
-        assert len(b.build()) == 0
+        assert row_reasons("patents", [patent("P1", 1999), patent("P2", 2011)], []) == [
+            "year_out_of_window", "year_out_of_window",
+        ]
+        assert len(ingest(patents=[patent("P1", 1999), patent("P2", 2011)])[0]) == 0
 
     def test_window_bounds_inclusive(self):
-        b = CorpusBuilder(window=(2000, 2010))
-        assert b.add_record(PatentRecord("P1", 2000)) is None
-        assert b.add_record(PatentRecord("P2", 2010)) is None
+        assert row_reasons("patents", [patent("P1", 2000), patent("P2", 2010)], []) == [None, None]
 
     def test_assignment_rules(self):
-        b = CorpusBuilder(window=(2000, 2010))
-        b.add_record(PatentRecord("P1", 2005))
-        assert b.add_assignment("P1", "G06N20/00") is None
-        assert b.add_assignment("P1", "G06N20/00") == "duplicate"  # exact duplicate
-        assert b.add_assignment("P1", "G06N3/04") is None  # same subclass, new symbol
-        assert b.add_assignment("P9", "G06N") == "unknown_patent"
-        assert b.add_assignment("P1", "bogus!") == "bad_code"
+        rows = [("P1", "G06N20/00"), ("P1", "G06N20/00"), ("P1", "G06N3/04"), ("P9", "G06N"), ("P1", "bogus!")]
+        assert row_reasons("cpc", rows, [patent("P1", 2005)]) == [
+            None,
+            "duplicate",  # exact duplicate
+            None,  # same subclass, new symbol
+            "unknown_patent",
+            "bad_code",
+        ]
 
     def test_citation_rules(self):
-        b = CorpusBuilder(window=(2000, 2010))
-        b.add_record(PatentRecord("P1", 2001))
-        b.add_record(PatentRecord("P2", 2005))
-        assert b.add_citation("P2", "P1") is None
-        assert b.add_citation("P2", "P1") == "duplicate"
-        assert b.add_citation("P2", "P2") == "self_citation"
-        assert b.add_citation("P1", "P2") == "negative_lag"
-        assert b.add_citation("P2", "PX") == "unknown_cited"
-        assert b.add_citation("PX", "P1") == "unknown_citing"
-        corpus = b.build()
+        patents = [patent("P1", 2001), patent("P2", 2005)]
+        rows = [("P2", "P1", 2005), ("P2", "P1", 2005), ("P2", "P2", 2005), ("P1", "P2", 2001),
+                ("P2", "PX", 2005), ("PX", "P1", 2005)]
+        assert row_reasons("citations", rows, patents) == [
+            None, "duplicate", "self_citation", "negative_lag", "unknown_cited", "unknown_citing",
+        ]
+        corpus, _ = ingest(patents=patents, citations=rows)
         assert len(corpus.citing) == 1
         assert corpus.citing_year[0] == 2005
         assert (corpus.citing[0], corpus.cited[0]) == (1, 0)
 
     def test_rejected_record_takes_no_position(self):
-        b = CorpusBuilder(window=(2000, 2010))
-        b.add_record(PatentRecord("P1", 2001))
-        assert b.add_record(PatentRecord("P0", 1999)) == "year_out_of_window"
-        b.add_record(PatentRecord("P2", 2005))
-        assert b.add_citation("P2", "P0") == "unknown_cited"
-        assert b.add_citation("P2", "P1") is None
-        corpus = b.build()
+        patents = [patent("P1", 2001), patent("P0", 1999), patent("P2", 2005)]
+        assert row_reasons("patents", patents, []) == [None, "year_out_of_window", None]
+        rows = [("P2", "P0", 2005), ("P2", "P1", 2005)]
+        assert row_reasons("citations", rows, patents) == ["unknown_cited", None]
+        corpus, _ = ingest(patents=patents, citations=rows)
         assert corpus.position == {"P1": 0, "P2": 1}
         assert (corpus.citing.tolist(), corpus.cited.tolist()) == ([1], [0])
 
     def test_same_year_citation_allowed(self):
-        b = CorpusBuilder(window=(2000, 2010))
-        b.add_record(PatentRecord("P1", 2005))
-        b.add_record(PatentRecord("P2", 2005))
-        assert b.add_citation("P2", "P1") is None
+        patents = [patent("P1", 2005), patent("P2", 2005)]
+        assert row_reasons("citations", [("P2", "P1", 2005)], patents) == [None]
 
     def test_science_rules(self):
-        b = CorpusBuilder(window=(2000, 2010))
-        b.add_record(PatentRecord("P1", 2005))
-        assert b.add_science_link("P1", "Computer Science; Artificial Intelligence", 4) is None
-        assert b.add_science_link("P1", "Computer Science; Artificial Intelligence", 4) == "duplicate"
-        assert b.add_science_link("P1", "Computer Science; Artificial Intelligence", 3) is None
-        assert b.add_science_link("P1", "  ", 4) == "empty_field"
-        assert b.add_science_link("P1", "Physics; Applied", 0) == "bad_confidence"
-        assert b.add_science_link("PX", "Physics; Applied", 5) == "unknown_patent"
+        rows = [
+            ("P1", "Computer Science; Artificial Intelligence", 4),
+            ("P1", "Computer Science; Artificial Intelligence", 4),
+            ("P1", "Computer Science; Artificial Intelligence", 3),
+            ("P1", "  ", 4),
+            ("P1", "Physics; Applied", 0),
+            ("PX", "Physics; Applied", 5),
+        ]
+        assert row_reasons("science", rows, [patent("P1", 2005)]) == [
+            None, "duplicate", None, "empty_field", "bad_confidence", "unknown_patent",
+        ]
 
 
 class TestCodeIndex:
@@ -138,18 +156,16 @@ class TestCodeIndex:
         """Random CPC rows, with unknown and out-of-window patents, bad
         codes, exact and normalised duplicates and codeless patents."""
         rng = random.Random(seed)
-        b = CorpusBuilder(window=(2000, 2009))
         pids = [f"P{i}" for i in range(rng.randrange(1, 60))]
-        for pid in pids:
-            b.add_record(PatentRecord(pid, rng.randrange(1998, 2011)))
+        patents = [patent(pid, rng.randrange(1998, 2011)) for pid in pids]
         pool = ["G06N20/00", " g06n20/00", "G06N", "H04L9/40", "A01B", "y02e10/70",
                 "B82Y", "G06F3/01", "bogus", "G6N", ""]
         rows = [
             (rng.choice(pids + ["PX", ""]), rng.choice(pool))
             for _ in range(rng.randrange(0, 200))
         ]
-        reasons = [b.add_assignment(pid, raw) for pid, raw in rows]
-        corpus = b.build()
+        reasons = row_reasons("cpc", rows, patents, window=(2000, 2009))
+        corpus, _ = ingest((2000, 2009), patents=patents, cpc=rows)
         want, want_reasons = reference_code_index(corpus, rows)
         assert reasons == want_reasons
         assert_same(corpus.codes, want, "codes")
@@ -183,9 +199,10 @@ class TestCorpusIndexes:
         corpus = build_corpus(
             {"B": 2001, "A": 2000, "C": 2003},
             cites=[("C", "A"), ("B", "A"), ("C", "B")],
+            texts={pid: {"title": pid.lower()} for pid in "ABC"},
         )
         assert corpus.ids == ("B", "A", "C")
-        assert [r.id for r in corpus.records] == ["B", "A", "C"]
+        assert corpus.title == ("b", "a", "c")
         assert corpus.position == {"B": 0, "A": 1, "C": 2}
         assert corpus.year.tolist() == [2001, 2000, 2003]
         assert corpus.citing.tolist() == [2, 0, 2]

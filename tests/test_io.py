@@ -46,10 +46,10 @@ class TestLoadCorpus:
             window=(2000, 2002),
         )
         assert len(corpus) == 3
-        assert corpus.records[corpus.position["P1"]].abstract == "an abstract"
+        assert corpus.abstract[corpus.position["P1"]] == "an abstract"
         assert classes_at(corpus, 4, "P1") == {"G06N"}
         assert len(corpus.citing) == 2
-        assert len(corpus.science) == 1
+        assert len(corpus.science_patent) == 1
         for t in report.tables.values():
             assert t.rejected_total == 0
 

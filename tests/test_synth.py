@@ -90,8 +90,8 @@ class TestGeneratedStructure:
     def test_total_matches_schedule(self, generated):
         corpus, _ = generated
         counts = synth.year_counts(make_config())
-        assert len(corpus.records) == sum(counts.values())
-        by_year = Counter(r.grant_year for r in corpus.records)
+        assert len(corpus.ids) == sum(counts.values())
+        by_year = Counter(corpus.year.tolist())
         for year, n in counts.items():
             assert by_year[year] == n
 
@@ -128,7 +128,7 @@ class TestGeneratedStructure:
         corpus, _ = synth_corpus(
             make_config(base_count=600, growth=(0.07,), groups=(), decoy_links=())
         )
-        by_year = Counter(r.grant_year for r in corpus.records)
+        by_year = Counter(corpus.year.tolist())
         for year in range(2001, 2010):
             prev, cur = by_year[year - 1], by_year[year]
             assert (cur - prev) / prev == pytest.approx(0.07, abs=0.01)
@@ -183,18 +183,17 @@ class TestPlanting:
     def test_marker_token_planted_only_on_members(self, generated):
         corpus, truth = generated
         carriers = {
-            rec.id
-            for rec in corpus.records
-            if "quantumflux" in cls.tokenize(rec.abstract)
+            pid
+            for pid, abstract in zip(corpus.ids, corpus.abstract)
+            if "quantumflux" in cls.tokenize(abstract)
         }
         assert carriers == truth["us"]
 
     def test_decoy_links_present_but_inert(self, generated):
         corpus, truth = generated
-        phys = [l for l in corpus.science if l.field_label == "Physics; Applied"]
-        weak = [
-            l for l in corpus.science if l.field_label == CS_AI and l.confidence == 3
-        ]
+        links = list(zip(corpus.science_label, corpus.science_confidence.tolist()))
+        phys = [l for l in links if l[0] == "Physics; Applied"]
+        weak = [l for l in links if l == (CS_AI, 3)]
         assert len(phys) == 30  # 3 per year over 10 years
         assert len(weak) == 30
         assert cls.classify_science(corpus, "Physics; Applied", 3) != truth["sci"]
@@ -338,7 +337,7 @@ class TestConfigFile:
             ("Computer Science; Artificial Intelligence", 3, 1),
         )
         corpus, truth = synth_corpus(cfg)
-        assert len(corpus.records) == sum(synth.year_counts(cfg).values())
+        assert len(corpus.ids) == sum(synth.year_counts(cfg).values())
 
     def test_background_override(self, tmp_path):
         path = self.write(
