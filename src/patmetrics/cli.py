@@ -69,7 +69,6 @@ class RunConfig:
     compare: tuple[str, ...] = ("growth",)
     holm: bool = True
     exact_cutoff: int = st.DEFAULT_EXACT_CUTOFF
-    seed_override: int | None = None
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -184,17 +183,17 @@ def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> dict[str, li
     return tables
 
 
-def _ensure_corpus(cfg: RunConfig, out_dir: str, log: RunLog) -> Corpus:
+def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str, log: RunLog) -> Corpus:
     """Validate the corpus once and write its load report.  When the config
     asks for a synthetic corpus, fresh tables are generated and written
     under `corpus/`, and their rows are ingested without reading them back;
-    tables already there are reused only when no `--seed` was given."""
+    tables already there are reused unless a `seed` (`--seed`) is given."""
     tables = None
     if cfg.synth_path is not None:
         corpus_dir = os.path.join(out_dir, "corpus")
         paths = {name: os.path.join(corpus_dir, f"{name}.tsv") for name in pio.TABLE_COLUMNS}
-        if cfg.seed_override is not None or not os.path.exists(paths["patents"]):
-            tables = _synthesize(cfg.synth_path, cfg.seed_override, corpus_dir)
+        if seed is not None or not os.path.exists(paths["patents"]):
+            tables = _synthesize(cfg.synth_path, seed, corpus_dir)
             log.line(f"synth: generated {len(tables['patents'])} patents into corpus/")
     else:
         paths = dict(cfg.table_paths)
@@ -433,8 +432,7 @@ def stage_stats(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
                 summary_rows.append(row)
 
             rows = []
-            for a, b in sorted(result.tests, key=lambda p: (order.index(p[0]), order.index(p[1]))):
-                res = result.tests[(a, b)]
+            for (a, b), res in result.tests.items():
                 if res is None:
                     rows.append((a, b, "0", "", "", "", ""))
                 else:
@@ -456,8 +454,7 @@ def stage_stats(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
                 row = [a]
                 for j in range(len(order) - 1):
                     if j < i:
-                        key = (order[j], a) if (order[j], a) in result.adjusted else (a, order[j])
-                        row.append(pio.fmt_value(result.adjusted.get(key)))
+                        row.append(pio.fmt_value(result.adjusted[(order[j], a)]))
                     else:
                         row.append("")
                 matrix_rows.append(row)
@@ -513,8 +510,6 @@ def cmd_run(args, only: tuple[str, ...] | None = None) -> int:
     cfg = load_run_config(args.config)
     if args.strict:
         cfg = replace(cfg, strict=True)
-    if args.seed is not None:
-        cfg = replace(cfg, seed_override=args.seed)
     if getattr(args, "only", None):
         only = tuple(t.strip() for t in args.only.split(",") if t.strip())
     stages = only or STAGES
@@ -524,7 +519,7 @@ def cmd_run(args, only: tuple[str, ...] | None = None) -> int:
     log = RunLog(args.out)
     corpus = None
     if "classify" in stages or "metrics" in stages:
-        corpus = _ensure_corpus(cfg, args.out, log)
+        corpus = _ensure_corpus(cfg, args.seed, args.out, log)
     for name in stages:
         if name == "classify":
             stage_classify(cfg, corpus, args.out, log)

@@ -81,10 +81,10 @@ def comma_list(text: str, item=str) -> tuple:
 
 
 def year_range(text: str) -> tuple[int, int]:
-    """`LO-HI` as `(LO, HI)`; a `ValueError` unless LO <= HI."""
+    """`LO-HI` as `(LO, HI)`; a `ValueError` unless 0 <= LO <= HI <= 9999."""
     lo, hi = map(int, text.split("-"))
-    if lo > hi:
-        raise ValueError(f"empty year range {text!r}")
+    if not 0 <= lo <= hi <= 9999:
+        raise ValueError(f"year range {text!r} is empty or outside 0-9999")
     return lo, hi
 
 

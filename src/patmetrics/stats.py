@@ -134,10 +134,10 @@ def holm_adjust(p_values: Sequence[float]) -> list[float]:
 
 @dataclass(frozen=True)
 class PairwiseResult:
-    """All-pairs comparison of group series over one period."""
+    """All-pairs comparison of group series over one period.  The pair
+    mappings are keyed `(a, b)`, `a` before `b` in the compared series, and
+    iterate in that order."""
 
-    groups: tuple[str, ...]
-    period: tuple[int, int]
     tests: Mapping[tuple[str, str], TestResult | None]
     raw: Mapping[tuple[str, str], float | None]
     adjusted: Mapping[tuple[str, str], float | None]
@@ -202,7 +202,7 @@ def pairwise_compare(
         vals = list(restricted[s.group].values())
         summaries[s.group] = summary_stats(vals) if vals else None
 
-    return PairwiseResult(tuple(names), period, tests, raw, adjusted, summaries)
+    return PairwiseResult(tests, raw, adjusted, summaries)
 
 
 def summary_stats(values: Sequence[float]) -> tuple[float, float, float]:

@@ -16,6 +16,8 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 
 from .corpus import parse_cpc, tokenize
 from .errors import ConfigError, CpcParseError
@@ -52,6 +54,9 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """A synthesis config; one that `generate` cannot honour is a
+    `ConfigError` when it is made."""
+
     rng_seed: int = 1
     years: tuple[int, int] = (1990, 2019)
     base_count: int = 100
@@ -70,95 +75,95 @@ class SynthConfig:
     description_len: int = 20
     decoy_links: tuple[tuple[str, int, int], ...] = ()  # field, confidence, per year
 
+    def __post_init__(self):
+        for name in ("ai_attraction", "lag_mean", "classes_per_patent_mean", "class_concentration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if not all(map(math.isfinite, self.growth)):
+            raise ConfigError(f"growth rates must be finite: {self.growth}")
+        if self.base_count < 1:
+            raise ConfigError("base_count must be at least 1")
+        if self.years[0] > self.years[1]:
+            raise ConfigError(f"empty year range {self.years!r}")
+        if self.edges_per_patent < 0 or self.lag_mean < 0:
+            raise ConfigError("edges_per_patent and lag_mean must be non-negative")
+        if min(self.title_len, self.abstract_len, self.claims_len, self.description_len) < 0:
+            raise ConfigError("text lengths must be non-negative")
+        if self.ai_attraction <= 0:
+            raise ConfigError("ai_attraction must be positive")
+        if self.filler_vocab < 1:
+            raise ConfigError("filler_vocab must be positive")
+        if not self.background_codes:
+            raise ConfigError("background_codes is empty")
+        seen = set()
+        phrases: dict[str, tuple[str, ...]] = {}
+        markers: set[str] = set()
+        for spec in self.groups:
+            if spec.name in seen:
+                raise ConfigError(f"duplicate group name {spec.name!r}")
+            seen.add(spec.name)
+            if not (0.0 <= spec.share <= 1.0):
+                raise ConfigError(f"group {spec.name}: share {spec.share} outside [0, 1]")
+            for code in spec.codes:
+                if code is not None:
+                    try:
+                        parse_cpc(code)
+                    except CpcParseError as exc:
+                        raise ConfigError(f"group {spec.name}: {exc}") from None
+            if spec.jaccard_with is not None:
+                if spec.jaccard_with not in seen - {spec.name}:
+                    raise ConfigError(
+                        f"group {spec.name}: jaccard_with {spec.jaccard_with!r} "
+                        "must name an earlier group"
+                    )
+                if spec.jaccard_target is None or not (0.0 <= spec.jaccard_target < 1.0):
+                    raise ConfigError(f"group {spec.name}: jaccard_target outside [0, 1)")
+            if spec.phrase is not None:
+                toks = tuple(tokenize(spec.phrase))
+                if not toks:
+                    raise ConfigError(f"group {spec.name}: empty phrase")
+                phrases[spec.name] = toks
+            if spec.marker is not None:
+                markers.add(spec.marker.lower())
+            if spec.science_field is not None:
+                _check_link(f"group {spec.name}", spec.science_field, spec.science_confidence)
+        # planted phrases must not shadow each other or collide with markers
+        items = list(phrases.items())
+        for i, (na, pa) in enumerate(items):
+            for nb, pb in items[i + 1 :]:
+                if _contains_run(pa, pb) or _contains_run(pb, pa):
+                    raise ConfigError(
+                        f"phrases of groups {na!r} and {nb!r} overlap; recovery "
+                        "by keyword would not be exact"
+                    )
+        for m in markers:
+            for name, ph in phrases.items():
+                if m in ph:
+                    raise ConfigError(f"marker {m!r} collides with phrase of {name!r}")
+        for code in self.background_codes:
+            try:
+                parse_cpc(code)
+            except CpcParseError as exc:
+                raise ConfigError(f"background code: {exc}") from None
+        for field_label, confidence, per_year in self.decoy_links:
+            _check_link("decoy link", field_label, confidence)
+            if per_year < 0:
+                raise ConfigError(f"decoy link {field_label!r}: negative count {per_year}")
+        steps = self.years[1] - self.years[0]
+        if self.growth and len(self.growth) not in (1, steps):
+            raise ConfigError(f"growth schedule needs 1 or {steps} rates, got {len(self.growth)}")
+
 
 def year_counts(config: SynthConfig) -> dict[int, int]:
     """Patents per year under the growth schedule (successive rounding)."""
     lo, hi = config.years
     steps = hi - lo
     growth = config.growth
-    if growth and len(growth) not in (1, steps):
-        raise ConfigError(
-            f"growth schedule needs 1 or {steps} rates, got {len(growth)}"
-        )
     counts = {lo: config.base_count}
     for i in range(steps):
         g = growth[i % len(growth)] if growth else 0.0
         counts[lo + 1 + i] = max(1, round(counts[lo + i] * (1.0 + g)))
     return counts
-
-
-def _validate(config: SynthConfig) -> None:
-    for name in ("ai_attraction", "lag_mean", "classes_per_patent_mean", "class_concentration"):
-        if not math.isfinite(getattr(config, name)):
-            raise ConfigError(f"{name} must be finite")
-    if not all(map(math.isfinite, config.growth)):
-        raise ConfigError(f"growth rates must be finite: {config.growth}")
-    if config.base_count < 1:
-        raise ConfigError("base_count must be at least 1")
-    if config.years[0] > config.years[1]:
-        raise ConfigError(f"empty year range {config.years!r}")
-    if config.edges_per_patent < 0 or config.lag_mean < 0:
-        raise ConfigError("edges_per_patent and lag_mean must be non-negative")
-    if config.ai_attraction <= 0:
-        raise ConfigError("ai_attraction must be positive")
-    if config.filler_vocab < 1:
-        raise ConfigError("filler_vocab must be positive")
-    if not config.background_codes:
-        raise ConfigError("background_codes is empty")
-    seen = set()
-    phrases: dict[str, tuple[str, ...]] = {}
-    markers: set[str] = set()
-    for spec in config.groups:
-        if spec.name in seen:
-            raise ConfigError(f"duplicate group name {spec.name!r}")
-        seen.add(spec.name)
-        if not (0.0 <= spec.share <= 1.0):
-            raise ConfigError(f"group {spec.name}: share {spec.share} outside [0, 1]")
-        for code in spec.codes:
-            if code is not None:
-                try:
-                    parse_cpc(code)
-                except CpcParseError as exc:
-                    raise ConfigError(f"group {spec.name}: {exc}") from None
-        if spec.jaccard_with is not None:
-            if spec.jaccard_with not in seen - {spec.name}:
-                raise ConfigError(
-                    f"group {spec.name}: jaccard_with {spec.jaccard_with!r} "
-                    "must name an earlier group"
-                )
-            if spec.jaccard_target is None or not (0.0 <= spec.jaccard_target < 1.0):
-                raise ConfigError(f"group {spec.name}: jaccard_target outside [0, 1)")
-        if spec.phrase is not None:
-            toks = tuple(tokenize(spec.phrase))
-            if not toks:
-                raise ConfigError(f"group {spec.name}: empty phrase")
-            phrases[spec.name] = toks
-        if spec.marker is not None:
-            markers.add(spec.marker.lower())
-        if spec.science_field is not None:
-            _check_link(f"group {spec.name}", spec.science_field, spec.science_confidence)
-    # planted phrases must not shadow each other or collide with markers
-    items = list(phrases.items())
-    for i, (na, pa) in enumerate(items):
-        for nb, pb in items[i + 1 :]:
-            if _contains_run(pa, pb) or _contains_run(pb, pa):
-                raise ConfigError(
-                    f"phrases of groups {na!r} and {nb!r} overlap; recovery "
-                    "by keyword would not be exact"
-                )
-    for m in markers:
-        for name, ph in phrases.items():
-            if m in ph:
-                raise ConfigError(f"marker {m!r} collides with phrase of {name!r}")
-    for code in config.background_codes:
-        try:
-            parse_cpc(code)
-        except CpcParseError as exc:
-            raise ConfigError(f"background code: {exc}") from None
-    for field_label, confidence, per_year in config.decoy_links:
-        _check_link("decoy link", field_label, confidence)
-        if per_year < 0:
-            raise ConfigError(f"decoy link {field_label!r}: negative count {per_year}")
 
 
 def _check_link(owner: str, field_label: str, confidence: int) -> None:
@@ -213,34 +218,36 @@ def generate(config: SynthConfig) -> tuple[dict[str, list[tuple]], dict[str, fro
     """The rows of the four corpus tables, by table name with cells in
     `io.TABLE_COLUMNS` order, and the ground-truth member sets of each
     group.  Every row is one the loader accepts, and no text cell holds a
-    tab or a line break."""
-    _validate(config)
+    tab or a line break.
+
+    The rows follow from the stream of `random.Random(config.rng_seed)`,
+    drawn in this order: per patent its filler words, one insertion point
+    per planted phrase and then per marker, and its background codes; per
+    year, after its patents, the decoy links; then the citations, in
+    patent order."""
     rng = random.Random(config.rng_seed)
     counts = year_counts(config)
     lo, hi = config.years
 
     filler = [f"w{i:03d}" for i in range(config.filler_vocab)]
-    code_weights = [
+    cum_weights = list(accumulate(
         1.0 / (i + 1) ** config.class_concentration
         for i in range(len(config.background_codes))
-    ]
+    ))
     normal = functools.cache(parse_cpc)
+    # the four text fields are consecutive slices of one draw of filler words
+    t1 = config.title_len
+    t2 = t1 + config.abstract_len
+    t3 = t2 + config.claims_len
+    n_words = t3 + config.description_len
+    phrase = {s.name: tuple(tokenize(s.phrase)) for s in config.groups if s.phrase is not None}
+    marker = {s.name: (s.marker.lower(),) for s in config.groups if s.marker is not None}
 
     tables: dict[str, list[tuple]] = {"patents": [], "cpc": [], "citations": [], "science": []}
     patents, cpc, citations, science = tables.values()
-    sci_seen: set[tuple[str, str, int]] = set()
-
-    def link(pid: str, field_label: str, confidence: int) -> None:
-        label = field_label.strip()
-        if (pid, label, confidence) not in sci_seen:
-            sci_seen.add((pid, label, confidence))
-            science.append((pid, _clean(label), confidence))
-
     truth: dict[str, set[str]] = {spec.name: set() for spec in config.groups}
-    ids_by_year: dict[int, list[str]] = {}
-    ai_by_year: dict[int, list[str]] = {}
-    bg_by_year: dict[int, list[str]] = {}
-    serial = 0
+    # each year's citation targets: its group members, and the rest
+    pools: dict[int, tuple[list[str], list[str]]] = {}
 
     for year in range(lo, hi + 1):
         m = counts[year]
@@ -251,102 +258,71 @@ def generate(config: SynthConfig) -> tuple[dict[str, list[tuple]], dict[str, fro
             for idx in range(start, start + size):
                 membership.setdefault(idx, []).append(spec)
 
-        year_ids = []
+        first = len(patents)
+        members, others = pools[year] = ([], [])
         for idx in range(m):
-            pid = f"P{serial:07d}"
-            serial += 1
-            specs = membership.get(idx, [])
+            pid = f"P{first + idx:07d}"
+            specs = membership.get(idx, ())
 
-            planted_codes = []
-            phrase_tokens: list[tuple[str, ...]] = []
-            marker_tokens: list[str] = []
-            for spec in specs:
-                start, _ = pos[spec.name]
-                k = idx - start
-                if spec.codes:
-                    code = spec.codes[k % len(spec.codes)]
-                    if code is not None:
-                        planted_codes.append(code)
-                if spec.phrase is not None:
-                    phrase_tokens.append(tuple(tokenize(spec.phrase)))
-                if spec.marker is not None:
-                    marker_tokens.append(spec.marker.lower())
-
-            title = rng.choices(filler, k=config.title_len)
-            abstract = rng.choices(filler, k=config.abstract_len)
-            claims = rng.choices(filler, k=config.claims_len)
-            description = rng.choices(filler, k=config.description_len)
-            # all insertion points are chosen against the filler sequence and
-            # applied in one pass, so one planted run can never split another
-            inserts = [
-                (rng.randrange(len(abstract) + 1), run) for run in phrase_tokens
-            ]
-            inserts += [
-                (rng.randrange(len(abstract) + 1), (tok,)) for tok in marker_tokens
-            ]
-            if inserts:
-                inserts.sort(key=lambda item: item[0])
-                merged: list[str] = []
-                prev = 0
-                for at, run in inserts:
-                    merged.extend(abstract[prev:at])
-                    merged.extend(run)
-                    prev = at
-                merged.extend(abstract[prev:])
-                abstract = merged
+            words = rng.choices(filler, k=n_words)
+            abstract = words[t1:t2]
+            runs = [phrase[s.name] for s in specs if s.name in phrase]
+            runs += [marker[s.name] for s in specs if s.name in marker]
+            # every insertion point is drawn against the filler alone, so one
+            # planted run can never split another; splicing from the back
+            # leaves the earlier points in place, and runs that share a point
+            # keep their draw order
+            inserts = [(rng.randrange(len(abstract) + 1), run) for run in runs]
+            inserts.sort(key=itemgetter(0))
+            for at, run in reversed(inserts):
+                abstract[at:at] = run
 
             # filler words hold no tab or line break; a marker may
-            texts = (" ".join(title), _clean(" ".join(abstract)), " ".join(claims))
-            patents.append((pid, year, *texts, " ".join(description)))
+            texts = (" ".join(words[:t1]), _clean(" ".join(abstract)), " ".join(words[t2:t3]))
+            patents.append((pid, year, *texts, " ".join(words[t3:])))
 
             n_extra = _truncated_geometric(
                 rng, max(config.classes_per_patent_mean - 1.0, 0.0), 4
             )
-            drawn = rng.choices(config.background_codes, weights=code_weights, k=1 + n_extra)
-            cpc.extend((pid, code) for code in dict.fromkeys(map(normal, planted_codes + drawn)))
+            drawn = rng.choices(config.background_codes, cum_weights=cum_weights, k=1 + n_extra)
+            planted = [s.codes[(idx - pos[s.name][0]) % len(s.codes)] for s in specs if s.codes]
+            codes = [code for code in planted if code is not None] + drawn
+            cpc.extend((pid, code) for code in dict.fromkeys(map(normal, codes)))
 
             for spec in specs:
                 truth[spec.name].add(pid)
                 if spec.science_field is not None:
-                    link(pid, spec.science_field, spec.science_confidence)
-
-            year_ids.append(pid)
+                    science.append((pid, _clean(spec.science_field.strip()), spec.science_confidence))
+            (members if specs else others).append(pid)
 
         for field_label, conf, per_year in config.decoy_links:
+            label = _clean(field_label.strip())
             for idx in rng.sample(range(m), min(per_year, m)):
-                link(year_ids[idx], field_label, conf)
-
-        in_ai = {pid for name in truth for pid in truth[name]}
-        ids_by_year[year] = year_ids
-        ai_by_year[year] = [p for p in year_ids if p in in_ai]
-        bg_by_year[year] = [p for p in year_ids if p not in in_ai]
+                science.append((patents[first + idx][0], label, conf))
 
     # citations: each patent cites `edges_per_patent` earlier-or-same-year
-    # patents, lag geometric (truncated), AI members oversampled as targets;
-    # a draw that repeats a pair is retried
-    cite_seen: set[tuple[str, str]] = set()
-    for year in range(lo, hi + 1):
-        span = year - lo
-        for citing in ids_by_year[year]:
-            for _ in range(config.edges_per_patent):
-                lag = _truncated_geometric(rng, config.lag_mean, span)
-                target_year = year - lag
-                for _attempt in range(4):
-                    ai_pool = ai_by_year[target_year]
-                    bg_pool = bg_by_year[target_year]
-                    mass_ai = config.ai_attraction * len(ai_pool)
-                    mass_bg = float(len(bg_pool))
-                    if mass_ai + mass_bg == 0:
-                        break
-                    if rng.random() * (mass_ai + mass_bg) < mass_ai:
-                        cited = ai_pool[rng.randrange(len(ai_pool))]
-                    else:
-                        cited = bg_pool[rng.randrange(len(bg_pool))]
-                    if cited != citing and (citing, cited) not in cite_seen:
-                        cite_seen.add((citing, cited))
-                        citations.append((citing, cited, year))
-                        break
+    # patents, lag geometric (truncated), group members oversampled as
+    # targets; a draw that repeats a pair is retried.  Every year has a
+    # patent, so the two pools of a year are never both empty.
+    for citing, year, *_ in patents:
+        taken = {citing}  # its draws are contiguous, so a repeat is within them
+        for _ in range(config.edges_per_patent):
+            lag = _truncated_geometric(rng, config.lag_mean, year - lo)
+            members, others = pools[year - lag]
+            mass = config.ai_attraction * len(members)
+            for _attempt in range(4):
+                if rng.random() * (mass + len(others)) < mass:
+                    cited = members[rng.randrange(len(members))]
+                else:
+                    cited = others[rng.randrange(len(others))]
+                if cited not in taken:
+                    taken.add(cited)
+                    citations.append((citing, cited, year))
+                    break
 
+    # a link is kept once, as written: two groups, or a group and a decoy,
+    # may give a patent the same one
+    tables["science"] = list(dict.fromkeys(science))
     return tables, {name: frozenset(ids) for name, ids in truth.items()}
 
 
@@ -387,9 +363,7 @@ def load_synth_config(path: str) -> SynthConfig:
         decoys = options(parser["decoys"], path, links=_decoy_links)
         if decoys:
             settings["decoy_links"] = decoys["links"]
-    cfg = SynthConfig(groups=tuple(groups), **settings)
-    _validate(cfg)
-    return cfg
+    return SynthConfig(groups=tuple(groups), **settings)
 
 
 def _decoy_links(text: str) -> tuple[tuple[str, int, int], ...]:

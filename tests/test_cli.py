@@ -649,6 +649,19 @@ class TestRunConfigParsing:
         )
         assert cfg.levels == cfg.zscore == cfg.lowess == cfg.compare == ()
 
+    def test_year_beyond_9999_exits_2(self, tmp_path, capsys):
+        """A year range is bounded, so an unbounded window is a config error
+        rather than an int32 overflow of the grant years it admits."""
+        (tmp_path / "patents.tsv").write_text(
+            "\t".join(pio.TABLE_COLUMNS["patents"]) + "\nP1\t5000000000\tt\ta\tc\td\n", encoding="utf-8"
+        )
+        path = self.write(
+            tmp_path, "[run]\nwindow = 1990-9999999999\n[inputs]\npatents = patents.tsv\n"
+            "[group:All]\nkind = prefix\nprefix = All\n",
+        )
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "[run] window: cannot parse '1990-9999999999'" in capsys.readouterr().err
+
     def test_bad_period(self, tmp_path):
         with pytest.raises(ConfigError):
             cli.load_run_config(

@@ -198,6 +198,14 @@ class TestPlanting:
         assert len(weak) == 30
         assert cls.classify_science(corpus, "Physics; Applied", 3) != truth["sci"]
 
+    def test_link_written_once(self):
+        """A group's science field and a decoy that differ by a tab against a
+        space are written as the same cell, and that row only once."""
+        groups = (synth.GroupSpec("a", 1.0, science_field="CS;\tAI", science_confidence=3),)
+        cfg = make_config(years=(2000, 2000), base_count=5, groups=groups, decoy_links=(("CS; AI", 3, 5),))
+        tables, _ = synth.generate(cfg)
+        assert sorted(tables["science"]) == [(f"P{k:07d}", "CS; AI", 3) for k in range(5)]
+
 
 class TestValidation:
     def test_duplicate_group_name(self):
@@ -275,6 +283,7 @@ class TestValidation:
             {"edges_per_patent": -1},
             {"ai_attraction": 0.0},
             {"filler_vocab": 0},
+            {"title_len": -1},
         ):
             with pytest.raises(ConfigError):
                 synth.generate(make_config(**kw))
