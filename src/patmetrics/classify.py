@@ -368,16 +368,19 @@ def _features(
     """Token shares over the vocabulary, then the rows `cites` of log
     citation counts to and from the seed: the feature rows of both training
     and scoring.  A share is n / total of in-vocabulary token counts, 0
-    where the total is 0."""
+    where the total is 0.  The matrix is the only allocation of its size:
+    in-vocabulary tokens are counted straight into it, as floats, which
+    hold these integer counts and their sums exactly."""
     n, v = len(cites), len(vocab)
     words = corpus.tokens()["title"]  # every field's names are the one vocabulary
     known = np.array([words.id_of(tok) for tok in vocab], np.int64)
-    column = np.full(len(words.names), v)  # token id -> feature column, v for the rest
+    column = np.full(len(words.names), v, np.int32)  # token id -> feature column, v for the rest
     column[known[known >= 0]] = np.flatnonzero(known >= 0)
-    counts = np.bincount(bag[0] * np.int64(v + 1) + column[bag[1]], minlength=n * (v + 1))
-    counts = counts.reshape(n, v + 1)[:, :v]
-    X = np.empty((n, v + 2))
-    np.divide(counts, np.maximum(counts.sum(axis=1), 1)[:, None], out=X[:, :v])
+    col = column[bag[1]]
+    inside = col < v
+    X = np.zeros((n, v + 2))
+    np.add.at(X.ravel(), bag[0][inside] * np.int64(v + 2) + col[inside], 1.0)
+    X[:, :v] /= np.maximum(X[:, :v].sum(axis=1), 1.0)[:, None]
     X[:, v:] = cites
     return X
 
@@ -411,26 +414,29 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
         top = np.argsort(-counts, kind="stable")[: min(cfg.vocab_size, np.count_nonzero(counts))]
         vocab = tuple(corpus.tokens()["title"].names[k] for k in top.tolist())
         X = _features(corpus, bag, vocab, _citation_features(corpus, seed)[rows])
-        # max-abs column scaling during descent only; folding the scales back
+        # max-abs column scaling during descent only, in place (every feature
+        # is >= 0, so max-abs is the column max); folding the scales back
         # into the weights keeps scoring a plain dot product on raw features
-        scales = np.abs(X).max(axis=0)
+        scales = X.max(axis=0)
         scales[scales == 0] = 1.0
-        Xs = X / scales
+        X /= scales
 
-        w = np.zeros(Xs.shape[1])
+        w = np.zeros(X.shape[1])
         b = 0.0
         n = len(train_ids)
         for _ in range(cfg.epochs):
-            p = 1.0 / (1.0 + np.exp(-(Xs @ w + b)))
+            p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
             g = p - y
-            w -= cfg.learning_rate * (Xs.T @ g) / n
+            w -= cfg.learning_rate * (X.T @ g) / n
             b -= cfg.learning_rate * g.mean()
         models.append(ComponentModel(comp, vocab, w / scales, float(b), seed, anti))
+        del X  # freed before the next component builds its matrix
     return UsptoModel(cfg, models)
 
 
 def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
-    """Union of patents scoring strictly above the threshold in any component."""
+    """Union of patents scoring strictly above the threshold in any
+    component, scored in chunks of 4096 rows, one feature matrix at a time."""
     cites = [_citation_features(corpus, comp.seed) for comp in model.components]
     hit = np.zeros(len(corpus), bool)
     chunk = 4096
@@ -438,7 +444,7 @@ def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
         rows = np.arange(start, min(start + chunk, len(corpus)))
         bag = _bag(corpus, rows)
         for comp, comp_cites in zip(model.components, cites):
-            X = _features(corpus, bag, comp.vocab, comp_cites[rows])
-            scores = 1.0 / (1.0 + np.exp(-(X @ comp.weights + comp.bias)))
-            hit[rows] |= scores > model.config.threshold
+            # the matrix is a temporary, freed once multiplied
+            z = _features(corpus, bag, comp.vocab, comp_cites[rows]) @ comp.weights
+            hit[rows] |= 1.0 / (1.0 + np.exp(-(z + comp.bias))) > model.config.threshold
     return _members(corpus, hit)

@@ -248,8 +248,10 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) ->
         elif g.kind == "uspto":
             model = cls.train_uspto(corpus, load_uspto_config(g.config))
             for c in model.components:
+                rows, cols = len(c.seed) + len(c.anti_seed), len(c.weights)
                 log.line(f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
-                         f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}")
+                         f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}, "
+                         f"training matrix {rows} x {cols} ({rows * cols * 8 / 2**20:.2f} MB)")
             members = cls.classify_uspto(corpus, model)
         else:
             members = cls.classify_prefix_group(corpus, g.prefix)

@@ -95,6 +95,7 @@ class SynthConfig:
             raise ConfigError("filler_vocab must be positive")
         if not self.background_codes:
             raise ConfigError("background_codes is empty")
+        _code_weights(self)
         seen = set()
         phrases: dict[str, tuple[str, ...]] = {}
         markers: set[str] = set()
@@ -152,6 +153,20 @@ class SynthConfig:
         steps = self.years[1] - self.years[0]
         if self.growth and len(self.growth) not in (1, steps):
             raise ConfigError(f"growth schedule needs 1 or {steps} rates, got {len(self.growth)}")
+
+
+def _code_weights(config: SynthConfig) -> list[float]:
+    """Cumulative draw weights 1 / (i + 1) ** class_concentration of the
+    background codes; a `ConfigError` when a power overflows or underflows
+    to 0, or the total is not finite."""
+    c = config.class_concentration
+    try:
+        cum = list(accumulate(1.0 / (i + 1) ** c for i in range(len(config.background_codes))))
+    except (OverflowError, ZeroDivisionError):
+        cum = [math.inf]
+    if not math.isfinite(cum[-1]):
+        raise ConfigError(f"class_concentration {c} puts background-code weights out of float range")
+    return cum
 
 
 def year_counts(config: SynthConfig) -> dict[int, int]:
@@ -230,10 +245,7 @@ def generate(config: SynthConfig) -> tuple[dict[str, list[tuple]], dict[str, fro
     lo, hi = config.years
 
     filler = [f"w{i:03d}" for i in range(config.filler_vocab)]
-    cum_weights = list(accumulate(
-        1.0 / (i + 1) ** config.class_concentration
-        for i in range(len(config.background_codes))
-    ))
+    cum_weights = _code_weights(config)
     normal = functools.cache(parse_cpc)
     # the four text fields are consecutive slices of one draw of filler words
     t1 = config.title_len

@@ -7,12 +7,15 @@ tokenizer, phrase matching over token strings, CPC prefixes by
 id, cited id) pairs, and the USPTO features from one `Counter` of tokens
 per patent.  They are kept as test oracles:
 memberships and vocabularies must be equal, and feature matrices bit-equal,
-to what `patmetrics.classify` returns.
+to what `patmetrics.classify` returns.  `train_uspto` is the trainer that
+built an int64 count matrix, an absolute-value copy and a scaled copy of
+each component's features; its weights and biases must be bit-equal.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
@@ -21,9 +24,15 @@ import numpy as np
 
 from patmetrics.classify import (
     TEXT_FIELDS,
+    ComponentModel,
     PhraseMatcher,
     USPTO_TEXT_FIELDS,
+    UsptoConfig,
+    UsptoModel,
     WIPO_TEXT_FIELDS,
+    _bag,
+    _citation_features,
+    build_uspto_seed as _interned_seed,
     default_keywords,
     default_wipo_rules,
 )
@@ -211,3 +220,57 @@ def classify_uspto(corpus, model) -> frozenset[str]:
         scores = 1.0 / (1.0 + np.exp(-(X @ comp.weights + comp.bias)))
         hits.update(pid for pid, s in zip(ids, scores) if s > model.config.threshold)
     return frozenset(hits)
+
+
+def _features(corpus, bag, vocab: Sequence[str], cites: np.ndarray) -> np.ndarray:
+    """Feature rows through an int64 (rows, vocabulary + 1) count matrix."""
+    n, v = len(cites), len(vocab)
+    words = corpus.tokens()["title"]
+    known = np.array([words.id_of(tok) for tok in vocab], np.int64)
+    column = np.full(len(words.names), v)
+    column[known[known >= 0]] = np.flatnonzero(known >= 0)
+    counts = np.bincount(bag[0] * np.int64(v + 1) + column[bag[1]], minlength=n * (v + 1))
+    counts = counts.reshape(n, v + 1)[:, :v]
+    X = np.empty((n, v + 2))
+    np.divide(counts, np.maximum(counts.sum(axis=1), 1)[:, None], out=X[:, :v])
+    X[:, v:] = cites
+    return X
+
+
+def train_uspto(corpus, config: UsptoConfig | None = None) -> UsptoModel:
+    """Descent on a scaled copy of the features, each component's matrix
+    alive until the next one is built."""
+    cfg = config or UsptoConfig()
+    models = []
+    for comp in cfg.components:
+        seed = _interned_seed(corpus, cfg.seed_rules[comp], cfg.expansion_hops)
+        if not seed:
+            raise ConfigError(f"component {comp!r}: seed matches no patent")
+        pool = sorted(set(corpus.ids) - seed)
+        if not pool:
+            raise ConfigError(f"component {comp!r}: no negatives left to sample")
+        rng = random.Random(f"{cfg.anti_seed_rng}:{comp}")
+        anti = frozenset(rng.sample(pool, min(len(seed), len(pool))))
+
+        train_ids = sorted(seed) + sorted(anti)
+        rows = np.array([corpus.position[p] for p in train_ids], np.int64)
+        y = np.array([1.0] * len(seed) + [0.0] * len(anti))
+        bag = _bag(corpus, rows)
+        counts = np.bincount(bag[1], minlength=len(corpus.tokens()["title"].names))
+        top = np.argsort(-counts, kind="stable")[: min(cfg.vocab_size, np.count_nonzero(counts))]
+        vocab = tuple(corpus.tokens()["title"].names[k] for k in top.tolist())
+        X = _features(corpus, bag, vocab, _citation_features(corpus, seed)[rows])
+        scales = np.abs(X).max(axis=0)
+        scales[scales == 0] = 1.0
+        Xs = X / scales
+
+        w = np.zeros(Xs.shape[1])
+        b = 0.0
+        n = len(train_ids)
+        for _ in range(cfg.epochs):
+            p = 1.0 / (1.0 + np.exp(-(Xs @ w + b)))
+            g = p - y
+            w -= cfg.learning_rate * (Xs.T @ g) / n
+            b -= cfg.learning_rate * g.mean()
+        models.append(ComponentModel(comp, vocab, w / scales, float(b), seed, anti))
+    return UsptoModel(cfg, models)

@@ -7,6 +7,7 @@ exact rational arithmetic, or plain brute-force scans over the raw data
 structures.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -354,6 +355,8 @@ DESK_TABLES = (
     "a0e035429526e2e8ab22382526e4bd3b7ecf1449cd85b1dfc2649fd9ef1784be  corpus/patents.tsv",
     "24be4c42e626325de309acde3746edfc51b85b421a715040547dbf57422b122a  corpus/science.tsv",
 )
+#: sha256 of the desk run's `manifest.txt`: every artifact of the run.
+DESK_MANIFEST = "08fc2f088f177bc4ccf182ba537732d52ee7305a37198729a52f47539758a665"
 
 
 def test_10_pipeline_deterministic_and_stage_equivalent(tmp_path):
@@ -375,6 +378,11 @@ def test_10_pipeline_deterministic_and_stage_equivalent(tmp_path):
     # shows here
     missing = set(DESK_TABLES) - set(manifest.splitlines())
     assert not missing, missing
+    assert hashlib.sha256(manifest.encode()).hexdigest() == DESK_MANIFEST
+    # run.log, outside the manifest, sizes the USPTO training matrix
+    with open(base / "run.log") as fh:
+        assert ("classify: USPTO component ai_core: seed 10003, anti-seed 10003, vocabulary 300, "
+                "training matrix 20006 x 302 (46.10 MB)") in fh.read().splitlines()
     with open(again / "manifest.txt") as fh:
         assert fh.read() == manifest
 

@@ -1,16 +1,18 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from patmetrics import classify as cls
 from patmetrics import io as pio
+from patmetrics import synth
 from patmetrics.corpus import index_tokens
 from patmetrics.errors import ConfigError
 
 import reference_classify as ref
-from helpers import build_corpus, random_corpus
+from helpers import build_corpus, random_corpus, synth_corpus
 
 
 class TestTokenize:
@@ -313,14 +315,18 @@ def test_classifiers_equal_reference_loops(seed):
     assert cls.classify_wipo(corpus, rules) == ref.classify_wipo(corpus, rules)
     for prefix in PREFIXES:
         assert cls.classify_prefix_group(corpus, prefix) == ref.classify_prefix_group(corpus, prefix)
-    seeds = {"a": rng.sample(PREFIXES[:-1], 2), "b": [rng.choice(PREFIXES[:-1])]}
+    seeds = {"a": rng.sample(PREFIXES[:-1], 2), "b": [rng.choice(PREFIXES[:-1])], "c": ["G06N3"]}
     for hops in (0, 1, 2):
         for prefixes in seeds.values():
             got = cls.build_uspto_seed(corpus, prefixes, hops)
             assert got == ref.build_uspto_seed(corpus, prefixes, hops), (prefixes, hops)
 
+    hops = rng.randrange(3)
+    # the largest seed trains first, so each later matrix is built after a
+    # larger one has been released
+    order = sorted(seeds, key=lambda c: -len(cls.build_uspto_seed(corpus, seeds[c], hops)))
     cfg = uspto_config(
-        components=("a", "b"), seed_rules=seeds, expansion_hops=rng.randrange(3),
+        components=tuple(order), seed_rules=seeds, expansion_hops=hops,
         vocab_size=rng.randrange(3, 40), epochs=5,
     )
     try:
@@ -328,15 +334,21 @@ def test_classifiers_equal_reference_loops(seed):
     except ConfigError:  # a seed that matches nothing, or everything
         return
     ids = list(corpus.ids)
-    for comp in model.components:
+    for comp, want in zip(model.components, ref.train_uspto(corpus, cfg).components, strict=True):
+        assert (comp.name, comp.vocab, comp.seed, comp.anti_seed) == (
+            want.name, want.vocab, want.seed, want.anti_seed
+        )
+        assert np.array_equal(comp.weights, want.weights) and comp.bias == want.bias
         train_ids = sorted(comp.seed) + sorted(comp.anti_seed)
         assert comp.vocab == ref.top_tokens(corpus, train_ids, cfg.vocab_size)
         cites = cls._citation_features(corpus, comp.seed)
         for rows in (train_ids, ids):
             at = np.array([corpus.position[p] for p in rows], np.int64)
-            got = cls._features(corpus, cls._bag(corpus, at), comp.vocab, cites[at])
+            bag = cls._bag(corpus, at)
+            got = cls._features(corpus, bag, comp.vocab, cites[at])
             assert got.flags.c_contiguous
             assert np.array_equal(got, ref.features(corpus, rows, comp.vocab, comp.seed))
+            assert np.array_equal(got, ref._features(corpus, bag, comp.vocab, cites[at]))
     assert cls.classify_uspto(corpus, model) == ref.classify_uspto(corpus, model)
 
 
@@ -455,3 +467,40 @@ class TestUsptoTraining:
         cfg = cls.UsptoConfig()
         assert len(cfg.components) == 8
         assert len(set(cfg.components)) == 8
+
+
+def _traced_peak(call):
+    """`call()` and the peak of the heap it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_feature_matrix_at_a_time():
+    """Training and scoring hold one dense feature matrix at a time, plus
+    temporaries of the size of a bag of tokens: each traced heap peak stays
+    under twice the largest matrix.  The corpus is shaped like the
+    text-heavy workload (about 100 title, abstract and claims tokens per
+    patent, a 300-token vocabulary, thousands of training rows), and the
+    largest component trains first."""
+    corpus, _ = synth_corpus(synth.SynthConfig(
+        rng_seed=5, base_count=60, growth=(0.07,), edges_per_patent=1,
+        filler_vocab=2000, abstract_len=60, claims_len=40,
+    ))
+    corpus.tokens()  # the token index is the corpus's, built once per run
+    seeds = {code.lower(): (code,) for code in ("A01B", "A61K", "B23K", "H04L")}
+    cfg = cls.UsptoConfig(components=tuple(seeds), seed_rules=seeds, expansion_hops=0,
+                          vocab_size=300, epochs=3)
+    model, train_peak = _traced_peak(lambda: cls.train_uspto(corpus, cfg))
+    _, score_peak = _traced_peak(lambda: cls.classify_uspto(corpus, model))
+
+    rows = [len(c.seed) + len(c.anti_seed) for c in model.components]
+    assert rows[0] == max(rows) > rows[-1] and max(rows) > 2000
+    width = max(len(c.weights) for c in model.components)
+    assert width == 302
+    train_matrix = max(rows) * width * 8
+    score_matrix = min(len(corpus), 4096) * width * 8
+    assert train_peak < 2 * train_matrix, train_peak / train_matrix
+    assert score_peak < 2 * score_matrix, score_peak / score_matrix

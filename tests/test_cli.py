@@ -1,5 +1,6 @@
 import configparser
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -176,6 +177,16 @@ class TestSynthCommand:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("concentration", ["1000", "-1000"])
+    def test_class_concentration_out_of_float_range_exits_2(self, ws, capsys, concentration):
+        bad = ws / f"concentration{concentration}.synth"
+        bad.write_text(
+            SYNTH_TEXT.replace("[synth]\n", f"[synth]\nclass_concentration = {concentration}\n"),
+            encoding="utf-8",
+        )
+        code = cli.main(["synth", "--config", str(bad), "--out", str(ws / f"c{concentration}-out")])
+        assert code == 2
+        assert "background-code weights out of float range" in capsys.readouterr().err
 
     def test_bad_decoy_link_exits_2(self, ws, capsys):
         bad = ws / "bad-decoy.synth"
@@ -317,9 +328,15 @@ class TestRunPipeline:
     def test_run_log_has_uspto_diagnostics(self, full_run):
         lines = [ln for ln in read(full_run / "run.log").splitlines() if "component" in ln]
         assert len(lines) == 1
-        assert lines[0].startswith("classify: Auto component ai_core: seed ")
-        seed, anti, vocab = (int(part.split()[-1]) for part in lines[0].split(":")[-1].split(","))
+        got = re.fullmatch(
+            r"classify: Auto component ai_core: seed (\d+), anti-seed (\d+), vocabulary (\d+), "
+            r"training matrix (\d+) x (\d+) \((\d+\.\d\d) MB\)",
+            lines[0],
+        )
+        seed, anti, vocab, rows, cols = map(int, got.groups()[:5])
         assert seed > 0 and anti == seed and 0 < vocab <= 200
+        assert (rows, cols) == (seed + anti, vocab + 2)
+        assert got[6] == f"{rows * cols * 8 / 2**20:.2f}"
 
 
 class TestExitCodes:

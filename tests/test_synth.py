@@ -284,6 +284,8 @@ class TestValidation:
             {"ai_attraction": 0.0},
             {"filler_vocab": 0},
             {"title_len": -1},
+            {"class_concentration": 1000.0},  # a background-code weight overflows
+            {"class_concentration": -1000.0},  # one underflows to 0
         ):
             with pytest.raises(ConfigError):
                 synth.generate(make_config(**kw))
