@@ -1,14 +1,14 @@
-"""Command-line pipeline: synth, classify, metrics, stats, report.
+"""Command-line pipeline: `synth`, and `run` with its stages classify,
+metrics, stats and report (all of them, or those named in `--only`).
 
 Stages communicate through files in the output directory.  The corpus is
-the one input they share in memory: `run` validates it once, through
-`io.ingest`, and hands it to the stages that read it (classify, metrics).
-A fresh synthetic corpus is ingested from the rows just written, without
-reading them back; a stage run on its own loads the same tables from disk
-through the same function, so running the stages one at a time gives
-byte-identical artifacts to a monolithic `run`.
-`run.log` records stage progress without timestamps and is excluded from
-the manifest.
+the one input they share in memory: `run` builds it once, from its config
+alone, and hands it to the stages that read it (classify, metrics).  A
+synthetic corpus is generated afresh into an emptied `corpus/` and ingested
+from its rows; input tables are read through `io.load_corpus`.  So running
+the stages one at a time with one seed gives byte-identical artifacts to a
+monolithic `run`.  `run.log` records stage progress without timestamps and
+is excluded from the manifest.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 I/O failure.
 """
@@ -96,16 +96,14 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: [inputs] needs either synth= or patents=")
 
     groups, kinds = [], APPROACH_KINDS + ("prefix",)
-    for section in parser.sections():
-        if not section.startswith("group:"):
-            continue
+    for name, section in pio.group_sections(parser, path):
         settings = pio.options(
-            parser[section], path, kind=str, keywords=table, field=str, min_confidence=int,
+            section, path, kind=str, keywords=table, field=str, min_confidence=int,
             rules=table, config=resolve, prefix=str,
         )
         if settings.get("kind") not in kinds:
-            raise ConfigError(f"{path}: [{section}] kind must be one of {', '.join(kinds)}")
-        groups.append(GroupConfig(name=section.split(":", 1)[1], **settings))
+            raise ConfigError(f"{path}: [{section.name}] kind must be one of {', '.join(kinds)}")
+        groups.append(GroupConfig(name=name, **settings))
     names = [g.name for g in groups]
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}: duplicate group names {names}")
@@ -184,28 +182,22 @@ def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> dict[str, li
 
 
 def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str, log: RunLog) -> Corpus:
-    """Validate the corpus once and write its load report.  When the config
-    asks for a synthetic corpus, fresh tables are generated and written
-    under `corpus/`, and their rows are ingested without reading them back;
-    tables already there are reused unless a `seed` (`--seed`) is given."""
-    tables = None
-    if cfg.synth_path is not None:
-        corpus_dir = os.path.join(out_dir, "corpus")
-        paths = {name: os.path.join(corpus_dir, f"{name}.tsv") for name in pio.TABLE_COLUMNS}
-        if seed is not None or not os.path.exists(paths["patents"]):
-            tables = _synthesize(cfg.synth_path, seed, corpus_dir)
-            log.line(f"synth: generated {len(tables['patents'])} patents into corpus/")
-    else:
-        paths = dict(cfg.table_paths)
-        missing = paths.get("patents")
-        if missing is None or not os.path.exists(missing):
-            raise ConfigError(f"patents table not found: {missing!r}")
-
+    """Validate the corpus once and write its load report.  A synthetic
+    corpus is generated afresh (with `seed`, `--seed`, when given) into an
+    emptied `corpus/`, and its rows are ingested without reading them back;
+    input tables are read only once every configured one is found."""
     rules = {"window": cfg.window, "strict": cfg.strict}
-    if tables is None:
-        corpus, report = pio.load_corpus(*(paths.get(name) for name in pio.TABLE_COLUMNS), **rules)
+    if cfg.synth_path is not None:
+        corpus_dir = _clear(out_dir, "corpus")
+        tables = _synthesize(cfg.synth_path, seed, corpus_dir)
+        log.line(f"synth: generated {len(tables['patents'])} patents into corpus/")
+        named = {n: (os.path.join(corpus_dir, f"{n}.tsv"), rows) for n, rows in tables.items()}
+        corpus, report = pio.ingest(named, **rules)
     else:
-        corpus, report = pio.ingest({n: (paths[n], rows) for n, rows in tables.items()}, **rules)
+        for name, path in cfg.table_paths:
+            if path is not None and not os.path.isfile(path):
+                raise ConfigError(f"{name} table not found: {path!r}")
+        corpus, report = pio.load_corpus(*(path for _, path in cfg.table_paths), **rules)
     # report paths relative to the output dir, so re-runs in different
     # directories hash identically
     for t in report.tables.values():
@@ -292,9 +284,8 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> 
     of each approach group into `groups/`, replacing those of earlier runs."""
     groups = _read_groups(cfg, out_dir)
     _clear(out_dir, "metrics")
-    kept = {f"{g.name}.ids" for g in cfg.groups}
     for name in os.listdir(os.path.join(out_dir, "groups")):
-        if name.endswith(".descendants.ids") and name not in kept:
+        if name.endswith(".descendants.ids"):  # no group name ends in .descendants
             os.remove(os.path.join(out_dir, "groups", name))
     masks = {name: corpus.mask(ids) for name, ids in groups.items()}
     order = [g.name for g in cfg.groups]
@@ -433,33 +424,24 @@ def stage_stats(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
                     row.append(pio.fmt_value(summary[stat_idx]) if summary else "")
                 summary_rows.append(row)
 
-            rows = []
-            for (a, b), res in result.tests.items():
-                if res is None:
-                    rows.append((a, b, "0", "", "", "", ""))
-                else:
-                    rows.append(
-                        (
-                            a, b, str(res.n_effective), pio.fmt_value(res.statistic),
-                            res.method, pio.fmt_value(res.p_value),
-                            pio.fmt_value(result.adjusted[(a, b)]),
-                        )
-                    )
+            rows = [
+                (a, b, "0", "", "", "", "") if res is None else (
+                    a, b, str(res.n_effective), pio.fmt_value(res.statistic), res.method,
+                    pio.fmt_value(res.p_value), pio.fmt_value(result.adjusted[(a, b)]),
+                )
+                for (a, b), res in result.tests.items()
+            ]
             pio.write_table(
                 os.path.join(out_dir, "stats", f"{metric}_tests_{tag}.tsv"),
                 ("group_a", "group_b", "n", "statistic", "method", "p_raw", "p_adjusted"),
                 rows,
             )
 
-            matrix_rows = []
-            for i, a in enumerate(order[1:], start=1):
-                row = [a]
-                for j in range(len(order) - 1):
-                    if j < i:
-                        row.append(pio.fmt_value(result.adjusted[(order[j], a)]))
-                    else:
-                        row.append("")
-                matrix_rows.append(row)
+            matrix_rows = [
+                [a] + [pio.fmt_value(result.adjusted[(b, a)]) for b in order[:i]]
+                + [""] * (len(order) - 1 - i)
+                for i, a in enumerate(order[1:], start=1)
+            ]
             pio.write_table(
                 os.path.join(out_dir, "stats", f"{metric}_pvalues_{tag}.tsv"),
                 ["group"] + order[:-1],
@@ -508,13 +490,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_run(args, only: tuple[str, ...] | None = None) -> int:
+def cmd_run(args) -> int:
     cfg = load_run_config(args.config)
-    if args.strict:
-        cfg = replace(cfg, strict=True)
-    if getattr(args, "only", None):
-        only = tuple(t.strip() for t in args.only.split(",") if t.strip())
-    stages = only or STAGES
+    stages = pio.comma_list(args.only) or STAGES
     for name in stages:
         if name not in STAGES:
             raise ConfigError(f"unknown stage {name!r}, expected one of {', '.join(STAGES)}")
@@ -550,23 +528,13 @@ def main(argv: list[str] | None = None) -> int:
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     add_common(p_synth, "override the generator RNG seed")
 
-    p_run = sub.add_parser("run", help="run the full pipeline")
+    p_run = sub.add_parser("run", help="run the pipeline")
     add_common(p_run, "override the synthetic-input RNG seed")
-    p_run.add_argument("--strict", action="store_true", help="abort on any rejected row")
     p_run.add_argument("--only", default="", help="comma-separated subset of stages to run")
-
-    for stage in STAGES:
-        p_stage = sub.add_parser(stage, help=f"run only the {stage} stage")
-        add_common(p_stage, "override the synthetic-input RNG seed")
-        p_stage.add_argument("--strict", action="store_true")
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "run":
-            return cmd_run(args)
-        return cmd_run(args, only=(args.command,))
+        return cmd_synth(args) if args.command == "synth" else cmd_run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -61,8 +61,11 @@ def options(
     in the config `section` of the file at `path`, to be passed as keyword
     arguments to a config dataclass: a key absent or blank is left out, so
     it keeps the field's default.  A key named in `keep_blank` is parsed
-    even when blank.  A value that does not parse is a `ConfigError` naming
-    the file, section and key."""
+    even when blank.  A key of the section with no parser, or a value that
+    does not parse, is a `ConfigError` naming the file, section and key."""
+    for key in section:
+        if key not in parsers:
+            raise ConfigError(f"{path}: [{section.name}] {key}: unknown key")
     out = {}
     for key, parse in parsers.items():
         raw = section.get(key, "").strip()
@@ -72,6 +75,23 @@ def options(
             except ValueError:
                 raise ConfigError(f"{path}: [{section.name}] {key}: cannot parse {raw!r}") from None
     return out
+
+
+def group_sections(
+    parser: configparser.ConfigParser, path: str
+) -> Iterator[tuple[str, configparser.SectionProxy]]:
+    """`(NAME, section)` for each `[group:NAME]` section of the config file
+    at `path`.  NAME names the group's files, so a NAME that is empty, `.`
+    or `..`, holds `/`, `\\`, `|`, a tab or a line break, or ends in
+    `.descendants` is a `ConfigError`."""
+    for section in parser.sections():
+        if not section.startswith("group:"):
+            continue
+        name = section[len("group:"):]
+        if (name in ("", ".", "..") or name.endswith(".descendants")
+                or any(c in name for c in "/\\|\t") or name.splitlines() != [name]):
+            raise ConfigError(f"{path}: [{section}] is not a usable group name")
+        yield name, parser[section]
 
 
 def comma_list(text: str, item=str) -> tuple:

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .corpus import parse_cpc, tokenize
 from .errors import ConfigError, CpcParseError
-from .io import comma_list, options, read_config, year_range
+from .io import comma_list, group_sections, options, read_config, year_range
 
 DEFAULT_BACKGROUND_CODES = (
     "A01B", "A61K", "B23K", "B25J", "B29C", "B60L", "B82B", "B82Y",
@@ -352,17 +352,15 @@ def load_synth_config(path: str) -> SynthConfig:
     if "synth" not in parser:
         raise ConfigError(f"{path}: missing [synth] section")
     groups = []
-    for section in parser.sections():
-        if not section.startswith("group:"):
-            continue
+    for name, section in group_sections(parser, path):
         spec = options(
-            parser[section], path, share=float, phrase=str, science_field=str,
+            section, path, share=float, phrase=str, science_field=str,
             science_confidence=int, marker=str, jaccard_with=str, jaccard_target=float,
             codes=lambda raw: comma_list(raw, lambda t: None if t == "-" else t),
         )
         if "share" not in spec:
-            raise ConfigError(f"{path}: [{section}] is missing share")
-        groups.append(GroupSpec(name=section.split(":", 1)[1], **spec))
+            raise ConfigError(f"{path}: [{section.name}] is missing share")
+        groups.append(GroupSpec(name=name, **spec))
     settings = options(
         parser["synth"], path, years=year_range, background_codes=comma_list,
         growth=lambda raw: comma_list(raw, float),

@@ -260,26 +260,58 @@ class TestRunPipeline:
             assert code == 0
         assert read(full_run / "manifest.txt") == read(out / "manifest.txt")
 
-    def test_stage_subcommands_match_run(self, ws, full_run):
-        out = ws / "subcmd"
-        for stage in ("classify", "metrics", "stats", "report"):
-            code = cli.main([stage, "--config", str(ws / "small.run"), "--out", str(out)])
-            assert code == 0
-        assert read(full_run / "manifest.txt") == read(out / "manifest.txt")
-
-    def test_seed_regenerates_reused_corpus(self, ws, tmp_path):
+    @staticmethod
+    def prefix_run(tmp_path, synth_path):
+        """A run config over the synthetic corpus of `synth_path` with the
+        one group All."""
         cfg = tmp_path / "prefix.run"
         cfg.write_text(
-            f"[run]\nwindow = 2000-2004\n[inputs]\nsynth = {ws / 'small.synth'}\n"
+            f"[run]\nwindow = 2000-2004\n[inputs]\nsynth = {synth_path}\n"
             "[group:All]\nkind = prefix\nprefix = All\n",
             encoding="utf-8",
         )
+        return str(cfg)
+
+    def test_seed_regenerates_reused_corpus(self, ws, tmp_path):
+        cfg = self.prefix_run(tmp_path, ws / "small.synth")
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
-        assert cli.main(["classify", "--config", str(cfg), "--out", str(reused)]) == 0
+        assert cli.main(["run", "--config", cfg, "--out", str(reused), "--only", "classify"]) == 0
         for out in (reused, fresh):
-            code = cli.main(["classify", "--config", str(cfg), "--out", str(out), "--seed", "7"])
+            code = cli.main(
+                ["run", "--config", cfg, "--out", str(out), "--only", "classify", "--seed", "7"]
+            )
             assert code == 0
         assert read(reused / "corpus" / "patents.tsv") == read(fresh / "corpus" / "patents.tsv")
+
+    def test_rerun_regenerates_edited_synth_corpus(self, tmp_path):
+        synth_cfg = tmp_path / "edited.synth"
+        synth_cfg.write_text(SYNTH_TEXT, encoding="utf-8")
+        cfg = self.prefix_run(tmp_path, synth_cfg)
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        before = read(out / "corpus" / "patents.tsv")
+        synth_cfg.write_text(SYNTH_TEXT.replace("base_count = 120", "base_count = 180"), encoding="utf-8")
+        for where in (out, fresh):
+            assert cli.main(["run", "--config", cfg, "--out", str(where)]) == 0
+        assert read(out / "corpus" / "patents.tsv") != before
+        assert read(out / "manifest.txt") == read(fresh / "manifest.txt")
+
+    def test_dropped_synth_group_leaves_no_truth_list(self, tmp_path):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(SYNTH_TEXT)
+        synth_cfg = tmp_path / "dropped.synth"
+        synth_cfg.write_text(SYNTH_TEXT, encoding="utf-8")
+        cfg = self.prefix_run(tmp_path, synth_cfg)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "corpus" / "truth" / "us.ids").exists()
+        del parser["group:us"]
+        with open(synth_cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        assert cli.main(["run", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+        assert not (out / "corpus" / "truth" / "us.ids").exists()
+        assert (out / "corpus" / "truth" / "kw.ids").exists()
+        assert "corpus/truth/us.ids" not in read(out / "manifest.txt")
 
 
     def test_removed_group_leaves_no_file(self, ws, full_run, tmp_path):
@@ -350,9 +382,18 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [[stage] for stage in cli.STAGES] + [["run", "--strict"]],
+        ids=[*cli.STAGES, "strict"],
+    )
+    def test_stage_commands_and_strict_flag_are_gone(self, ws, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
     def test_metrics_before_classify(self, ws, tmp_path, capsys):
         code = cli.main(
-            ["metrics", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")]
+            ["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o"), "--only", "metrics"]
         )
         assert code == 3
         assert "classify stage" in capsys.readouterr().err
@@ -362,16 +403,20 @@ class TestExitCodes:
         shutil.copytree(full_run, out)
         with open(out / "groups" / "Keyword.ids", "a", encoding="utf-8") as fh:
             fh.write("NOPE\n")
-        code = cli.main(["metrics", "--config", str(ws / "small.run"), "--out", str(out)])
+        code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", "metrics"])
         assert code == 3
         assert "1 group members not in corpus (e.g. NOPE)" in capsys.readouterr().err
 
     def test_stats_before_metrics(self, ws, tmp_path):
-        code = cli.main(["stats", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
+        code = cli.main(
+            ["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o"), "--only", "stats"]
+        )
         assert code == 3
 
     def test_report_before_metrics(self, ws, tmp_path):
-        code = cli.main(["report", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
+        code = cli.main(
+            ["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o"), "--only", "report"]
+        )
         assert code == 3
 
     def test_missing_patents_table(self, tmp_path):
@@ -382,6 +427,20 @@ class TestExitCodes:
             encoding="utf-8",
         )
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("table", ["cpc", "citations", "science"])
+    def test_missing_table_found_before_any_is_read(self, tmp_path, capsys, table):
+        """The patents table is not UTF-8, which would be a data error (3)
+        once read; the missing table is reported first, as a config error."""
+        (tmp_path / "patents.tsv").write_bytes(b"\xff\n")
+        cfg = tmp_path / "x.run"
+        cfg.write_text(
+            f"[run]\nwindow = 2000-2001\n[inputs]\npatents = patents.tsv\n{table} = none.tsv\n"
+            "[group:All]\nkind = prefix\nprefix = All\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{table} table not found: '{tmp_path / 'none.tsv'}'" in capsys.readouterr().err
 
     def test_unwritable_output_is_io_error(self, ws, tmp_path):
         blocker = tmp_path / "blocker"
@@ -414,7 +473,7 @@ class TestExitCodes:
             lines[2] = "\t".join(cells)
             text, line = "\n".join(lines) + "\n", 3
         (out / "metrics" / "growth.metric.tsv").write_text(text, encoding="utf-8")
-        code = cli.main(["stats", "--config", str(ws / "small.run"), "--out", str(out)])
+        code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", "stats"])
         assert code == 3
         err = capsys.readouterr().err
         assert f"growth.metric.tsv: line {line}:" in err
@@ -567,9 +626,18 @@ class TestStrictMode:
         assert cli.main(["run", "--config", str(tables), "--out", str(out)]) == 0
         assert "bad_code" in read(out / "load-report.txt")
 
+    @staticmethod
+    def strict(cfg):
+        """A copy of the run config `cfg` with `strict = true` in `[run]`."""
+        path = cfg.with_name("strict.run")
+        path.write_text(
+            read(cfg).replace("[run]\n", "[run]\nstrict = true\n", 1), encoding="utf-8"
+        )
+        return str(path)
+
     def test_strict_run_fails(self, tables, tmp_path, capsys):
         out = tmp_path / "strict"
-        code = cli.main(["run", "--config", str(tables), "--out", str(out), "--strict"])
+        code = cli.main(["run", "--config", self.strict(tables), "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert "cpc.tsv" in err and "line" in err
@@ -581,7 +649,7 @@ class TestStrictMode:
         chunks before it."""
         cpc = tmp_path / "cpc.tsv"
         cpc.write_bytes(cpc.read_bytes() + b"P0000001\tG06N\n" * 10000 + b"\xff\n")
-        code = cli.main(["run", "--config", str(tables), "--out", str(tmp_path / "strict"), "--strict"])
+        code = cli.main(["run", "--config", self.strict(tables), "--out", str(tmp_path / "strict")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {cpc}: 'utf-8' codec can't decode"), err
@@ -678,6 +746,20 @@ class TestRunConfigParsing:
         )
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "[run] window: cannot parse '1990-9999999999'" in capsys.readouterr().err
+
+    # one group name per rule: each would name a file outside groups/, a
+    # hidden file, a cell cut by the `|` separator or a descendants list
+    BAD_GROUP_NAMES = {
+        "empty": "", "dot": ".", "dotdot": "..", "slash": "../escaped", "backslash": "a\\b",
+        "bar": "a|b", "tab": "a\tb", "line-break": "a\u2028b", "descendants": "Keyword.descendants",
+    }
+
+    @pytest.mark.parametrize("name", BAD_GROUP_NAMES.values(), ids=BAD_GROUP_NAMES)
+    def test_unusable_group_name_exits_2(self, tmp_path, capsys, name):
+        path = self.write(tmp_path, self.base(f"[group:{name}]\nkind = prefix\nprefix = G06\n"))
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"[group:{name}] is not a usable group name" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["case.run"]
 
     def test_bad_period(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -255,6 +255,27 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
     assert err.startswith("configuration error: ")
 
 
+# (file, section, misspelt key): one per config loader
+MISSPELT_KEYS = [
+    ("tiny.run", "run", "strictt"),
+    ("tiny.run", "group:G06", "prefx"),
+    ("tiny.synth", "synth", "base_cont"),
+    ("tiny.uspto", "uspto", "epoch"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, section, key", MISSPELT_KEYS, ids=[f"{n[5:]}-{s}-{k}" for n, s, k in MISSPELT_KEYS]
+)
+def test_unknown_key_exits_2(tmp_path, capsys, name, section, key):
+    """A misspelt key is refused rather than ignored, which would leave the
+    default it meant to replace in force."""
+    write_files(tmp_path, {**FILES, name: with_line(FILES[name], f"[{section}]", f"{key} = 1")})
+    code, err = run(tmp_path, capsys)
+    assert code == 2, err
+    assert err == f"configuration error: {tmp_path / name}: [{section}] {key}: unknown key\n"
+
+
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
     """The four corpus tables of the tiny synthetic corpus."""
@@ -296,7 +317,9 @@ def test_undecodable_output_exits_3(tmp_path, capsys, stage, output):
     write_files(tmp_path, FILES)
     assert run(tmp_path, capsys)[0] == 0
     undecodable(tmp_path / "out" / output)
-    code = cli.main([stage, "--config", str(tmp_path / "tiny.run"), "--out", str(tmp_path / "out")])
+    code = cli.main(
+        ["run", "--config", str(tmp_path / "tiny.run"), "--out", str(tmp_path / "out"), "--only", stage]
+    )
     err = capsys.readouterr().err
     assert code == 3, err
     assert err.startswith(f"data error: {tmp_path / 'out' / output}: ")
