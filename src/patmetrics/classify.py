@@ -268,6 +268,10 @@ DEFAULT_SEED_RULES: dict[str, tuple[str, ...]] = {
 #: Fields pooled into the bag-of-tokens features.
 USPTO_TEXT_FIELDS = ("title", "abstract", "claims")
 
+#: Rows whose tokens the USPTO classifier gathers at once: the bound on its
+#: token-sized temporaries, which are read one field and one block at a time.
+_ROW_BLOCK = 1024
+
 
 @dataclass
 class UsptoConfig:
@@ -341,11 +345,15 @@ def build_uspto_seed(
     return _members(corpus, seed)
 
 
-def _bag(corpus: Corpus, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, token id) of each title, abstract and claims token of the patent
-    at position rows[i]: the pooled bags of tokens behind the text features."""
-    i, tok = zip(*(corpus.tokens()[name].take(rows) for name in USPTO_TEXT_FIELDS))
-    return np.concatenate(i), np.concatenate(tok)
+def _field_blocks(corpus: Corpus, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, i, token id) of each title, abstract and claims token of the
+    patent at position rows[start + i], one field and one block of
+    `_ROW_BLOCK` rows at a time: the pooled bags of tokens behind the text
+    features, in pieces bounded by the block rather than by `rows`."""
+    tokens = corpus.tokens()
+    for name in USPTO_TEXT_FIELDS:
+        for start in range(0, len(rows), _ROW_BLOCK):
+            yield (start, *tokens[name].take(rows[start : start + _ROW_BLOCK]))
 
 
 def _citation_features(corpus: Corpus, seed: frozenset[str]) -> np.ndarray:
@@ -359,27 +367,25 @@ def _citation_features(corpus: Corpus, seed: frozenset[str]) -> np.ndarray:
     return np.array([math.log1p(k) for k in range(counts.max(initial=0) + 1)])[counts]
 
 
-def _features(
-    corpus: Corpus,
-    bag: tuple[np.ndarray, np.ndarray],
-    vocab: Sequence[str],
-    cites: np.ndarray,
-) -> np.ndarray:
+def _features(corpus: Corpus, rows: np.ndarray, vocab: Sequence[str], cites: np.ndarray) -> np.ndarray:
     """Token shares over the vocabulary, then the rows `cites` of log
-    citation counts to and from the seed: the feature rows of both training
-    and scoring.  A share is n / total of in-vocabulary token counts, 0
-    where the total is 0.  The matrix is the only allocation of its size:
-    in-vocabulary tokens are counted straight into it, as floats, which
-    hold these integer counts and their sums exactly."""
-    n, v = len(cites), len(vocab)
+    citation counts to and from the seed, for the patents at positions
+    `rows`: the feature rows of both training and scoring.  A share is
+    n / total of in-vocabulary token counts, 0 where the total is 0.  The
+    matrix is the only allocation of its size: in-vocabulary tokens are
+    counted straight into it, as floats, one field and one block of rows at
+    a time.  The counts and their sums are integers below 2^53, so they are
+    exact in any order of adding."""
+    n, v = len(rows), len(vocab)
     words = corpus.tokens()["title"]  # every field's names are the one vocabulary
     known = np.array([words.id_of(tok) for tok in vocab], np.int64)
     column = np.full(len(words.names), v, np.int32)  # token id -> feature column, v for the rest
     column[known[known >= 0]] = np.flatnonzero(known >= 0)
-    col = column[bag[1]]
-    inside = col < v
     X = np.zeros((n, v + 2))
-    np.add.at(X.ravel(), bag[0][inside] * np.int64(v + 2) + col[inside], 1.0)
+    for start, i, tok in _field_blocks(corpus, rows):
+        col = column[tok]
+        inside = col < v
+        np.add.at(X[start:].ravel(), i[inside] * np.int64(v + 2) + col[inside], 1.0)
     X[:, :v] /= np.maximum(X[:, :v].sum(axis=1), 1.0)[:, None]
     X[:, v:] = cites
     return X
@@ -408,12 +414,15 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
         train_ids = sorted(seed) + sorted(anti)
         rows = np.array([corpus.position[p] for p in train_ids], np.int64)
         y = np.array([1.0] * len(seed) + [0.0] * len(anti))
-        bag = _bag(corpus, rows)
         # the most frequent tokens, ties in id order, which is token order
-        counts = np.bincount(bag[1], minlength=len(corpus.tokens()["title"].names))
+        names = corpus.tokens()["title"].names
+        counts = np.zeros(len(names), np.int64)
+        for _, _, tok in _field_blocks(corpus, rows):
+            block = np.bincount(tok)
+            counts[: len(block)] += block
         top = np.argsort(-counts, kind="stable")[: min(cfg.vocab_size, np.count_nonzero(counts))]
-        vocab = tuple(corpus.tokens()["title"].names[k] for k in top.tolist())
-        X = _features(corpus, bag, vocab, _citation_features(corpus, seed)[rows])
+        vocab = tuple(names[k] for k in top.tolist())
+        X = _features(corpus, rows, vocab, _citation_features(corpus, seed)[rows])
         # max-abs column scaling during descent only, in place (every feature
         # is >= 0, so max-abs is the column max); folding the scales back
         # into the weights keeps scoring a plain dot product on raw features
@@ -436,15 +445,16 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
 
 def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
     """Union of patents scoring strictly above the threshold in any
-    component, scored in chunks of 4096 rows, one feature matrix at a time."""
+    component, scored in chunks of 4096 rows, one feature matrix at a time.
+    Each chunk's matrix is filled a block of `_ROW_BLOCK` rows at a time, so
+    scoring holds one chunk's matrix plus one block's token temporaries."""
     cites = [_citation_features(corpus, comp.seed) for comp in model.components]
     hit = np.zeros(len(corpus), bool)
     chunk = 4096
     for start in range(0, len(corpus), chunk):
         rows = np.arange(start, min(start + chunk, len(corpus)))
-        bag = _bag(corpus, rows)
         for comp, comp_cites in zip(model.components, cites):
             # the matrix is a temporary, freed once multiplied
-            z = _features(corpus, bag, comp.vocab, comp_cites[rows]) @ comp.weights
+            z = _features(corpus, rows, comp.vocab, comp_cites[rows]) @ comp.weights
             hit[rows] |= 1.0 / (1.0 + np.exp(-(z + comp.bias))) > model.config.threshold
     return _members(corpus, hit)

@@ -169,13 +169,14 @@ class RunLog:
 # corpus preparation
 
 def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> dict[str, list[tuple]]:
-    """Generate a synthetic corpus, write its tables and truth lists, and
-    return the table rows."""
+    """Generate a synthetic corpus, write its tables and, into a fresh
+    `truth/`, its truth lists, and return the table rows."""
     scfg = syn.load_synth_config(synth_path)
     if seed is not None:
         scfg = replace(scfg, rng_seed=seed)
     tables, truth = syn.generate(scfg)
     pio.write_corpus(out_dir, tables)
+    _clear(out_dir, "truth")
     for name in sorted(truth):
         pio.write_ids(os.path.join(out_dir, "truth", f"{name}.ids"), truth[name])
     return tables
@@ -249,6 +250,11 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) ->
             members = cls.classify_prefix_group(corpus, g.prefix)
         pio.write_ids(os.path.join(groups_dir, f"{g.name}.ids"), members)
         log.line(f"classify: {g.name} ({g.kind}) -> {len(members)} patents")
+    if corpus.holds("tokens"):  # a text classifier built the token index
+        fields = list(corpus.tokens().values())
+        size = sum(f.ids.nbytes + f.indptr.nbytes for f in fields)
+        log.line(f"classify: token index {sum(len(f.ids) for f in fields)} tokens, "
+                 f"{len(fields[0].names)} distinct ({size / 2**20:.2f} MB)")
 
 
 def load_uspto_config(path: str) -> cls.UsptoConfig:

@@ -13,6 +13,7 @@ the classifiers to read.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -40,6 +41,9 @@ DEFAULT_WINDOW = (1990, 2019)
 
 #: The text fields of a patent, each one `Corpus` column.
 TEXT_FIELDS = ("title", "abstract", "claims", "description")
+
+#: Token ids renumbered per step of `index_tokens`.
+_RENUMBER_BLOCK = 1 << 16
 
 
 def _token_bytes(text: str) -> list[bytes]:
@@ -123,21 +127,27 @@ def interner() -> defaultdict:
 def index_tokens(fields: Mapping[str, Iterable[str]]) -> dict[str, Csr]:
     """Tokenize every text of each field once: one `Csr` per field, whose
     row i holds the tokens of text i, over one vocabulary shared by all
-    fields.  Ids are given in order of first sight, then renumbered in
-    token order; only the sorted vocabulary is decoded to `str`."""
+    fields.  Each field's ids are built into one 4-byte buffer, in order of
+    first sight, then renumbered in token order in place, a fixed block at
+    a time, so the returned arrays are the only token-sized ones; only the
+    sorted vocabulary is decoded to `str`."""
     seen = interner()
     csr = {}
     for name, texts in fields.items():
-        ids, indptr = [], [0]
+        ids, indptr = array("i"), array("i", [0])
         for text in texts:
-            ids += map(seen.__getitem__, _token_bytes(text))
+            ids.fromlist(list(map(seen.__getitem__, _token_bytes(text))))
             indptr.append(len(ids))
-        csr[name] = (np.array(indptr, np.int32), np.array(ids, np.int32))
+        csr[name] = (np.frombuffer(indptr, np.int32), np.frombuffer(ids, np.int32))
     vocab = sorted(seen)
     rank = np.empty(len(vocab), np.int32)
     rank[[seen[tok] for tok in vocab]] = np.arange(len(vocab), dtype=np.int32)
+    for _, ids in csr.values():
+        for start in range(0, len(ids), _RENUMBER_BLOCK):
+            block = ids[start : start + _RENUMBER_BLOCK]
+            block[:] = rank[block]  # rank[ids] or np.take(..., out=ids) would copy all of ids
     names = tuple(tok.decode("ascii") for tok in vocab)
-    return {name: Csr(names, indptr, rank[ids]) for name, (indptr, ids) in csr.items()}
+    return {name: Csr(names, indptr, ids) for name, (indptr, ids) in csr.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +192,10 @@ class Corpus:
             self._caches.pop(slot, None)  # free the old value before building
             self._caches[slot] = (key, build())
         return self._caches[slot][1]
+
+    def holds(self, key: Hashable) -> bool:
+        """Whether the value derived under `key` has been made and kept."""
+        return any(held == key for held, _ in self._caches.values())
 
     def mask(self, ids: Iterable[str]) -> np.ndarray:
         """Boolean mask over patent positions marking `ids`, the form in

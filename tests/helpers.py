@@ -1,6 +1,8 @@
 """Small builders shared by the test modules."""
 
+import tracemalloc
 from dataclasses import fields
+from functools import cache
 
 import numpy as np
 
@@ -66,6 +68,26 @@ def synth_corpus(config):
     tables, truth = synth.generate(config)
     corpus, _ = pio.ingest({name: (name, rows) for name, rows in tables.items()}, window=config.years)
     return corpus, truth
+
+
+@cache
+def text_heavy_corpus():
+    """A generated corpus shaped like the text-heavy workload: about 100
+    title, abstract and claims tokens per patent over a 2000-word filler
+    vocabulary, and thousands of patents.  Built once per test session."""
+    return synth_corpus(synth.SynthConfig(
+        rng_seed=5, base_count=60, growth=(0.07,), edges_per_patent=1,
+        filler_vocab=2000, abstract_len=60, claims_len=40,
+    ))[0]
+
+
+def traced_peak(call):
+    """`call()` and the peak of the heap it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_same_corpus(got, want):

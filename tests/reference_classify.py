@@ -8,8 +8,9 @@ id, cited id) pairs, and the USPTO features from one `Counter` of tokens
 per patent.  They are kept as test oracles:
 memberships and vocabularies must be equal, and feature matrices bit-equal,
 to what `patmetrics.classify` returns.  `train_uspto` is the trainer that
-built an int64 count matrix, an absolute-value copy and a scaled copy of
-each component's features; its weights and biases must be bit-equal.
+gathered each component's whole bag of tokens at once (`_bag`) and built an
+int64 count matrix, an absolute-value copy and a scaled copy of its
+features; its weights and biases must be bit-equal.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from patmetrics.classify import (
     UsptoConfig,
     UsptoModel,
     WIPO_TEXT_FIELDS,
-    _bag,
     _citation_features,
     build_uspto_seed as _interned_seed,
     default_keywords,
@@ -220,6 +220,13 @@ def classify_uspto(corpus, model) -> frozenset[str]:
         scores = 1.0 / (1.0 + np.exp(-(X @ comp.weights + comp.bias)))
         hits.update(pid for pid, s in zip(ids, scores) if s > model.config.threshold)
     return frozenset(hits)
+
+
+def _bag(corpus, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, token id) of each title, abstract and claims token of the patent
+    at position rows[i]: the pooled bags of tokens behind the text features."""
+    i, tok = zip(*(corpus.tokens()[name].take(rows) for name in USPTO_TEXT_FIELDS))
+    return np.concatenate(i), np.concatenate(tok)
 
 
 def _features(corpus, bag, vocab: Sequence[str], cites: np.ndarray) -> np.ndarray:

@@ -379,10 +379,13 @@ def test_10_pipeline_deterministic_and_stage_equivalent(tmp_path):
     missing = set(DESK_TABLES) - set(manifest.splitlines())
     assert not missing, missing
     assert hashlib.sha256(manifest.encode()).hexdigest() == DESK_MANIFEST
-    # run.log, outside the manifest, sizes the USPTO training matrix
+    # run.log, outside the manifest, sizes the USPTO training matrix and
+    # the token index
     with open(base / "run.log") as fh:
-        assert ("classify: USPTO component ai_core: seed 10003, anti-seed 10003, vocabulary 300, "
-                "training matrix 20006 x 302 (46.10 MB)") in fh.read().splitlines()
+        log = fh.read().splitlines()
+    assert ("classify: USPTO component ai_core: seed 10003, anti-seed 10003, vocabulary 300, "
+            "training matrix 20006 x 302 (46.10 MB)") in log
+    assert "classify: token index 3568238 tokens, 405 distinct (14.37 MB)" in log
     with open(again / "manifest.txt") as fh:
         assert fh.read() == manifest
 

@@ -1,18 +1,18 @@
 import math
 import random
-import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from patmetrics import classify as cls
 from patmetrics import io as pio
-from patmetrics import synth
+from patmetrics import corpus as corpus_module
 from patmetrics.corpus import index_tokens
 from patmetrics.errors import ConfigError
 
 import reference_classify as ref
-from helpers import build_corpus, random_corpus, synth_corpus
+from helpers import build_corpus, random_corpus, text_heavy_corpus, traced_peak
 
 
 class TestTokenize:
@@ -37,9 +37,11 @@ TOKEN_ALPHABET = (
 )
 
 
-def test_tokenize_equals_regex_oracle():
+def test_tokenize_equals_regex_oracle(monkeypatch):
     """The byte-table tokenizer and the token index equal the regular
-    expression over the lowercased text, on random hostile strings."""
+    expression over the lowercased text, on random hostile strings; the
+    index renumbers its ids in blocks of 3, so most fields span several."""
+    monkeypatch.setattr(corpus_module, "_RENUMBER_BLOCK", 3)
     rng = random.Random(8800)
     for _ in range(300):
         texts = ["".join(rng.choices(TOKEN_ALPHABET, k=rng.randrange(0, 40))) for _ in range(5)]
@@ -294,9 +296,11 @@ def random_text_corpus(rng, straddling):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_classifiers_equal_reference_loops(seed):
+def test_classifiers_equal_reference_loops(seed, monkeypatch):
     """Phrase, prefix and seed matching over the interned indexes, and the
-    USPTO vocabularies and feature matrices, equal the per-patent loops."""
+    USPTO vocabularies and feature matrices, equal the per-patent loops.
+    The USPTO classifier reads its tokens in blocks of 1, 7 or 1024 rows."""
+    monkeypatch.setattr(cls, "_ROW_BLOCK", (1, 7, 1024)[seed % 3])
     rng = random.Random(7000 + seed)
     phrases = _phrase_pool()
     chosen = rng.sample([ph for ph in phrases if len(ph) > 1], 6)
@@ -344,11 +348,10 @@ def test_classifiers_equal_reference_loops(seed):
         cites = cls._citation_features(corpus, comp.seed)
         for rows in (train_ids, ids):
             at = np.array([corpus.position[p] for p in rows], np.int64)
-            bag = cls._bag(corpus, at)
-            got = cls._features(corpus, bag, comp.vocab, cites[at])
+            got = cls._features(corpus, at, comp.vocab, cites[at])
             assert got.flags.c_contiguous
             assert np.array_equal(got, ref.features(corpus, rows, comp.vocab, comp.seed))
-            assert np.array_equal(got, ref._features(corpus, bag, comp.vocab, cites[at]))
+            assert np.array_equal(got, ref._features(corpus, ref._bag(corpus, at), comp.vocab, cites[at]))
     assert cls.classify_uspto(corpus, model) == ref.classify_uspto(corpus, model)
 
 
@@ -469,38 +472,31 @@ class TestUsptoTraining:
         assert len(set(cfg.components)) == 8
 
 
-def _traced_peak(call):
-    """`call()` and the peak of the heap it allocated, in bytes."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_one_feature_matrix_at_a_time():
     """Training and scoring hold one dense feature matrix at a time, plus
-    temporaries of the size of a bag of tokens: each traced heap peak stays
-    under twice the largest matrix.  The corpus is shaped like the
-    text-heavy workload (about 100 title, abstract and claims tokens per
-    patent, a 300-token vocabulary, thousands of training rows), and the
-    largest component trains first."""
-    corpus, _ = synth_corpus(synth.SynthConfig(
-        rng_seed=5, base_count=60, growth=(0.07,), edges_per_patent=1,
-        filler_vocab=2000, abstract_len=60, claims_len=40,
-    ))
+    temporaries bounded by one block of rows: the traced heap peak of each
+    component's training, and of scoring, exceeds its largest matrix by no
+    more than one block's tokens at 32 bytes each and 128 bytes per patent
+    of the corpus (its citation features, id sets and the descent's
+    vectors), whatever the number of rows.  Four components, each trained
+    alone; the largest has thousands of rows."""
+    corpus = text_heavy_corpus()
     corpus.tokens()  # the token index is the corpus's, built once per run
+    longest = max(np.diff(corpus.tokens()[name].indptr).max() for name in cls.USPTO_TEXT_FIELDS)
+    slack = cls._ROW_BLOCK * int(longest) * 32 + 128 * len(corpus)
     seeds = {code.lower(): (code,) for code in ("A01B", "A61K", "B23K", "H04L")}
     cfg = cls.UsptoConfig(components=tuple(seeds), seed_rules=seeds, expansion_hops=0,
                           vocab_size=300, epochs=3)
-    model, train_peak = _traced_peak(lambda: cls.train_uspto(corpus, cfg))
-    _, score_peak = _traced_peak(lambda: cls.classify_uspto(corpus, model))
-
-    rows = [len(c.seed) + len(c.anti_seed) for c in model.components]
-    assert rows[0] == max(rows) > rows[-1] and max(rows) > 2000
-    width = max(len(c.weights) for c in model.components)
-    assert width == 302
-    train_matrix = max(rows) * width * 8
-    score_matrix = min(len(corpus), 4096) * width * 8
-    assert train_peak < 2 * train_matrix, train_peak / train_matrix
-    assert score_peak < 2 * score_matrix, score_peak / score_matrix
+    components = []
+    for comp in cfg.components:
+        model, peak = traced_peak(lambda: cls.train_uspto(corpus, replace(cfg, components=(comp,))))
+        c = model.components[0]
+        matrix = (len(c.seed) + len(c.anti_seed)) * len(c.weights) * 8
+        assert peak - matrix < slack, (comp, matrix, peak, slack)
+        components.append(c)
+    assert max(len(c.seed) + len(c.anti_seed) for c in components) > 2000
+    model = cls.UsptoModel(cfg, components)
+    _, peak = traced_peak(lambda: cls.classify_uspto(corpus, model))
+    assert len(corpus) > 4096 and all(len(c.weights) == 302 for c in components)
+    chunk = 4096 * 302 * 8
+    assert peak - chunk < slack, (chunk, peak)

@@ -166,6 +166,20 @@ class TestSynthCommand:
         )
         assert pio.sha256_file(str(a / "patents.tsv")) != pio.sha256_file(str(b / "patents.tsv"))
 
+    def test_dropped_group_leaves_no_truth_list(self, ws, tmp_path):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(SYNTH_TEXT)
+        del parser["group:us"]
+        dropped = tmp_path / "dropped.synth"
+        with open(dropped, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        out = tmp_path / "o"
+        assert cli.main(["synth", "--config", str(ws / "small.synth"), "--out", str(out)]) == 0
+        assert (out / "truth" / "us.ids").exists()
+        assert cli.main(["synth", "--config", str(dropped), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out / "truth")) == ["kw.ids", "sci.ids", "wipo.ids"]
+        assert "truth/us.ids" not in read(out / "manifest.txt")
+
     def test_infeasible_config_exits_2(self, ws, capsys):
         bad = ws / "bad.synth"
         bad.write_text(
@@ -369,6 +383,27 @@ class TestRunPipeline:
         assert seed > 0 and anti == seed and 0 < vocab <= 200
         assert (rows, cols) == (seed + anti, vocab + 2)
         assert got[6] == f"{rows * cols * 8 / 2**20:.2f}"
+
+    def test_run_log_sizes_token_index_once_built(self, ws, full_run, tmp_path):
+        lines = [ln for ln in read(full_run / "run.log").splitlines() if "token index" in ln]
+        assert len(lines) == 1
+        got = re.fullmatch(
+            r"classify: token index (\d+) tokens, (\d+) distinct \((\d+\.\d\d) MB\)", lines[0]
+        )
+        assert int(got[1]) > int(got[2]) > 0
+        # science and prefix groups read no text, so build no token index
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(RUN_TEXT)
+        for name in ("group:Keyword", "group:Rules", "group:Auto"):
+            del parser[name]
+        parser["inputs"]["synth"] = str(ws / "small.synth")
+        cfg = tmp_path / "no-text.run"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--only", "classify"]) == 0
+        log = read(out / "run.log")
+        assert "classify: Science (science)" in log and "token index" not in log
 
 
 class TestExitCodes:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from patmetrics import io as pio
-from patmetrics.corpus import Csr, parse_cpc
+from patmetrics.corpus import TEXT_FIELDS, Csr, index_tokens, parse_cpc
 from patmetrics.errors import CpcParseError, DataError
 
-from helpers import assert_same, build_corpus, classes_at
+from helpers import assert_same, build_corpus, classes_at, text_heavy_corpus, traced_peak
 
 
 def reference_code_index(corpus, rows):
@@ -229,3 +229,15 @@ class TestCorpusIndexes:
         corpus = build_corpus({"A": 2000})
         assert "A" in corpus.position and "B" not in corpus.position
         assert len(corpus) == 1
+
+
+def test_index_tokens_holds_only_its_ids():
+    """Building the token index of a generated corpus peaks at no more than
+    1.25 times the arrays it returns: each field's ids are built at 4 bytes
+    a token and renumbered where they lie."""
+    corpus = text_heavy_corpus()
+    fields = {name: getattr(corpus, name) for name in TEXT_FIELDS}
+    index, peak = traced_peak(lambda: index_tokens(fields))
+    size = sum(csr.ids.nbytes + csr.indptr.nbytes for csr in index.values())
+    assert size > 2 * 2**20
+    assert peak <= 1.25 * size, peak / size
