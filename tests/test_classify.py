@@ -479,7 +479,9 @@ def test_one_feature_matrix_at_a_time():
     more than one block's tokens at 32 bytes each and 128 bytes per patent
     of the corpus (its citation features, id sets and the descent's
     vectors), whatever the number of rows.  Four components, each trained
-    alone; the largest has thousands of rows."""
+    alone and then all together, largest first, so that the joint peak also
+    shows each matrix freed before the next is built; the largest has
+    thousands of rows."""
     corpus = text_heavy_corpus()
     corpus.tokens()  # the token index is the corpus's, built once per run
     longest = max(np.diff(corpus.tokens()[name].indptr).max() for name in cls.USPTO_TEXT_FIELDS)
@@ -494,8 +496,11 @@ def test_one_feature_matrix_at_a_time():
         matrix = (len(c.seed) + len(c.anti_seed)) * len(c.weights) * 8
         assert peak - matrix < slack, (comp, matrix, peak, slack)
         components.append(c)
-    assert max(len(c.seed) + len(c.anti_seed) for c in components) > 2000
-    model = cls.UsptoModel(cfg, components)
+    rows = [len(c.seed) + len(c.anti_seed) for c in components]
+    assert rows[0] == max(rows) > rows[-1] and max(rows) > 2000
+    model, peak = traced_peak(lambda: cls.train_uspto(corpus, cfg))
+    largest = max(rows) * len(components[0].weights) * 8
+    assert peak - largest < slack, (largest, peak, slack)
     _, peak = traced_peak(lambda: cls.classify_uspto(corpus, model))
     assert len(corpus) > 4096 and all(len(c.weights) == 302 for c in components)
     chunk = 4096 * 302 * 8
