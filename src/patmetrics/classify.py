@@ -70,35 +70,6 @@ class PhraseMatcher:
 # ---------------------------------------------------------------------------
 # keyword classifier
 
-@dataclass(frozen=True)
-class KeywordTable:
-    """Phrase -> category table; phrases are stored tokenised and deduplicated."""
-
-    entries: tuple[tuple[tuple[str, ...], str], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "KeywordTable":
-        seen = set()
-        entries = []
-        for phrase_text, category in pairs:
-            cat = category.strip().lower()
-            if cat not in KEYWORD_CATEGORIES:
-                raise ConfigError(f"unknown keyword category {category!r}")
-            ph = tuple(tokenize(phrase_text))
-            if not ph:
-                raise ConfigError(f"empty keyword phrase {phrase_text!r}")
-            if ph in seen:
-                continue
-            seen.add(ph)
-            entries.append((ph, cat))
-        if not entries:
-            raise ConfigError("keyword table has no phrases")
-        return cls(tuple(entries))
-
-    def phrases(self) -> list[tuple[str, ...]]:
-        return [ph for ph, _ in self.entries]
-
-
 def _rule_rows(path: str, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of each non-empty row of a TSV whose header
     starts with `columns`.  A file that is not UTF-8 is a `ConfigError`."""
@@ -121,27 +92,35 @@ def _packaged(name: str, load):
         return load(str(p))
 
 
-def load_keywords(path: str) -> KeywordTable:
-    """Read a phrase/category TSV (with header) into a KeywordTable."""
-    pairs = []
+def load_keywords(path: str) -> tuple[tuple[str, ...], ...]:
+    """Read a phrase/category TSV (with header) into its tokenised phrases,
+    deduplicated in first-seen order.  The category is checked, not kept."""
+    phrases: dict[tuple[str, ...], None] = {}
     for lineno, parts in _rule_rows(path, ("phrase", "category")):
         if len(parts) < 2:
             raise ConfigError(f"{path}: line {lineno}: expected 2 columns")
-        pairs.append((parts[0], parts[1]))
-    return KeywordTable.from_pairs(pairs)
+        if parts[1].strip().lower() not in KEYWORD_CATEGORIES:
+            raise ConfigError(f"{path}: line {lineno}: unknown keyword category {parts[1]!r}")
+        ph = tuple(tokenize(parts[0]))
+        if not ph:
+            raise ConfigError(f"{path}: line {lineno}: empty keyword phrase {parts[0]!r}")
+        phrases.setdefault(ph)
+    if not phrases:
+        raise ConfigError(f"{path}: keyword table has no phrases")
+    return tuple(phrases)
 
 
-def default_keywords() -> KeywordTable:
+def default_keywords() -> tuple[tuple[str, ...], ...]:
     """The packaged default keyword list."""
     return _packaged("keywords.tsv", load_keywords)
 
 
-def classify_keyword(corpus: Corpus, table: KeywordTable | None = None) -> frozenset[str]:
+def classify_keyword(corpus: Corpus, phrases: Sequence[tuple[str, ...]] | None = None) -> frozenset[str]:
     """Patents whose title, abstract, claims, or description contains at
-    least one listed phrase."""
-    if table is None:
-        table = default_keywords()
-    return _members(corpus, PhraseMatcher(table.phrases()).patents(corpus, TEXT_FIELDS))
+    least one of `phrases` (tokenised, as `load_keywords` returns them)."""
+    if phrases is None:
+        phrases = default_keywords()
+    return _members(corpus, PhraseMatcher(phrases).patents(corpus, TEXT_FIELDS))
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +222,6 @@ def classify_prefix_group(corpus: Corpus, prefix: str) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # supervised component classifier
 
-DEFAULT_COMPONENTS = (
-    "machine_learning",
-    "evolutionary_computation",
-    "natural_language_processing",
-    "speech",
-    "vision",
-    "knowledge_processing",
-    "planning_control",
-    "ai_hardware",
-)
-
 DEFAULT_SEED_RULES: dict[str, tuple[str, ...]] = {
     "machine_learning": ("G06N20", "G06N3/08"),
     "evolutionary_computation": ("G06N3/12",),
@@ -264,6 +232,8 @@ DEFAULT_SEED_RULES: dict[str, tuple[str, ...]] = {
     "planning_control": ("G05B13",),
     "ai_hardware": ("G06N3/06", "G11C11/54"),
 }
+
+DEFAULT_COMPONENTS = tuple(DEFAULT_SEED_RULES)
 
 #: Fields pooled into the bag-of-tokens features.
 USPTO_TEXT_FIELDS = ("title", "abstract", "claims")

@@ -114,6 +114,10 @@ def load_run_config(path: str) -> RunConfig:
             raise ConfigError(f"{path}: group {g.name!r} needs prefix=")
         if g.kind == "uspto" and not g.config:
             raise ConfigError(f"{path}: group {g.name!r} needs config=")
+        for key in ("keywords", "rules", "config"):  # found before anything is built
+            file = getattr(g, key)
+            if file is not None and not os.path.isfile(file):
+                raise ConfigError(f"{path}: group {g.name!r} {key} file not found: {file!r}")
 
     # a blank list of metrics or levels means none
     cfg = RunConfig(
@@ -153,16 +157,10 @@ def load_run_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # logging
 
-class RunLog:
-    """Append-only, timestamp-free run log (excluded from the manifest)."""
-
-    def __init__(self, out_dir: str):
-        self.path = os.path.join(out_dir, "run.log")
-        os.makedirs(out_dir, exist_ok=True)
-
-    def line(self, text: str) -> None:
-        with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+def _log(out_dir: str, text: str) -> None:
+    """Append a line to the timestamp-free `run.log` (excluded from the manifest)."""
+    with open(os.path.join(out_dir, "run.log"), "a", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +180,7 @@ def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> dict[str, li
     return tables
 
 
-def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str, log: RunLog) -> Corpus:
+def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str) -> Corpus:
     """Validate the corpus once and write its load report.  A synthetic
     corpus is generated afresh (with `seed`, `--seed`, when given) into an
     emptied `corpus/`, and its rows are ingested without reading them back;
@@ -191,7 +189,7 @@ def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str, log: RunLog) 
     if cfg.synth_path is not None:
         corpus_dir = _clear(out_dir, "corpus")
         tables = _synthesize(cfg.synth_path, seed, corpus_dir)
-        log.line(f"synth: generated {len(tables['patents'])} patents into corpus/")
+        _log(out_dir, f"synth: generated {len(tables['patents'])} patents into corpus/")
         named = {n: (os.path.join(corpus_dir, f"{n}.tsv"), rows) for n, rows in tables.items()}
         corpus, report = pio.ingest(named, **rules)
     else:
@@ -206,10 +204,8 @@ def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str, log: RunLog) 
         if not rel.startswith(".."):
             t.path = rel
     pio.write_text(os.path.join(out_dir, "load-report.txt"), report.format())
-    log.line(
-        f"load: {len(corpus)} patents, {len(corpus.citing)} citations, "
-        f"{len(corpus.science_patent)} science links"
-    )
+    _log(out_dir, f"load: {len(corpus)} patents, {len(corpus.citing)} citations, "
+                  f"{len(corpus.science_patent)} science links")
     return corpus
 
 
@@ -225,7 +221,7 @@ def _clear(out_dir: str, name: str) -> str:
     return path
 
 
-def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> None:
+def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
     """Write one member list per configured group into a fresh `groups/`,
     so no group dropped from the config outlives it."""
     groups_dir = _clear(out_dir, "groups")
@@ -242,19 +238,19 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) ->
             model = cls.train_uspto(corpus, load_uspto_config(g.config))
             for c in model.components:
                 rows, cols = len(c.seed) + len(c.anti_seed), len(c.weights)
-                log.line(f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
-                         f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}, "
-                         f"training matrix {rows} x {cols} ({rows * cols * 8 / 2**20:.2f} MB)")
+                _log(out_dir, f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
+                              f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}, "
+                              f"training matrix {rows} x {cols} ({rows * cols * 8 / 2**20:.2f} MB)")
             members = cls.classify_uspto(corpus, model)
         else:
             members = cls.classify_prefix_group(corpus, g.prefix)
         pio.write_ids(os.path.join(groups_dir, f"{g.name}.ids"), members)
-        log.line(f"classify: {g.name} ({g.kind}) -> {len(members)} patents")
+        _log(out_dir, f"classify: {g.name} ({g.kind}) -> {len(members)} patents")
     if corpus.holds("tokens"):  # a text classifier built the token index
         fields = list(corpus.tokens().values())
         size = sum(f.ids.nbytes + f.indptr.nbytes for f in fields)
-        log.line(f"classify: token index {sum(len(f.ids) for f in fields)} tokens, "
-                 f"{len(fields[0].names)} distinct ({size / 2**20:.2f} MB)")
+        _log(out_dir, f"classify: token index {sum(len(f.ids) for f in fields)} tokens, "
+                      f"{len(fields[0].names)} distinct ({size / 2**20:.2f} MB)")
 
 
 def load_uspto_config(path: str) -> cls.UsptoConfig:
@@ -285,7 +281,7 @@ def _mpath(out_dir: str, stem: str) -> str:
     return os.path.join(out_dir, "metrics", f"{stem}.metric.tsv")
 
 
-def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> None:
+def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
     """Write the metric tables into a fresh `metrics/`, and the descendants
     of each approach group into `groups/`, replacing those of earlier runs."""
     groups = _read_groups(cfg, out_dir)
@@ -298,8 +294,22 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> 
     approach = [g.name for g in cfg.groups if g.kind in APPROACH_KINDS]
     scalars: list[tuple[str, str, str, float | None]] = []  # metric, level, group, value
 
-    counts = {name: met.count_series(corpus, masks[name], name) for name in order}
-    pio.write_series(_mpath(out_dir, "counts"), list(counts.values()))
+    def per_group(metric, level, compute, keep_empty=False, names=order):
+        """`compute(group) -> (series, overall)` for every group in `names`.
+        Records each overall as a scalar, writes the series (only those with
+        points unless `keep_empty`) and returns them by group."""
+        series = {}
+        for n in names:
+            series[n], overall = compute(n)
+            scalars.append((metric, str(level or ""), n, overall))
+        rows = [s for s in series.values() if s.points or keep_empty]
+        if rows:
+            pio.write_series(_mpath(out_dir, f"{metric}_d{level}" if level else metric), rows)
+        return series
+
+    counts = per_group("counts", None, lambda n: (
+        met.count_series(corpus, masks[n], n), float(len(groups[n]))
+    ), keep_empty=True)
 
     whole = met.count_series(corpus, corpus.mask(corpus.ids), "All")
     shares = [met.share_series(counts[name], whole) for name in order]
@@ -307,9 +317,6 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> 
 
     growth = {name: met.growth_series(counts[name]) for name in order}
     pio.write_series(_mpath(out_dir, "growth"), list(growth.values()))
-
-    for name in order:
-        scalars.append(("counts", "", name, float(len(groups[name]))))
 
     if len(approach) >= 2:
         jac = []
@@ -324,19 +331,6 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> 
             ("groups", "all_way_count", "all_way_share"),
             [("|".join(approach), str(count), pio.fmt_value(share))],
         )
-
-    def per_group(metric, level, compute, keep_empty=False):
-        """`compute(group) -> (series, overall)` for every group.  Records
-        each overall as a scalar, writes the series (only those with points
-        unless `keep_empty`) and returns them by group."""
-        series = {}
-        for n in order:
-            series[n], overall = compute(n)
-            scalars.append((metric, str(level or ""), n, overall))
-        rows = [s for s in series.values() if s.points or keep_empty]
-        if rows:
-            pio.write_series(_mpath(out_dir, f"{metric}_d{level}" if level else metric), rows)
-        return series
 
     for level in cfg.levels:
         # series by metric and group at this level, reused as z-score inputs
@@ -378,12 +372,11 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> 
             pio.write_ids(
                 os.path.join(out_dir, "groups", f"{n}.descendants.ids"), desc_sets[n]
             )
-        dcounts = [met.count_series(corpus, corpus.mask(desc_sets[n]), n) for n in approach]
-        pio.write_series(_mpath(out_dir, "descendants_counts"), dcounts)
-        dshares = [met.share_series(c, whole) for c in dcounts]
+        dcounts = per_group("descendants_counts", None, lambda n: (
+            met.count_series(corpus, corpus.mask(desc_sets[n]), n), float(len(desc_sets[n]))
+        ), keep_empty=True, names=approach)
+        dshares = [met.share_series(c, whole) for c in dcounts.values()]
         pio.write_series(_mpath(out_dir, "descendants_share"), dshares)
-        for n in approach:
-            scalars.append(("descendants_counts", "", n, float(len(desc_sets[n]))))
 
     for metric in cfg.lowess:
         path = _mpath(out_dir, metric)
@@ -402,10 +395,10 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, log: RunLog) -> 
         ("metric", "level", "group", "value"),
         [(m, lv, g, pio.fmt_value(v)) for m, lv, g, v in scalars],
     )
-    log.line(f"metrics: wrote series for {len(order)} groups at levels {list(cfg.levels)}")
+    _log(out_dir, f"metrics: wrote series for {len(order)} groups at levels {list(cfg.levels)}")
 
 
-def stage_stats(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
+def stage_stats(cfg: RunConfig, out_dir: str) -> None:
     """Write the period tests of each compared metric into a fresh `stats/`."""
     _clear(out_dir, "stats")
     for metric in cfg.compare:
@@ -414,7 +407,7 @@ def stage_stats(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
             raise DataError(f"missing metric file {path}; run the metrics stage first")
         series = pio.read_series(path, metric)
         if len(series) < 2:
-            log.line(f"stats: {metric} has fewer than 2 group series, skipped")
+            _log(out_dir, f"stats: {metric} has fewer than 2 group series, skipped")
             continue
         order = [s.group for s in series]
         summary_rows = []
@@ -459,10 +452,10 @@ def stage_stats(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
             ["period", "stat"] + order,
             summary_rows,
         )
-        log.line(f"stats: {metric} over {len(cfg.periods)} periods for {len(order)} groups")
+        _log(out_dir, f"stats: {metric} over {len(cfg.periods)} periods for {len(order)} groups")
 
 
-def stage_report(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
+def stage_report(cfg: RunConfig, out_dir: str) -> None:
     """Plot every metric table into a fresh `plots/`."""
     metrics_dir = os.path.join(out_dir, "metrics")
     if not os.path.isdir(metrics_dir):
@@ -476,13 +469,13 @@ def stage_report(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
         series = pio.read_series(os.path.join(metrics_dir, name), stem)
         series = [s for s in series if s.points]
         if not any(len(s.points) >= 2 for s in series):
-            log.line(f"report: skipped {stem} (fewer than 2 points per series)")
+            _log(out_dir, f"report: skipped {stem} (fewer than 2 points per series)")
             continue
         skipped = pio.write_svg_lines(os.path.join(out_dir, "plots", f"{stem}.svg"), series, stem)
         for g in skipped:
-            log.line(f"report: {stem}: dropped single-point series {g}")
+            _log(out_dir, f"report: {stem}: dropped single-point series {g}")
         made += 1
-    log.line(f"report: wrote {made} plots")
+    _log(out_dir, f"report: wrote {made} plots")
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +483,7 @@ def stage_report(cfg: RunConfig, out_dir: str, log: RunLog) -> None:
 
 def cmd_synth(args) -> int:
     tables = _synthesize(args.config, args.seed, args.out)
-    log = RunLog(args.out)
-    log.line(f"synth: {len(tables['patents'])} patents, {len(tables['citations'])} citations")
+    _log(args.out, f"synth: {len(tables['patents'])} patents, {len(tables['citations'])} citations")
     pio.write_manifest(args.out)
     return 0
 
@@ -502,19 +494,19 @@ def cmd_run(args) -> int:
     for name in stages:
         if name not in STAGES:
             raise ConfigError(f"unknown stage {name!r}, expected one of {', '.join(STAGES)}")
-    log = RunLog(args.out)
+    os.makedirs(args.out, exist_ok=True)
     corpus = None
     if "classify" in stages or "metrics" in stages:
-        corpus = _ensure_corpus(cfg, args.seed, args.out, log)
+        corpus = _ensure_corpus(cfg, args.seed, args.out)
     for name in stages:
         if name == "classify":
-            stage_classify(cfg, corpus, args.out, log)
+            stage_classify(cfg, corpus, args.out)
         elif name == "metrics":
-            stage_metrics(cfg, corpus, args.out, log)
+            stage_metrics(cfg, corpus, args.out)
         elif name == "stats":
-            stage_stats(cfg, args.out, log)
+            stage_stats(cfg, args.out)
         else:
-            stage_report(cfg, args.out, log)
+            stage_report(cfg, args.out)
     pio.write_manifest(args.out)
     return 0
 

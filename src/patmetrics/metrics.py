@@ -333,20 +333,6 @@ def _lags(corpus: Corpus, mask: np.ndarray, mode: str) -> tuple[np.ndarray, np.n
     return cited, lags
 
 
-def citation_lags(
-    corpus: Corpus, mask: np.ndarray, mode: str = "all_citations"
-) -> dict[str, list[int]]:
-    """Lags (citing grant year - cited grant year) of citations received by
-    group members, keyed by cited patent.  `mode` "first_citation" keeps
-    only the smallest lag per patent.  Uncited members are absent."""
-    cited, lags = _lags(corpus, mask, mode)
-    ids = corpus.ids
-    out: dict[str, list[int]] = {}
-    for p, lag in zip(cited.tolist(), lags.tolist()):
-        out.setdefault(ids[p], []).append(lag)
-    return out
-
-
 def citation_lag_series(
     corpus: Corpus,
     mask: np.ndarray,

@@ -139,7 +139,6 @@ class PairwiseResult:
     iterate in that order."""
 
     tests: Mapping[tuple[str, str], TestResult | None]
-    raw: Mapping[tuple[str, str], float | None]
     adjusted: Mapping[tuple[str, str], float | None]
     summaries: Mapping[str, tuple[float, float, float] | None]  # mean, median, stdev
 
@@ -164,7 +163,6 @@ def pairwise_compare(
     restricted = {s.group: s.restrict(period).as_dict() for s in series_list}
 
     tests: dict[tuple[str, str], TestResult | None] = {}
-    raw: dict[tuple[str, str], float | None] = {}
     pairs = [
         (names[i], names[j])
         for i in range(len(names))
@@ -173,36 +171,27 @@ def pairwise_compare(
     for a, b in pairs:
         da, db = restricted[a], restricted[b]
         years = sorted(set(da) & set(db))
+        tests[(a, b)] = None
         if len(years) < 2:
-            tests[(a, b)] = None
-            raw[(a, b)] = None
             continue
         try:
-            res = wilcoxon_signed_rank(
+            tests[(a, b)] = wilcoxon_signed_rank(
                 [da[y] for y in years], [db[y] for y in years], exact_cutoff
             )
         except DegenerateSampleError:
-            tests[(a, b)] = None
-            raw[(a, b)] = None
-            continue
-        tests[(a, b)] = res
-        raw[(a, b)] = res.p_value
+            pass
 
-    adjusted: dict[tuple[str, str], float | None] = {p: None for p in pairs}
+    adjusted = {p: None if res is None else res.p_value for p, res in tests.items()}
     if holm:
-        testable = [p for p in pairs if raw[p] is not None]
-        adj = holm_adjust([raw[p] for p in testable])
-        for p, v in zip(testable, adj):
-            adjusted[p] = v
-    else:
-        adjusted = dict(raw)
+        testable = [p for p in pairs if tests[p] is not None]
+        adjusted.update(zip(testable, holm_adjust([adjusted[p] for p in testable])))
 
     summaries: dict[str, tuple[float, float, float] | None] = {}
     for s in series_list:
         vals = list(restricted[s.group].values())
         summaries[s.group] = summary_stats(vals) if vals else None
 
-    return PairwiseResult(tests, raw, adjusted, summaries)
+    return PairwiseResult(tests, adjusted, summaries)
 
 
 def summary_stats(values: Sequence[float]) -> tuple[float, float, float]:

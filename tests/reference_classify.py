@@ -85,8 +85,8 @@ def match_text(matcher: PhraseMatcher, text: str) -> bool:
     return bool(matcher.rows(index_tokens({"text": [text]})["text"])[0])
 
 
-def classify_keyword(corpus, table=None) -> frozenset[str]:
-    phrases = (table or default_keywords()).phrases()
+def classify_keyword(corpus, phrases=None) -> frozenset[str]:
+    phrases = phrases or default_keywords()
     return frozenset(
         pid
         for p, pid in enumerate(corpus.ids)

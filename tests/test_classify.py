@@ -76,20 +76,23 @@ class TestPhraseMatcher:
 
 class TestKeywordTable:
     def test_default_table_deduplicated(self):
-        table = cls.default_keywords()
-        assert len(table.entries) == 38  # 41 rows, 3 repeated phrases
-        phrases = table.phrases()
+        phrases = cls.default_keywords()
+        assert len(phrases) == 38  # 41 rows, 3 repeated phrases
         assert ("neural", "network") in phrases
         assert ("systems", "and", "control", "theory") in phrases
         assert len(set(phrases)) == len(phrases)
 
-    def test_unknown_category_rejected(self):
-        with pytest.raises(ConfigError):
-            cls.KeywordTable.from_pairs([("robot", "vehicles")])
+    def test_unknown_category_rejected(self, tmp_path):
+        path = tmp_path / "k.tsv"
+        path.write_text("phrase\tcategory\nrobot\tvehicles\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown keyword category 'vehicles'"):
+            cls.load_keywords(str(path))
 
-    def test_empty_table_rejected(self):
-        with pytest.raises(ConfigError):
-            cls.KeywordTable.from_pairs([])
+    def test_empty_table_rejected(self, tmp_path):
+        path = tmp_path / "k.tsv"
+        path.write_text("phrase\tcategory\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="no phrases"):
+            cls.load_keywords(str(path))
 
 
 class TestClassifyKeyword:
@@ -110,8 +113,7 @@ class TestClassifyKeyword:
         assert got == {"A", "B", "C", "D"}
 
     def test_custom_table(self):
-        table = cls.KeywordTable.from_pairs([("learning machine", "learning")])
-        assert cls.classify_keyword(self.corpus(), table) == {"E"}
+        assert cls.classify_keyword(self.corpus(), [("learning", "machine")]) == {"E"}
 
 
 class TestClassifyScience:
@@ -253,7 +255,7 @@ PREFIXES = ("G", "G06", "G06N", "G06N3", "G06N3/0", "B25J9/16", "H04L9/40", "A",
 
 
 def _phrase_pool():
-    phrases = cls.default_keywords().phrases()
+    phrases = list(cls.default_keywords())
     phrases += [r.phrase for r in cls.default_wipo_rules() if r.phrase]
     return phrases
 
@@ -305,9 +307,7 @@ def test_classifiers_equal_reference_loops(seed, monkeypatch):
     phrases = _phrase_pool()
     chosen = rng.sample([ph for ph in phrases if len(ph) > 1], 6)
     corpus = random_text_corpus(rng, chosen)
-    table = cls.KeywordTable.from_pairs(
-        [(" ".join(ph), "learning") for ph in chosen] + [("zeppelin widget", "robotics")]
-    )
+    table = (*chosen, ("zeppelin", "widget"))
     rules = (
         cls.WipoRule("code", rng.choice(PREFIXES)),
         cls.WipoRule("keyword", phrase=rng.choice(phrases)),
@@ -368,8 +368,7 @@ class TestInternedEdges:
         )
 
     def test_phrase_split_across_fields_does_not_match(self):
-        table = cls.KeywordTable.from_pairs([("deep learning", "learning")])
-        assert cls.classify_keyword(self.corpus(), table) == {"C"}
+        assert cls.classify_keyword(self.corpus(), [("deep", "learning")]) == {"C"}
 
     def test_description_hit_counts_for_keyword_not_wipo(self):
         c = self.corpus()
@@ -380,8 +379,7 @@ class TestInternedEdges:
     def test_phrase_token_absent_from_corpus(self):
         c = self.corpus()
         assert c.tokens()["title"].id_of("zeppelin") == -1
-        table = cls.KeywordTable.from_pairs([("zeppelin", "robotics"), ("deep zeppelin", "learning")])
-        assert cls.classify_keyword(c, table) == frozenset()
+        assert cls.classify_keyword(c, [("zeppelin",), ("deep", "zeppelin")]) == frozenset()
         rules = (cls.WipoRule("combined", "G06N", ("deep", "zeppelin")),)
         assert cls.classify_wipo(c, rules) == frozenset()
 

@@ -477,6 +477,23 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"{table} table not found: '{tmp_path / 'none.tsv'}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "group, key", [("Keyword", "keywords"), ("Rules", "rules"), ("Auto", "config")]
+    )
+    def test_missing_group_file_found_before_corpus_is_built(self, ws, tmp_path, capsys, group, key):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(ws / "small.run", encoding="utf-8")
+        parser[f"group:{group}"][key] = str(ws / "nope.tsv")
+        cfg = tmp_path / "x.run"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        shutil.copy(ws / "small.synth", tmp_path)
+        shutil.copy(ws / "small.uspto", tmp_path)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key} file not found: '{ws / 'nope.tsv'}'" in capsys.readouterr().err
+        assert not (out / "corpus").exists()
+
     def test_unwritable_output_is_io_error(self, ws, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")

@@ -177,7 +177,7 @@ class TestPairwise:
         c = self.series("c", [5.0, 5.0, 5.0])
         res = stats.pairwise_compare([a, b, c], (2000, 2002))
         assert set(res.tests) == {("a", "b"), ("a", "c"), ("b", "c")}
-        assert res.raw[("a", "b")] == 0.25
+        assert res.tests[("a", "b")].p_value == 0.25
 
     def test_identical_pair_untestable(self):
         a = self.series("a", [1.0, 2.0])
@@ -188,8 +188,19 @@ class TestPairwise:
         assert res.adjusted[("a", "b")] is None
         # the holm family only contains the two testable pairs
         assert res.adjusted[("a", "c")] == pytest.approx(
-            stats.holm_adjust([res.raw[("a", "c")], res.raw[("b", "c")]])[0]
+            stats.holm_adjust([res.tests[("a", "c")].p_value, res.tests[("b", "c")].p_value])[0]
         )
+
+    def test_without_holm_adjusted_is_raw(self):
+        a = self.series("a", [1.0, 2.0])
+        b = self.series("b", [1.0, 2.0])
+        c = self.series("c", [9.0, 9.0])
+        res = stats.pairwise_compare([a, b, c], (2000, 2001), holm=False)
+        assert res.adjusted[("a", "b")] is None
+        assert res.adjusted[("a", "c")] == res.tests[("a", "c")].p_value
+        assert res.adjusted[("b", "c")] == res.tests[("b", "c")].p_value
+        held = stats.pairwise_compare([a, b, c], (2000, 2001))
+        assert held.adjusted[("a", "c")] > res.adjusted[("a", "c")]
 
     def test_disjoint_years_untestable(self):
         a = self.series("a", [1.0, 2.0], start=2000)
