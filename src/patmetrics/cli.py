@@ -337,6 +337,10 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
         by_metric = {"generality": per_group("generality", level, lambda n: met.generality_series(
             corpus, masks[n], level, n
         ))}
+        out = met._outside(corpus, level)
+        size = sum(a.nbytes for a in (out.cited, out.cell, out.cells, out.breadth))
+        _log(out_dir, f"metrics: level {level} outside-class incidence {len(out.cell)} rows, "
+                      f"{len(out.cells)} (year, class) cells ({size / 2**20:.2f} MB)")
         breadth = {n: met.avg_citing_classes(corpus, masks[n], level, n) for n in order}
         for i, stem in enumerate(("avg_citing_classes", "avg_citing_classes_cited")):
             by_metric[stem] = per_group(stem, level, lambda n: breadth[n][i])

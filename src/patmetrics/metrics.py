@@ -154,13 +154,18 @@ def allway_overlap(sets: Sequence[Iterable[str]]) -> tuple[int, float]:
 
 @dataclass(frozen=True, eq=False)
 class _Outside:
-    """The outside-class incidence at one CPC level: a (cited, class) row for
-    each class of each citing patent that the cited patent does not hold,
-    in citation order and, within a citation, in ascending class id; and
-    per patent position, the number of distinct classes in its rows."""
+    """The outside-class incidence at one CPC level: a row for each class of
+    each citing patent that the cited patent does not hold, in citation
+    order and, within a citation, in ascending class id.  A row holds the
+    cited position and its (cited grant year, class) cell, an index into
+    `cells`, the ascending distinct `year * n_classes + class` keys.  Per
+    patent position, `breadth` is the number of distinct classes in its
+    rows."""
 
     cited: np.ndarray
-    classes: np.ndarray
+    cell: np.ndarray
+    cells: np.ndarray
+    n_classes: int
     breadth: np.ndarray
 
 
@@ -185,16 +190,19 @@ def _build_outside(corpus: Corpus, level: int) -> _Outside:
     at = np.searchsorted(held, keys)
     np.minimum(at, len(held) - 1, out=at)
     outside = held[at] != keys
-    del at
+    del at, held
     breadth = np.bincount(np.unique(keys[outside]) // n_classes, minlength=len(corpus))
-    return _Outside(cited[outside], classes[outside], breadth)
-
-
-def _first_seen_counts(keys: np.ndarray) -> Iterable[tuple[int, int]]:
-    """(key, count) for each distinct key, in order of first occurrence."""
-    distinct, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return zip(distinct[order].tolist(), counts[order].tolist())
+    del keys
+    cited, classes = cited[outside], classes[outside]
+    del outside
+    lo, hi = corpus.window
+    key_type = np.int32 if (abs(lo) + abs(hi) + 1) * n_classes < 2**31 else np.int64
+    keys = corpus.year[cited].astype(key_type) * n_classes + classes
+    del classes
+    cells = np.unique(keys)
+    cell = np.searchsorted(cells, keys)
+    del keys
+    return _Outside(cited, cell.astype(np.int32), cells, n_classes, breadth)
 
 
 def _generality(counts: list[int]) -> float | None:
@@ -230,19 +238,28 @@ def generality_series(
     that the cited patent does not itself hold, so within-class citations
     are excluded.  Classes enter each tally in citation order and, within a
     citation, in sorted order, which fixes the order of the float sum.
-    Yearless cohorts are omitted from the series; the all-years value is
-    None when no outside citations were received.
+    The all-years value is None when no outside citations were received.
     """
     out = _outside(corpus, level)
-    rows = mask[out.cited]
-    classes = out.classes[rows]
-    n_classes = len(corpus.class_index(level).names)
-    cohort = corpus.year[out.cited[rows]]
+    cell = out.cell[mask[out.cited]]
+    counts = np.bincount(cell, minlength=len(out.cells))
+    first = np.full(len(out.cells), len(cell))
+    np.minimum.at(first, cell, np.arange(len(cell)))
+    seen = np.flatnonzero(counts)
+    years, classes = np.divmod(out.cells[seen], out.n_classes)
+    # by year, and within a year by first place
+    by_year = np.lexsort((first[seen], years))
     per_year: dict[int, list[int]] = {}
-    for key, count in _first_seen_counts(cohort * n_classes + classes):
-        per_year.setdefault(key // n_classes, []).append(count)
-    pts = tuple((y, _generality(per_year[y])) for y in sorted(per_year))
-    overall = _generality([count for _, count in _first_seen_counts(classes)])
+    for y, count in zip(years[by_year].tolist(), counts[seen[by_year]].tolist()):
+        per_year.setdefault(y, []).append(count)
+    pts = tuple((y, _generality(tally)) for y, tally in per_year.items())
+    # fold the cells by class: the class's count, and its first place
+    tally = np.zeros(out.n_classes, np.int64)
+    np.add.at(tally, classes, counts[seen])
+    place = np.full(out.n_classes, len(cell))
+    np.minimum.at(place, classes, first[seen])
+    held = np.flatnonzero(tally)
+    overall = _generality(tally[held[np.argsort(place[held])]].tolist())
     return GroupSeries(label, "generality", pts), overall
 
 

@@ -20,6 +20,10 @@ from .metrics import GroupSeries
 
 DEFAULT_EXACT_CUTOFF = 20
 
+#: Points `lowess` fits at once, each against all n points: it holds a few
+#: `_ROW_BLOCK` x n float64 matrices, never an n x n one.
+_ROW_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -233,30 +237,16 @@ def lowess(
         raise InsufficientDataError("lowess needs at least 2 distinct x values")
 
     r = min(n, max(2, math.ceil(fraction * n)))
-    # r-th smallest absolute distance from each point is its bandwidth
-    h = np.array([np.sort(np.abs(x - x[i]))[r - 1] for i in range(n)])
+    blocks = [slice(start, start + _ROW_BLOCK) for start in range(0, n, _ROW_BLOCK)]
+    # the r-th smallest absolute distance from each point is its bandwidth
+    h = np.empty(n)
+    for b in blocks:
+        h[b] = np.partition(np.abs(x - x[b, None]), r - 1, axis=1)[:, r - 1]
     delta = np.ones(n)
     fitted = np.zeros(n)
     for _ in range(robust_iters + 1):
-        for i in range(n):
-            d = np.abs(x - x[i])
-            if h[i] > 0:
-                u = np.clip(d / h[i], 0.0, 1.0)
-            else:
-                u = np.where(d > 0, 1.0, 0.0)
-            w = (1.0 - u**3) ** 3 * delta
-            sw = w.sum()
-            if sw <= 0:
-                fitted[i] = y[i]
-                continue
-            xw = (w * x).sum() / sw
-            yw = (w * y).sum() / sw
-            sxx = (w * (x - xw) ** 2).sum()
-            if sxx <= 1e-12 * (1.0 + xw * xw):
-                fitted[i] = yw
-            else:
-                beta = (w * (x - xw) * y).sum() / sxx
-                fitted[i] = yw + beta * (x[i] - xw)
+        for b in blocks:
+            fitted[b] = _local_fits(x, y, h, delta, b)
         resid = y - fitted
         s = float(np.median(np.abs(resid)))
         # once residuals are negligible at the scale of the data, further
@@ -266,6 +256,31 @@ def lowess(
         delta = np.clip(resid / (6.0 * s), -1.0, 1.0)
         delta = (1.0 - delta**2) ** 2
     return fitted.tolist()
+
+
+def _local_fits(
+    x: np.ndarray, y: np.ndarray, h: np.ndarray, delta: np.ndarray, rows: slice
+) -> np.ndarray:
+    """The fitted values of the points `rows`, with bandwidths `h` and
+    robustness weights `delta`.  Each point is one row of a weight matrix
+    over all n points, and each row is summed as the 1-D sums of a single
+    point's fit are, so every value is the one that point would get fitted
+    on its own."""
+    d = np.abs(x - x[rows, None])
+    hb = h[rows, None]
+    u = np.where(hb > 0, np.clip(d / np.where(hb > 0, hb, 1.0), 0.0, 1.0), d > 0)
+    w = (1.0 - u**3) ** 3 * delta
+    del d, u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sw = w.sum(axis=1)
+        xw = (w * x).sum(axis=1) / sw
+        yw = (w * y).sum(axis=1) / sw
+        dx = x - xw[:, None]
+        sxx = (w * dx**2).sum(axis=1)
+        beta = (w * dx * y).sum(axis=1) / sxx
+        line = np.where(sxx <= 1e-12 * (1.0 + xw * xw), yw, yw + beta * (x[rows] - xw))
+    # no weight at all: the point itself; no x spread: the weighted mean
+    return np.where(sw <= 0, y[rows], line)
 
 
 def smooth_series(series: GroupSeries, fraction: float = 2.0 / 3.0) -> GroupSeries:

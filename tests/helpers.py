@@ -3,6 +3,7 @@
 import tracemalloc
 from dataclasses import fields
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -79,6 +80,15 @@ def text_heavy_corpus():
         rng_seed=5, base_count=60, growth=(0.07,), edges_per_patent=1,
         filler_vocab=2000, abstract_len=60, claims_len=40,
     ))[0]
+
+
+@cache
+def citation_heavy_corpus():
+    """The generated corpus of the citation-heavy workload: about 5.6k
+    patents and 67k citations, 12 edges per patent.  The synth config is
+    read from the benchmark's workload file.  Built once per test session."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads" / "citation-heavy.synth"
+    return synth_corpus(synth.load_synth_config(str(path)))[0]
 
 
 def traced_peak(call):

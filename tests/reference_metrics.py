@@ -8,7 +8,8 @@ group as a set of ids, as the loops did, and read each citation as a
 (citing id, cited id, citing year) triple.  The one change from the loops as
 they ran in the pipeline is that generality visits a citing patent's
 classes in sorted order, so the float sum no longer depends on the hash
-seed.
+seed.  `outside_incidence` is the earlier array build of the incidence
+behind generality and breadth.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 from collections import Counter
 from statistics import mean
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from patmetrics.errors import DataError
 from patmetrics.metrics import DEFAULT_UNIVERSE, GroupSeries
@@ -149,3 +152,24 @@ def descendants(corpus, members) -> frozenset[str]:
     mem = frozenset(members)
     citing = {citing for citing, cited, _ in citation_triples(corpus) if cited in mem}
     return frozenset(citing - mem)
+
+
+def outside_incidence(corpus, level: int):
+    """The outside-class incidence as the metrics stage built it before
+    each row carried its (cited grant year, class) cell: the cited position
+    and citing class of each row, and the per-patent breadth.  It bounds
+    the memory of `metrics._build_outside` and checks its rows."""
+    index = corpus.class_index(level)
+    n_classes = len(index.names)
+    key_type = np.int32 if len(corpus) * n_classes < 2**31 else np.int64
+    edge, classes = index.take(corpus.citing)
+    cited = corpus.cited[edge]
+    del edge
+    keys = cited.astype(key_type) * n_classes + classes
+    held = index.owners().astype(key_type) * n_classes + index.ids
+    at = np.searchsorted(held, keys)
+    np.minimum(at, len(held) - 1, out=at)
+    outside = held[at] != keys
+    del at
+    breadth = np.bincount(np.unique(keys[outside]) // n_classes, minlength=len(corpus))
+    return cited[outside], classes[outside], breadth

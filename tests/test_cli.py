@@ -405,6 +405,32 @@ class TestRunPipeline:
         log = read(out / "run.log")
         assert "classify: Science (science)" in log and "token index" not in log
 
+    def test_run_log_sizes_outside_incidence_per_level(self, ws, full_run, tmp_path):
+        pattern = (r"metrics: level (\d) outside-class incidence (\d+) rows, "
+                   r"(\d+) \(year, class\) cells \((\d+\.\d\d) MB\)")
+        lines = [ln for ln in read(full_run / "run.log").splitlines() if "outside-class" in ln]
+        got = [re.fullmatch(pattern, ln) for ln in lines]
+        assert [int(g[1]) for g in got] == list(cli.load_run_config(str(ws / "small.run")).levels)
+        for g in got:
+            rows, cells = int(g[2]), int(g[3])
+            assert rows >= cells > 0
+            assert float(g[4]) >= round(rows * 8 / 2**20, 2)  # cited position and cell, per row
+        # no level, no incidence and no line
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(RUN_TEXT)
+        parser["inputs"]["synth"] = str(ws / "small.synth")
+        parser["group:Auto"]["config"] = str(ws / "small.uspto")
+        parser["metrics"].update(levels="", zscore="")
+        cfg = tmp_path / "no-levels.run"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        os.remove(out / "run.log")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--only", "metrics"]) == 0
+        log = read(out / "run.log")
+        assert "metrics: wrote series" in log and "outside-class" not in log
+
 
 class TestExitCodes:
     def test_missing_run_config(self, tmp_path, capsys):

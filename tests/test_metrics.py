@@ -4,13 +4,15 @@ import subprocess
 import sys
 from statistics import mean, pstdev
 
+import numpy as np
 import pytest
 
 from patmetrics import metrics as met
+from patmetrics.classify import classify_prefix_group
 from patmetrics.errors import DataError
 
 import reference_metrics as ref
-from helpers import build_corpus, random_corpus
+from helpers import build_corpus, citation_heavy_corpus, random_corpus, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +152,84 @@ class TestGeneralitySeries:
             cohort = {p for p in ai if years[p] == y}
             want = oracle_generality(years, codes, edges, cohort, 3)
             assert v == pytest.approx(want, abs=1e-12)
+
+
+class TestGeneralityCells:
+    """`generality_series` tallies each group's rows by their (cited grant
+    year, class) cell; every case equals the reference loop exactly."""
+
+    LEVELS = (1, 3, 4)
+
+    def assert_equals_reference(self, corpus, members):
+        for level in self.LEVELS:
+            got = met.generality_series(corpus, corpus.mask(members), level, "g")
+            assert got == ref.generality_series(corpus, members, level, "g"), level
+
+    def test_level_without_classes(self):
+        corpus = build_corpus({"X": 2000, "Y": 2003}, cites=[("Y", "X")])
+        assert len(corpus.class_index(1).names) == 0
+        self.assert_equals_reference(corpus, {"X"})
+        assert met.generality_series(corpus, corpus.mask({"X"}), 1, "g")[1] is None
+
+    def test_group_without_outside_rows(self):
+        # cited only from within its own classes
+        corpus = build_corpus(
+            {"X": 2000, "C": 2002, "D": 2004},
+            codes={"X": ["G06N", "H04W"], "C": ["G06N"], "D": ["A61K"]},
+            cites=[("C", "X"), ("D", "C")],
+        )
+        self.assert_equals_reference(corpus, {"X"})
+        assert met.generality_series(corpus, corpus.mask({"X"}), 4, "g") == (
+            met.GroupSeries("g", "generality", ()), None
+        )
+
+    def test_cited_cohorts_with_gaps(self):
+        corpus = build_corpus(
+            {"A": 2000, "B": 2003, "C": 2007, "P": 2008, "Q": 2009},
+            codes={"A": ["G06N"], "B": ["G06F"], "C": ["H04W"], "P": ["A61K", "C12N", "G06F"],
+                   "Q": ["B82Y", "A61K"]},
+            cites=[("P", "A"), ("Q", "A"), ("P", "C"), ("Q", "C"), ("Q", "B")],
+        )
+        self.assert_equals_reference(corpus, {"A", "B", "C"})
+        series, _ = met.generality_series(corpus, corpus.mask({"A", "B", "C"}), 4, "g")
+        assert series.years() == [2000, 2003, 2007]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_far_wider_than_the_data(self, seed):
+        rng = random.Random(7000 + seed)
+        _, years, codes, edges, ai = random_corpus(rng)
+        corpus = build_corpus(years, codes=codes, cites=edges, window=(0, 9999))
+        self.assert_equals_reference(corpus, ai)
+        self.assert_equals_reference(corpus, set(years))
+
+    @pytest.mark.parametrize("prefix", ["All", "G06"])
+    def test_citation_heavy_groups(self, prefix):
+        corpus = citation_heavy_corpus()
+        self.assert_equals_reference(corpus, classify_prefix_group(corpus, prefix))
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_cells_hold_the_reference_incidence(self, level):
+        corpus = citation_heavy_corpus()
+        out = met._outside(corpus, level)
+        cited, classes, breadth = ref.outside_incidence(corpus, level)
+        assert np.array_equal(out.cited, cited) and np.array_equal(out.breadth, breadth)
+        keys = out.cells[out.cell]
+        assert np.array_equal(keys, corpus.year[cited] * out.n_classes + classes)
+        assert np.array_equal(out.cells, np.unique(keys)) and out.cell.dtype == np.int32
+
+    def test_memory_bounded_by_the_incidence(self):
+        """Building the level-4 incidence of the citation-heavy corpus
+        peaks no higher than the earlier build, and one group's tally holds
+        about 16 bytes or less per outside-class row, not a sort of them."""
+        corpus = citation_heavy_corpus()
+        corpus.class_index(4)
+        _, want = traced_peak(lambda: ref.outside_incidence(corpus, 4))
+        _, peak = traced_peak(lambda: met._build_outside(corpus, 4))
+        assert peak <= want
+        rows = len(met._outside(corpus, 4).cell)
+        mask = corpus.mask(corpus.ids)
+        _, peak = traced_peak(lambda: met.generality_series(corpus, mask, 4, "All"))
+        assert peak <= 16 * rows
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from patmetrics import stats
 from patmetrics.errors import DegenerateSampleError, InsufficientDataError
 from patmetrics.metrics import GroupSeries
 
+import reference_stats as ref
+from helpers import traced_peak
+
 
 # ---------------------------------------------------------------------------
 # oracle: exact signed-rank p by brute-force enumeration of all sign vectors
@@ -361,6 +364,55 @@ class TestLowess:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             stats.lowess([1.0, 2.0], [1.0])
+
+    def test_zero_total_weight_equals_reference(self):
+        # a robust pass leaves some zero-bandwidth windows no weight at all,
+        # and those points keep their own y
+        xs = [1.0, 2.0, 3.0, 2.0, 3.0, 3.0, 2.0, 3.0, 1.0, 2.0, 0.0]
+        ys = [1.0, 200.0, 2.0, 2.0, 200.0, 1.0, 0.0, 200.0, 0.0, 0.0, 0.0]
+        assert stats.lowess(xs, ys, 0.2) == ref.lowess(xs, ys, 0.2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_reference_on_random_series(self, seed):
+        """Bit for bit the per-point loop, on tied, duplicate and spread x,
+        constant and outlying y, any fraction and robust passes, and n on
+        both sides of the block size."""
+        rng = random.Random(9000 + seed)
+        block = stats._ROW_BLOCK
+        assert 2 < block < 1000  # so that the sizes below stay small
+        for _ in range(40):
+            n = rng.choice([2, 3, 7, 20, block - 1, block, block + 1, 2 * block + 3])
+            shape = rng.randrange(4)
+            if shape == 0:  # few distinct x, so ties and zero bandwidths
+                xs = [float(rng.randrange(max(2, n // 4))) for _ in range(n)]
+            elif shape == 1:
+                xs = [rng.uniform(-5.0, 5.0) for _ in range(n)]
+            else:  # annual series, as the metrics stage smooths
+                xs = [float(1990 + i) for i in range(n)]
+            if rng.random() < 0.2:
+                ys = [3.25] * n
+            else:
+                scale = rng.choice([1e-9, 1.0, 1e6])
+                ys = [rng.gauss(0.0, 1.0) * scale for _ in range(n)]
+                for k in rng.sample(range(n), rng.randrange(min(n, 3))):
+                    ys[k] += rng.choice([-1.0, 1.0]) * 1e3 * scale  # outliers
+            fraction = rng.choice([1e-4, 0.1, 0.3, 2 / 3, 1.0, rng.uniform(1e-4, 1.0)])
+            iters = rng.randrange(4)
+            if len(set(xs)) < 2:
+                continue
+            assert stats.lowess(xs, ys, fraction, iters) == ref.lowess(xs, ys, fraction, iters)
+
+    def test_memory_bounded_by_the_block(self):
+        """2,000 points peak at a few block x n float64 matrices, far under
+        the 32 MB of one n x n matrix."""
+        rng = random.Random(3)
+        xs = [rng.uniform(0.0, 100.0) for _ in range(2000)]
+        ys = [rng.gauss(0.0, 1.0) for _ in xs]
+        n = len(xs)
+        bound = 6 * stats._ROW_BLOCK * n * 8
+        assert bound <= n * n * 8 / 4
+        _, peak = traced_peak(lambda: stats.lowess(xs, ys))
+        assert peak < bound
 
     def test_smooth_series_keeps_years_and_name(self):
         s = GroupSeries("g", "growth", ((2000, 1.0), (2001, 3.0), (2002, 2.0), (2003, 4.0)))
