@@ -370,16 +370,19 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
     score at exactly 0.5.
     """
     cfg = config or UsptoConfig()
+    by_id = np.argsort(np.array(corpus.ids, dtype=object))  # positions in id order
     models = []
     for comp in cfg.components:
         seed = build_uspto_seed(corpus, cfg.seed_rules[comp], cfg.expansion_hops)
         if not seed:
             raise ConfigError(f"component {comp!r}: seed matches no patent")
-        pool = sorted(set(corpus.ids) - seed)
-        if not pool:
+        pool = by_id[~corpus.mask(seed)[by_id]]
+        if not len(pool):
             raise ConfigError(f"component {comp!r}: no negatives left to sample")
+        # `sample` draws its indices from the population's size alone
         rng = random.Random(f"{cfg.anti_seed_rng}:{comp}")
-        anti = frozenset(rng.sample(pool, min(len(seed), len(pool))))
+        picks = rng.sample(range(len(pool)), min(len(seed), len(pool)))
+        anti = frozenset(corpus.ids[p] for p in pool[picks].tolist())
 
         train_ids = sorted(seed) + sorted(anti)
         rows = np.array([corpus.position[p] for p in train_ids], np.int64)

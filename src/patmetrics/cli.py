@@ -20,6 +20,9 @@ import os
 import shutil
 import sys
 from dataclasses import dataclass, replace
+from itertools import combinations
+
+import numpy as np
 
 from . import classify as cls
 from . import io as pio
@@ -166,9 +169,9 @@ def _log(out_dir: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 # corpus preparation
 
-def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> dict[str, list[tuple]]:
+def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> tuple[dict[str, list[tuple]], int]:
     """Generate a synthetic corpus, write its tables and, into a fresh
-    `truth/`, its truth lists, and return the table rows."""
+    `truth/`, its truth lists, and return the table rows and the seed used."""
     scfg = syn.load_synth_config(synth_path)
     if seed is not None:
         scfg = replace(scfg, rng_seed=seed)
@@ -177,7 +180,7 @@ def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> dict[str, li
     _clear(out_dir, "truth")
     for name in sorted(truth):
         pio.write_ids(os.path.join(out_dir, "truth", f"{name}.ids"), truth[name])
-    return tables
+    return tables, scfg.rng_seed
 
 
 def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str) -> Corpus:
@@ -188,8 +191,8 @@ def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str) -> Corpus:
     rules = {"window": cfg.window, "strict": cfg.strict}
     if cfg.synth_path is not None:
         corpus_dir = _clear(out_dir, "corpus")
-        tables = _synthesize(cfg.synth_path, seed, corpus_dir)
-        _log(out_dir, f"synth: generated {len(tables['patents'])} patents into corpus/")
+        tables, seed = _synthesize(cfg.synth_path, seed, corpus_dir)
+        _log(out_dir, f"synth: generated {len(tables['patents'])} patents into corpus/ with seed {seed}")
         named = {n: (os.path.join(corpus_dir, f"{n}.tsv"), rows) for n, rows in tables.items()}
         corpus, report = pio.ingest(named, **rules)
     else:
@@ -267,14 +270,13 @@ def load_uspto_config(path: str) -> cls.UsptoConfig:
     return cls.UsptoConfig(**settings)
 
 
-def _read_groups(cfg: RunConfig, out_dir: str) -> dict[str, frozenset[str]]:
-    out = {}
-    for g in cfg.groups:
-        path = os.path.join(out_dir, "groups", f"{g.name}.ids")
+def _group_masks(cfg: RunConfig, corpus: Corpus, out_dir: str) -> dict[str, np.ndarray]:
+    """Each configured group's mask, read once every group file is found."""
+    paths = {g.name: os.path.join(out_dir, "groups", f"{g.name}.ids") for g in cfg.groups}
+    for path in paths.values():
         if not os.path.exists(path):
             raise DataError(f"missing group file {path}; run the classify stage first")
-        out[g.name] = pio.read_ids(path)
-    return out
+    return {name: corpus.mask(pio.read_ids(path)) for name, path in paths.items()}
 
 
 def _mpath(out_dir: str, stem: str) -> str:
@@ -284,48 +286,45 @@ def _mpath(out_dir: str, stem: str) -> str:
 def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
     """Write the metric tables into a fresh `metrics/`, and the descendants
     of each approach group into `groups/`, replacing those of earlier runs."""
-    groups = _read_groups(cfg, out_dir)
+    masks = _group_masks(cfg, corpus, out_dir)
     _clear(out_dir, "metrics")
     for name in os.listdir(os.path.join(out_dir, "groups")):
         if name.endswith(".descendants.ids"):  # no group name ends in .descendants
             os.remove(os.path.join(out_dir, "groups", name))
-    masks = {name: corpus.mask(ids) for name, ids in groups.items()}
     order = [g.name for g in cfg.groups]
     approach = [g.name for g in cfg.groups if g.kind in APPROACH_KINDS]
     scalars: list[tuple[str, str, str, float | None]] = []  # metric, level, group, value
 
     def per_group(metric, level, compute, keep_empty=False, names=order):
-        """`compute(group) -> (series, overall)` for every group in `names`.
-        Records each overall as a scalar, writes the series (only those with
-        points unless `keep_empty`) and returns them by group."""
+        """`compute(name) -> (series, overall)` for every name in `names`.
+        Records each overall as a scalar of the series' group, writes the
+        series (only those with points unless `keep_empty`) and returns
+        them by name."""
         series = {}
         for n in names:
             series[n], overall = compute(n)
-            scalars.append((metric, str(level or ""), n, overall))
+            scalars.append((metric, str(level or ""), series[n].group, overall))
         rows = [s for s in series.values() if s.points or keep_empty]
         if rows:
             pio.write_series(_mpath(out_dir, f"{metric}_d{level}" if level else metric), rows)
         return series
 
-    counts = per_group("counts", None, lambda n: (
-        met.count_series(corpus, masks[n], n), float(len(groups[n]))
-    ), keep_empty=True)
+    def counts_and_shares(prefix, masks):
+        counts = per_group(f"{prefix}counts", None, lambda n: met.count_series(
+            corpus, masks[n], n
+        ), keep_empty=True, names=list(masks))
+        shares = [met.share_series(corpus, mask, n) for n, mask in masks.items()]
+        pio.write_series(_mpath(out_dir, f"{prefix}share"), shares)
+        return counts
 
-    whole = met.count_series(corpus, corpus.mask(corpus.ids), "All")
-    shares = [met.share_series(counts[name], whole) for name in order]
-    pio.write_series(_mpath(out_dir, "share"), shares)
-
-    growth = {name: met.growth_series(counts[name]) for name in order}
-    pio.write_series(_mpath(out_dir, "growth"), list(growth.values()))
-
-    if len(approach) >= 2:
-        jac = []
-        for i, a in enumerate(approach):
-            for b in approach[i + 1 :]:
-                jac.append(met.jaccard_series(corpus, a, masks[a], b, masks[b]))
-                scalars.append(("jaccard", "", f"{a}|{b}", met.jaccard(groups[a], groups[b])))
-        pio.write_series(_mpath(out_dir, "jaccard"), jac)
-        count, share = met.allway_overlap([groups[a] for a in approach])
+    counts = counts_and_shares("", masks)
+    pio.write_series(_mpath(out_dir, "growth"), [met.growth_series(s) for s in counts.values()])
+    pairs = list(combinations(approach, 2))
+    per_group("jaccard", None, lambda p: met.jaccard_series(
+        corpus, "|".join(p), masks[p[0]], masks[p[1]]
+    ), keep_empty=True, names=pairs)
+    if pairs:
+        count, share = met.allway_overlap([masks[a] for a in approach])
         pio.write_table(
             os.path.join(out_dir, "metrics", "overlap.tsv"),
             ("groups", "all_way_count", "all_way_share"),
@@ -351,18 +350,12 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
         per_group("diversity_per_patent", level, lambda n: met.diversity_per_patent(
             corpus, masks[n], level, n
         ))
-        if len(approach) >= 2:
-            for zm in cfg.zscore:
-                zin = [by_metric[zm][n] for n in approach if by_metric[zm][n].points]
-                if len(zin) >= 2:
-                    pio.write_series(
-                        _mpath(out_dir, f"{zm}_d{level}_zscore"),
-                        met.zscore_across_groups(zin),
-                    )
+        for zm in cfg.zscore:
+            zin = [by_metric[zm][n] for n in approach if by_metric[zm][n].points]
+            if len(zin) >= 2:
+                pio.write_series(_mpath(out_dir, f"{zm}_d{level}_zscore"), met.zscore_across_groups(zin))
 
-    lags = {
-        n: met.citation_lag_series(corpus, masks[n], n, cfg.periods, cfg.lag_mode) for n in order
-    }
+    lags = {n: met.citation_lag_series(corpus, masks[n], n, cfg.periods, cfg.lag_mode) for n in order}
     per_group("citation_lag", None, lambda n: lags[n][:2])
     pio.write_table(
         os.path.join(out_dir, "metrics", "lag_periods.tsv"),
@@ -371,26 +364,18 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
     )
 
     if cfg.descendants and approach:
-        desc_sets = {n: met.descendants(corpus, masks[n]) for n in approach}
-        for n in approach:
-            pio.write_ids(
-                os.path.join(out_dir, "groups", f"{n}.descendants.ids"), desc_sets[n]
-            )
-        dcounts = per_group("descendants_counts", None, lambda n: (
-            met.count_series(corpus, corpus.mask(desc_sets[n]), n), float(len(desc_sets[n]))
-        ), keep_empty=True, names=approach)
-        dshares = [met.share_series(c, whole) for c in dcounts.values()]
-        pio.write_series(_mpath(out_dir, "descendants_share"), dshares)
+        descendants = {n: met.descendants(corpus, masks[n]) for n in approach}
+        for n, ids in descendants.items():
+            pio.write_ids(os.path.join(out_dir, "groups", f"{n}.descendants.ids"), ids)
+        counts_and_shares("descendants_", {n: corpus.mask(ids) for n, ids in descendants.items()})
 
     for metric in cfg.lowess:
         path = _mpath(out_dir, metric)
         if not os.path.exists(path):
+            _log(out_dir, f"metrics: lowess skipped {metric}, no such metric file")
             continue
-        smoothed = [
-            st.smooth_series(s, cfg.lowess_fraction)
-            for s in pio.read_series(path, metric)
-            if len(s.points) >= 2 and len(set(s.years())) >= 2
-        ]
+        series = pio.read_series(path, metric)  # years distinct, so two points span two years
+        smoothed = [st.smooth_series(s, cfg.lowess_fraction) for s in series if len(s.points) >= 2]
         if smoothed:
             pio.write_series(_mpath(out_dir, f"{metric}_lowess"), smoothed)
 
@@ -486,8 +471,8 @@ def stage_report(cfg: RunConfig, out_dir: str) -> None:
 # entry points
 
 def cmd_synth(args) -> int:
-    tables = _synthesize(args.config, args.seed, args.out)
-    _log(args.out, f"synth: {len(tables['patents'])} patents, {len(tables['citations'])} citations")
+    tables, seed = _synthesize(args.config, args.seed, args.out)
+    _log(args.out, f"synth: {len(tables['patents'])} patents, {len(tables['citations'])} citations, seed {seed}")
     pio.write_manifest(args.out)
     return 0
 

@@ -3,8 +3,8 @@
 Conventions shared by every metric:
 
 * a "group" is a set of patent ids, always a subset of the corpus; a metric
-  that takes the corpus takes the group as `Corpus.mask(ids)`, a boolean
-  mask over patent positions, so each group is interned once per run;
+  takes the group as `Corpus.mask(ids)`, a boolean mask over patent
+  positions, so each group is interned once per run;
 * annual series carry (year, value) points sorted by year, and a year is
   omitted (not zero-filled) when the metric is undefined there;
 * scalars that cannot be computed (e.g. no citations at all) come back as
@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from statistics import mean, pstdev
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,35 +64,21 @@ class GroupSeries:
 # counts, shares, growth
 
 def _year_counts(corpus: Corpus, mask: np.ndarray) -> list[int]:
-    """Masked patents per grant year, one count per year of the window."""
+    """Patents per grant year under `mask` (`...` for all), one count per year of the window."""
     lo, hi = corpus.window
     return np.bincount(corpus.year[mask] - lo, minlength=hi - lo + 1).tolist()
 
 
-def count_series(corpus: Corpus, mask: np.ndarray, label: str) -> GroupSeries:
-    """Patents granted per year, zero-filled over the whole corpus window."""
+def count_series(corpus: Corpus, mask: np.ndarray, label: str) -> tuple[GroupSeries, float]:
+    """Patents granted per year, zero-filled over the corpus window, and the group size."""
     pts = tuple((y, float(n)) for y, n in zip(corpus.years(), _year_counts(corpus, mask)))
-    return GroupSeries(label, "counts", pts)
+    return GroupSeries(label, "counts", pts), float(np.count_nonzero(mask))
 
 
-def share_series(group_counts: GroupSeries, all_counts: GroupSeries) -> GroupSeries:
-    """Group count divided by total count, year by year.
-
-    Years where both counts are zero are omitted; a positive group count
-    over a zero total is a data error.
-    """
-    total = all_counts.as_dict()
-    pts = []
-    for y, g in group_counts.points:
-        if y not in total:
-            raise DataError(f"share: total count missing for year {y}")
-        a = total[y]
-        if a == 0:
-            if g > 0:
-                raise DataError(f"share: group count {g} exceeds zero total in {y}")
-            continue
-        pts.append((y, g / a))
-    return GroupSeries(group_counts.group, "share", tuple(pts))
+def share_series(corpus: Corpus, mask: np.ndarray, label: str) -> GroupSeries:
+    """Group count over corpus count, year by year, for the years with grants."""
+    pts = zip(corpus.years(), _year_counts(corpus, mask), _year_counts(corpus, ...))
+    return GroupSeries(label, "share", tuple((y, g / a) for y, g, a in pts if a))
 
 
 def growth_series(counts: GroupSeries) -> GroupSeries:
@@ -113,37 +99,23 @@ def growth_series(counts: GroupSeries) -> GroupSeries:
 # ---------------------------------------------------------------------------
 # overlap
 
-def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
-    """|A n B| / |A u B|; defined as 0 when both sets are empty."""
-    sa, sb = set(a), set(b)
-    union = sa | sb
-    if not union:
-        return 0.0
-    return len(sa & sb) / len(union)
-
-
-def jaccard_series(
-    corpus: Corpus, label_a: str, a: np.ndarray, label_b: str, b: np.ndarray
-) -> GroupSeries:
-    """Annual Jaccard overlap between two groups, by grant year.
-
-    Column identity is "label_a|label_b".  A year where neither group has
-    members yields 0 by the empty-sets convention.
-    """
+def jaccard_series(corpus: Corpus, label: str, a: np.ndarray, b: np.ndarray) -> tuple[GroupSeries, float]:
+    """Jaccard overlap |A n B| / |A u B| between two groups, by grant year
+    and over the whole window.  Where neither group has members the
+    overlap is 0 by the empty-sets convention."""
     inter, union = _year_counts(corpus, a & b), _year_counts(corpus, a | b)
     pts = tuple((y, i / u if u else 0.0) for y, i, u in zip(corpus.years(), inter, union))
-    return GroupSeries(f"{label_a}|{label_b}", "jaccard", pts)
+    n_inter, n_union = sum(inter), sum(union)
+    return GroupSeries(label, "jaccard", pts), n_inter / n_union if n_union else 0.0
 
 
-def allway_overlap(sets: Sequence[Iterable[str]]) -> tuple[int, float]:
-    """Count and union-share of ids present in every one of the given sets."""
-    if not sets:
+def allway_overlap(masks: Sequence[np.ndarray]) -> tuple[int, float]:
+    """Count and union-share of patents present in every one of the groups."""
+    if not masks:
         return 0, 0.0
-    materialised = [set(s) for s in sets]
-    inter = set.intersection(*materialised)
-    union = set.union(*materialised)
-    share = len(inter) / len(union) if union else 0.0
-    return len(inter), share
+    inter = int(np.count_nonzero(np.logical_and.reduce(masks)))
+    union = int(np.count_nonzero(np.logical_or.reduce(masks)))
+    return inter, inter / union if union else 0.0
 
 
 # ---------------------------------------------------------------------------

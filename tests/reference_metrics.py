@@ -9,7 +9,9 @@ group as a set of ids, as the loops did, and read each citation as a
 they ran in the pipeline is that generality visits a citing patent's
 classes in sorted order, so the float sum no longer depends on the hash
 seed.  `outside_incidence` is the earlier array build of the incidence
-behind generality and breadth.
+behind generality and breadth.  `share_series`, `jaccard` and
+`allway_overlap` are the set forms of the group-size metrics: the overall
+of `patmetrics.metrics.jaccard_series` equals `jaccard`.
 """
 
 from __future__ import annotations
@@ -146,6 +148,36 @@ def citation_lag_series(
 
     series = GroupSeries(label, "citation_lag", pts)
     return series, pooled(-math.inf, math.inf), [((lo, hi), pooled(lo, hi)) for lo, hi in periods]
+
+
+def share_series(corpus, members: Iterable[str], label: str) -> GroupSeries:
+    """Members granted each year over patents granted that year, for the
+    years with grants."""
+    mem = frozenset(members)
+    total = Counter(_grant_year(corpus, p) for p in corpus.ids)
+    group = Counter(_grant_year(corpus, p) for p in mem)
+    pts = tuple((y, group[y] / total[y]) for y in corpus.years() if total[y])
+    return GroupSeries(label, "share", pts)
+
+
+def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
+    """|A n B| / |A u B|; defined as 0 when both sets are empty."""
+    sa, sb = set(a), set(b)
+    union = sa | sb
+    if not union:
+        return 0.0
+    return len(sa & sb) / len(union)
+
+
+def allway_overlap(sets: Sequence[Iterable[str]]) -> tuple[int, float]:
+    """Count and union-share of ids present in every one of the given sets."""
+    if not sets:
+        return 0, 0.0
+    materialised = [set(s) for s in sets]
+    inter = set.intersection(*materialised)
+    union = set.union(*materialised)
+    share = len(inter) / len(union) if union else 0.0
+    return len(inter), share
 
 
 def descendants(corpus, members) -> frozenset[str]:

@@ -139,13 +139,18 @@ def test_02_oracle_equivalence_on_random_corpora():
 
 
 def test_03_jaccard_on_1000_pairs():
+    universe = [f"P{i}" for i in range(150)]
+    corpus = build_corpus({p: 2000 + i % 7 for i, p in enumerate(universe)})
+
+    def jaccard(a, b):
+        return met.jaccard_series(corpus, "a|b", corpus.mask(a), corpus.mask(b))[1]
+
     # boundary cases: identical sets, disjoint sets, both empty
-    assert met.jaccard({"A", "B", "C"}, {"A", "B", "C"}) == 1.0
-    assert met.jaccard({"A", "B"}, {"C", "D"}) == 0.0
-    assert met.jaccard(set(), set()) == 0.0
+    assert jaccard({"P0", "P1", "P2"}, {"P0", "P1", "P2"}) == 1.0
+    assert jaccard({"P0", "P1"}, {"P2", "P3"}) == 0.0
+    assert jaccard(set(), set()) == 0.0
 
     rng = random.Random(3)
-    universe = [f"P{i}" for i in range(150)]
     for _ in range(1000):
         da, db = rng.random(), rng.random()
         a = {p for p in universe if rng.random() < da}
@@ -153,7 +158,7 @@ def test_03_jaccard_on_1000_pairs():
         inter = sum(1 for p in universe if p in a and p in b)
         union = sum(1 for p in universe if p in a or p in b)
         want = inter / union if union else 0.0
-        assert met.jaccard(a, b) == want
+        assert jaccard(a, b) == want
 
 
 def test_04_growth_exact_and_planted():
@@ -179,7 +184,7 @@ def test_04_growth_exact_and_planted():
         rng_seed=41, years=(2000, 2011), base_count=700, growth=(0.06,)
     )
     corpus, _ = synth_corpus(cfg)
-    counts = met.count_series(corpus, corpus.mask(corpus.ids), "All")
+    counts, _ = met.count_series(corpus, corpus.mask(corpus.ids), "All")
     recovered = met.growth_series(counts)
     for _, v in recovered.points:
         assert abs(v - 0.06) <= 0.01
@@ -190,7 +195,7 @@ def test_04_growth_exact_and_planted():
         rng_seed=42, years=(2000, 2009), base_count=700, growth=schedule
     )
     corpus, _ = synth_corpus(cfg)
-    recovered = met.growth_series(met.count_series(corpus, corpus.mask(corpus.ids), "All"))
+    recovered = met.growth_series(met.count_series(corpus, corpus.mask(corpus.ids), "All")[0])
     assert len(recovered.points) == len(schedule)
     for (_, v), want in zip(recovered.points, schedule):
         assert math.copysign(1.0, v) == math.copysign(1.0, want)

@@ -439,6 +439,21 @@ class TestUsptoTraining:
         assert len(c1.anti_seed) == len(c1.seed)
         assert not (c1.anti_seed & c1.seed)
 
+    @pytest.mark.parametrize("anti_seed_rng", (13, 0, 99))
+    def test_anti_seed_equals_reference(self, anti_seed_rng):
+        """The anti-seed is drawn by index from the non-seed positions in id
+        order, and equals the draw from the sorted list of non-seed ids."""
+        ids = [f"P{i:02d}" for i in range(80)]
+        random.Random(anti_seed_rng).shuffle(ids)  # positions in no id order
+        corpus = build_corpus(
+            {p: 2000 + i % 5 for i, p in enumerate(ids)},
+            codes={p: ["A01B" if i % 4 else "Y02E10/70"] for i, p in enumerate(ids)},
+        )
+        cfg = uspto_config(epochs=0, anti_seed_rng=anti_seed_rng)
+        got = cls.train_uspto(corpus, cfg).components[0]
+        want = ref.train_uspto(corpus, cfg).components[0]
+        assert (got.seed, got.anti_seed) == (want.seed, want.anti_seed)
+
     def test_training_separates_marked_group(self):
         corpus = separable_corpus()
         model = cls.train_uspto(corpus, uspto_config())

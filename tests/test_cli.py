@@ -165,6 +165,8 @@ class TestSynthCommand:
             == 0
         )
         assert pio.sha256_file(str(a / "patents.tsv")) != pio.sha256_file(str(b / "patents.tsv"))
+        assert read(a / "run.log").endswith(", seed 424\n")  # the config's rng_seed
+        assert read(b / "run.log").endswith(", seed 99\n")
 
     def test_dropped_group_leaves_no_truth_list(self, ws, tmp_path):
         parser = configparser.ConfigParser(interpolation=None)
@@ -297,6 +299,17 @@ class TestRunPipeline:
             assert code == 0
         assert read(reused / "corpus" / "patents.tsv") == read(fresh / "corpus" / "patents.tsv")
 
+    def test_run_log_records_each_synth_seed(self, ws, tmp_path):
+        """A stage run alone regenerates the corpus with its own seed, so
+        groups classified on a seed-7 corpus are measured on the default
+        one; `run.log` shows both seeds."""
+        cfg = self.prefix_run(tmp_path, ws / "small.synth")
+        out = tmp_path / "o"
+        for extra in (["--only", "classify", "--seed", "7"], ["--only", "metrics"]):
+            assert cli.main(["run", "--config", cfg, "--out", str(out), *extra]) == 0
+        pattern = r"^synth: generated \d+ patents into corpus/ with seed (\d+)$"
+        assert re.findall(pattern, read(out / "run.log"), re.M) == ["7", "424"]
+
     def test_rerun_regenerates_edited_synth_corpus(self, tmp_path):
         synth_cfg = tmp_path / "edited.synth"
         synth_cfg.write_text(SYNTH_TEXT, encoding="utf-8")
@@ -370,6 +383,25 @@ class TestRunPipeline:
         ):
             assert not (out / stale).exists() and stale not in manifest, stale
         assert manifest == read(fresh / "manifest.txt")
+
+    def test_lowess_of_a_missing_metric_is_logged(self, ws, full_run, tmp_path):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(RUN_TEXT)
+        parser["inputs"]["synth"] = str(ws / "small.synth")
+        parser["group:Auto"]["config"] = str(ws / "small.uspto")
+        parser["metrics"].update(levels="1", lowess="growht, growth")
+        cfg = tmp_path / "typo.run"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        os.remove(out / "run.log")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--only", "metrics"]) == 0
+        assert not (out / "metrics" / "growht_lowess.metric.tsv").exists()
+        assert (out / "metrics" / "growth_lowess.metric.tsv").exists()
+        log = read(out / "run.log")
+        assert "metrics: lowess skipped growht, no such metric file" in log
+        assert "lowess skipped growth," not in log
 
     def test_run_log_has_uspto_diagnostics(self, full_run):
         lines = [ln for ln in read(full_run / "run.log").splitlines() if "component" in ln]

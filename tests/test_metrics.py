@@ -380,20 +380,16 @@ def test_generality_independent_of_hash_seed():
 class TestCountsShareGrowth:
     def test_counts_zero_filled(self):
         corpus = build_corpus({"A": 2000, "B": 2000, "C": 2002})
-        s = met.count_series(corpus, corpus.mask({"A", "B", "C"}), "g")
+        s, size = met.count_series(corpus, corpus.mask({"A", "B", "C"}), "g")
         assert s.points == ((2000, 2.0), (2001, 0.0), (2002, 1.0))
+        assert size == 3.0
 
     def test_share(self):
-        g = met.GroupSeries("g", "counts", ((2000, 1.0), (2001, 0.0), (2002, 3.0)))
-        a = met.GroupSeries("All", "counts", ((2000, 4.0), (2001, 0.0), (2002, 6.0)))
-        s = met.share_series(g, a)
-        assert s.points == ((2000, 0.25), (2002, 0.5))  # 0/0 year omitted
-
-    def test_share_overflow_is_error(self):
-        g = met.GroupSeries("g", "counts", ((2000, 1.0),))
-        a = met.GroupSeries("All", "counts", ((2000, 0.0),))
-        with pytest.raises(DataError):
-            met.share_series(g, a)
+        years = {**{f"a{i}": 2000 for i in range(4)}, **{f"c{i}": 2002 for i in range(6)}}
+        corpus = build_corpus(years)
+        s = met.share_series(corpus, corpus.mask({"a0", "c0", "c1", "c2"}), "g")
+        assert s.points == ((2000, 0.25), (2002, 0.5))  # 2001 has no grants: omitted
+        assert (s.group, s.metric) == ("g", "share")
 
     def test_growth_doubling_exact(self):
         pts = tuple((2000 + t, float(100 * 2**t)) for t in range(10))
@@ -417,34 +413,67 @@ class TestCountsShareGrowth:
 # overlap
 
 class TestJaccard:
+    def corpus(self, n=4):
+        return build_corpus({f"P{i}": 2000 + i % 3 for i in range(n)})
+
+    def overall(self, corpus, a, b):
+        return met.jaccard_series(corpus, "x|y", corpus.mask(a), corpus.mask(b))[1]
+
     def test_both_empty_is_zero(self):
-        assert met.jaccard(set(), set()) == 0.0
+        corpus = self.corpus()
+        s, overall = met.jaccard_series(corpus, "x|y", corpus.mask(()), corpus.mask(()))
+        assert overall == 0.0 and s.values() == [0.0, 0.0, 0.0]
 
     def test_identical(self):
-        assert met.jaccard({"a", "b"}, {"a", "b"}) == 1.0
+        assert self.overall(self.corpus(), {"P0", "P1"}, {"P0", "P1"}) == 1.0
 
     def test_random_pairs_match_bruteforce(self):
         rng = random.Random(42)
-        universe = [f"P{i}" for i in range(100)]
+        corpus = self.corpus(100)
+        universe = list(corpus.ids)
         for _ in range(300):
             a = {p for p in universe if rng.random() < rng.random()}
             b = {p for p in universe if rng.random() < rng.random()}
             inter = len([p for p in universe if p in a and p in b])
             union = len([p for p in universe if p in a or p in b])
             want = inter / union if union else 0.0
-            assert met.jaccard(a, b) == pytest.approx(want, abs=1e-15)
+            assert self.overall(corpus, a, b) == want
 
     def test_annual_series(self):
         corpus = build_corpus({"A": 2000, "B": 2000, "C": 2001})
-        s = met.jaccard_series(corpus, "x", corpus.mask({"A", "C"}), "y", corpus.mask({"B", "C"}))
-        assert s.group == "x|y"
+        s, overall = met.jaccard_series(corpus, "x|y", corpus.mask({"A", "C"}), corpus.mask({"B", "C"}))
+        assert (s.group, s.metric) == ("x|y", "jaccard")
         assert s.points == ((2000, 0.0), (2001, 1.0))
+        assert overall == 1 / 3
 
     def test_allway(self):
-        count, share = met.allway_overlap([{"a", "b", "c"}, {"b", "c"}, {"c", "d"}])
+        corpus = self.corpus()
+        masks = [corpus.mask(g) for g in ({"P0", "P1", "P2"}, {"P1", "P2"}, {"P2", "P3"})]
+        count, share = met.allway_overlap(masks)
         assert count == 1
-        assert share == pytest.approx(0.25)
-        assert met.allway_overlap([set(), set()]) == (0, 0.0)
+        assert share == 0.25
+        assert met.allway_overlap([corpus.mask(()), corpus.mask(())]) == (0, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_group_size_metrics_equal_set_oracles(seed):
+    """Shares, whole-window Jaccard overlaps and all-way overlaps over masks
+    equal the set forms exactly, for random groups, the empty group, the
+    whole corpus and a group paired with itself."""
+    rng = random.Random(6000 + seed)
+    corpus = random_corpus(rng)[0]
+    ids = list(corpus.ids)
+    groups = [set(rng.sample(ids, rng.randrange(len(ids) + 1))) for _ in range(4)]
+    groups += [set(), set(ids), groups[0]]
+    for g in groups:
+        assert met.share_series(corpus, corpus.mask(g), "g") == ref.share_series(corpus, g, "g")
+        for h in groups:
+            _, overall = met.jaccard_series(corpus, "g|h", corpus.mask(g), corpus.mask(h))
+            assert overall == ref.jaccard(g, h)
+    for k in range(2, len(groups) + 1):
+        chosen = rng.sample(groups, k)
+        got = met.allway_overlap([corpus.mask(g) for g in chosen])
+        assert got == ref.allway_overlap(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@ from collections import Counter
 import pytest
 
 from patmetrics import classify as cls
-from patmetrics import metrics as met
 from patmetrics import synth
 from patmetrics.classify import WipoRule
 from patmetrics.errors import ConfigError
 
 from helpers import synth_corpus
+from reference_metrics import jaccard
 
 CS_AI = "Computer Science; Artificial Intelligence"
 
@@ -121,7 +121,7 @@ class TestGeneratedStructure:
         for spec in GROUPS:
             if spec.jaccard_with is None:
                 continue
-            j = met.jaccard(set(truth[spec.name]), set(truth[spec.jaccard_with]))
+            j = jaccard(truth[spec.name], truth[spec.jaccard_with])
             assert j == pytest.approx(spec.jaccard_target, abs=0.02)
 
     def test_growth_recoverable_from_counts(self):
