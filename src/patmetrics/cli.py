@@ -28,7 +28,6 @@ from . import classify as cls
 from . import io as pio
 from . import metrics as met
 from . import stats as st
-from . import synth as syn
 from .corpus import DEFAULT_WINDOW, Corpus
 from .errors import ConfigError, DataError, PatmetricsError
 
@@ -172,6 +171,8 @@ def _log(out_dir: str, text: str) -> None:
 def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> tuple[dict[str, list[tuple]], int]:
     """Generate a synthetic corpus, write its tables and, into a fresh
     `truth/`, its truth lists, and return the table rows and the seed used."""
+    from . import synth as syn  # only synthetic runs load the generator
+
     scfg = syn.load_synth_config(synth_path)
     if seed is not None:
         scfg = replace(scfg, rng_seed=seed)
@@ -365,9 +366,10 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
 
     if cfg.descendants and approach:
         descendants = {n: met.descendants(corpus, masks[n]) for n in approach}
-        for n, ids in descendants.items():
+        for n, mask in descendants.items():
+            ids = map(corpus.ids.__getitem__, np.flatnonzero(mask).tolist())
             pio.write_ids(os.path.join(out_dir, "groups", f"{n}.descendants.ids"), ids)
-        counts_and_shares("descendants_", {n: corpus.mask(ids) for n, ids in descendants.items()})
+        counts_and_shares("descendants_", descendants)
 
     for metric in cfg.lowess:
         path = _mpath(out_dir, metric)

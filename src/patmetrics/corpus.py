@@ -109,9 +109,17 @@ class Csr:
         return np.repeat(np.arange(len(rows), dtype=np.int32), count), self.ids[at]
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """`np.unique` of the 1-D `values`, by a sort and a diff."""
+    values = np.sort(values)
+    keep = np.ones(len(values), bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def distinct_rows(n_rows: int, owners: np.ndarray, ids: np.ndarray, names: tuple[str, ...]) -> Csr:
     """A `Csr` of `n_rows` rows holding the distinct (owner, id) pairs."""
-    owners, ids = np.divmod(np.unique(owners.astype(np.int64) * len(names) + ids), max(len(names), 1))
+    owners, ids = np.divmod(distinct(owners.astype(np.int64) * len(names) + ids), max(len(names), 1))
     indptr = np.zeros(n_rows + 1, np.int32)
     np.cumsum(np.bincount(owners, minlength=n_rows), out=indptr[1:])
     return Csr(names, indptr, ids.astype(np.int32))

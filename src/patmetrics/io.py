@@ -306,8 +306,9 @@ def _cpc(rows: Iterable[Sequence | None], position: Mapping[str, int], n_patents
     code = np.array([rank.get(c, -1) for c in normal] + [-1], np.int32)[cell]  # a malformed row reads the last
     reason = _reasons([at == -2, at == -1, code < 0], at, code)
     ok = reason == 0
-    held, code = np.unique(code[ok], return_inverse=True)  # only the codes of accepted rows are names
-    return distinct_rows(n_patents, at[ok], code, tuple(names[k] for k in held.tolist())), reason
+    held = np.bincount(code[ok], minlength=len(names)) > 0  # only the codes of accepted rows are names
+    code = (np.cumsum(held, dtype=np.int32) - 1)[code[ok]]
+    return distinct_rows(n_patents, at[ok], code, tuple(names[k] for k in np.flatnonzero(held).tolist())), reason
 
 
 def _citations(rows: Iterable[Sequence | None], position: Mapping[str, int], year: np.ndarray):

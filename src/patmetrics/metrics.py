@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, distinct
 from .errors import DataError
 
 #: Distinct CPC codes in force at each truncation level, used as the
@@ -163,18 +163,24 @@ def _build_outside(corpus: Corpus, level: int) -> _Outside:
     np.minimum(at, len(held) - 1, out=at)
     outside = held[at] != keys
     del at, held
-    breadth = np.bincount(np.unique(keys[outside]) // n_classes, minlength=len(corpus))
+    breadth = np.bincount(distinct(keys[outside]) // n_classes, minlength=len(corpus))
     del keys
     cited, classes = cited[outside], classes[outside]
     del outside
+    # number the cells through a presence table over (years present) x classes
     lo, hi = corpus.window
-    key_type = np.int32 if (abs(lo) + abs(hi) + 1) * n_classes < 2**31 else np.int64
-    keys = corpus.year[cited].astype(key_type) * n_classes + classes
+    cell = corpus.year[cited] - lo
+    present = np.zeros(hi - lo + 1, bool)
+    present[cell] = True
+    cell = (np.cumsum(present, dtype=np.int32) - 1)[cell] * n_classes + classes
     del classes
-    cells = np.unique(keys)
-    cell = np.searchsorted(cells, keys)
-    del keys
-    return _Outside(cited, cell.astype(np.int32), cells, n_classes, breadth)
+    table = np.zeros(np.count_nonzero(present) * n_classes, bool)
+    table[cell] = True
+    cell = (np.cumsum(table, dtype=np.int32) - 1)[cell]
+    year, klass = np.divmod(np.flatnonzero(table), n_classes)
+    key_type = np.int32 if (abs(lo) + abs(hi) + 1) * n_classes < 2**31 else np.int64
+    cells = ((np.flatnonzero(present)[year] + lo) * n_classes + klass).astype(key_type)
+    return _Outside(cited, cell, cells, n_classes, breadth)
 
 
 def _generality(counts: list[int]) -> float | None:
@@ -189,14 +195,11 @@ def _yearly_means(
     years: np.ndarray, values: np.ndarray, label: str, metric: str
 ) -> tuple[GroupSeries, float | None]:
     """Mean of the integer `values` per distinct year, and the mean of those
-    annual means (None without points)."""
-    distinct, inverse = np.unique(years, return_inverse=True)
-    sums = np.zeros(len(distinct), np.int64)
-    np.add.at(sums, inverse, values)
-    counts = np.bincount(inverse, minlength=len(distinct))
-    pts = tuple(
-        (y, total / n) for y, total, n in zip(distinct.tolist(), sums.tolist(), counts.tolist())
-    )
+    annual means (None without points).  Each year's sum is an integer
+    below 2**53, exact as a float, so `total / n` rounds as `int / int`."""
+    lo = int(years.min()) if len(years) else 0
+    counts, sums = np.bincount(years - lo).tolist(), np.bincount(years - lo, values).tolist()
+    pts = tuple((lo + y, total / n) for y, (total, n) in enumerate(zip(sums, counts)) if n)
     return GroupSeries(label, metric, pts), (mean(v for _, v in pts) if pts else None)
 
 
@@ -226,8 +229,7 @@ def generality_series(
         per_year.setdefault(y, []).append(count)
     pts = tuple((y, _generality(tally)) for y, tally in per_year.items())
     # fold the cells by class: the class's count, and its first place
-    tally = np.zeros(out.n_classes, np.int64)
-    np.add.at(tally, classes, counts[seen])
+    tally = np.bincount(classes, counts[seen], out.n_classes)  # integer sums, exact as floats
     place = np.full(out.n_classes, len(cell))
     np.minimum.at(place, classes, first[seen])
     held = np.flatnonzero(tally)
@@ -250,7 +252,7 @@ def avg_citing_classes(
     those that received at least one citation.
     """
     breadth = _outside(corpus, level).breadth
-    cited = mask & (np.bincount(corpus.cited, minlength=len(corpus)) > 0)
+    cited = mask & corpus.memo("cited_once", lambda: np.bincount(corpus.cited, minlength=len(corpus)) > 0)
     return tuple(
         _yearly_means(corpus.year[pool], breadth[pool], label, metric)
         for pool, metric in ((mask, "avg_citing_classes"), (cited, "avg_citing_classes_cited"))
@@ -277,13 +279,13 @@ def diversity_share(
     owners = index.owners()
     held = mask[owners]
     classes = index.ids[held]
-    everything = len(np.unique(classes))
+    everything = len(distinct(classes))
     if everything > n_universe:
         raise DataError(
             f"diversity: {everything} distinct level-{level} codes exceed "
             f"the configured universe of {n_universe}"
         )
-    year_class = np.unique(corpus.year[owners[held]] * len(index.names) + classes)
+    year_class = distinct(corpus.year[owners[held]] * len(index.names) + classes)
     yearly = Counter((year_class // len(index.names)).tolist())
     pts = tuple((y, yearly.get(y, 0) / n_universe) for y in corpus.years())
     series = GroupSeries(label, "diversity_share", pts)
@@ -346,10 +348,11 @@ def citation_lag_series(
 # ---------------------------------------------------------------------------
 # descendants
 
-def descendants(corpus: Corpus, mask: np.ndarray) -> frozenset[str]:
-    """Patents citing at least one group member, excluding the group itself."""
-    citing = np.unique(corpus.citing[mask[corpus.cited]])
-    return frozenset(corpus.ids[p] for p in citing[~mask[citing]].tolist())
+def descendants(corpus: Corpus, mask: np.ndarray) -> np.ndarray:
+    """Mask of the patents citing a group member, the group itself excluded."""
+    out = np.zeros(len(corpus), bool)
+    out[corpus.citing[mask[corpus.cited]]] = True
+    return out & ~mask
 
 
 # ---------------------------------------------------------------------------

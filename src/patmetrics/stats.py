@@ -248,7 +248,7 @@ def lowess(
         for b in blocks:
             fitted[b] = _local_fits(x, y, h, delta, b)
         resid = y - fitted
-        s = float(np.median(np.abs(resid)))
+        s = median(np.abs(resid).tolist())
         # once residuals are negligible at the scale of the data, further
         # reweighting only chases floating-point noise
         if s <= 1e-12 * max(1.0, float(np.max(np.abs(y)))):

@@ -52,6 +52,11 @@ def classes_at(corpus, level, patent_id):
     return {index.names[k] for k in index.ids[index.indptr[p] : index.indptr[p + 1]]}
 
 
+def ids_of(corpus, mask):
+    """The ids of the patents a mask marks."""
+    return frozenset(corpus.ids[p] for p in np.flatnonzero(mask).tolist())
+
+
 def codes_by_id(corpus):
     """patent id -> tuple of its CPC codes, sorted, for the patents with
     codes: the per-patent view that the reference loops walk."""

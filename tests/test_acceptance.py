@@ -22,7 +22,7 @@ from patmetrics import metrics as met
 from patmetrics import stats as st
 from patmetrics import synth
 
-from helpers import build_corpus, synth_corpus
+from helpers import build_corpus, ids_of, synth_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_08_descendants_on_random_corpora():
     for _ in range(50):
         corpus, years, codes, edges, ai = random_corpus(rng, n_lo=50, n_hi=500, e_hi=2500)
         want = {citing for citing, cited in edges if cited in ai} - ai
-        got = met.descendants(corpus, corpus.mask(ai))
+        got = ids_of(corpus, met.descendants(corpus, corpus.mask(ai)))
         assert not got & ai
         assert got == want
 

@@ -136,6 +136,21 @@ def full_run(ws):
     return out
 
 
+def tables_run_config(ws, tmp_path):
+    """Write the small synthetic corpus as input tables and a run config
+    that reads them, with the groups, metrics and stats of `RUN_TEXT`."""
+    src = tmp_path / "tables"
+    assert cli.main(["synth", "--config", str(ws / "small.synth"), "--out", str(src)]) == 0
+    parser = configparser.ConfigParser()
+    parser.read_string(RUN_TEXT)
+    parser["group:Auto"]["config"] = str(ws / "small.uspto")
+    parser["inputs"] = {name: str(src / f"{name}.tsv") for name in pio.TABLE_COLUMNS}
+    cfg = tmp_path / "tables.run"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return cfg
+
+
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -628,15 +643,7 @@ class TestComputeOnce:
         assert loads == ["ingest"]
 
     def test_corpus_from_tables_loaded_once(self, ws, tmp_path, monkeypatch):
-        src = tmp_path / "tables"
-        assert cli.main(["synth", "--config", str(ws / "small.synth"), "--out", str(src)]) == 0
-        parser = configparser.ConfigParser()
-        parser.read_string(RUN_TEXT)
-        del parser["group:Auto"]
-        parser["inputs"] = {name: str(src / f"{name}.tsv") for name in pio.TABLE_COLUMNS}
-        cfg = tmp_path / "tables.run"
-        with open(cfg, "w", encoding="utf-8") as fh:
-            parser.write(fh)
+        cfg = tables_run_config(ws, tmp_path)
         loads = self.count_loads(monkeypatch)
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert loads == ["load_corpus", "ingest"]
@@ -923,3 +930,28 @@ def test_import_loads_no_network_modules():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_table_run_imports_neither_numpy_ma_nor_the_generator(ws, tmp_path):
+    """Every stage of a run from input tables leaves `numpy.ma` (which a
+    plain `np.unique` or `np.median` imports on numpy 2) and the synthetic
+    generator unloaded.  Where `import numpy` alone loads `numpy.ma`, only
+    the generator is checked."""
+    cfg = tables_run_config(ws, tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+    def loaded(code, *argv):
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+        )
+        return result.stdout.split()
+
+    absent = ["numpy.ma", "patmetrics.synth"]
+    if loaded("import sys, numpy; print('numpy.ma' in sys.modules)") == ["True"]:
+        absent.remove("numpy.ma")
+    code = (
+        "import sys\nfrom patmetrics import cli\ncode = cli.main(sys.argv[1:])\n"
+        f"print(code, *[name for name in {absent!r} if name in sys.modules])"
+    )
+    assert loaded(code, "run", "--config", str(cfg), "--out", str(tmp_path / "o")) == ["0"]
+    assert (tmp_path / "o" / "plots").is_dir()  # the last stage ran

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from patmetrics import io as pio
-from patmetrics.corpus import TEXT_FIELDS, Csr, index_tokens, parse_cpc
+from patmetrics.corpus import TEXT_FIELDS, Csr, distinct, index_tokens, parse_cpc
 from patmetrics.errors import CpcParseError, DataError
 
 from helpers import assert_same, build_corpus, classes_at, text_heavy_corpus, traced_peak
@@ -229,6 +229,23 @@ class TestCorpusIndexes:
         corpus = build_corpus({"A": 2000})
         assert "A" in corpus.position and "B" not in corpus.position
         assert len(corpus) == 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_distinct_equals_np_unique(seed):
+    """The sort-and-diff `distinct` gives what `np.unique` gives, value for
+    value and in the same dtype."""
+    rng = np.random.default_rng(9100 + seed)
+    for dtype in (np.int32, np.int64):
+        span = int(rng.integers(1, 1000))
+        values = rng.integers(-span, span, int(rng.integers(0, 300)), dtype=dtype)
+        cases = [values, np.sort(values), values[:0], values[:1], np.full(5, -7, dtype)]
+        cases.append(np.array([np.iinfo(dtype).min, 0, np.iinfo(dtype).max, 0], dtype))
+        for case in cases:
+            before = case.copy()
+            got, want = distinct(case), np.unique(case)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert np.array_equal(case, before)  # the input is left as it was
 
 
 def test_index_tokens_holds_only_its_ids():

@@ -12,7 +12,7 @@ from patmetrics.classify import classify_prefix_group
 from patmetrics.errors import DataError
 
 import reference_metrics as ref
-from helpers import build_corpus, citation_heavy_corpus, random_corpus, traced_peak
+from helpers import build_corpus, citation_heavy_corpus, ids_of, random_corpus, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +202,24 @@ class TestGeneralityCells:
         self.assert_equals_reference(corpus, ai)
         self.assert_equals_reference(corpus, set(years))
 
+    def test_cohorts_at_both_ends_of_the_widest_window(self):
+        """Cited cohorts at years 0 and 9999 of a `0-9999` window: the cell
+        table spans the two years present, not the 10,000 of the window."""
+        classes = [f"{s}{n:02d}{c}" for s in "ABC" for n in (1, 2, 3, 4) for c in "KLMNPQRS"]
+        corpus = build_corpus(
+            {"A": 0, "B": 9999, "P": 9999, "Q": 9999},
+            codes={"A": ["A01K"], "B": ["B02L"], "P": classes, "Q": classes[::3]},
+            cites=[("P", "A"), ("P", "B"), ("Q", "A")],
+            window=(0, 9999),
+        )
+        self.assert_equals_reference(corpus, {"A", "B"})
+        self.assert_equals_reference(corpus, {"B"})
+        corpus.class_index(4)
+        out, peak = traced_peak(lambda: met._build_outside(corpus, 4))
+        assert sorted({int(k) // out.n_classes for k in out.cells}) == [0, 9999]
+        # one bool per (year, class) of the window would take 960,000 bytes
+        assert peak < 10_000 * out.n_classes // 4
+
     @pytest.mark.parametrize("prefix", ["All", "G06"])
     def test_citation_heavy_groups(self, prefix):
         corpus = citation_heavy_corpus()
@@ -230,6 +248,32 @@ class TestGeneralityCells:
         mask = corpus.mask(corpus.ids)
         _, peak = traced_peak(lambda: met.generality_series(corpus, mask, 4, "All"))
         assert peak <= 16 * rows
+
+
+# ---------------------------------------------------------------------------
+# annual means
+
+def yearly_means_loop(years, values):
+    """Each year's mean as `int / int`, years ascending, and their mean."""
+    by_year = {}
+    for y, v in zip(years, values):
+        by_year.setdefault(y, []).append(v)
+    pts = tuple((y, sum(vs) / len(vs)) for y, vs in sorted(by_year.items()))
+    return met.GroupSeries("g", "m", pts), (mean(v for _, v in pts) if pts else None)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_yearly_means_equal_int_division_loop(seed):
+    rng = random.Random(9300 + seed)
+    n = [0, 1, rng.randrange(2, 500)][seed % 3]
+    gapped = rng.sample(range(1990, 2040), rng.randrange(1, 9))
+    years = [rng.choice(gapped) for _ in range(n)]
+    values = [rng.randrange(10**6 + 1) for _ in range(n)]
+    cases = [(years, values), ([2000] * 3000 + [2007], [10**6] * 3000 + [1])]  # a sum past 2**31
+    for years, values in cases:
+        for dtype in (np.int32, np.int64):
+            got = met._yearly_means(np.array(years, np.int32), np.array(values, dtype), "g", "m")
+            assert got == yearly_means_loop(years, values)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +385,7 @@ def test_kernels_equal_reference_loops(seed):
             assert got == want and list(got) == list(want)
             got = met.citation_lag_series(corpus, mask, "g", periods, mode)
             assert got == ref.citation_lag_series(corpus, members, "g", periods, mode)
-        assert met.descendants(corpus, mask) == ref.descendants(corpus, members)
+        assert ids_of(corpus, met.descendants(corpus, mask)) == ref.descendants(corpus, members)
 
 
 HASH_SEED_SCRIPT = """
@@ -579,14 +623,16 @@ class TestDescendants:
             {"A": 2000, "B": 2005, "C": 2006, "D": 2007},
             cites=[("B", "A"), ("C", "A"), ("D", "C")],
         )
-        assert met.descendants(corpus, corpus.mask({"A"})) == {"B", "C"}
-        assert met.descendants(corpus, corpus.mask({"A", "C"})) == {"B", "D"}
+        assert ids_of(corpus, met.descendants(corpus, corpus.mask({"A"}))) == {"B", "C"}
+        assert ids_of(corpus, met.descendants(corpus, corpus.mask({"A", "C"}))) == {"B", "D"}
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_bruteforce(self, seed):
         rng = random.Random(4000 + seed)
         corpus, years, codes, edges, ai = random_corpus(rng)
-        assert met.descendants(corpus, corpus.mask(ai)) == oracle_descendants(edges, ai)
+        got = met.descendants(corpus, corpus.mask(ai))
+        assert got.dtype == bool and len(got) == len(corpus)
+        assert ids_of(corpus, got) == oracle_descendants(edges, ai)
 
 
 # ---------------------------------------------------------------------------
