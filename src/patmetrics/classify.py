@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TEXT_FIELDS, Corpus, Csr, tokenize
+from .corpus import TEXT_FIELDS, Corpus, tokenize
 from .errors import ConfigError
 
 #: Science-reference field label and confidence floor used by default.
@@ -37,34 +37,24 @@ def _members(corpus: Corpus, mask: np.ndarray) -> frozenset[str]:
     return frozenset(compress(corpus.ids, mask.tolist()))
 
 
-class PhraseMatcher:
-    """Matches token phrases as consecutive token runs within a field."""
-
-    def __init__(self, phrases: Iterable[tuple[str, ...]]):
-        self.phrases = tuple(phrases)
-        if not all(self.phrases):
-            raise ValueError("empty phrase")
-
-    def rows(self, field: Csr) -> np.ndarray:
-        """Boolean mask over the rows of a field's tokens that hold a phrase.
-        A phrase hits at i where the token ids read t[i] == p0,
-        t[i + 1] == p1, ... without running past the end of i's row."""
-        hit = np.zeros(len(field.indptr) - 1, bool)
-        for ph in self.phrases:
-            p = [field.id_of(tok) for tok in ph]
+def phrase_patents(corpus: Corpus, phrases: Iterable[tuple[str, ...]], fields: Sequence[str]) -> np.ndarray:
+    """Position mask of the patents holding one of `phrases` as consecutive
+    tokens in one of `fields`: a phrase hits at i where a field's token ids
+    read t[i] == p0, t[i + 1] == p1, ... without running past i's row."""
+    hit = np.zeros(len(corpus), bool)
+    for name in fields:
+        toks = corpus.tokens()[name]
+        for ph in phrases:
+            p = [toks.id_of(tok) for tok in ph]
             if min(p) < 0:
                 continue  # a token that no text holds
-            at = np.flatnonzero(field.ids == p[0])
-            row = np.searchsorted(field.indptr, at, side="right") - 1
-            ok = at + len(p) <= field.indptr[row + 1]  # the phrase fits in the row
+            at = np.flatnonzero(toks.ids == p[0])
+            row = np.searchsorted(toks.indptr, at, side="right") - 1
+            ok = at + len(p) <= toks.indptr[row + 1]  # the phrase fits in the row
             for j in range(1, len(p)):
-                ok[ok] = field.ids[at[ok] + j] == p[j]
+                ok[ok] = toks.ids[at[ok] + j] == p[j]
             hit[row[ok]] = True
-        return hit
-
-    def patents(self, corpus: Corpus, fields: Sequence[str]) -> np.ndarray:
-        """Position mask of the patents holding a phrase in any of `fields`."""
-        return np.logical_or.reduce([self.rows(corpus.tokens()[name]) for name in fields])
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +110,7 @@ def classify_keyword(corpus: Corpus, phrases: Sequence[tuple[str, ...]] | None =
     least one of `phrases` (tokenised, as `load_keywords` returns them)."""
     if phrases is None:
         phrases = default_keywords()
-    return _members(corpus, PhraseMatcher(phrases).patents(corpus, TEXT_FIELDS))
+    return _members(corpus, phrase_patents(corpus, phrases, TEXT_FIELDS))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +181,7 @@ def classify_wipo(corpus: Corpus, rules: Sequence[WipoRule] | None = None) -> fr
         raise ConfigError("rule set is empty")
     codes = corpus.codes
     has_phrase = {
-        ph: PhraseMatcher([ph]).patents(corpus, WIPO_TEXT_FIELDS)
+        ph: phrase_patents(corpus, [ph], WIPO_TEXT_FIELDS)
         for ph in {r.phrase for r in rules if r.kind != "code"}
     }
     hit = np.zeros(len(corpus), bool)
@@ -238,8 +228,8 @@ DEFAULT_COMPONENTS = tuple(DEFAULT_SEED_RULES)
 #: Fields pooled into the bag-of-tokens features.
 USPTO_TEXT_FIELDS = ("title", "abstract", "claims")
 
-#: Rows whose tokens the USPTO classifier gathers at once: the bound on its
-#: token-sized temporaries, which are read one field and one block at a time.
+#: Rows whose tokens the USPTO classifier gathers at once, and the rows of
+#: each scoring matrix: the bound on its token-sized temporaries.
 _ROW_BLOCK = 1024
 
 
@@ -337,22 +327,22 @@ def _citation_features(corpus: Corpus, seed: frozenset[str]) -> np.ndarray:
     return np.array([math.log1p(k) for k in range(counts.max(initial=0) + 1)])[counts]
 
 
-def _features(corpus: Corpus, rows: np.ndarray, vocab: Sequence[str], cites: np.ndarray) -> np.ndarray:
-    """Token shares over the vocabulary, then the rows `cites` of log
-    citation counts to and from the seed, for the patents at positions
-    `rows`: the feature rows of both training and scoring.  A share is
-    n / total of in-vocabulary token counts, 0 where the total is 0.  The
-    matrix is the only allocation of its size: in-vocabulary tokens are
-    counted straight into it, as floats, one field and one block of rows at
-    a time.  The counts and their sums are integers below 2^53, so they are
-    exact in any order of adding."""
-    n, v = len(rows), len(vocab)
+def _features(corpus: Corpus, blocks: Iterable[tuple], vocab: Sequence[str], cites: np.ndarray) -> np.ndarray:
+    """Token shares over the vocabulary, then `cites`, the log citation
+    counts to and from the seed, for the rows whose tokens `blocks` holds,
+    as `_field_blocks` yields them: the feature rows of both training and
+    scoring.  A share is n / total of in-vocabulary token counts, 0 where
+    the total is 0.  The matrix is the only allocation of its size:
+    in-vocabulary tokens are counted straight into it, as floats, a block
+    at a time.  The counts and their sums are integers below 2^53, so they
+    are exact in any order of adding."""
+    n, v = len(cites), len(vocab)
     words = corpus.tokens()["title"]  # every field's names are the one vocabulary
     known = np.array([words.id_of(tok) for tok in vocab], np.int64)
     column = np.full(len(words.names), v, np.int32)  # token id -> feature column, v for the rest
     column[known[known >= 0]] = np.flatnonzero(known >= 0)
     X = np.zeros((n, v + 2))
-    for start, i, tok in _field_blocks(corpus, rows):
+    for start, i, tok in blocks:
         col = column[tok]
         inside = col < v
         np.add.at(X[start:].ravel(), i[inside] * np.int64(v + 2) + col[inside], 1.0)
@@ -376,7 +366,8 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
         seed = build_uspto_seed(corpus, cfg.seed_rules[comp], cfg.expansion_hops)
         if not seed:
             raise ConfigError(f"component {comp!r}: seed matches no patent")
-        pool = by_id[~corpus.mask(seed)[by_id]]
+        in_seed = corpus.mask(seed)[by_id]
+        pool = by_id[~in_seed]
         if not len(pool):
             raise ConfigError(f"component {comp!r}: no negatives left to sample")
         # `sample` draws its indices from the population's size alone
@@ -384,9 +375,9 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
         picks = rng.sample(range(len(pool)), min(len(seed), len(pool)))
         anti = frozenset(corpus.ids[p] for p in pool[picks].tolist())
 
-        train_ids = sorted(seed) + sorted(anti)
-        rows = np.array([corpus.position[p] for p in train_ids], np.int64)
-        y = np.array([1.0] * len(seed) + [0.0] * len(anti))
+        # the seed, then the anti-seed, each in id order
+        rows = np.concatenate([by_id[in_seed], pool[np.sort(picks)]])
+        y = np.repeat([1.0, 0.0], [len(seed), len(anti)])
         # the most frequent tokens, ties in id order, which is token order
         names = corpus.tokens()["title"].names
         counts = np.zeros(len(names), np.int64)
@@ -395,7 +386,7 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
             counts[: len(block)] += block
         top = np.argsort(-counts, kind="stable")[: min(cfg.vocab_size, np.count_nonzero(counts))]
         vocab = tuple(names[k] for k in top.tolist())
-        X = _features(corpus, rows, vocab, _citation_features(corpus, seed)[rows])
+        X = _features(corpus, _field_blocks(corpus, rows), vocab, _citation_features(corpus, seed)[rows])
         # max-abs column scaling during descent only, in place (every feature
         # is >= 0, so max-abs is the column max); folding the scales back
         # into the weights keeps scoring a plain dot product on raw features
@@ -405,7 +396,7 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
 
         w = np.zeros(X.shape[1])
         b = 0.0
-        n = len(train_ids)
+        n = len(rows)
         for _ in range(cfg.epochs):
             p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
             g = p - y
@@ -418,16 +409,16 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
 
 def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
     """Union of patents scoring strictly above the threshold in any
-    component, scored in chunks of 4096 rows, one feature matrix at a time.
-    Each chunk's matrix is filled a block of `_ROW_BLOCK` rows at a time, so
-    scoring holds one chunk's matrix plus one block's token temporaries."""
+    component, a block of `_ROW_BLOCK` rows at a time: each block's tokens
+    are gathered once, and each component scores them through its own
+    block-sized feature matrix, one matrix at a time."""
     cites = [_citation_features(corpus, comp.seed) for comp in model.components]
     hit = np.zeros(len(corpus), bool)
-    chunk = 4096
-    for start in range(0, len(corpus), chunk):
-        rows = np.arange(start, min(start + chunk, len(corpus)))
+    for start in range(0, len(corpus), _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, len(corpus)))
+        blocks = list(_field_blocks(corpus, rows))
         for comp, comp_cites in zip(model.components, cites):
             # the matrix is a temporary, freed once multiplied
-            z = _features(corpus, rows, comp.vocab, comp_cites[rows]) @ comp.weights
+            z = _features(corpus, blocks, comp.vocab, comp_cites[rows]) @ comp.weights
             hit[rows] |= 1.0 / (1.0 + np.exp(-(z + comp.bias))) > model.config.threshold
     return _members(corpus, hit)

@@ -29,7 +29,7 @@ from . import io as pio
 from . import metrics as met
 from . import stats as st
 from .corpus import DEFAULT_WINDOW, Corpus
-from .errors import ConfigError, DataError, PatmetricsError
+from .errors import ConfigError, DataError
 
 STAGES = ("classify", "metrics", "stats", "report")
 
@@ -97,15 +97,15 @@ def load_run_config(path: str) -> RunConfig:
     else:
         raise ConfigError(f"{path}: [inputs] needs either synth= or patents=")
 
-    groups, kinds = [], APPROACH_KINDS + ("prefix",)
+    groups, keys = [], {  # the keys each kind of group reads, besides kind
+        "keyword": dict(keywords=table), "science": dict(field=str, min_confidence=int),
+        "wipo": dict(rules=table), "uspto": dict(config=resolve), "prefix": dict(prefix=str),
+    }
     for name, section in pio.group_sections(parser, path):
-        settings = pio.options(
-            section, path, kind=str, keywords=table, field=str, min_confidence=int,
-            rules=table, config=resolve, prefix=str,
-        )
-        if settings.get("kind") not in kinds:
-            raise ConfigError(f"{path}: [{section.name}] kind must be one of {', '.join(kinds)}")
-        groups.append(GroupConfig(name=name, **settings))
+        kind = section.get("kind", "").strip()
+        if kind not in keys:
+            raise ConfigError(f"{path}: [{section.name}] kind must be one of {', '.join(keys)}")
+        groups.append(GroupConfig(name=name, **pio.options(section, path, kind=str, **keys[kind])))
     names = [g.name for g in groups]
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}: duplicate group names {names}")
@@ -139,6 +139,10 @@ def load_run_config(path: str) -> RunConfig:
             compare=pio.comma_list, holm=pio.boolean, exact_cutoff=int,
         ),
     )
+    for key in ("levels", "periods", "zscore", "lowess", "compare"):
+        values = getattr(cfg, key)
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{path}: {key} repeats an entry: {values}")
     for lv in cfg.levels:
         if lv not in (1, 3, 4):
             raise ConfigError(f"{path}: unsupported CPC level {lv}")
@@ -529,9 +533,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except PatmetricsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -441,6 +441,8 @@ def read_series(path: str, metric: str) -> list[GroupSeries]:
         if not header or header[0] != "year":
             raise DataError(f"{path}: line 1: expected a 'year' first column")
         groups = header[1:]
+        if len(set(groups)) != len(groups):
+            raise DataError(f"{path}: line 1: repeated group column in {groups}")
         points: list[list[tuple[int, float]]] = [[] for _ in groups]
         prev = None
         for lineno, row in enumerate(reader, start=2):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from statistics import mean, median, pstdev
 from typing import Mapping, Sequence
 
@@ -167,11 +168,7 @@ def pairwise_compare(
     restricted = {s.group: s.restrict(period).as_dict() for s in series_list}
 
     tests: dict[tuple[str, str], TestResult | None] = {}
-    pairs = [
-        (names[i], names[j])
-        for i in range(len(names))
-        for j in range(i + 1, len(names))
-    ]
+    pairs = list(combinations(names, 2))
     for a, b in pairs:
         da, db = restricted[a], restricted[b]
         years = sorted(set(da) & set(db))

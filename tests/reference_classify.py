@@ -26,7 +26,6 @@ import numpy as np
 from patmetrics.classify import (
     TEXT_FIELDS,
     ComponentModel,
-    PhraseMatcher,
     USPTO_TEXT_FIELDS,
     UsptoConfig,
     UsptoModel,
@@ -35,11 +34,12 @@ from patmetrics.classify import (
     build_uspto_seed as _interned_seed,
     default_keywords,
     default_wipo_rules,
+    phrase_patents,
 )
 from patmetrics.corpus import Csr, index_tokens
 from patmetrics.errors import ConfigError
 
-from helpers import citation_triples, codes_by_id
+from helpers import build_corpus, citation_triples, codes_by_id
 
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -79,10 +79,12 @@ def match_tokens(phrases: Sequence[tuple[str, ...]], tokens: Sequence[str]) -> b
     return False
 
 
-def match_text(matcher: PhraseMatcher, text: str) -> bool:
-    """Whether `matcher` finds one of its phrases in `text`, read through
-    the token index of that one text."""
-    return bool(matcher.rows(index_tokens({"text": [text]})["text"])[0])
+def match_text(phrases: Sequence[tuple[str, ...]], text: str) -> bool:
+    """Whether `phrase_patents` finds one of `phrases` in `text`, the title
+    of a one-patent corpus read through this module's token index."""
+    corpus = build_corpus({"P": 2000}, texts={"P": {"title": text}})
+    corpus.memo("tokens", lambda: index_tokens({name: getattr(corpus, name) for name in TEXT_FIELDS}))
+    return bool(phrase_patents(corpus, phrases, ("title",))[0])
 
 
 def classify_keyword(corpus, phrases=None) -> frozenset[str]:

@@ -55,21 +55,21 @@ def test_tokenize_equals_regex_oracle(monkeypatch):
             assert np.array_equal(got[name].ids, want[name].ids)
 
 
-class TestPhraseMatcher:
+class TestPhrasePatents:
     def test_multiword_requires_consecutive_tokens(self):
-        m = cls.PhraseMatcher([("neural", "network")])
+        m = [("neural", "network")]
         assert ref.match_text(m, "a neural network model")
         assert ref.match_text(m, "NEURAL-NETWORK")
         assert not ref.match_text(m, "neural and network")
         assert not ref.match_text(m, "network neural")
 
     def test_substring_of_token_does_not_match(self):
-        m = cls.PhraseMatcher([("robot",)])
+        m = [("robot",)]
         assert ref.match_text(m, "the robot arm")
         assert not ref.match_text(m, "robotic arm")  # different token
 
     def test_phrase_at_text_end(self):
-        m = cls.PhraseMatcher([("machine", "learning")])
+        m = [("machine", "learning")]
         assert ref.match_text(m, "applied machine learning")
         assert not ref.match_text(m, "learning machine")  # reversed
 
@@ -348,7 +348,7 @@ def test_classifiers_equal_reference_loops(seed, monkeypatch):
         cites = cls._citation_features(corpus, comp.seed)
         for rows in (train_ids, ids):
             at = np.array([corpus.position[p] for p in rows], np.int64)
-            got = cls._features(corpus, at, comp.vocab, cites[at])
+            got = cls._features(corpus, cls._field_blocks(corpus, at), comp.vocab, cites[at])
             assert got.flags.c_contiguous
             assert np.array_equal(got, ref.features(corpus, rows, comp.vocab, comp.seed))
             assert np.array_equal(got, ref._features(corpus, ref._bag(corpus, at), comp.vocab, cites[at]))
@@ -488,8 +488,9 @@ class TestUsptoTraining:
 def test_one_feature_matrix_at_a_time():
     """Training and scoring hold one dense feature matrix at a time, plus
     temporaries bounded by one block of rows: the traced heap peak of each
-    component's training, and of scoring, exceeds its largest matrix by no
-    more than one block's tokens at 32 bytes each and 128 bytes per patent
+    component's training, and of scoring, exceeds its largest matrix (a
+    block of `_ROW_BLOCK` rows when scoring) by no more than one block's
+    tokens at 32 bytes each and 128 bytes per patent
     of the corpus (its citation features, id sets and the descent's
     vectors), whatever the number of rows.  Four components, each trained
     alone and then all together, largest first, so that the joint peak also
@@ -515,6 +516,24 @@ def test_one_feature_matrix_at_a_time():
     largest = max(rows) * len(components[0].weights) * 8
     assert peak - largest < slack, (largest, peak, slack)
     _, peak = traced_peak(lambda: cls.classify_uspto(corpus, model))
-    assert len(corpus) > 4096 and all(len(c.weights) == 302 for c in components)
-    chunk = 4096 * 302 * 8
-    assert peak - chunk < slack, (chunk, peak)
+    assert len(corpus) > 4 * cls._ROW_BLOCK and all(len(c.weights) == 302 for c in components)
+    block = cls._ROW_BLOCK * 302 * 8
+    assert peak - block < slack, (block, peak)
+
+
+def test_scoring_gathers_each_block_once(monkeypatch):
+    """Scoring takes each block's title, abstract and claims tokens once,
+    for every component: 3 `Csr.take` calls per block of rows."""
+    monkeypatch.setattr(cls, "_ROW_BLOCK", 7)
+    corpus = separable_corpus()
+    seeds = {"core": ("Y02",), "rest": ("A01B",)}
+    model = cls.train_uspto(corpus, uspto_config(components=tuple(seeds), seed_rules=seeds, epochs=3))
+    calls, take = [], corpus_module.Csr.take
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return take(self, rows)
+
+    monkeypatch.setattr(corpus_module.Csr, "take", counted)
+    cls.classify_uspto(corpus, model)
+    assert calls == [min(7, len(corpus) - start) for start in range(0, len(corpus), 7) for _ in range(3)]

@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from patmetrics import cli
+from patmetrics import cli, errors
 from patmetrics import io as pio
 from patmetrics.corpus import Corpus
-from patmetrics.errors import ConfigError
+from patmetrics.errors import ConfigError, DataError, PatmetricsError
 
 CS_AI = "Computer Science; Artificial Intelligence"
 
@@ -604,6 +604,28 @@ class TestExitCodes:
         assert f"growth.metric.tsv: line {line}:" in err
         assert bad is None or repr(bad) in err
 
+    @pytest.mark.parametrize("stage", ["stats", "report"])
+    def test_repeated_group_column_in_metric_file_is_data_error(
+        self, ws, full_run, tmp_path, capsys, stage
+    ):
+        out = tmp_path / "o"
+        (out / "metrics").mkdir(parents=True)
+        lines = read(full_run / "metrics" / "growth.metric.tsv").splitlines()
+        header = lines[0].split("\t")
+        header[2] = header[1]
+        lines[0] = "\t".join(header)
+        (out / "metrics" / "growth.metric.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", stage])
+        assert code == 3
+        assert f"growth.metric.tsv: line 1: repeated group column in {header[1:]}" in capsys.readouterr().err
+
+    def test_every_package_error_has_an_exit_code(self):
+        """`main` maps a `ConfigError` to 2 and a `DataError` to 3, and has
+        no branch for any other package error."""
+        package = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, PatmetricsError)]
+        assert len(package) > 3
+        assert all(issubclass(c, (ConfigError, DataError)) for c in package if c is not PatmetricsError)
+
     @pytest.mark.parametrize(
         "section, key, value", UNPARSABLE, ids=[key for _, key, _ in UNPARSABLE]
     )
@@ -877,6 +899,47 @@ class TestRunConfigParsing:
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert f"[group:{name}] is not a usable group name" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["case.run"]
+
+    # per kind of group, keys that only other kinds read
+    FOREIGN_KEYS = {
+        "keyword": ("rules = r.tsv", "prefix = G06", "min_confidence = 99"),
+        "science": ("keywords = default", "config = u.uspto"),
+        "wipo": ("field = Physics", "keywords = default"),
+        "uspto": ("prefix = G06", "rules = default"),
+        "prefix": ("min_confidence = 1", "config = u.uspto"),
+    }
+
+    @pytest.mark.parametrize("kind", FOREIGN_KEYS)
+    def test_key_of_another_kind_exits_2(self, tmp_path, capsys, kind):
+        """A key that the group's kind does not read is refused like a typo,
+        rather than ignored."""
+        for line in self.FOREIGN_KEYS[kind]:
+            path = self.write(tmp_path, self.base(f"[group:X]\nkind = {kind}\n{line}\n"))
+            assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+            key = line.split(" = ")[0]
+            assert capsys.readouterr().err == f"configuration error: {path}: [group:X] {key}: unknown key\n"
+
+    REPEATED = [
+        ("run", "periods", "2000-2001, 2000-2001"),
+        ("metrics", "levels", "1,1"),
+        ("metrics", "zscore", "generality, generality"),
+        ("metrics", "lowess", "growth, share, growth"),
+        ("stats", "compare", "growth,growth"),
+    ]
+
+    @pytest.mark.parametrize("section, key, value", REPEATED, ids=[key for _, key, _ in REPEATED])
+    def test_repeated_list_entry(self, tmp_path, section, key, value):
+        """An entry given twice would be computed, and its rows written, twice."""
+        parser = configparser.ConfigParser()
+        parser.read_string(self.base())
+        if section not in parser:
+            parser.add_section(section)
+        parser[section][key] = value
+        path = tmp_path / "case.run"
+        with open(path, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        with pytest.raises(ConfigError, match=f"{key} repeats an entry"):
+            cli.load_run_config(str(path))
 
     def test_bad_period(self, tmp_path):
         with pytest.raises(ConfigError):
