@@ -16,6 +16,7 @@ Exit codes: 0 ok, 2 configuration error, 3 data error, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -30,8 +31,6 @@ from . import metrics as met
 from . import stats as st
 from .corpus import DEFAULT_WINDOW, Corpus
 from .errors import ConfigError, DataError
-
-STAGES = ("classify", "metrics", "stats", "report")
 
 APPROACH_KINDS = ("keyword", "science", "wipo", "uspto")
 
@@ -230,9 +229,8 @@ def _clear(out_dir: str, name: str) -> str:
 
 
 def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
-    """Write one member list per configured group into a fresh `groups/`,
-    so no group dropped from the config outlives it."""
-    groups_dir = _clear(out_dir, "groups")
+    """Write one member list per configured group into `groups/`."""
+    groups_dir = os.path.join(out_dir, "groups")
     for g in cfg.groups:
         if g.kind == "keyword":
             table = cls.load_keywords(g.keywords) if g.keywords else None
@@ -275,24 +273,16 @@ def load_uspto_config(path: str) -> cls.UsptoConfig:
     return cls.UsptoConfig(**settings)
 
 
-def _group_masks(cfg: RunConfig, corpus: Corpus, out_dir: str) -> dict[str, np.ndarray]:
-    """Each configured group's mask, read once every group file is found."""
-    paths = {g.name: os.path.join(out_dir, "groups", f"{g.name}.ids") for g in cfg.groups}
-    for path in paths.values():
-        if not os.path.exists(path):
-            raise DataError(f"missing group file {path}; run the classify stage first")
-    return {name: corpus.mask(pio.read_ids(path)) for name, path in paths.items()}
-
-
 def _mpath(out_dir: str, stem: str) -> str:
     return os.path.join(out_dir, "metrics", f"{stem}.metric.tsv")
 
 
 def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
-    """Write the metric tables into a fresh `metrics/`, and the descendants
-    of each approach group into `groups/`, replacing those of earlier runs."""
-    masks = _group_masks(cfg, corpus, out_dir)
-    _clear(out_dir, "metrics")
+    """Write the metric tables into `metrics/`, and the descendants of each
+    approach group into `groups/`, replacing those of earlier runs."""
+    masks = {g.name: corpus.mask(pio.read_ids(os.path.join(out_dir, "groups", f"{g.name}.ids")))
+             for g in cfg.groups}
+    # the descendants stay in `groups/`, where the desk digest has them
     for name in os.listdir(os.path.join(out_dir, "groups")):
         if name.endswith(".descendants.ids"):  # no group name ends in .descendants
             os.remove(os.path.join(out_dir, "groups", name))
@@ -337,24 +327,24 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
         )
 
     for level in cfg.levels:
-        # series by metric and group at this level, reused as z-score inputs
-        by_metric = {"generality": per_group("generality", level, lambda n: met.generality_series(
-            corpus, masks[n], level, n
-        ))}
+        breadth = functools.cache(lambda n: met.avg_citing_classes(corpus, masks[n], level, n))
+        universe = getattr(cfg, f"diversity_universe_{level}", None)
+        kernels = {  # generality first: it builds the level's outside-class incidence
+            "generality": lambda n: met.generality_series(corpus, masks[n], level, n),
+            "avg_citing_classes": lambda n: breadth(n)[0],
+            "avg_citing_classes_cited": lambda n: breadth(n)[1],
+            "diversity_share": lambda n: met.diversity_share(corpus, masks[n], level, n, universe=universe),
+            "diversity_per_patent": lambda n: met.diversity_per_patent(corpus, masks[n], level, n),
+        }
+        if level == 1:  # no diversity universe at the section level
+            del kernels["diversity_share"]
+        # series by metric and group at this level, also the z-score inputs
+        by_metric = {stem: per_group(stem, level, kernel, keep_empty=stem == "diversity_share")
+                     for stem, kernel in kernels.items()}
         out = met._outside(corpus, level)
         size = sum(a.nbytes for a in (out.cited, out.cell, out.cells, out.breadth))
         _log(out_dir, f"metrics: level {level} outside-class incidence {len(out.cell)} rows, "
                       f"{len(out.cells)} (year, class) cells ({size / 2**20:.2f} MB)")
-        breadth = {n: met.avg_citing_classes(corpus, masks[n], level, n) for n in order}
-        for i, stem in enumerate(("avg_citing_classes", "avg_citing_classes_cited")):
-            by_metric[stem] = per_group(stem, level, lambda n: breadth[n][i])
-        if level in (3, 4):
-            per_group("diversity_share", level, lambda n: met.diversity_share(
-                corpus, masks[n], level, n, universe=getattr(cfg, f"diversity_universe_{level}")
-            ), keep_empty=True)
-        per_group("diversity_per_patent", level, lambda n: met.diversity_per_patent(
-            corpus, masks[n], level, n
-        ))
         for zm in cfg.zscore:
             zin = [by_metric[zm][n] for n in approach if by_metric[zm][n].points]
             if len(zin) >= 2:
@@ -393,14 +383,10 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
     _log(out_dir, f"metrics: wrote series for {len(order)} groups at levels {list(cfg.levels)}")
 
 
-def stage_stats(cfg: RunConfig, out_dir: str) -> None:
-    """Write the period tests of each compared metric into a fresh `stats/`."""
-    _clear(out_dir, "stats")
+def stage_stats(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
+    """Write the period tests of each compared metric into `stats/`."""
     for metric in cfg.compare:
-        path = _mpath(out_dir, metric)
-        if not os.path.exists(path):
-            raise DataError(f"missing metric file {path}; run the metrics stage first")
-        series = pio.read_series(path, metric)
+        series = pio.read_series(_mpath(out_dir, metric), metric)
         if len(series) < 2:
             _log(out_dir, f"stats: {metric} has fewer than 2 group series, skipped")
             continue
@@ -450,12 +436,9 @@ def stage_stats(cfg: RunConfig, out_dir: str) -> None:
         _log(out_dir, f"stats: {metric} over {len(cfg.periods)} periods for {len(order)} groups")
 
 
-def stage_report(cfg: RunConfig, out_dir: str) -> None:
-    """Plot every metric table into a fresh `plots/`."""
+def stage_report(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
+    """Plot every metric table into `plots/`."""
     metrics_dir = os.path.join(out_dir, "metrics")
-    if not os.path.isdir(metrics_dir):
-        raise DataError(f"missing directory {metrics_dir}; run the metrics stage first")
-    _clear(out_dir, "plots")
     made = 0
     for name in sorted(os.listdir(metrics_dir)):
         if not name.endswith(".metric.tsv"):
@@ -473,6 +456,16 @@ def stage_report(cfg: RunConfig, out_dir: str) -> None:
     _log(out_dir, f"report: wrote {made} plots")
 
 
+#: stage -> (function, the directory of OUT it owns and clears before it
+#: runs, the paths under OUT it reads), in pipeline order
+STAGES = {
+    "classify": (stage_classify, "groups", lambda cfg: ()),
+    "metrics": (stage_metrics, "metrics", lambda cfg: [f"groups/{g.name}.ids" for g in cfg.groups]),
+    "stats": (stage_stats, "stats", lambda cfg: [f"metrics/{m}.metric.tsv" for m in cfg.compare]),
+    "report": (stage_report, "plots", lambda cfg: ["metrics"]),
+}
+
+
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -485,23 +478,24 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_run_config(args.config)
-    stages = pio.comma_list(args.only) or STAGES
-    for name in stages:
+    only = pio.comma_list(args.only)
+    for name in only:
         if name not in STAGES:
             raise ConfigError(f"unknown stage {name!r}, expected one of {', '.join(STAGES)}")
+    if len(set(only)) != len(only):
+        raise ConfigError(f"--only repeats a stage: {args.only}")
     os.makedirs(args.out, exist_ok=True)
+    owner = {directory: name for name, (_, directory, _) in STAGES.items()}
     corpus = None
-    if "classify" in stages or "metrics" in stages:
-        corpus = _ensure_corpus(cfg, args.seed, args.out)
-    for name in stages:
-        if name == "classify":
-            stage_classify(cfg, corpus, args.out)
-        elif name == "metrics":
-            stage_metrics(cfg, corpus, args.out)
-        elif name == "stats":
-            stage_stats(cfg, args.out)
-        else:
-            stage_report(cfg, args.out)
+    for name in (n for n in STAGES if n in only or not only):  # in pipeline order
+        stage, directory, reads = STAGES[name]
+        for rel in reads(cfg):  # before anything is written
+            if not os.path.exists(path := os.path.join(args.out, rel)):
+                raise DataError(f"missing {path}; run the {owner[rel.split('/')[0]]} stage first")
+        if corpus is None and name in ("classify", "metrics"):  # the stages that read the corpus
+            corpus = _ensure_corpus(cfg, args.seed, args.out)
+        _clear(args.out, directory)
+        stage(cfg, corpus, args.out)
     pio.write_manifest(args.out)
     return 0
 

@@ -1,6 +1,12 @@
 import math
+import os
+import platform
 import random
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,3 +543,55 @@ def test_scoring_gathers_each_block_once(monkeypatch):
     monkeypatch.setattr(corpus_module.Csr, "take", counted)
     cls.classify_uspto(corpus, model)
     assert calls == [min(7, len(corpus) - start) for start in range(0, len(corpus), 7) for _ in range(3)]
+
+
+#: Each setting acts on one child process only, through its environment:
+#: OpenBLAS's thread count and kernel, and numpy's AVX-512 loops.
+NUMERIC_SETTINGS = {
+    "one-blas-thread": {"OPENBLAS_NUM_THREADS": "1"},
+    **{f"blas-{core.lower()}": {"OPENBLAS_CORETYPE": core} for core in ("Sandybridge", "Prescott", "Haswell")},
+    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
+}
+
+
+@pytest.fixture(scope="module")
+def text_heavy_classify(tmp_path_factory):
+    """`classify(name, settings)`, the bytes of each `groups/` file that
+    `run --only classify` writes for the text-heavy workload's tables in a
+    `patmetrics` process with `settings` added to its environment, and
+    those files under the default environment."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the settings name x86-64 BLAS kernels and CPU features")
+    root, tmp = Path(__file__).resolve().parents[1], tmp_path_factory.mktemp("text-heavy")
+    for name in ("text-heavy.run", "text-heavy.synth", "text-heavy.uspto"):
+        shutil.copy(root / "bench" / "workloads" / name, tmp)
+
+    def patmetrics(*argv, **settings):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), **settings)
+        subprocess.run([sys.executable, "-m", "patmetrics", *argv], env=env, check=True, capture_output=True)
+
+    def classify(name, settings):
+        out = tmp / name
+        patmetrics(
+            "run", "--config", str(tmp / "text-heavy.run"), "--out", str(out), "--only", "classify", **settings
+        )
+        return {f: (out / "groups" / f).read_bytes() for f in sorted(os.listdir(out / "groups"))}
+
+    patmetrics("synth", "--config", str(tmp / "text-heavy.synth"), "--out", str(tmp))
+    return classify, classify("default", {})
+
+
+@pytest.mark.parametrize("name", NUMERIC_SETTINGS)
+def test_uspto_members_independent_of_blas_and_simd_settings(text_heavy_classify, name):
+    """The trained weights differ in their last bits between these settings;
+    the USPTO memberships, and so the groups, must not."""
+    if name == "no-avx512":
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:  # numpy 1
+            from numpy.core._multiarray_umath import __cpu_features__
+        if not __cpu_features__.get("X86_V4"):
+            pytest.skip("without X86_V4 there are no AVX-512 loops to turn off")
+    classify, default = text_heavy_classify
+    assert "USPTO.ids" in default
+    assert classify(name, NUMERIC_SETTINGS[name]) == default

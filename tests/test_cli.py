@@ -643,6 +643,90 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
 
 
+class TestStageTable:
+    """`cli.STAGES` drives `run`: each stage's inputs are checked, then its
+    directory cleared, then the stage run, in pipeline order."""
+
+    @staticmethod
+    def config(ws, tmp_path, sections):
+        """`RUN_TEXT`, with the keys of `sections` set, as a run config file."""
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(RUN_TEXT)
+        parser["inputs"]["synth"] = str(ws / "small.synth")
+        parser["group:Auto"]["config"] = str(ws / "small.uspto")
+        parser.read_dict(sections)
+        cfg = tmp_path / "stages.run"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        return str(cfg)
+
+    @staticmethod
+    def tree(out):
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    @staticmethod
+    def assert_manifest_verifies(out):
+        for line in read(out / "manifest.txt").splitlines():
+            digest, rel = line.split("  ", 1)
+            assert (out / rel).is_file() and pio.sha256_file(str(out / rel)) == digest, rel
+
+    def test_run_directory_matches_the_table(self, ws, full_run):
+        """Every top-level entry of a full run is the corpus, a file of the
+        run itself, or the directory of exactly one stage; and each stage
+        reads only under the directories of stages before it."""
+        owned = [directory for _, directory, _ in cli.STAGES.values()]
+        for entry in os.listdir(full_run):
+            if entry not in ("manifest.txt", "run.log", "load-report.txt", "corpus"):
+                assert owned.count(entry) == 1, entry
+        cfg = cli.load_run_config(str(ws / "small.run"))
+        for i, (name, (_, _, reads)) in enumerate(cli.STAGES.items()):
+            for rel in reads(cfg):
+                assert rel.split("/")[0] in owned[:i], (name, rel)
+                assert (full_run / rel).exists(), (name, rel)
+
+    def test_only_runs_stages_in_pipeline_order(self, ws, full_run, tmp_path):
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", "metrics,classify"])
+        assert code == 0
+        for stage in ("groups", "metrics"):
+            assert self.tree(out / stage) == self.tree(full_run / stage)
+
+    def test_only_refuses_a_repeated_stage(self, ws, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", "classify,classify"])
+        assert code == 2
+        assert "--only repeats a stage: classify,classify" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_named_before_metrics_plots_the_new_metrics(self, ws, full_run, tmp_path):
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
+        shutil.copytree(full_run, out)
+        cfg = self.config(ws, tmp_path, {"metrics": {"levels": "1"}})
+        assert cli.main(["run", "--config", cfg, "--out", str(out), "--only", "report,metrics"]) == 0
+        assert cli.main(["run", "--config", cfg, "--out", str(fresh)]) == 0
+        assert self.tree(out / "plots") == self.tree(fresh / "plots")  # no level-3 or 4 plot
+        self.assert_manifest_verifies(out)
+
+    REFUSED = {  # stage: (config sections, the input it misses, the stage that writes it)
+        "stats": ({"stats": {"compare": "counts, nosuch"}}, "metrics/nosuch.metric.tsv", "metrics"),
+        "metrics": ({"group:New": {"kind": "prefix", "prefix": "H04"}}, "groups/New.ids", "classify"),
+    }
+
+    @pytest.mark.parametrize("stage", REFUSED)
+    def test_stage_refused_for_a_missing_input_changes_nothing(self, ws, full_run, tmp_path, capsys, stage):
+        """The stage is refused before its directory is cleared, and before
+        a synthetic corpus is generated (here with another seed)."""
+        sections, missing, writer = self.REFUSED[stage]
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        before = self.tree(out)
+        cfg = self.config(ws, tmp_path, sections)
+        assert cli.main(["run", "--config", cfg, "--out", str(out), "--only", stage, "--seed", "7"]) == 3
+        assert f"{out / missing}; run the {writer} stage first" in capsys.readouterr().err
+        assert self.tree(out) == before
+        self.assert_manifest_verifies(out)
+
+
 class TestComputeOnce:
     def count_loads(self, monkeypatch):
         """Record each call of `io.load_corpus` and of `io.ingest`, by name."""
