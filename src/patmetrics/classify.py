@@ -105,12 +105,12 @@ def default_keywords() -> tuple[tuple[str, ...], ...]:
     return _packaged("keywords.tsv", load_keywords)
 
 
-def classify_keyword(corpus: Corpus, phrases: Sequence[tuple[str, ...]] | None = None) -> frozenset[str]:
-    """Patents whose title, abstract, claims, or description contains at
-    least one of `phrases` (tokenised, as `load_keywords` returns them)."""
-    if phrases is None:
-        phrases = default_keywords()
-    return _members(corpus, phrase_patents(corpus, phrases, TEXT_FIELDS))
+def classify_keyword(corpus: Corpus, keywords: Sequence[tuple[str, ...]] | None = None) -> frozenset[str]:
+    """Patents whose title, abstract, claims, or description contains one of
+    the phrases `keywords` (as `load_keywords` returns them; None: the packaged table)."""
+    if keywords is None:
+        keywords = default_keywords()
+    return _members(corpus, phrase_patents(corpus, keywords, TEXT_FIELDS))
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +118,12 @@ def classify_keyword(corpus: Corpus, phrases: Sequence[tuple[str, ...]] | None =
 
 def classify_science(
     corpus: Corpus,
-    field_label: str = DEFAULT_SCIENCE_FIELD,
+    field: str = DEFAULT_SCIENCE_FIELD,
     min_confidence: int = DEFAULT_MIN_CONFIDENCE,
 ) -> frozenset[str]:
-    """Patents with a science reference to `field_label` whose confidence is
-    strictly greater than `min_confidence`."""
-    links = np.array([label == field_label for label in corpus.science_label], bool)
+    """Patents with a science reference to the field label `field` whose
+    confidence is strictly greater than `min_confidence`."""
+    links = np.array([label == field for label in corpus.science_label], bool)
     links &= corpus.science_confidence > min_confidence
     mask = np.zeros(len(corpus), bool)
     mask[corpus.science_patent[links]] = True

@@ -32,19 +32,17 @@ from . import stats as st
 from .corpus import DEFAULT_WINDOW, Corpus
 from .errors import ConfigError, DataError
 
-APPROACH_KINDS = ("keyword", "science", "wipo", "uspto")
+#: group kind -> its classifier, called as `fn(corpus, **settings)`; a
+#: `uspto` group is trained, then scored.  Every kind but `prefix` is an approach.
+CLASSIFIERS = {"keyword": cls.classify_keyword, "science": cls.classify_science,
+               "wipo": cls.classify_wipo, "prefix": cls.classify_prefix_group}
 
 
 @dataclass(frozen=True)
 class GroupConfig:
     name: str
     kind: str
-    keywords: str | None = None  # a phrase table; None means the packaged one
-    field: str = cls.DEFAULT_SCIENCE_FIELD
-    min_confidence: int = cls.DEFAULT_MIN_CONFIDENCE
-    rules: str | None = None  # a rule table; None means the packaged one
-    config: str | None = None  # the USPTO classifier config
-    prefix: str = ""
+    settings: dict  # the section's parsed keys but kind; files named are read
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,6 @@ class RunConfig:
     """A run config.  Each field from `strict` to `exact_cutoff` is the key
     of that name in `[run]`, `[metrics]` or `[stats]`, and holds its default."""
 
-    base_dir: str
     groups: tuple[GroupConfig, ...]
     synth_path: str | None = None
     table_paths: tuple[tuple[str, str | None], ...] = ()
@@ -84,9 +81,6 @@ def load_run_config(path: str) -> RunConfig:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    def table(p: str) -> str | None:
-        return None if p == "default" else resolve(p)
-
     tables = dict.fromkeys(pio.TABLE_COLUMNS, resolve)
     inputs = pio.options(parser["inputs"], path, synth=resolve, **tables)
     if "synth" in inputs:
@@ -96,33 +90,37 @@ def load_run_config(path: str) -> RunConfig:
     else:
         raise ConfigError(f"{path}: [inputs] needs either synth= or patents=")
 
+    def read(key, load, raw):
+        """The file that `key=raw` names, resolved and parsed by `load`."""
+        if not os.path.isfile(file := resolve(raw)):
+            raise ConfigError(f"{path}: {key} file not found: {file!r}")
+        return load(file)
+
+    def table(key, load):  # `default` means the packaged table, None
+        return lambda raw: None if raw == "default" else read(key, load, raw)
+
     groups, keys = [], {  # the keys each kind of group reads, besides kind
-        "keyword": dict(keywords=table), "science": dict(field=str, min_confidence=int),
-        "wipo": dict(rules=table), "uspto": dict(config=resolve), "prefix": dict(prefix=str),
+        "keyword": dict(keywords=table("keywords", cls.load_keywords)),
+        "science": dict(field=str, min_confidence=int),
+        "wipo": dict(rules=table("rules", cls.load_wipo_rules)),
+        "uspto": dict(config=lambda raw: read("config", load_uspto_config, raw)), "prefix": dict(prefix=str),
     }
     for name, section in pio.group_sections(parser, path):
         kind = section.get("kind", "").strip()
         if kind not in keys:
             raise ConfigError(f"{path}: [{section.name}] kind must be one of {', '.join(keys)}")
-        groups.append(GroupConfig(name=name, **pio.options(section, path, kind=str, **keys[kind])))
-    names = [g.name for g in groups]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{path}: duplicate group names {names}")
-    if not groups:
+        settings = pio.options(section, path, **keys[kind], kind=str)
+        del settings["kind"]
+        needs = {"prefix": "prefix", "uspto": "config"}.get(kind)
+        if needs and needs not in settings:
+            raise ConfigError(f"{path}: group {name!r} needs {needs}=")
+        groups.append(GroupConfig(name, kind, settings))
+    if not groups:  # configparser refuses a repeated section, so each name is unique
         raise ConfigError(f"{path}: no [group:*] sections")
-    for g in groups:
-        if g.kind == "prefix" and not g.prefix:
-            raise ConfigError(f"{path}: group {g.name!r} needs prefix=")
-        if g.kind == "uspto" and not g.config:
-            raise ConfigError(f"{path}: group {g.name!r} needs config=")
-        for key in ("keywords", "rules", "config"):  # found before anything is built
-            file = getattr(g, key)
-            if file is not None and not os.path.isfile(file):
-                raise ConfigError(f"{path}: group {g.name!r} {key} file not found: {file!r}")
 
     # a blank list of metrics or levels means none
     cfg = RunConfig(
-        base_dir=base, groups=tuple(groups), **sources,
+        groups=tuple(groups), **sources,
         **pio.options(
             parser["run"], path, strict=pio.boolean, window=pio.year_range,
             periods=lambda raw: pio.comma_list(raw, pio.year_range),
@@ -171,20 +169,24 @@ def _log(out_dir: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 # corpus preparation
 
-def _synthesize(synth_path: str, seed: int | None, out_dir: str) -> tuple[dict[str, list[tuple]], int]:
-    """Generate a synthetic corpus, write its tables and, into a fresh
-    `truth/`, its truth lists, and return the table rows and the seed used."""
+def _synthesize(synth_path: str, seed: int | None) -> tuple[dict, dict, int]:
+    """The table rows and truth lists of the synthetic corpus that the config
+    at `synth_path` describes, generated with `seed` when given, and the seed
+    used.  Every error of the config is raised before anything is written."""
     from . import synth as syn  # only synthetic runs load the generator
 
     scfg = syn.load_synth_config(synth_path)
     if seed is not None:
         scfg = replace(scfg, rng_seed=seed)
-    tables, truth = syn.generate(scfg)
+    return (*syn.generate(scfg), scfg.rng_seed)
+
+
+def _write_synthetic(out_dir: str, tables: dict, truth: dict) -> None:
+    """Write the corpus tables into `out_dir`, the truth lists into a fresh `truth/` there."""
     pio.write_corpus(out_dir, tables)
     _clear(out_dir, "truth")
     for name in sorted(truth):
         pio.write_ids(os.path.join(out_dir, "truth", f"{name}.ids"), truth[name])
-    return tables, scfg.rng_seed
 
 
 def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str) -> Corpus:
@@ -194,8 +196,9 @@ def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str) -> Corpus:
     input tables are read only once every configured one is found."""
     rules = {"window": cfg.window, "strict": cfg.strict}
     if cfg.synth_path is not None:
+        tables, truth, seed = _synthesize(cfg.synth_path, seed)  # before `corpus/` is cleared
         corpus_dir = _clear(out_dir, "corpus")
-        tables, seed = _synthesize(cfg.synth_path, seed, corpus_dir)
+        _write_synthetic(corpus_dir, tables, truth)
         _log(out_dir, f"synth: generated {len(tables['patents'])} patents into corpus/ with seed {seed}")
         named = {n: (os.path.join(corpus_dir, f"{n}.tsv"), rows) for n, rows in tables.items()}
         corpus, report = pio.ingest(named, **rules)
@@ -232,16 +235,8 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
     """Write one member list per configured group into `groups/`."""
     groups_dir = os.path.join(out_dir, "groups")
     for g in cfg.groups:
-        if g.kind == "keyword":
-            table = cls.load_keywords(g.keywords) if g.keywords else None
-            members = cls.classify_keyword(corpus, table)
-        elif g.kind == "science":
-            members = cls.classify_science(corpus, g.field, g.min_confidence)
-        elif g.kind == "wipo":
-            rules = cls.load_wipo_rules(g.rules) if g.rules else None
-            members = cls.classify_wipo(corpus, rules)
-        elif g.kind == "uspto":
-            model = cls.train_uspto(corpus, load_uspto_config(g.config))
+        if g.kind == "uspto":
+            model = cls.train_uspto(corpus, g.settings["config"])
             for c in model.components:
                 rows, cols = len(c.seed) + len(c.anti_seed), len(c.weights)
                 _log(out_dir, f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
@@ -249,7 +244,7 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
                               f"training matrix {rows} x {cols} ({rows * cols * 8 / 2**20:.2f} MB)")
             members = cls.classify_uspto(corpus, model)
         else:
-            members = cls.classify_prefix_group(corpus, g.prefix)
+            members = CLASSIFIERS[g.kind](corpus, **g.settings)
         pio.write_ids(os.path.join(groups_dir, f"{g.name}.ids"), members)
         _log(out_dir, f"classify: {g.name} ({g.kind}) -> {len(members)} patents")
     if corpus.holds("tokens"):  # a text classifier built the token index
@@ -267,10 +262,14 @@ def load_uspto_config(path: str) -> cls.UsptoConfig:
         parser["uspto"], path, components=pio.comma_list, expansion_hops=int, vocab_size=int,
         threshold=float, epochs=int, learning_rate=float, anti_seed_rng=int,
     )
-    if "seeds" in parser:
-        seeds = parser["seeds"].items()
-        settings["seed_rules"] = {comp: pio.comma_list(raw) for comp, raw in seeds}
-    return cls.UsptoConfig(**settings)
+    if "seeds" in parser:  # configparser lowercases its keys
+        comps = settings.get("components", cls.DEFAULT_COMPONENTS)
+        seeds = pio.options(parser["seeds"], path, **{c.lower(): pio.comma_list for c in comps})
+        settings["seed_rules"] = {c: seeds[c.lower()] for c in comps if c.lower() in seeds}
+    try:
+        return cls.UsptoConfig(**settings)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _mpath(out_dir: str, stem: str) -> str:
@@ -287,7 +286,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
         if name.endswith(".descendants.ids"):  # no group name ends in .descendants
             os.remove(os.path.join(out_dir, "groups", name))
     order = [g.name for g in cfg.groups]
-    approach = [g.name for g in cfg.groups if g.kind in APPROACH_KINDS]
+    approach = [g.name for g in cfg.groups if g.kind != "prefix"]
     scalars: list[tuple[str, str, str, float | None]] = []  # metric, level, group, value
 
     def per_group(metric, level, compute, keep_empty=False, names=order):
@@ -349,6 +348,8 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
             zin = [by_metric[zm][n] for n in approach if by_metric[zm][n].points]
             if len(zin) >= 2:
                 pio.write_series(_mpath(out_dir, f"{zm}_d{level}_zscore"), met.zscore_across_groups(zin))
+            else:
+                _log(out_dir, f"metrics: zscore skipped {zm}_d{level}, fewer than 2 approach groups with points")
 
     lags = {n: met.citation_lag_series(corpus, masks[n], n, cfg.periods, cfg.lag_mode) for n in order}
     per_group("citation_lag", None, lambda n: lags[n][:2])
@@ -470,7 +471,8 @@ STAGES = {
 # entry points
 
 def cmd_synth(args) -> int:
-    tables, seed = _synthesize(args.config, args.seed, args.out)
+    tables, truth, seed = _synthesize(args.config, args.seed)
+    _write_synthetic(args.out, tables, truth)
     _log(args.out, f"synth: {len(tables['patents'])} patents, {len(tables['citations'])} citations, seed {seed}")
     pio.write_manifest(args.out)
     return 0

@@ -141,7 +141,7 @@ class TestClassifyScience:
         assert cls.classify_science(self.corpus(), min_confidence=8) == {"D"}
 
     def test_other_field(self):
-        assert cls.classify_science(self.corpus(), field_label="Physics; Applied", min_confidence=1) == {"C"}
+        assert cls.classify_science(self.corpus(), field="Physics; Applied", min_confidence=1) == {"C"}
 
 
 class TestClassifyWipo:

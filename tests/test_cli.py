@@ -418,6 +418,24 @@ class TestRunPipeline:
         assert "metrics: lowess skipped growht, no such metric file" in log
         assert "lowess skipped growth," not in log
 
+    def test_skipped_zscore_is_logged(self, ws, full_run, tmp_path):
+        """One approach group has nothing to be standardised against."""
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(RUN_TEXT)
+        for name in ("group:Science", "group:Rules", "group:Auto"):
+            del parser[name]
+        parser["inputs"]["synth"] = str(ws / "small.synth")
+        parser["metrics"].update(levels="1", zscore="generality")
+        cfg = tmp_path / "one-approach.run"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--only", "classify,metrics"]) == 0
+        assert not (out / "metrics" / "generality_d1_zscore.metric.tsv").exists()
+        line = "metrics: zscore skipped generality_d1, fewer than 2 approach groups with points"
+        assert line in read(out / "run.log").splitlines()
+        assert "zscore skipped" not in read(full_run / "run.log")
+
     def test_run_log_has_uspto_diagnostics(self, full_run):
         lines = [ln for ln in read(full_run / "run.log").splitlines() if "component" in ln]
         assert len(lines) == 1
@@ -726,6 +744,37 @@ class TestStageTable:
         assert self.tree(out) == before
         self.assert_manifest_verifies(out)
 
+    BAD_KEYWORDS = ("kw.tsv", "phrase\tcategory\nneural network\tmagic\n", "group:Keyword", "keywords")
+    BAD_FILES = {  # case: (a file, its text, the run-config section and key naming it, --only, error)
+        "keyword-category": (*BAD_KEYWORDS, "", "{file}: line 2: unknown keyword category 'magic'"),
+        "rule-header": ("rules.tsv", "kind\tprefix\tphrase\ncode\tG06N\t\n", "group:Rules", "rules", "",
+                        "{file}: expected columns rule_kind, code_prefix, phrase"),
+        "uspto-threshold": ("bad.uspto", USPTO_TEXT.replace("threshold = 0.5", "threshold = 2"),
+                            "group:Auto", "config", "", "{file}: threshold must lie in (0, 1): 2.0"),
+        "synth-seed": ("bad.synth", SYNTH_TEXT.replace("rng_seed = 424", "rng_seed = x"), "inputs", "synth", "",
+                       "{file}: [synth] rng_seed: cannot parse 'x'"),
+        # parsed, but refused by the generator
+        "synth-concentration": ("bad.synth", SYNTH_TEXT.replace("[synth]\n", "[synth]\nclass_concentration = 1000\n"),
+                                "inputs", "synth", "", "class_concentration 1000.0 puts background-code weights"),
+        # every file a group names is read with the run config, even where no stage classifies
+        "keyword-category-stats-only": (*BAD_KEYWORDS, "stats", "{file}: line 2: unknown keyword category"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_FILES)
+    def test_bad_config_file_changes_nothing(self, ws, full_run, tmp_path, capsys, case):
+        """A malformed file that the run config names is refused before any
+        directory of OUT is cleared or the corpus regenerated."""
+        name, text, section, key, only, error = self.BAD_FILES[case]
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        before = self.tree(out)
+        cfg = self.config(ws, tmp_path, {section: {key: name}})
+        assert cli.main(["run", "--config", cfg, "--out", str(out), "--only", only]) == 2
+        assert "configuration error: " + error.format(file=tmp_path / name) in capsys.readouterr().err
+        assert self.tree(out) == before
+        self.assert_manifest_verifies(out)
+
 
 class TestComputeOnce:
     def count_loads(self, monkeypatch):
@@ -949,7 +998,7 @@ class TestRunConfigParsing:
 
     def test_percent_is_literal(self, tmp_path):
         cfg = cli.load_run_config(self.write(tmp_path, self.base("[group:S]\nkind = science\nfield = 100% AI\n")))
-        assert cfg.groups[-1].field == "100% AI"
+        assert cfg.groups[-1].settings["field"] == "100% AI"
 
     def test_blank_list_means_none(self, tmp_path):
         cfg = cli.load_run_config(
@@ -1067,6 +1116,23 @@ class TestUsptoConfigParsing:
         path.write_text("[uspto]\nthreshold = 1.5\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             cli.load_uspto_config(str(path))
+
+    def test_capitalised_component_reads_its_seeds(self, tmp_path):
+        path = tmp_path / "u.ini"
+        path.write_text("[uspto]\ncomponents = Vision, speech\n[seeds]\nVision = G06T7\nSpeech = G10L\n", encoding="utf-8")
+        cfg = cli.load_uspto_config(str(path))
+        assert cfg.components == ("Vision", "speech")
+        assert cfg.seed_rules == {"Vision": ("G06T7",), "speech": ("G10L",)}
+
+    def test_seed_of_no_component_exits_2(self, ws, tmp_path, capsys):
+        """A `[seeds]` key that names no component is refused like a typo."""
+        (tmp_path / "u.uspto").write_text(
+            "[uspto]\ncomponents = vision\n[seeds]\nvision = G06T7\nspeech = G10L\n", encoding="utf-8"
+        )
+        cfg = TestStageTable.config(ws, tmp_path, {"group:Auto": {"config": "u.uspto"}})
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{tmp_path / 'u.uspto'}: [seeds] speech: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_import_loads_no_network_modules():
