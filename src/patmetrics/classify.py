@@ -228,9 +228,15 @@ DEFAULT_COMPONENTS = tuple(DEFAULT_SEED_RULES)
 #: Fields pooled into the bag-of-tokens features.
 USPTO_TEXT_FIELDS = ("title", "abstract", "claims")
 
-#: Rows whose tokens the USPTO classifier gathers at once, and the rows of
-#: each scoring matrix: the bound on its token-sized temporaries.
+#: Rows whose tokens the USPTO classifier gathers and counts at once, its
+#: three text fields together: the bound on its token-sized temporaries, and
+#: the rows scored together.
 _ROW_BLOCK = 1024
+
+#: Bytes that training holds per non-zero feature: a column index and a
+#: value in row order, a row index and a value in column order, and the
+#: term of each epoch's row or column sum.
+NONZERO_BYTES = 2 * (4 + 8) + 8
 
 
 @dataclass
@@ -275,6 +281,7 @@ class ComponentModel:
     bias: float
     seed: frozenset[str]
     anti_seed: frozenset[str]
+    nonzeros: int  # stored non-zero features of the training rows
 
 
 @dataclass
@@ -305,15 +312,15 @@ def build_uspto_seed(
     return _members(corpus, seed)
 
 
-def _field_blocks(corpus: Corpus, rows: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(start, i, token id) of each title, abstract and claims token of the
-    patent at position rows[start + i], one field and one block of
-    `_ROW_BLOCK` rows at a time: the pooled bags of tokens behind the text
-    features, in pieces bounded by the block rather than by `rows`."""
+def _field_blocks(corpus: Corpus, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """(block, i, token id) of each title, abstract and claims token of the
+    patent at position rows[block][i], one block of `_ROW_BLOCK` rows at a
+    time with its three fields together: the pooled bags of tokens behind
+    the text features, in pieces bounded by the block rather than by `rows`."""
     tokens = corpus.tokens()
-    for name in USPTO_TEXT_FIELDS:
-        for start in range(0, len(rows), _ROW_BLOCK):
-            yield (start, *tokens[name].take(rows[start : start + _ROW_BLOCK]))
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        yield block, *map(np.concatenate, zip(*(tokens[name].take(rows[block]) for name in USPTO_TEXT_FIELDS)))
 
 
 def _citation_features(corpus: Corpus, seed: frozenset[str]) -> np.ndarray:
@@ -327,28 +334,94 @@ def _citation_features(corpus: Corpus, seed: frozenset[str]) -> np.ndarray:
     return np.array([math.log1p(k) for k in range(counts.max(initial=0) + 1)])[counts]
 
 
-def _features(corpus: Corpus, blocks: Iterable[tuple], vocab: Sequence[str], cites: np.ndarray) -> np.ndarray:
+def _vocabulary(corpus: Corpus, rows: np.ndarray, size: int) -> tuple[str, ...]:
+    """The `size` most frequent tokens of the patents at positions `rows`,
+    ties in id order, which is token order.  The last block's tokens are
+    freed on return, before the features are built."""
+    names = corpus.tokens()["title"].names
+    counts = np.zeros(len(names), np.int64)
+    for _, _, tok in _field_blocks(corpus, rows):
+        block = np.bincount(tok)
+        counts[: len(block)] += block
+    top = np.argsort(-counts, kind="stable")[: min(size, np.count_nonzero(counts))]
+    return tuple(names[k] for k in top.tolist())
+
+
+def _features(
+    corpus: Corpus, blocks: Iterable[tuple], vocab: Sequence[str], cites: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Token shares over the vocabulary, then `cites`, the log citation
     counts to and from the seed, for the rows whose tokens `blocks` holds,
     as `_field_blocks` yields them: the feature rows of both training and
-    scoring.  A share is n / total of in-vocabulary token counts, 0 where
-    the total is 0.  The matrix is the only allocation of its size:
-    in-vocabulary tokens are counted straight into it, as floats, a block
-    at a time.  The counts and their sums are integers below 2^53, so they
-    are exact in any order of adding."""
-    n, v = len(cites), len(vocab)
+    scoring, as (indptr, column, value) of their non-zeros, in column order
+    within each row.  A share is n / total of in-vocabulary token counts.
+    Each block sorts the row * (v + 2) + column keys of its in-vocabulary
+    tokens and non-zero citation features together, and counts each run of
+    equal keys.  The counts and totals are integers, so exact."""
+    v = len(vocab)
     words = corpus.tokens()["title"]  # every field's names are the one vocabulary
     known = np.array([words.id_of(tok) for tok in vocab], np.int64)
     column = np.full(len(words.names), v, np.int32)  # token id -> feature column, v for the rest
     column[known[known >= 0]] = np.flatnonzero(known >= 0)
-    X = np.zeros((n, v + 2))
-    for start, i, tok in blocks:
-        col = column[tok]
-        inside = col < v
-        np.add.at(X[start:].ravel(), i[inside] * np.int64(v + 2) + col[inside], 1.0)
-    X[:, :v] /= np.maximum(X[:, :v].sum(axis=1), 1.0)[:, None]
-    X[:, v:] = cites
-    return X
+    sizes, cols, vals = [np.zeros(1, np.int64)], [], []
+    for block, i, tok in blocks:
+        col = column.take(tok)
+        inside = np.flatnonzero(col < v)  # `take` by index, much faster here than a boolean mask
+        i, col = i.take(inside), col.take(inside)
+        block_cites = cites[block]
+        at = np.flatnonzero(block_cites)  # row * 2 + j of each non-zero citation feature
+        key = np.sort(np.concatenate([i * np.int64(v + 2) + col, at // 2 * (v + 2) + v + at % 2]))
+        first = np.flatnonzero(np.diff(key, prepend=-1))  # where each run of equal keys starts
+        row, col = np.divmod(key[first], v + 2)
+        val = np.diff(first, append=len(key)) / np.maximum(np.bincount(i, minlength=len(block_cites)), 1)[row]
+        val[col >= v] = block_cites.ravel()[at]
+        sizes.append(np.bincount(row, minlength=len(block_cites)))
+        cols.append(col.astype(np.int32))
+        vals.append(val)
+    return np.cumsum(np.concatenate(sizes)), np.concatenate(cols), np.concatenate(vals)
+
+
+def _reduce_segments(ufunc: np.ufunc, terms: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """`ufunc` over terms[indptr[k] : indptr[k + 1]] for each k, by
+    `ufunc.reduceat` over the non-empty segments, and 0.0 for an empty one,
+    for which `reduceat` would return terms[indptr[k]]."""
+    out = np.zeros(len(indptr) - 1)
+    full = indptr[:-1] < indptr[1:]
+    out[full] = ufunc.reduceat(terms, indptr[:-1][full])
+    return out
+
+
+def _fit(
+    corpus: Corpus, rows: np.ndarray, vocab: Sequence[str], cites: np.ndarray, y: np.ndarray, cfg: UsptoConfig
+) -> tuple[np.ndarray, float, int]:
+    """The weights and bias that full-batch gradient descent from zero fits
+    to the feature rows of the patents at positions `rows`, with labels `y`,
+    and the number of non-zero features.  Each epoch's X @ w and X.T @ g are
+    sums over the segments of each row, and of each column of a copy in
+    column order.  The columns are max-abs scaled during descent only (every
+    feature is >= 0, so max-abs is the column max); folding the scales back
+    into the weights keeps scoring a plain dot product on raw features.
+    Every array is freed on return, before the next component builds its own."""
+    indptr, col, val = _features(corpus, _field_blocks(corpus, rows), vocab, cites[rows])
+    order = np.argsort(col, kind="stable")  # column order, rows ascending within each column
+    colptr = np.cumsum(np.concatenate([[0], np.bincount(col, minlength=len(vocab) + 2)]))
+    scales = _reduce_segments(np.maximum, val[order], colptr)
+    scales[scales == 0] = 1.0
+    val /= scales[col]
+    row = np.repeat(np.arange(len(rows), dtype=np.int32), np.diff(indptr))[order]
+    colval = val[order]
+    del order
+    w, b, terms = np.zeros(len(scales)), 0.0, np.empty(len(val))
+    for _ in range(cfg.epochs):
+        np.take(w, col, out=terms, mode="clip")  # every index is in range; "clip" skips a buffer
+        terms *= val
+        p = 1.0 / (1.0 + np.exp(-(_reduce_segments(np.add, terms, indptr) + b)))
+        g = p - y
+        np.take(g, row, out=terms, mode="clip")
+        terms *= colval
+        w -= cfg.learning_rate * _reduce_segments(np.add, terms, colptr) / len(rows)
+        b -= cfg.learning_rate * g.mean()
+    return w / scales, float(b), len(val)
 
 
 def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel:
@@ -378,47 +451,24 @@ def train_uspto(corpus: Corpus, config: UsptoConfig | None = None) -> UsptoModel
         # the seed, then the anti-seed, each in id order
         rows = np.concatenate([by_id[in_seed], pool[np.sort(picks)]])
         y = np.repeat([1.0, 0.0], [len(seed), len(anti)])
-        # the most frequent tokens, ties in id order, which is token order
-        names = corpus.tokens()["title"].names
-        counts = np.zeros(len(names), np.int64)
-        for _, _, tok in _field_blocks(corpus, rows):
-            block = np.bincount(tok)
-            counts[: len(block)] += block
-        top = np.argsort(-counts, kind="stable")[: min(cfg.vocab_size, np.count_nonzero(counts))]
-        vocab = tuple(names[k] for k in top.tolist())
-        X = _features(corpus, _field_blocks(corpus, rows), vocab, _citation_features(corpus, seed)[rows])
-        # max-abs column scaling during descent only, in place (every feature
-        # is >= 0, so max-abs is the column max); folding the scales back
-        # into the weights keeps scoring a plain dot product on raw features
-        scales = X.max(axis=0)
-        scales[scales == 0] = 1.0
-        X /= scales
-
-        w = np.zeros(X.shape[1])
-        b = 0.0
-        n = len(rows)
-        for _ in range(cfg.epochs):
-            p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
-            g = p - y
-            w -= cfg.learning_rate * (X.T @ g) / n
-            b -= cfg.learning_rate * g.mean()
-        models.append(ComponentModel(comp, vocab, w / scales, float(b), seed, anti))
-        del X  # freed before the next component builds its matrix
+        vocab = _vocabulary(corpus, rows, cfg.vocab_size)
+        weights, bias, nonzeros = _fit(corpus, rows, vocab, _citation_features(corpus, seed), y, cfg)
+        models.append(ComponentModel(comp, vocab, weights, bias, seed, anti, nonzeros))
     return UsptoModel(cfg, models)
 
 
 def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
     """Union of patents scoring strictly above the threshold in any
     component, a block of `_ROW_BLOCK` rows at a time: each block's tokens
-    are gathered once, and each component scores them through its own
-    block-sized feature matrix, one matrix at a time."""
+    are gathered once, and each component scores them by the row sums of
+    its own block of non-zero features, one component at a time."""
     cites = [_citation_features(corpus, comp.seed) for comp in model.components]
     hit = np.zeros(len(corpus), bool)
     for start in range(0, len(corpus), _ROW_BLOCK):
         rows = np.arange(start, min(start + _ROW_BLOCK, len(corpus)))
         blocks = list(_field_blocks(corpus, rows))
         for comp, comp_cites in zip(model.components, cites):
-            # the matrix is a temporary, freed once multiplied
-            z = _features(corpus, blocks, comp.vocab, comp_cites[rows]) @ comp.weights
+            indptr, col, val = _features(corpus, blocks, comp.vocab, comp_cites[rows])
+            z = _reduce_segments(np.add, val * comp.weights[col], indptr)
             hit[rows] |= 1.0 / (1.0 + np.exp(-(z + comp.bias))) > model.config.threshold
     return _members(corpus, hit)

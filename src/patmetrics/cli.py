@@ -172,13 +172,17 @@ def _log(out_dir: str, text: str) -> None:
 def _synthesize(synth_path: str, seed: int | None) -> tuple[dict, dict, int]:
     """The table rows and truth lists of the synthetic corpus that the config
     at `synth_path` describes, generated with `seed` when given, and the seed
-    used.  Every error of the config is raised before anything is written."""
+    used.  Every error of the config is raised, naming the file, before
+    anything is written."""
     from . import synth as syn  # only synthetic runs load the generator
 
     scfg = syn.load_synth_config(synth_path)
     if seed is not None:
         scfg = replace(scfg, rng_seed=seed)
-    return (*syn.generate(scfg), scfg.rng_seed)
+    try:
+        return (*syn.generate(scfg), scfg.rng_seed)
+    except ConfigError as exc:  # a setting that only generating refuses
+        raise ConfigError(f"{synth_path}: {exc}") from None
 
 
 def _write_synthetic(out_dir: str, tables: dict, truth: dict) -> None:
@@ -241,7 +245,8 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
                 rows, cols = len(c.seed) + len(c.anti_seed), len(c.weights)
                 _log(out_dir, f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
                               f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}, "
-                              f"training matrix {rows} x {cols} ({rows * cols * 8 / 2**20:.2f} MB)")
+                              f"training features {rows} x {cols}, {c.nonzeros} non-zeros "
+                              f"({c.nonzeros * cls.NONZERO_BYTES / 2**20:.2f} MB)")
             members = cls.classify_uspto(corpus, model)
         else:
             members = CLASSIFIERS[g.kind](corpus, **g.settings)

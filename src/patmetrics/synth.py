@@ -373,7 +373,10 @@ def load_synth_config(path: str) -> SynthConfig:
         decoys = options(parser["decoys"], path, links=_decoy_links)
         if decoys:
             settings["decoy_links"] = decoys["links"]
-    return SynthConfig(groups=tuple(groups), **settings)
+    try:
+        return SynthConfig(groups=tuple(groups), **settings)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _decoy_links(text: str) -> tuple[tuple[str, int, int], ...]:

@@ -10,7 +10,10 @@ memberships and vocabularies must be equal, and feature matrices bit-equal,
 to what `patmetrics.classify` returns.  `train_uspto` is the trainer that
 gathered each component's whole bag of tokens at once (`_bag`) and built an
 int64 count matrix, an absolute-value copy and a scaled copy of its
-features; its weights and biases must be bit-equal.
+features; its weights and biases must be bit-equal.  Its products and
+scores take each dot product over the non-zero entries of a dense row or
+column in index order (`_sparse_dot`), the order in which
+`patmetrics.classify` sums the same terms by `np.add.reduceat`.
 """
 
 from __future__ import annotations
@@ -214,12 +217,26 @@ def features(corpus, ids: Sequence[str], vocab: Sequence[str], seed: frozenset[s
     return np.hstack([_text_rows(counters, vocab_index), citation_features(corpus, ids, seed)])
 
 
+def _sparse_dot(X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """X @ x, each row's dot product taken over the row's non-zero entries
+    in index order as terms[0] + terms[1:].sum(), which is how
+    `np.add.reduceat` sums a segment (a left-to-right sum is not), and 0.0
+    for a row without one."""
+    out = np.zeros(len(X))
+    for r, row in enumerate(X):
+        nz = np.flatnonzero(row)
+        if len(nz):
+            terms = row[nz] * x[nz]
+            out[r] = terms[0] + terms[1:].sum()
+    return out
+
+
 def classify_uspto(corpus, model) -> frozenset[str]:
     hits = set()
     ids = list(corpus.ids)
     for comp in model.components:
         X = features(corpus, ids, comp.vocab, comp.seed)
-        scores = 1.0 / (1.0 + np.exp(-(X @ comp.weights + comp.bias)))
+        scores = 1.0 / (1.0 + np.exp(-(_sparse_dot(X, comp.weights) + comp.bias)))
         hits.update(pid for pid, s in zip(ids, scores) if s > model.config.threshold)
     return frozenset(hits)
 
@@ -277,9 +294,9 @@ def train_uspto(corpus, config: UsptoConfig | None = None) -> UsptoModel:
         b = 0.0
         n = len(train_ids)
         for _ in range(cfg.epochs):
-            p = 1.0 / (1.0 + np.exp(-(Xs @ w + b)))
+            p = 1.0 / (1.0 + np.exp(-(_sparse_dot(Xs, w) + b)))
             g = p - y
-            w -= cfg.learning_rate * (Xs.T @ g) / n
+            w -= cfg.learning_rate * _sparse_dot(Xs.T, g) / n
             b -= cfg.learning_rate * g.mean()
-        models.append(ComponentModel(comp, vocab, w / scales, float(b), seed, anti))
+        models.append(ComponentModel(comp, vocab, w / scales, float(b), seed, anti, np.count_nonzero(X)))
     return UsptoModel(cfg, models)

@@ -384,12 +384,12 @@ def test_10_pipeline_deterministic_and_stage_equivalent(tmp_path):
     missing = set(DESK_TABLES) - set(manifest.splitlines())
     assert not missing, missing
     assert hashlib.sha256(manifest.encode()).hexdigest() == DESK_MANIFEST
-    # run.log, outside the manifest, sizes the USPTO training matrix, the
+    # run.log, outside the manifest, sizes the USPTO training features, the
     # token index and each level's outside-class incidence
     with open(base / "run.log") as fh:
         log = fh.read().splitlines()
     assert ("classify: USPTO component ai_core: seed 10003, anti-seed 10003, vocabulary 300, "
-            "training matrix 20006 x 302 (46.10 MB)") in log
+            "training features 20006 x 302, 759713 non-zeros (23.18 MB)") in log
     assert "classify: token index 3568238 tokens, 405 distinct (14.37 MB)" in log
     assert [line for line in log if " outside-class incidence " in line] == [
         "metrics: level 1 outside-class incidence 207283 rows, 270 (year, class) cells (1.96 MB)",

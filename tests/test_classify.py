@@ -303,10 +303,22 @@ def random_text_corpus(rng, straddling):
     return build_corpus(years, codes=codes, cites=edges, texts=texts)
 
 
+def scatter(features, width):
+    """The feature rows that `cls._features` returns as (indptr, column,
+    value), scattered into a dense array of `width` columns, once each row's
+    columns are seen to ascend and every stored value to be non-zero."""
+    indptr, col, val = features
+    row = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    assert (np.diff(row * width + col) > 0).all() and (val != 0).all()
+    X = np.zeros((len(indptr) - 1, width))
+    X[row, col] = val
+    return X
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_classifiers_equal_reference_loops(seed, monkeypatch):
     """Phrase, prefix and seed matching over the interned indexes, and the
-    USPTO vocabularies and feature matrices, equal the per-patent loops.
+    USPTO vocabularies and feature rows, equal the per-patent loops.
     The USPTO classifier reads its tokens in blocks of 1, 7 or 1024 rows."""
     monkeypatch.setattr(cls, "_ROW_BLOCK", (1, 7, 1024)[seed % 3])
     rng = random.Random(7000 + seed)
@@ -349,13 +361,14 @@ def test_classifiers_equal_reference_loops(seed, monkeypatch):
             want.name, want.vocab, want.seed, want.anti_seed
         )
         assert np.array_equal(comp.weights, want.weights) and comp.bias == want.bias
+        assert comp.nonzeros == want.nonzeros
         train_ids = sorted(comp.seed) + sorted(comp.anti_seed)
         assert comp.vocab == ref.top_tokens(corpus, train_ids, cfg.vocab_size)
         cites = cls._citation_features(corpus, comp.seed)
         for rows in (train_ids, ids):
             at = np.array([corpus.position[p] for p in rows], np.int64)
-            got = cls._features(corpus, cls._field_blocks(corpus, at), comp.vocab, cites[at])
-            assert got.flags.c_contiguous
+            features = cls._features(corpus, cls._field_blocks(corpus, at), comp.vocab, cites[at])
+            got = scatter(features, len(comp.weights))
             assert np.array_equal(got, ref.features(corpus, rows, comp.vocab, comp.seed))
             assert np.array_equal(got, ref._features(corpus, ref._bag(corpus, at), comp.vocab, cites[at]))
     assert cls.classify_uspto(corpus, model) == ref.classify_uspto(corpus, model)
@@ -491,17 +504,45 @@ class TestUsptoTraining:
         assert len(set(cfg.components)) == 8
 
 
+def test_empty_rows_and_columns_sum_to_zero():
+    """An anti-seed without text and a citation column without a non-zero
+    training row are empty segments of the epochs' row and column sums, for
+    which `np.add.reduceat` alone would return the next segment's first
+    term.  The weights equal the oracle's, and the row without text scores
+    exactly 1 / (1 + exp(-bias))."""
+    years = {f"S{k}": 2001 for k in range(5)} | {f"N{k}": 2000 for k in range(5)}
+    codes = {p: ["Y02E10/70" if p[0] == "S" else "A01B"] for p in years}
+    texts = {p: {"abstract": f"flux capacitor w{k}"} for k, p in enumerate(years) if p[0] == "S"}
+    texts |= {f"N{k}": {"abstract": f"ordinary widget w{k}"} for k in (0, 1, 3, 4)}
+    # a seed patent citing an anti-seed: no training row cites the seed
+    corpus = build_corpus(years, codes=codes, cites=[("S0", "N0")], texts=texts)
+    cfg = uspto_config(epochs=20)
+    model = cls.train_uspto(corpus, cfg)
+    comp, want = model.components[0], ref.train_uspto(corpus, cfg).components[0]
+    assert comp.anti_seed == {f"N{k}" for k in range(5)}
+    assert np.array_equal(comp.weights, want.weights) and comp.bias == want.bias
+    assert comp.weights[-2] == 0.0 != comp.weights[-1]  # citations to the seed, then from it
+    score = float(1.0 / (1.0 + np.exp(-np.array([comp.bias])))[0])
+    model.config.threshold = score
+    assert "N2" not in cls.classify_uspto(corpus, model)
+    model.config.threshold = math.nextafter(score, 0.0)
+    assert "N2" in cls.classify_uspto(corpus, model)
+
+
 def test_one_feature_matrix_at_a_time():
-    """Training and scoring hold one dense feature matrix at a time, plus
+    """Training holds the non-zero features of one component at a time, at
+    `NONZERO_BYTES` each, and scoring one block of `_ROW_BLOCK` rows, plus
     temporaries bounded by one block of rows: the traced heap peak of each
-    component's training, and of scoring, exceeds its largest matrix (a
-    block of `_ROW_BLOCK` rows when scoring) by no more than one block's
-    tokens at 32 bytes each and 128 bytes per patent
-    of the corpus (its citation features, id sets and the descent's
-    vectors), whatever the number of rows.  Four components, each trained
-    alone and then all together, largest first, so that the joint peak also
-    shows each matrix freed before the next is built; the largest has
-    thousands of rows."""
+    component's training exceeds its stored non-zeros, and that of scoring
+    one block's dense matrix, by no more than one block's tokens at 32
+    bytes each and 128 bytes per patent of the corpus (its citation
+    features, id sets and the descent's vectors), whatever the number of
+    rows.  No dense matrix is held: a component of more than one block of
+    rows trains below rows x (vocabulary + 2) x 8 bytes.  (A smaller one may
+    not: the per-corpus bytes alone can exceed its dense size.)  Four
+    components, each trained alone and then all together, largest first, so
+    that the joint peak also shows each component's features freed before
+    the next are built; the largest has thousands of rows."""
     corpus = text_heavy_corpus()
     corpus.tokens()  # the token index is the corpus's, built once per run
     longest = max(np.diff(corpus.tokens()[name].indptr).max() for name in cls.USPTO_TEXT_FIELDS)
@@ -513,14 +554,16 @@ def test_one_feature_matrix_at_a_time():
     for comp in cfg.components:
         model, peak = traced_peak(lambda: cls.train_uspto(corpus, replace(cfg, components=(comp,))))
         c = model.components[0]
-        matrix = (len(c.seed) + len(c.anti_seed)) * len(c.weights) * 8
-        assert peak - matrix < slack, (comp, matrix, peak, slack)
+        rows, stored = len(c.seed) + len(c.anti_seed), c.nonzeros * cls.NONZERO_BYTES
+        assert peak - stored < slack, (comp, stored, peak, slack)
+        if rows > cls._ROW_BLOCK:
+            assert peak < rows * len(c.weights) * 8, (comp, rows, peak)
         components.append(c)
     rows = [len(c.seed) + len(c.anti_seed) for c in components]
-    assert rows[0] == max(rows) > rows[-1] and max(rows) > 2000
+    assert rows[0] == max(rows) > rows[-1] and max(rows) > 2000 and min(rows) < cls._ROW_BLOCK
     model, peak = traced_peak(lambda: cls.train_uspto(corpus, cfg))
-    largest = max(rows) * len(components[0].weights) * 8
-    assert peak - largest < slack, (largest, peak, slack)
+    stored = max(c.nonzeros for c in components) * cls.NONZERO_BYTES
+    assert peak - stored < slack and peak < max(rows) * len(components[0].weights) * 8, (stored, peak, slack)
     _, peak = traced_peak(lambda: cls.classify_uspto(corpus, model))
     assert len(corpus) > 4 * cls._ROW_BLOCK and all(len(c.weights) == 302 for c in components)
     block = cls._ROW_BLOCK * 302 * 8
@@ -554,37 +597,77 @@ NUMERIC_SETTINGS = {
 }
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_child(argv, settings):
+    """The output of `python *argv` in a child process with `src/` on its
+    path and `settings` added to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **settings)
+    return subprocess.run([sys.executable, *argv], env=env, check=True, capture_output=True, text=True).stdout
+
+
 @pytest.fixture(scope="module")
-def text_heavy_classify(tmp_path_factory):
+def text_heavy_tables(tmp_path_factory):
+    """A directory holding the text-heavy workload's configs and the tables
+    that `patmetrics synth` writes for it."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the settings name x86-64 BLAS kernels and CPU features")
+    tmp = tmp_path_factory.mktemp("text-heavy")
+    for name in ("text-heavy.run", "text-heavy.synth", "text-heavy.uspto"):
+        shutil.copy(ROOT / "bench" / "workloads" / name, tmp)
+    run_child(["-m", "patmetrics", "synth", "--config", str(tmp / "text-heavy.synth"), "--out", str(tmp)], {})
+    return tmp
+
+
+@pytest.fixture(scope="module")
+def text_heavy_classify(text_heavy_tables):
     """`classify(name, settings)`, the bytes of each `groups/` file that
     `run --only classify` writes for the text-heavy workload's tables in a
     `patmetrics` process with `settings` added to its environment, and
     those files under the default environment."""
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        pytest.skip("the settings name x86-64 BLAS kernels and CPU features")
-    root, tmp = Path(__file__).resolve().parents[1], tmp_path_factory.mktemp("text-heavy")
-    for name in ("text-heavy.run", "text-heavy.synth", "text-heavy.uspto"):
-        shutil.copy(root / "bench" / "workloads" / name, tmp)
-
-    def patmetrics(*argv, **settings):
-        env = dict(os.environ, PYTHONPATH=str(root / "src"), **settings)
-        subprocess.run([sys.executable, "-m", "patmetrics", *argv], env=env, check=True, capture_output=True)
+    tmp = text_heavy_tables
 
     def classify(name, settings):
         out = tmp / name
-        patmetrics(
-            "run", "--config", str(tmp / "text-heavy.run"), "--out", str(out), "--only", "classify", **settings
-        )
+        argv = ["run", "--config", str(tmp / "text-heavy.run"), "--out", str(out), "--only", "classify"]
+        run_child(["-m", "patmetrics", *argv], settings)
         return {f: (out / "groups" / f).read_bytes() for f in sorted(os.listdir(out / "groups"))}
 
-    patmetrics("synth", "--config", str(tmp / "text-heavy.synth"), "--out", str(tmp))
     return classify, classify("default", {})
+
+
+#: Prints a digest of the weights and biases that the text-heavy USPTO
+#: config trains on the tables in the directory argv[1].
+WEIGHTS_DIGEST = """
+import hashlib, sys
+import numpy as np
+from patmetrics import cli, classify, io
+tables = (f"{sys.argv[1]}/{name}.tsv" for name in ("patents", "cpc", "citations", "science"))
+model = classify.train_uspto(io.load_corpus(*tables)[0], cli.load_uspto_config(f"{sys.argv[1]}/text-heavy.uspto"))
+digest = hashlib.sha256()
+for c in model.components:
+    digest.update(c.weights.tobytes() + np.float64(c.bias).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_uspto_weights_independent_of_blas_settings(text_heavy_tables):
+    """Training takes no matrix product, so the text-heavy weights and
+    biases are bit-equal under the default environment and each OpenBLAS
+    setting.  numpy's AVX-512 loops still move their last bits, through
+    `np.exp`, so the `no-avx512` setting is held to equal memberships only
+    (below)."""
+    blas = [s for s in NUMERIC_SETTINGS.values() if all(key.startswith("OPENBLAS_") for key in s)]
+    assert len(blas) == 4
+    digests = {run_child(["-c", WEIGHTS_DIGEST, str(text_heavy_tables)], s) for s in ({}, *blas)}
+    assert len(digests) == 1, digests
 
 
 @pytest.mark.parametrize("name", NUMERIC_SETTINGS)
 def test_uspto_members_independent_of_blas_and_simd_settings(text_heavy_classify, name):
-    """The trained weights differ in their last bits between these settings;
-    the USPTO memberships, and so the groups, must not."""
+    """The USPTO memberships, and so the groups, are equal under each
+    setting, the numpy one included, under which the weights differ."""
     if name == "no-avx512":
         try:
             from numpy._core._multiarray_umath import __cpu_features__

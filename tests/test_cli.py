@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from patmetrics import classify as cls
 from patmetrics import cli, errors
 from patmetrics import io as pio
 from patmetrics.corpus import Corpus
@@ -441,13 +442,13 @@ class TestRunPipeline:
         assert len(lines) == 1
         got = re.fullmatch(
             r"classify: Auto component ai_core: seed (\d+), anti-seed (\d+), vocabulary (\d+), "
-            r"training matrix (\d+) x (\d+) \((\d+\.\d\d) MB\)",
+            r"training features (\d+) x (\d+), (\d+) non-zeros \((\d+\.\d\d) MB\)",
             lines[0],
         )
-        seed, anti, vocab, rows, cols = map(int, got.groups()[:5])
+        seed, anti, vocab, rows, cols, nonzeros = map(int, got.groups()[:6])
         assert seed > 0 and anti == seed and 0 < vocab <= 200
-        assert (rows, cols) == (seed + anti, vocab + 2)
-        assert got[6] == f"{rows * cols * 8 / 2**20:.2f}"
+        assert (rows, cols) == (seed + anti, vocab + 2) and 0 < nonzeros < rows * cols
+        assert got[7] == f"{nonzeros * cls.NONZERO_BYTES / 2**20:.2f}"
 
     def test_run_log_sizes_token_index_once_built(self, ws, full_run, tmp_path):
         lines = [ln for ln in read(full_run / "run.log").splitlines() if "token index" in ln]
@@ -753,9 +754,12 @@ class TestStageTable:
                             "group:Auto", "config", "", "{file}: threshold must lie in (0, 1): 2.0"),
         "synth-seed": ("bad.synth", SYNTH_TEXT.replace("rng_seed = 424", "rng_seed = x"), "inputs", "synth", "",
                        "{file}: [synth] rng_seed: cannot parse 'x'"),
-        # parsed, but refused by the generator
+        # parsed, but refused by the config's checks
         "synth-concentration": ("bad.synth", SYNTH_TEXT.replace("[synth]\n", "[synth]\nclass_concentration = 1000\n"),
-                                "inputs", "synth", "", "class_concentration 1000.0 puts background-code weights"),
+                                "inputs", "synth", "", "{file}: class_concentration 1000.0 puts background-code weights"),
+        # parsed, but refused by the generator
+        "synth-groups": ("bad.synth", SYNTH_TEXT.replace("share = 0.18", "share = 0.95"), "inputs", "synth", "",
+                         "{file}: planted groups need"),
         # every file a group names is read with the run config, even where no stage classifies
         "keyword-category-stats-only": (*BAD_KEYWORDS, "stats", "{file}: line 2: unknown keyword category"),
     }
