@@ -4,8 +4,8 @@ rule table, CPC-prefix groups, and a trained per-component text classifier.
 All classifiers return frozensets of patent ids, so downstream metrics are
 indifferent to how a group was produced.  They read text and CPC codes
 through the corpus's interned indexes (`Corpus.tokens`, `Corpus.codes`),
-so each text field of each patent is tokenized once per corpus, and phrase
-and prefix matching are array operations over token and code ids.
+so each text field of each patent is tokenized once, while it is ingested,
+and phrase and prefix matching are array operations over token and code ids.
 """
 
 from __future__ import annotations

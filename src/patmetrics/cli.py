@@ -193,12 +193,13 @@ def _write_synthetic(out_dir: str, tables: dict, truth: dict) -> None:
         pio.write_ids(os.path.join(out_dir, "truth", f"{name}.ids"), truth[name])
 
 
-def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str) -> Corpus:
+def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str, text: bool) -> Corpus:
     """Validate the corpus once and write its load report.  A synthetic
     corpus is generated afresh (with `seed`, `--seed`, when given) into an
     emptied `corpus/`, and its rows are ingested without reading them back;
-    input tables are read only once every configured one is found."""
-    rules = {"window": cfg.window, "strict": cfg.strict}
+    input tables are read only once every configured one is found.  The
+    patents' text is tokenized only when `text`."""
+    rules = {"window": cfg.window, "strict": cfg.strict, "text": text}
     if cfg.synth_path is not None:
         tables, truth, seed = _synthesize(cfg.synth_path, seed)  # before `corpus/` is cleared
         corpus_dir = _clear(out_dir, "corpus")
@@ -236,27 +237,33 @@ def _clear(out_dir: str, name: str) -> str:
 
 
 def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
-    """Write one member list per configured group into `groups/`."""
-    groups_dir = os.path.join(out_dir, "groups")
+    """Write one member list per configured group into a fresh `groups/`.
+    Every group is classified before `groups/` is cleared, so a group that
+    cannot be classified (a USPTO seed that matches no patent) leaves it as
+    it was."""
+    members, lines = {}, []
     for g in cfg.groups:
         if g.kind == "uspto":
             model = cls.train_uspto(corpus, g.settings["config"])
             for c in model.components:
                 rows, cols = len(c.seed) + len(c.anti_seed), len(c.weights)
-                _log(out_dir, f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
-                              f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}, "
-                              f"training features {rows} x {cols}, {c.nonzeros} non-zeros "
-                              f"({c.nonzeros * cls.NONZERO_BYTES / 2**20:.2f} MB)")
-            members = cls.classify_uspto(corpus, model)
+                lines.append(f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
+                             f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}, "
+                             f"training features {rows} x {cols}, {c.nonzeros} non-zeros "
+                             f"({c.nonzeros * cls.NONZERO_BYTES / 2**20:.2f} MB)")
+            members[g.name] = cls.classify_uspto(corpus, model)
         else:
-            members = CLASSIFIERS[g.kind](corpus, **g.settings)
-        pio.write_ids(os.path.join(groups_dir, f"{g.name}.ids"), members)
-        _log(out_dir, f"classify: {g.name} ({g.kind}) -> {len(members)} patents")
-    if corpus.holds("tokens"):  # a text classifier built the token index
-        fields = list(corpus.tokens().values())
+            members[g.name] = CLASSIFIERS[g.kind](corpus, **g.settings)
+        lines.append(f"classify: {g.name} ({g.kind}) -> {len(members[g.name])} patents")
+    groups_dir = _clear(out_dir, "groups")
+    for name, ids in members.items():
+        pio.write_ids(os.path.join(groups_dir, f"{name}.ids"), ids)
+    if corpus.token_index is not None:
+        fields = list(corpus.token_index.values())
         size = sum(f.ids.nbytes + f.indptr.nbytes for f in fields)
-        _log(out_dir, f"classify: token index {sum(len(f.ids) for f in fields)} tokens, "
-                      f"{len(fields[0].names)} distinct ({size / 2**20:.2f} MB)")
+        lines.append(f"classify: token index {sum(len(f.ids) for f in fields)} tokens, "
+                     f"{len(fields[0].names)} distinct ({size / 2**20:.2f} MB)")
+    _log(out_dir, "\n".join(lines))
 
 
 def load_uspto_config(path: str) -> cls.UsptoConfig:
@@ -282,8 +289,9 @@ def _mpath(out_dir: str, stem: str) -> str:
 
 
 def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
-    """Write the metric tables into `metrics/`, and the descendants of each
-    approach group into `groups/`, replacing those of earlier runs."""
+    """Write the metric tables into a fresh `metrics/`, and the descendants
+    of each approach group into `groups/`, replacing those of earlier runs."""
+    _clear(out_dir, "metrics")
     masks = {g.name: corpus.mask(pio.read_ids(os.path.join(out_dir, "groups", f"{g.name}.ids")))
              for g in cfg.groups}
     # the descendants stay in `groups/`, where the desk digest has them
@@ -390,7 +398,8 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
 
 
 def stage_stats(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
-    """Write the period tests of each compared metric into `stats/`."""
+    """Write the period tests of each compared metric into a fresh `stats/`."""
+    _clear(out_dir, "stats")
     for metric in cfg.compare:
         series = pio.read_series(_mpath(out_dir, metric), metric)
         if len(series) < 2:
@@ -443,7 +452,8 @@ def stage_stats(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
 
 
 def stage_report(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
-    """Plot every metric table into `plots/`."""
+    """Plot every metric table into a fresh `plots/`."""
+    _clear(out_dir, "plots")
     metrics_dir = os.path.join(out_dir, "metrics")
     made = 0
     for name in sorted(os.listdir(metrics_dir)):
@@ -463,7 +473,7 @@ def stage_report(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
 
 
 #: stage -> (function, the directory of OUT it owns and clears before it
-#: runs, the paths under OUT it reads), in pipeline order
+#: writes there, the paths under OUT it reads), in pipeline order
 STAGES = {
     "classify": (stage_classify, "groups", lambda cfg: ()),
     "metrics": (stage_metrics, "metrics", lambda cfg: [f"groups/{g.name}.ids" for g in cfg.groups]),
@@ -493,15 +503,17 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--only repeats a stage: {args.only}")
     os.makedirs(args.out, exist_ok=True)
     owner = {directory: name for name, (_, directory, _) in STAGES.items()}
+    stages = [n for n in STAGES if n in only or not only]  # in pipeline order
+    # only the keyword, WIPO and USPTO classifiers read the patents' text
+    text = "classify" in stages and any(g.kind in ("keyword", "wipo", "uspto") for g in cfg.groups)
     corpus = None
-    for name in (n for n in STAGES if n in only or not only):  # in pipeline order
-        stage, directory, reads = STAGES[name]
+    for name in stages:
+        stage, _, reads = STAGES[name]
         for rel in reads(cfg):  # before anything is written
             if not os.path.exists(path := os.path.join(args.out, rel)):
                 raise DataError(f"missing {path}; run the {owner[rel.split('/')[0]]} stage first")
         if corpus is None and name in ("classify", "metrics"):  # the stages that read the corpus
-            corpus = _ensure_corpus(cfg, args.seed, args.out)
-        _clear(args.out, directory)
+            corpus = _ensure_corpus(cfg, args.seed, args.out, text)
         stage(cfg, corpus, args.out)
     pio.write_manifest(args.out)
     return 0

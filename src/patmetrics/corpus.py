@@ -2,12 +2,13 @@
 
 The corpus is immutable once built.  `io.ingest` is the one place that
 validates table rows and builds it, whether the rows are read from files or
-freshly generated.  A patent is known by its position: its id, grant year
-and each of its text fields sit at that position of one column apiece.  A
+freshly generated.  A patent is known by its position: its id, its grant
+year and each text field's row of tokens sit at that position.  A
 citation exists only as a (citing, cited) pair of positions, CPC codes as
 the interned rows of `Corpus.codes`, and a science link as one entry of
-three columns.  Text is interned once per corpus, in `Corpus.tokens()`, for
-the classifiers to read.
+three columns.  Text is tokenized while it is ingested, a block of patents
+at a time by a `TokenIndexer`, and only its token ids are kept, in
+`Corpus.tokens()`, for the classifiers to read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 from string import ascii_lowercase, digits
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,10 +40,10 @@ LEVELS = (1, 3, 4)
 
 DEFAULT_WINDOW = (1990, 2019)
 
-#: The text fields of a patent, each one `Corpus` column.
+#: The text fields of a patent, each one `Csr` of the token index.
 TEXT_FIELDS = ("title", "abstract", "claims", "description")
 
-#: Token ids renumbered per step of `index_tokens`.
+#: Token ids renumbered per step of `TokenIndexer.build`.
 _RENUMBER_BLOCK = 1 << 16
 
 
@@ -132,57 +133,62 @@ def interner() -> defaultdict:
     return ids
 
 
-def index_tokens(fields: Mapping[str, Iterable[str]]) -> dict[str, Csr]:
-    """Tokenize every text of each field once: one `Csr` per field, whose
-    row i holds the tokens of text i, over one vocabulary shared by all
+class TokenIndexer:
+    """Builds the token index of a corpus from the texts of its patents,
+    handed over a block of patents at a time: one `Csr` per text field, row
+    i holding the tokens of patent i, over one vocabulary shared by all
     fields.  Each field's ids are built into one 4-byte buffer, in order of
-    first sight, then renumbered in token order in place, a fixed block at
-    a time, so the returned arrays are the only token-sized ones; only the
-    sorted vocabulary is decoded to `str`."""
-    seen = interner()
-    csr = {}
-    for name, texts in fields.items():
-        ids, indptr = array("i"), array("i", [0])
-        for text in texts:
-            ids.fromlist(list(map(seen.__getitem__, _token_bytes(text))))
-            indptr.append(len(ids))
-        csr[name] = (np.frombuffer(indptr, np.int32), np.frombuffer(ids, np.int32))
-    vocab = sorted(seen)
-    rank = np.empty(len(vocab), np.int32)
-    rank[[seen[tok] for tok in vocab]] = np.arange(len(vocab), dtype=np.int32)
-    for _, ids in csr.values():
-        for start in range(0, len(ids), _RENUMBER_BLOCK):
-            block = ids[start : start + _RENUMBER_BLOCK]
-            block[:] = rank[block]  # rank[ids] or np.take(..., out=ids) would copy all of ids
-    names = tuple(tok.decode("ascii") for tok in vocab)
-    return {name: Csr(names, indptr, ids) for name, (indptr, ids) in csr.items()}
+    first sight, and `build` renumbers them in token order in place, a
+    fixed block at a time, so the returned arrays are the only token-sized
+    ones; only the sorted vocabulary is decoded to `str`."""
+
+    def __init__(self) -> None:
+        self._seen = interner()
+        self._fields = [(array("i"), array("i", [0])) for _ in TEXT_FIELDS]
+
+    def add(self, texts: Iterable[Sequence[str]]) -> None:
+        """Tokenize the next patents, each given as its `TEXT_FIELDS` texts."""
+        seen = self._seen.__getitem__
+        for (ids, indptr), column in zip(self._fields, zip(*texts)):
+            for text in column:
+                ids.fromlist(list(map(seen, _token_bytes(text))))
+                indptr.append(len(ids))
+
+    def build(self) -> dict[str, Csr]:
+        """The index of every text added; its ids are renumbered in place, so call it once."""
+        vocab = sorted(self._seen)
+        rank = np.empty(len(vocab), np.int32)
+        rank[[self._seen[tok] for tok in vocab]] = np.arange(len(vocab), dtype=np.int32)
+        fields = [(np.frombuffer(indptr, np.int32), np.frombuffer(ids, np.int32)) for ids, indptr in self._fields]
+        for _, ids in fields:
+            for start in range(0, len(ids), _RENUMBER_BLOCK):
+                block = ids[start : start + _RENUMBER_BLOCK]
+                block[:] = rank[block]  # rank[ids] or np.take(..., out=ids) would copy all of ids
+        names = tuple(tok.decode("ascii") for tok in vocab)
+        return {name: Csr(names, *field) for name, field in zip(TEXT_FIELDS, fields)}
 
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Immutable corpus, every patent known by its position in `ids`.
 
-    `year` and the text columns `title`, `abstract`, `claims` and
-    `description` hold each patent's grant year and texts by position, and
-    `position` maps an id back.  `codes` holds each patent's CPC codes.
-    `citing`, `cited` and `citing_year` hold one entry per citation, and
-    `science_patent`, `science_label` and `science_confidence` one per
-    science link, in acceptance order.  Arrays are int32, but for the int64
-    confidences.  All derived indexes are deterministic functions of the
-    content.
+    `year` holds each patent's grant year by position, and `position` maps
+    an id back.  `token_index` holds the tokens of each patent's texts, one
+    `Csr` per text field, or None for a corpus ingested without its text;
+    the raw text is not kept.  `codes` holds each patent's CPC codes.
+    `citing` and `cited` hold one entry per citation, and `science_patent`,
+    `science_label` and `science_confidence` one per science link, in
+    acceptance order.  Arrays are int32, but for the int64 confidences.  All
+    derived indexes are deterministic functions of the content.
     """
 
     ids: tuple[str, ...]
     position: dict[str, int]
     year: np.ndarray
-    title: tuple[str, ...]
-    abstract: tuple[str, ...]
-    claims: tuple[str, ...]
-    description: tuple[str, ...]
+    token_index: dict[str, Csr] | None
     codes: Csr
     citing: np.ndarray
     cited: np.ndarray
-    citing_year: np.ndarray
     science_patent: np.ndarray
     science_label: tuple[str, ...]
     science_confidence: np.ndarray
@@ -201,10 +207,6 @@ class Corpus:
             self._caches[slot] = (key, build())
         return self._caches[slot][1]
 
-    def holds(self, key: Hashable) -> bool:
-        """Whether the value derived under `key` has been made and kept."""
-        return any(held == key for held, _ in self._caches.values())
-
     def mask(self, ids: Iterable[str]) -> np.ndarray:
         """Boolean mask over patent positions marking `ids`, the form in
         which `metrics` takes a group.  An id not in the corpus is a
@@ -221,7 +223,9 @@ class Corpus:
 
     def tokens(self) -> dict[str, Csr]:
         """The tokens of every patent, one `Csr` per text field."""
-        return self.memo("tokens", lambda: index_tokens({name: getattr(self, name) for name in TEXT_FIELDS}))
+        if self.token_index is None:
+            raise ValueError("the corpus was ingested with text=False: it holds no token index")
+        return self.token_index
 
     def class_index(self, level: int) -> Csr:
         """The level-truncated CPC classes of every patent."""

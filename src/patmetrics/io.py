@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .corpus import DEFAULT_WINDOW, TEXT_FIELDS, Corpus, distinct_rows, interner, parse_cpc
+from .corpus import DEFAULT_WINDOW, Corpus, TokenIndexer, distinct_rows, interner, parse_cpc
 from .errors import ConfigError, CpcParseError, DataError
 from .metrics import GroupSeries
 
@@ -170,12 +170,17 @@ _REJECTS = {
 
 _INT64 = np.iinfo(np.int64)
 
+#: Accepted patent rows whose texts are tokenized together: the most text
+#: that ingest holds beyond the rows its source hands it.
+_TEXT_BLOCK = 512
+
 
 def ingest(
     tables: Mapping[str, tuple[str, Iterable[Sequence | None]]],
     *,
     window: tuple[int, int] = DEFAULT_WINDOW,
     strict: bool = False,
+    text: bool = True,
 ) -> tuple[Corpus, LoadReport]:
     """Validate corpus table rows into a `Corpus` and its `LoadReport`.
 
@@ -186,10 +191,12 @@ def ingest(
     skipped; in strict mode the first bad row raises `DataError` naming the
     file and line.  Duplicate patent ids abort in either mode.
 
-    Patents are checked a row at a time.  Each other table is read whole,
-    its id cells turned into patent positions as the rows stream by, and
-    then checked with masks; so a table that fails to read reports that
-    before any bad row.
+    Patents are checked a row at a time, and the texts of the accepted ones
+    tokenized into the corpus's token index a block at a time; with
+    `text=False` they are skipped, and the corpus holds no token index.
+    No text is kept.  Each other table is read whole, its id cells turned
+    into patent positions as the rows stream by, and then checked with
+    masks; so a table that fails to read reports that before any bad row.
     """
     lo, hi = window
     if lo > hi:
@@ -210,7 +217,7 @@ def ingest(
         rejected = Counter(dict(zip(reasons, count[1:])))
         report.tables[name] = TableReport(path, len(reason), count[0], +rejected, +Counter(warnings))
 
-    position, year, texts, reason = _patents(rows("patents"), report.window, strict)
+    position, year, token_index, reason = _patents(rows("patents"), report.window, strict, text)
     tally("patents", reason)
     codes, reason = _cpc(rows("cpc"), position, len(year))
     tally("cpc", reason)
@@ -219,8 +226,8 @@ def ingest(
     science, reason = _science(rows("science"), position)
     tally("science", reason)
     corpus = Corpus(
-        ids=tuple(position), position=position, year=year, **dict(zip(TEXT_FIELDS, texts)),
-        codes=codes, citing=citing, cited=cited, citing_year=year[citing], **science, window=report.window,
+        ids=tuple(position), position=position, year=year, token_index=token_index,
+        codes=codes, citing=citing, cited=cited, **science, window=report.window,
     )
     return corpus, report
 
@@ -254,15 +261,17 @@ def _stream(rows: Iterable[Sequence | None], cells, width: int, dtype=np.int32) 
     return np.fromiter(each(), np.dtype((dtype, width)))
 
 
-def _patents(rows: Iterable[Sequence | None], window: tuple[int, int], strict: bool):
+def _patents(rows: Iterable[Sequence | None], window: tuple[int, int], strict: bool, text: bool):
     """Check patent rows in order, for a repeated id aborts only against an
     id already accepted; in strict mode, stop after the first rejected row.
-    The position of each accepted id, their grant years and text columns,
-    and the reason code of each row checked."""
+    The position of each accepted id, their grant years, the token index of
+    their texts (None unless `text`), and the reason code of each row
+    checked.  The texts of `_TEXT_BLOCK` accepted rows are tokenized at
+    once, and then dropped."""
     lo, hi = window
     position: dict[str, int] = {}
     year: list[int] = []
-    texts = tuple([] for _ in TEXT_FIELDS)
+    indexer, block = TokenIndexer(), []
     reason = bytearray()
     for row in rows:
         try:
@@ -281,11 +290,15 @@ def _patents(rows: Iterable[Sequence | None], window: tuple[int, int], strict: b
         if k == 0:
             position[pid] = len(year)
             year.append(grant)
-            for column, cell in zip(texts, (title, abstract, claims, description)):
-                column.append(cell)
+            if text:
+                block.append((title, abstract, claims, description))
+                if len(block) == _TEXT_BLOCK:
+                    indexer.add(block)
+                    block.clear()
         elif strict:
             break
-    return position, np.array(year, np.int32), tuple(map(tuple, texts)), np.frombuffer(reason, np.uint8)
+    indexer.add(block)
+    return position, np.array(year, np.int32), indexer.build() if text else None, np.frombuffer(reason, np.uint8)
 
 
 def _normal_cpc(raw: str) -> str | None:
@@ -389,12 +402,13 @@ def load_corpus(
     *,
     window: tuple[int, int] = DEFAULT_WINDOW,
     strict: bool = False,
+    text: bool = True,
 ) -> tuple[Corpus, LoadReport]:
     """Read corpus tables from TSV files and `ingest` them.  A table is read
     only when `ingest` reaches it."""
     paths = zip(TABLE_COLUMNS, (patents_path, cpc_path, citations_path, science_path))
     tables = {name: (path, _read_rows(path, name)) for name, path in paths if path is not None}
-    return ingest(tables, window=window, strict=strict)
+    return ingest(tables, window=window, strict=strict, text=text)
 
 
 def write_corpus(out_dir: str, tables: Mapping[str, Iterable[Sequence]]) -> None:

@@ -315,7 +315,7 @@ def _lags(corpus: Corpus, mask: np.ndarray, mode: str) -> tuple[np.ndarray, np.n
         raise ValueError(f"unknown lag mode {mode!r}")
     rows = mask[corpus.cited]
     cited = corpus.cited[rows]
-    lags = corpus.citing_year[rows] - corpus.year[cited]
+    lags = corpus.year[corpus.citing[rows]] - corpus.year[cited]
     if mode == "first_citation":
         smallest = np.full(len(corpus), np.iinfo(np.int32).max, np.int32)
         np.minimum.at(smallest, cited, lags)

@@ -1,6 +1,7 @@
 """Small builders shared by the test modules."""
 
 import tracemalloc
+import weakref
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
@@ -10,6 +11,36 @@ import numpy as np
 from patmetrics import io as pio
 from patmetrics import synth
 from patmetrics.corpus import TEXT_FIELDS, Corpus, Csr
+
+#: corpus -> the texts of its patents, one tuple per text field by
+#: position, kept from the rows it was ingested from: the raw text that the
+#: reference classifiers tokenize themselves, since the corpus keeps none.
+_TEXTS = weakref.WeakKeyDictionary()
+
+
+def ingest_rows(tables, **rules):
+    """`io.ingest` of `tables`, name -> rows with each table named after
+    itself, every patent row of which must be accepted; the texts of those
+    rows are kept for `texts_of`."""
+    corpus, _ = pio.ingest({name: (name, rows) for name, rows in tables.items()}, **rules)
+    patents = tables["patents"]
+    assert len(patents) == len(corpus)  # so row k is the patent at position k
+    _TEXTS[corpus] = {name: tuple(row[2 + k] for row in patents) for k, name in enumerate(TEXT_FIELDS)}
+    return corpus
+
+
+def texts_of(corpus):
+    """field -> the texts of the patents of `corpus` by position, as the
+    rows that `build_corpus` or `synth_corpus` ingested held them."""
+    return _TEXTS[corpus]
+
+
+def tokens_of(corpus, name, patent_id):
+    """The tokens of the `name` field of a patent, read from the corpus's
+    token index."""
+    index = corpus.tokens()[name]
+    p = corpus.position[patent_id]
+    return [index.names[k] for k in index.ids[index.indptr[p] : index.indptr[p + 1]]]
 
 
 def build_corpus(
@@ -40,8 +71,7 @@ def build_corpus(
         "science": list(science),
     }
     # strict: a row that is not accepted fails the test that built it
-    corpus, _ = pio.ingest({name: (name, rows) for name, rows in tables.items()}, window=window, strict=True)
-    return corpus
+    return ingest_rows(tables, window=window, strict=True)
 
 
 def classes_at(corpus, level, patent_id):
@@ -72,8 +102,7 @@ def synth_corpus(config):
     ingested as a synthetic `run` ingests them, each table named after
     itself, in the generator's own window."""
     tables, truth = synth.generate(config)
-    corpus, _ = pio.ingest({name: (name, rows) for name, rows in tables.items()}, window=config.years)
-    return corpus, truth
+    return ingest_rows(tables, window=config.years), truth
 
 
 @cache
@@ -107,14 +136,18 @@ def traced_peak(call):
 
 def assert_same_corpus(got, want):
     """Every field of two corpora is equal: each array in dtype too, and
-    the code `Csr` field by field."""
+    the code `Csr` and each `Csr` of the token index field by field."""
     for f in fields(Corpus):
         if f.name != "_caches":
             assert_same(getattr(got, f.name), getattr(want, f.name), f.name)
 
 
 def assert_same(a, b, name):
-    if isinstance(b, Csr):
+    if isinstance(b, dict):
+        assert a.keys() == b.keys(), name
+        for key in b:
+            assert_same(a[key], b[key], f"{name}[{key}]")
+    elif isinstance(b, Csr):
         for f in fields(Csr):
             assert_same(getattr(a, f.name), getattr(b, f.name), f"{name}.{f.name}")
     elif isinstance(b, np.ndarray):
@@ -129,7 +162,7 @@ def citation_triples(corpus):
     ids = corpus.ids
     return [
         (ids[i], ids[j], year)
-        for i, j, year in zip(corpus.citing.tolist(), corpus.cited.tolist(), corpus.citing_year.tolist())
+        for i, j, year in zip(corpus.citing.tolist(), corpus.cited.tolist(), corpus.year[corpus.citing].tolist())
     ]
 
 

@@ -5,24 +5,25 @@ operations over the corpus's interned indexes: a regular-expression
 tokenizer, phrase matching over token strings, CPC prefixes by
 `str.startswith` on each patent's codes, the seed expansion over (citing
 id, cited id) pairs, and the USPTO features from one `Counter` of tokens
-per patent.  They are kept as test oracles:
-memberships and vocabularies must be equal, and feature matrices bit-equal,
-to what `patmetrics.classify` returns.  `train_uspto` is the trainer that
-gathered each component's whole bag of tokens at once (`_bag`) and built an
-int64 count matrix, an absolute-value copy and a scaled copy of its
-features; its weights and biases must be bit-equal.  Its products and
-scores take each dot product over the non-zero entries of a dense row or
-column in index order (`_sparse_dot`), the order in which
-`patmetrics.classify` sums the same terms by `np.add.reduceat`.
+per patent.  They read each patent's raw text from the rows its corpus was
+ingested from (`helpers.texts_of`), never from the corpus's token index.
+They are kept as test oracles: memberships and vocabularies must be equal,
+and feature matrices bit-equal, to what `patmetrics.classify` returns.
+`train_uspto` is the trainer that built each component's whole dense
+feature matrix, an absolute-value copy and a scaled copy of it; its
+weights and biases must be bit-equal.  Its products and scores take each
+dot product over the non-zero entries of a dense row or column in index
+order (`_sparse_dot`), the order in which `patmetrics.classify` sums the
+same terms by `np.add.reduceat`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import re
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from dataclasses import replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,38 +34,15 @@ from patmetrics.classify import (
     UsptoConfig,
     UsptoModel,
     WIPO_TEXT_FIELDS,
-    _citation_features,
     build_uspto_seed as _interned_seed,
     default_keywords,
     default_wipo_rules,
     phrase_patents,
 )
-from patmetrics.corpus import Csr, index_tokens
 from patmetrics.errors import ConfigError
 
-from helpers import build_corpus, citation_triples, codes_by_id
-
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-def tokenize(text: str) -> list[str]:
-    """Maximal runs of ASCII letters and digits in the lowercased text."""
-    return _TOKEN_RE.findall(text.lower())
-
-
-def index_tokens(fields: Mapping[str, Iterable[str]]) -> dict[str, Csr]:
-    """One `Csr` of token ids per field over the sorted vocabulary of all
-    fields, row i holding the tokens of text i in text order."""
-    tokens = {name: [tokenize(text) for text in texts] for name, texts in fields.items()}
-    names = tuple(sorted({tok for rows in tokens.values() for row in rows for tok in row}))
-    rank = {tok: k for k, tok in enumerate(names)}
-    out = {}
-    for name, rows in tokens.items():
-        indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.int32)
-        ids = np.array([rank[tok] for row in rows for tok in row], np.int32)
-        out[name] = Csr(names, indptr, ids)
-    return out
+from helpers import build_corpus, citation_triples, codes_by_id, texts_of
+from reference_corpus import index_tokens, tokenize
 
 
 def _pairs(corpus) -> list[tuple[str, str]]:
@@ -86,16 +64,17 @@ def match_text(phrases: Sequence[tuple[str, ...]], text: str) -> bool:
     """Whether `phrase_patents` finds one of `phrases` in `text`, the title
     of a one-patent corpus read through this module's token index."""
     corpus = build_corpus({"P": 2000}, texts={"P": {"title": text}})
-    corpus.memo("tokens", lambda: index_tokens({name: getattr(corpus, name) for name in TEXT_FIELDS}))
+    corpus = replace(corpus, token_index=index_tokens(texts_of(corpus)))
     return bool(phrase_patents(corpus, phrases, ("title",))[0])
 
 
 def classify_keyword(corpus, phrases=None) -> frozenset[str]:
     phrases = phrases or default_keywords()
+    texts = texts_of(corpus)
     return frozenset(
         pid
         for p, pid in enumerate(corpus.ids)
-        if any(match_tokens(phrases, tokenize(getattr(corpus, name)[p])) for name in TEXT_FIELDS)
+        if any(match_tokens(phrases, tokenize(texts[name][p])) for name in TEXT_FIELDS)
     )
 
 
@@ -105,9 +84,10 @@ def classify_wipo(corpus, rules=None) -> frozenset[str]:
         raise ConfigError("rule set is empty")
     hits = []
     codes = codes_by_id(corpus)
+    texts = texts_of(corpus)
     for p, pid in enumerate(corpus.ids):
         raws = codes.get(pid, ())
-        fields = [tokenize(getattr(corpus, name)[p]) for name in WIPO_TEXT_FIELDS]
+        fields = [tokenize(texts[name][p]) for name in WIPO_TEXT_FIELDS]
 
         def has_phrase(ph):
             return any(match_tokens([ph], tokens) for tokens in fields)
@@ -183,7 +163,7 @@ def _doc_counter(corpus, pid: str) -> Counter:
     p = corpus.position[pid]
     counts: Counter = Counter()
     for name in USPTO_TEXT_FIELDS:
-        counts.update(tokenize(getattr(corpus, name)[p]))
+        counts.update(tokenize(texts_of(corpus)[name][p]))
     return counts
 
 
@@ -241,28 +221,6 @@ def classify_uspto(corpus, model) -> frozenset[str]:
     return frozenset(hits)
 
 
-def _bag(corpus, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, token id) of each title, abstract and claims token of the patent
-    at position rows[i]: the pooled bags of tokens behind the text features."""
-    i, tok = zip(*(corpus.tokens()[name].take(rows) for name in USPTO_TEXT_FIELDS))
-    return np.concatenate(i), np.concatenate(tok)
-
-
-def _features(corpus, bag, vocab: Sequence[str], cites: np.ndarray) -> np.ndarray:
-    """Feature rows through an int64 (rows, vocabulary + 1) count matrix."""
-    n, v = len(cites), len(vocab)
-    words = corpus.tokens()["title"]
-    known = np.array([words.id_of(tok) for tok in vocab], np.int64)
-    column = np.full(len(words.names), v)
-    column[known[known >= 0]] = np.flatnonzero(known >= 0)
-    counts = np.bincount(bag[0] * np.int64(v + 1) + column[bag[1]], minlength=n * (v + 1))
-    counts = counts.reshape(n, v + 1)[:, :v]
-    X = np.empty((n, v + 2))
-    np.divide(counts, np.maximum(counts.sum(axis=1), 1)[:, None], out=X[:, :v])
-    X[:, v:] = cites
-    return X
-
-
 def train_uspto(corpus, config: UsptoConfig | None = None) -> UsptoModel:
     """Descent on a scaled copy of the features, each component's matrix
     alive until the next one is built."""
@@ -279,13 +237,9 @@ def train_uspto(corpus, config: UsptoConfig | None = None) -> UsptoModel:
         anti = frozenset(rng.sample(pool, min(len(seed), len(pool))))
 
         train_ids = sorted(seed) + sorted(anti)
-        rows = np.array([corpus.position[p] for p in train_ids], np.int64)
         y = np.array([1.0] * len(seed) + [0.0] * len(anti))
-        bag = _bag(corpus, rows)
-        counts = np.bincount(bag[1], minlength=len(corpus.tokens()["title"].names))
-        top = np.argsort(-counts, kind="stable")[: min(cfg.vocab_size, np.count_nonzero(counts))]
-        vocab = tuple(corpus.tokens()["title"].names[k] for k in top.tolist())
-        X = _features(corpus, bag, vocab, _citation_features(corpus, seed)[rows])
+        vocab = top_tokens(corpus, train_ids, cfg.vocab_size)
+        X = features(corpus, train_ids, vocab, seed)
         scales = np.abs(X).max(axis=0)
         scales[scales == 0] = 1.0
         Xs = X / scales

@@ -4,20 +4,43 @@
 a `PatentRecord` and each science link in a `ScienceLink`; `ingest` feeds it
 every row of every table.  This is the loader `io.ingest` replaced, unchanged
 but for `CorpusBuilder.build`, which lays the records and links out as the
-columns of today's `Corpus`.
+columns of today's `Corpus`, and the records' texts out as its token index,
+tokenized by a regular expression (`index_tokens`).
 """
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from patmetrics.corpus import DEFAULT_WINDOW, TEXT_FIELDS, Corpus, distinct_rows, parse_cpc
+from patmetrics.corpus import DEFAULT_WINDOW, TEXT_FIELDS, Corpus, Csr, distinct_rows, parse_cpc
 from patmetrics.errors import CpcParseError, DataError
 from patmetrics.io import TABLE_COLUMNS, LoadReport, TableReport
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def tokenize(text: str) -> list[str]:
+    """Maximal runs of ASCII letters and digits in the lowercased text."""
+    return _TOKEN_RE.findall(text.lower())
+
+
+def index_tokens(fields: Mapping[str, Iterable[str]]) -> dict[str, Csr]:
+    """One `Csr` of token ids per field over the sorted vocabulary of all
+    fields, row i holding the tokens of text i in text order."""
+    tokens = {name: [tokenize(text) for text in texts] for name, texts in fields.items()}
+    names = tuple(sorted({tok for rows in tokens.values() for row in rows for tok in row}))
+    rank = {tok: k for k, tok in enumerate(names)}
+    out = {}
+    for name, rows in tokens.items():
+        indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.int32)
+        ids = np.array([rank[tok] for row in rows for tok in row], np.int32)
+        out[name] = Csr(names, indptr, ids)
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +156,6 @@ class CorpusBuilder:
 
     def build(self) -> Corpus:
         year = np.array(self._year, np.int32)
-        citing = np.array(self._citing, np.int32)
         owners, raws = zip(*self._codes) if self._codes else ((), ())
         names, of_code = np.unique(raws, return_inverse=True)
         links = self._science
@@ -141,11 +163,10 @@ class CorpusBuilder:
             ids=tuple(self._position),
             position=dict(self._position),
             year=year,
-            **{name: tuple(getattr(r, name) for r in self._records) for name in TEXT_FIELDS},
+            token_index=index_tokens({name: [getattr(r, name) for r in self._records] for name in TEXT_FIELDS}),
             codes=distinct_rows(len(year), np.array(owners, np.int64), of_code, tuple(names.tolist())),
-            citing=citing,
+            citing=np.array(self._citing, np.int32),
             cited=np.array(self._cited, np.int32),
-            citing_year=year[citing],
             science_patent=np.array([self._position[link.patent] for link in links], np.int32),
             science_label=tuple(link.field_label for link in links),
             science_confidence=np.array([link.confidence for link in links], np.int64),

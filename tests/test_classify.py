@@ -14,11 +14,10 @@ import pytest
 from patmetrics import classify as cls
 from patmetrics import io as pio
 from patmetrics import corpus as corpus_module
-from patmetrics.corpus import index_tokens
 from patmetrics.errors import ConfigError
 
 import reference_classify as ref
-from helpers import build_corpus, random_corpus, text_heavy_corpus, traced_peak
+from helpers import assert_same, build_corpus, ingest_rows, random_corpus, text_heavy_corpus, texts_of, traced_peak
 
 
 class TestTokenize:
@@ -44,21 +43,21 @@ TOKEN_ALPHABET = (
 
 
 def test_tokenize_equals_regex_oracle(monkeypatch):
-    """The byte-table tokenizer and the token index equal the regular
-    expression over the lowercased text, on random hostile strings; the
-    index renumbers its ids in blocks of 3, so most fields span several."""
+    """The byte-table tokenizer, and the token index that ingest builds,
+    equal the regular expression over the lowercased text, on random
+    hostile strings, none to five patents of them; ingest tokenizes the
+    texts of 2 patents at a time and renumbers ids in blocks of 3, so most
+    fields span several of each."""
     monkeypatch.setattr(corpus_module, "_RENUMBER_BLOCK", 3)
+    monkeypatch.setattr(pio, "_TEXT_BLOCK", 2)
     rng = random.Random(8800)
     for _ in range(300):
-        texts = ["".join(rng.choices(TOKEN_ALPHABET, k=rng.randrange(0, 40))) for _ in range(5)]
+        texts = ["".join(rng.choices(TOKEN_ALPHABET, k=rng.randrange(0, 40))) for _ in range(4 * rng.randrange(6))]
         for text in texts:
             assert cls.tokenize(text) == ref.tokenize(text), repr(text)
-        fields = {"a": texts[:2], "b": texts[2:], "c": []}
-        got, want = index_tokens(fields), ref.index_tokens(fields)
-        for name in fields:
-            assert got[name].names == want[name].names
-            assert np.array_equal(got[name].indptr, want[name].indptr)
-            assert np.array_equal(got[name].ids, want[name].ids)
+        rows = [(f"P{k}", 2000, *texts[4 * k : 4 * k + 4]) for k in range(len(texts) // 4)]
+        corpus = ingest_rows({"patents": rows}, window=(2000, 2000))
+        assert_same(corpus.tokens(), ref.index_tokens(texts_of(corpus)), "tokens")
 
 
 class TestPhrasePatents:
@@ -370,7 +369,6 @@ def test_classifiers_equal_reference_loops(seed, monkeypatch):
             features = cls._features(corpus, cls._field_blocks(corpus, at), comp.vocab, cites[at])
             got = scatter(features, len(comp.weights))
             assert np.array_equal(got, ref.features(corpus, rows, comp.vocab, comp.seed))
-            assert np.array_equal(got, ref._features(corpus, ref._bag(corpus, at), comp.vocab, cites[at]))
     assert cls.classify_uspto(corpus, model) == ref.classify_uspto(corpus, model)
 
 
@@ -544,7 +542,6 @@ def test_one_feature_matrix_at_a_time():
     that the joint peak also shows each component's features freed before
     the next are built; the largest has thousands of rows."""
     corpus = text_heavy_corpus()
-    corpus.tokens()  # the token index is the corpus's, built once per run
     longest = max(np.diff(corpus.tokens()[name].indptr).max() for name in cls.USPTO_TEXT_FIELDS)
     slack = cls._ROW_BLOCK * int(longest) * 32 + 128 * len(corpus)
     seeds = {code.lower(): (code,) for code in ("A01B", "A61K", "B23K", "H04L")}

@@ -4,13 +4,14 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from patmetrics import classify as cls
 from patmetrics import cli, errors
 from patmetrics import io as pio
-from patmetrics.corpus import Corpus
+from patmetrics.corpus import Corpus, TokenIndexer
 from patmetrics.errors import ConfigError, DataError, PatmetricsError
 
 CS_AI = "Computer Science; Artificial Intelligence"
@@ -450,26 +451,44 @@ class TestRunPipeline:
         assert (rows, cols) == (seed + anti, vocab + 2) and 0 < nonzeros < rows * cols
         assert got[7] == f"{nonzeros * cls.NONZERO_BYTES / 2**20:.2f}"
 
-    def test_run_log_sizes_token_index_once_built(self, ws, full_run, tmp_path):
+    def test_run_log_sizes_token_index_once_built(self, full_run):
         lines = [ln for ln in read(full_run / "run.log").splitlines() if "token index" in ln]
         assert len(lines) == 1
         got = re.fullmatch(
             r"classify: token index (\d+) tokens, (\d+) distinct \((\d+\.\d\d) MB\)", lines[0]
         )
         assert int(got[1]) > int(got[2]) > 0
-        # science and prefix groups read no text, so build no token index
+
+    TEXT_RUNS = {  # case: (groups removed from RUN_TEXT, --only, whether the run tokenizes)
+        "science-and-prefix": (("Keyword", "Rules", "Auto"), "", False),
+        "science-classify-only": (("Keyword", "Rules", "Auto"), "classify", False),
+        "keyword-metrics-only": (("Rules", "Auto"), "metrics", False),
+        "keyword-classify-only": (("Rules", "Auto"), "classify", True),
+    }
+
+    @pytest.mark.parametrize("case", TEXT_RUNS)
+    def test_token_index_built_only_to_classify_a_text_group(self, ws, full_run, tmp_path, monkeypatch, case):
+        """Only a run whose stages classify a keyword, WIPO or USPTO group
+        tokenizes the patents' text while ingesting, and logs its size."""
+        dropped, only, tokenized = self.TEXT_RUNS[case]
+        built = []
+        build = TokenIndexer.build
+        monkeypatch.setattr(TokenIndexer, "build", lambda indexer: built.append(1) or build(indexer))
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(RUN_TEXT)
-        for name in ("group:Keyword", "group:Rules", "group:Auto"):
-            del parser[name]
+        for name in dropped:
+            del parser[f"group:{name}"]
         parser["inputs"]["synth"] = str(ws / "small.synth")
-        cfg = tmp_path / "no-text.run"
+        cfg = tmp_path / "text.run"
         with open(cfg, "w", encoding="utf-8") as fh:
             parser.write(fh)
         out = tmp_path / "o"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--only", "classify"]) == 0
+        shutil.copytree(full_run, out)  # the groups that `--only metrics` reads
+        (out / "run.log").unlink()
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--only", only]) == 0
         log = read(out / "run.log")
-        assert "classify: Science (science)" in log and "token index" not in log
+        assert log.startswith("synth: generated ") and "load: " in log
+        assert ("token index" in log) == tokenized and len(built) == tokenized
 
     def test_run_log_sizes_outside_incidence_per_level(self, ws, full_run, tmp_path):
         pattern = (r"metrics: level (\d) outside-class incidence (\d+) rows, "
@@ -663,8 +682,9 @@ class TestExitCodes:
 
 
 class TestStageTable:
-    """`cli.STAGES` drives `run`: each stage's inputs are checked, then its
-    directory cleared, then the stage run, in pipeline order."""
+    """`cli.STAGES` drives `run`: each stage's inputs are checked, then the
+    stage run, in pipeline order; it clears its directory before it writes
+    there."""
 
     @staticmethod
     def config(ws, tmp_path, sections):
@@ -777,6 +797,26 @@ class TestStageTable:
         assert cli.main(["run", "--config", cfg, "--out", str(out), "--only", only]) == 2
         assert "configuration error: " + error.format(file=tmp_path / name) in capsys.readouterr().err
         assert self.tree(out) == before
+        self.assert_manifest_verifies(out)
+
+
+    @pytest.mark.parametrize("seed", ["Z99", "A, B, C, D, E, F, G, H, Y"], ids=["no-match", "no-negatives"])
+    def test_uspto_seed_refused_by_the_corpus_changes_no_group(self, ws, full_run, tmp_path, capsys, seed):
+        """A USPTO seed that matches no patent, or every one, can only be
+        refused once the corpus is built: every group is classified before
+        `groups/` is cleared, so the run exits 2 with `groups/` and the
+        manifest as they were (`run.log` records the corpus load)."""
+        (tmp_path / "bad.uspto").write_text(USPTO_TEXT.replace("ai_core = Y02", f"ai_core = {seed}"), encoding="utf-8")
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        before = self.tree(out)
+        cfg = self.config(ws, tmp_path, {"group:Auto": {"config": str(tmp_path / "bad.uspto")}})
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        error = "seed matches no patent" if seed == "Z99" else "no negatives left to sample"
+        assert f"configuration error: component 'ai_core': {error}" in capsys.readouterr().err
+        after = self.tree(out)
+        assert after.pop(Path("run.log")) != before.pop(Path("run.log"))
+        assert after == before
         self.assert_manifest_verifies(out)
 
 

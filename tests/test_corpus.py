@@ -4,11 +4,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from patmetrics import classify as cls
+from patmetrics import corpus as corpus_module
 from patmetrics import io as pio
-from patmetrics.corpus import TEXT_FIELDS, Csr, distinct, index_tokens, parse_cpc
+from patmetrics.corpus import TEXT_FIELDS, Csr, TokenIndexer, distinct, parse_cpc
 from patmetrics.errors import CpcParseError, DataError
 
-from helpers import assert_same, build_corpus, classes_at, text_heavy_corpus, traced_peak
+from helpers import assert_same, build_corpus, classes_at, text_heavy_corpus, texts_of, tokens_of, traced_peak
 
 
 def reference_code_index(corpus, rows):
@@ -120,7 +122,7 @@ class TestBuilder:
         ]
         corpus, _ = ingest(patents=patents, citations=rows)
         assert len(corpus.citing) == 1
-        assert corpus.citing_year[0] == 2005
+        assert corpus.year[corpus.citing[0]] == 2005
         assert (corpus.citing[0], corpus.cited[0]) == (1, 0)
 
     def test_rejected_record_takes_no_position(self):
@@ -202,12 +204,12 @@ class TestCorpusIndexes:
             texts={pid: {"title": pid.lower()} for pid in "ABC"},
         )
         assert corpus.ids == ("B", "A", "C")
-        assert corpus.title == ("b", "a", "c")
+        assert [tokens_of(corpus, "title", pid) for pid in corpus.ids] == [["b"], ["a"], ["c"]]
         assert corpus.position == {"B": 0, "A": 1, "C": 2}
         assert corpus.year.tolist() == [2001, 2000, 2003]
         assert corpus.citing.tolist() == [2, 0, 2]
         assert corpus.cited.tolist() == [1, 1, 0]
-        assert corpus.citing_year.tolist() == [2003, 2001, 2003]
+        assert corpus.year[corpus.citing].tolist() == [2003, 2001, 2003]
         assert {a.dtype.name for a in (corpus.year, corpus.citing, corpus.cited)} == {"int32"}
 
     def test_years(self):
@@ -249,12 +251,57 @@ def test_distinct_equals_np_unique(seed):
 
 
 def test_index_tokens_holds_only_its_ids():
-    """Building the token index of a generated corpus peaks at no more than
+    """Building the token index of a generated corpus as ingest builds it,
+    the texts of `_TEXT_BLOCK` patents at a time, peaks at no more than
     1.25 times the arrays it returns: each field's ids are built at 4 bytes
     a token and renumbered where they lie."""
     corpus = text_heavy_corpus()
-    fields = {name: getattr(corpus, name) for name in TEXT_FIELDS}
-    index, peak = traced_peak(lambda: index_tokens(fields))
+    texts = texts_of(corpus)
+    rows = list(zip(*(texts[name] for name in TEXT_FIELDS)))
+
+    def build():
+        indexer = TokenIndexer()
+        for start in range(0, len(rows), pio._TEXT_BLOCK):
+            indexer.add(rows[start : start + pio._TEXT_BLOCK])
+        return indexer.build()
+
+    index, peak = traced_peak(build)
+    assert_same(index, corpus.tokens(), "tokens")
     size = sum(csr.ids.nbytes + csr.indptr.nbytes for csr in index.values())
     assert size > 2 * 2**20
     assert peak <= 1.25 * size, peak / size
+
+
+class TestIngestText:
+    ROWS = [
+        ("P1", 2000, "alpha", "", "", ""),
+        ("P0", 1999, "zeppelin", "", "", ""),  # out of the window
+        None,  # a short line
+        ("", 2000, "zeppelin", "", "", ""),
+        ("P2", 2001, "beta gamma", "", "", "omega"),
+    ]
+
+    def test_rejected_rows_add_no_tokens(self, monkeypatch):
+        monkeypatch.setattr(pio, "_TEXT_BLOCK", 2)
+        corpus, report = ingest(patents=self.ROWS)
+        assert report.tables["patents"].rejected_total == 3
+        assert corpus.tokens()["title"].names == ("alpha", "beta", "gamma", "omega")
+        assert [tokens_of(corpus, "title", pid) for pid in corpus.ids] == [["alpha"], ["beta", "gamma"]]
+        assert tokens_of(corpus, "description", "P2") == ["omega"]
+
+    def test_strict_ingest_tokenizes_no_row_from_its_first_bad_one(self, monkeypatch):
+        seen = []
+        token_bytes = corpus_module._token_bytes
+        monkeypatch.setattr(corpus_module, "_token_bytes", lambda text: seen.append(text) or token_bytes(text))
+        with pytest.raises(DataError, match="patents: line 3: rejected row"):
+            pio.ingest({"patents": ("patents", self.ROWS)}, window=(2000, 2010), strict=True)
+        assert not {"zeppelin", "beta gamma", "omega"} & set(seen), seen
+
+    def test_corpus_without_text_refuses_its_tokens(self):
+        corpus, report = pio.ingest({"patents": ("patents", self.ROWS)}, window=(2000, 2010), text=False)
+        assert corpus.token_index is None and corpus.ids == ("P1", "P2")
+        assert report.tables["patents"].rejected_total == 3
+        for read in (corpus.tokens, lambda: cls.classify_keyword(corpus), lambda: cls.classify_wipo(corpus)):
+            with pytest.raises(ValueError, match="ingested with text=False"):
+                read()
+        assert cls.classify_prefix_group(corpus, "All") == {"P1", "P2"}

@@ -10,7 +10,7 @@ from patmetrics import synth
 from patmetrics.errors import DataError
 from patmetrics.metrics import GroupSeries
 
-from helpers import assert_same_corpus, classes_at
+from helpers import assert_same_corpus, classes_at, tokens_of
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 
@@ -46,7 +46,7 @@ class TestLoadCorpus:
             window=(2000, 2002),
         )
         assert len(corpus) == 3
-        assert corpus.abstract[corpus.position["P1"]] == "an abstract"
+        assert tokens_of(corpus, "abstract", "P1") == ["an", "abstract"]
         assert classes_at(corpus, 4, "P1") == {"G06N"}
         assert len(corpus.citing) == 2
         assert len(corpus.science_patent) == 1
@@ -127,7 +127,7 @@ class TestLoadCorpus:
             window=(2000, 2002),
         )
         # the resolved year wins; the stated one is only flagged
-        assert corpus.citing_year[0] == 2001
+        assert corpus.year[corpus.citing[0]] == 2001
         assert report.tables["citations"].warnings["citing_year_mismatch"] == 1
         assert report.tables["citations"].accepted == 1
 

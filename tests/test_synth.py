@@ -7,7 +7,7 @@ from patmetrics import synth
 from patmetrics.classify import WipoRule
 from patmetrics.errors import ConfigError
 
-from helpers import synth_corpus
+from helpers import synth_corpus, texts_of
 from reference_metrics import jaccard
 
 CS_AI = "Computer Science; Artificial Intelligence"
@@ -183,7 +183,7 @@ class TestPlanting:
         corpus, truth = generated
         carriers = {
             pid
-            for pid, abstract in zip(corpus.ids, corpus.abstract)
+            for pid, abstract in zip(corpus.ids, texts_of(corpus)["abstract"])
             if "quantumflux" in cls.tokenize(abstract)
         }
         assert carriers == truth["us"]
