@@ -14,7 +14,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -30,11 +29,6 @@ KEYWORD_CATEGORIES = ("symbols", "learning", "robotics")
 
 #: Text fields searched by the rule-table classifier (descriptions excluded).
 WIPO_TEXT_FIELDS = ("title", "abstract", "claims")
-
-
-def _members(corpus: Corpus, mask: np.ndarray) -> frozenset[str]:
-    """The ids of the patents a position mask marks."""
-    return frozenset(compress(corpus.ids, mask.tolist()))
 
 
 def phrase_patents(corpus: Corpus, phrases: Iterable[tuple[str, ...]], fields: Sequence[str]) -> np.ndarray:
@@ -110,7 +104,7 @@ def classify_keyword(corpus: Corpus, keywords: Sequence[tuple[str, ...]] | None 
     the phrases `keywords` (as `load_keywords` returns them; None: the packaged table)."""
     if keywords is None:
         keywords = default_keywords()
-    return _members(corpus, phrase_patents(corpus, keywords, TEXT_FIELDS))
+    return corpus.members(phrase_patents(corpus, keywords, TEXT_FIELDS))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +121,7 @@ def classify_science(
     links &= corpus.science_confidence > min_confidence
     mask = np.zeros(len(corpus), bool)
     mask[corpus.science_patent[links]] = True
-    return _members(corpus, mask)
+    return corpus.members(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +186,7 @@ def classify_wipo(corpus: Corpus, rules: Sequence[WipoRule] | None = None) -> fr
             hit |= has_phrase[rule.phrase]
         else:
             hit |= codes.carriers(rule.prefix) & has_phrase[rule.phrase]
-    return _members(corpus, hit)
+    return corpus.members(hit)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +200,7 @@ def classify_prefix_group(corpus: Corpus, prefix: str) -> frozenset[str]:
     pref = prefix.strip().upper()
     if not pref:
         raise ConfigError("empty CPC prefix")
-    return _members(corpus, corpus.codes.carriers(pref))
+    return corpus.members(corpus.codes.carriers(pref))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +303,7 @@ def build_uspto_seed(
         if (grown == seed).all():
             break
         seed = grown
-    return _members(corpus, seed)
+    return corpus.members(seed)
 
 
 def _field_blocks(corpus: Corpus, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
@@ -471,4 +465,4 @@ def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
             indptr, col, val = _features(corpus, blocks, comp.vocab, comp_cites[rows])
             z = _reduce_segments(np.add, val * comp.weights[col], indptr)
             hit[rows] |= 1.0 / (1.0 + np.exp(-(z + comp.bias))) > model.config.threshold
-    return _members(corpus, hit)
+    return corpus.members(hit)

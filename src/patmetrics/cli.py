@@ -23,8 +23,6 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-import numpy as np
-
 from . import classify as cls
 from . import io as pio
 from . import metrics as met
@@ -375,8 +373,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
     if cfg.descendants and approach:
         descendants = {n: met.descendants(corpus, masks[n]) for n in approach}
         for n, mask in descendants.items():
-            ids = map(corpus.ids.__getitem__, np.flatnonzero(mask).tolist())
-            pio.write_ids(os.path.join(out_dir, "groups", f"{n}.descendants.ids"), ids)
+            pio.write_ids(os.path.join(out_dir, "groups", f"{n}.descendants.ids"), corpus.members(mask))
         counts_and_shares("descendants_", descendants)
 
     for metric in cfg.lowess:
@@ -384,7 +381,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
         if not os.path.exists(path):
             _log(out_dir, f"metrics: lowess skipped {metric}, no such metric file")
             continue
-        series = pio.read_series(path, metric)  # years distinct, so two points span two years
+        series = pio.read_series(path)  # years distinct, so two points span two years
         smoothed = [st.smooth_series(s, cfg.lowess_fraction) for s in series if len(s.points) >= 2]
         if smoothed:
             pio.write_series(_mpath(out_dir, f"{metric}_lowess"), smoothed)
@@ -401,7 +398,7 @@ def stage_stats(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
     """Write the period tests of each compared metric into a fresh `stats/`."""
     _clear(out_dir, "stats")
     for metric in cfg.compare:
-        series = pio.read_series(_mpath(out_dir, metric), metric)
+        series = pio.read_series(_mpath(out_dir, metric))
         if len(series) < 2:
             _log(out_dir, f"stats: {metric} has fewer than 2 group series, skipped")
             continue
@@ -460,7 +457,7 @@ def stage_report(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
         if not name.endswith(".metric.tsv"):
             continue
         stem = name[: -len(".metric.tsv")]
-        series = pio.read_series(os.path.join(metrics_dir, name), stem)
+        series = pio.read_series(os.path.join(metrics_dir, name))
         series = [s for s in series if s.points]
         if not any(len(s.points) >= 2 for s in series):
             _log(out_dir, f"report: skipped {stem} (fewer than 2 points per series)")

@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from string import ascii_lowercase, digits
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
@@ -220,6 +220,10 @@ class Corpus:
         mask = np.zeros(len(self), bool)
         mask[at] = True
         return mask
+
+    def members(self, mask: np.ndarray) -> frozenset[str]:
+        """The ids of the patents `mask` marks, the inverse of `mask`."""
+        return frozenset(compress(self.ids, mask.tolist()))
 
     def tokens(self) -> dict[str, Csr]:
         """The tokens of every patent, one `Csr` per text field."""

@@ -447,8 +447,9 @@ def write_series(path: str, series_list: Sequence[GroupSeries]) -> None:
             fh.write(str(y) + "\t" + "\t".join(cells) + "\n")
 
 
-def read_series(path: str, metric: str) -> list[GroupSeries]:
-    """Parse a series TSV back into GroupSeries (one per column)."""
+def read_series(path: str) -> list[GroupSeries]:
+    """Parse a series TSV back into GroupSeries (one per column).  Every
+    data row holds a cell for each column of the header."""
     with _reading(path) as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
         header = next(reader, None)
@@ -463,10 +464,12 @@ def read_series(path: str, metric: str) -> list[GroupSeries]:
             if not row:
                 continue
             try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells under a header of {len(header)}")
                 year = int(row[0])
                 if prev is not None and year <= prev:
                     raise ValueError(f"year {row[0]!r} does not follow {prev}")
-                for i, cell in enumerate(row[1 : len(groups) + 1]):
+                for i, cell in enumerate(row[1:]):
                     if cell != "":
                         value = float(cell)
                         if not math.isfinite(value):
@@ -475,10 +478,7 @@ def read_series(path: str, metric: str) -> list[GroupSeries]:
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
             prev = year
-    return [
-        GroupSeries(group=g, metric=metric, points=tuple(pts))
-        for g, pts in zip(groups, points)
-    ]
+    return [GroupSeries(g, tuple(pts)) for g, pts in zip(groups, points)]
 
 
 def write_ids(path: str, ids: Iterable[str]) -> None:

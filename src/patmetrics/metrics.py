@@ -31,10 +31,10 @@ DEFAULT_UNIVERSE = {1: 9, 3: 136, 4: 674}
 
 @dataclass(frozen=True)
 class GroupSeries:
-    """An annual metric series for one group (or one group pair)."""
+    """An annual metric series for one group (or one group pair); the file
+    it is written to names the metric."""
 
     group: str
-    metric: str
     points: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
@@ -54,11 +54,6 @@ class GroupSeries:
     def as_dict(self) -> dict[int, float]:
         return dict(self.points)
 
-    def restrict(self, period: tuple[int, int]) -> "GroupSeries":
-        lo, hi = period
-        pts = tuple((y, v) for y, v in self.points if lo <= y <= hi)
-        return GroupSeries(self.group, self.metric, pts)
-
 
 # ---------------------------------------------------------------------------
 # counts, shares, growth
@@ -72,13 +67,13 @@ def _year_counts(corpus: Corpus, mask: np.ndarray) -> list[int]:
 def count_series(corpus: Corpus, mask: np.ndarray, label: str) -> tuple[GroupSeries, float]:
     """Patents granted per year, zero-filled over the corpus window, and the group size."""
     pts = tuple((y, float(n)) for y, n in zip(corpus.years(), _year_counts(corpus, mask)))
-    return GroupSeries(label, "counts", pts), float(np.count_nonzero(mask))
+    return GroupSeries(label, pts), float(np.count_nonzero(mask))
 
 
 def share_series(corpus: Corpus, mask: np.ndarray, label: str) -> GroupSeries:
     """Group count over corpus count, year by year, for the years with grants."""
     pts = zip(corpus.years(), _year_counts(corpus, mask), _year_counts(corpus, ...))
-    return GroupSeries(label, "share", tuple((y, g / a) for y, g, a in pts if a))
+    return GroupSeries(label, tuple((y, g / a) for y, g, a in pts if a))
 
 
 def growth_series(counts: GroupSeries) -> GroupSeries:
@@ -93,7 +88,7 @@ def growth_series(counts: GroupSeries) -> GroupSeries:
         if prev_year == y - 1 and prev:
             pts.append((y, (n - prev) / prev))
         prev_year, prev = y, n
-    return GroupSeries(counts.group, "growth", tuple(pts))
+    return GroupSeries(counts.group, tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +101,7 @@ def jaccard_series(corpus: Corpus, label: str, a: np.ndarray, b: np.ndarray) -> 
     inter, union = _year_counts(corpus, a & b), _year_counts(corpus, a | b)
     pts = tuple((y, i / u if u else 0.0) for y, i, u in zip(corpus.years(), inter, union))
     n_inter, n_union = sum(inter), sum(union)
-    return GroupSeries(label, "jaccard", pts), n_inter / n_union if n_union else 0.0
+    return GroupSeries(label, pts), n_inter / n_union if n_union else 0.0
 
 
 def allway_overlap(masks: Sequence[np.ndarray]) -> tuple[int, float]:
@@ -191,16 +186,14 @@ def _generality(counts: list[int]) -> float | None:
     return 1.0 - sum((c / total) ** 2 for c in counts)
 
 
-def _yearly_means(
-    years: np.ndarray, values: np.ndarray, label: str, metric: str
-) -> tuple[GroupSeries, float | None]:
+def _yearly_means(years: np.ndarray, values: np.ndarray, label: str) -> tuple[GroupSeries, float | None]:
     """Mean of the integer `values` per distinct year, and the mean of those
     annual means (None without points).  Each year's sum is an integer
     below 2**53, exact as a float, so `total / n` rounds as `int / int`."""
     lo = int(years.min()) if len(years) else 0
     counts, sums = np.bincount(years - lo).tolist(), np.bincount(years - lo, values).tolist()
     pts = tuple((lo + y, total / n) for y, (total, n) in enumerate(zip(sums, counts)) if n)
-    return GroupSeries(label, metric, pts), (mean(v for _, v in pts) if pts else None)
+    return GroupSeries(label, pts), (mean(v for _, v in pts) if pts else None)
 
 
 def generality_series(
@@ -234,7 +227,7 @@ def generality_series(
     np.minimum.at(place, classes, first[seen])
     held = np.flatnonzero(tally)
     overall = _generality(tally[held[np.argsort(place[held])]].tolist())
-    return GroupSeries(label, "generality", pts), overall
+    return GroupSeries(label, pts), overall
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +246,7 @@ def avg_citing_classes(
     """
     breadth = _outside(corpus, level).breadth
     cited = mask & corpus.memo("cited_once", lambda: np.bincount(corpus.cited, minlength=len(corpus)) > 0)
-    return tuple(
-        _yearly_means(corpus.year[pool], breadth[pool], label, metric)
-        for pool, metric in ((mask, "avg_citing_classes"), (cited, "avg_citing_classes_cited"))
-    )
+    return tuple(_yearly_means(corpus.year[pool], breadth[pool], label) for pool in (mask, cited))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +278,7 @@ def diversity_share(
     year_class = distinct(corpus.year[owners[held]] * len(index.names) + classes)
     yearly = Counter((year_class // len(index.names)).tolist())
     pts = tuple((y, yearly.get(y, 0) / n_universe) for y in corpus.years())
-    series = GroupSeries(label, "diversity_share", pts)
-    return series, everything / n_universe
+    return GroupSeries(label, pts), everything / n_universe
 
 
 def diversity_per_patent(
@@ -301,7 +290,7 @@ def diversity_per_patent(
     count zero); the scalar is the mean of the annual values.
     """
     per_patent = np.diff(corpus.class_index(level).indptr)
-    return _yearly_means(corpus.year[mask], per_patent[mask], label, "diversity_per_patent")
+    return _yearly_means(corpus.year[mask], per_patent[mask], label)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +330,7 @@ def citation_lag_series(
         n = int(rows.sum())
         return int(lags[rows].sum(dtype=np.int64)) / n if n else None
 
-    series, _ = _yearly_means(years, lags, label, "citation_lag")
+    series, _ = _yearly_means(years, lags, label)
     return series, pooled(-math.inf, math.inf), [((lo, hi), pooled(lo, hi)) for lo, hi in periods]
 
 
@@ -382,7 +371,4 @@ def zscore_across_groups(series_list: Sequence[GroupSeries]) -> list[GroupSeries
             continue
         for i, v in enumerate(vals):
             out_points[i].append((y, (v - mu) / sigma))
-    return [
-        GroupSeries(s.group, "zscore", tuple(pts))
-        for s, pts in zip(series_list, out_points)
-    ]
+    return [GroupSeries(s.group, tuple(pts)) for s, pts in zip(series_list, out_points)]

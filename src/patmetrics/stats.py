@@ -165,7 +165,8 @@ def pairwise_compare(
     names = [s.group for s in series_list]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate group names: {names}")
-    restricted = {s.group: s.restrict(period).as_dict() for s in series_list}
+    lo, hi = period
+    restricted = {s.group: {y: v for y, v in s.points if lo <= y <= hi} for s in series_list}
 
     tests: dict[tuple[str, str], TestResult | None] = {}
     pairs = list(combinations(names, 2))
@@ -285,4 +286,4 @@ def smooth_series(series: GroupSeries, fraction: float = 2.0 / 3.0) -> GroupSeri
     xs = [float(y) for y in series.years()]
     fitted = lowess(xs, series.values(), fraction)
     pts = tuple((yr, v) for yr, v in zip(series.years(), fitted))
-    return GroupSeries(series.group, series.metric, pts)
+    return GroupSeries(series.group, pts)

@@ -61,7 +61,7 @@ def generality_series(corpus, members: Iterable[str], level: int, label: str):
                 per_year.setdefault(y, Counter())[j] += 1
                 overall[j] += 1
     pts = tuple((y, _generality(per_year[y])) for y in sorted(per_year))
-    return GroupSeries(label, "generality", pts), _generality(overall)
+    return GroupSeries(label, pts), _generality(overall)
 
 
 def avg_citing_classes(corpus, members: Iterable[str], level: int, label: str):
@@ -77,14 +77,14 @@ def avg_citing_classes(corpus, members: Iterable[str], level: int, label: str):
         was_cited.add(p)
         bucket.update(cls.get(citing, empty) - cls.get(p, empty))
 
-    def average(pool: Iterable[str], metric: str):
+    def average(pool: Iterable[str]):
         by_year: dict[int, list[int]] = {}
         for p in pool:
             by_year.setdefault(_grant_year(corpus, p), []).append(len(citing_classes[p]))
         pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
-        return GroupSeries(label, metric, pts), (mean(v for _, v in pts) if pts else None)
+        return GroupSeries(label, pts), (mean(v for _, v in pts) if pts else None)
 
-    return average(mem, "avg_citing_classes"), average(was_cited, "avg_citing_classes_cited")
+    return average(mem), average(was_cited)
 
 
 def diversity_share(corpus, members, level, label, universe=None):
@@ -105,7 +105,7 @@ def diversity_share(corpus, members, level, label, universe=None):
             f"the configured universe of {n_universe}"
         )
     pts = tuple((y, len(yearly.get(y, ())) / n_universe) for y in corpus.years())
-    series = GroupSeries(label, "diversity_share", pts)
+    series = GroupSeries(label, pts)
     return series, len(everything) / n_universe
 
 
@@ -116,7 +116,7 @@ def diversity_per_patent(corpus, members, level, label):
     for p in mem:
         by_year.setdefault(_grant_year(corpus, p), []).append(len(cls.get(p, ())))
     pts = tuple((y, mean(by_year[y])) for y in sorted(by_year))
-    series = GroupSeries(label, "diversity_per_patent", pts)
+    series = GroupSeries(label, pts)
     overall = mean(v for _, v in pts) if pts else None
     return series, overall
 
@@ -146,7 +146,7 @@ def citation_lag_series(
         pool = [lag for y, ls in by_year.items() if lo <= y <= hi for lag in ls]
         return mean(pool) if pool else None
 
-    series = GroupSeries(label, "citation_lag", pts)
+    series = GroupSeries(label, pts)
     return series, pooled(-math.inf, math.inf), [((lo, hi), pooled(lo, hi)) for lo, hi in periods]
 
 
@@ -157,7 +157,7 @@ def share_series(corpus, members: Iterable[str], label: str) -> GroupSeries:
     total = Counter(_grant_year(corpus, p) for p in corpus.ids)
     group = Counter(_grant_year(corpus, p) for p in mem)
     pts = tuple((y, group[y] / total[y]) for y in corpus.years() if total[y])
-    return GroupSeries(label, "share", pts)
+    return GroupSeries(label, pts)
 
 
 def jaccard(a: Iterable[str], b: Iterable[str]) -> float:

@@ -164,18 +164,18 @@ def test_03_jaccard_on_1000_pairs():
 def test_04_growth_exact_and_planted():
     # geometric counts 50 * 1.07^t: growth 0.07 everywhere
     pts = tuple((1990 + t, 50.0 * 1.07**t) for t in range(20))
-    series = met.growth_series(met.GroupSeries("g", "counts", pts))
+    series = met.growth_series(met.GroupSeries("g", pts))
     for _, v in series.points:
         assert abs(v - 0.07) <= 1e-12
 
     # doubling counts: growth exactly 1 everywhere
     pts = tuple((1990 + t, float(3 * 2**t)) for t in range(12))
-    series = met.growth_series(met.GroupSeries("g", "counts", pts))
+    series = met.growth_series(met.GroupSeries("g", pts))
     for _, v in series.points:
         assert abs(v - 1.0) <= 1e-12
     # tripling
     pts = tuple((1990 + t, float(2 * 3**t)) for t in range(8))
-    series = met.growth_series(met.GroupSeries("g", "counts", pts))
+    series = met.growth_series(met.GroupSeries("g", pts))
     for _, v in series.points:
         assert abs(v - 2.0) <= 1e-12
 
@@ -339,7 +339,6 @@ def test_09_zscores_standardised_per_year():
         series = [
             met.GroupSeries(
                 f"g{i}",
-                "m",
                 tuple((2000 + y, rng.uniform(-10, 10)) for y in range(10)),
             )
             for i in range(n_groups)

@@ -657,6 +657,25 @@ class TestExitCodes:
         assert code == 3
         assert f"growth.metric.tsv: line 1: repeated group column in {header[1:]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", [1, -1], ids=["extra_cell", "missing_cell"])
+    def test_row_width_other_than_header_in_metric_file_is_data_error(
+        self, ws, full_run, tmp_path, capsys, change
+    ):
+        """Line 3 of a metric file gets one cell more, or one fewer, than
+        its header names; neither is read as a shorter or padded row."""
+        out = tmp_path / "o"
+        (out / "metrics").mkdir(parents=True)
+        lines = read(full_run / "metrics" / "growth.metric.tsv").splitlines()
+        width = len(lines[0].split("\t"))
+        assert width >= 3 and len(lines) > 3
+        cells = lines[2].split("\t")
+        lines[2] = "\t".join(cells + ["99"] if change > 0 else cells[:-1])
+        (out / "metrics" / "growth.metric.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", "stats"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"growth.metric.tsv: line 3: {width + change} cells under a header of {width}" in err
+
     def test_every_package_error_has_an_exit_code(self):
         """`main` maps a `ConfigError` to 2 and a `DataError` to 3, and has
         no branch for any other package error."""

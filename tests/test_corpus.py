@@ -221,6 +221,8 @@ class TestCorpusIndexes:
         assert corpus.mask({"A", "C"}).tolist() == [False, True, True]
         assert corpus.mask(set()).tolist() == [False, False, False]
         assert corpus.mask(corpus.ids).tolist() == [True, True, True]
+        for ids in ({"A", "C"}, set(), set(corpus.ids)):
+            assert corpus.members(corpus.mask(ids)) == ids
 
     def test_mask_rejects_unknown_id(self):
         corpus = build_corpus({"X": 2000, "Y": 2001})

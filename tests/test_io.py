@@ -230,8 +230,8 @@ class TestIngestOnce:
 
 class TestSeriesFiles:
     def test_format_and_missing_cells(self, tmp_path):
-        a = GroupSeries("A", "counts", ((2000, 1.0), (2001, 2.0), (2002, 3.0)))
-        b = GroupSeries("B", "counts", ((2001, 0.5),))
+        a = GroupSeries("A", ((2000, 1.0), (2001, 2.0), (2002, 3.0)))
+        b = GroupSeries("B", ((2001, 0.5),))
         path = str(tmp_path / "counts.metric.tsv")
         pio.write_series(path, [b, a])  # unsorted input
         lines = Path(path).read_text().splitlines()
@@ -241,7 +241,7 @@ class TestSeriesFiles:
         assert lines[3] == "2002\t3\t"
 
     def test_six_significant_digits(self, tmp_path):
-        s = GroupSeries("A", "share", ((2000, 0.123456789), (2001, 1234567.0)))
+        s = GroupSeries("A", ((2000, 0.123456789), (2001, 1234567.0)))
         path = str(tmp_path / "share.metric.tsv")
         pio.write_series(path, [s])
         content = Path(path).read_text()
@@ -255,7 +255,6 @@ class TestSeriesFiles:
         series = [
             GroupSeries(
                 name,
-                "growth",
                 tuple(
                     (y, rng.uniform(-1, 1))
                     for y in range(2000, 2020)
@@ -267,13 +266,13 @@ class TestSeriesFiles:
         p1 = str(tmp_path / "one.metric.tsv")
         p2 = str(tmp_path / "two.metric.tsv")
         pio.write_series(p1, series)
-        back = pio.read_series(p1, "growth")
+        back = pio.read_series(p1)
         assert [s.group for s in back] == ["A", "B", "C"]
         pio.write_series(p2, back)
         assert Path(p1).read_text() == Path(p2).read_text()
 
     def test_duplicate_groups_rejected(self, tmp_path):
-        s = GroupSeries("A", "counts", ((2000, 1.0),))
+        s = GroupSeries("A", ((2000, 1.0),))
         with pytest.raises(ValueError):
             pio.write_series(str(tmp_path / "x.tsv"), [s, s])
 
@@ -287,8 +286,8 @@ class TestSeriesFiles:
 class TestSvg:
     def series(self):
         return [
-            GroupSeries("A", "counts", ((2000, 1.0), (2001, 4.0), (2002, 2.0))),
-            GroupSeries("B", "counts", ((2000, 3.0), (2002, 5.0))),
+            GroupSeries("A", ((2000, 1.0), (2001, 4.0), (2002, 2.0))),
+            GroupSeries("B", ((2000, 3.0), (2002, 5.0))),
         ]
 
     def test_writes_valid_svg_with_polylines(self, tmp_path):
@@ -303,20 +302,20 @@ class TestSvg:
         assert "2000" in text and "2002" in text
 
     def test_markup_characters_escaped(self, tmp_path):
-        series = [GroupSeries("G&\"<'>", "x", ((2000, 1.0), (2001, 2.0)))]
+        series = [GroupSeries("G&\"<'>", ((2000, 1.0), (2001, 2.0)))]
         pio.write_svg_lines(str(tmp_path / "m.svg"), series, "a&b<c>\"d'e")
         text = (tmp_path / "m.svg").read_text()
         assert text.count(">a&amp;b&lt;c&gt;\"d'e</text>") == 2  # title and y-axis label
         assert ">G&amp;\"&lt;'&gt;</text>" in text
 
     def test_single_point_series_skipped(self, tmp_path):
-        series = self.series() + [GroupSeries("C", "counts", ((2000, 9.0),))]
+        series = self.series() + [GroupSeries("C", ((2000, 9.0),))]
         skipped = pio.write_svg_lines(str(tmp_path / "c.svg"), series, "counts")
         assert skipped == ["C"]
         assert (tmp_path / "c.svg").read_text().count("<polyline") == 2
 
     def test_error_when_nothing_drawable(self, tmp_path):
-        series = [GroupSeries("C", "counts", ((2000, 9.0),))]
+        series = [GroupSeries("C", ((2000, 9.0),))]
         with pytest.raises(DataError):
             pio.write_svg_lines(str(tmp_path / "c.svg"), series, "counts")
 
@@ -327,7 +326,7 @@ class TestSvg:
         assert Path(p1).read_text() == Path(p2).read_text()
 
     def test_flat_series_padded_axis(self, tmp_path):
-        flat = [GroupSeries("A", "counts", ((2000, 2.0), (2001, 2.0)))]
+        flat = [GroupSeries("A", ((2000, 2.0), (2001, 2.0)))]
         pio.write_svg_lines(str(tmp_path / "flat.svg"), flat, "counts")  # must not divide by zero
 
 

@@ -180,7 +180,7 @@ class TestGeneralityCells:
         )
         self.assert_equals_reference(corpus, {"X"})
         assert met.generality_series(corpus, corpus.mask({"X"}), 4, "g") == (
-            met.GroupSeries("g", "generality", ()), None
+            met.GroupSeries("g", ()), None
         )
 
     def test_cited_cohorts_with_gaps(self):
@@ -259,7 +259,7 @@ def yearly_means_loop(years, values):
     for y, v in zip(years, values):
         by_year.setdefault(y, []).append(v)
     pts = tuple((y, sum(vs) / len(vs)) for y, vs in sorted(by_year.items()))
-    return met.GroupSeries("g", "m", pts), (mean(v for _, v in pts) if pts else None)
+    return met.GroupSeries("g", pts), (mean(v for _, v in pts) if pts else None)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -272,7 +272,7 @@ def test_yearly_means_equal_int_division_loop(seed):
     cases = [(years, values), ([2000] * 3000 + [2007], [10**6] * 3000 + [1])]  # a sum past 2**31
     for years, values in cases:
         for dtype in (np.int32, np.int64):
-            got = met._yearly_means(np.array(years, np.int32), np.array(values, dtype), "g", "m")
+            got = met._yearly_means(np.array(years, np.int32), np.array(values, dtype), "g")
             assert got == yearly_means_loop(years, values)
 
 
@@ -290,10 +290,8 @@ class TestAvgCitingClasses:
             corpus, corpus.mask({"X", "Y"}), 1, "g"
         )
         # X is cited from sections B and C -> 2; Y uncited -> 0
-        assert series.metric == "avg_citing_classes"
         assert series.points == ((2000, 1.0),)
         assert overall == 1.0
-        assert series_c.metric == "avg_citing_classes_cited"
         assert series_c.points == ((2000, 2.0),)
         assert overall_c == 2.0
 
@@ -433,22 +431,22 @@ class TestCountsShareGrowth:
         corpus = build_corpus(years)
         s = met.share_series(corpus, corpus.mask({"a0", "c0", "c1", "c2"}), "g")
         assert s.points == ((2000, 0.25), (2002, 0.5))  # 2001 has no grants: omitted
-        assert (s.group, s.metric) == ("g", "share")
+        assert s.group == "g"
 
     def test_growth_doubling_exact(self):
         pts = tuple((2000 + t, float(100 * 2**t)) for t in range(10))
-        g = met.growth_series(met.GroupSeries("g", "counts", pts))
+        g = met.growth_series(met.GroupSeries("g", pts))
         assert g.years() == list(range(2001, 2010))
         for _, v in g.points:
             assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_growth_skips_zero_base(self):
-        counts = met.GroupSeries("g", "counts", ((2000, 0.0), (2001, 5.0), (2002, 10.0)))
+        counts = met.GroupSeries("g", ((2000, 0.0), (2001, 5.0), (2002, 10.0)))
         g = met.growth_series(counts)
         assert g.points == ((2002, 1.0),)
 
     def test_growth_to_zero_is_minus_one(self):
-        counts = met.GroupSeries("g", "counts", ((2000, 4.0), (2001, 0.0)))
+        counts = met.GroupSeries("g", ((2000, 4.0), (2001, 0.0)))
         g = met.growth_series(counts)
         assert g.points == ((2001, -1.0),)
 
@@ -486,7 +484,7 @@ class TestJaccard:
     def test_annual_series(self):
         corpus = build_corpus({"A": 2000, "B": 2000, "C": 2001})
         s, overall = met.jaccard_series(corpus, "x|y", corpus.mask({"A", "C"}), corpus.mask({"B", "C"}))
-        assert (s.group, s.metric) == ("x|y", "jaccard")
+        assert s.group == "x|y"
         assert s.points == ((2000, 0.0), (2001, 1.0))
         assert overall == 1 / 3
 
@@ -640,15 +638,15 @@ class TestDescendants:
 
 class TestZscore:
     def test_two_groups_give_plus_minus_one(self):
-        a = met.GroupSeries("a", "generality", ((2000, 1.0), (2001, 3.0)))
-        b = met.GroupSeries("b", "generality", ((2000, 2.0), (2001, 1.0)))
+        a = met.GroupSeries("a", ((2000, 1.0), (2001, 3.0)))
+        b = met.GroupSeries("b", ((2000, 2.0), (2001, 1.0)))
         za, zb = met.zscore_across_groups([a, b])
         assert za.points == ((2000, -1.0), (2001, 1.0))
         assert zb.points == ((2000, 1.0), (2001, -1.0))
 
     def test_four_groups_frozen_values(self):
         series = [
-            met.GroupSeries(f"g{v}", "m", ((2000, float(v)),)) for v in (1, 2, 3, 4)
+            met.GroupSeries(f"g{v}", ((2000, float(v)),)) for v in (1, 2, 3, 4)
         ]
         out = met.zscore_across_groups(series)
         want = (-1.3416, -0.4472, 0.4472, 1.3416)
@@ -659,7 +657,7 @@ class TestZscore:
         rng = random.Random(9)
         series = [
             met.GroupSeries(
-                f"g{i}", "x", tuple((y, rng.uniform(-5, 5)) for y in range(2000, 2010))
+                f"g{i}", tuple((y, rng.uniform(-5, 5)) for y in range(2000, 2010))
             )
             for i in range(4)
         ]
@@ -670,18 +668,18 @@ class TestZscore:
             assert pstdev(vals) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_variance_year_dropped(self):
-        a = met.GroupSeries("a", "x", ((2000, 2.0), (2001, 1.0)))
-        b = met.GroupSeries("b", "x", ((2000, 2.0), (2001, 3.0)))
+        a = met.GroupSeries("a", ((2000, 2.0), (2001, 1.0)))
+        b = met.GroupSeries("b", ((2000, 2.0), (2001, 3.0)))
         za, zb = met.zscore_across_groups([a, b])
         assert za.years() == [2001]
 
     def test_only_common_years_used(self):
-        a = met.GroupSeries("a", "x", ((2000, 1.0), (2001, 2.0)))
-        b = met.GroupSeries("b", "x", ((2001, 5.0),))
+        a = met.GroupSeries("a", ((2000, 1.0), (2001, 2.0)))
+        b = met.GroupSeries("b", ((2001, 5.0),))
         za, zb = met.zscore_across_groups([a, b])
         assert za.years() == [2001]
 
     def test_needs_two_groups(self):
-        a = met.GroupSeries("a", "x", ((2000, 1.0),))
+        a = met.GroupSeries("a", ((2000, 1.0),))
         with pytest.raises(ValueError):
             met.zscore_across_groups([a])

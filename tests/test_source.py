@@ -44,3 +44,42 @@ def test_unused_import_is_found():
 def test_no_unused_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level functions, classes and constants named with one leading
+    `_` that the module itself never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                defined.update((n.id, node.lineno) for n in ast.walk(t) if isinstance(n, ast.Name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        f"{name} (line {line})" for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+def test_unread_private_name_is_found():
+    source = (
+        "def _used():\n    return 1\n\n"
+        "def _unused():\n    return 2\n\n"
+        "class _Gone:\n    pass\n\n"
+        "_LIMIT, _KEPT = 3, 4\n"
+        "__all__ = []\n"
+        "x = _used() + _KEPT\n"
+        "def f(_arg):\n    _local = 1\n"  # not module-level names
+    )
+    assert unread_private_names(source) == ["_Gone (line 7)", "_LIMIT (line 10)", "_unused (line 4)"]
+    assert unread_private_names("_N: int = 2\ndef g():\n    return _N\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_no_unread_private_names(path):
+    with open(path, encoding="utf-8") as fh:
+        assert unread_private_names(fh.read()) == []

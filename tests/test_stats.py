@@ -172,7 +172,7 @@ class TestHolm:
 
 class TestPairwise:
     def series(self, name, values, start=2000):
-        return GroupSeries(name, "m", tuple((start + i, v) for i, v in enumerate(values)))
+        return GroupSeries(name, tuple((start + i, v) for i, v in enumerate(values)))
 
     def test_all_pairs_present(self):
         a = self.series("a", [1.0, 2.0, 3.0])
@@ -415,8 +415,7 @@ class TestLowess:
         assert peak < bound
 
     def test_smooth_series_keeps_years_and_name(self):
-        s = GroupSeries("g", "growth", ((2000, 1.0), (2001, 3.0), (2002, 2.0), (2003, 4.0)))
+        s = GroupSeries("g", ((2000, 1.0), (2001, 3.0), (2002, 2.0), (2003, 4.0)))
         out = stats.smooth_series(s)
         assert out.group == "g"
-        assert out.metric == "growth"
         assert out.years() == s.years()
