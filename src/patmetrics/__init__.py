@@ -1,6 +1,5 @@
 """Patent-corpus classification, technology metrics, and synthetic corpora."""
 
-from .corpus import Corpus, parse_cpc
 from .errors import (
     ConfigError,
     CpcParseError,
@@ -9,11 +8,11 @@ from .errors import (
     InsufficientDataError,
     PatmetricsError,
 )
+from .io import parse_cpc
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Corpus",
     "parse_cpc",
     "PatmetricsError",
     "ConfigError",

@@ -18,8 +18,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import TEXT_FIELDS, Corpus, tokenize
+from .corpus import TEXT_FIELDS, Corpus
 from .errors import ConfigError
+from .io import tokenize
 
 #: Science-reference field label and confidence floor used by default.
 DEFAULT_SCIENCE_FIELD = "Computer Science; Artificial Intelligence"

@@ -1,6 +1,6 @@
 """In-memory patent corpus: patent columns, CPC codes, citations, science links.
 
-The corpus is immutable once built.  `io.ingest` is the one place that
+The corpus is immutable once built.  `ingest` is the one place that
 validates table rows and builds it, whether the rows are read from files or
 freshly generated.  A patent is known by its position: its id, its grant
 year and each text field's row of tokens sit at that position.  A
@@ -13,61 +13,26 @@ at a time by a `TokenIndexer`, and only its token ids are kept, in
 
 from __future__ import annotations
 
-import re
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from string import ascii_lowercase, digits
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CpcParseError, DataError
-
-#: A token is a maximal run of ASCII ``[0-9a-z]`` in the lowercased text.
-#: This table keeps those bytes and turns every other byte into a space;
-#: after `str.lower()` a non-ASCII character encodes to bytes >= 0x80 only,
-#: so it separates tokens too.
-_TOKEN_BYTES = bytes(b if chr(b) in digits + ascii_lowercase else 0x20 for b in range(256))
-
-# Section letter, two-digit class, subclass letter, optional group/subgroup tail.
-_CPC_RE = re.compile(r"^[A-HY][0-9]{2}[A-Z](?:[0-9]+(?:/[0-9]+)?)?$")
+from .io import DEFAULT_WINDOW, TABLE_COLUMNS, _token_bytes, parse_cpc
 
 #: CPC hierarchy depths usable as a truncation level.
 LEVELS = (1, 3, 4)
-
-DEFAULT_WINDOW = (1990, 2019)
 
 #: The text fields of a patent, each one `Csr` of the token index.
 TEXT_FIELDS = ("title", "abstract", "claims", "description")
 
 #: Token ids renumbered per step of `TokenIndexer.build`.
 _RENUMBER_BLOCK = 1 << 16
-
-
-def _token_bytes(text: str) -> list[bytes]:
-    """The tokens of `text`, as ASCII bytes."""
-    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).split()
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase ASCII alphanumeric tokens; every other character separates."""
-    return [tok.decode("ascii") for tok in _token_bytes(text)]
-
-
-def parse_cpc(raw: str) -> str:
-    """Normalise and validate a CPC symbol string.
-
-    Whitespace is stripped and letters uppercased.  The symbol must be at
-    least subclass-deep (e.g. ``G06N``); a group tail such as ``G06N20/00``
-    is allowed.  Raises `CpcParseError` otherwise.
-    """
-    cleaned = raw.strip().upper().replace(" ", "")
-    if not _CPC_RE.match(cleaned):
-        raise CpcParseError(f"not a valid CPC symbol: {raw!r}")
-    return cleaned
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,3 +210,252 @@ class Corpus:
     def years(self) -> list[int]:
         lo, hi = self.window
         return list(range(lo, hi + 1))
+
+
+# ---------------------------------------------------------------------------
+# ingest
+
+@dataclass
+class TableReport:
+    path: str
+    rows: int = 0
+    accepted: int = 0
+    rejected: Counter = field(default_factory=Counter)
+    warnings: Counter = field(default_factory=Counter)
+
+    @property
+    def rejected_total(self) -> int:
+        return sum(self.rejected.values())
+
+
+@dataclass
+class LoadReport:
+    window: tuple[int, int]
+    strict: bool
+    tables: dict[str, TableReport] = field(default_factory=dict)
+
+    def format(self) -> str:
+        lines = [
+            f"corpus window: {self.window[0]}-{self.window[1]}",
+            f"mode: {'strict' if self.strict else 'lenient'}",
+        ]
+        for name in TABLE_COLUMNS:
+            if name not in self.tables:
+                continue
+            t = self.tables[name]
+            lines.append(
+                f"table {name}: rows={t.rows} accepted={t.accepted} "
+                f"rejected={t.rejected_total} ({t.path})"
+            )
+            for reason in sorted(t.rejected):
+                lines.append(f"  rejected {reason}: {t.rejected[reason]}")
+            for reason in sorted(t.warnings):
+                lines.append(f"  warning {reason}: {t.warnings[reason]}")
+        return "\n".join(lines) + "\n"
+
+
+#: Each table's reject reasons, in order of precedence: a bad row is
+#: counted under the first that applies.  A row's reason code is the place
+#: of its reason here plus one; 0 means accepted.
+_REJECTS = {
+    "patents": ("malformed", "empty_id", "year_out_of_window"),
+    "cpc": ("malformed", "unknown_patent", "bad_code", "duplicate"),
+    "citations": ("malformed", "unknown_citing", "unknown_cited", "self_citation", "negative_lag", "duplicate"),
+    "science": ("malformed", "unknown_patent", "empty_field", "bad_confidence", "duplicate"),
+}
+
+_INT64 = np.iinfo(np.int64)
+
+#: Accepted patent rows whose texts are tokenized together: the most text
+#: that ingest holds beyond the rows its source hands it.
+_TEXT_BLOCK = 512
+
+
+def ingest(
+    tables: Mapping[str, tuple[str, Iterable[Sequence | None]]],
+    *,
+    window: tuple[int, int] = DEFAULT_WINDOW,
+    strict: bool = False,
+    text: bool = True,
+) -> tuple[Corpus, LoadReport]:
+    """Validate corpus table rows into a `Corpus` and its `LoadReport`.
+
+    `tables` maps names of `TABLE_COLUMNS` to `(path, rows)`.  Each row
+    holds its cells in `TABLE_COLUMNS` order, or is None when its line has
+    too few cells; `path` names the table in the report and in errors, which
+    count the header as line 1.  In lenient mode bad rows are counted and
+    skipped; in strict mode the first bad row raises `DataError` naming the
+    file and line.  Duplicate patent ids abort in either mode.
+
+    Patents are checked a row at a time, and the texts of the accepted ones
+    tokenized into the corpus's token index a block at a time; with
+    `text=False` they are skipped, and the corpus holds no token index.
+    No text is kept.  Each other table is read whole, its id cells turned
+    into patent positions as the rows stream by, and then checked with
+    masks; so a table that fails to read reports that before any bad row.
+    """
+    lo, hi = window
+    if lo > hi:
+        raise ValueError(f"empty corpus window {window!r}")
+    report = LoadReport(window=(int(lo), int(hi)), strict=strict)
+
+    def rows(name):
+        return tables[name][1] if name in tables else ()
+
+    def tally(name, reason, **warnings):
+        if name not in tables:
+            return
+        path, reasons = tables[name][0], _REJECTS[name]
+        count = np.bincount(reason, minlength=len(reasons) + 1).tolist()
+        if strict and count[0] < len(reason):
+            first = int(np.argmax(reason > 0))
+            raise DataError(f"{path}: line {first + 2}: rejected row ({reasons[reason[first] - 1]})")
+        rejected = Counter(dict(zip(reasons, count[1:])))
+        report.tables[name] = TableReport(path, len(reason), count[0], +rejected, +Counter(warnings))
+
+    position, year, token_index, reason = _patents(rows("patents"), report.window, strict, text)
+    tally("patents", reason)
+    codes, reason = _cpc(rows("cpc"), position, len(year))
+    tally("cpc", reason)
+    citing, cited, mismatches, reason = _citations(rows("citations"), position, year)
+    tally("citations", reason, citing_year_mismatch=mismatches)
+    science, reason = _science(rows("science"), position)
+    tally("science", reason)
+    corpus = Corpus(
+        ids=tuple(position), position=position, year=year, token_index=token_index,
+        codes=codes, citing=citing, cited=cited, **science, window=report.window,
+    )
+    return corpus, report
+
+
+def _reasons(rejects: list[np.ndarray], *keys: np.ndarray) -> np.ndarray:
+    """Each row's reason code: k where the k-th of the masks `rejects` is
+    the first to mark it, else the next code, for a duplicate, where its
+    `keys` equal those of an earlier row, else 0.  Each mask is a function
+    of the keys, so a repeat of a rejected row is rejected for the same
+    reason: only a repeat of an accepted row is a duplicate."""
+    order = np.lexsort(keys)  # stable: a repeat sorts after its first
+    repeat = np.zeros(len(order), bool)
+    repeat[order[1:][np.logical_and.reduce([key[order[1:]] == key[order[:-1]] for key in keys])]] = True
+    return np.select([*rejects, repeat], range(1, len(rejects) + 2), 0)
+
+
+def _stream(rows: Iterable[Sequence | None], cells, width: int, dtype=np.int32) -> np.ndarray:
+    """The `width` ints `cells(row)` of each row, as one array row per table
+    row, taken while the rows stream by.  A row that is None or whose
+    integer cell does not parse (`cells` raises `ValueError`) is
+    (-2, -1, ...): -2 marks it malformed."""
+    malformed = (-2,) + (-1,) * (width - 1)
+
+    def each():
+        for row in rows:
+            try:
+                yield malformed if row is None else cells(row)
+            except ValueError:
+                yield malformed
+
+    return np.fromiter(each(), np.dtype((dtype, width)))
+
+
+def _patents(rows: Iterable[Sequence | None], window: tuple[int, int], strict: bool, text: bool):
+    """Check patent rows in order, for a repeated id aborts only against an
+    id already accepted; in strict mode, stop after the first rejected row.
+    The position of each accepted id, their grant years, the token index of
+    their texts (None unless `text`), and the reason code of each row
+    checked.  The texts of `_TEXT_BLOCK` accepted rows are tokenized at
+    once, and then dropped."""
+    lo, hi = window
+    position: dict[str, int] = {}
+    year: list[int] = []
+    indexer, block = TokenIndexer(), []
+    reason = bytearray()
+    for row in rows:
+        try:
+            pid, grant, title, abstract, claims, description = row or ()  # None: a short line
+            pid, grant = pid.strip(), int(grant)
+        except ValueError:
+            k = 1  # malformed
+        else:
+            if not pid:
+                k = 2  # empty_id
+            elif pid in position:
+                raise DataError(f"duplicate patent id {pid!r}")
+            else:
+                k = 0 if lo <= grant <= hi else 3  # year_out_of_window
+        reason.append(k)
+        if k == 0:
+            position[pid] = len(year)
+            year.append(grant)
+            if text:
+                block.append((title, abstract, claims, description))
+                if len(block) == _TEXT_BLOCK:
+                    indexer.add(block)
+                    block.clear()
+        elif strict:
+            break
+    indexer.add(block)
+    return position, np.array(year, np.int32), indexer.build() if text else None, np.frombuffer(reason, np.uint8)
+
+
+def _normal_cpc(raw: str) -> str | None:
+    try:
+        return parse_cpc(raw)
+    except CpcParseError:
+        return None
+
+
+def _cpc(rows: Iterable[Sequence | None], position: Mapping[str, int], n_patents: int):
+    """The code `Csr` of the accepted CPC rows, and each row's reason code.
+    Each distinct code cell is parsed once."""
+    cells = interner()
+    at, cell = _stream(rows, lambda row: (position.get(row[0].strip(), -1), cells[row[1]]), 2).T
+    normal = [_normal_cpc(raw) for raw in cells]
+    names = sorted(set(normal) - {None})
+    rank = {name: k for k, name in enumerate(names)}
+    code = np.array([rank.get(c, -1) for c in normal] + [-1], np.int32)[cell]  # a malformed row reads the last
+    reason = _reasons([at == -2, at == -1, code < 0], at, code)
+    ok = reason == 0
+    held = np.bincount(code[ok], minlength=len(names)) > 0  # only the codes of accepted rows are names
+    code = (np.cumsum(held, dtype=np.int32) - 1)[code[ok]]
+    return distinct_rows(n_patents, at[ok], code, tuple(names[k] for k in np.flatnonzero(held).tolist())), reason
+
+
+def _citations(rows: Iterable[Sequence | None], position: Mapping[str, int], year: np.ndarray):
+    """The citing and cited positions of the accepted citation rows, how
+    many of those state a citing year other than the citing patent's (the
+    corpus keeps the patent's: worth flagging, not fatal), and each row's
+    reason code."""
+    years = year.tolist() + [0]  # an unknown patent, at -1, reads this 0
+
+    def cells(row):
+        i, j = position.get(row[0].strip(), -1), position.get(row[1].strip(), -1)
+        return i, j, years[i] < years[j], int(row[2]) != years[i]
+
+    i, j, backwards, mismatch = _stream(rows, cells, 4).T
+    reason = _reasons([i == -2, i == -1, j == -1, i == j, backwards > 0], i, j)
+    ok = reason == 0
+    return i[ok], j[ok], int(mismatch[ok].sum()), reason
+
+
+def _science(rows: Iterable[Sequence | None], position: Mapping[str, int]):
+    """The science columns of a `Corpus` for the accepted science rows, and
+    each row's reason code.  A confidence that does not fit in 64 bits is
+    malformed."""
+    labels = interner()  # stripped label -> id
+
+    def cells(row):
+        confidence = int(row[2])
+        if not _INT64.min <= confidence <= _INT64.max:
+            raise ValueError(confidence)
+        return position.get(row[0].strip(), -1), labels[row[1].strip()], confidence
+
+    at, label, confidence = _stream(rows, cells, 3, np.int64).T
+    empty = labels.get("", -2)  # -2 when no label is empty
+    reason = _reasons([at == -2, at == -1, label == empty, confidence < 1], at, label, confidence)
+    ok = reason == 0
+    names = list(labels)
+    return {
+        "science_patent": at[ok].astype(np.int32),
+        "science_label": tuple(names[k] for k in label[ok].tolist()),
+        "science_confidence": confidence[ok],
+    }, reason

@@ -23,36 +23,11 @@ import numpy as np
 
 from .corpus import Corpus, distinct
 from .errors import DataError
+from .io import GroupSeries
 
 #: Distinct CPC codes in force at each truncation level, used as the
 #: denominator of `diversity_share`.  Callers may override per corpus vintage.
 DEFAULT_UNIVERSE = {1: 9, 3: 136, 4: 674}
-
-
-@dataclass(frozen=True)
-class GroupSeries:
-    """An annual metric series for one group (or one group pair); the file
-    it is written to names the metric."""
-
-    group: str
-    points: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        years = [y for y, _ in self.points]
-        if years != sorted(set(years)):
-            raise ValueError(f"series years must be sorted and unique: {years}")
-        for y, v in self.points:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value {v!r} at year {y}")
-
-    def years(self) -> list[int]:
-        return [y for y, _ in self.points]
-
-    def values(self) -> list[float]:
-        return [v for _, v in self.points]
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.points)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateSampleError, InsufficientDataError
-from .metrics import GroupSeries
+from .io import GroupSeries
 
 DEFAULT_EXACT_CUTOFF = 20
 

@@ -7,7 +7,7 @@ Citation lags follow a geometric distribution truncated to the available
 history, which produces the shrinking-lag pattern of recent cohorts.
 
 `generate` emits the rows of the four corpus tables, not a corpus: they are
-validated once, by `io.ingest`, like tables read from disk.
+validated once, by `corpus.ingest`, like tables read from disk.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
-from .corpus import parse_cpc, tokenize
 from .errors import ConfigError, CpcParseError
-from .io import comma_list, group_sections, options, read_config, year_range
+from .io import comma_list, group_sections, options, parse_cpc, read_config, tokenize, year_range
 
 DEFAULT_BACKGROUND_CODES = (
     "A01B", "A61K", "B23K", "B25J", "B29C", "B60L", "B82B", "B82Y",

@@ -1,5 +1,8 @@
 """Small builders shared by the test modules."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import fields
@@ -8,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from patmetrics import io as pio
+import patmetrics
+from patmetrics import corpus as corpus_module
 from patmetrics import synth
 from patmetrics.corpus import TEXT_FIELDS, Corpus, Csr
 
@@ -22,7 +26,7 @@ def ingest_rows(tables, **rules):
     """`io.ingest` of `tables`, name -> rows with each table named after
     itself, every patent row of which must be accepted; the texts of those
     rows are kept for `texts_of`."""
-    corpus, _ = pio.ingest({name: (name, rows) for name, rows in tables.items()}, **rules)
+    corpus, _ = corpus_module.ingest({name: (name, rows) for name, rows in tables.items()}, **rules)
     patents = tables["patents"]
     assert len(patents) == len(corpus)  # so row k is the patent at position k
     _TEXTS[corpus] = {name: tuple(row[2 + k] for row in patents) for k, name in enumerate(TEXT_FIELDS)}
@@ -191,3 +195,11 @@ def random_corpus(rng, n_max=200, e_max=1000):
     ai = set(rng.sample(ids, rng.randrange(1, max(2, n // 3))))
     corpus = build_corpus(years, codes=codes, cites=edges)
     return corpus, years, codes, edges, ai
+
+
+def child_output(code, *argv):
+    """What a fresh interpreter prints when it runs `code` with `argv`,
+    importing `patmetrics` from the source tree these tests import."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(patmetrics.__file__)))
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    return result.stdout

@@ -17,9 +17,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from patmetrics.corpus import DEFAULT_WINDOW, TEXT_FIELDS, Corpus, Csr, distinct_rows, parse_cpc
+from patmetrics.corpus import DEFAULT_WINDOW, TEXT_FIELDS, Corpus, Csr, LoadReport, TableReport, distinct_rows
 from patmetrics.errors import CpcParseError, DataError
-from patmetrics.io import TABLE_COLUMNS, LoadReport, TableReport
+from patmetrics.io import TABLE_COLUMNS, parse_cpc
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 

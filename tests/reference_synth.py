@@ -14,7 +14,7 @@ import functools
 import math
 import random
 
-from patmetrics.corpus import parse_cpc, tokenize
+from patmetrics.io import parse_cpc, tokenize
 from patmetrics.errors import ConfigError, CpcParseError
 from patmetrics.synth import GroupSpec, SynthConfig
 

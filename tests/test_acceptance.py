@@ -17,7 +17,7 @@ from itertools import product
 from statistics import mean, pstdev
 
 from patmetrics import classify as cls
-from patmetrics import cli
+from patmetrics import cli, pipeline
 from patmetrics import metrics as met
 from patmetrics import stats as st
 from patmetrics import synth
@@ -312,7 +312,7 @@ def test_07_planted_groups_recovered():
     assert cls.classify_wipo(corpus, cls.default_wipo_rules()) == truth["WIPO"]
     assert cls.classify_prefix_group(corpus, "Y02") == truth["USPTO"]
 
-    ucfg = cli.load_uspto_config(os.path.join(fixdir, "desk.uspto"))
+    ucfg = pipeline.load_uspto_config(os.path.join(fixdir, "desk.uspto"))
     predicted = cls.classify_uspto(corpus, cls.train_uspto(corpus, ucfg))
     assert predicted
     tp = len(predicted & truth["USPTO"])

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from patmetrics import classify as cls
-from patmetrics import io as pio
 from patmetrics import corpus as corpus_module
 from patmetrics.errors import ConfigError
 
@@ -49,7 +48,7 @@ def test_tokenize_equals_regex_oracle(monkeypatch):
     texts of 2 patents at a time and renumbers ids in blocks of 3, so most
     fields span several of each."""
     monkeypatch.setattr(corpus_module, "_RENUMBER_BLOCK", 3)
-    monkeypatch.setattr(pio, "_TEXT_BLOCK", 2)
+    monkeypatch.setattr(corpus_module, "_TEXT_BLOCK", 2)
     rng = random.Random(8800)
     for _ in range(300):
         texts = ["".join(rng.choices(TOKEN_ALPHABET, k=rng.randrange(0, 40))) for _ in range(4 * rng.randrange(6))]
@@ -247,7 +246,7 @@ def test_citation_inputs_equal_reference_loops(seed):
         got = cls._citation_features(corpus, group)
         assert got.dtype == np.float64 and got.shape == (len(corpus), 2)
         assert np.array_equal(got[rows], ref.citation_features(corpus, ids, group))
-    assert cls._citation_features(pio.ingest({})[0], frozenset()).shape == (0, 2)
+    assert cls._citation_features(corpus_module.ingest({})[0], frozenset()).shape == (0, 2)
 
 
 #: Full CPC codes for the random text corpora: the default WIPO prefixes
@@ -639,9 +638,9 @@ def text_heavy_classify(text_heavy_tables):
 WEIGHTS_DIGEST = """
 import hashlib, sys
 import numpy as np
-from patmetrics import cli, classify, io
+from patmetrics import classify, io, pipeline
 tables = (f"{sys.argv[1]}/{name}.tsv" for name in ("patents", "cpc", "citations", "science"))
-model = classify.train_uspto(io.load_corpus(*tables)[0], cli.load_uspto_config(f"{sys.argv[1]}/text-heavy.uspto"))
+model = classify.train_uspto(io.load_corpus(*tables)[0], pipeline.load_uspto_config(f"{sys.argv[1]}/text-heavy.uspto"))
 digest = hashlib.sha256()
 for c in model.components:
     digest.update(c.weights.tobytes() + np.float64(c.bias).tobytes())

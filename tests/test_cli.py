@@ -2,17 +2,18 @@ import configparser
 import os
 import re
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from patmetrics import classify as cls
-from patmetrics import cli, errors
+from patmetrics import cli, errors, pipeline
+from patmetrics import corpus as corpus_module
 from patmetrics import io as pio
 from patmetrics.corpus import Corpus, TokenIndexer
 from patmetrics.errors import ConfigError, DataError, PatmetricsError
+
+from helpers import child_output
 
 CS_AI = "Computer Science; Artificial Intelligence"
 
@@ -495,7 +496,7 @@ class TestRunPipeline:
                    r"(\d+) \(year, class\) cells \((\d+\.\d\d) MB\)")
         lines = [ln for ln in read(full_run / "run.log").splitlines() if "outside-class" in ln]
         got = [re.fullmatch(pattern, ln) for ln in lines]
-        assert [int(g[1]) for g in got] == list(cli.load_run_config(str(ws / "small.run")).levels)
+        assert [int(g[1]) for g in got] == list(pipeline.load_run_config(str(ws / "small.run")).levels)
         for g in got:
             rows, cells = int(g[2]), int(g[3])
             assert rows >= cells > 0
@@ -529,8 +530,8 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv", [[stage] for stage in cli.STAGES] + [["run", "--strict"]],
-        ids=[*cli.STAGES, "strict"],
+        "argv", [[stage] for stage in pipeline.STAGES] + [["run", "--strict"]],
+        ids=[*pipeline.STAGES, "strict"],
     )
     def test_stage_commands_and_strict_flag_are_gone(self, ws, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -701,7 +702,7 @@ class TestExitCodes:
 
 
 class TestStageTable:
-    """`cli.STAGES` drives `run`: each stage's inputs are checked, then the
+    """`pipeline.STAGES` drives `run`: each stage's inputs are checked, then the
     stage run, in pipeline order; it clears its directory before it writes
     there."""
 
@@ -732,12 +733,12 @@ class TestStageTable:
         """Every top-level entry of a full run is the corpus, a file of the
         run itself, or the directory of exactly one stage; and each stage
         reads only under the directories of stages before it."""
-        owned = [directory for _, directory, _ in cli.STAGES.values()]
+        owned = [directory for _, directory, _ in pipeline.STAGES.values()]
         for entry in os.listdir(full_run):
             if entry not in ("manifest.txt", "run.log", "load-report.txt", "corpus"):
                 assert owned.count(entry) == 1, entry
-        cfg = cli.load_run_config(str(ws / "small.run"))
-        for i, (name, (_, _, reads)) in enumerate(cli.STAGES.items()):
+        cfg = pipeline.load_run_config(str(ws / "small.run"))
+        for i, (name, (_, _, reads)) in enumerate(pipeline.STAGES.items()):
             for rel in reads(cfg):
                 assert rel.split("/")[0] in owned[:i], (name, rel)
                 assert (full_run / rel).exists(), (name, rel)
@@ -783,6 +784,30 @@ class TestStageTable:
         assert f"{out / missing}; run the {writer} stage first" in capsys.readouterr().err
         assert self.tree(out) == before
         self.assert_manifest_verifies(out)
+
+    BAD_INPUTS = {  # stage: (a file of OUT that it reads, a line appended there, its error)
+        "metrics": ("groups/G06.ids", "UNKNOWN_ID\n", "1 group members not in corpus (e.g. UNKNOWN_ID)"),
+        "stats": ("metrics/growth.metric.tsv", "2099\t1\n", "2 cells under a header of"),
+        "report": ("metrics/growth.metric.tsv", "2099\t1\n", "2 cells under a header of"),
+    }
+
+    @pytest.mark.parametrize("stage", BAD_INPUTS)
+    def test_stage_refused_for_a_bad_input_changes_nothing(self, ws, full_run, tmp_path, capsys, stage):
+        """A stage reads every input before it clears its directory (and
+        the metrics stage before it deletes the old descendants), so an
+        input it refuses leaves every file of OUT as it was, but `run.log`."""
+        rel, line, error = self.BAD_INPUTS[stage]
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        with open(out / rel, "a", encoding="utf-8") as fh:
+            fh.write(line)
+        before = self.tree(out)
+        assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", stage]) == 3
+        assert error in capsys.readouterr().err
+        after = self.tree(out)
+        for tree in (before, after):
+            del tree[Path("run.log")]
+        assert after == before
 
     BAD_KEYWORDS = ("kw.tsv", "phrase\tcategory\nneural network\tmagic\n", "group:Keyword", "keywords")
     BAD_FILES = {  # case: (a file, its text, the run-config section and key naming it, --only, error)
@@ -841,16 +866,17 @@ class TestStageTable:
 
 class TestComputeOnce:
     def count_loads(self, monkeypatch):
-        """Record each call of `io.load_corpus` and of `io.ingest`, by name."""
+        """Record each call of `io.load_corpus` and of `corpus.ingest` (which
+        the pipeline imports by name), by name."""
         calls = []
-        for name in ("load_corpus", "ingest"):
-            original = getattr(pio, name)
+        for module, name in ((pio, "load_corpus"), (corpus_module, "ingest"), (pipeline, "ingest")):
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(pio, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return calls
 
     def test_corpus_loaded_once_per_run(self, ws, tmp_path, monkeypatch):
@@ -898,12 +924,12 @@ class TestComputeOnce:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(cli.st, "pairwise_compare")
+        counting(pipeline.st, "pairwise_compare")
         for name in ("generality_series", "avg_citing_classes", "citation_lag_series"):
-            counting(cli.met, name)
+            counting(pipeline.met, name)
         code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
         assert code == 0
-        cfg = cli.load_run_config(str(ws / "small.run"))
+        cfg = pipeline.load_run_config(str(ws / "small.run"))
         assert calls["pairwise_compare"] == len(cfg.compare) * len(cfg.periods)
         assert calls["generality_series"] == len(cfg.groups) * len(cfg.levels)
         assert calls["avg_citing_classes"] == len(cfg.groups) * len(cfg.levels)
@@ -912,7 +938,7 @@ class TestComputeOnce:
     def test_level_indexes_built_once_per_run(self, ws, tmp_path, monkeypatch):
         built = {"class_index": [], "outside": []}
         build_class_index = Corpus._build_class_index
-        build_outside = cli.met._build_outside
+        build_outside = pipeline.met._build_outside
 
         def counting_class_index(corpus, level):
             built["class_index"].append(level)
@@ -923,10 +949,10 @@ class TestComputeOnce:
             return build_outside(corpus, level)
 
         monkeypatch.setattr(Corpus, "_build_class_index", counting_class_index)
-        monkeypatch.setattr(cli.met, "_build_outside", counting_outside)
+        monkeypatch.setattr(pipeline.met, "_build_outside", counting_outside)
         code = cli.main(["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")])
         assert code == 0
-        levels = list(cli.load_run_config(str(ws / "small.run")).levels)
+        levels = list(pipeline.load_run_config(str(ws / "small.run")).levels)
         assert sorted(built["class_index"]) == sorted(levels)
         assert built["outside"] == levels
 
@@ -1003,7 +1029,7 @@ class TestRunConfigParsing:
         )
 
     def test_defaults(self, tmp_path):
-        cfg = cli.load_run_config(self.write(tmp_path, self.base()))
+        cfg = pipeline.load_run_config(self.write(tmp_path, self.base()))
         assert cfg.window == (2000, 2004)
         assert cfg.periods == ((2000, 2004),)
         assert cfg.levels == (1, 3, 4)
@@ -1018,53 +1044,53 @@ class TestRunConfigParsing:
         nested.mkdir()
         path = nested / "case.run"
         path.write_text(self.base(), encoding="utf-8")
-        cfg = cli.load_run_config(str(path))
+        cfg = pipeline.load_run_config(str(path))
         assert cfg.synth_path == str(nested / "s.synth")
 
     def test_missing_inputs_section(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.load_run_config(
+            pipeline.load_run_config(
                 self.write(tmp_path, "[run]\nwindow = 2000-2001\n[group:A]\nkind = prefix\nprefix = All\n")
             )
 
     def test_no_groups(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.load_run_config(
+            pipeline.load_run_config(
                 self.write(tmp_path, "[run]\nwindow = 2000-2001\n[inputs]\nsynth = s\n")
             )
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.load_run_config(
+            pipeline.load_run_config(
                 self.write(tmp_path, self.base("[group:X]\nkind = magic\n"))
             )
 
     def test_prefix_group_needs_prefix(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.load_run_config(self.write(tmp_path, self.base("[group:X]\nkind = prefix\n")))
+            pipeline.load_run_config(self.write(tmp_path, self.base("[group:X]\nkind = prefix\n")))
 
     def test_uspto_group_needs_config(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.load_run_config(self.write(tmp_path, self.base("[group:X]\nkind = uspto\n")))
+            pipeline.load_run_config(self.write(tmp_path, self.base("[group:X]\nkind = uspto\n")))
 
     def test_bad_level(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.load_run_config(self.write(tmp_path, self.base("[metrics]\nlevels = 2\n")))
+            pipeline.load_run_config(self.write(tmp_path, self.base("[metrics]\nlevels = 2\n")))
 
     def test_bad_lag_mode(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.load_run_config(self.write(tmp_path, self.base("[metrics]\nlag_mode = newest\n")))
+            pipeline.load_run_config(self.write(tmp_path, self.base("[metrics]\nlag_mode = newest\n")))
 
     def test_bad_zscore_metric(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.load_run_config(self.write(tmp_path, self.base("[metrics]\nzscore = share\n")))
+            pipeline.load_run_config(self.write(tmp_path, self.base("[metrics]\nzscore = share\n")))
 
     def test_percent_is_literal(self, tmp_path):
-        cfg = cli.load_run_config(self.write(tmp_path, self.base("[group:S]\nkind = science\nfield = 100% AI\n")))
+        cfg = pipeline.load_run_config(self.write(tmp_path, self.base("[group:S]\nkind = science\nfield = 100% AI\n")))
         assert cfg.groups[-1].settings["field"] == "100% AI"
 
     def test_blank_list_means_none(self, tmp_path):
-        cfg = cli.load_run_config(
+        cfg = pipeline.load_run_config(
             self.write(tmp_path, self.base("[metrics]\nlevels =\nzscore =\nlowess =\n[stats]\ncompare =\n"))
         )
         assert cfg.levels == cfg.zscore == cfg.lowess == cfg.compare == ()
@@ -1135,11 +1161,11 @@ class TestRunConfigParsing:
         with open(path, "w", encoding="utf-8") as fh:
             parser.write(fh)
         with pytest.raises(ConfigError, match=f"{key} repeats an entry"):
-            cli.load_run_config(str(path))
+            pipeline.load_run_config(str(path))
 
     def test_bad_period(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.load_run_config(
+            pipeline.load_run_config(
                 self.write(
                     tmp_path,
                     "[run]\nwindow = 2000-2001\nperiods = 2001-2000\n[inputs]\nsynth = s\n"
@@ -1150,7 +1176,7 @@ class TestRunConfigParsing:
 
 class TestUsptoConfigParsing:
     def test_round_trip(self, ws):
-        cfg = cli.load_uspto_config(str(ws / "small.uspto"))
+        cfg = pipeline.load_uspto_config(str(ws / "small.uspto"))
         assert cfg.components == ("ai_core",)
         assert cfg.seed_rules == {"ai_core": ("Y02",)}
         assert cfg.expansion_hops == 0
@@ -1160,30 +1186,30 @@ class TestUsptoConfigParsing:
     def test_defaults(self, tmp_path):
         path = tmp_path / "u.ini"
         path.write_text("[uspto]\n", encoding="utf-8")
-        cfg = cli.load_uspto_config(str(path))
-        assert cfg.components == cli.cls.DEFAULT_COMPONENTS
+        cfg = pipeline.load_uspto_config(str(path))
+        assert cfg.components == pipeline.cls.DEFAULT_COMPONENTS
         assert cfg.threshold == 0.5
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            cli.load_uspto_config(str(tmp_path / "none.ini"))
+            pipeline.load_uspto_config(str(tmp_path / "none.ini"))
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "u.ini"
         path.write_text("[other]\n", encoding="utf-8")
         with pytest.raises(ConfigError):
-            cli.load_uspto_config(str(path))
+            pipeline.load_uspto_config(str(path))
 
     def test_bad_value(self, tmp_path):
         path = tmp_path / "u.ini"
         path.write_text("[uspto]\nthreshold = 1.5\n", encoding="utf-8")
         with pytest.raises(ConfigError):
-            cli.load_uspto_config(str(path))
+            pipeline.load_uspto_config(str(path))
 
     def test_capitalised_component_reads_its_seeds(self, tmp_path):
         path = tmp_path / "u.ini"
         path.write_text("[uspto]\ncomponents = Vision, speech\n[seeds]\nVision = G06T7\nSpeech = G10L\n", encoding="utf-8")
-        cfg = cli.load_uspto_config(str(path))
+        cfg = pipeline.load_uspto_config(str(path))
         assert cfg.components == ("Vision", "speech")
         assert cfg.seed_rules == {"Vision": ("G06T7",), "speech": ("G10L",)}
 
@@ -1199,13 +1225,28 @@ class TestUsptoConfigParsing:
 
 
 def test_import_loads_no_network_modules():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, patmetrics.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True,
+    code = ("import sys, patmetrics.cli, patmetrics.pipeline\n"
+            "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
+    assert child_output(code).strip() == "[]"
+
+
+def main_leaves_unloaded(absent, *argv):
+    """The exit code of `cli.main(argv)` in a fresh interpreter, then those
+    of the modules `absent` that it loaded."""
+    code = (
+        "import sys\nfrom patmetrics import cli\ncode = cli.main(sys.argv[1:])\n"
+        f"print(code, *[name for name in {absent!r} if name in sys.modules])"
     )
-    assert result.stdout.strip() == "[]"
+    return child_output(code, *argv).split()
+
+
+def test_synth_imports_no_numpy(tmp_path):
+    """`synth` runs on `io` and the generator alone: neither numpy nor any
+    module that loads it is imported."""
+    desk = Path(__file__).resolve().parents[1] / "fixtures" / "desk.synth"
+    absent = ["numpy"] + [f"patmetrics.{name}" for name in ("corpus", "classify", "metrics", "stats", "pipeline")]
+    assert main_leaves_unloaded(absent, "synth", "--config", str(desk), "--out", str(tmp_path / "o")) == ["0"]
+    assert (tmp_path / "o" / "manifest.txt").is_file()
 
 
 def test_table_run_imports_neither_numpy_ma_nor_the_generator(ws, tmp_path):
@@ -1214,20 +1255,8 @@ def test_table_run_imports_neither_numpy_ma_nor_the_generator(ws, tmp_path):
     generator unloaded.  Where `import numpy` alone loads `numpy.ma`, only
     the generator is checked."""
     cfg = tables_run_config(ws, tmp_path)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-
-    def loaded(code, *argv):
-        result = subprocess.run(
-            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
-        )
-        return result.stdout.split()
-
     absent = ["numpy.ma", "patmetrics.synth"]
-    if loaded("import sys, numpy; print('numpy.ma' in sys.modules)") == ["True"]:
+    if child_output("import sys, numpy; print('numpy.ma' in sys.modules)").split() == ["True"]:
         absent.remove("numpy.ma")
-    code = (
-        "import sys\nfrom patmetrics import cli\ncode = cli.main(sys.argv[1:])\n"
-        f"print(code, *[name for name in {absent!r} if name in sys.modules])"
-    )
-    assert loaded(code, "run", "--config", str(cfg), "--out", str(tmp_path / "o")) == ["0"]
+    assert main_leaves_unloaded(absent, "run", "--config", str(cfg), "--out", str(tmp_path / "o")) == ["0"]
     assert (tmp_path / "o" / "plots").is_dir()  # the last stage ran

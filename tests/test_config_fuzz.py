@@ -7,7 +7,7 @@ import shutil
 
 import pytest
 
-from patmetrics import cli, synth
+from patmetrics import cli, pipeline, synth
 from patmetrics.errors import ConfigError
 
 VALUES = ("abc", "nan", "inf", "-inf", "-1", "0", "", "5%")
@@ -192,9 +192,9 @@ BLANKABLE = sorted(
 )
 
 LOADERS = {
-    "tiny.run": cli.load_run_config,
+    "tiny.run": pipeline.load_run_config,
     "tiny.synth": synth.load_synth_config,
-    "tiny.uspto": cli.load_uspto_config,
+    "tiny.uspto": pipeline.load_uspto_config,
 }
 
 

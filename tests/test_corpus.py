@@ -6,9 +6,9 @@ import pytest
 
 from patmetrics import classify as cls
 from patmetrics import corpus as corpus_module
-from patmetrics import io as pio
-from patmetrics.corpus import TEXT_FIELDS, Csr, TokenIndexer, distinct, parse_cpc
+from patmetrics.corpus import TEXT_FIELDS, Csr, TokenIndexer, distinct
 from patmetrics.errors import CpcParseError, DataError
+from patmetrics.io import parse_cpc
 
 from helpers import assert_same, build_corpus, classes_at, text_heavy_corpus, texts_of, tokens_of, traced_peak
 
@@ -68,7 +68,7 @@ def patent(pid, year):
 def ingest(window=(2000, 2010), **tables):
     """The corpus and report of `io.ingest` over the rows of the named
     tables, each table named after itself."""
-    return pio.ingest({name: (name, rows) for name, rows in tables.items()}, window=window)
+    return corpus_module.ingest({name: (name, rows) for name, rows in tables.items()}, window=window)
 
 
 def row_reasons(name, rows, patents, window=(2000, 2010)):
@@ -263,8 +263,8 @@ def test_index_tokens_holds_only_its_ids():
 
     def build():
         indexer = TokenIndexer()
-        for start in range(0, len(rows), pio._TEXT_BLOCK):
-            indexer.add(rows[start : start + pio._TEXT_BLOCK])
+        for start in range(0, len(rows), corpus_module._TEXT_BLOCK):
+            indexer.add(rows[start : start + corpus_module._TEXT_BLOCK])
         return indexer.build()
 
     index, peak = traced_peak(build)
@@ -284,7 +284,7 @@ class TestIngestText:
     ]
 
     def test_rejected_rows_add_no_tokens(self, monkeypatch):
-        monkeypatch.setattr(pio, "_TEXT_BLOCK", 2)
+        monkeypatch.setattr(corpus_module, "_TEXT_BLOCK", 2)
         corpus, report = ingest(patents=self.ROWS)
         assert report.tables["patents"].rejected_total == 3
         assert corpus.tokens()["title"].names == ("alpha", "beta", "gamma", "omega")
@@ -296,11 +296,11 @@ class TestIngestText:
         token_bytes = corpus_module._token_bytes
         monkeypatch.setattr(corpus_module, "_token_bytes", lambda text: seen.append(text) or token_bytes(text))
         with pytest.raises(DataError, match="patents: line 3: rejected row"):
-            pio.ingest({"patents": ("patents", self.ROWS)}, window=(2000, 2010), strict=True)
+            corpus_module.ingest({"patents": ("patents", self.ROWS)}, window=(2000, 2010), strict=True)
         assert not {"zeppelin", "beta gamma", "omega"} & set(seen), seen
 
     def test_corpus_without_text_refuses_its_tokens(self):
-        corpus, report = pio.ingest({"patents": ("patents", self.ROWS)}, window=(2000, 2010), text=False)
+        corpus, report = corpus_module.ingest({"patents": ("patents", self.ROWS)}, window=(2000, 2010), text=False)
         assert corpus.token_index is None and corpus.ids == ("P1", "P2")
         assert report.tables["patents"].rejected_total == 3
         for read in (corpus.tokens, lambda: cls.classify_keyword(corpus), lambda: cls.classify_wipo(corpus)):

@@ -7,9 +7,9 @@ from collections import Counter
 
 import pytest
 
-from patmetrics import io as pio
-from patmetrics.corpus import parse_cpc
+from patmetrics import corpus as corpus_module
 from patmetrics.errors import DataError
+from patmetrics.io import parse_cpc
 
 import reference_corpus as ref
 from helpers import assert_same_corpus
@@ -119,7 +119,7 @@ def test_ingest_equals_per_row_oracle(strict):
     seen = Counter()
     for seed in range(250):
         tables = random_tables(random.Random(seed))
-        got = outcome(pio.ingest, tables, strict)
+        got = outcome(corpus_module.ingest, tables, strict)
         want = outcome(ref.ingest, tables, strict)
         if isinstance(want, str):
             assert got == want, seed
@@ -137,5 +137,5 @@ def test_ingest_equals_per_row_oracle(strict):
     if strict:
         assert seen["strict"]
     else:
-        reasons = {reason for names in pio._REJECTS.values() for reason in names}
+        reasons = {reason for names in corpus_module._REJECTS.values() for reason in names}
         assert reasons | {"citing_year_mismatch"} <= set(seen), seen

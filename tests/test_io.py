@@ -5,10 +5,11 @@ import pytest
 from dataclasses import replace
 from pathlib import Path
 
+from patmetrics import corpus as corpus_module
 from patmetrics import io as pio
 from patmetrics import synth
 from patmetrics.errors import DataError
-from patmetrics.metrics import GroupSeries
+from patmetrics.io import GroupSeries
 
 from helpers import assert_same_corpus, classes_at, tokens_of
 
@@ -151,7 +152,7 @@ class TestRoundTrip:
             "citations": [("B", "A", 2001)],
             "science": [("A", "Physics; Applied", 7)],
         }
-        corpus, _ = pio.ingest(
+        corpus, _ = corpus_module.ingest(
             {name: (name, rows) for name, rows in tables.items()}, window=(2000, 2001)
         )
         pio.write_corpus(str(tmp_path), tables)
@@ -196,13 +197,13 @@ class TestIngestOnce:
         tables, truth = synth.generate(cfg)
         paths = {name: str(tmp_path / f"{name}.tsv") for name in pio.TABLE_COLUMNS}
         rows = {name: (paths[name], tables[name]) for name in pio.TABLE_COLUMNS}
-        fresh, fresh_report = pio.ingest(rows, window=window)
+        fresh, fresh_report = corpus_module.ingest(rows, window=window)
         pio.write_corpus(str(tmp_path), tables)
         loaded, loaded_report = pio.load_corpus(*paths.values(), window=window)
         assert_same_corpus(fresh, loaded)
         assert fresh_report.format().encode() == loaded_report.format().encode()
         with pytest.raises(DataError) as fresh_error:
-            pio.ingest(rows, window=(window[0] + 1, window[1]), strict=True)
+            corpus_module.ingest(rows, window=(window[0] + 1, window[1]), strict=True)
         with pytest.raises(DataError) as loaded_error:
             pio.load_corpus(*paths.values(), window=(window[0] + 1, window[1]), strict=True)
         assert str(fresh_error.value) == str(loaded_error.value)

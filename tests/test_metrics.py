@@ -387,14 +387,14 @@ def test_kernels_equal_reference_loops(seed):
 
 
 HASH_SEED_SCRIPT = """
-from patmetrics import io, metrics
+from patmetrics import corpus, metrics
 
 patents = [(pid, year, "", "", "", "")
            for pid, year in (("X", 2000), ("C0", 2001), ("C1", 2001), ("C2", 2001))]
 cpc = [("X", "A01B"), ("C0", "B01B"), ("C0", "C01B"), ("C0", "D01B"), ("C1", "D01B"), ("C2", "D01B")]
 citations = [(citing, "X", 2001) for citing in ("C0", "C1", "C2")]
 tables = {"patents": patents, "cpc": cpc, "citations": citations}
-corpus, _ = io.ingest({name: (name, rows) for name, rows in tables.items()}, window=(2000, 2001))
+corpus, _ = corpus.ingest({name: (name, rows) for name, rows in tables.items()}, window=(2000, 2001))
 series, overall = metrics.generality_series(corpus, corpus.mask({"X"}), 1, "g")
 print(repr(series.points), repr(overall))
 """

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from patmetrics import io as pio
+from patmetrics import corpus as corpus_module
 from patmetrics import synth
 from patmetrics.errors import ConfigError
 
@@ -90,7 +90,7 @@ def test_generate_equals_oracle_on_random_configs():
             seen.add("overflow" if "slots" in got else "error")
             continue
         tables, truth = got
-        _, report = pio.ingest({name: (name, rows) for name, rows in tables.items()}, window=kw["years"], strict=True)
+        _, report = corpus_module.ingest({name: (name, rows) for name, rows in tables.items()}, window=kw["years"], strict=True)
         for name, rows in tables.items():
             assert (report.tables[name].accepted, report.tables[name].warnings) == (len(rows), {}), (seed, name)
         seen |= covered(kw, tables, truth)
