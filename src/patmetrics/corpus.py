@@ -139,11 +139,11 @@ class Corpus:
 
     `year` holds each patent's grant year by position, and `position` maps
     an id back.  `token_index` holds the tokens of each patent's texts, one
-    `Csr` per text field, or None for a corpus ingested without its text;
-    the raw text is not kept.  `codes` holds each patent's CPC codes.
-    `citing` and `cited` hold one entry per citation, and `science_patent`,
-    `science_label` and `science_confidence` one per science link, in
-    acceptance order.  Arrays are int32, but for the int64 confidences.  All
+    `Csr` per text field, or None for a corpus ingested without its text
+    (and in `run` once classify is done); the raw text is not kept.  `codes`
+    holds each patent's CPC codes.  `citing` and `cited` hold one entry per
+    citation, and `science_patent`, `science_label` and `science_confidence`
+    one per science link, in acceptance order.  Arrays are int32, but for the int64 confidences.  All
     derived indexes are deterministic functions of the content.
     """
 
@@ -193,7 +193,8 @@ class Corpus:
     def tokens(self) -> dict[str, Csr]:
         """The tokens of every patent, one `Csr` per text field."""
         if self.token_index is None:
-            raise ValueError("the corpus was ingested with text=False: it holds no token index")
+            raise ValueError("the corpus holds no token index: it was ingested with text=False, "
+                             "or its index was released once the classify stage had run")
         return self.token_index
 
     def class_index(self, level: int) -> Csr:

@@ -1,6 +1,7 @@
 """Deterministic readers and writers: config files, corpus tables, metric
 series, id lists, SVG line charts, and the output manifest; and the CPC and
-token parsers.  It loads no numpy, so neither does `patmetrics synth`.
+token parsers.  It loads no numpy, so neither does `patmetrics synth`, and
+it loads OpenSSL (`hashlib`) only to hash the manifest.
 
 All numeric cells are rendered with 6 significant digits, so a
 write -> read -> write cycle is a fixed point.  Files always use ``\\n`` line
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import hashlib
 import math
 import os
 import re
@@ -445,6 +445,7 @@ def write_svg_lines(path: str, series_list: Sequence[GroupSeries], label: str) -
 # manifest
 
 def sha256_file(path: str) -> str:
+    import hashlib  # only hashing maps OpenSSL, so a run does so after its last stage
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

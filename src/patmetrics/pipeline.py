@@ -3,9 +3,10 @@ them, or those named in `--only`), loaded by `cli.main` for `run` only.
 
 Stages communicate through files in the output directory.  The corpus is
 the one input they share in memory: `run` builds it once, from its config
-alone, and hands it to the stages that read it (classify, metrics).  A
-synthetic corpus is generated afresh into an emptied `corpus/` and ingested
-from its rows; input tables are read through `io.load_corpus`.  So running
+alone, and hands it to the stages that read it (classify, metrics),
+releasing its token index once classify is done.  A synthetic corpus is
+generated afresh into an emptied `corpus/` and ingested from its rows;
+input tables are read through `io.load_corpus`.  So running
 the stages one at a time with one seed gives byte-identical artifacts to a
 monolithic `run`.  `run.log` records stage progress without timestamps and
 is excluded from the manifest.  Each layer is called through its module
@@ -457,5 +458,7 @@ def cmd_run(args) -> int:
         if corpus is None and name in ("classify", "metrics"):  # the stages that read the corpus
             corpus = _ensure_corpus(cfg, args.seed, args.out, text)
         stage(cfg, corpus, args.out)
+        if name == "classify":  # no later stage reads text; the memos stay shared
+            corpus = replace(corpus, token_index=None)
     pio.write_manifest(args.out)
     return 0

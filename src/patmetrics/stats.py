@@ -8,6 +8,7 @@ normal approximation with tie correction and continuity correction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -51,18 +52,25 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _exact_p(w: int, n: int) -> float:
-    """Two-sided p for rank sum `w` over all 2^n sign assignments.
-
-    Valid only when ranks are exactly 1..n (no ties), so the positive-rank
-    sum is integral.  Tail counts are exact integers.
-    """
+@functools.cache
+def _signed_rank_counts(n: int) -> tuple[int, ...]:
+    """How many of the 2^n sign assignments of ranks 1..n give each positive-rank sum."""
     m = n * (n + 1) // 2
     counts = [0] * (m + 1)
     counts[0] = 1
     for r in range(1, n + 1):
         for s in range(m, r - 1, -1):
             counts[s] += counts[s - r]
+    return tuple(counts)
+
+
+def _exact_p(w: int, n: int) -> float:
+    """Two-sided p for rank sum `w` over all 2^n sign assignments.
+
+    Valid only when ranks are exactly 1..n (no ties), so the positive-rank
+    sum is integral.  Tail counts are exact integers.
+    """
+    counts = _signed_rank_counts(n)
     lower = sum(counts[: w + 1])
     upper = sum(counts[w:])
     total = 1 << n

@@ -491,6 +491,25 @@ class TestRunPipeline:
         assert log.startswith("synth: generated ") and "load: " in log
         assert ("token index" in log) == tokenized and len(built) == tokenized
 
+    def test_token_index_released_once_classified(self, ws, tmp_path, monkeypatch):
+        """Only classify reads text: the stages after it get a corpus without
+        the token index, sharing the memos of the corpus classify read."""
+        seen = {}
+        for name, (stage, directory, reads) in pipeline.STAGES.items():
+            def recording(cfg, corpus, out_dir, _name=name, _stage=stage):
+                seen[_name] = corpus
+                return _stage(cfg, corpus, out_dir)
+
+            monkeypatch.setitem(pipeline.STAGES, name, (recording, directory, reads))
+        assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")]) == 0
+        assert list(seen) == list(pipeline.STAGES)
+        assert seen["classify"].token_index is not None
+        for name in ("metrics", "stats", "report"):
+            assert seen[name].token_index is None
+            assert seen[name]._caches is seen["classify"]._caches
+            with pytest.raises(ValueError, match="released once the classify stage had run"):
+                seen[name].tokens()
+
     def test_run_log_sizes_outside_incidence_per_level(self, ws, full_run, tmp_path):
         pattern = (r"metrics: level (\d) outside-class incidence (\d+) rows, "
                    r"(\d+) \(year, class\) cells \((\d+\.\d\d) MB\)")
@@ -1246,6 +1265,26 @@ def test_synth_imports_no_numpy(tmp_path):
     desk = Path(__file__).resolve().parents[1] / "fixtures" / "desk.synth"
     absent = ["numpy"] + [f"patmetrics.{name}" for name in ("corpus", "classify", "metrics", "stats", "pipeline")]
     assert main_leaves_unloaded(absent, "synth", "--config", str(desk), "--out", str(tmp_path / "o")) == ["0"]
+    assert (tmp_path / "o" / "manifest.txt").is_file()
+
+
+@pytest.mark.parametrize("command", ["synth", "run-from-tables"])
+def test_manifest_is_the_first_to_load_openssl(ws, tmp_path, command):
+    """`_hashlib` (OpenSSL) is not loaded when `io.write_manifest` starts,
+    after every stage has run.  An interpreter that loads it before
+    `patmetrics` is imported (a site hook, say) cannot tell."""
+    argv = ["synth", "--config", str(ws / "small.synth")] if command == "synth" else [
+        "run", "--config", str(tables_run_config(ws, tmp_path))]
+    code = (
+        "import sys\nbefore = '_hashlib' in sys.modules\nfrom patmetrics import cli, io as pio\n"
+        "write, loaded = pio.write_manifest, []\n"
+        "pio.write_manifest = lambda out: loaded.append('_hashlib' in sys.modules) or write(out)\n"
+        "code = cli.main(sys.argv[1:])\nprint(before, code, *loaded)"
+    )
+    before, *rest = child_output(code, *argv, "--out", str(tmp_path / "o")).split()
+    if before == "True":
+        pytest.skip("this interpreter loads _hashlib before patmetrics is imported")
+    assert rest == ["0", "False"]
     assert (tmp_path / "o" / "manifest.txt").is_file()
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -106,6 +107,16 @@ class TestWilcoxon:
             assert res.method == "exact"
             assert res.statistic == w
             assert abs(res.p_value - p) <= 1e-12
+
+    def test_null_counts_built_once_per_n(self):
+        """The signed-rank null counts of each n are those of enumerating its
+        2^n sign assignments, and are built only on the first test of that n."""
+        for n in range(1, 13):
+            sums = Counter(sum(r for r, bit in zip(range(1, n + 1), signs) if bit)
+                           for signs in product((0, 1), repeat=n))
+            counts = stats._signed_rank_counts(n)
+            assert counts == tuple(sums[s] for s in range(n * (n + 1) // 2 + 1))
+            assert stats._signed_rank_counts(n) is counts
 
     def test_swap_symmetry(self):
         rng = random.Random(7)
