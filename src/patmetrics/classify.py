@@ -342,22 +342,29 @@ def _vocabulary(corpus: Corpus, rows: np.ndarray, size: int) -> tuple[str, ...]:
     return tuple(names[k] for k in top.tolist())
 
 
-def _features(
-    corpus: Corpus, blocks: Iterable[tuple], vocab: Sequence[str], cites: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Token shares over the vocabulary, then `cites`, the log citation
-    counts to and from the seed, for the rows whose tokens `blocks` holds,
-    as `_field_blocks` yields them: the feature rows of both training and
-    scoring, as (indptr, column, value) of their non-zeros, in column order
-    within each row.  A share is n / total of in-vocabulary token counts.
-    Each block sorts the row * (v + 2) + column keys of its in-vocabulary
-    tokens and non-zero citation features together, and counts each run of
-    equal keys.  The counts and totals are integers, so exact."""
-    v = len(vocab)
+def _columns(corpus: Corpus, vocab: Sequence[str]) -> np.ndarray:
+    """The feature column of each token id of the corpus: its place in
+    `vocab`, or len(vocab) for a token outside it."""
     words = corpus.tokens()["title"]  # every field's names are the one vocabulary
     known = np.array([words.id_of(tok) for tok in vocab], np.int64)
-    column = np.full(len(words.names), v, np.int32)  # token id -> feature column, v for the rest
+    column = np.full(len(words.names), len(vocab), np.int32)
     column[known[known >= 0]] = np.flatnonzero(known >= 0)
+    return column
+
+
+def _features(
+    blocks: Iterable[tuple], column: np.ndarray, v: int, cites: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Token shares over a vocabulary of `v` tokens, each token id's column
+    given by `column` as `_columns` builds it, then `cites`, the log
+    citation counts to and from the seed, for the rows whose tokens
+    `blocks` holds, as `_field_blocks` yields them: the feature rows of both
+    training and scoring, as (indptr, column, value) of their non-zeros, in
+    column order within each row.  A share is n / total of in-vocabulary
+    token counts.  Each block sorts the row * (v + 2) + column keys of its
+    in-vocabulary tokens and non-zero citation features together, and
+    counts each run of equal keys.  The counts and totals are integers, so
+    exact."""
     sizes, cols, vals = [np.zeros(1, np.int64)], [], []
     for block, i, tok in blocks:
         col = column.take(tok)
@@ -397,7 +404,7 @@ def _fit(
     feature is >= 0, so max-abs is the column max); folding the scales back
     into the weights keeps scoring a plain dot product on raw features.
     Every array is freed on return, before the next component builds its own."""
-    indptr, col, val = _features(corpus, _field_blocks(corpus, rows), vocab, cites[rows])
+    indptr, col, val = _features(_field_blocks(corpus, rows), _columns(corpus, vocab), len(vocab), cites[rows])
     order = np.argsort(col, kind="stable")  # column order, rows ascending within each column
     colptr = np.cumsum(np.concatenate([[0], np.bincount(col, minlength=len(vocab) + 2)]))
     scales = _reduce_segments(np.maximum, val[order], colptr)
@@ -458,12 +465,13 @@ def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
     are gathered once, and each component scores them by the row sums of
     its own block of non-zero features, one component at a time."""
     cites = [_citation_features(corpus, comp.seed) for comp in model.components]
+    columns = [_columns(corpus, comp.vocab) for comp in model.components]
     hit = np.zeros(len(corpus), bool)
     for start in range(0, len(corpus), _ROW_BLOCK):
         rows = np.arange(start, min(start + _ROW_BLOCK, len(corpus)))
         blocks = list(_field_blocks(corpus, rows))
-        for comp, comp_cites in zip(model.components, cites):
-            indptr, col, val = _features(corpus, blocks, comp.vocab, comp_cites[rows])
+        for comp, comp_cites, column in zip(model.components, cites, columns):
+            indptr, col, val = _features(blocks, column, len(comp.vocab), comp_cites[rows])
             z = _reduce_segments(np.add, val * comp.weights[col], indptr)
             hit[rows] |= 1.0 / (1.0 + np.exp(-(z + comp.bias))) > model.config.threshold
     return corpus.members(hit)

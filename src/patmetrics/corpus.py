@@ -67,7 +67,7 @@ class Csr:
 
     def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(i, id) of each entry of the rows `rows` in turn, i indexing
-        `rows`; int32 throughout."""
+        `rows`; i is int32, and each id keeps the dtype of `ids`."""
         count = np.diff(self.indptr)[rows]
         # an entry's place in `ids` is its row's start plus its rank in the row
         at = np.repeat(self.indptr[rows] - np.cumsum(count, dtype=np.int32) + count, count)
@@ -102,29 +102,38 @@ class TokenIndexer:
     """Builds the token index of a corpus from the texts of its patents,
     handed over a block of patents at a time: one `Csr` per text field, row
     i holding the tokens of patent i, over one vocabulary shared by all
-    fields.  Each field's ids are built into one 4-byte buffer, in order of
-    first sight, and `build` renumbers them in token order in place, a
-    fixed block at a time, so the returned arrays are the only token-sized
-    ones; only the sorted vocabulary is decoded to `str`."""
+    fields.  Each field's ids are built into one buffer, in order of first
+    sight, at 2 bytes an id until the vocabulary outgrows 65,536 names and
+    every field's buffer widens to 4, and `build` renumbers them in token
+    order in place, a fixed block at a time, so the returned arrays are the
+    only token-sized ones; only the sorted vocabulary is decoded to `str`."""
 
     def __init__(self) -> None:
         self._seen = interner()
-        self._fields = [(array("i"), array("i", [0])) for _ in TEXT_FIELDS]
+        self._fields = [[array("H"), array("i", [0])] for _ in TEXT_FIELDS]
 
     def add(self, texts: Iterable[Sequence[str]]) -> None:
         """Tokenize the next patents, each given as its `TEXT_FIELDS` texts."""
         seen = self._seen.__getitem__
-        for (ids, indptr), column in zip(self._fields, zip(*texts)):
+        for field, column in zip(self._fields, zip(*texts)):
+            ids, indptr = field
             for text in column:
-                ids.fromlist(list(map(seen, _token_bytes(text))))
+                row = list(map(seen, _token_bytes(text)))
+                try:
+                    ids.fromlist(row)  # leaves `ids` as it was when an id overflows
+                except OverflowError:  # id 65,536 needs 4 bytes, and all fields share one dtype
+                    for each in self._fields:
+                        each[0] = array("i", each[0])
+                    ids = field[0]
+                    ids.fromlist(row)
                 indptr.append(len(ids))
 
     def build(self) -> dict[str, Csr]:
         """The index of every text added; its ids are renumbered in place, so call it once."""
         vocab = sorted(self._seen)
-        rank = np.empty(len(vocab), np.int32)
-        rank[[self._seen[tok] for tok in vocab]] = np.arange(len(vocab), dtype=np.int32)
-        fields = [(np.frombuffer(indptr, np.int32), np.frombuffer(ids, np.int32)) for ids, indptr in self._fields]
+        rank = np.empty(len(vocab), self._fields[0][0].typecode)
+        rank[[self._seen[tok] for tok in vocab]] = np.arange(len(vocab), dtype=rank.dtype)
+        fields = [(np.frombuffer(indptr, np.int32), np.frombuffer(ids, rank.dtype)) for ids, indptr in self._fields]
         for _, ids in fields:
             for start in range(0, len(ids), _RENUMBER_BLOCK):
                 block = ids[start : start + _RENUMBER_BLOCK]
@@ -143,8 +152,9 @@ class Corpus:
     (and in `run` once classify is done); the raw text is not kept.  `codes`
     holds each patent's CPC codes.  `citing` and `cited` hold one entry per
     citation, and `science_patent`, `science_label` and `science_confidence`
-    one per science link, in acceptance order.  Arrays are int32, but for the int64 confidences.  All
-    derived indexes are deterministic functions of the content.
+    one per science link, in acceptance order.  Arrays are int32, but for the int64 confidences
+    and the token ids, uint16 up to 65,536 names.  All derived indexes are
+    deterministic functions of the content.
     """
 
     ids: tuple[str, ...]

@@ -216,7 +216,7 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
         fields = list(corpus.token_index.values())
         size = sum(f.ids.nbytes + f.indptr.nbytes for f in fields)
         lines.append(f"classify: token index {sum(len(f.ids) for f in fields)} tokens, "
-                     f"{len(fields[0].names)} distinct ({size / 2**20:.2f} MB)")
+                     f"{len(fields[0].names)} distinct ({size / 2**20:.2f} MB, {fields[0].ids.itemsize}-byte ids)")
     _log(out_dir, "\n".join(lines))
 
 

@@ -31,14 +31,17 @@ def tokenize(text: str) -> list[str]:
 
 def index_tokens(fields: Mapping[str, Iterable[str]]) -> dict[str, Csr]:
     """One `Csr` of token ids per field over the sorted vocabulary of all
-    fields, row i holding the tokens of text i in text order."""
+    fields, row i holding the tokens of text i in text order.  Every
+    field's ids are uint16 when the vocabulary holds at most 65,536 names,
+    else int32."""
     tokens = {name: [tokenize(text) for text in texts] for name, texts in fields.items()}
     names = tuple(sorted({tok for rows in tokens.values() for row in rows for tok in row}))
     rank = {tok: k for k, tok in enumerate(names)}
+    dtype = np.uint16 if len(names) <= 2**16 else np.int32
     out = {}
     for name, rows in tokens.items():
         indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.int32)
-        ids = np.array([rank[tok] for row in rows for tok in row], np.int32)
+        ids = np.array([rank[tok] for row in rows for tok in row], dtype)
         out[name] = Csr(names, indptr, ids)
     return out
 

@@ -389,7 +389,7 @@ def test_10_pipeline_deterministic_and_stage_equivalent(tmp_path):
         log = fh.read().splitlines()
     assert ("classify: USPTO component ai_core: seed 10003, anti-seed 10003, vocabulary 300, "
             "training features 20006 x 302, 759713 non-zeros (23.18 MB)") in log
-    assert "classify: token index 3568238 tokens, 405 distinct (14.37 MB)" in log
+    assert "classify: token index 3568238 tokens, 405 distinct (7.57 MB, 2-byte ids)" in log
     assert [line for line in log if " outside-class incidence " in line] == [
         "metrics: level 1 outside-class incidence 207283 rows, 270 (year, class) cells (1.96 MB)",
         "metrics: level 3 outside-class incidence 308133 rows, 720 (year, class) cells (2.74 MB)",

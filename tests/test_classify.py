@@ -276,10 +276,11 @@ def random_text(rng, phrases, filler=("widget", "the", "of", "networks")):
     return sep.join(w.upper() if rng.random() < 0.1 else w for w in words)
 
 
-def random_text_corpus(rng, straddling):
+def random_text_corpus(rng, straddling, wide=0):
     """A random corpus with phrase-laden texts in every field, full CPC
     codes, and random citations.  Some field pairs end and start with the
-    two halves of one of the `straddling` phrases."""
+    two halves of one of the `straddling` phrases.  One patent's title
+    holds `wide` distinct filler tokens more, to widen the vocabulary."""
     phrases = _phrase_pool()
     n = rng.randrange(10, 120)
     years = {f"P{i}": rng.randrange(2000, 2010) for i in range(n)}
@@ -295,6 +296,8 @@ def random_text_corpus(rng, straddling):
                 fields[k] = " ".join([fields[k], *ph[:cut]])
                 fields[k + 1] = " ".join([*ph[cut:], fields[k + 1]])
         texts[p] = dict(zip(("title", "abstract", "claims", "description"), fields))
+    if wide:
+        texts[rng.choice(ids)]["title"] += " " + " ".join(f"w{k}" for k in range(wide))
     edges = sorted(
         {(a, b) for a, b in (rng.sample(ids, 2) for _ in range(rng.randrange(0, 3 * n))) if years[a] >= years[b]}
     )
@@ -313,16 +316,19 @@ def scatter(features, width):
     return X
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(14))
 def test_classifiers_equal_reference_loops(seed, monkeypatch):
     """Phrase, prefix and seed matching over the interned indexes, and the
     USPTO vocabularies and feature rows, equal the per-patent loops.
-    The USPTO classifier reads its tokens in blocks of 1, 7 or 1024 rows."""
+    The USPTO classifier reads its tokens in blocks of 1, 7 or 1024 rows.
+    From seed 12 the vocabulary outgrows 65,536 names, so token ids are
+    int32 rather than uint16."""
     monkeypatch.setattr(cls, "_ROW_BLOCK", (1, 7, 1024)[seed % 3])
     rng = random.Random(7000 + seed)
     phrases = _phrase_pool()
     chosen = rng.sample([ph for ph in phrases if len(ph) > 1], 6)
-    corpus = random_text_corpus(rng, chosen)
+    corpus = random_text_corpus(rng, chosen, wide=70_000 if seed >= 12 else 0)
+    assert corpus.tokens()["title"].ids.dtype == (np.int32 if seed >= 12 else np.uint16)
     table = (*chosen, ("zeppelin", "widget"))
     rules = (
         cls.WipoRule("code", rng.choice(PREFIXES)),
@@ -365,7 +371,8 @@ def test_classifiers_equal_reference_loops(seed, monkeypatch):
         cites = cls._citation_features(corpus, comp.seed)
         for rows in (train_ids, ids):
             at = np.array([corpus.position[p] for p in rows], np.int64)
-            features = cls._features(corpus, cls._field_blocks(corpus, at), comp.vocab, cites[at])
+            blocks = cls._field_blocks(corpus, at)
+            features = cls._features(blocks, cls._columns(corpus, comp.vocab), len(comp.vocab), cites[at])
             got = scatter(features, len(comp.weights))
             assert np.array_equal(got, ref.features(corpus, rows, comp.vocab, comp.seed))
     assert cls.classify_uspto(corpus, model) == ref.classify_uspto(corpus, model)

@@ -456,9 +456,10 @@ class TestRunPipeline:
         lines = [ln for ln in read(full_run / "run.log").splitlines() if "token index" in ln]
         assert len(lines) == 1
         got = re.fullmatch(
-            r"classify: token index (\d+) tokens, (\d+) distinct \((\d+\.\d\d) MB\)", lines[0]
+            r"classify: token index (\d+) tokens, (\d+) distinct \((\d+\.\d\d) MB, (\d)-byte ids\)", lines[0]
         )
         assert int(got[1]) > int(got[2]) > 0
+        assert got[4] == "2"  # a vocabulary of at most 65,536 names
 
     TEXT_RUNS = {  # case: (groups removed from RUN_TEXT, --only, whether the run tokenizes)
         "science-and-prefix": (("Keyword", "Rules", "Auto"), "", False),

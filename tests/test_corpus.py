@@ -10,7 +10,10 @@ from patmetrics.corpus import TEXT_FIELDS, Csr, TokenIndexer, distinct
 from patmetrics.errors import CpcParseError, DataError
 from patmetrics.io import parse_cpc
 
-from helpers import assert_same, build_corpus, classes_at, text_heavy_corpus, texts_of, tokens_of, traced_peak
+import reference_corpus as ref_corpus
+from helpers import (
+    assert_same, build_corpus, classes_at, ingest_rows, text_heavy_corpus, texts_of, tokens_of, traced_peak,
+)
 
 
 def reference_code_index(corpus, rows):
@@ -255,8 +258,10 @@ def test_distinct_equals_np_unique(seed):
 def test_index_tokens_holds_only_its_ids():
     """Building the token index of a generated corpus as ingest builds it,
     the texts of `_TEXT_BLOCK` patents at a time, peaks at no more than
-    1.25 times the arrays it returns: each field's ids are built at 4 bytes
-    a token and renumbered where they lie."""
+    640 KiB above the arrays it returns (the vocabulary, the last text block
+    and a renumbering block): each field's ids are built at 2 bytes a token,
+    as its vocabulary fits in 65,536 names, and renumbered where they lie, so
+    a second copy of the largest field's ids would not fit in the bound."""
     corpus = text_heavy_corpus()
     texts = texts_of(corpus)
     rows = list(zip(*(texts[name] for name in TEXT_FIELDS)))
@@ -269,9 +274,42 @@ def test_index_tokens_holds_only_its_ids():
 
     index, peak = traced_peak(build)
     assert_same(index, corpus.tokens(), "tokens")
+    assert {csr.ids.dtype for csr in index.values()} == {np.dtype(np.uint16)}
     size = sum(csr.ids.nbytes + csr.indptr.nbytes for csr in index.values())
-    assert size > 2 * 2**20
-    assert peak <= 1.25 * size, peak / size
+    bound = 640 * 2**10
+    assert max(csr.ids.nbytes for csr in index.values()) > bound
+    assert peak - size <= bound, peak - size
+
+
+def wide_vocabulary_rows(names, wide_field):
+    """Patent rows over the `names` distinct tokens t0, t1, ..., all but
+    40,000 of them first seen in the `wide_field` text of the last patent;
+    the other fields hold only tokens seen before, so their own ids fit in 2
+    bytes whatever the size of the vocabulary."""
+    words = [f"t{k}" for k in range(names)]
+    early = " ".join(words[:5])
+    rows = [("P0", 2000, " ".join(words[:40_000]), early, "", early), ("P1", 2000, "", "", early, "")]
+    last = dict.fromkeys(TEXT_FIELDS, early) | {wide_field: " ".join(words[40_000:])}
+    return rows + [("P2", 2000, *(last[name] for name in TEXT_FIELDS))]
+
+
+@pytest.mark.parametrize("names, wide_field", [
+    (2**16, "title"), (2**16, "description"),
+    (2**16 + 1, "title"), (2**16 + 1, "description"), (120_010, "abstract"),
+])
+def test_token_ids_two_bytes_while_vocabulary_fits(monkeypatch, names, wide_field):
+    """Token ids are uint16 in every field while the shared vocabulary holds
+    at most 65,536 names, and int32 in every field past that, also in a
+    field whose own ids all fit in 2 bytes, and in fields filled in an
+    earlier text block than the one that widens them; the index equals the
+    regular expression oracle's."""
+    monkeypatch.setattr(corpus_module, "_TEXT_BLOCK", 2)
+    rows = wide_vocabulary_rows(names, wide_field)
+    corpus = ingest_rows({"patents": rows}, window=(2000, 2000))
+    want = np.uint16 if names <= 2**16 else np.int32
+    assert len(corpus.tokens()["title"].names) == names
+    assert {csr.ids.dtype for csr in corpus.tokens().values()} == {np.dtype(want)}
+    assert_same(corpus.tokens(), ref_corpus.index_tokens(texts_of(corpus)), "tokens")
 
 
 class TestIngestText:
