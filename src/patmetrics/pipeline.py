@@ -79,6 +79,8 @@ def load_run_config(path: str) -> RunConfig:
 
     tables = dict.fromkeys(pio.TABLE_COLUMNS, resolve)
     inputs = pio.options(parser["inputs"], path, synth=resolve, **tables)
+    if "synth" in inputs and len(inputs) > 1:
+        raise ConfigError(f"{path}: [inputs] names both synth= and tables; name one or the other")
     if "synth" in inputs:
         sources = {"synth_path": inputs["synth"]}
     elif "patents" in inputs:
@@ -438,6 +440,8 @@ STAGES = {
 
 def cmd_run(args) -> int:
     cfg = load_run_config(args.config)
+    if args.seed is not None and cfg.synth_path is None:
+        raise ConfigError(f"{args.config}: --seed seeds a synthetic corpus, but [inputs] names tables")
     only = pio.comma_list(args.only)
     for name in only:
         if name not in STAGES:

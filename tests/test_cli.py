@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import os
 import re
 import shutil
@@ -182,7 +183,7 @@ class TestSynthCommand:
             )
             == 0
         )
-        assert pio.sha256_file(str(a / "patents.tsv")) != pio.sha256_file(str(b / "patents.tsv"))
+        assert read(a / "patents.tsv") != read(b / "patents.tsv")
         assert read(a / "run.log").endswith(", seed 424\n")  # the config's rng_seed
         assert read(b / "run.log").endswith(", seed 99\n")
 
@@ -586,6 +587,30 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_seed_with_input_tables_creates_nothing(self, ws, tmp_path, capsys):
+        """A run from tables has no seed to override."""
+        cfg, out = tables_run_config(ws, tmp_path), tmp_path / "o"
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: --seed seeds a synthetic corpus, but [inputs] names tables\n")
+        assert not out.exists()
+
+    def test_synth_and_tables_in_inputs_change_nothing(self, ws, full_run, tmp_path, capsys):
+        """`[inputs]` names either a synthetic corpus or tables, not both."""
+        cfg, out = tmp_path / "both.run", tmp_path / "o"
+        cfg.write_text(
+            RUN_TEXT.replace("synth = small.synth\n", f"synth = {ws / 'small.synth'}\npatents = /nonexistent/patents.tsv\n")
+            .replace("config = small.uspto", f"config = {ws / 'small.uspto'}"),
+            encoding="utf-8",
+        )
+        shutil.copytree(full_run, out)
+        before = TestStageTable.tree(out)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: [inputs] names both synth= and tables; name one or the other\n")
+        assert TestStageTable.tree(out) == before
+
     def test_missing_patents_table(self, tmp_path):
         cfg = tmp_path / "x.run"
         cfg.write_text(
@@ -747,7 +772,7 @@ class TestStageTable:
     def assert_manifest_verifies(out):
         for line in read(out / "manifest.txt").splitlines():
             digest, rel = line.split("  ", 1)
-            assert (out / rel).is_file() and pio.sha256_file(str(out / rel)) == digest, rel
+            assert (out / rel).is_file() and pio.sha256_file(str(out / rel), hashlib.sha256) == digest, rel
 
     def test_run_directory_matches_the_table(self, ws, full_run):
         """Every top-level entry of a full run is the corpus, a file of the
@@ -1272,21 +1297,54 @@ def test_synth_imports_no_numpy(tmp_path):
 @pytest.mark.parametrize("command", ["synth", "run-from-tables"])
 def test_manifest_is_the_first_to_load_openssl(ws, tmp_path, command):
     """`_hashlib` (OpenSSL) is not loaded when `io.write_manifest` starts,
-    after every stage has run.  An interpreter that loads it before
-    `patmetrics` is imported (a site hook, say) cannot tell."""
+    after every stage has run, and these outputs, under 1 MiB, are hashed
+    without it: it is still unloaded when `cli.main` returns.  An
+    interpreter that loads it before `patmetrics` is imported (a site
+    hook, say) cannot tell."""
     argv = ["synth", "--config", str(ws / "small.synth")] if command == "synth" else [
         "run", "--config", str(tables_run_config(ws, tmp_path))]
     code = (
         "import sys\nbefore = '_hashlib' in sys.modules\nfrom patmetrics import cli, io as pio\n"
         "write, loaded = pio.write_manifest, []\n"
         "pio.write_manifest = lambda out: loaded.append('_hashlib' in sys.modules) or write(out)\n"
-        "code = cli.main(sys.argv[1:])\nprint(before, code, *loaded)"
+        "code = cli.main(sys.argv[1:])\nprint(before, code, *loaded, '_hashlib' in sys.modules)"
     )
     before, *rest = child_output(code, *argv, "--out", str(tmp_path / "o")).split()
     if before == "True":
         pytest.skip("this interpreter loads _hashlib before patmetrics is imported")
-    assert rest == ["0", "False"]
+    assert rest == ["0", "False", "False"]
     assert (tmp_path / "o" / "manifest.txt").is_file()
+
+
+def test_manifest_of_a_mebibyte_loads_openssl_only_while_it_hashes(tmp_path):
+    """A tree of `_OPENSSL_FROM` bytes is written without `_hashlib`, and
+    its manifest is hashed with it."""
+    code = (
+        "import sys\nbefore = '_hashlib' in sys.modules\nfrom patmetrics import io as pio\n"
+        "pio.write_text(sys.argv[1] + '/big.tsv', 'x' * pio._OPENSSL_FROM)\n"
+        "written = '_hashlib' in sys.modules\npio.write_manifest(sys.argv[1])\n"
+        "print(before, written, '_hashlib' in sys.modules)"
+    )
+    before, *rest = child_output(code, str(tmp_path)).split()
+    if before == "True":
+        pytest.skip("this interpreter loads _hashlib before patmetrics is imported")
+    assert rest == ["False", "True"]
+    assert read(tmp_path / "manifest.txt").endswith("  big.tsv\n")
+
+
+def test_manifest_without_a_builtin_sha256_goes_through_hashlib(ws, tmp_path):
+    """An interpreter built without `_sha2` and `_sha256` hashes even a
+    small manifest with `hashlib`, and writes the same manifest."""
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--config", str(ws / "small.synth"), "--out", str(out)]) == 0
+    manifest = read(out / "manifest.txt")
+    code = (
+        "import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from patmetrics import io as pio\npio.write_manifest(sys.argv[1])\n"
+        "print('_hashlib' in sys.modules)"
+    )
+    assert child_output(code, str(out)).split() == ["True"]
+    assert read(out / "manifest.txt") == manifest
 
 
 def test_table_run_imports_neither_numpy_ma_nor_the_generator(ws, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -353,3 +354,32 @@ class TestManifest:
         first = (tmp_path / "manifest.txt").read_text()
         pio.write_manifest(str(tmp_path))
         assert (tmp_path / "manifest.txt").read_text() == first
+
+    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537])
+    def test_builtin_sha256_equals_hashlib(self, tmp_path, size):
+        """The built-in constructor, read in 64 KiB chunks, gives OpenSSL's digest."""
+        builtin = pio._sha256(0)
+        assert builtin.__module__ in ("_sha2", "_sha256")
+        data = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+        (tmp_path / "f").write_bytes(data)
+        assert pio.sha256_file(str(tmp_path / "f"), builtin) == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("under", [1, 0], ids=["one-byte-under", "at"])
+    def test_manifest_at_the_openssl_limit_equals_hashlib(self, tmp_path, monkeypatch, under):
+        """One constructor hashes the whole manifest, OpenSSL's from
+        `_OPENSSL_FROM` bytes of listed files on (`run.log` is not
+        counted), and the manifest is the one that `hashlib` alone gives."""
+        sizes = {"a.tsv": 1000, "sub/b.bin": 65537, "sub/c.txt": 0}
+        sizes["z.tsv"] = pio._OPENSSL_FROM - under - sum(sizes.values())
+        for rel, size in sizes.items():
+            (tmp_path / rel).parent.mkdir(exist_ok=True)
+            (tmp_path / rel).write_bytes(bytes(range(7)) * (size // 7) + b"x" * (size % 7))
+        write(tmp_path / "run.log", "log line\n")
+        used, sha256_file = set(), pio.sha256_file
+        monkeypatch.setattr(pio, "sha256_file", lambda path, sha256: used.add(sha256) or sha256_file(path, sha256))
+        pio.write_manifest(str(tmp_path))
+        assert used == {pio._sha256(0) if under else hashlib.sha256}
+        expected = "".join(
+            f"{hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()}  {rel}\n" for rel in sorted(sizes)
+        )
+        assert (tmp_path / "manifest.txt").read_text() == expected

@@ -83,3 +83,41 @@ def test_unread_private_name_is_found():
 def test_no_unread_private_names(path):
     with open(path, encoding="utf-8") as fh:
         assert unread_private_names(fh.read()) == []
+
+
+def module_level_imports(source: str) -> set[str]:
+    """The top-level packages a module imports as it is itself imported:
+    at module level or in a class body, but not in a function.  Relative
+    imports are left out."""
+    tree, found = ast.parse(source), set()
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_module_level_import_is_found():
+    source = (
+        "import os.path\nfrom hashlib import sha256\nfrom . import io\n"
+        "if True:\n    import _hashlib\n"
+        "class C:\n    import json\n"
+        "def f():\n    import csv\n"
+    )
+    assert module_level_imports(source) == {"os", "hashlib", "_hashlib", "json"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_no_module_level_openssl_import(path):
+    """Importing a module maps no OpenSSL: `hashlib` is imported only to
+    hash a manifest of at least 1 MiB.  This holds where the child-process
+    tests of `test_cli` skip, under an interpreter that loads `_hashlib`
+    itself."""
+    with open(path, encoding="utf-8") as fh:
+        assert module_level_imports(fh.read()) & {"hashlib", "_hashlib"} == set()
