@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -365,7 +365,7 @@ def _stream(rows: Iterable[Sequence | None], cells, width: int, dtype=np.int32) 
             except ValueError:
                 yield malformed
 
-    return np.fromiter(each(), np.dtype((dtype, width)))
+    return np.fromiter(chain.from_iterable(each()), dtype).reshape(-1, width)
 
 
 def _patents(rows: Iterable[Sequence | None], window: tuple[int, int], strict: bool, text: bool):

@@ -127,12 +127,14 @@ def _build_outside(corpus: Corpus, level: int) -> _Outside:
     cited = corpus.cited[edge]
     del edge
     keys = cited.astype(key_type) * n_classes + classes
-    # the keys of the classes patents hold come sorted by construction
+    # a row is outside when its key's bit is clear in a table of one bit per
+    # (patent, class) held; `.at` ors unbuffered, as held keys share bytes
     held = index.owners().astype(key_type) * n_classes + index.ids
-    at = np.searchsorted(held, keys)
-    np.minimum(at, len(held) - 1, out=at)
-    outside = held[at] != keys
-    del at, held
+    bits = np.zeros(-(-len(corpus) * n_classes // 8), np.uint8)
+    np.bitwise_or.at(bits, held >> 3, np.left_shift(1, held & 7).astype(np.uint8))
+    del held
+    outside = (bits[keys >> 3] >> (keys & 7).astype(np.uint8) & 1) == 0
+    del bits
     breadth = np.bincount(distinct(keys[outside]) // n_classes, minlength=len(corpus))
     del keys
     cited, classes = cited[outside], classes[outside]
@@ -161,13 +163,19 @@ def _generality(counts: list[int]) -> float | None:
     return 1.0 - sum((c / total) ** 2 for c in counts)
 
 
-def _yearly_means(years: np.ndarray, values: np.ndarray, label: str) -> tuple[GroupSeries, float | None]:
-    """Mean of the integer `values` per distinct year, and the mean of those
-    annual means (None without points).  Each year's sum is an integer
-    below 2**53, exact as a float, so `total / n` rounds as `int / int`."""
+def _year_sums(years: np.ndarray, values: np.ndarray) -> list[tuple[int, float, int]]:
+    """(year, sum of the integer `values`, count) per distinct year,
+    ascending.  Each sum is an integer below 2**53, exact as a float, so
+    `total / n` rounds as `int / int`."""
     lo = int(years.min()) if len(years) else 0
     counts, sums = np.bincount(years - lo).tolist(), np.bincount(years - lo, values).tolist()
-    pts = tuple((lo + y, total / n) for y, (total, n) in enumerate(zip(sums, counts)) if n)
+    return [(lo + y, total, n) for y, (total, n) in enumerate(zip(sums, counts)) if n]
+
+
+def _yearly_means(years: np.ndarray, values: np.ndarray, label: str) -> tuple[GroupSeries, float | None]:
+    """Mean of the integer `values` per distinct year, and the mean of those
+    annual means (None without points)."""
+    pts = tuple((y, total / n) for y, total, n in _year_sums(years, values))
     return GroupSeries(label, pts), (mean(v for _, v in pts) if pts else None)
 
 
@@ -298,15 +306,14 @@ def citation_lag_series(
     """Mean citation lag by cited-cohort grant year, the pooled mean, and the
     pooled mean for cited patents granted in each of `periods`."""
     cited, lags = _lags(corpus, mask, mode)
-    years = corpus.year[cited]
-
-    def pooled(lo: float, hi: float) -> float | None:
-        rows = (years >= lo) & (years <= hi)
-        n = int(rows.sum())
-        return int(lags[rows].sum(dtype=np.int64)) / n if n else None
-
-    series, _ = _yearly_means(years, lags, label)
-    return series, pooled(-math.inf, math.inf), [((lo, hi), pooled(lo, hi)) for lo, hi in periods]
+    sums = _year_sums(corpus.year[cited], lags)
+    pooled = []  # the whole window's and each period's, from the years' sums
+    for lo, hi in [(-math.inf, math.inf), *periods]:
+        rows = [(total, n) for y, total, n in sums if lo <= y <= hi]
+        n = sum(n for _, n in rows)
+        pooled.append(int(sum(total for total, _ in rows)) / n if n else None)
+    series = GroupSeries(label, tuple((y, total / n) for y, total, n in sums))
+    return series, pooled[0], list(zip(periods, pooled[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from dataclasses import replace
@@ -95,6 +96,21 @@ class TestLoadCorpus:
         with pytest.raises(DataError) as exc:
             pio.load_corpus(*paths, window=(2000, 2002), strict=True)
         assert str(exc.value) == f"{path}: line {len(lines)}: rejected row ({reason})"
+
+    def test_header_only_tables_give_empty_columns(self, tmp_path):
+        d = sample_tables(tmp_path)
+        for name in ("cpc", "citations", "science"):
+            write(d / f"{name}.tsv", "\t".join(pio.TABLE_COLUMNS[name]) + "\n")
+        corpus, report = pio.load_corpus(*(str(d / f"{name}.tsv") for name in pio.TABLE_COLUMNS), window=(2000, 2002))
+        columns = {
+            "codes.ids": corpus.codes.ids, "citing": corpus.citing, "cited": corpus.cited,
+            "science_patent": corpus.science_patent, "science_confidence": corpus.science_confidence,
+        }
+        assert {k: (a.shape, a.dtype) for k, a in columns.items()} == {
+            k: ((0,), np.int64 if k == "science_confidence" else np.int32) for k in columns
+        }
+        assert corpus.science_label == () and list(corpus.codes.indptr) == [0, 0, 0, 0]
+        assert [report.tables[name].rows for name in ("cpc", "citations", "science")] == [0, 0, 0]
 
     def test_missing_column_always_fatal(self, tmp_path):
         d = sample_tables(tmp_path)

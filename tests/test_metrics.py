@@ -225,25 +225,84 @@ class TestGeneralityCells:
         corpus = citation_heavy_corpus()
         self.assert_equals_reference(corpus, classify_prefix_group(corpus, prefix))
 
-    @pytest.mark.parametrize("level", LEVELS)
-    def test_cells_hold_the_reference_incidence(self, level):
-        corpus = citation_heavy_corpus()
-        out = met._outside(corpus, level)
+    @staticmethod
+    def assert_holds_reference_incidence(corpus, level):
+        out = met._build_outside(corpus, level)
         cited, classes, breadth = ref.outside_incidence(corpus, level)
         assert np.array_equal(out.cited, cited) and np.array_equal(out.breadth, breadth)
         keys = out.cells[out.cell]
         assert np.array_equal(keys, corpus.year[cited] * out.n_classes + classes)
         assert np.array_equal(out.cells, np.unique(keys)) and out.cell.dtype == np.int32
 
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_cells_hold_the_reference_incidence(self, level):
+        self.assert_holds_reference_incidence(citation_heavy_corpus(), level)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_patent_holding_every_class(self, level, seed):
+        """A cited patent that holds every class of its level sets every bit
+        of its row of the held-class table: none of its rows is outside."""
+        rng = random.Random(7100 + seed)
+        _, years, codes, edges, _ = random_corpus(rng)
+        everything = sorted({c for cs in codes.values() for c in cs})
+        citers = rng.sample(sorted(years), len(years) // 2)
+        corpus = build_corpus(
+            {**years, "ALL": 2000}, codes={**codes, "ALL": everything},
+            cites=edges + [(p, "ALL") for p in citers],
+        )
+        index, p = corpus.class_index(level), corpus.position["ALL"]
+        assert index.indptr[p + 1] - index.indptr[p] == len(index.names) > 0
+        self.assert_holds_reference_incidence(corpus, level)
+        assert met._build_outside(corpus, level).breadth[p] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_last_bit_of_a_partial_byte(self, level, seed):
+        """The table's last (patent, class) bit, set, in a table of
+        `len(corpus) * n_classes` bits that ends inside a byte."""
+        rng = random.Random(7200 + seed)
+        for _ in range(100):
+            _, years, codes, edges, _ = random_corpus(rng)
+            # the last patent holds Y10S, the last class at every level
+            # (the random codes are of sections A to H); C cites it from
+            # inside and outside that class
+            corpus = build_corpus(
+                {**years, "C": 2009, "Z": 2000},
+                codes={**codes, "C": ["A01B", "Y10S"], "Z": ["Y10S"]},
+                cites=edges + [("C", "Z")],
+            )
+            if len(corpus) * len(corpus.class_index(level).names) % 8:
+                break
+        index = corpus.class_index(level)
+        n_classes = len(index.names)
+        assert len(corpus) * n_classes % 8 and index.ids[-1] == n_classes - 1
+        assert corpus.position["Z"] == len(corpus) - 1
+        self.assert_holds_reference_incidence(corpus, level)
+        out = met._build_outside(corpus, level)
+        assert out.breadth[-1] == 1  # A, and not Y
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_corpus_without_citations(self, level, seed):
+        _, years, codes, _, _ = random_corpus(random.Random(7300 + seed))
+        corpus = build_corpus(years, codes=codes)
+        self.assert_holds_reference_incidence(corpus, level)
+        out = met._build_outside(corpus, level)
+        assert len(out.cited) == len(out.cells) == 0 and not out.breadth.any()
+
     def test_memory_bounded_by_the_incidence(self):
         """Building the level-4 incidence of the citation-heavy corpus
-        peaks no higher than the earlier build, and one group's tally holds
-        about 16 bytes or less per outside-class row, not a sort of them."""
+        peaks at least 4 bytes per candidate row (one for each class of
+        each citing patent) below the earlier build, which held an int64
+        search result per row, and one group's tally holds about 16 bytes
+        or less per outside-class row, not a sort of them."""
         corpus = citation_heavy_corpus()
-        corpus.class_index(4)
+        index = corpus.class_index(4)
+        candidates = int(np.diff(index.indptr)[corpus.citing].sum())
         _, want = traced_peak(lambda: ref.outside_incidence(corpus, 4))
         _, peak = traced_peak(lambda: met._build_outside(corpus, 4))
-        assert peak <= want
+        assert peak <= want - 4 * candidates
         rows = len(met._outside(corpus, 4).cell)
         mask = corpus.mask(corpus.ids)
         _, peak = traced_peak(lambda: met.generality_series(corpus, mask, 4, "All"))
