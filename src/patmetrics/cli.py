@@ -13,7 +13,9 @@ import argparse
 import os
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
+from typing import Iterator
 
 from . import io as pio
 from .errors import ConfigError, DataError
@@ -25,13 +27,19 @@ def _log(out_dir: str, text: str) -> None:
         fh.write(text + "\n")
 
 
-def _clear(out_dir: str, name: str) -> str:
-    """Remove the subdirectory `name` of `out_dir` that a stage owns, so
-    nothing an earlier run wrote there outlives the stage; return its path."""
-    path = os.path.join(out_dir, name)
-    if os.path.isdir(path):
-        shutil.rmtree(path)
-    return path
+@contextmanager
+def _staged(out_dir: str, name: str) -> Iterator[str]:
+    """A fresh `.NAME.new` in `out_dir` that replaces `NAME` when the block returns and is removed if it raises."""
+    path, new = os.path.join(out_dir, name), os.path.join(out_dir, f".{name}.new")
+    shutil.rmtree(new, ignore_errors=True)  # left by a killed process
+    os.makedirs(new)
+    try:
+        yield new
+    except BaseException:
+        shutil.rmtree(new, ignore_errors=True)
+        raise
+    shutil.rmtree(path, ignore_errors=True)  # none yet, or an earlier run's
+    os.rename(new, path)
 
 
 def _synthesize(synth_path: str, seed: int | None) -> tuple[dict, dict, int]:
@@ -53,9 +61,9 @@ def _synthesize(synth_path: str, seed: int | None) -> tuple[dict, dict, int]:
 def _write_synthetic(out_dir: str, tables: dict, truth: dict) -> None:
     """Write the corpus tables into `out_dir`, the truth lists into a fresh `truth/` there."""
     pio.write_corpus(out_dir, tables)
-    _clear(out_dir, "truth")
-    for name in sorted(truth):
-        pio.write_ids(os.path.join(out_dir, "truth", f"{name}.ids"), truth[name])
+    with _staged(out_dir, "truth") as into:
+        for name in sorted(truth):
+            pio.write_ids(os.path.join(into, f"{name}.ids"), truth[name])
 
 
 def cmd_synth(args) -> int:

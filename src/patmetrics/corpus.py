@@ -432,18 +432,18 @@ def _cpc(rows: Iterable[Sequence | None], position: Mapping[str, int], n_patents
 
 
 def _citations(rows: Iterable[Sequence | None], position: Mapping[str, int], year: np.ndarray):
-    """The citing and cited positions of the accepted citation rows, how
-    many of those state a citing year other than the citing patent's (the
-    corpus keeps the patent's: worth flagging, not fatal), and each row's
-    reason code."""
+    """The citing and cited positions of the accepted citation rows, how many
+    of those state a citing year other than the citing patent's (the corpus
+    keeps the patent's: worth flagging, not fatal), and each row's reason code."""
     years = year.tolist() + [0]  # an unknown patent, at -1, reads this 0
 
     def cells(row):
         i, j = position.get(row[0].strip(), -1), position.get(row[1].strip(), -1)
-        return i, j, years[i] < years[j], int(row[2]) != years[i]
+        return i, j, int(row[2]) != years[i]
 
-    i, j, backwards, mismatch = _stream(rows, cells, 4).T
-    reason = _reasons([i == -2, i == -1, j == -1, i == j, backwards > 0], i, j)
+    i, j, mismatch = _stream(rows, cells, 3).T
+    padded = np.append(year, (0, 0))  # a malformed row, at -2, and an unknown patent, at -1, read a 0
+    reason = _reasons([i == -2, i == -1, j == -1, i == j, padded[i] < padded[j]], i, j)
     ok = reason == 0
     return i[ok], j[ok], int(mismatch[ok].sum()), reason
 

@@ -1,16 +1,16 @@
 """`patmetrics run`: the stages classify, metrics, stats and report (all of
 them, or those named in `--only`), loaded by `cli.main` for `run` only.
 
-Stages communicate through files in the output directory.  The corpus is
-the one input they share in memory: `run` builds it once, from its config
-alone, and hands it to the stages that read it (classify, metrics),
-releasing its token index once classify is done.  A synthetic corpus is
-generated afresh into an emptied `corpus/` and ingested from its rows;
-input tables are read through `io.load_corpus`.  So running
+Stages communicate through files in the output directory.  The corpus is the one
+input they share in memory: `run` builds it once, from its config alone, and hands
+it to the stages that read it (classify, metrics), releasing its token index once
+classify is done.  A synthetic corpus is generated afresh into `corpus/` and
+ingested from its rows; input tables are read through `io.load_corpus`.  So running
 the stages one at a time with one seed gives byte-identical artifacts to a
-monolithic `run`.  `run.log` records stage progress without timestamps and
-is excluded from the manifest.  Each layer is called through its module
-(`pio.`, `cls.`, `met.`, `st.`), so a function replaced there sees every call.
+monolithic `run`.  A stage's directory is replaced only when it returns
+(`cli._staged`).  `run.log` records stage progress without timestamps and is
+excluded from the manifest.  Each layer is called through its module (`pio.`,
+`cls.`, `met.`, `st.`), so a function replaced there sees every call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import classify as cls
 from . import io as pio
 from . import metrics as met
 from . import stats as st
-from .cli import _clear, _log, _synthesize, _write_synthetic
+from .cli import _log, _staged, _synthesize, _write_synthetic
 from .corpus import Corpus, ingest
 from .errors import ConfigError, DataError
 
@@ -87,6 +87,9 @@ def load_run_config(path: str) -> RunConfig:
         sources = {"table_paths": tuple((name, inputs.get(name)) for name in pio.TABLE_COLUMNS)}
     else:
         raise ConfigError(f"{path}: [inputs] needs either synth= or patents=")
+    for name, table_path in sources.get("table_paths", ()):  # every one is found before any is read
+        if table_path is not None and not os.path.isfile(table_path):
+            raise ConfigError(f"{path}: {name} table not found: {table_path!r}")
 
     def read(key, load, raw):
         """The file that `key=raw` names, resolved and parsed by `load`."""
@@ -160,22 +163,18 @@ def load_run_config(path: str) -> RunConfig:
 
 def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str, text: bool) -> Corpus:
     """Validate the corpus once and write its load report.  A synthetic
-    corpus is generated afresh (with `seed`, `--seed`, when given) into an
-    emptied `corpus/`, and its rows are ingested without reading them back;
-    input tables are read only once every configured one is found.  The
-    patents' text is tokenized only when `text`."""
+    corpus is generated afresh (with `seed`, `--seed`, when given) into a
+    fresh `corpus/`, and its rows are ingested without reading them back.
+    The patents' text is tokenized only when `text`."""
     rules = {"window": cfg.window, "strict": cfg.strict, "text": text}
     if cfg.synth_path is not None:
-        tables, truth, seed = _synthesize(cfg.synth_path, seed)  # before `corpus/` is cleared
-        corpus_dir = _clear(out_dir, "corpus")
-        _write_synthetic(corpus_dir, tables, truth)
+        tables, truth, seed = _synthesize(cfg.synth_path, seed)
+        with _staged(out_dir, "corpus") as into:
+            _write_synthetic(into, tables, truth)
         _log(out_dir, f"synth: generated {len(tables['patents'])} patents into corpus/ with seed {seed}")
-        named = {n: (os.path.join(corpus_dir, f"{n}.tsv"), rows) for n, rows in tables.items()}
+        named = {n: (os.path.join(out_dir, "corpus", f"{n}.tsv"), rows) for n, rows in tables.items()}
         corpus, report = ingest(named, **rules)
     else:
-        for name, path in cfg.table_paths:
-            if path is not None and not os.path.isfile(path):
-                raise ConfigError(f"{name} table not found: {path!r}")
         corpus, report = pio.load_corpus(*(path for _, path in cfg.table_paths), **rules)
     # report paths relative to the output dir, so re-runs in different
     # directories hash identically
@@ -192,34 +191,27 @@ def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str, text: bool) -
 # ---------------------------------------------------------------------------
 # stages
 
-def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
-    """Write one member list per configured group into a fresh `groups/`.
-    Every group is classified before `groups/` is cleared, so a group that
-    cannot be classified (a USPTO seed that matches no patent) leaves it as
-    it was."""
-    members, lines = {}, []
+def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> None:
+    """Write one member list per configured group into `into`, the new `groups/`."""
     for g in cfg.groups:
         if g.kind == "uspto":
             model = cls.train_uspto(corpus, g.settings["config"])
             for c in model.components:
                 rows, cols = len(c.seed) + len(c.anti_seed), len(c.weights)
-                lines.append(f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
-                             f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}, "
-                             f"training features {rows} x {cols}, {c.nonzeros} non-zeros "
-                             f"({c.nonzeros * cls.NONZERO_BYTES / 2**20:.2f} MB)")
-            members[g.name] = cls.classify_uspto(corpus, model)
+                _log(out_dir, f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
+                              f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}, "
+                              f"training features {rows} x {cols}, {c.nonzeros} non-zeros "
+                              f"({c.nonzeros * cls.NONZERO_BYTES / 2**20:.2f} MB)")
+            members = cls.classify_uspto(corpus, model)
         else:
-            members[g.name] = CLASSIFIERS[g.kind](corpus, **g.settings)
-        lines.append(f"classify: {g.name} ({g.kind}) -> {len(members[g.name])} patents")
-    groups_dir = _clear(out_dir, "groups")
-    for name, ids in members.items():
-        pio.write_ids(os.path.join(groups_dir, f"{name}.ids"), ids)
+            members = CLASSIFIERS[g.kind](corpus, **g.settings)
+        pio.write_ids(os.path.join(into, f"{g.name}.ids"), members)
+        _log(out_dir, f"classify: {g.name} ({g.kind}) -> {len(members)} patents")
     if corpus.token_index is not None:
         fields = list(corpus.token_index.values())
         size = sum(f.ids.nbytes + f.indptr.nbytes for f in fields)
-        lines.append(f"classify: token index {sum(len(f.ids) for f in fields)} tokens, "
-                     f"{len(fields[0].names)} distinct ({size / 2**20:.2f} MB, {fields[0].ids.itemsize}-byte ids)")
-    _log(out_dir, "\n".join(lines))
+        _log(out_dir, f"classify: token index {sum(len(f.ids) for f in fields)} tokens, "
+                      f"{len(fields[0].names)} distinct ({size / 2**20:.2f} MB, {fields[0].ids.itemsize}-byte ids)")
 
 
 def load_uspto_config(path: str) -> cls.UsptoConfig:
@@ -240,20 +232,16 @@ def load_uspto_config(path: str) -> cls.UsptoConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _mpath(out_dir: str, stem: str) -> str:
-    return os.path.join(out_dir, "metrics", f"{stem}.metric.tsv")
+def _mpath(metrics_dir: str, stem: str) -> str:
+    return os.path.join(metrics_dir, f"{stem}.metric.tsv")
 
 
-def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
-    """Read every group, then write the metric tables into a fresh `metrics/`,
-    and the descendants of each approach group into `groups/`, replacing those of earlier runs."""
-    masks = {g.name: corpus.mask(pio.read_ids(os.path.join(out_dir, "groups", f"{g.name}.ids")))
-             for g in cfg.groups}
-    _clear(out_dir, "metrics")
-    # the descendants stay in `groups/`, where the desk digest has them
-    for name in os.listdir(os.path.join(out_dir, "groups")):
-        if name.endswith(".descendants.ids"):  # no group name ends in .descendants
-            os.remove(os.path.join(out_dir, "groups", name))
+def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> None:
+    """Write the metric tables into `into`, the new `metrics/`, and the
+    descendants of each approach group into `groups/`, in place of those of
+    earlier runs."""
+    groups = os.path.join(out_dir, "groups")
+    masks = {g.name: corpus.mask(pio.read_ids(os.path.join(groups, f"{g.name}.ids"))) for g in cfg.groups}
     order = [g.name for g in cfg.groups]
     approach = [g.name for g in cfg.groups if g.kind != "prefix"]
     scalars: list[tuple[str, str, str, float | None]] = []  # metric, level, group, value
@@ -269,7 +257,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
             scalars.append((metric, str(level or ""), series[n].group, overall))
         rows = [s for s in series.values() if s.points or keep_empty]
         if rows:
-            pio.write_series(_mpath(out_dir, f"{metric}_d{level}" if level else metric), rows)
+            pio.write_series(_mpath(into, f"{metric}_d{level}" if level else metric), rows)
         return series
 
     def counts_and_shares(prefix, masks):
@@ -277,11 +265,11 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
             corpus, masks[n], n
         ), keep_empty=True, names=list(masks))
         shares = [met.share_series(corpus, mask, n) for n, mask in masks.items()]
-        pio.write_series(_mpath(out_dir, f"{prefix}share"), shares)
+        pio.write_series(_mpath(into, f"{prefix}share"), shares)
         return counts
 
     counts = counts_and_shares("", masks)
-    pio.write_series(_mpath(out_dir, "growth"), [met.growth_series(s) for s in counts.values()])
+    pio.write_series(_mpath(into, "growth"), [met.growth_series(s) for s in counts.values()])
     pairs = list(combinations(approach, 2))
     per_group("jaccard", None, lambda p: met.jaccard_series(
         corpus, "|".join(p), masks[p[0]], masks[p[1]]
@@ -289,7 +277,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
     if pairs:
         count, share = met.allway_overlap([masks[a] for a in approach])
         pio.write_table(
-            os.path.join(out_dir, "metrics", "overlap.tsv"),
+            os.path.join(into, "overlap.tsv"),
             ("groups", "all_way_count", "all_way_share"),
             [("|".join(approach), str(count), pio.fmt_value(share))],
         )
@@ -316,14 +304,14 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
         for zm in cfg.zscore:
             zin = [by_metric[zm][n] for n in approach if by_metric[zm][n].points]
             if len(zin) >= 2:
-                pio.write_series(_mpath(out_dir, f"{zm}_d{level}_zscore"), met.zscore_across_groups(zin))
+                pio.write_series(_mpath(into, f"{zm}_d{level}_zscore"), met.zscore_across_groups(zin))
             else:
                 _log(out_dir, f"metrics: zscore skipped {zm}_d{level}, fewer than 2 approach groups with points")
 
     lags = {n: met.citation_lag_series(corpus, masks[n], n, cfg.periods, cfg.lag_mode) for n in order}
     per_group("citation_lag", None, lambda n: lags[n][:2])
     pio.write_table(
-        os.path.join(out_dir, "metrics", "lag_periods.tsv"),
+        os.path.join(into, "lag_periods.tsv"),
         ["group"] + [f"{lo}-{hi}" for lo, hi in cfg.periods],
         [[n] + [pio.fmt_value(v) for _, v in lags[n][2]] for n in order],
     )
@@ -331,32 +319,38 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str) -> None:
     if cfg.descendants and approach:
         descendants = {n: met.descendants(corpus, masks[n]) for n in approach}
         for n, mask in descendants.items():
-            pio.write_ids(os.path.join(out_dir, "groups", f"{n}.descendants.ids"), corpus.members(mask))
+            pio.write_ids(os.path.join(into, f"{n}.descendants.ids"), corpus.members(mask))
         counts_and_shares("descendants_", descendants)
 
     for metric in cfg.lowess:
-        path = _mpath(out_dir, metric)
+        path = _mpath(into, metric)
         if not os.path.exists(path):
             _log(out_dir, f"metrics: lowess skipped {metric}, no such metric file")
             continue
         series = pio.read_series(path)  # years distinct, so two points span two years
         smoothed = [st.smooth_series(s, cfg.lowess_fraction) for s in series if len(s.points) >= 2]
         if smoothed:
-            pio.write_series(_mpath(out_dir, f"{metric}_lowess"), smoothed)
+            pio.write_series(_mpath(into, f"{metric}_lowess"), smoothed)
 
     pio.write_table(
-        os.path.join(out_dir, "metrics", "scalars.tsv"),
+        os.path.join(into, "scalars.tsv"),
         ("metric", "level", "group", "value"),
         [(m, lv, g, pio.fmt_value(v)) for m, lv, g, v in scalars],
     )
     _log(out_dir, f"metrics: wrote series for {len(order)} groups at levels {list(cfg.levels)}")
+    # last, the descendants replace those in `groups/`, where the desk digest pins them, by removes and renames only
+    for name in os.listdir(groups):
+        if name.endswith(".descendants.ids"):  # no group name ends in .descendants
+            os.remove(os.path.join(groups, name))
+    for name in os.listdir(into):
+        if name.endswith(".descendants.ids"):
+            os.rename(os.path.join(into, name), os.path.join(groups, name))
 
 
-def stage_stats(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
-    """Read every compared metric, then write its period tests into a fresh `stats/`."""
-    inputs = {metric: pio.read_series(_mpath(out_dir, metric)) for metric in cfg.compare}
-    _clear(out_dir, "stats")
-    for metric, series in inputs.items():
+def stage_stats(cfg: RunConfig, corpus: Corpus | None, out_dir: str, into: str) -> None:
+    """Write the period tests of each compared metric into `into`, the new `stats/`."""
+    for metric in cfg.compare:
+        series = pio.read_series(_mpath(os.path.join(out_dir, "metrics"), metric))
         if len(series) < 2:
             _log(out_dir, f"stats: {metric} has fewer than 2 group series, skipped")
             continue
@@ -382,7 +376,7 @@ def stage_stats(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
                 for (a, b), res in result.tests.items()
             ]
             pio.write_table(
-                os.path.join(out_dir, "stats", f"{metric}_tests_{tag}.tsv"),
+                os.path.join(into, f"{metric}_tests_{tag}.tsv"),
                 ("group_a", "group_b", "n", "statistic", "method", "p_raw", "p_adjusted"),
                 rows,
             )
@@ -393,40 +387,38 @@ def stage_stats(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
                 for i, a in enumerate(order[1:], start=1)
             ]
             pio.write_table(
-                os.path.join(out_dir, "stats", f"{metric}_pvalues_{tag}.tsv"),
+                os.path.join(into, f"{metric}_pvalues_{tag}.tsv"),
                 ["group"] + order[:-1],
                 matrix_rows,
             )
 
         pio.write_table(
-            os.path.join(out_dir, "stats", f"{metric}_summary.tsv"),
+            os.path.join(into, f"{metric}_summary.tsv"),
             ["period", "stat"] + order,
             summary_rows,
         )
         _log(out_dir, f"stats: {metric} over {len(cfg.periods)} periods for {len(order)} groups")
 
 
-def stage_report(cfg: RunConfig, corpus: Corpus | None, out_dir: str) -> None:
-    """Read every metric table, then plot each into a fresh `plots/`."""
+def stage_report(cfg: RunConfig, corpus: Corpus | None, out_dir: str, into: str) -> None:
+    """Plot each metric table into `into`, the new `plots/`."""
     metrics_dir = os.path.join(out_dir, "metrics")
-    inputs = {name[: -len(".metric.tsv")]: pio.read_series(os.path.join(metrics_dir, name))
-              for name in sorted(os.listdir(metrics_dir)) if name.endswith(".metric.tsv")}
-    _clear(out_dir, "plots")
-    made = 0
-    for stem, series in inputs.items():
-        series = [s for s in series if s.points]
+    made, names = 0, sorted(os.listdir(metrics_dir))
+    for stem in [name[: -len(".metric.tsv")] for name in names if name.endswith(".metric.tsv")]:
+        series = [s for s in pio.read_series(_mpath(metrics_dir, stem)) if s.points]
         if not any(len(s.points) >= 2 for s in series):
             _log(out_dir, f"report: skipped {stem} (fewer than 2 points per series)")
             continue
-        skipped = pio.write_svg_lines(os.path.join(out_dir, "plots", f"{stem}.svg"), series, stem)
+        skipped = pio.write_svg_lines(os.path.join(into, f"{stem}.svg"), series, stem)
         for g in skipped:
             _log(out_dir, f"report: {stem}: dropped single-point series {g}")
         made += 1
     _log(out_dir, f"report: wrote {made} plots")
 
 
-#: stage -> (function, the directory of OUT it owns and clears before it
-#: writes there, the paths under OUT it reads), in pipeline order
+#: stage -> (function, the directory of OUT it owns, the paths under OUT it reads), in
+#: pipeline order.  `run` calls it as `stage(cfg, corpus, OUT, into)`: it reads from OUT and
+#: writes only into `into`, a fresh directory that replaces its own when it returns
 STAGES = {
     "classify": (stage_classify, "groups", lambda cfg: ()),
     "metrics": (stage_metrics, "metrics", lambda cfg: [f"groups/{g.name}.ids" for g in cfg.groups]),
@@ -448,20 +440,20 @@ def cmd_run(args) -> int:
             raise ConfigError(f"unknown stage {name!r}, expected one of {', '.join(STAGES)}")
     if len(set(only)) != len(only):
         raise ConfigError(f"--only repeats a stage: {args.only}")
-    os.makedirs(args.out, exist_ok=True)
     owner = {directory: name for name, (_, directory, _) in STAGES.items()}
     stages = [n for n in STAGES if n in only or not only]  # in pipeline order
     # only the keyword, WIPO and USPTO classifiers read the patents' text
     text = "classify" in stages and any(g.kind in ("keyword", "wipo", "uspto") for g in cfg.groups)
     corpus = None
     for name in stages:
-        stage, _, reads = STAGES[name]
+        stage, directory, reads = STAGES[name]
         for rel in reads(cfg):  # before anything is written
             if not os.path.exists(path := os.path.join(args.out, rel)):
                 raise DataError(f"missing {path}; run the {owner[rel.split('/')[0]]} stage first")
         if corpus is None and name in ("classify", "metrics"):  # the stages that read the corpus
             corpus = _ensure_corpus(cfg, args.seed, args.out, text)
-        stage(cfg, corpus, args.out)
+        with _staged(args.out, directory) as into:
+            stage(cfg, corpus, args.out, into)
         if name == "classify":  # no later stage reads text; the memos stay shared
             corpus = replace(corpus, token_index=None)
     pio.write_manifest(args.out)

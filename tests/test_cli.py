@@ -1,8 +1,10 @@
 import configparser
+import errno
 import hashlib
 import os
 import re
 import shutil
+import signal
 from pathlib import Path
 
 import pytest
@@ -498,9 +500,9 @@ class TestRunPipeline:
         the token index, sharing the memos of the corpus classify read."""
         seen = {}
         for name, (stage, directory, reads) in pipeline.STAGES.items():
-            def recording(cfg, corpus, out_dir, _name=name, _stage=stage):
+            def recording(cfg, corpus, out_dir, into, _name=name, _stage=stage):
                 seen[_name] = corpus
-                return _stage(cfg, corpus, out_dir)
+                return _stage(cfg, corpus, out_dir, into)
 
             monkeypatch.setitem(pipeline.STAGES, name, (recording, directory, reads))
         assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(tmp_path / "o")]) == 0
@@ -611,14 +613,33 @@ class TestExitCodes:
             f"configuration error: {cfg}: [inputs] names both synth= and tables; name one or the other\n")
         assert TestStageTable.tree(out) == before
 
-    def test_missing_patents_table(self, tmp_path):
-        cfg = tmp_path / "x.run"
+    def test_missing_patents_table(self, tmp_path, capsys):
+        cfg, out = tmp_path / "x.run", tmp_path / "o"
         cfg.write_text(
             "[run]\nwindow = 2000-2001\n[inputs]\npatents = none.tsv\n"
             "[group:All]\nkind = prefix\nprefix = All\n",
             encoding="utf-8",
         )
-        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: patents table not found: '{tmp_path / 'none.tsv'}'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("synth, text, error", [
+        ("nosuch.synth", None, "cannot read config '{file}'"),
+        ("bad.synth", SYNTH_TEXT.replace("base_count = 120", "base_count = x"),
+         "{file}: [synth] base_count: cannot parse 'x'"),
+    ], ids=["missing", "unparsable"])
+    def test_refused_synth_config_creates_nothing(self, ws, tmp_path, capsys, synth, text, error):
+        """A synthetic corpus is generated before anything is written, so a
+        config it refuses leaves no output directory behind."""
+        if text is not None:
+            (tmp_path / synth).write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        cfg = TestStageTable.config(ws, tmp_path, {"inputs": {"synth": synth}})
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "configuration error: " + error.format(file=tmp_path / synth) in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("table", ["cpc", "citations", "science"])
     def test_missing_table_found_before_any_is_read(self, tmp_path, capsys, table):
@@ -748,8 +769,8 @@ class TestExitCodes:
 
 class TestStageTable:
     """`pipeline.STAGES` drives `run`: each stage's inputs are checked, then the
-    stage run, in pipeline order; it clears its directory before it writes
-    there."""
+    stage run, in pipeline order; it writes into a fresh directory that takes
+    the place of its own only when it returns."""
 
     @staticmethod
     def config(ws, tmp_path, sections):
@@ -773,6 +794,16 @@ class TestStageTable:
         for line in read(out / "manifest.txt").splitlines():
             digest, rel = line.split("  ", 1)
             assert (out / rel).is_file() and pio.sha256_file(str(out / rel), hashlib.sha256) == digest, rel
+
+    @classmethod
+    def assert_unchanged(cls, out, before, log_too=False):
+        """OUT holds the files of `before` (but `run.log`, unless `log_too`)
+        and no staging directory."""
+        after = cls.tree(out)
+        if not log_too:
+            del after[Path("run.log")], before[Path("run.log")]
+        assert after == before
+        assert not [p.name for p in out.rglob(".*.new")]
 
     def test_run_directory_matches_the_table(self, ws, full_run):
         """Every top-level entry of a full run is the corpus, a file of the
@@ -818,8 +849,8 @@ class TestStageTable:
 
     @pytest.mark.parametrize("stage", REFUSED)
     def test_stage_refused_for_a_missing_input_changes_nothing(self, ws, full_run, tmp_path, capsys, stage):
-        """The stage is refused before its directory is cleared, and before
-        a synthetic corpus is generated (here with another seed)."""
+        """The stage is refused before it writes anything, and before a
+        synthetic corpus is generated (here with another seed)."""
         sections, missing, writer = self.REFUSED[stage]
         out = tmp_path / "o"
         shutil.copytree(full_run, out)
@@ -838,9 +869,9 @@ class TestStageTable:
 
     @pytest.mark.parametrize("stage", BAD_INPUTS)
     def test_stage_refused_for_a_bad_input_changes_nothing(self, ws, full_run, tmp_path, capsys, stage):
-        """A stage reads every input before it clears its directory (and
-        the metrics stage before it deletes the old descendants), so an
-        input it refuses leaves every file of OUT as it was, but `run.log`."""
+        """A stage writes only into its staging directory (and the metrics
+        stage replaces the old descendants last), so an input it refuses
+        leaves every file of OUT as it was, but `run.log`."""
         rel, line, error = self.BAD_INPUTS[stage]
         out = tmp_path / "o"
         shutil.copytree(full_run, out)
@@ -849,10 +880,7 @@ class TestStageTable:
         before = self.tree(out)
         assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", stage]) == 3
         assert error in capsys.readouterr().err
-        after = self.tree(out)
-        for tree in (before, after):
-            del tree[Path("run.log")]
-        assert after == before
+        self.assert_unchanged(out, before)
 
     BAD_KEYWORDS = ("kw.tsv", "phrase\tcategory\nneural network\tmagic\n", "group:Keyword", "keywords")
     BAD_FILES = {  # case: (a file, its text, the run-config section and key naming it, --only, error)
@@ -875,8 +903,8 @@ class TestStageTable:
 
     @pytest.mark.parametrize("case", BAD_FILES)
     def test_bad_config_file_changes_nothing(self, ws, full_run, tmp_path, capsys, case):
-        """A malformed file that the run config names is refused before any
-        directory of OUT is cleared or the corpus regenerated."""
+        """A malformed file that the run config names is refused before
+        anything in OUT is written or the corpus regenerated."""
         name, text, section, key, only, error = self.BAD_FILES[case]
         (tmp_path / name).write_text(text, encoding="utf-8")
         out = tmp_path / "o"
@@ -892,9 +920,9 @@ class TestStageTable:
     @pytest.mark.parametrize("seed", ["Z99", "A, B, C, D, E, F, G, H, Y"], ids=["no-match", "no-negatives"])
     def test_uspto_seed_refused_by_the_corpus_changes_no_group(self, ws, full_run, tmp_path, capsys, seed):
         """A USPTO seed that matches no patent, or every one, can only be
-        refused once the corpus is built: every group is classified before
-        `groups/` is cleared, so the run exits 2 with `groups/` and the
-        manifest as they were (`run.log` records the corpus load)."""
+        refused once the corpus is built and other groups are written: the
+        run exits 2 with `groups/` and the manifest as they were (`run.log`
+        records the corpus load)."""
         (tmp_path / "bad.uspto").write_text(USPTO_TEXT.replace("ai_core = Y02", f"ai_core = {seed}"), encoding="utf-8")
         out = tmp_path / "o"
         shutil.copytree(full_run, out)
@@ -903,10 +931,71 @@ class TestStageTable:
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         error = "seed matches no patent" if seed == "Z99" else "no negatives left to sample"
         assert f"configuration error: component 'ai_core': {error}" in capsys.readouterr().err
-        after = self.tree(out)
-        assert after.pop(Path("run.log")) != before.pop(Path("run.log"))
-        assert after == before
+        assert self.tree(out)[Path("run.log")] != before[Path("run.log")]
+        self.assert_unchanged(out, before)
         self.assert_manifest_verifies(out)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit signal")
+    def test_stage_stopped_by_a_file_size_limit_changes_nothing(self, ws, full_run, tmp_path):
+        """`--only stats` in a child process whose files may not grow past
+        300 bytes: its first table fails to be written, and the run exits 4
+        with every file of OUT as it was, `run.log` too."""
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        before = self.tree(out)
+        code = (
+            "import resource, signal, sys\n"
+            "from patmetrics import cli, pipeline\n"  # imported before the limit
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (300, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "print(cli.main(sys.argv[1:]))\n"
+        )
+        argv = ["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", "stats"]
+        assert child_output(code, *argv).split() == ["4"]
+        self.assert_unchanged(out, before, log_too=True)
+        self.assert_manifest_verifies(out)
+
+    FAILING_WRITES = {  # stage: (the `io` writer that fails, on the file of this name)
+        "classify": ("write_ids", "Science.ids"),
+        "metrics": ("write_table", "scalars.tsv"),  # once the descendants are written
+        "stats": ("write_table", "growth_pvalues_2000-2004.tsv"),
+        "report": ("write_svg_lines", "growth.svg"),
+    }
+
+    @pytest.mark.parametrize("stage", FAILING_WRITES)
+    def test_stage_failing_while_it_writes_changes_nothing(self, ws, full_run, tmp_path, monkeypatch, capsys, stage):
+        """A write that fails after the stage has written other files exits
+        4 with every file of OUT but `run.log` as it was."""
+        writer, name = self.FAILING_WRITES[stage]
+        write, staged = getattr(pio, writer), []
+
+        def failing(path, *args):
+            if os.path.basename(path) == name:
+                staged.extend(os.listdir(os.path.dirname(path)))
+                raise OSError(errno.ENOSPC, "No space left on device", path)
+            return write(path, *args)
+
+        monkeypatch.setattr(pio, writer, failing)
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        before = self.tree(out)
+        assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", stage]) == 4
+        assert "i/o error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert staged and (stage != "metrics" or "Keyword.descendants.ids" in staged)
+        self.assert_unchanged(out, before)
+        self.assert_manifest_verifies(out)
+
+    @pytest.mark.parametrize("directory", ["corpus", *[d for _, d, _ in pipeline.STAGES.values()]])
+    def test_staging_directory_left_by_a_killed_run_is_removed(self, ws, full_run, tmp_path, directory):
+        """A process killed mid-stage leaves `.NAME.new`: the next run of
+        that stage removes it, and none of its files reaches `NAME`."""
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        before = self.tree(out)
+        (out / f".{directory}.new" / "truth").mkdir(parents=True)
+        (out / f".{directory}.new" / "truth" / "stale.ids").write_text("P0000000\n", encoding="utf-8")
+        assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out)]) == 0
+        self.assert_unchanged(out, before)
 
 
 class TestComputeOnce:

@@ -128,6 +128,19 @@ class TestBuilder:
         assert corpus.year[corpus.citing[0]] == 2005
         assert (corpus.citing[0], corpus.cited[0]) == (1, 0)
 
+    @pytest.mark.parametrize("n_patents", [0, 1])
+    def test_citation_sentinels_read_a_padded_year(self, n_patents):
+        """A malformed row sits at -2 and an unknown patent at -1, past the
+        end of a corpus of 0 or 1 patents: each still gets its reason."""
+        patents = [patent("P1", 2005)][:n_patents]
+        rows = [None, ("P1", "PX", "x"), ("PX", "P1", 2005), ("P1", "PX", 2005), ("PX", "PY", 2005)]
+        known = "unknown_cited" if n_patents else "unknown_citing"
+        assert row_reasons("citations", rows, patents) == [
+            "malformed", "malformed", "unknown_citing", known, "unknown_citing",
+        ]
+        corpus, report = ingest(patents=patents, citations=rows)
+        assert len(corpus.citing) == report.tables["citations"].accepted == 0
+
     def test_rejected_record_takes_no_position(self):
         patents = [patent("P1", 2001), patent("P0", 1999), patent("P2", 2005)]
         assert row_reasons("patents", patents, []) == [None, "year_out_of_window", None]
