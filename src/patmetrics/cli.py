@@ -52,10 +52,7 @@ def _synthesize(synth_path: str, seed: int | None) -> tuple[dict, dict, int]:
     scfg = syn.load_synth_config(synth_path)
     if seed is not None:
         scfg = replace(scfg, rng_seed=seed)
-    try:
-        return (*syn.generate(scfg), scfg.rng_seed)
-    except ConfigError as exc:  # a setting that only generating refuses
-        raise ConfigError(f"{synth_path}: {exc}") from None
+    return (*pio.made(synth_path, syn.generate, scfg), scfg.rng_seed)  # a setting that only generating refuses
 
 
 def _write_synthetic(out_dir: str, tables: dict, truth: dict) -> None:

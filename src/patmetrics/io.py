@@ -4,6 +4,9 @@ token parsers.  It loads no numpy, so neither does `patmetrics synth`.  It
 loads OpenSSL (`hashlib`) only to hash a manifest of at least 1 MiB (`synth`,
 or a synthetic run's `corpus/`), so a run from tables never maps it.
 
+A config file holds only the sections and keys its loader names, each key
+parsed by the type of the config dataclass field it sets (`typed`).
+
 All numeric cells are rendered with 6 significant digits, so a
 write -> read -> write cycle is a fixed point.  Files always use ``\\n`` line
 endings and UTF-8, independent of platform.
@@ -18,10 +21,11 @@ import os
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import partial
 from html import escape
 from operator import itemgetter
 from string import ascii_lowercase, digits
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO, get_type_hints
 
 from .errors import ConfigError, CpcParseError, DataError
 
@@ -54,16 +58,22 @@ def _create(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def read_config(path: str) -> configparser.ConfigParser:
-    """The INI file at `path`, its values taken literally (a `%` is a `%`).
-    A file that cannot be read, decoded as UTF-8 or parsed is a
-    `ConfigError` naming it."""
-    parser = configparser.ConfigParser(interpolation=None)
+def read_config(path: str, required: str, *optional: str) -> configparser.ConfigParser:
+    """The INI file at `path`, its values taken literally (a `%` is a `%`), that
+    holds the section `required` and no other but those of `optional`, where
+    `group:` stands for every `[group:NAME]`.  A file that cannot be read,
+    decoded as UTF-8 or parsed, or misses or adds a section, is a `ConfigError`."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")  # so [DEFAULT] lends no key
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config {path!r}")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if required not in parser:
+        raise ConfigError(f"{path}: missing [{required}] section")
+    for section in parser.sections():
+        if ("group:" if section.startswith("group:") else section) not in (required, *optional):
+            raise ConfigError(f"{path}: [{section}]: unknown section")
     return parser
 
 
@@ -127,6 +137,32 @@ def boolean(text: str) -> bool:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     except KeyError:
         raise ValueError(text) from None
+
+
+#: the parser of a config key, by the type of the config dataclass field it sets; a
+#: `-` in a list of `str | None` is None
+PARSERS = {
+    bool: boolean, int: int, float: float, str: str, int | None: int, float | None: float, str | None: str,
+    tuple[int, int]: year_range, tuple[tuple[int, int], ...]: partial(comma_list, item=year_range),
+    tuple[str, ...]: comma_list, tuple[int, ...]: partial(comma_list, item=int),
+    tuple[float, ...]: partial(comma_list, item=float),
+    tuple[str | None, ...]: partial(comma_list, item=lambda t: None if t == "-" else t),
+}
+
+
+def typed(config, *names: str) -> dict:
+    """`{name: PARSERS[its type]}` for each of `names`, a field of the config dataclass (or a
+    parameter of the function) `config`; with no names, for every field whose type is there."""
+    types = get_type_hints(config)
+    return {name: PARSERS[types[name]] for name in names or types if names or types[name] in PARSERS}
+
+
+def made(path: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, a `ConfigError` it raises naming the config file at `path`."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +509,13 @@ def sha256_file(path: str, sha256) -> str:
 def write_manifest(out_dir: str) -> list[str]:
     """Hash every artifact under `out_dir` into a sorted `manifest.txt`.
 
-    Files named `manifest.txt` or `run.log` are not listed.  Returns the
+    Files named `manifest.txt` or `run.log` are not listed, nor those of a
+    staging directory `.NAME.new` that a killed process left.  Returns the
     relative paths that were hashed.
     """
     rels = []
     for root, dirs, files in os.walk(out_dir):
-        dirs.sort()
+        dirs[:] = [d for d in dirs if not (d.startswith(".") and d.endswith(".new"))]
         for name in sorted(files):
             rel = os.path.relpath(os.path.join(root, name), out_dir).replace(os.sep, "/")
             if name in ("manifest.txt", "run.log"):

@@ -44,7 +44,7 @@ class GroupConfig:
 @dataclass(frozen=True)
 class RunConfig:
     """A run config.  Each field from `strict` to `exact_cutoff` is the key
-    of that name in `[run]`, `[metrics]` or `[stats]`, and holds its default."""
+    of that name in its section of `SECTIONS`, and holds its default."""
 
     groups: tuple[GroupConfig, ...]
     synth_path: str | None = None
@@ -65,14 +65,19 @@ class RunConfig:
     exact_cutoff: int = st.DEFAULT_EXACT_CUTOFF
 
 
+#: the `RunConfig` fields that each section of a run config sets, besides `[inputs]` and `[group:NAME]`
+SECTIONS = {
+    "run": ("strict", "window", "periods"),
+    "metrics": ("levels", "diversity_universe_3", "diversity_universe_4", "lag_mode", "zscore",
+                "lowess", "lowess_fraction", "descendants"),
+    "stats": ("compare", "holm", "exact_cutoff"),
+}
+BLANK_MEANS_NONE = ("levels", "zscore", "lowess", "compare")  # the other keys keep their default when blank
+
+
 def load_run_config(path: str) -> RunConfig:
-    parser = pio.read_config(path)
+    parser = pio.read_config(path, "inputs", "group:", *SECTIONS)
     base = os.path.dirname(os.path.abspath(path))
-    if "inputs" not in parser:
-        raise ConfigError(f"{path}: missing [inputs] section")
-    for name in ("run", "metrics", "stats"):
-        if name not in parser:
-            parser.add_section(name)
 
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
@@ -100,17 +105,18 @@ def load_run_config(path: str) -> RunConfig:
     def table(key, load):  # `default` means the packaged table, None
         return lambda raw: None if raw == "default" else read(key, load, raw)
 
-    groups, keys = [], {  # the keys each kind of group reads, besides kind
+    groups, keys = [], {  # the keys each kind of group reads, besides kind: a file, or its classifier's argument
         "keyword": dict(keywords=table("keywords", cls.load_keywords)),
-        "science": dict(field=str, min_confidence=int),
+        "science": pio.typed(cls.classify_science, "field", "min_confidence"),
         "wipo": dict(rules=table("rules", cls.load_wipo_rules)),
-        "uspto": dict(config=lambda raw: read("config", load_uspto_config, raw)), "prefix": dict(prefix=str),
+        "uspto": dict(config=lambda raw: read("config", load_uspto_config, raw)),
+        "prefix": pio.typed(cls.classify_prefix_group, "prefix"),
     }
     for name, section in pio.group_sections(parser, path):
         kind = section.get("kind", "").strip()
         if kind not in keys:
             raise ConfigError(f"{path}: [{section.name}] kind must be one of {', '.join(keys)}")
-        settings = pio.options(section, path, **keys[kind], kind=str)
+        settings = pio.options(section, path, **keys[kind], **pio.typed(GroupConfig, "kind"))
         del settings["kind"]
         needs = {"prefix": "prefix", "uspto": "config"}.get(kind)
         if needs and needs not in settings:
@@ -119,24 +125,11 @@ def load_run_config(path: str) -> RunConfig:
     if not groups:  # configparser refuses a repeated section, so each name is unique
         raise ConfigError(f"{path}: no [group:*] sections")
 
-    # a blank list of metrics or levels means none
-    cfg = RunConfig(
-        groups=tuple(groups), **sources,
-        **pio.options(
-            parser["run"], path, strict=pio.boolean, window=pio.year_range,
-            periods=lambda raw: pio.comma_list(raw, pio.year_range),
-        ),
-        **pio.options(
-            parser["metrics"], path, keep_blank=("levels", "zscore", "lowess"),
-            levels=lambda raw: pio.comma_list(raw, int), diversity_universe_3=int,
-            diversity_universe_4=int, lag_mode=str, zscore=pio.comma_list,
-            lowess=pio.comma_list, lowess_fraction=float, descendants=pio.boolean,
-        ),
-        **pio.options(
-            parser["stats"], path, keep_blank=("compare",),
-            compare=pio.comma_list, holm=pio.boolean, exact_cutoff=int,
-        ),
-    )
+    values = {}
+    for name, fields in SECTIONS.items():
+        if name in parser:  # an absent section sets no key
+            values |= pio.options(parser[name], path, BLANK_MEANS_NONE, **pio.typed(RunConfig, *fields))
+    cfg = RunConfig(groups=tuple(groups), **sources, **values)
     for key in ("levels", "periods", "zscore", "lowess", "compare"):
         values = getattr(cfg, key)
         if len(set(values)) != len(values):
@@ -215,21 +208,13 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> N
 
 
 def load_uspto_config(path: str) -> cls.UsptoConfig:
-    parser = pio.read_config(path)
-    if "uspto" not in parser:
-        raise ConfigError(f"{path}: missing [uspto] section")
-    settings = pio.options(
-        parser["uspto"], path, components=pio.comma_list, expansion_hops=int, vocab_size=int,
-        threshold=float, epochs=int, learning_rate=float, anti_seed_rng=int,
-    )
+    parser = pio.read_config(path, "uspto", "seeds")
+    settings = pio.options(parser["uspto"], path, **pio.typed(cls.UsptoConfig))
     if "seeds" in parser:  # configparser lowercases its keys
         comps = settings.get("components", cls.DEFAULT_COMPONENTS)
         seeds = pio.options(parser["seeds"], path, **{c.lower(): pio.comma_list for c in comps})
         settings["seed_rules"] = {c: seeds[c.lower()] for c in comps if c.lower() in seeds}
-    try:
-        return cls.UsptoConfig(**settings)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return pio.made(path, cls.UsptoConfig, **settings)
 
 
 def _mpath(metrics_dir: str, stem: str) -> str:

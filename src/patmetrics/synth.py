@@ -20,7 +20,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .errors import ConfigError, CpcParseError
-from .io import comma_list, group_sections, options, parse_cpc, read_config, tokenize, year_range
+from .io import group_sections, made, options, parse_cpc, read_config, tokenize, typed
 
 DEFAULT_BACKGROUND_CODES = (
     "A01B", "A61K", "B23K", "B25J", "B29C", "B60L", "B82B", "B82Y",
@@ -346,36 +346,21 @@ def _clean(text: str) -> str:
 # config file parsing
 
 def load_synth_config(path: str) -> SynthConfig:
-    """Parse a synthesis config file (ini format, [synth] plus [group:*])."""
-    parser = read_config(path)
-    if "synth" not in parser:
-        raise ConfigError(f"{path}: missing [synth] section")
-    groups = []
+    """Parse a synthesis config file (ini format, [synth] plus [group:*] and [decoys])."""
+    parser = read_config(path, "synth", "group:", "decoys")
+    groups, keys = [], typed(GroupSpec)
+    del keys["name"]  # the section's NAME
     for name, section in group_sections(parser, path):
-        spec = options(
-            section, path, share=float, phrase=str, science_field=str,
-            science_confidence=int, marker=str, jaccard_with=str, jaccard_target=float,
-            codes=lambda raw: comma_list(raw, lambda t: None if t == "-" else t),
-        )
+        spec = options(section, path, **keys)
         if "share" not in spec:
             raise ConfigError(f"{path}: [{section.name}] is missing share")
         groups.append(GroupSpec(name=name, **spec))
-    settings = options(
-        parser["synth"], path, years=year_range, background_codes=comma_list,
-        growth=lambda raw: comma_list(raw, float),
-        **dict.fromkeys(("rng_seed", "base_count", "edges_per_patent", "filler_vocab",
-                         "title_len", "abstract_len", "claims_len", "description_len"), int),
-        **dict.fromkeys(("ai_attraction", "lag_mean", "classes_per_patent_mean",
-                         "class_concentration"), float),
-    )
+    settings = options(parser["synth"], path, **typed(SynthConfig))
     if "decoys" in parser:
         decoys = options(parser["decoys"], path, links=_decoy_links)
         if decoys:
             settings["decoy_links"] = decoys["links"]
-    try:
-        return SynthConfig(groups=tuple(groups), **settings)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return made(path, SynthConfig, groups=tuple(groups), **settings)
 
 
 def _decoy_links(text: str) -> tuple[tuple[str, int, int], ...]:

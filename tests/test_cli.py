@@ -997,6 +997,18 @@ class TestStageTable:
         assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out)]) == 0
         self.assert_unchanged(out, before)
 
+    def test_manifest_leaves_out_a_staging_directory_left_by_a_killed_run(self, ws, full_run, tmp_path):
+        """A `.NAME.new` that outlives its stage is not an artifact: a command
+        that does not run that stage does not list its files."""
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        (out / ".stats.new").mkdir()
+        (out / ".stats.new" / "half.tsv").write_text("group\n", encoding="utf-8")
+        assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", "report"]) == 0
+        assert (out / ".stats.new" / "half.tsv").exists()
+        assert read(out / "manifest.txt") == read(full_run / "manifest.txt")
+        self.assert_manifest_verifies(out)
+
 
 class TestComputeOnce:
     def count_loads(self, monkeypatch):

@@ -276,6 +276,30 @@ def test_unknown_key_exits_2(tmp_path, capsys, name, section, key):
     assert err == f"configuration error: {tmp_path / name}: [{section}] {key}: unknown key\n"
 
 
+# (file, misspelt section, its lines): each would otherwise be skipped with every setting in it
+MISSPELT_SECTIONS = [
+    ("tiny.run", "metric", "levels = 1"),
+    ("tiny.run", "stat", "compare = nosuch"),
+    ("tiny.run", "grop:Q", "kind = prefix\nprefix = G06"),
+    ("tiny.synth", "decoy", "links = Foo|4|1"),
+    ("tiny.uspto", "seed", "ai_core = Y02"),
+    ("tiny.synth", "DEFAULT", "rng_seed = 3"),  # whose keys configparser would lend to every section
+]
+
+
+@pytest.mark.parametrize(
+    "name, section, lines", MISSPELT_SECTIONS, ids=[f"{n[5:]}-{s}" for n, s, _ in MISSPELT_SECTIONS]
+)
+def test_unknown_section_exits_2(tmp_path, capsys, name, section, lines):
+    """A misspelt section is refused, before the output directory is made,
+    rather than ignored with the settings it holds."""
+    write_files(tmp_path, {**FILES, name: f"{FILES[name]}\n[{section}]\n{lines}\n"})
+    code, err = run(tmp_path, capsys)
+    assert code == 2, err
+    assert err == f"configuration error: {tmp_path / name}: [{section}]: unknown section\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
     """The four corpus tables of the tiny synthetic corpus."""
