@@ -1,8 +1,7 @@
 """Command line: `synth`, which writes a synthetic corpus, and `run`, the
 pipeline of `patmetrics.pipeline`.  This module loads no numpy: `main`
 imports the pipeline, and with it numpy and the analysis layers, only for
-`run`.  Both commands write the synthetic corpus, and `run.log`, with the
-helpers here.
+`run`.  Both commands write the synthetic corpus with the helpers here.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 I/O failure.
 """
@@ -11,38 +10,14 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
-from typing import Iterator
 
 from . import io as pio
 from .errors import ConfigError, DataError
 
 
-def _log(out_dir: str, text: str) -> None:
-    """Append a line to the timestamp-free `run.log` (excluded from the manifest)."""
-    with open(os.path.join(out_dir, "run.log"), "a", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
-
-
-@contextmanager
-def _staged(out_dir: str, name: str) -> Iterator[str]:
-    """A fresh `.NAME.new` in `out_dir` that replaces `NAME` when the block returns and is removed if it raises."""
-    path, new = os.path.join(out_dir, name), os.path.join(out_dir, f".{name}.new")
-    shutil.rmtree(new, ignore_errors=True)  # left by a killed process
-    os.makedirs(new)
-    try:
-        yield new
-    except BaseException:
-        shutil.rmtree(new, ignore_errors=True)
-        raise
-    shutil.rmtree(path, ignore_errors=True)  # none yet, or an earlier run's
-    os.rename(new, path)
-
-
-def _synthesize(synth_path: str, seed: int | None) -> tuple[dict, dict, int]:
+def synthesize(synth_path: str, seed: int | None) -> tuple[dict, dict, int]:
     """The table rows and truth lists of the synthetic corpus that the config
     at `synth_path` describes, generated with `seed` when given, and the seed
     used.  Every error of the config is raised, naming the file, before
@@ -55,18 +30,18 @@ def _synthesize(synth_path: str, seed: int | None) -> tuple[dict, dict, int]:
     return (*pio.made(synth_path, syn.generate, scfg), scfg.rng_seed)  # a setting that only generating refuses
 
 
-def _write_synthetic(out_dir: str, tables: dict, truth: dict) -> None:
+def write_synthetic(out_dir: str, tables: dict, truth: dict) -> None:
     """Write the corpus tables into `out_dir`, the truth lists into a fresh `truth/` there."""
     pio.write_corpus(out_dir, tables)
-    with _staged(out_dir, "truth") as into:
+    with pio.staged(out_dir, "truth") as into:
         for name in sorted(truth):
             pio.write_ids(os.path.join(into, f"{name}.ids"), truth[name])
 
 
 def cmd_synth(args) -> int:
-    tables, truth, seed = _synthesize(args.config, args.seed)
-    _write_synthetic(args.out, tables, truth)
-    _log(args.out, f"synth: {len(tables['patents'])} patents, {len(tables['citations'])} citations, seed {seed}")
+    tables, truth, seed = synthesize(args.config, args.seed)
+    write_synthetic(args.out, tables, truth)
+    pio.log(args.out, f"synth: {len(tables['patents'])} patents, {len(tables['citations'])} citations, seed {seed}")
     pio.write_manifest(args.out)
     return 0
 

@@ -1,8 +1,9 @@
 """Deterministic readers and writers: config files, corpus tables, metric
-series, id lists, SVG line charts, and the output manifest; and the CPC and
-token parsers.  It loads no numpy, so neither does `patmetrics synth`.  It
-loads OpenSSL (`hashlib`) only to hash a manifest of at least 1 MiB (`synth`,
-or a synthetic run's `corpus/`), so a run from tables never maps it.
+series, id lists, SVG line charts, `run.log`, staging directories and the
+manifest; and the CPC and token parsers.  It loads no numpy, so neither does
+`patmetrics synth`.  It loads OpenSSL (`hashlib`) only to hash a manifest of
+at least 1 MiB (`synth`, or a synthetic run's `corpus/`), so a run from
+tables never maps it.
 
 A config file holds only the sections and keys its loader names, each key
 parsed by the type of the config dataclass field it sets (`typed`).
@@ -19,6 +20,7 @@ import csv
 import math
 import os
 import re
+import shutil
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
@@ -479,7 +481,28 @@ def write_svg_lines(path: str, series_list: Sequence[GroupSeries], label: str) -
 
 
 # ---------------------------------------------------------------------------
-# manifest
+# the output directory: run log, staging and manifest
+
+def log(out_dir: str, text: str) -> None:
+    """Append a line to the timestamp-free `run.log` (excluded from the manifest)."""
+    with open(os.path.join(out_dir, "run.log"), "a", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
+
+
+@contextmanager
+def staged(out_dir: str, name: str) -> Iterator[str]:
+    """A fresh `.NAME.new` in `out_dir` that replaces `NAME` when the block returns and is removed if it raises."""
+    path, new = os.path.join(out_dir, name), os.path.join(out_dir, f".{name}.new")
+    shutil.rmtree(new, ignore_errors=True)  # left by a killed process
+    os.makedirs(new)
+    try:
+        yield new
+    except BaseException:
+        shutil.rmtree(new, ignore_errors=True)
+        raise
+    shutil.rmtree(path, ignore_errors=True)  # none yet, or an earlier run's
+    os.rename(new, path)
+
 
 #: A manifest of at least this many bytes is hashed with OpenSSL, 5.6 times faster on
 #: x86-64 with SHA extensions; mapping it costs 3.5 MB and 3 ms (break-even 0.8 MB).
@@ -509,18 +532,15 @@ def sha256_file(path: str, sha256) -> str:
 def write_manifest(out_dir: str) -> list[str]:
     """Hash every artifact under `out_dir` into a sorted `manifest.txt`.
 
-    Files named `manifest.txt` or `run.log` are not listed, nor those of a
-    staging directory `.NAME.new` that a killed process left.  Returns the
-    relative paths that were hashed.
+    Files named `manifest.txt` or `run.log` (`log`) are not listed, nor
+    those of a staging directory `.NAME.new` (`staged`) that a killed
+    process left.  Returns the relative paths that were hashed.
     """
     rels = []
     for root, dirs, files in os.walk(out_dir):
         dirs[:] = [d for d in dirs if not (d.startswith(".") and d.endswith(".new"))]
-        for name in sorted(files):
-            rel = os.path.relpath(os.path.join(root, name), out_dir).replace(os.sep, "/")
-            if name in ("manifest.txt", "run.log"):
-                continue
-            rels.append(rel)
+        rels += [os.path.relpath(os.path.join(root, name), out_dir).replace(os.sep, "/")
+                 for name in files if name not in ("manifest.txt", "run.log")]
     rels.sort()
     sha256 = _sha256(sum(os.path.getsize(os.path.join(out_dir, r)) for r in rels))
     lines = [f"{sha256_file(os.path.join(out_dir, r), sha256)}  {r}" for r in rels]

@@ -8,8 +8,8 @@ classify is done.  A synthetic corpus is generated afresh into `corpus/` and
 ingested from its rows; input tables are read through `io.load_corpus`.  So running
 the stages one at a time with one seed gives byte-identical artifacts to a
 monolithic `run`.  A stage's directory is replaced only when it returns
-(`cli._staged`).  `run.log` records stage progress without timestamps and is
-excluded from the manifest.  Each layer is called through its module (`pio.`,
+(`io.staged`).  `run.log` records stage progress without timestamps (`io.log`) and
+is excluded from the manifest.  Each layer is called through its module (`pio.`,
 `cls.`, `met.`, `st.`), so a function replaced there sees every call.
 """
 
@@ -24,7 +24,7 @@ from . import classify as cls
 from . import io as pio
 from . import metrics as met
 from . import stats as st
-from .cli import _log, _staged, _synthesize, _write_synthetic
+from .cli import synthesize, write_synthetic
 from .corpus import Corpus, ingest
 from .errors import ConfigError, DataError
 
@@ -134,6 +134,9 @@ def load_run_config(path: str) -> RunConfig:
         values = getattr(cfg, key)
         if len(set(values)) != len(values):
             raise ConfigError(f"{path}: {key} repeats an entry: {values}")
+    for lo, hi in cfg.periods:
+        if not cfg.window[0] <= lo <= hi <= cfg.window[1]:
+            raise ConfigError(f"{path}: period {lo}-{hi} lies outside the window {cfg.window[0]}-{cfg.window[1]}")
     for lv in cfg.levels:
         if lv not in (1, 3, 4):
             raise ConfigError(f"{path}: unsupported CPC level {lv}")
@@ -161,10 +164,10 @@ def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str, text: bool) -
     The patents' text is tokenized only when `text`."""
     rules = {"window": cfg.window, "strict": cfg.strict, "text": text}
     if cfg.synth_path is not None:
-        tables, truth, seed = _synthesize(cfg.synth_path, seed)
-        with _staged(out_dir, "corpus") as into:
-            _write_synthetic(into, tables, truth)
-        _log(out_dir, f"synth: generated {len(tables['patents'])} patents into corpus/ with seed {seed}")
+        tables, truth, seed = synthesize(cfg.synth_path, seed)
+        with pio.staged(out_dir, "corpus") as into:
+            write_synthetic(into, tables, truth)
+        pio.log(out_dir, f"synth: generated {len(tables['patents'])} patents into corpus/ with seed {seed}")
         named = {n: (os.path.join(out_dir, "corpus", f"{n}.tsv"), rows) for n, rows in tables.items()}
         corpus, report = ingest(named, **rules)
     else:
@@ -176,8 +179,8 @@ def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str, text: bool) -
         if not rel.startswith(".."):
             t.path = rel
     pio.write_text(os.path.join(out_dir, "load-report.txt"), report.format())
-    _log(out_dir, f"load: {len(corpus)} patents, {len(corpus.citing)} citations, "
-                  f"{len(corpus.science_patent)} science links")
+    pio.log(out_dir, f"load: {len(corpus)} patents, {len(corpus.citing)} citations, "
+                     f"{len(corpus.science_patent)} science links")
     return corpus
 
 
@@ -191,20 +194,20 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> N
             model = cls.train_uspto(corpus, g.settings["config"])
             for c in model.components:
                 rows, cols = len(c.seed) + len(c.anti_seed), len(c.weights)
-                _log(out_dir, f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
-                              f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}, "
-                              f"training features {rows} x {cols}, {c.nonzeros} non-zeros "
-                              f"({c.nonzeros * cls.NONZERO_BYTES / 2**20:.2f} MB)")
+                pio.log(out_dir, f"classify: {g.name} component {c.name}: seed {len(c.seed)}, "
+                                 f"anti-seed {len(c.anti_seed)}, vocabulary {len(c.vocab)}, "
+                                 f"training features {rows} x {cols}, {c.nonzeros} non-zeros "
+                                 f"({c.nonzeros * cls.NONZERO_BYTES / 2**20:.2f} MB)")
             members = cls.classify_uspto(corpus, model)
         else:
             members = CLASSIFIERS[g.kind](corpus, **g.settings)
         pio.write_ids(os.path.join(into, f"{g.name}.ids"), members)
-        _log(out_dir, f"classify: {g.name} ({g.kind}) -> {len(members)} patents")
+        pio.log(out_dir, f"classify: {g.name} ({g.kind}) -> {len(members)} patents")
     if corpus.token_index is not None:
         fields = list(corpus.token_index.values())
         size = sum(f.ids.nbytes + f.indptr.nbytes for f in fields)
-        _log(out_dir, f"classify: token index {sum(len(f.ids) for f in fields)} tokens, "
-                      f"{len(fields[0].names)} distinct ({size / 2**20:.2f} MB, {fields[0].ids.itemsize}-byte ids)")
+        pio.log(out_dir, f"classify: token index {sum(len(f.ids) for f in fields)} tokens, "
+                         f"{len(fields[0].names)} distinct ({size / 2**20:.2f} MB, {fields[0].ids.itemsize}-byte ids)")
 
 
 def load_uspto_config(path: str) -> cls.UsptoConfig:
@@ -284,14 +287,14 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> No
                      for stem, kernel in kernels.items()}
         out = met._outside(corpus, level)
         size = sum(a.nbytes for a in (out.cited, out.cell, out.cells, out.breadth))
-        _log(out_dir, f"metrics: level {level} outside-class incidence {len(out.cell)} rows, "
-                      f"{len(out.cells)} (year, class) cells ({size / 2**20:.2f} MB)")
+        pio.log(out_dir, f"metrics: level {level} outside-class incidence {len(out.cell)} rows, "
+                         f"{len(out.cells)} (year, class) cells ({size / 2**20:.2f} MB)")
         for zm in cfg.zscore:
             zin = [by_metric[zm][n] for n in approach if by_metric[zm][n].points]
             if len(zin) >= 2:
                 pio.write_series(_mpath(into, f"{zm}_d{level}_zscore"), met.zscore_across_groups(zin))
             else:
-                _log(out_dir, f"metrics: zscore skipped {zm}_d{level}, fewer than 2 approach groups with points")
+                pio.log(out_dir, f"metrics: zscore skipped {zm}_d{level}, fewer than 2 approach groups with points")
 
     lags = {n: met.citation_lag_series(corpus, masks[n], n, cfg.periods, cfg.lag_mode) for n in order}
     per_group("citation_lag", None, lambda n: lags[n][:2])
@@ -310,7 +313,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> No
     for metric in cfg.lowess:
         path = _mpath(into, metric)
         if not os.path.exists(path):
-            _log(out_dir, f"metrics: lowess skipped {metric}, no such metric file")
+            pio.log(out_dir, f"metrics: lowess skipped {metric}, no such metric file")
             continue
         series = pio.read_series(path)  # years distinct, so two points span two years
         smoothed = [st.smooth_series(s, cfg.lowess_fraction) for s in series if len(s.points) >= 2]
@@ -322,7 +325,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> No
         ("metric", "level", "group", "value"),
         [(m, lv, g, pio.fmt_value(v)) for m, lv, g, v in scalars],
     )
-    _log(out_dir, f"metrics: wrote series for {len(order)} groups at levels {list(cfg.levels)}")
+    pio.log(out_dir, f"metrics: wrote series for {len(order)} groups at levels {list(cfg.levels)}")
     # last, the descendants replace those in `groups/`, where the desk digest pins them, by removes and renames only
     for name in os.listdir(groups):
         if name.endswith(".descendants.ids"):  # no group name ends in .descendants
@@ -337,7 +340,7 @@ def stage_stats(cfg: RunConfig, corpus: Corpus | None, out_dir: str, into: str) 
     for metric in cfg.compare:
         series = pio.read_series(_mpath(os.path.join(out_dir, "metrics"), metric))
         if len(series) < 2:
-            _log(out_dir, f"stats: {metric} has fewer than 2 group series, skipped")
+            pio.log(out_dir, f"stats: {metric} has fewer than 2 group series, skipped")
             continue
         order = [s.group for s in series]
         summary_rows = []
@@ -382,7 +385,7 @@ def stage_stats(cfg: RunConfig, corpus: Corpus | None, out_dir: str, into: str) 
             ["period", "stat"] + order,
             summary_rows,
         )
-        _log(out_dir, f"stats: {metric} over {len(cfg.periods)} periods for {len(order)} groups")
+        pio.log(out_dir, f"stats: {metric} over {len(cfg.periods)} periods for {len(order)} groups")
 
 
 def stage_report(cfg: RunConfig, corpus: Corpus | None, out_dir: str, into: str) -> None:
@@ -392,13 +395,13 @@ def stage_report(cfg: RunConfig, corpus: Corpus | None, out_dir: str, into: str)
     for stem in [name[: -len(".metric.tsv")] for name in names if name.endswith(".metric.tsv")]:
         series = [s for s in pio.read_series(_mpath(metrics_dir, stem)) if s.points]
         if not any(len(s.points) >= 2 for s in series):
-            _log(out_dir, f"report: skipped {stem} (fewer than 2 points per series)")
+            pio.log(out_dir, f"report: skipped {stem} (fewer than 2 points per series)")
             continue
         skipped = pio.write_svg_lines(os.path.join(into, f"{stem}.svg"), series, stem)
         for g in skipped:
-            _log(out_dir, f"report: {stem}: dropped single-point series {g}")
+            pio.log(out_dir, f"report: {stem}: dropped single-point series {g}")
         made += 1
-    _log(out_dir, f"report: wrote {made} plots")
+    pio.log(out_dir, f"report: wrote {made} plots")
 
 
 #: stage -> (function, the directory of OUT it owns, the paths under OUT it reads), in
@@ -425,8 +428,10 @@ def cmd_run(args) -> int:
             raise ConfigError(f"unknown stage {name!r}, expected one of {', '.join(STAGES)}")
     if len(set(only)) != len(only):
         raise ConfigError(f"--only repeats a stage: {args.only}")
-    owner = {directory: name for name, (_, directory, _) in STAGES.items()}
     stages = [n for n in STAGES if n in only or not only]  # in pipeline order
+    # a directory's writer comes before its readers: if it is in `stages`, it has run when one reads
+    hint = {directory: f"the {n} stage ran but wrote no such file" if n in stages else f"run the {n} stage first"
+            for n, (_, directory, _) in STAGES.items()}
     # only the keyword, WIPO and USPTO classifiers read the patents' text
     text = "classify" in stages and any(g.kind in ("keyword", "wipo", "uspto") for g in cfg.groups)
     corpus = None
@@ -434,10 +439,10 @@ def cmd_run(args) -> int:
         stage, directory, reads = STAGES[name]
         for rel in reads(cfg):  # before anything is written
             if not os.path.exists(path := os.path.join(args.out, rel)):
-                raise DataError(f"missing {path}; run the {owner[rel.split('/')[0]]} stage first")
+                raise DataError(f"missing {path}; {hint[rel.split('/')[0]]}")
         if corpus is None and name in ("classify", "metrics"):  # the stages that read the corpus
             corpus = _ensure_corpus(cfg, args.seed, args.out, text)
-        with _staged(args.out, directory) as into:
+        with pio.staged(args.out, directory) as into:
             stage(cfg, corpus, args.out, into)
         if name == "classify":  # no later stage reads text; the memos stay shared
             corpus = replace(corpus, token_index=None)

@@ -1,9 +1,9 @@
 """Statistical machinery: paired Wilcoxon signed-rank test, Holm step-down
 adjustment, locally weighted scatterplot smoothing, and summary statistics.
 
-The Wilcoxon implementation switches between an exact sign-assignment
-distribution (small samples, no ties among absolute differences) and a
-normal approximation with tie correction and continuity correction.
+The Wilcoxon test ranks |d| with one sort, each run of equal |d| sharing its
+average rank as one tie; small tie-free samples take the exact distribution
+of sign assignments, others a normal approximation with tie correction.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from statistics import mean, median, pstdev
 from typing import Mapping, Sequence
 
@@ -33,23 +33,6 @@ class TestResult:
     n_effective: int  # pairs remaining after zero differences are dropped
     p_value: float
     method: str  # "exact" | "normal"
-
-
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    """Ranks starting at 1; tied values share the average of their ranks."""
-    n = len(values)
-    order = sorted(range(n), key=lambda i: values[i])
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
 
 
 @functools.cache
@@ -120,13 +103,18 @@ def wilcoxon_signed_rank(
         raise DegenerateSampleError("all paired differences are zero")
 
     abs_d = [abs(d) for d in diffs]
-    ranks = _average_ranks(abs_d)
+    ranks, tie_sizes, k = [0.0] * n, [], 0
+    for _, run in groupby(sorted(range(n), key=abs_d.__getitem__), abs_d.__getitem__):
+        run = list(run)
+        t = len(run)
+        for i in run:
+            ranks[i] = k + (t + 1) / 2
+        tie_sizes.append(t)
+        k += t
     w = sum(r for r, d in zip(ranks, diffs) if d > 0)
 
-    tie_free = len(set(abs_d)) == n
-    if tie_free and n <= exact_cutoff:
+    if len(tie_sizes) == n and n <= exact_cutoff:
         return TestResult(w, n, _exact_p(int(round(w)), n), "exact")
-    tie_sizes = [abs_d.count(v) for v in set(abs_d)]
     return TestResult(w, n, _normal_p(w, n, tie_sizes), "normal")
 
 

@@ -1,8 +1,11 @@
-"""Reference implementation of the lowess smoother.
+"""Reference implementations of the Wilcoxon ranking and the lowess smoother.
 
-This is the per-point loop that `patmetrics.stats.lowess` replaced with
-fits of a block of points at a time.  It is kept as a test oracle: the
-smoother must return exactly (`==`) what this loop returns.
+`wilcoxon_signed_rank` groups equal |d| three times: to rank them
+(`_average_ranks`), to test for ties and to size the ties.
+`patmetrics.stats.wilcoxon_signed_rank` replaced the three with one sort.
+`lowess` is the per-point loop that `patmetrics.stats.lowess` replaced with
+fits of a block of points at a time.  Both are kept as test oracles: the
+library must return exactly (`==`) what these return.
 """
 
 from __future__ import annotations
@@ -12,7 +15,63 @@ from typing import Sequence
 
 import numpy as np
 
-from patmetrics.errors import InsufficientDataError
+from patmetrics.errors import DegenerateSampleError, InsufficientDataError
+from patmetrics.stats import DEFAULT_EXACT_CUTOFF, TestResult, _exact_p, _normal_p
+
+
+def _average_ranks(values: Sequence[float]) -> list[float]:
+    """Ranks starting at 1; tied values share the average of their ranks."""
+    n = len(values)
+    order = sorted(range(n), key=lambda i: values[i])
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        avg = (i + j) / 2 + 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = avg
+        i = j + 1
+    return ranks
+
+
+def wilcoxon_signed_rank(
+    x: Sequence[float],
+    y: Sequence[float],
+    exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
+) -> TestResult:
+    """Two-sided paired Wilcoxon signed-rank test.
+
+    Zero differences are dropped.  The exact distribution is used when the
+    effective sample is at most `exact_cutoff` and the absolute differences
+    are tie-free; otherwise the normal approximation with tie-corrected
+    variance and 0.5 continuity correction.
+    """
+    if len(x) != len(y):
+        raise ValueError(f"paired samples differ in length: {len(x)} vs {len(y)}")
+    if not x:
+        raise InsufficientDataError("empty paired sample")
+    diffs = []
+    for a, b in zip(x, y):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("non-finite value in paired sample")
+        d = a - b
+        if d != 0.0:
+            diffs.append(d)
+    n = len(diffs)
+    if n == 0:
+        raise DegenerateSampleError("all paired differences are zero")
+
+    abs_d = [abs(d) for d in diffs]
+    ranks = _average_ranks(abs_d)
+    w = sum(r for r, d in zip(ranks, diffs) if d > 0)
+
+    tie_free = len(set(abs_d)) == n
+    if tie_free and n <= exact_cutoff:
+        return TestResult(w, n, _exact_p(int(round(w)), n), "exact")
+    tie_sizes = [abs_d.count(v) for v in set(abs_d)]
+    return TestResult(w, n, _normal_p(w, n, tie_sizes), "normal")
 
 
 def lowess(

@@ -861,6 +861,18 @@ class TestStageTable:
         assert self.tree(out) == before
         self.assert_manifest_verifies(out)
 
+    def test_input_its_writer_did_not_write_is_not_sent_back_to_it(self, ws, full_run, tmp_path, capsys):
+        """When the stage that owns a missing input ran earlier in the same
+        command, the error says that it wrote no such file: running it first
+        again would not help."""
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        cfg = self.config(ws, tmp_path, {"stats": {"compare": "counts, nosuch"}})
+        assert cli.main(["run", "--config", cfg, "--out", str(out), "--only", "metrics,stats"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: missing {out / 'metrics/nosuch.metric.tsv'}; the metrics stage ran but wrote no such file\n"
+        assert (out / "metrics" / "counts.metric.tsv").exists()  # the metrics stage did run
+
     BAD_INPUTS = {  # stage: (a file of OUT that it reads, a line appended there, its error)
         "metrics": ("groups/G06.ids", "UNKNOWN_ID\n", "1 group members not in corpus (e.g. UNKNOWN_ID)"),
         "stats": ("metrics/growth.metric.tsv", "2099\t1\n", "2 cells under a header of"),

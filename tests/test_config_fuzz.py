@@ -300,6 +300,28 @@ def test_unknown_section_exits_2(tmp_path, capsys, name, section, lines):
     assert not (tmp_path / "out").exists()
 
 
+# (periods, the first one outside the window 2000-2003 of tiny.run)
+OUTSIDE_WINDOW = [
+    ("1970-1979, 2000-2001", "1970-1979"),
+    ("2000-2001, 1999-2001", "1999-2001"),
+    ("2002-2004", "2002-2004"),
+    ("2004-2010", "2004-2010"),
+]
+
+
+@pytest.mark.parametrize("periods, outside", OUTSIDE_WINDOW, ids=[p for p, _ in OUTSIDE_WINDOW])
+def test_period_outside_window_exits_2(tmp_path, capsys, periods, outside):
+    """A period that leaves the window is refused before the output
+    directory is made, rather than giving empty rows and columns for the
+    years no patent is loaded from."""
+    text = RUN_TEXT.replace("periods = 2000-2001, 2002-2003", f"periods = {periods}")
+    write_files(tmp_path, {**FILES, "tiny.run": text})
+    code, err = run(tmp_path, capsys)
+    assert code == 2, err
+    assert err == f"configuration error: {tmp_path / 'tiny.run'}: period {outside} lies outside the window 2000-2003\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
     """The four corpus tables of the tiny synthetic corpus."""

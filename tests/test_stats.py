@@ -140,6 +140,40 @@ class TestWilcoxon:
             assert approx.method == "normal"
             assert abs(exact.p_value - approx.p_value) <= 0.02
 
+    @staticmethod
+    def outcome(test, x, y, exact_cutoff=stats.DEFAULT_EXACT_CUTOFF):
+        """The `TestResult` of `test`, or the type and message it raised."""
+        try:
+            return test(x, y, exact_cutoff)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("exact_cutoff", [0, 10, 20, 40])
+    def test_equals_reference_on_tied_samples(self, exact_cutoff):
+        """2,500 seeded samples per cutoff, drawn from a few values so that
+        ties and zero differences are common: every field `==` that of the
+        reference, which groups equal |d| three times."""
+        rng = random.Random(3400 + exact_cutoff)
+        methods = Counter()
+        for _ in range(2500):
+            n = rng.randint(1, 40)
+            pool = [rng.choice((1.0, 0.1, 1e-3)) * rng.randint(-6, 6) for _ in range(rng.randint(1, 8))]
+            spread = rng.random()  # the share of y drawn outside the pool: tie-free samples
+            x = [rng.choice(pool) for _ in range(n)]
+            y = [rng.uniform(-6.0, 6.0) if rng.random() < spread else rng.choice(pool) for _ in range(n)]
+            got = self.outcome(stats.wilcoxon_signed_rank, x, y, exact_cutoff)
+            assert got == self.outcome(ref.wilcoxon_signed_rank, x, y, exact_cutoff), (x, y)
+            methods[getattr(got, "method", "raised")] += 1
+        assert methods["normal"] > 500 and methods["raised"] > 10
+        assert methods["exact"] > 200 or exact_cutoff == 0
+
+    @pytest.mark.parametrize("x, y", [([], []), ([1.0, 2.0], [1.0, 2.0]), ([1.0, float("inf")], [0.0, 0.0])],
+                             ids=["empty", "all-zero", "non-finite"])
+    def test_raises_as_reference(self, x, y):
+        got = self.outcome(stats.wilcoxon_signed_rank, x, y)
+        assert isinstance(got, tuple)
+        assert got == self.outcome(ref.wilcoxon_signed_rank, x, y)
+
 
 class TestHolm:
     def test_known_triple(self):
