@@ -141,6 +141,13 @@ def boolean(text: str) -> bool:
         raise ValueError(text) from None
 
 
+def cpc_prefix(text: str) -> str:
+    """`All`, or in any case a start of a CPC symbol: a section, then its class, subclass, group and subgroup."""
+    if text != "All" and not re.fullmatch(r"[A-HY](?:[0-9](?:[0-9](?:[A-Z](?:[0-9]+(?:/[0-9]*)?)?)?)?)?", text.upper()):
+        raise ValueError(text)
+    return text
+
+
 #: the parser of a config key, by the type of the config dataclass field it sets; a
 #: `-` in a list of `str | None` is None
 PARSERS = {

@@ -7,10 +7,10 @@ it to the stages that read it (classify, metrics), releasing its token index onc
 classify is done.  A synthetic corpus is generated afresh into `corpus/` and
 ingested from its rows; input tables are read through `io.load_corpus`.  So running
 the stages one at a time with one seed gives byte-identical artifacts to a
-monolithic `run`.  A stage's directory is replaced only when it returns
-(`io.staged`).  `run.log` records stage progress without timestamps (`io.log`) and
-is excluded from the manifest.  Each layer is called through its module (`pio.`,
-`cls.`, `met.`, `st.`), so a function replaced there sees every call.
+monolithic `run`.  A stage writes only its own directory, which is replaced
+when it returns (`io.staged`).  `run.log` records stage progress without timestamps
+(`io.log`) and is excluded from the manifest.  Each layer is called through its module
+(`pio.`, `cls.`, `met.`, `st.`), so a function replaced there sees every call.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def load_run_config(path: str) -> RunConfig:
         "science": pio.typed(cls.classify_science, "field", "min_confidence"),
         "wipo": dict(rules=table("rules", cls.load_wipo_rules)),
         "uspto": dict(config=lambda raw: read("config", load_uspto_config, raw)),
-        "prefix": pio.typed(cls.classify_prefix_group, "prefix"),
+        "prefix": dict(prefix=pio.cpc_prefix),  # a prefix no CPC symbol starts with would select nothing
     }
     for name, section in pio.group_sections(parser, path):
         kind = section.get("kind", "").strip()
@@ -188,7 +188,7 @@ def _ensure_corpus(cfg: RunConfig, seed: int | None, out_dir: str, text: bool) -
 # stages
 
 def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> None:
-    """Write one member list per configured group into `into`, the new `groups/`."""
+    """Write each group's members, and each approach group's descendants when on, into `into`, the new `groups/`."""
     for g in cfg.groups:
         if g.kind == "uspto":
             model = cls.train_uspto(corpus, g.settings["config"])
@@ -202,6 +202,9 @@ def stage_classify(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> N
         else:
             members = CLASSIFIERS[g.kind](corpus, **g.settings)
         pio.write_ids(os.path.join(into, f"{g.name}.ids"), members)
+        if cfg.descendants and g.kind != "prefix":
+            descendants = met.descendants(corpus, corpus.mask(members))
+            pio.write_ids(os.path.join(into, f"{g.name}.descendants.ids"), corpus.members(descendants))
         pio.log(out_dir, f"classify: {g.name} ({g.kind}) -> {len(members)} patents")
     if corpus.token_index is not None:
         fields = list(corpus.token_index.values())
@@ -225,11 +228,12 @@ def _mpath(metrics_dir: str, stem: str) -> str:
 
 
 def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> None:
-    """Write the metric tables into `into`, the new `metrics/`, and the
-    descendants of each approach group into `groups/`, in place of those of
-    earlier runs."""
-    groups = os.path.join(out_dir, "groups")
-    masks = {g.name: corpus.mask(pio.read_ids(os.path.join(groups, f"{g.name}.ids"))) for g in cfg.groups}
+    """Write the metric tables into `into`, the new `metrics/`."""
+
+    def read(stem):  # a list of `groups/`, as a mask
+        return corpus.mask(pio.read_ids(os.path.join(out_dir, "groups", f"{stem}.ids")))
+
+    masks = {g.name: read(g.name) for g in cfg.groups}
     order = [g.name for g in cfg.groups]
     approach = [g.name for g in cfg.groups if g.kind != "prefix"]
     scalars: list[tuple[str, str, str, float | None]] = []  # metric, level, group, value
@@ -305,10 +309,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> No
     )
 
     if cfg.descendants and approach:
-        descendants = {n: met.descendants(corpus, masks[n]) for n in approach}
-        for n, mask in descendants.items():
-            pio.write_ids(os.path.join(into, f"{n}.descendants.ids"), corpus.members(mask))
-        counts_and_shares("descendants_", descendants)
+        counts_and_shares("descendants_", {n: read(f"{n}.descendants") for n in approach})
 
     for metric in cfg.lowess:
         path = _mpath(into, metric)
@@ -326,13 +327,6 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> No
         [(m, lv, g, pio.fmt_value(v)) for m, lv, g, v in scalars],
     )
     pio.log(out_dir, f"metrics: wrote series for {len(order)} groups at levels {list(cfg.levels)}")
-    # last, the descendants replace those in `groups/`, where the desk digest pins them, by removes and renames only
-    for name in os.listdir(groups):
-        if name.endswith(".descendants.ids"):  # no group name ends in .descendants
-            os.remove(os.path.join(groups, name))
-    for name in os.listdir(into):
-        if name.endswith(".descendants.ids"):
-            os.rename(os.path.join(into, name), os.path.join(groups, name))
 
 
 def stage_stats(cfg: RunConfig, corpus: Corpus | None, out_dir: str, into: str) -> None:
@@ -409,7 +403,8 @@ def stage_report(cfg: RunConfig, corpus: Corpus | None, out_dir: str, into: str)
 #: writes only into `into`, a fresh directory that replaces its own when it returns
 STAGES = {
     "classify": (stage_classify, "groups", lambda cfg: ()),
-    "metrics": (stage_metrics, "metrics", lambda cfg: [f"groups/{g.name}.ids" for g in cfg.groups]),
+    "metrics": (stage_metrics, "metrics", lambda cfg: [f"groups/{g.name}.ids" for g in cfg.groups] + [
+        f"groups/{g.name}.descendants.ids" for g in cfg.groups if cfg.descendants and g.kind != "prefix"]),
     "stats": (stage_stats, "stats", lambda cfg: [f"metrics/{m}.metric.tsv" for m in cfg.compare]),
     "report": (stage_report, "plots", lambda cfg: ["metrics"]),
 }

@@ -379,7 +379,8 @@ class TestRunPipeline:
 
     def test_rerun_rewrites_stage_directories(self, ws, full_run, tmp_path):
         # fewer levels, no smoothing, no descendants and another compared
-        # metric: a rerun into the old directory equals a run into a new one
+        # metric: a rerun of each stage into the old directory equals a run
+        # into a new one
         parser = configparser.ConfigParser()
         parser.read_string(RUN_TEXT)
         parser["inputs"]["synth"] = str(ws / "small.synth")
@@ -395,14 +396,19 @@ class TestRunPipeline:
             ["run", "--config", str(cfg), "--out", str(out), "--only", "metrics,stats,report"]
         )
         assert code == 0
-        assert cli.main(["run", "--config", str(cfg), "--out", str(fresh)]) == 0
         manifest = read(out / "manifest.txt")
         for stale in (
             "metrics/growth_lowess.metric.tsv", "metrics/generality_d3.metric.tsv",
-            "plots/growth_lowess.svg", "groups/Keyword.descendants.ids",
-            "stats/growth_summary.tsv",
+            "plots/growth_lowess.svg", "stats/growth_summary.tsv",
         ):
             assert not (out / stale).exists() and stale not in manifest, stale
+        # the descendants lists are classify's: they stay until it runs
+        stale = "groups/Keyword.descendants.ids"
+        assert (out / stale).exists() and stale in manifest
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--only", "classify"]) == 0
+        manifest = read(out / "manifest.txt")
+        assert not (out / stale).exists() and stale not in manifest
+        assert cli.main(["run", "--config", str(cfg), "--out", str(fresh)]) == 0
         assert manifest == read(fresh / "manifest.txt")
 
     def test_lowess_of_a_missing_metric_is_logged(self, ws, full_run, tmp_path):
@@ -861,6 +867,35 @@ class TestStageTable:
         assert self.tree(out) == before
         self.assert_manifest_verifies(out)
 
+    def test_descendants_turned_on_after_classify_is_refused(self, ws, full_run, tmp_path, capsys):
+        """The metrics stage reads the descendants lists that classify
+        writes: after a classify run with `descendants` off, a metrics run
+        with it on is sent back to classify and changes nothing."""
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        off = self.config(ws, tmp_path, {"metrics": {"descendants": "false"}})
+        assert cli.main(["run", "--config", off, "--out", str(out), "--only", "classify"]) == 0
+        assert not list((out / "groups").glob("*.descendants.ids"))
+        before = self.tree(out)
+        on = self.config(ws, tmp_path, {"metrics": {"descendants": "true"}})
+        assert cli.main(["run", "--config", on, "--out", str(out), "--only", "metrics"]) == 3
+        missing = out / "groups" / "Keyword.descendants.ids"
+        assert f"missing {missing}; run the classify stage first" in capsys.readouterr().err
+        assert self.tree(out) == before
+        self.assert_manifest_verifies(out)
+
+    def test_classify_rerun_keeps_the_descendants(self, ws, full_run, tmp_path):
+        """Classify writes each approach group's descendants list beside its
+        member list, so a rerun of it alone leaves every file of a finished
+        run as it was, but `run.log`."""
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        before = self.tree(out)
+        assert (out / "groups" / "Keyword.descendants.ids").exists()
+        assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", "classify"]) == 0
+        self.assert_unchanged(out, before)
+        self.assert_manifest_verifies(out)
+
     def test_input_its_writer_did_not_write_is_not_sent_back_to_it(self, ws, full_run, tmp_path, capsys):
         """When the stage that owns a missing input ran earlier in the same
         command, the error says that it wrote no such file: running it first
@@ -873,18 +908,19 @@ class TestStageTable:
         assert err == f"data error: missing {out / 'metrics/nosuch.metric.tsv'}; the metrics stage ran but wrote no such file\n"
         assert (out / "metrics" / "counts.metric.tsv").exists()  # the metrics stage did run
 
-    BAD_INPUTS = {  # stage: (a file of OUT that it reads, a line appended there, its error)
-        "metrics": ("groups/G06.ids", "UNKNOWN_ID\n", "1 group members not in corpus (e.g. UNKNOWN_ID)"),
-        "stats": ("metrics/growth.metric.tsv", "2099\t1\n", "2 cells under a header of"),
-        "report": ("metrics/growth.metric.tsv", "2099\t1\n", "2 cells under a header of"),
+    UNKNOWN_ID = ("UNKNOWN_ID\n", "1 group members not in corpus (e.g. UNKNOWN_ID)")
+    BAD_INPUTS = {  # case: (its stage, a file of OUT that it reads, a line appended there, its error)
+        "metrics": ("metrics", "groups/G06.ids", *UNKNOWN_ID),
+        "metrics-descendants": ("metrics", "groups/Keyword.descendants.ids", *UNKNOWN_ID),
+        "stats": ("stats", "metrics/growth.metric.tsv", "2099\t1\n", "2 cells under a header of"),
+        "report": ("report", "metrics/growth.metric.tsv", "2099\t1\n", "2 cells under a header of"),
     }
 
-    @pytest.mark.parametrize("stage", BAD_INPUTS)
-    def test_stage_refused_for_a_bad_input_changes_nothing(self, ws, full_run, tmp_path, capsys, stage):
-        """A stage writes only into its staging directory (and the metrics
-        stage replaces the old descendants last), so an input it refuses
-        leaves every file of OUT as it was, but `run.log`."""
-        rel, line, error = self.BAD_INPUTS[stage]
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_stage_refused_for_a_bad_input_changes_nothing(self, ws, full_run, tmp_path, capsys, case):
+        """A stage writes only into its staging directory, so an input it
+        refuses leaves every file of OUT as it was, but `run.log`."""
+        stage, rel, line, error = self.BAD_INPUTS[case]
         out = tmp_path / "o"
         shutil.copytree(full_run, out)
         with open(out / rel, "a", encoding="utf-8") as fh:
@@ -968,8 +1004,8 @@ class TestStageTable:
         self.assert_manifest_verifies(out)
 
     FAILING_WRITES = {  # stage: (the `io` writer that fails, on the file of this name)
-        "classify": ("write_ids", "Science.ids"),
-        "metrics": ("write_table", "scalars.tsv"),  # once the descendants are written
+        "classify": ("write_ids", "Science.ids"),  # once Keyword's descendants are written
+        "metrics": ("write_table", "scalars.tsv"),
         "stats": ("write_table", "growth_pvalues_2000-2004.tsv"),
         "report": ("write_svg_lines", "growth.svg"),
     }
@@ -993,7 +1029,7 @@ class TestStageTable:
         before = self.tree(out)
         assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", stage]) == 4
         assert "i/o error: [Errno 28] No space left on device" in capsys.readouterr().err
-        assert staged and (stage != "metrics" or "Keyword.descendants.ids" in staged)
+        assert staged and (stage != "classify" or "Keyword.descendants.ids" in staged)
         self.assert_unchanged(out, before)
         self.assert_manifest_verifies(out)
 

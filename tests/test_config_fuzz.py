@@ -3,12 +3,14 @@ documented exit code (2 for a config, 3 for a table), never a traceback."""
 
 import configparser
 import csv
+import random
 import shutil
 
 import pytest
 
 from patmetrics import cli, pipeline, synth
-from patmetrics.errors import ConfigError
+from patmetrics import io as pio
+from patmetrics.errors import ConfigError, CpcParseError
 
 VALUES = ("abc", "nan", "inf", "-inf", "-1", "0", "", "5%")
 
@@ -320,6 +322,51 @@ def test_period_outside_window_exits_2(tmp_path, capsys, periods, outside):
     assert code == 2, err
     assert err == f"configuration error: {tmp_path / 'tiny.run'}: period {outside} lies outside the window 2000-2003\n"
     assert not (tmp_path / "out").exists()
+
+
+# each prefix refused: no CPC symbol starts with it, so its group would be empty
+BAD_PREFIXES = ("all", "ALL", "X99", "Z", "G0A", "G06NN", "G06N/3", "G06N3//", "G06N3/1A", "G06 N", "-")
+
+
+@pytest.mark.parametrize("prefix", BAD_PREFIXES)
+def test_prefix_no_cpc_symbol_starts_with_exits_2(tmp_path, capsys, prefix):
+    """Refused before the output directory is made, rather than run into
+    an empty group and a column of zeros."""
+    write_files(tmp_path, {**FILES, "tiny.run": RUN_TEXT.replace("prefix = G06", f"prefix = {prefix}")})
+    code, err = run(tmp_path, capsys)
+    assert code == 2, err
+    assert err == f"configuration error: {tmp_path / 'tiny.run'}: [group:G06] prefix: cannot parse {prefix!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def is_cpc_prefix(text):
+    """Whether some CPC symbol starts with `text`, in any case: whether
+    `text` and one of the tails of `G00A1/1` make a symbol."""
+    for tail in ("", "1", "/1", "1/1", "A1/1", "0A1/1", "00A1/1"):
+        try:
+            pio.parse_cpc(text + tail)
+            return True
+        except CpcParseError:
+            pass
+    return False
+
+
+def test_prefix_is_a_start_of_a_cpc_symbol():
+    """A seeded fuzz: `cpc_prefix` takes `All` and exactly the texts that
+    some CPC symbol starts with, whatever their case, and keeps them as
+    written."""
+    rng = random.Random(35)
+    texts = ["All", "g06", "G06N3/", "Y02E", "h04w4/02", "A"]
+    texts += ["".join(rng.choices("aAgGHIXyY0129/", k=rng.randint(1, 9))) for _ in range(3000)]
+    accepted = 0
+    for text in texts:
+        if text == "All" or is_cpc_prefix(text):
+            assert pio.cpc_prefix(text) == text
+            accepted += 1
+        else:
+            with pytest.raises(ValueError):
+                pio.cpc_prefix(text)
+    assert 100 < accepted < len(texts) - 100
 
 
 @pytest.fixture(scope="module")

@@ -121,3 +121,61 @@ def test_no_module_level_openssl_import(path):
     itself."""
     with open(path, encoding="utf-8") as fh:
         assert module_level_imports(fh.read()) & {"hashlib", "_hashlib"} == set()
+
+
+#: the `os` functions that change the file system; every function of `shutil` does too
+OS_WRITERS = {"remove", "rename", "replace", "unlink", "mkdir", "makedirs", "rmdir"}
+
+
+def file_system_writes(source: str) -> list[str]:
+    """Calls that change the file system: an `os` function of `OS_WRITERS`,
+    any `shutil` function, or `open` with a mode that writes, appends or
+    creates (or one that is not a literal), under any name they are
+    imported as."""
+    tree = ast.parse(source)
+    names = {}  # local name -> (module, function or None for the module itself)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name, (a.name, None)) for a in node.names if a.name in ("os", "shutil"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "shutil"):
+            names.update((a.asname or a.name, (node.module, a.name)) for a in node.names)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in names:
+            module, name = names[func.value.id][0], func.attr
+        elif isinstance(func, ast.Name):
+            module, name = names.get(func.id, (None, func.id))
+        else:
+            continue
+        if module == "shutil" or (module == "os" and name in OS_WRITERS):
+            found.append(f"{module}.{name} (line {node.lineno})")
+        elif module is None and name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+                found.append(f"open (line {node.lineno})")
+    return found
+
+
+def test_file_system_write_is_found():
+    source = (
+        "import os\nimport shutil as sh\nfrom os import rename as mv\n"
+        "os.remove('a')\nsh.copy('a', 'b')\nmv('a', 'b')\n"
+        "open('a', 'w')\nopen('a', mode='ab')\nopen('a', m)\nopen('a', 'r+')\n"
+        "open('a')\nopen('a', 'rb')\nos.path.join('a', 'b')\nos.listdir('a')\nf.remove(1)\n"
+    )
+    assert file_system_writes(source) == [
+        "os.remove (line 4)", "shutil.copy (line 5)", "os.rename (line 6)", "open (line 7)",
+        "open (line 8)", "open (line 9)", "open (line 10)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if os.path.basename(p) != "io.py"], ids=os.path.basename)
+def test_only_io_changes_the_file_system(path):
+    """Every file a stage writes goes through `io`, whose writers stage
+    each directory in `.NAME.new` (`io.staged`)."""
+    with open(path, encoding="utf-8") as fh:
+        assert file_system_writes(fh.read()) == []
