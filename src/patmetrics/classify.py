@@ -14,13 +14,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Annotated, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import TEXT_FIELDS, Corpus
 from .errors import ConfigError
-from .io import tokenize
+from .io import Distinct, NonEmpty, OneOf, Range, check, tokenize
 
 #: Science-reference field label and confidence floor used by default.
 DEFAULT_SCIENCE_FIELD = "Computer Science; Artificial Intelligence"
@@ -132,13 +132,12 @@ def classify_science(
 class WipoRule:
     """One rule: a CPC prefix, a phrase, or a conjunction of both."""
 
-    kind: str  # "code" | "keyword" | "combined"
+    kind: Annotated[str, OneOf("code", "keyword", "combined")]
     prefix: str = ""
     phrase: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("code", "keyword", "combined"):
-            raise ConfigError(f"unknown rule kind {self.kind!r}")
+        check(self, "rule ")
         if self.kind in ("code", "combined") and not self.prefix:
             raise ConfigError(f"{self.kind} rule needs a code prefix")
         if self.kind in ("keyword", "combined") and not self.phrase:
@@ -239,30 +238,19 @@ class UsptoConfig:
     """Knobs for the component classifier.  `seed_rules` maps component
     name -> CPC prefixes whose carriers become positive training labels."""
 
-    components: tuple[str, ...] = DEFAULT_COMPONENTS
+    components: Annotated[tuple[str, ...], NonEmpty, Distinct] = DEFAULT_COMPONENTS
     seed_rules: Mapping[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_SEED_RULES)
     )
-    expansion_hops: int = 1
-    vocab_size: int = 500
-    threshold: float = 0.5
-    epochs: int = 150
-    learning_rate: float = 2.0
+    expansion_hops: Annotated[int, Range(0)] = 1
+    vocab_size: Annotated[int, Range(1)] = 500
+    threshold: Annotated[float, Range(0, 1, "()")] = 0.5
+    epochs: Annotated[int, Range(0)] = 150
+    learning_rate: Annotated[float, Range(-math.inf, math.inf, "()")] = 2.0
     anti_seed_rng: int = 13
 
     def __post_init__(self):
-        if not self.components:
-            raise ConfigError("component list is empty")
-        if len(set(self.components)) != len(self.components):
-            raise ConfigError(f"duplicate component names: {self.components}")
-        if not (0.0 < self.threshold < 1.0):
-            raise ConfigError(f"threshold must lie in (0, 1): {self.threshold}")
-        if self.vocab_size < 1:
-            raise ConfigError("vocab_size must be positive")
-        if self.epochs < 0 or self.expansion_hops < 0:
-            raise ConfigError("epochs and expansion_hops must be non-negative")
-        if not math.isfinite(self.learning_rate):
-            raise ConfigError(f"learning_rate must be finite: {self.learning_rate}")
+        check(self)
         for comp in self.components:
             if not self.seed_rules.get(comp):
                 raise ConfigError(f"component {comp!r} has no seed prefixes")
@@ -414,15 +402,16 @@ def _fit(
     colval = val[order]
     del order
     w, b, terms = np.zeros(len(scales)), 0.0, np.empty(len(val))
-    for _ in range(cfg.epochs):
-        np.take(w, col, out=terms, mode="clip")  # every index is in range; "clip" skips a buffer
-        terms *= val
-        p = 1.0 / (1.0 + np.exp(-(_reduce_segments(np.add, terms, indptr) + b)))
-        g = p - y
-        np.take(g, row, out=terms, mode="clip")
-        terms *= colval
-        w -= cfg.learning_rate * _reduce_segments(np.add, terms, colptr) / len(rows)
-        b -= cfg.learning_rate * g.mean()
+    with np.errstate(over="ignore"):  # an exp that overflows to inf gives p = 0, its limit, as intended
+        for _ in range(cfg.epochs):
+            np.take(w, col, out=terms, mode="clip")  # every index is in range; "clip" skips a buffer
+            terms *= val
+            p = 1.0 / (1.0 + np.exp(-(_reduce_segments(np.add, terms, indptr) + b)))
+            g = p - y
+            np.take(g, row, out=terms, mode="clip")
+            terms *= colval
+            w -= cfg.learning_rate * _reduce_segments(np.add, terms, colptr) / len(rows)
+            b -= cfg.learning_rate * g.mean()
     return w / scales, float(b), len(val)
 
 
@@ -467,11 +456,12 @@ def classify_uspto(corpus: Corpus, model: UsptoModel) -> frozenset[str]:
     cites = [_citation_features(corpus, comp.seed) for comp in model.components]
     columns = [_columns(corpus, comp.vocab) for comp in model.components]
     hit = np.zeros(len(corpus), bool)
-    for start in range(0, len(corpus), _ROW_BLOCK):
-        rows = np.arange(start, min(start + _ROW_BLOCK, len(corpus)))
-        blocks = list(_field_blocks(corpus, rows))
-        for comp, comp_cites, column in zip(model.components, cites, columns):
-            indptr, col, val = _features(blocks, column, len(comp.vocab), comp_cites[rows])
-            z = _reduce_segments(np.add, val * comp.weights[col], indptr)
-            hit[rows] |= 1.0 / (1.0 + np.exp(-(z + comp.bias))) > model.config.threshold
+    with np.errstate(over="ignore"):  # an exp that overflows to inf gives a score of 0, its limit, as intended
+        for start in range(0, len(corpus), _ROW_BLOCK):
+            rows = np.arange(start, min(start + _ROW_BLOCK, len(corpus)))
+            blocks = list(_field_blocks(corpus, rows))
+            for comp, comp_cites, column in zip(model.components, cites, columns):
+                indptr, col, val = _features(blocks, column, len(comp.vocab), comp_cites[rows])
+                z = _reduce_segments(np.add, val * comp.weights[col], indptr)
+                hit[rows] |= 1.0 / (1.0 + np.exp(-(z + comp.bias))) > model.config.threshold
     return corpus.members(hit)

@@ -6,7 +6,8 @@ at least 1 MiB (`synth`, or a synthetic run's `corpus/`), so a run from
 tables never maps it.
 
 A config file holds only the sections and keys its loader names, each key
-parsed by the type of the config dataclass field it sets (`typed`).
+parsed by the type of the config dataclass field it sets (`typed`) and held
+to the rules of that field's `Annotated` metadata (`check`).
 
 All numeric cells are rendered with 6 significant digits, so a
 write -> read -> write cycle is a fixed point.  Files always use ``\\n`` line
@@ -27,7 +28,7 @@ from functools import partial
 from html import escape
 from operator import itemgetter
 from string import ascii_lowercase, digits
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO, get_type_hints
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, get_type_hints
 
 from .errors import ConfigError, CpcParseError, DataError
 
@@ -164,6 +165,43 @@ def typed(config, *names: str) -> dict:
     parameter of the function) `config`; with no names, for every field whose type is there."""
     types = get_type_hints(config)
     return {name: PARSERS[types[name]] for name in names or types if names or types[name] in PARSERS}
+
+
+class Rule(NamedTuple):
+    """A rule of a config dataclass field, in its `Annotated` metadata: a value it
+    `admits`, or else its field's name and `says` formatted with the value.  A
+    rule for `each` item of a tuple (`Range`, `OneOf`) holds for no None."""
+
+    admits: Callable[[object], object]
+    says: str
+    each: bool = True
+
+
+def Range(lo: float, hi: float = math.inf, ends: str = "[)") -> Rule:
+    """A number from `lo` to `hi`, each end closed or open as `ends` reads.  It
+    compares and no more, so NaN lies in no range, an open infinite end refuses
+    that infinity, and an int too long for a float is still compared exactly."""
+    return Rule(lambda v: (lo < v if ends[0] == "(" else lo <= v) and (v < hi if ends[1] == ")" else v <= hi),
+                f"must lie in {ends[0]}{lo}, {hi}{ends[1]}: {{!r}}")
+
+
+def OneOf(*values) -> Rule:
+    return Rule(values.__contains__, f"must be one of {', '.join(map(str, values))}: {{!r}}")
+
+
+Distinct = Rule(lambda v: len(set(v)) == len(v), "repeats an entry: {!r}", each=False)
+NonEmpty = Rule(len, "is empty", each=False)
+
+
+def check(config, owner: str = "") -> None:
+    """A `ConfigError`, led by `owner`, for the first field of the config
+    dataclass `config` whose value breaks a `Rule` of its metadata."""
+    for name, hint in get_type_hints(type(config), include_extras=True).items():
+        value = getattr(config, name)
+        for rule in getattr(hint, "__metadata__", ()):
+            for v in value if rule.each and isinstance(value, tuple) else (value,):
+                if not (v is None or rule.admits(v)):
+                    raise ConfigError(f"{owner}{name} " + rule.says.format(v))
 
 
 def made(path: str, make, *args, **kwargs):

@@ -19,6 +19,9 @@ import functools
 import os
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import Annotated
+
+import numpy as np
 
 from . import classify as cls
 from . import io as pio
@@ -51,18 +54,22 @@ class RunConfig:
     table_paths: tuple[tuple[str, str | None], ...] = ()
     strict: bool = False
     window: tuple[int, int] = pio.DEFAULT_WINDOW
-    periods: tuple[tuple[int, int], ...] = ()  # none means the whole window
-    levels: tuple[int, ...] = (1, 3, 4)
-    diversity_universe_3: int | None = None  # None: metrics.DEFAULT_UNIVERSE
-    diversity_universe_4: int | None = None
-    lag_mode: str = "all_citations"
-    zscore: tuple[str, ...] = ("generality",)
-    lowess: tuple[str, ...] = ("growth",)
-    lowess_fraction: float = 0.6667
+    periods: Annotated[tuple[tuple[int, int], ...], pio.Distinct] = ()  # none means the whole window
+    levels: Annotated[tuple[int, ...], pio.OneOf(1, 3, 4), pio.Distinct] = (1, 3, 4)
+    diversity_universe_3: Annotated[int | None, pio.Range(1)] = None  # None: metrics.DEFAULT_UNIVERSE
+    diversity_universe_4: Annotated[int | None, pio.Range(1)] = None
+    lag_mode: Annotated[str, pio.OneOf("all_citations", "first_citation")] = "all_citations"
+    zscore: Annotated[tuple[str, ...], pio.OneOf("generality", "avg_citing_classes", "avg_citing_classes_cited"),
+                      pio.Distinct] = ("generality",)
+    lowess: Annotated[tuple[str, ...], pio.Distinct] = ("growth",)
+    lowess_fraction: Annotated[float, pio.Range(0, 1, "(]")] = 0.6667
     descendants: bool = True
-    compare: tuple[str, ...] = ("growth",)
+    compare: Annotated[tuple[str, ...], pio.Distinct] = ("growth",)
     holm: bool = True
     exact_cutoff: int = st.DEFAULT_EXACT_CUTOFF
+
+    def __post_init__(self):
+        pio.check(self)
 
 
 #: the `RunConfig` fields that each section of a run config sets, besides `[inputs]` and `[group:NAME]`
@@ -129,28 +136,10 @@ def load_run_config(path: str) -> RunConfig:
     for name, fields in SECTIONS.items():
         if name in parser:  # an absent section sets no key
             values |= pio.options(parser[name], path, BLANK_MEANS_NONE, **pio.typed(RunConfig, *fields))
-    cfg = RunConfig(groups=tuple(groups), **sources, **values)
-    for key in ("levels", "periods", "zscore", "lowess", "compare"):
-        values = getattr(cfg, key)
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{path}: {key} repeats an entry: {values}")
+    cfg = pio.made(path, RunConfig, groups=tuple(groups), **sources, **values)
     for lo, hi in cfg.periods:
         if not cfg.window[0] <= lo <= hi <= cfg.window[1]:
             raise ConfigError(f"{path}: period {lo}-{hi} lies outside the window {cfg.window[0]}-{cfg.window[1]}")
-    for lv in cfg.levels:
-        if lv not in (1, 3, 4):
-            raise ConfigError(f"{path}: unsupported CPC level {lv}")
-    for lv in (3, 4):
-        universe = getattr(cfg, f"diversity_universe_{lv}")
-        if universe is not None and universe < 1:
-            raise ConfigError(f"{path}: diversity_universe_{lv} must be at least 1: {universe}")
-    if cfg.lag_mode not in ("all_citations", "first_citation"):
-        raise ConfigError(f"{path}: unknown lag_mode {cfg.lag_mode!r}")
-    if not 0.0 < cfg.lowess_fraction <= 1.0:
-        raise ConfigError(f"{path}: lowess_fraction must lie in (0, 1]: {cfg.lowess_fraction}")
-    for metric in cfg.zscore:
-        if metric not in ("generality", "avg_citing_classes", "avg_citing_classes_cited"):
-            raise ConfigError(f"{path}: zscore unsupported for metric {metric!r}")
     return cfg if cfg.periods else replace(cfg, periods=(cfg.window,))
 
 
@@ -437,8 +426,11 @@ def cmd_run(args) -> int:
                 raise DataError(f"missing {path}; {hint[rel.split('/')[0]]}")
         if corpus is None and name in ("classify", "metrics"):  # the stages that read the corpus
             corpus = _ensure_corpus(cfg, args.seed, args.out, text)
-        with pio.staged(args.out, directory) as into:
-            stage(cfg, corpus, args.out, into)
+        try:  # a numpy overflow, division by zero or invalid value would put an inf or nan in a table
+            with np.errstate(over="raise", invalid="raise", divide="raise"), pio.staged(args.out, directory) as into:
+                stage(cfg, corpus, args.out, into)
+        except FloatingPointError as exc:
+            raise DataError(f"{name} stage: {exc}") from None
         if name == "classify":  # no later stage reads text; the memos stay shared
             corpus = replace(corpus, token_index=None)
     pio.write_manifest(args.out)

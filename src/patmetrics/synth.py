@@ -18,9 +18,10 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
+from typing import Annotated
 
 from .errors import ConfigError, CpcParseError
-from .io import group_sections, made, options, parse_cpc, read_config, tokenize, typed
+from .io import NonEmpty, Range, check, group_sections, made, options, parse_cpc, read_config, tokenize, typed
 
 DEFAULT_BACKGROUND_CODES = (
     "A01B", "A61K", "B23K", "B25J", "B29C", "B60L", "B82B", "B82Y",
@@ -41,14 +42,17 @@ class GroupSpec:
     """
 
     name: str
-    share: float
+    share: Annotated[float, Range(0, 1, "[]")]
     phrase: str | None = None
     codes: tuple[str | None, ...] = ()
     science_field: str | None = None
     science_confidence: int = 4
     marker: str | None = None
     jaccard_with: str | None = None
-    jaccard_target: float | None = None
+    jaccard_target: float | None = None  # in [0, 1) when jaccard_with is set
+
+    def __post_init__(self):
+        check(self, f"group {self.name}: ")
 
 
 @dataclass(frozen=True)
@@ -58,42 +62,26 @@ class SynthConfig:
 
     rng_seed: int = 1
     years: tuple[int, int] = (1990, 2019)
-    base_count: int = 100
-    growth: tuple[float, ...] = ()  # per year-step; empty means flat counts
+    base_count: Annotated[int, Range(1)] = 100
+    growth: Annotated[tuple[float, ...], Range(-math.inf, math.inf, "()")] = ()  # per year-step; empty means flat counts
     groups: tuple[GroupSpec, ...] = ()
-    edges_per_patent: int = 4
-    ai_attraction: float = 4.0
-    lag_mean: float = 8.0
-    classes_per_patent_mean: float = 2.0
-    class_concentration: float = 1.1
-    background_codes: tuple[str, ...] = DEFAULT_BACKGROUND_CODES
-    filler_vocab: int = 400
-    title_len: int = 6
-    abstract_len: int = 30
-    claims_len: int = 15
-    description_len: int = 20
+    edges_per_patent: Annotated[int, Range(0)] = 4
+    ai_attraction: Annotated[float, Range(0, math.inf, "()")] = 4.0
+    lag_mean: Annotated[float, Range(0)] = 8.0
+    classes_per_patent_mean: Annotated[float, Range(-math.inf, math.inf, "()")] = 2.0
+    class_concentration: Annotated[float, Range(-math.inf, math.inf, "()")] = 1.1
+    background_codes: Annotated[tuple[str, ...], NonEmpty] = DEFAULT_BACKGROUND_CODES
+    filler_vocab: Annotated[int, Range(1)] = 400
+    title_len: Annotated[int, Range(0)] = 6
+    abstract_len: Annotated[int, Range(0)] = 30
+    claims_len: Annotated[int, Range(0)] = 15
+    description_len: Annotated[int, Range(0)] = 20
     decoy_links: tuple[tuple[str, int, int], ...] = ()  # field, confidence, per year
 
     def __post_init__(self):
-        for name in ("ai_attraction", "lag_mean", "classes_per_patent_mean", "class_concentration"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if not all(map(math.isfinite, self.growth)):
-            raise ConfigError(f"growth rates must be finite: {self.growth}")
-        if self.base_count < 1:
-            raise ConfigError("base_count must be at least 1")
+        check(self)
         if self.years[0] > self.years[1]:
             raise ConfigError(f"empty year range {self.years!r}")
-        if self.edges_per_patent < 0 or self.lag_mean < 0:
-            raise ConfigError("edges_per_patent and lag_mean must be non-negative")
-        if min(self.title_len, self.abstract_len, self.claims_len, self.description_len) < 0:
-            raise ConfigError("text lengths must be non-negative")
-        if self.ai_attraction <= 0:
-            raise ConfigError("ai_attraction must be positive")
-        if self.filler_vocab < 1:
-            raise ConfigError("filler_vocab must be positive")
-        if not self.background_codes:
-            raise ConfigError("background_codes is empty")
         _code_weights(self)
         seen = set()
         phrases: dict[str, tuple[str, ...]] = {}
@@ -102,8 +90,6 @@ class SynthConfig:
             if spec.name in seen:
                 raise ConfigError(f"duplicate group name {spec.name!r}")
             seen.add(spec.name)
-            if not (0.0 <= spec.share <= 1.0):
-                raise ConfigError(f"group {spec.name}: share {spec.share} outside [0, 1]")
             for code in spec.codes:
                 if code is not None:
                     try:
@@ -152,6 +138,7 @@ class SynthConfig:
         steps = self.years[1] - self.years[0]
         if self.growth and len(self.growth) not in (1, steps):
             raise ConfigError(f"growth schedule needs 1 or {steps} rates, got {len(self.growth)}")
+        year_counts(self)
 
 
 def _code_weights(config: SynthConfig) -> list[float]:
@@ -169,14 +156,18 @@ def _code_weights(config: SynthConfig) -> list[float]:
 
 
 def year_counts(config: SynthConfig) -> dict[int, int]:
-    """Patents per year under the growth schedule (successive rounding)."""
+    """Patents per year under the growth schedule (successive rounding); a `ConfigError` past float range."""
     lo, hi = config.years
     steps = hi - lo
     growth = config.growth
     counts = {lo: config.base_count}
-    for i in range(steps):
-        g = growth[i % len(growth)] if growth else 0.0
-        counts[lo + 1 + i] = max(1, round(counts[lo + i] * (1.0 + g)))
+    try:
+        float(config.base_count)  # also with no year step, where the loop below never scales it
+        for i in range(steps):
+            g = growth[i % len(growth)] if growth else 0.0
+            counts[lo + 1 + i] = max(1, round(counts[lo + i] * (1.0 + g)))
+    except OverflowError:
+        raise ConfigError("base_count and growth put a year's patent count out of float range") from None
     return counts
 
 
@@ -224,7 +215,8 @@ def _truncated_geometric(rng: random.Random, mean: float, upper: int) -> int:
         return 0
     p = 1.0 / (1.0 + mean)
     u = rng.random()
-    draw = int(math.floor(math.log(1.0 - u) / math.log(1.0 - p)))
+    log_q = math.log(1.0 - p)  # 0.0 for a mean of about 1e16 or more, whose draw tends to `upper`
+    draw = int(math.floor(math.log(1.0 - u) / log_q)) if log_q else upper
     return min(draw, upper)
 
 
@@ -354,7 +346,7 @@ def load_synth_config(path: str) -> SynthConfig:
         spec = options(section, path, **keys)
         if "share" not in spec:
             raise ConfigError(f"{path}: [{section.name}] is missing share")
-        groups.append(GroupSpec(name=name, **spec))
+        groups.append(made(path, GroupSpec, name=name, **spec))
     settings = options(parser["synth"], path, **typed(SynthConfig))
     if "decoys" in parser:
         decoys = options(parser["decoys"], path, links=_decoy_links)

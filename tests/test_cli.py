@@ -7,6 +7,7 @@ import shutil
 import signal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from patmetrics import classify as cls
@@ -928,6 +929,18 @@ class TestStageTable:
         before = self.tree(out)
         assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", stage]) == 3
         assert error in capsys.readouterr().err
+        self.assert_unchanged(out, before)
+
+    def test_floating_point_event_fails_its_stage(self, ws, full_run, tmp_path, capsys, monkeypatch):
+        """A numpy division by zero in a metric kernel, whose inf would reach a
+        table, fails the metrics stage with exit 3 and leaves every file of
+        OUT as it was, but `run.log`."""
+        out = tmp_path / "o"
+        shutil.copytree(full_run, out)
+        before = self.tree(out)
+        monkeypatch.setattr(pipeline.met, "growth_series", lambda series: np.ones(1) / np.zeros(1))
+        assert cli.main(["run", "--config", str(ws / "small.run"), "--out", str(out), "--only", "metrics"]) == 3
+        assert capsys.readouterr().err == "data error: metrics stage: divide by zero encountered in divide\n"
         self.assert_unchanged(out, before)
 
     BAD_KEYWORDS = ("kw.tsv", "phrase\tcategory\nneural network\tmagic\n", "group:Keyword", "keywords")

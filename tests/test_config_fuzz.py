@@ -170,6 +170,39 @@ def test_numeric_key(tmp_path, capsys, name, section, key, cell, value):
         assert err.startswith("configuration error: ")
 
 
+# (file, section, key, value, exit code): values far out of scale, each set alone, and fed to
+# `synth` for a synthetic-corpus config, else to `run`; kept out of VALUES, as a 400-digit int
+# in every numeric key would take many minutes
+HUGE = [
+    ("tiny.synth", "synth", "base_count", "1" + "0" * 400, 2),
+    ("tiny.synth", "synth", "growth", "1e300", 2),
+    *(("tiny.synth", "synth", key, value, 0)
+      for key in ("lag_mean", "classes_per_patent_mean") for value in ("1e17", "1e300")),
+    ("tiny.uspto", "uspto", "learning_rate", "1e300", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name, section, key, value, expected", HUGE, ids=[f"{n[5:]}-{k}={v[:5]}" for n, _, k, v, _ in HUGE]
+)
+def test_huge_value(tmp_path, capsys, name, section, key, value, expected):
+    """A year's patent count past float range is a configuration error; a
+    mean of 1e17 or more draws the largest lag or code count; and a learning
+    rate of 1e300 overflows the logistic's exp to its limit, silently."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(FILES[name])
+    parser[section][key] = value
+    with open(tmp_path / name, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    write_files(tmp_path, {n: text for n, text in FILES.items() if n != name})
+    command, config = ("synth", name) if name == "tiny.synth" else ("run", "tiny.run")
+    code = cli.main([command, "--config", str(tmp_path / config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert err == ("" if code == 0 else f"configuration error: {tmp_path / name}: "
+                   "base_count and growth put a year's patent count out of float range\n")
+
+
 # (file, section, key): the string, boolean and list keys that have a default
 STRING_KEYS = [
     ("tiny.run", "run", "strict"),

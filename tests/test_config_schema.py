@@ -1,10 +1,14 @@
 """The schema of the run, synthetic-corpus and classifier-training configs:
-the keys each section knows, and the value each key loads as.  A key is
-parsed by the type of the config dataclass field it sets, so these pin that
-the types give the same keys and values as the parsers once written out by
-hand in each loader."""
+the keys each section knows, the value each key loads as, and the values
+each key accepts.  A key is parsed by the type of the config dataclass field
+it sets, and held to the rules of that field's `Annotated` metadata, so these
+pin that the types and rules give the same keys, values and bounds as the
+parsers and checks once written out by hand in each loader."""
 
 import dataclasses
+import math
+import re
+import typing
 
 import pytest
 
@@ -226,3 +230,139 @@ def test_every_field_is_a_key_or_named(config):
     assert fields - NOT_KEYS <= set(pio.typed(config))
     if config is pipeline.RunConfig:
         assert fields - NOT_KEYS == {key for keys in pipeline.SECTIONS.values() for key in keys}
+
+
+BIG = "1" + "0" * 400  # an int beyond float range, which `math.isfinite` cannot take
+
+# (file, section, key, raw value, accepted?): both sides of every bound the loaders enforce on a
+# key, each set alone in the files of `files`.  A `base_count` or `growth` that takes a year's
+# patent count past float range is left out: the loader once passed it on to fail in the generator,
+# and now refuses it (`test_synth`, `test_config_fuzz`)
+BOUNDARY = [
+    ("tiny.run", "run", "window", "1995-2015", True),
+    ("tiny.run", "run", "window", "2016-2015", False),
+    ("tiny.run", "run", "periods", "1995-2000, 2001-2015", True),
+    ("tiny.run", "run", "periods", "1995-2000, 1995-2000", False),
+    ("tiny.run", "run", "periods", "1990-2000", False),
+    ("tiny.run", "metrics", "levels", "1, 3, 4", True),
+    ("tiny.run", "metrics", "levels", "", True),
+    *(("tiny.run", "metrics", "levels", lv, False) for lv in ("0", "2", "5", "1, 1")),
+    *(("tiny.run", "metrics", f"diversity_universe_{lv}", value, accepted)
+      for lv in (3, 4) for value, accepted in (("1", True), (BIG, True), ("0", False), ("-1", False))),
+    ("tiny.run", "metrics", "lag_mode", "all_citations", True),
+    ("tiny.run", "metrics", "lag_mode", "first_citation", True),
+    ("tiny.run", "metrics", "lag_mode", "First_citation", False),
+    ("tiny.run", "metrics", "lag_mode", "none", False),
+    ("tiny.run", "metrics", "zscore", "generality, avg_citing_classes, avg_citing_classes_cited", True),
+    ("tiny.run", "metrics", "zscore", "", True),
+    ("tiny.run", "metrics", "zscore", "growth", False),
+    ("tiny.run", "metrics", "zscore", "generality, generality", False),
+    ("tiny.run", "metrics", "lowess", "growth, share, counts", True),
+    ("tiny.run", "metrics", "lowess", "growth, share, growth", False),
+    *(("tiny.run", "metrics", "lowess_fraction", value, accepted) for value, accepted in (
+        ("1e-9", True), ("1", True), ("0", False), ("1.0000001", False), ("nan", False), ("inf", False))),
+    ("tiny.run", "stats", "compare", "growth, share", True),
+    ("tiny.run", "stats", "compare", "share, growth, share", False),
+    ("tiny.synth", "synth", "years", "1999-2002", True),
+    ("tiny.synth", "synth", "years", "2003-2000", False),
+    *(("tiny.synth", "synth", "base_count", value, accepted)
+      for value, accepted in (("1", True), ("0", False), ("-1", False))),
+    *(("tiny.synth", "synth", "growth", value, accepted) for value, accepted in (
+        ("-5", True), ("1e3", True), ("0.1, -1, 0.2", True),
+        ("nan", False), ("inf", False), ("-inf", False), ("0.1, nan, 0.2", False))),
+    *(("tiny.synth", "synth", "edges_per_patent", value, accepted) for value, accepted in (("0", True), ("-1", False))),
+    *(("tiny.synth", "synth", "ai_attraction", value, accepted) for value, accepted in (
+        ("1e-9", True), ("1e300", True), ("0", False), ("-1", False), ("inf", False), ("nan", False))),
+    *(("tiny.synth", "synth", "lag_mean", value, accepted) for value, accepted in (
+        ("0", True), ("-0.0", True), ("1e300", True), ("-1e-9", False), ("inf", False), ("nan", False))),
+    *(("tiny.synth", "synth", key, value, accepted)
+      for key in ("classes_per_patent_mean", "class_concentration") for value, accepted in (
+        ("-5", True), ("0", True), ("nan", False), ("inf", False), ("-inf", False))),
+    ("tiny.synth", "synth", "classes_per_patent_mean", "1e300", True),
+    ("tiny.synth", "synth", "class_concentration", "2000", False),  # a background-code weight overflows
+    *(("tiny.synth", "synth", "filler_vocab", value, accepted) for value, accepted in (("1", True), ("0", False))),
+    *(("tiny.synth", "synth", key, value, accepted)
+      for key in ("title_len", "abstract_len", "claims_len", "description_len")
+      for value, accepted in (("0", True), ("-1", False))),
+    ("tiny.synth", "synth", "background_codes", "H04W", True),
+    ("tiny.synth", "synth", "background_codes", ",", False),
+    ("tiny.synth", "synth", "background_codes", "NOPE", False),
+    *(("tiny.synth", "group:kw", "share", value, accepted) for value, accepted in (
+        ("0", True), ("-0.0", True), ("1", True), ("-1e-9", False), ("1.0000001", False), ("nan", False))),
+    *(("tiny.synth", "group:us", "jaccard_target", value, accepted) for value, accepted in (
+        ("0", True), ("0.999", True), ("-1e-9", False), ("1", False), ("nan", False))),
+    ("tiny.synth", "group:kw", "jaccard_target", "5", True),  # bounded only where jaccard_with is set
+    ("tiny.synth", "group:kw", "science_confidence", "1", True),
+    ("tiny.synth", "group:kw", "science_confidence", "0", False),
+    ("tiny.synth", "group:kw", "phrase", "!!!", False),
+    ("tiny.synth", "decoys", "links", "Physics|1|0", True),
+    ("tiny.synth", "decoys", "links", "Physics|0|1", False),
+    ("tiny.synth", "decoys", "links", "Physics|1|-1", False),
+    ("tiny.uspto", "uspto", "components", "speech, vision", True),
+    ("tiny.uspto", "uspto", "components", ",", False),
+    ("tiny.uspto", "uspto", "components", "speech, vision, speech", False),
+    *(("tiny.uspto", "uspto", key, value, accepted)
+      for key in ("expansion_hops", "epochs") for value, accepted in (("0", True), ("-1", False))),
+    *(("tiny.uspto", "uspto", "vocab_size", value, accepted) for value, accepted in (("1", True), ("0", False))),
+    *(("tiny.uspto", "uspto", "threshold", value, accepted) for value, accepted in (
+        ("1e-9", True), ("0.999999", True), ("0", False), ("1", False), ("nan", False))),
+    *(("tiny.uspto", "uspto", "learning_rate", value, accepted) for value, accepted in (
+        ("1e300", True), ("-1e300", True), ("0", True), ("nan", False), ("inf", False), ("-inf", False))),
+]
+
+
+@pytest.mark.parametrize("name, section, key, value, accepted", BOUNDARY,
+                         ids=[f"{n[5:]}-{s}-{k}={v[:12]}" for n, s, k, v, _ in BOUNDARY])
+def test_boundary(files, name, section, key, value, accepted):
+    """Each value is accepted or refused, by the loader of its file, as it was when the
+    bounds were written out by hand in each loader."""
+    sections = {"tiny.run": run_sections(), "tiny.synth": raw(SYNTH_KEYS), "tiny.uspto": raw(USPTO_KEYS)}[name]
+    sections[section][key] = value
+    if key == "components":  # [seeds] names exactly the components; without it, each has its default rules
+        del sections["seeds"]
+    (files / name).write_text(ini(sections), encoding="utf-8")
+    if accepted:
+        LOADERS[name](str(files / name))
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(files / name))}: "):
+            LOADERS[name](str(files / name))
+
+
+# config dataclass -> the file and the sections whose keys set its fields
+OWNERS = {pipeline.RunConfig: ("tiny.run", ("run", "metrics", "stats")), synth.SynthConfig: ("tiny.synth", ("synth",)),
+          synth.GroupSpec: ("tiny.synth", ("group:kw", "group:us")), cls.UsptoConfig: ("tiny.uspto", ("uspto",))}
+
+
+def rules():
+    """(config, field, its item type, rule) for every rule a config field declares."""
+    for config in OWNERS:
+        types = typing.get_type_hints(config)
+        for name, hint in typing.get_type_hints(config, include_extras=True).items():
+            kind = types[name]
+            item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else kind
+            for rule in getattr(hint, "__metadata__", ()):
+                yield config, name, item, rule
+
+
+@pytest.mark.parametrize("config, name, item, rule", list(rules()), ids=[f"{c.__name__}.{n}" for c, n, _, _ in rules()])
+def test_boundary_table_probes_every_rule(config, name, item, rule):
+    """The table holds an accepted value that each declared rule admits and a
+    refused one it does not; and for a `Range`, a refused value beyond each
+    end that a value of the field's type can pass (an int cannot reach an
+    infinite end)."""
+    file, sections = OWNERS[config]
+    parse = pio.PARSERS[typing.get_type_hints(config)[name]]
+    rows = {True: [], False: []}
+    for f, section, key, value, accepted in BOUNDARY:
+        if (f, key) == (file, name) and section in sections and value:
+            parsed = parse(value)
+            rows[accepted].append(parsed if rule.each and isinstance(parsed, tuple) else (parsed,))
+    assert any(all(map(rule.admits, items)) for items in rows[True]), "no accepted value"
+    assert any(not all(map(rule.admits, items)) for items in rows[False]), "no refused value"
+    if rule.says.startswith("must lie in"):  # a `Range`
+        inside = [v for items in rows[True] for v in items]
+        far = math.inf if float in (item, *typing.get_args(item)) else 10**400  # an int cannot reach inf
+        if not rule.admits(-far):
+            assert any(v < min(inside) for items in rows[False] for v in items if not rule.admits(v)), "low end"
+        if not rule.admits(far):
+            assert any(v > max(inside) for items in rows[False] for v in items if not rule.admits(v)), "high end"

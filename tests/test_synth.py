@@ -285,9 +285,22 @@ class TestValidation:
             {"title_len": -1},
             {"class_concentration": 1000.0},  # a background-code weight overflows
             {"class_concentration": -1000.0},  # one underflows to 0
+            {"base_count": 10**400},  # a year's count past float range
+            {"base_count": 10**400, "years": (2000, 2000), "growth": ()},  # even with no year step
+            {"growth": (1e300,)},
         ):
             with pytest.raises(ConfigError):
                 synth.generate(make_config(**kw))
+
+    def test_huge_mean_draws_the_limit(self):
+        """A lag or code-count mean so large that the geometric's p rounds
+        away draws the largest value: every citation reaches back to the
+        first year, and every patent draws five background codes."""
+        for mean in (1e17, 1e300):
+            tables, _ = synth.generate(make_config(groups=(), lag_mean=mean, classes_per_patent_mean=mean))
+            first = {pid for pid, year, *_ in tables["patents"] if year == 2000}
+            assert tables["citations"] and all(cited in first for _, cited, _ in tables["citations"])
+            assert max(Counter(pid for pid, _ in tables["cpc"]).values()) == 5
 
     def test_science_confidence_below_one(self):
         groups = (synth.GroupSpec("a", 0.1, science_field=CS_AI, science_confidence=0),)
