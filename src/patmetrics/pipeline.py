@@ -15,7 +15,6 @@ when it returns (`io.staged`).  `run.log` records stage progress without timesta
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -35,6 +34,24 @@ from .errors import ConfigError, DataError
 #: `uspto` group is trained, then scored.  Every kind but `prefix` is an approach.
 CLASSIFIERS = {"keyword": cls.classify_keyword, "science": cls.classify_science,
                "wipo": cls.classify_wipo, "prefix": cls.classify_prefix_group}
+
+
+def _breadth(pick: int):  # the kernel of series `pick` of `avg_citing_classes`; one call per group and level makes both
+    return lambda corpus, mask, level, name, cfg: corpus.memo(
+        ("breadth", level, name), lambda: met.avg_citing_classes(corpus, mask, level, name))[pick]
+
+
+#: per-level metric stem -> (the levels it exists at, its kernel), called as `kernel(corpus,
+#: mask, level, name, cfg) -> (series, overall)`; generality first, as it builds the level's outside-class incidence
+LEVEL_SERIES = {
+    "generality": ((1, 3, 4), lambda corpus, mask, level, name, cfg: met.generality_series(corpus, mask, level, name)),
+    "avg_citing_classes": ((1, 3, 4), _breadth(0)),
+    "avg_citing_classes_cited": ((1, 3, 4), _breadth(1)),
+    "diversity_share": ((3, 4), lambda corpus, mask, level, name, cfg: met.diversity_share(  # no universe at level 1
+        corpus, mask, level, name, universe=getattr(cfg, f"diversity_universe_{level}"))),
+    "diversity_per_patent": ((1, 3, 4), lambda corpus, mask, level, name, cfg: met.diversity_per_patent(
+        corpus, mask, level, name)),
+}
 
 
 @dataclass(frozen=True)
@@ -59,12 +76,11 @@ class RunConfig:
     diversity_universe_3: Annotated[int | None, pio.Range(1)] = None  # None: metrics.DEFAULT_UNIVERSE
     diversity_universe_4: Annotated[int | None, pio.Range(1)] = None
     lag_mode: Annotated[str, pio.OneOf("all_citations", "first_citation")] = "all_citations"
-    zscore: Annotated[tuple[str, ...], pio.OneOf("generality", "avg_citing_classes", "avg_citing_classes_cited"),
-                      pio.Distinct] = ("generality",)
-    lowess: Annotated[tuple[str, ...], pio.Distinct] = ("growth",)
+    zscore: Annotated[tuple[str, ...], pio.OneOf(*LEVEL_SERIES), pio.Distinct] = ("generality",)
+    lowess: Annotated[tuple[str, ...], pio.Distinct] = ("growth",)  # each a stem of `metric_stems`
     lowess_fraction: Annotated[float, pio.Range(0, 1, "(]")] = 0.6667
     descendants: bool = True
-    compare: Annotated[tuple[str, ...], pio.Distinct] = ("growth",)
+    compare: Annotated[tuple[str, ...], pio.Distinct] = ("growth",)  # each a stem of `metric_stems`, or smoothed
     holm: bool = True
     exact_cutoff: int = st.DEFAULT_EXACT_CUTOFF
 
@@ -140,7 +156,23 @@ def load_run_config(path: str) -> RunConfig:
     for lo, hi in cfg.periods:
         if not cfg.window[0] <= lo <= hi <= cfg.window[1]:
             raise ConfigError(f"{path}: period {lo}-{hi} lies outside the window {cfg.window[0]}-{cfg.window[1]}")
+    stems = metric_stems(cfg)
+    for key, known in ("lowess", stems), ("compare", stems | {f"{m}_lowess" for m in cfg.lowess}):
+        if unknown := [m for m in getattr(cfg, key) if m not in known]:
+            raise ConfigError(f"{path}: {key} names no metric series of this config: {', '.join(unknown)}")
     return cfg if cfg.periods else replace(cfg, periods=(cfg.window,))
+
+
+def metric_stems(cfg: RunConfig) -> set[str]:
+    """Every stem of a series that `stage_metrics` can write under `cfg`, but the `_lowess` ones."""
+    approach = [g for g in cfg.groups if g.kind != "prefix"]
+    stems = {"counts", "share", "growth", "citation_lag"} | ({"jaccard"} if len(approach) >= 2 else set())
+    if cfg.descendants and approach:
+        stems |= {"descendants_counts", "descendants_share"}
+    for level in cfg.levels:
+        here = [stem for stem, (levels, _) in LEVEL_SERIES.items() if level in levels]
+        stems |= {f"{stem}_d{level}" for stem in here} | {f"{z}_d{level}_zscore" for z in cfg.zscore if z in here}
+    return stems
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +259,22 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> No
     approach = [g.name for g in cfg.groups if g.kind != "prefix"]
     scalars: list[tuple[str, str, str, float | None]] = []  # metric, level, group, value
 
-    def per_group(metric, level, compute, keep_empty=False, names=order):
+    def per_group(metric, level, compute, names=order):
         """`compute(name) -> (series, overall)` for every name in `names`.
         Records each overall as a scalar of the series' group, writes the
-        series (only those with points unless `keep_empty`) and returns
-        them by name."""
+        series with points (a count, Jaccard or diversity-share series has
+        one for every year of the window) and returns them by name."""
         series = {}
         for n in names:
             series[n], overall = compute(n)
             scalars.append((metric, str(level or ""), series[n].group, overall))
-        rows = [s for s in series.values() if s.points or keep_empty]
+        rows = [s for s in series.values() if s.points]
         if rows:
             pio.write_series(_mpath(into, f"{metric}_d{level}" if level else metric), rows)
         return series
 
     def counts_and_shares(prefix, masks):
-        counts = per_group(f"{prefix}counts", None, lambda n: met.count_series(
-            corpus, masks[n], n
-        ), keep_empty=True, names=list(masks))
+        counts = per_group(f"{prefix}counts", None, lambda n: met.count_series(corpus, masks[n], n), names=list(masks))
         shares = [met.share_series(corpus, mask, n) for n, mask in masks.items()]
         pio.write_series(_mpath(into, f"{prefix}share"), shares)
         return counts
@@ -252,9 +282,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> No
     counts = counts_and_shares("", masks)
     pio.write_series(_mpath(into, "growth"), [met.growth_series(s) for s in counts.values()])
     pairs = list(combinations(approach, 2))
-    per_group("jaccard", None, lambda p: met.jaccard_series(
-        corpus, "|".join(p), masks[p[0]], masks[p[1]]
-    ), keep_empty=True, names=pairs)
+    per_group("jaccard", None, lambda p: met.jaccard_series(corpus, "|".join(p), masks[p[0]], masks[p[1]]), names=pairs)
     if pairs:
         count, share = met.allway_overlap([masks[a] for a in approach])
         pio.write_table(
@@ -264,25 +292,14 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> No
         )
 
     for level in cfg.levels:
-        breadth = functools.cache(lambda n: met.avg_citing_classes(corpus, masks[n], level, n))
-        universe = getattr(cfg, f"diversity_universe_{level}", None)
-        kernels = {  # generality first: it builds the level's outside-class incidence
-            "generality": lambda n: met.generality_series(corpus, masks[n], level, n),
-            "avg_citing_classes": lambda n: breadth(n)[0],
-            "avg_citing_classes_cited": lambda n: breadth(n)[1],
-            "diversity_share": lambda n: met.diversity_share(corpus, masks[n], level, n, universe=universe),
-            "diversity_per_patent": lambda n: met.diversity_per_patent(corpus, masks[n], level, n),
-        }
-        if level == 1:  # no diversity universe at the section level
-            del kernels["diversity_share"]
         # series by metric and group at this level, also the z-score inputs
-        by_metric = {stem: per_group(stem, level, kernel, keep_empty=stem == "diversity_share")
-                     for stem, kernel in kernels.items()}
+        by_metric = {stem: per_group(stem, level, lambda n: kernel(corpus, masks[n], level, n, cfg))
+                     for stem, (levels, kernel) in LEVEL_SERIES.items() if level in levels}
         out = met._outside(corpus, level)
         size = sum(a.nbytes for a in (out.cited, out.cell, out.cells, out.breadth))
         pio.log(out_dir, f"metrics: level {level} outside-class incidence {len(out.cell)} rows, "
                          f"{len(out.cells)} (year, class) cells ({size / 2**20:.2f} MB)")
-        for zm in cfg.zscore:
+        for zm in [z for z in cfg.zscore if z in by_metric]:  # diversity_share has none at level 1
             zin = [by_metric[zm][n] for n in approach if by_metric[zm][n].points]
             if len(zin) >= 2:
                 pio.write_series(_mpath(into, f"{zm}_d{level}_zscore"), met.zscore_across_groups(zin))
@@ -303,7 +320,7 @@ def stage_metrics(cfg: RunConfig, corpus: Corpus, out_dir: str, into: str) -> No
     for metric in cfg.lowess:
         path = _mpath(into, metric)
         if not os.path.exists(path):
-            pio.log(out_dir, f"metrics: lowess skipped {metric}, no such metric file")
+            pio.log(out_dir, f"metrics: lowess skipped {metric}, no series with points")
             continue
         series = pio.read_series(path)  # years distinct, so two points span two years
         smoothed = [st.smooth_series(s, cfg.lowess_fraction) for s in series if len(s.points) >= 2]

@@ -49,7 +49,7 @@ class GroupSpec:
     science_confidence: int = 4
     marker: str | None = None
     jaccard_with: str | None = None
-    jaccard_target: float | None = None  # in [0, 1) when jaccard_with is set
+    jaccard_target: float | None = None  # set exactly when jaccard_with is, in [0, 1)
 
     def __post_init__(self):
         check(self, f"group {self.name}: ")
@@ -104,6 +104,8 @@ class SynthConfig:
                     )
                 if spec.jaccard_target is None or not (0.0 <= spec.jaccard_target < 1.0):
                     raise ConfigError(f"group {spec.name}: jaccard_target outside [0, 1)")
+            elif spec.jaccard_target is not None:  # it would be ignored
+                raise ConfigError(f"group {spec.name}: jaccard_target without jaccard_with")
             if spec.phrase is not None:
                 toks = tuple(tokenize(spec.phrase))
                 if not toks:

@@ -163,6 +163,14 @@ def read(path):
         return fh.read()
 
 
+def assert_metric_files_are_the_stems(config, out):
+    """The series files in `out/metrics` are those that `pipeline.metric_stems`
+    derives from the run config at `config`, and their smoothings."""
+    cfg = pipeline.load_run_config(str(config))
+    written = {p.name[: -len(".metric.tsv")] for p in (out / "metrics").glob("*.metric.tsv")}
+    assert written == pipeline.metric_stems(cfg) | {f"{m}_lowess" for m in cfg.lowess}
+
+
 class TestSynthCommand:
     def test_writes_tables_truth_and_manifest(self, ws):
         out = ws / "synth-out"
@@ -411,8 +419,13 @@ class TestRunPipeline:
         assert not (out / stale).exists() and stale not in manifest
         assert cli.main(["run", "--config", str(cfg), "--out", str(fresh)]) == 0
         assert manifest == read(fresh / "manifest.txt")
+        assert_metric_files_are_the_stems(cfg, fresh)
 
-    def test_lowess_of_a_missing_metric_is_logged(self, ws, full_run, tmp_path):
+    def test_metric_files_are_the_derived_stems(self, ws, full_run):
+        assert_metric_files_are_the_stems(ws / "small.run", full_run)
+
+    def test_lowess_of_a_misspelt_metric_exits_2(self, ws, tmp_path, capsys):
+        """Refused when the config loads, not skipped with a line in `run.log`."""
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(RUN_TEXT)
         parser["inputs"]["synth"] = str(ws / "small.synth")
@@ -422,14 +435,10 @@ class TestRunPipeline:
         with open(cfg, "w", encoding="utf-8") as fh:
             parser.write(fh)
         out = tmp_path / "o"
-        shutil.copytree(full_run, out)
-        os.remove(out / "run.log")
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--only", "metrics"]) == 0
-        assert not (out / "metrics" / "growht_lowess.metric.tsv").exists()
-        assert (out / "metrics" / "growth_lowess.metric.tsv").exists()
-        log = read(out / "run.log")
-        assert "metrics: lowess skipped growht, no such metric file" in log
-        assert "lowess skipped growth," not in log
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: lowess names no metric series of this config: growht\n")
+        assert not out.exists()
 
     def test_skipped_zscore_is_logged(self, ws, full_run, tmp_path):
         """One approach group has nothing to be standardised against."""
@@ -438,15 +447,17 @@ class TestRunPipeline:
         for name in ("group:Science", "group:Rules", "group:Auto"):
             del parser[name]
         parser["inputs"]["synth"] = str(ws / "small.synth")
-        parser["metrics"].update(levels="1", zscore="generality")
+        parser["metrics"].update(levels="1", zscore="generality", lowess="growth, generality_d1_zscore")
         cfg = tmp_path / "one-approach.run"
         with open(cfg, "w", encoding="utf-8") as fh:
             parser.write(fh)
         out = tmp_path / "o"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--only", "classify,metrics"]) == 0
         assert not (out / "metrics" / "generality_d1_zscore.metric.tsv").exists()
-        line = "metrics: zscore skipped generality_d1, fewer than 2 approach groups with points"
-        assert line in read(out / "run.log").splitlines()
+        log = read(out / "run.log").splitlines()
+        assert "metrics: zscore skipped generality_d1, fewer than 2 approach groups with points" in log
+        assert "metrics: lowess skipped generality_d1_zscore, no series with points" in log
+        assert (out / "metrics" / "growth_lowess.metric.tsv").exists()
         assert "zscore skipped" not in read(full_run / "run.log")
 
     def test_run_log_has_uspto_diagnostics(self, full_run):
@@ -780,13 +791,16 @@ class TestStageTable:
     the place of its own only when it returns."""
 
     @staticmethod
-    def config(ws, tmp_path, sections):
-        """`RUN_TEXT`, with the keys of `sections` set, as a run config file."""
+    def config(ws, tmp_path, sections, drop=()):
+        """`RUN_TEXT`, with the keys of `sections` set and the sections `drop`
+        left out, as a run config file."""
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(RUN_TEXT)
         parser["inputs"]["synth"] = str(ws / "small.synth")
         parser["group:Auto"]["config"] = str(ws / "small.uspto")
         parser.read_dict(sections)
+        for name in drop:
+            del parser[name]
         cfg = tmp_path / "stages.run"
         with open(cfg, "w", encoding="utf-8") as fh:
             parser.write(fh)
@@ -850,7 +864,8 @@ class TestStageTable:
         self.assert_manifest_verifies(out)
 
     REFUSED = {  # stage: (config sections, the input it misses, the stage that writes it)
-        "stats": ({"stats": {"compare": "counts, nosuch"}}, "metrics/nosuch.metric.tsv", "metrics"),
+        "stats": ({"metrics": {"lowess": "growth, share"}, "stats": {"compare": "counts, share_lowess"}},
+                  "metrics/share_lowess.metric.tsv", "metrics"),
         "metrics": ({"group:New": {"kind": "prefix", "prefix": "H04"}}, "groups/New.ids", "classify"),
     }
 
@@ -900,13 +915,15 @@ class TestStageTable:
     def test_input_its_writer_did_not_write_is_not_sent_back_to_it(self, ws, full_run, tmp_path, capsys):
         """When the stage that owns a missing input ran earlier in the same
         command, the error says that it wrote no such file: running it first
-        again would not help."""
+        again would not help.  Here one approach group leaves no z-score."""
         out = tmp_path / "o"
         shutil.copytree(full_run, out)
-        cfg = self.config(ws, tmp_path, {"stats": {"compare": "counts, nosuch"}})
+        drop = ("group:Science", "group:Rules", "group:Auto")
+        cfg = self.config(ws, tmp_path, {"stats": {"compare": "counts, generality_d1_zscore"}}, drop)
         assert cli.main(["run", "--config", cfg, "--out", str(out), "--only", "metrics,stats"]) == 3
         err = capsys.readouterr().err
-        assert err == f"data error: missing {out / 'metrics/nosuch.metric.tsv'}; the metrics stage ran but wrote no such file\n"
+        missing = out / "metrics/generality_d1_zscore.metric.tsv"
+        assert err == f"data error: missing {missing}; the metrics stage ran but wrote no such file\n"
         assert (out / "metrics" / "counts.metric.tsv").exists()  # the metrics stage did run
 
     UNKNOWN_ID = ("UNKNOWN_ID\n", "1 group members not in corpus (e.g. UNKNOWN_ID)")

@@ -279,6 +279,9 @@ MALFORMED_CONFIGS = {
         "tiny.run": with_line(RUN_TEXT, "kind = wipo", "rules = rules.tsv"),
         "rules.tsv": b"rule_kind\tcode_prefix\tphrase\ncode\tG06N\t\xff\n",
     },
+    # a metric series no stage writes, named under each key that takes series
+    **{f"run-misspelt-{key}": {"tiny.run": RUN_TEXT.replace(f"{key} = ", f"{key} = growht, ")}
+       for key in ("zscore", "lowess", "compare")},
 }
 
 
@@ -288,6 +291,10 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
     code, err = run(tmp_path, capsys)
     assert code == 2, err
     assert err.startswith("configuration error: ")
+    if case.startswith("run-misspelt-"):  # the message names the key and the series
+        assert err.startswith(f"configuration error: {tmp_path / 'tiny.run'}: {case[len('run-misspelt-'):]} ")
+        assert "growht" in err.rsplit(": ", 1)[1]
+    assert not (tmp_path / "out").exists()
 
 
 # (file, section, misspelt key): one per config loader

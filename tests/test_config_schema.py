@@ -256,13 +256,19 @@ BOUNDARY = [
     ("tiny.run", "metrics", "zscore", "generality, avg_citing_classes, avg_citing_classes_cited", True),
     ("tiny.run", "metrics", "zscore", "", True),
     ("tiny.run", "metrics", "zscore", "growth", False),
+    ("tiny.run", "metrics", "zscore", "growht", False),
+    ("tiny.run", "metrics", "zscore", "diversity_per_patent", True),  # every per-level series has a z-score
     ("tiny.run", "metrics", "zscore", "generality, generality", False),
     ("tiny.run", "metrics", "lowess", "growth, share, counts", True),
     ("tiny.run", "metrics", "lowess", "growth, share, growth", False),
+    ("tiny.run", "metrics", "lowess", "growht", False),  # each a series the config writes
+    ("tiny.run", "metrics", "lowess", "growth_lowess", False),
     *(("tiny.run", "metrics", "lowess_fraction", value, accepted) for value, accepted in (
         ("1e-9", True), ("1", True), ("0", False), ("1.0000001", False), ("nan", False), ("inf", False))),
     ("tiny.run", "stats", "compare", "growth, share", True),
     ("tiny.run", "stats", "compare", "share, growth, share", False),
+    ("tiny.run", "stats", "compare", "growht", False),  # each a series the config writes, or its smoothing
+    ("tiny.run", "stats", "compare", "growth_lowess, generality_d1_zscore", True),
     ("tiny.synth", "synth", "years", "1999-2002", True),
     ("tiny.synth", "synth", "years", "2003-2000", False),
     *(("tiny.synth", "synth", "base_count", value, accepted)
@@ -291,7 +297,7 @@ BOUNDARY = [
         ("0", True), ("-0.0", True), ("1", True), ("-1e-9", False), ("1.0000001", False), ("nan", False))),
     *(("tiny.synth", "group:us", "jaccard_target", value, accepted) for value, accepted in (
         ("0", True), ("0.999", True), ("-1e-9", False), ("1", False), ("nan", False))),
-    ("tiny.synth", "group:kw", "jaccard_target", "5", True),  # bounded only where jaccard_with is set
+    ("tiny.synth", "group:kw", "jaccard_target", "5", False),  # set without jaccard_with, it would be ignored
     ("tiny.synth", "group:kw", "science_confidence", "1", True),
     ("tiny.synth", "group:kw", "science_confidence", "0", False),
     ("tiny.synth", "group:kw", "phrase", "!!!", False),
